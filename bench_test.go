@@ -8,6 +8,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/macros"
 	"repro/internal/mapper"
+	"repro/internal/mapping"
 	"repro/internal/valuesim"
 	"repro/internal/workload"
 )
@@ -98,9 +99,52 @@ func BenchmarkEvaluateMapping(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.EvaluateMapping(ctx, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnalyze measures the count analysis on its own, one-shot:
+// mapping.Analyze compiles the layer's Plan and analyzes one mapping.
+func BenchmarkAnalyze(b *testing.B) {
+	eng, ctx := benchEngine(b)
+	m, err := eng.GreedyMapping(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	levels := eng.Arch().Levels
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mapping.Analyze(levels, ctx.Sliced, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnalyzeInto measures the per-candidate count analysis of a
+// search: a Plan compiled once, sampled candidates analyzed into a warm
+// Scratch. It allocates nothing.
+func BenchmarkAnalyzeInto(b *testing.B) {
+	eng, ctx := benchEngine(b)
+	levels := eng.Arch().Levels
+	cands, err := mapper.Sample(levels, ctx.Sliced, eng.Arch().MapperOptions(256, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := mapping.NewPlan(levels, ctx.Sliced)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := new(mapping.Scratch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.AnalyzeInto(cands[i%len(cands)], s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,6 +154,7 @@ func BenchmarkEvaluateMapping(b *testing.B) {
 func BenchmarkMapperSample(b *testing.B) {
 	eng, ctx := benchEngine(b)
 	opts := eng.Arch().MapperOptions(64, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ms, err := mapper.Sample(eng.Arch().Levels, ctx.Sliced, opts)
@@ -202,6 +247,7 @@ func benchSearchLayer(b *testing.B, workers int) {
 	if workers > 1 {
 		shards = workers
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, evaluated, err := eng.SearchLayerOptsCtx(ctx, lctx, core.SearchOptions{

@@ -20,6 +20,12 @@
 // The check is skipped on hosts with fewer than four CPUs (a 1-core
 // container cannot exhibit parallel speedup, only preserve correctness).
 //
+// Allocations are gated too, without normalization (allocs/op does not
+// depend on machine speed): every benchmark whose allocs/op the baseline
+// records — those that call b.ReportAllocs, or all of them under
+// -benchmem — must report allocs/op in the current run, and fails when
+// it rises above the recorded figure by more than allocSlack.
+//
 // Similarly, -min-warm-speedup W asserts the durable warm start still
 // pays: BenchmarkSweepColdCache must be at least W times slower than
 // BenchmarkSweepWarmFromDisk. Unlike the parallel assertion this one
@@ -53,6 +59,9 @@ type Baseline struct {
 	// NsPerOp maps benchmark name (without the -procs suffix) to its
 	// recorded ns/op.
 	NsPerOp map[string]float64 `json:"ns_per_op"`
+	// AllocsPerOp maps benchmark name to its recorded allocs/op, for the
+	// benchmarks that reported allocations.
+	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
 // warnf emits a skip notice both as plain output and as a GitHub Actions
@@ -67,39 +76,88 @@ func warnf(format string, args ...any) {
 	}
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+var (
+	benchLine  = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+	allocsLine = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
+)
+
+// benchResults is what one `go test -bench` output says about its
+// benchmarks, by name without the -procs suffix.
+type benchResults struct {
+	ns     map[string]float64 // minimum ns/op
+	allocs map[string]float64 // minimum allocs/op, where reported
+}
 
 // parseBench reads `go test -bench` output and returns the minimum ns/op
-// per benchmark name (minimum across -count repetitions, the
-// least-noise estimator for a regression gate).
-func parseBench(path string) (map[string]float64, error) {
+// and allocs/op per benchmark name (minimum across -count repetitions,
+// the least-noise estimator for a regression gate).
+func parseBench(path string) (*benchResults, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	out := map[string]float64{}
+	out := &benchResults{ns: map[string]float64{}, allocs: map[string]float64{}}
+	keepMin := func(m map[string]float64, name, field string) {
+		v, err := strconv.ParseFloat(field, 64)
+		if err != nil {
+			return
+		}
+		if prev, ok := m[name]; !ok || v < prev {
+			m[name] = v
+		}
+	}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		if prev, ok := out[m[1]]; !ok || ns < prev {
-			out[m[1]] = ns
+		keepMin(out.ns, m[1], m[2])
+		if a := allocsLine.FindStringSubmatch(sc.Text()); a != nil {
+			keepMin(out.allocs, m[1], a[1])
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(out) == 0 {
+	if len(out.ns) == 0 {
 		return nil, fmt.Errorf("no benchmark results in %s", path)
 	}
 	return out, nil
+}
+
+// allocSlack is the fractional allocs/op rise the gate forgives. The
+// sharded parallel searches allocate slightly more or less from run to
+// run (their generators run ahead of the merge by a timing-dependent
+// number of candidates, about 0.5%); one more allocation per candidate
+// of a 256-candidate search is a 20% rise.
+const allocSlack = 0.02
+
+// gateAllocs compares the current allocs/op against the baseline's and
+// returns the number of failed checks: a recorded benchmark whose
+// allocs/op rose beyond allocSlack, or that no longer reports allocs/op.
+func gateAllocs(base, cur map[string]float64) int {
+	names := make([]string, 0, len(base))
+	for name := range base {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	failed := 0
+	for _, name := range names {
+		got, ok := cur[name]
+		status := "ok"
+		switch {
+		case !ok:
+			status = "MISSING (allocs/op not reported; b.ReportAllocs removed?)"
+			failed++
+		case got > base[name]*(1+allocSlack):
+			status = "REGRESSION"
+			failed++
+		}
+		fmt.Printf("  %-40s %12.0f allocs/op  recorded %8.0f  %s\n", name, got, base[name], status)
+	}
+	return failed
 }
 
 func main() {
@@ -117,13 +175,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchgate [flags] bench_output.txt")
 		os.Exit(2)
 	}
-	cur, err := parseBench(flag.Arg(0))
+	res, err := parseBench(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
+	cur := res.ns
 
 	if *update {
 		b := Baseline{Note: *note, Reference: *ref, CPUs: runtime.NumCPU(), NsPerOp: cur}
+		if len(res.allocs) > 0 {
+			b.AllocsPerOp = res.allocs
+		}
 		if b.Note == "" {
 			b.Note = fmt.Sprintf("recorded on a %d-CPU host; refresh: go test -run xxx -bench . -benchtime 3x -count 3 . > bench.txt && go run ./cmd/benchgate -update bench.txt", runtime.NumCPU())
 		}
@@ -204,6 +266,10 @@ func main() {
 		}
 		fmt.Printf("  %-40s %12.0f ns/op  allowed %12.0f  (%+.1f%%)  %s\n",
 			name, got, allowed, delta*100, status)
+	}
+	if len(base.AllocsPerOp) > 0 {
+		fmt.Printf("benchgate: allocs/op may not rise (slack %.0f%%):\n", allocSlack*100)
+		failed += gateAllocs(base.AllocsPerOp, res.allocs)
 	}
 
 	if *minSpeedup > 0 {

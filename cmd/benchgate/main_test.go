@@ -23,10 +23,11 @@ ok  	repro	6.134s
 	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := parseBench(path)
+	res, err := parseBench(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.ns
 	// Repetitions collapse to the minimum; the -procs suffix is stripped.
 	if got["BenchmarkSearchLayerSerial"] != 8500000 {
 		t.Fatalf("serial min = %g", got["BenchmarkSearchLayerSerial"])
@@ -39,6 +40,61 @@ ok  	repro	6.134s
 	}
 	if len(got) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3", len(got))
+	}
+	if len(res.allocs) != 0 {
+		t.Fatalf("allocs parsed from lines without allocs/op: %v", res.allocs)
+	}
+}
+
+// TestAllocsGate parses allocs/op (minimum over repetitions, with or
+// without -benchmem's B/op column and custom metrics before it) and fails
+// a benchmark whose allocs/op rose beyond the slack or stopped being
+// reported.
+func TestAllocsGate(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bench.txt")
+	out := `BenchmarkEvaluateMapping-2        	  163413	      6678 ns/op	    5184 B/op	      30 allocs/op
+BenchmarkEvaluateMapping-2        	  160000	      6900 ns/op	    5184 B/op	      31 allocs/op
+BenchmarkSearchLayerSerial-2      	     741	   1532361 ns/op	       256.0 cands	  213563 B/op	    1276 allocs/op
+BenchmarkSearchLayerParallel2-2   	     694	   1523494 ns/op	       256.0 cands	 1405 allocs/op
+BenchmarkSweepWarmCache           	     100	    123456 ns/op
+`
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := parseBench(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"BenchmarkEvaluateMapping":      30,
+		"BenchmarkSearchLayerSerial":    1276,
+		"BenchmarkSearchLayerParallel2": 1405,
+	}
+	if len(res.allocs) != len(want) {
+		t.Fatalf("allocs = %v, want %v", res.allocs, want)
+	}
+	for k, v := range want {
+		if res.allocs[k] != v {
+			t.Fatalf("allocs[%s] = %g, want %g", k, res.allocs[k], v)
+		}
+	}
+
+	// Equal or fewer allocations pass, and so does run-to-run jitter
+	// within the slack.
+	if n := gateAllocs(map[string]float64{
+		"BenchmarkEvaluateMapping":      30,
+		"BenchmarkSearchLayerSerial":    2000,
+		"BenchmarkSearchLayerParallel2": 1400,
+	}, res.allocs); n != 0 {
+		t.Fatalf("gate failed %d checks on equal, lower or jittered allocs", n)
+	}
+	// A rise fails, and so does a recorded benchmark without allocs/op.
+	if n := gateAllocs(map[string]float64{
+		"BenchmarkEvaluateMapping": 29,
+		"BenchmarkSweepWarmCache":  10,
+	}, res.allocs); n != 2 {
+		t.Fatalf("gate failed %d checks, want 2 (one rise, one unreported)", n)
 	}
 }
 

@@ -18,7 +18,8 @@
 // Action counts come from the mapping analysis (package mapping); energy
 // is actions × average energy per action, so evaluating one more mapping
 // costs only the count analysis, which is why CiMLoop is orders of
-// magnitude faster than value-level simulation (Table II).
+// magnitude faster than value-level simulation (Table II). How a search
+// keeps that per-mapping step small is described in evaluate.go.
 package core
 
 import (

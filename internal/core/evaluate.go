@@ -1,5 +1,22 @@
 package core
 
+// The per-mapping half of Algorithm 1 (lines 8-10) is split along the
+// same line as the count analysis in package mapping. A layer search
+// compiles the layer's mapping.Plan once — the level list and the sliced
+// einsum resolved into index tables — and gives every search worker its
+// own mapping.Scratch. Each candidate then runs the cost-only kernel
+// (costKernel): Plan.AnalyzeInto into the worker's Scratch, then price, which
+// multiplies the counts by the LayerContext's per-action energies (stored
+// per level as arrays indexed by tensor kind) and returns the energy
+// scalar. With a warm Scratch the kernel allocates nothing. The full
+// Result, with its per-level breakdown, is built once, for the winner, by
+// the same price function, so the winner's Energy is bit for bit the
+// number the search compared. price sums levels outermost first and
+// tensors in tensor.Kind order, which makes every energy, and therefore
+// every winner, independent of run, worker count and map iteration
+// order. EvaluateMapping is the one-shot form: it compiles a Plan for its
+// one mapping.
+
 import (
 	"context"
 	"fmt"
@@ -73,24 +90,62 @@ func (r *Result) EnergyPerMAC() float64 {
 
 // EvaluateMapping computes energy, cycles, and throughput of one mapping
 // using the layer context's precomputed per-action energies (Algorithm 1
-// lines 8–10: only the count analysis runs per mapping).
+// lines 8–10: only the count analysis runs per mapping). It compiles the
+// layer's count-analysis Plan for this one call; a mapping search compiles
+// it once per layer instead (see SearchLayerOptsCtx).
 func (e *Engine) EvaluateMapping(ctx *LayerContext, m *mapping.Mapping) (*Result, error) {
-	counts, err := mapping.Analyze(e.arch.Levels, ctx.Sliced, m)
+	plan, err := mapping.NewPlan(e.arch.Levels, ctx.Sliced)
 	if err != nil {
 		return nil, err
 	}
-	share := int64(e.arch.adcShare())
+	return e.evaluate(ctx, plan, new(mapping.Scratch), m)
+}
+
+// evaluate analyzes m with a compiled plan and builds its full Result.
+func (e *Engine) evaluate(ctx *LayerContext, plan *mapping.Plan, s *mapping.Scratch, m *mapping.Mapping) (*Result, error) {
+	counts, err := plan.AnalyzeInto(m, s)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		Arch:        e.arch.Name,
 		Layer:       ctx.Layer.Name,
 		Mapping:     m,
-		Cycles:      counts.Cycles * share, // ADC sharing serializes strobes
 		MACs:        ctx.Layer.Op.MACs(),
 		PaddedMACs:  counts.MACs,
 		Utilization: counts.Utilization,
 		AreaUm2:     e.area,
+		Levels:      make([]LevelEnergy, 0, len(e.bindings)),
 	}
-	res.TimeSec = float64(res.Cycles) / e.clock
+	e.price(ctx, counts, res)
+	return res, nil
+}
+
+// costKernel returns the search's cost-only kernel for one layer: the
+// layer energy of a mapping, with no Result built, analyzed into a
+// Scratch the kernel owns. Once that Scratch has grown it allocates
+// nothing. A kernel must not be called from two goroutines at once.
+func (e *Engine) costKernel(ctx *LayerContext, plan *mapping.Plan) mapper.CostFunc {
+	s := new(mapping.Scratch)
+	return func(m *mapping.Mapping) (float64, error) {
+		counts, err := plan.AnalyzeInto(m, s)
+		if err != nil {
+			return 0, err
+		}
+		return e.price(ctx, counts, nil), nil
+	}
+}
+
+// price costs one mapping's counts with the layer's per-action energies
+// and returns the layer energy. Levels are summed outermost first and
+// tensors in tensor.Kind order, so equal counts always price to a
+// bit-identical energy. With res nil only the energy is computed (the
+// search's scalar); otherwise res also receives cycles, time, leakage and
+// the per-level breakdown, and res.Energy is the returned number.
+func (e *Engine) price(ctx *LayerContext, counts *mapping.Counts, res *Result) float64 {
+	cycles := counts.Cycles * int64(e.arch.adcShare()) // ADC sharing serializes strobes
+	timeSec := float64(cycles) / e.clock
+	dramLimited := false
 	// Off-chip bandwidth can cap throughput: a layer moving more DRAM
 	// bits than the channel delivers in the compute time is DRAM-bound.
 	for i := range e.bindings {
@@ -99,34 +154,27 @@ func (e *Engine) EvaluateMapping(ctx *LayerContext, m *mapping.Mapping) (*Result
 			continue
 		}
 		var bits float64
-		for t, tc := range counts.PerLevel[i] {
-			per := float64(e.arch.InputBits)
-			switch t {
-			case tensor.Weight:
-				per = float64(e.arch.WeightBits)
-			case tensor.Output:
-				per = float64(e.arch.InputBits + e.arch.WeightBits)
+		for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
+			if !counts.Has(i, t) {
+				continue
 			}
-			bits += float64(tc.Reads+tc.Writes) * per
+			tc := &counts.PerLevel[i][t]
+			bits += float64(tc.Reads+tc.Writes) * e.valueBits(t)
 		}
 		if bw := b.dram.BandwidthBitsPerSec(); bw > 0 {
-			if dramTime := bits / bw; dramTime > res.TimeSec {
-				res.TimeSec = dramTime
-				res.DRAMLimited = true
+			if dramTime := bits / bw; dramTime > timeSec {
+				timeSec = dramTime
+				dramLimited = true
 			}
 		}
 	}
 	railsIn := float64(ctx.inputRails)
 	railsW := float64(ctx.weightRails)
 
+	var energy, leakJ float64
 	for i := range e.bindings {
 		b := &e.bindings[i]
-		le := LevelEnergy{
-			Name:     b.level.Name,
-			Class:    b.level.Class,
-			Kind:     b.level.Kind,
-			ByTensor: map[tensor.Kind]float64{},
-		}
+		le := &ctx.energies[i]
 		// Idle-instance factor: the mapping uses MappedOutside[i] of the
 		// level's physical instances; the rest still fire every strobe
 		// with zero-valued operands (an underutilized array's idle
@@ -145,22 +193,23 @@ func (e *Engine) EvaluateMapping(ctx *LayerContext, m *mapping.Mapping) (*Result
 		if b.model != nil && idlePerMapped > 0 {
 			idleE = b.model.EnergyAt(0, 0, 0)
 		}
-		for t, tc := range counts.PerLevel[i] {
-			ae, ok := ctx.energies[i][t]
-			if !ok {
+		var byKind [tensor.NumKinds]float64
+		var charged uint8 // tensors with a ByTensor entry
+		var total float64
+		for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
+			if !counts.Has(i, t) || !le.has(t) {
 				continue
 			}
+			tc := &counts.PerLevel[i][t]
+			ae := &le.byKind[t]
 			var joules float64
 			switch b.level.Kind {
 			case spec.StorageLevel:
 				joules = float64(tc.Reads)*ae.read + float64(tc.Writes)*ae.write
 			case spec.TransitLevel:
-				mult := 1.0
-				switch t {
-				case tensor.Input:
+				mult := railsW
+				if t == tensor.Input {
 					mult = railsIn
-				case tensor.Weight, tensor.Output:
-					mult = railsW
 				}
 				joules = float64(tc.Crossings) * (ae.cross*mult + idlePerMapped*idleE)
 			case spec.ComputeLevel:
@@ -169,25 +218,59 @@ func (e *Engine) EvaluateMapping(ctx *LayerContext, m *mapping.Mapping) (*Result
 				}
 			}
 			if joules != 0 {
-				le.ByTensor[t] += joules
-				le.Total += joules
+				byKind[t] += joules
+				charged |= 1 << uint(t)
+				total += joules
 			}
 		}
 		if b.level.Kind == spec.ComputeLevel {
-			macE := ctx.energies[i][tensor.Output].cross
+			macE := le.byKind[tensor.Output].cross
 			joules := float64(counts.MACs) * (macE*railsIn*railsW + idlePerMapped*idleE)
-			le.ByTensor[tensor.Output] += joules
-			le.Total += joules
+			byKind[tensor.Output] += joules
+			charged |= 1 << uint(tensor.Output)
+			total += joules
 		}
 		if b.buffer != nil && e.leakage > 0 {
-			leak := b.buffer.LeakagePower() * float64(b.instances) * res.TimeSec
-			le.Total += leak
-			res.LeakageJ += leak
+			leak := b.buffer.LeakagePower() * float64(b.instances) * timeSec
+			total += leak
+			leakJ += leak
 		}
-		res.Levels = append(res.Levels, le)
-		res.Energy += le.Total
+		if res != nil {
+			lv := LevelEnergy{
+				Name:     b.level.Name,
+				Class:    b.level.Class,
+				Kind:     b.level.Kind,
+				ByTensor: make(map[tensor.Kind]float64, tensor.NumKinds),
+				Total:    total,
+			}
+			for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
+				if charged&(1<<uint(t)) != 0 {
+					lv.ByTensor[t] = byKind[t]
+				}
+			}
+			res.Levels = append(res.Levels, lv)
+		}
+		energy += total
 	}
-	return res, nil
+	if res != nil {
+		res.Cycles = cycles
+		res.TimeSec = timeSec
+		res.DRAMLimited = dramLimited
+		res.LeakageJ = leakJ
+		res.Energy = energy
+	}
+	return energy
+}
+
+// valueBits is the stored width of one value of tensor t.
+func (e *Engine) valueBits(t tensor.Kind) float64 {
+	switch t {
+	case tensor.Weight:
+		return float64(e.arch.WeightBits)
+	case tensor.Output:
+		return float64(e.arch.InputBits + e.arch.WeightBits)
+	}
+	return float64(e.arch.InputBits)
 }
 
 // GreedyMapping returns the architecture's deterministic utilization-
@@ -240,49 +323,32 @@ func (e *Engine) SearchLayerCtx(ctx context.Context, lctx *LayerContext, maxMapp
 
 // SearchLayerOptsCtx is the full form of the per-layer search: the
 // SearchOptions select the budget, seed, and intra-search parallelism.
-// With SearchWorkers > 1 candidate evaluations fan across a worker pool
-// (mapper.SearchParallelCtx) and the winning mapping is re-evaluated once
-// to build the Result — EvaluateMapping is deterministic, so the Result is
-// bit-identical to the serial path's.
+// The layer's count-analysis Plan is compiled once; each candidate then
+// runs the cost-only kernel (analysis into a reused Scratch plus pricing,
+// no Result), and the Result is built once, for the winner. With
+// SearchWorkers > 1 candidate evaluations fan across a worker pool
+// (mapper.SearchParallelCtx), each worker with its own Scratch. Pricing
+// sums in a fixed order, so the winner and its Result are bit-identical
+// across runs and worker counts.
 func (e *Engine) SearchLayerOptsCtx(ctx context.Context, lctx *LayerContext, so SearchOptions) (*Result, int, error) {
+	plan, err := mapping.NewPlan(e.arch.Levels, lctx.Sliced)
+	if err != nil {
+		return nil, 0, err
+	}
 	opts := e.arch.MapperOptions(so.MaxMappings, so.Seed)
 	if so.SampleShards > 1 {
 		opts.Shards = so.SampleShards
 	}
-	if so.SearchWorkers > 1 {
-		cost := func(m *mapping.Mapping) (float64, error) {
-			r, err := e.EvaluateMapping(lctx, m)
-			if err != nil {
-				return 0, err
-			}
-			return r.Energy, nil
-		}
-		best, evaluated, err := mapper.SearchParallelCtx(ctx, e.arch.Levels, lctx.Sliced, opts, so.SearchWorkers, cost)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, err := e.EvaluateMapping(lctx, best.Mapping)
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, evaluated, nil
-	}
-	var best *Result
-	cost := func(m *mapping.Mapping) (float64, error) {
-		r, err := e.EvaluateMapping(lctx, m)
-		if err != nil {
-			return 0, err
-		}
-		if best == nil || r.Energy < best.Energy {
-			best = r
-		}
-		return r.Energy, nil
-	}
-	_, evaluated, err := mapper.SearchCtx(ctx, e.arch.Levels, lctx.Sliced, opts, cost)
+	newCost := func() mapper.CostFunc { return e.costKernel(lctx, plan) }
+	best, evaluated, err := mapper.SearchParallelCtx(ctx, e.arch.Levels, lctx.Sliced, opts, so.SearchWorkers, newCost)
 	if err != nil {
 		return nil, 0, err
 	}
-	return best, evaluated, nil
+	r, err := e.evaluate(lctx, plan, new(mapping.Scratch), best.Mapping)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, evaluated, nil
 }
 
 // EvaluateLayer prepares a layer and searches for its best mapping.

@@ -66,10 +66,14 @@ func (c *LayerContext) Export() *LayerContextData {
 		d.WeightSlicePMF = c.WeightSlicePMF.Points()
 	}
 	d.Energies = make([]map[tensor.Kind]AccessEnergy, len(c.energies))
-	for i, m := range c.energies {
-		em := make(map[tensor.Kind]AccessEnergy, len(m))
-		for t, ae := range m {
-			em[t] = AccessEnergy{Read: ae.read, Write: ae.write, Cross: ae.cross}
+	for i := range c.energies {
+		k := &c.energies[i]
+		em := make(map[tensor.Kind]AccessEnergy, tensor.NumKinds)
+		for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
+			if k.has(t) {
+				ae := k.byKind[t]
+				em[t] = AccessEnergy{Read: ae.read, Write: ae.write, Cross: ae.cross}
+			}
 		}
 		d.Energies[i] = em
 	}
@@ -118,14 +122,15 @@ func RestoreLayerContext(d *LayerContextData) (*LayerContext, error) {
 		weightRails:    d.WeightRails,
 		InputSlicePMF:  inPMF,
 		WeightSlicePMF: wPMF,
-		energies:       make([]map[tensor.Kind]accessEnergies, len(d.Energies)),
+		energies:       make([]kindEnergies, len(d.Energies)),
 	}
 	for i, m := range d.Energies {
-		em := make(map[tensor.Kind]accessEnergies, len(m))
 		for t, ae := range m {
-			em[t] = accessEnergies{read: ae.Read, write: ae.Write, cross: ae.Cross}
+			if t < 0 || t >= tensor.NumKinds {
+				return nil, fmt.Errorf("core: layer context level %d has energies for unknown tensor kind %d", i, int(t))
+			}
+			ctx.energies[i].set(t, accessEnergies{read: ae.Read, write: ae.Write, cross: ae.Cross})
 		}
-		ctx.energies[i] = em
 	}
 	return ctx, nil
 }

@@ -19,6 +19,20 @@ type accessEnergies struct {
 	cross float64 // J per value crossing (transit) or per MAC (compute)
 }
 
+// kindEnergies is one level's access energies indexed by tensor.Kind;
+// mask has bit 1<<kind set for each tensor the level has energies for.
+type kindEnergies struct {
+	byKind [tensor.NumKinds]accessEnergies
+	mask   uint8
+}
+
+func (k *kindEnergies) has(t tensor.Kind) bool { return k.mask&(1<<uint(t)) != 0 }
+
+func (k *kindEnergies) set(t tensor.Kind, ae accessEnergies) {
+	k.byKind[t] = ae
+	k.mask |= 1 << uint(t)
+}
+
 // LayerContext carries everything that is computed once per (layer,
 // architecture) and amortized across mappings: the sliced einsum, the
 // operand PMFs after encoding/slicing, and per-component average energies
@@ -27,8 +41,8 @@ type LayerContext struct {
 	Layer  workload.Layer
 	Sliced *tensor.Einsum
 
-	// energies[levelIdx][kind]
-	energies []map[tensor.Kind]accessEnergies
+	// energies[levelIdx].byKind[kind]
+	energies []kindEnergies
 
 	// Rail multipliers from the encodings (a differential encoding drives
 	// two physical rails per operand).
@@ -101,7 +115,7 @@ func (e *Engine) PrepareLayerWithPMFs(l workload.Layer, inPMF, wPMF *dist.PMF) (
 	}
 
 	// Step 3: per-component average energies.
-	ctx.energies = make([]map[tensor.Kind]accessEnergies, len(e.bindings))
+	ctx.energies = make([]kindEnergies, len(e.bindings))
 	cellProduct := dist.Mul(ctx.InputSlicePMF, ctx.WeightSlicePMF).Rebin(512)
 	sums := make(map[int64]*dist.PMF)
 	for i := range e.bindings {
@@ -186,10 +200,10 @@ func (a *Arch) ColumnFullScale(b int) float64 {
 }
 
 // levelEnergies computes the per-value access energies for one level.
-func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, cellProduct *dist.PMF, sums map[int64]*dist.PMF) (map[tensor.Kind]accessEnergies, error) {
+func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, cellProduct *dist.PMF, sums map[int64]*dist.PMF) (kindEnergies, error) {
 	a := e.arch
 	lv := b.level
-	out := make(map[tensor.Kind]accessEnergies)
+	var out kindEnergies
 	reduction := a.reductionDepthBelow(b.levelIdx + 1)
 	outBits := a.OutputBits(reduction)
 	// Outputs are re-quantized to operand precision before entering
@@ -217,27 +231,27 @@ func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, cellProduct *dist.
 	case spec.StorageLevel:
 		switch {
 		case b.buffer != nil:
-			for t := range lv.Keeps {
+			for _, t := range kindsOf(lv.Keeps) {
 				bits := float64(bitsOf(t))
-				out[t] = accessEnergies{
+				out.set(t, accessEnergies{
 					read:  b.buffer.ReadEnergyPerBit() * bits,
 					write: b.buffer.WriteEnergyPerBit() * bits,
-				}
+				})
 			}
 		case b.dram != nil:
-			for t := range lv.Keeps {
+			for _, t := range kindsOf(lv.Keeps) {
 				bits := float64(bitsOf(t))
-				out[t] = accessEnergies{
+				out.set(t, accessEnergies{
 					read:  b.dram.AccessEnergyPerBit() * bits,
 					write: b.dram.AccessEnergyPerBit() * bits,
-				}
+				})
 			}
 		case b.model != nil:
 			// Value-based storage: output accumulators (analog
 			// accumulator, shift-add) see the accumulated-sum
 			// distribution; input/weight registers see the operand
 			// slice distributions.
-			for t := range lv.Keeps {
+			for _, t := range kindsOf(lv.Keeps) {
 				var ops circuits.Operands
 				switch t {
 				case tensor.Input:
@@ -247,30 +261,30 @@ func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, cellProduct *dist.
 				default:
 					sum, err := e.columnSumPMF(b.levelIdx+1, cellProduct, sums)
 					if err != nil {
-						return nil, err
+						return out, err
 					}
 					ops.Output = sum
 				}
 				me, err := b.model.MeanEnergy(ops)
 				if err != nil {
-					return nil, err
+					return out, err
 				}
 				// One action per value written; reading the settled value
 				// out is folded into that cost for accumulators. Register
 				// reads feeding DACs each slice cost one register op.
 				if t == tensor.Output {
-					out[t] = accessEnergies{write: me}
+					out.set(t, accessEnergies{write: me})
 				} else {
-					out[t] = accessEnergies{read: me, write: me}
+					out.set(t, accessEnergies{read: me, write: me})
 				}
 			}
 		default:
-			return nil, fmt.Errorf("storage level has no bound model")
+			return out, fmt.Errorf("storage level has no bound model")
 		}
 		return out, nil
 
 	case spec.TransitLevel:
-		for t := range lv.Transits {
+		for _, t := range kindsOf(lv.Transits) {
 			var ops circuits.Operands
 			switch t {
 			case tensor.Input:
@@ -280,7 +294,7 @@ func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, cellProduct *dist.
 			default:
 				sum, err := e.columnSumPMF(b.levelIdx+1, cellProduct, sums)
 				if err != nil {
-					return nil, err
+					return out, err
 				}
 				// ADCs see the sum quantized to their own full scale.
 				if adc, ok := b.model.(*circuits.ADC); ok {
@@ -290,9 +304,9 @@ func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, cellProduct *dist.
 			}
 			me, err := b.model.MeanEnergy(ops)
 			if err != nil {
-				return nil, err
+				return out, err
 			}
-			out[t] = accessEnergies{cross: me}
+			out.set(t, accessEnergies{cross: me})
 		}
 		return out, nil
 
@@ -302,12 +316,25 @@ func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, cellProduct *dist.
 			Weight: ctx.WeightSlicePMF,
 		})
 		if err != nil {
-			return nil, err
+			return out, err
 		}
-		out[tensor.Output] = accessEnergies{cross: me}
+		out.set(tensor.Output, accessEnergies{cross: me})
 		// Weight programming cost (fills into the cells).
-		out[tensor.Weight] = accessEnergies{write: b.programEnergy}
+		out.set(tensor.Weight, accessEnergies{write: b.programEnergy})
 		return out, nil
 	}
-	return nil, fmt.Errorf("unknown level kind %v", lv.Kind)
+	return out, fmt.Errorf("unknown level kind %v", lv.Kind)
+}
+
+// kindsOf lists the tensor kinds keyed in a level's per-tensor flag map,
+// in tensor.Kind order. Keys are listed whatever their value, as ranging
+// over the map would.
+func kindsOf(m map[tensor.Kind]bool) []tensor.Kind {
+	var out []tensor.Kind
+	for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
+		if _, ok := m[t]; ok {
+			out = append(out, t)
+		}
+	}
+	return out
 }

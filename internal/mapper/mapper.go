@@ -270,58 +270,153 @@ func sampleSeq(levels []spec.Level, e *tensor.Einsum, opts Options, yield func(i
 	if !yield(0, greedy) {
 		return nil
 	}
+	s, err := newSampler(levels, e, opts)
+	if err != nil {
+		return err
+	}
 	if opts.Shards >= 1 {
-		return sampleSeqSharded(levels, e, opts, greedy.String(), yield)
+		return sampleSeqSharded(s, opts, greedy.String(), yield)
 	}
 	n := 1
 	seen := map[string]bool{greedy.String(): true}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	sl := storageLevels(levels)
-	tries := 0
-	for n < opts.MaxMappings && tries < opts.MaxMappings*20 {
-		tries++
-		m, ok := sampleOne(levels, e, opts, rng, sl)
-		if !ok {
-			continue
-		}
-		key := m.String()
-		if seen[key] {
-			continue
-		}
-		if mapping.Validate(levels, e, m) != nil {
-			continue
-		}
-		seen[key] = true
+	s.stream(rand.New(rand.NewSource(opts.Seed)), seen, func(_ string, m *mapping.Mapping) bool {
 		if !yield(n, m) {
-			return nil
+			return false
 		}
 		n++
-	}
+		return true
+	})
 	return nil
 }
 
-// sampleOne draws one random candidate (possibly invalid; caller checks).
-func sampleOne(levels []spec.Level, e *tensor.Einsum, opts Options, rng *rand.Rand, sl []int) (*mapping.Mapping, bool) {
+// sampler draws the random candidates of one (levels, einsum, options)
+// triple. newSampler resolves the name-keyed options — remaining bounds,
+// mesh budgets, spatial preferences, storage levels — into index tables
+// once per search, and compiles the layer's mapping.Plan for validation.
+// A draw reuses one scratch mapping and key buffer, so rejected draws
+// allocate nothing; only accepted candidates are copied out. The tables
+// are read-only; fork gives each concurrent stream its own draw state.
+type sampler struct {
+	plan    *mapping.Plan
+	dims    []string         // einsum dimension names; a dim's index is its position
+	rem0    []int            // per-dim bound left after the fixed loops
+	spatial []spatialSlot    // spatial levels, innermost first
+	storage []int            // storage levels, outermost first
+	fixed   [][]mapping.Loop // fixed loops per level
+	max     int              // Options.MaxMappings
+
+	// Draw state.
+	rem []int
+	m   mapping.Mapping
+	key []byte
+}
+
+// spatialSlot is one spatial level's share of a draw's spatial placement.
+type spatialSlot struct {
+	level  int
+	budget int   // mesh capacity left after the fixed loops
+	prefs  []int // preferred dims the einsum has, in preference order
+}
+
+func newSampler(levels []spec.Level, e *tensor.Einsum, opts Options) (*sampler, error) {
+	plan, err := mapping.NewPlan(levels, e)
+	if err != nil {
+		return nil, err
+	}
 	rem, err := remainingBound(e, opts.Fixed)
 	if err != nil {
-		return nil, false
+		return nil, err
+	}
+	s := &sampler{
+		plan:    plan,
+		dims:    make([]string, len(e.Dims)),
+		rem0:    make([]int, len(e.Dims)),
+		storage: storageLevels(levels),
+		fixed:   newMapping(levels, opts.Fixed).LevelLoops,
+		max:     opts.MaxMappings,
+	}
+	index := make(map[string]int, len(e.Dims))
+	for i, d := range e.Dims {
+		s.dims[i], s.rem0[i] = d.Name, rem[d.Name]
+		index[d.Name] = i
 	}
 	budget := meshBudget(levels, opts.Fixed)
-	m := newMapping(levels, opts.Fixed)
+	for li := len(levels) - 1; li >= 0; li-- {
+		room, ok := budget[li]
+		if !ok {
+			continue
+		}
+		slot := spatialSlot{level: li, budget: room}
+		for _, d := range opts.SpatialPrefs[li] {
+			// Preferences are architecture-static; dims absent from this
+			// workload (e.g. R/S on a matmul) are skipped.
+			if i, ok := index[d]; ok {
+				slot.prefs = append(slot.prefs, i)
+			}
+		}
+		s.spatial = append(s.spatial, slot)
+	}
+	s.initDraw()
+	return s, nil
+}
+
+// initDraw gives s draw state of its own.
+func (s *sampler) initDraw() {
+	s.rem = make([]int, len(s.rem0))
+	s.m = mapping.Mapping{LevelLoops: make([][]mapping.Loop, len(s.fixed))}
+	s.key = nil
+}
+
+// fork returns a sampler sharing s's tables with draw state of its own.
+func (s *sampler) fork() *sampler {
+	f := *s
+	f.initDraw()
+	return &f
+}
+
+// stream draws from rng until it has emitted max-1 fresh valid candidates
+// or spent max*20 draws: the budget of the unsharded sampler after the
+// greedy mapping, and of every shard. seen holds the keys already taken
+// (at least the greedy mapping's) and gains each emitted key. emit
+// receives each candidate, a copy the caller owns, with its String key;
+// returning false stops the stream.
+func (s *sampler) stream(rng *rand.Rand, seen map[string]bool, emit func(key string, m *mapping.Mapping) bool) {
+	produced, tries := 0, 0
+	for produced < s.max-1 && tries < s.max*20 {
+		tries++
+		s.draw(rng)
+		s.key = s.m.AppendTo(s.key[:0])
+		if seen[string(s.key)] {
+			continue
+		}
+		if s.plan.Validate(&s.m) != nil {
+			continue
+		}
+		key := string(s.key)
+		seen[key] = true
+		produced++
+		if !emit(key, cloneMapping(&s.m)) {
+			return
+		}
+	}
+}
+
+// draw builds one random candidate (possibly invalid; stream checks) in
+// s.m: a random subset of preferred dims gets random spatial factors,
+// every remaining dim is split randomly across storage levels, and each
+// storage level's loops are shuffled.
+func (s *sampler) draw(rng *rand.Rand) {
+	loops := s.m.LevelLoops
+	for i := range loops {
+		loops[i] = append(loops[i][:0], s.fixed[i]...)
+	}
+	copy(s.rem, s.rem0)
 
 	// Spatial: random subset of preferred dims with random factors.
-	var spatialIdx []int
-	for i := range budget {
-		spatialIdx = append(spatialIdx, i)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(spatialIdx)))
-	for _, li := range spatialIdx {
-		for _, d := range opts.SpatialPrefs[li] {
-			b, ok := rem[d]
-			if !ok {
-				continue
-			}
-			room := budget[li]
+	for _, slot := range s.spatial {
+		room := slot.budget
+		for _, d := range slot.prefs {
+			b := s.rem[d]
 			if room <= 1 || b <= 1 {
 				continue
 			}
@@ -329,60 +424,111 @@ func sampleOne(levels []spec.Level, e *tensor.Einsum, opts Options, rng *rand.Ra
 			if f <= 1 {
 				continue
 			}
-			m.LevelLoops[li] = append(m.LevelLoops[li], mapping.Loop{Dim: d, Factor: f})
-			budget[li] = room / f
-			rem[d] = ceilDiv(b, f)
+			loops[slot.level] = append(loops[slot.level], mapping.Loop{Dim: s.dims[d], Factor: f})
+			room /= f
+			s.rem[d] = ceilDiv(b, f)
 		}
 	}
 
 	// Temporal: split every remaining dim randomly across storage levels
 	// (dims visited in declaration order for determinism).
-	for _, dim := range e.Dims {
-		d := dim.Name
-		b := rem[d]
-		if b <= 1 {
-			continue
-		}
+	for d, b := range s.rem {
 		for b > 1 {
-			li := sl[rng.Intn(len(sl))]
+			li := s.storage[rng.Intn(len(s.storage))]
 			f := randomFactor(rng, b, b)
 			if f <= 1 {
 				f = b
 			}
-			m.LevelLoops[li] = append(m.LevelLoops[li], mapping.Loop{Dim: d, Factor: f})
+			loops[li] = append(loops[li], mapping.Loop{Dim: s.dims[d], Factor: f})
 			b = ceilDiv(b, f)
 		}
 	}
 	// Random permutation within each temporal level.
-	for _, li := range sl {
-		loops := m.LevelLoops[li]
-		rng.Shuffle(len(loops), func(i, j int) { loops[i], loops[j] = loops[j], loops[i] })
+	for _, li := range s.storage {
+		ll := loops[li]
+		rng.Shuffle(len(ll), func(i, j int) { ll[i], ll[j] = ll[j], ll[i] })
 	}
-	return m, true
+}
+
+// cloneMapping copies m into one allocation of loops. Levels without
+// loops stay nil.
+func cloneMapping(m *mapping.Mapping) *mapping.Mapping {
+	n := 0
+	for _, l := range m.LevelLoops {
+		n += len(l)
+	}
+	flat := make([]mapping.Loop, 0, n)
+	out := &mapping.Mapping{LevelLoops: make([][]mapping.Loop, len(m.LevelLoops))}
+	for i, l := range m.LevelLoops {
+		if len(l) == 0 {
+			continue
+		}
+		start := len(flat)
+		flat = append(flat, l...)
+		out.LevelLoops[i] = flat[start:len(flat):len(flat)]
+	}
+	return out
 }
 
 // randomFactor picks a random divisor of b capped at limit, occasionally
 // the limit itself (a padded split). The padded candidate is only added
-// when limit does not already divide b — when it does, the divisor loop
-// has already collected it, and appending it again would double its
-// selection weight.
+// when limit does not already divide b — when it does, the divisor count
+// already includes it, and adding it again would double its selection
+// weight. Divisors are counted and indexed in ascending order without
+// being collected into a slice; the rng draws must stay exactly those of
+// the collecting form, or every seeded candidate sequence changes.
 func randomFactor(rng *rand.Rand, b, limit int) int {
 	if limit > b {
 		limit = b
 	}
-	var cands []int
-	for d := 1; d <= limit; d++ {
-		if b%d == 0 {
-			cands = append(cands, d)
+	divisors := 0
+	for d := 1; d*d <= b; d++ {
+		if b%d != 0 {
+			continue
+		}
+		if d <= limit {
+			divisors++
+		}
+		if q := b / d; q != d && q <= limit {
+			divisors++
 		}
 	}
-	if limit < b && b%limit != 0 && (len(cands) == 0 || rng.Intn(4) == 0) {
-		cands = append(cands, limit) // padded split
+	cands := divisors
+	if limit < b && b%limit != 0 && (divisors == 0 || rng.Intn(4) == 0) {
+		cands++ // padded split
 	}
-	if len(cands) == 0 {
+	if cands == 0 {
 		return 1
 	}
-	return cands[rng.Intn(len(cands))]
+	k := rng.Intn(cands)
+	if k == divisors {
+		return limit
+	}
+	return nthDivisor(b, limit, k)
+}
+
+// nthDivisor returns the k-th smallest divisor of b that is at most limit
+// (k from 0): first the divisors up to sqrt(b) ascending, then their
+// cofactors ascending.
+func nthDivisor(b, limit, k int) int {
+	d := 1
+	for ; d*d <= b; d++ {
+		if b%d == 0 && d <= limit {
+			if k == 0 {
+				return d
+			}
+			k--
+		}
+	}
+	for d--; d >= 1; d-- {
+		if q := b / d; b%d == 0 && q != d && q <= limit {
+			if k == 0 {
+				return q
+			}
+			k--
+		}
+	}
+	panic("mapper: divisor index out of range")
 }
 
 // Result pairs a mapping with its evaluated cost.
@@ -391,18 +537,21 @@ type Result struct {
 	Cost    float64
 }
 
+// CostFunc prices one candidate mapping for a search.
+type CostFunc func(*mapping.Mapping) (float64, error)
+
 // Search generates candidates and returns the one minimizing the caller's
 // cost function, along with the number of mappings evaluated. Candidates
 // whose evaluation fails are skipped; if every candidate fails, the first
 // error is returned.
-func Search(levels []spec.Level, e *tensor.Einsum, opts Options, cost func(*mapping.Mapping) (float64, error)) (*Result, int, error) {
+func Search(levels []spec.Level, e *tensor.Einsum, opts Options, cost CostFunc) (*Result, int, error) {
 	return SearchCtx(context.Background(), levels, e, opts, cost)
 }
 
 // SearchCtx is Search under a context: cancellation is checked before
 // each candidate evaluation, so a cancelled search returns ctx.Err()
 // promptly instead of finishing the whole sample.
-func SearchCtx(ctx context.Context, levels []spec.Level, e *tensor.Einsum, opts Options, cost func(*mapping.Mapping) (float64, error)) (*Result, int, error) {
+func SearchCtx(ctx context.Context, levels []spec.Level, e *tensor.Einsum, opts Options, cost CostFunc) (*Result, int, error) {
 	cands, err := Sample(levels, e, opts)
 	if err != nil {
 		return nil, 0, err

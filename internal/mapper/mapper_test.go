@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/mapping"
@@ -255,5 +256,41 @@ func TestSearchSkipsFailingCandidates(t *testing.T) {
 	}
 	if best.Cost != 1 {
 		t.Fatalf("best cost %g, want 1", best.Cost)
+	}
+}
+
+// randomFactor must draw exactly like the slice-collecting version it
+// replaced: same divisors in the same order, same rng calls.
+func TestRandomFactorMatchesCollectedDivisors(t *testing.T) {
+	collected := func(rng *rand.Rand, b, limit int) int {
+		if limit > b {
+			limit = b
+		}
+		var cands []int
+		for d := 1; d <= limit; d++ {
+			if b%d == 0 {
+				cands = append(cands, d)
+			}
+		}
+		if limit < b && b%limit != 0 && (len(cands) == 0 || rng.Intn(4) == 0) {
+			cands = append(cands, limit)
+		}
+		if len(cands) == 0 {
+			return 1
+		}
+		return cands[rng.Intn(len(cands))]
+	}
+	got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for b := 1; b <= 300; b++ {
+		for limit := 1; limit <= b+2; limit++ {
+			for rep := 0; rep < 3; rep++ {
+				if g, w := randomFactor(got, b, limit), collected(want, b, limit); g != w {
+					t.Fatalf("randomFactor(%d, %d) = %d, want %d", b, limit, g, w)
+				}
+			}
+		}
+	}
+	if got.Int63() != want.Int63() {
+		t.Fatal("rng streams diverged")
 	}
 }

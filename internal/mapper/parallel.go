@@ -14,10 +14,13 @@ import (
 // bounded pool of workers. It returns exactly what the serial Search
 // returns — the same winner (minimum cost, ties broken by the lowest
 // candidate index), the same first evaluation error, and the same
-// evaluated count — so callers can switch between the two freely. The
-// cost function must be safe for concurrent use.
-func SearchParallel(levels []spec.Level, e *tensor.Einsum, opts Options, workers int, cost func(*mapping.Mapping) (float64, error)) (*Result, int, error) {
-	return SearchParallelCtx(context.Background(), levels, e, opts, workers, cost)
+// evaluated count — so callers can switch between the two freely.
+// newCost is called once per worker, and each worker prices candidates
+// only with the CostFunc it got, so a cost function may keep per-worker
+// scratch state; state shared between the CostFuncs must be safe for
+// concurrent use.
+func SearchParallel(levels []spec.Level, e *tensor.Einsum, opts Options, workers int, newCost func() CostFunc) (*Result, int, error) {
+	return SearchParallelCtx(context.Background(), levels, e, opts, workers, newCost)
 }
 
 // searchPartial accumulates one worker's share of the reduction. Both
@@ -71,10 +74,11 @@ func (p *searchPartial) merge(q *searchPartial) {
 // after all workers finish. Cancellation is checked before every
 // candidate evaluation, exactly like the serial path: a cancelled search
 // stops feeding the pool, drains promptly, and returns ctx.Err() with the
-// partial evaluated count. workers <= 1 falls through to SearchCtx.
-func SearchParallelCtx(ctx context.Context, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, cost func(*mapping.Mapping) (float64, error)) (*Result, int, error) {
+// partial evaluated count. workers <= 1 falls through to SearchCtx with
+// a single newCost() function.
+func SearchParallelCtx(ctx context.Context, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, newCost func() CostFunc) (*Result, int, error) {
 	if workers <= 1 {
-		return SearchCtx(ctx, levels, e, opts, cost)
+		return SearchCtx(ctx, levels, e, opts, newCost())
 	}
 	if opts.MaxMappings <= 0 {
 		opts.MaxMappings = 100
@@ -93,7 +97,7 @@ func SearchParallelCtx(ctx context.Context, levels []spec.Level, e *tensor.Einsu
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(cost CostFunc) {
 			defer wg.Done()
 			var local searchPartial
 			for c := range feed {
@@ -109,7 +113,7 @@ func SearchParallelCtx(ctx context.Context, levels []spec.Level, e *tensor.Einsu
 			mu.Lock()
 			total.merge(&local)
 			mu.Unlock()
-		}()
+		}(newCost())
 	}
 
 	sampleErr := sampleSeq(levels, e, opts, func(i int, m *mapping.Mapping) bool {

@@ -25,6 +25,11 @@ func costByString(m *mapping.Mapping) (float64, error) {
 // TestSearchParallelMatchesSerial is the equivalence property: across
 // seeds, budgets, and worker counts the parallel search returns the
 // identical best mapping, cost, and evaluated count as the serial search.
+// perWorker hands every worker the same cost function.
+func perWorker(cost CostFunc) func() CostFunc {
+	return func() CostFunc { return cost }
+}
+
 func TestSearchParallelMatchesSerial(t *testing.T) {
 	levels := cimLevels(64, 32)
 	e := mvm(t, 16, 64, 32)
@@ -35,7 +40,7 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 				opts.Seed = seed
 				opts.MaxMappings = budget
 				want, wantN, wantErr := Search(levels, e, opts, costByString)
-				got, gotN, gotErr := SearchParallel(levels, e, opts, workers, costByString)
+				got, gotN, gotErr := SearchParallel(levels, e, opts, workers, perWorker(costByString))
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("seed %d budget %d workers %d: err %v vs %v", seed, budget, workers, gotErr, wantErr)
 				}
@@ -65,7 +70,7 @@ func TestSearchParallelTieBreaksByIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, _, err := SearchParallel(levels, e, opts, workers, flat)
+		got, _, err := SearchParallel(levels, e, opts, workers, perWorker(flat))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +97,7 @@ func TestSearchParallelFirstError(t *testing.T) {
 	if wantRes != nil || wantErr == nil {
 		t.Fatalf("serial: result %v err %v, want nil result and an error", wantRes, wantErr)
 	}
-	got, gotN, gotErr := SearchParallel(levels, e, opts, 8, failAll)
+	got, gotN, gotErr := SearchParallel(levels, e, opts, 8, perWorker(failAll))
 	if got != nil {
 		t.Fatalf("parallel returned a result %v despite every candidate failing", got)
 	}
@@ -128,7 +133,7 @@ func TestSearchParallelSkipsFailingCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotN, err := SearchParallel(levels, e, opts, 8, failGreedy)
+	got, gotN, err := SearchParallel(levels, e, opts, 8, perWorker(failGreedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +152,10 @@ func TestSearchParallelCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	res, evaluated, err := SearchParallelCtx(ctx, levels, e, opts, 8, func(m *mapping.Mapping) (float64, error) {
+	res, evaluated, err := SearchParallelCtx(ctx, levels, e, opts, 8, perWorker(func(m *mapping.Mapping) (float64, error) {
 		calls.Add(1)
 		return costByString(m)
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -173,7 +178,7 @@ func TestSearchParallelCancelMidFanOut(t *testing.T) {
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	var once sync.Once
-	res, evaluated, err := SearchParallelCtx(ctx, levels, e, opts, 4, func(m *mapping.Mapping) (float64, error) {
+	res, evaluated, err := SearchParallelCtx(ctx, levels, e, opts, 4, perWorker(func(m *mapping.Mapping) (float64, error) {
 		n := calls.Add(1)
 		if n == 1 {
 			cancel()
@@ -184,7 +189,7 @@ func TestSearchParallelCancelMidFanOut(t *testing.T) {
 			<-gate
 		}
 		return costByString(m)
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -214,7 +219,7 @@ func TestSearchParallelConcurrentSearches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, gotN, err := SearchParallel(levels, e, opts, 4, costByString)
+			got, gotN, err := SearchParallel(levels, e, opts, 4, perWorker(costByString))
 			if err != nil {
 				errs <- err
 				return
@@ -244,7 +249,7 @@ func TestSearchParallelSingleWorkerFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, -3} {
-		got, gotN, err := SearchParallel(levels, e, opts, workers, costByString)
+		got, gotN, err := SearchParallel(levels, e, opts, workers, perWorker(costByString))
 		if err != nil {
 			t.Fatal(err)
 		}

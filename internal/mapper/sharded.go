@@ -4,8 +4,6 @@ import (
 	"math/rand"
 
 	"repro/internal/mapping"
-	"repro/internal/spec"
-	"repro/internal/tensor"
 )
 
 // The sharded candidate pipeline lifts the serial-sampler ceiling on
@@ -42,9 +40,10 @@ const shardChanDepth = 8
 
 // sampleSeqSharded continues the candidate sequence after the greedy
 // mapping (already yielded as index 0 by sampleSeq) using opts.Shards
-// concurrent generators and a deterministic merge. greedyKey is the
-// greedy mapping's String key; every shard dedups against it.
-func sampleSeqSharded(levels []spec.Level, e *tensor.Einsum, opts Options, greedyKey string, yield func(int, *mapping.Mapping) bool) error {
+// concurrent generators, each a fork of s, and a deterministic merge.
+// greedyKey is the greedy mapping's String key; every shard dedups
+// against it.
+func sampleSeqSharded(s *sampler, opts Options, greedyKey string, yield func(int, *mapping.Mapping) bool) error {
 	shards := opts.Shards
 	if shards < 1 {
 		shards = 1
@@ -55,41 +54,24 @@ func sampleSeqSharded(levels []spec.Level, e *tensor.Einsum, opts Options, greed
 	done := make(chan struct{})
 	defer close(done)
 
-	sl := storageLevels(levels)
 	chans := make([]chan shardCand, shards)
 	for g := 0; g < shards; g++ {
 		ch := make(chan shardCand, shardChanDepth)
 		chans[g] = ch
-		go func(g int, ch chan<- shardCand) {
+		go func(g int, ch chan<- shardCand, s *sampler) {
 			defer close(ch)
-			// Identical budgets to the unsharded loop, so Shards == 1
-			// reproduces it byte-for-byte: at most MaxMappings-1 sampled
-			// candidates after greedy, at most MaxMappings*20 draws.
+			// The same stream and budgets as the unsharded sampler, so
+			// Shards == 1 reproduces it byte-for-byte.
 			rng := rand.New(rand.NewSource(opts.Seed ^ int64(g)))
-			seen := map[string]bool{greedyKey: true}
-			produced, tries := 0, 0
-			for produced < opts.MaxMappings-1 && tries < opts.MaxMappings*20 {
-				tries++
-				m, ok := sampleOne(levels, e, opts, rng, sl)
-				if !ok {
-					continue
-				}
-				key := m.String()
-				if seen[key] {
-					continue
-				}
-				if mapping.Validate(levels, e, m) != nil {
-					continue
-				}
-				seen[key] = true
-				produced++
+			s.stream(rng, map[string]bool{greedyKey: true}, func(key string, m *mapping.Mapping) bool {
 				select {
 				case ch <- shardCand{key: key, m: m}:
+					return true
 				case <-done:
-					return
+					return false
 				}
-			}
-		}(g, ch)
+			})
+		}(g, ch, s.fork())
 	}
 
 	// Deterministic merge: fixed round-robin over live shards.

@@ -125,7 +125,7 @@ func TestShardedSameWinnerAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 3, 8} {
-				got, gotN, err := SearchParallel(levels, e, opts, workers, costByString)
+				got, gotN, err := SearchParallel(levels, e, opts, workers, perWorker(costByString))
 				if err != nil {
 					t.Fatal(err)
 				}

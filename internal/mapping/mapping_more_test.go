@@ -121,7 +121,7 @@ func TestAnalyzeTwoTensorEinsum(t *testing.T) {
 	if c.MACs != 32 {
 		t.Fatalf("MACs = %d", c.MACs)
 	}
-	if _, ok := c.PerLevel[0][tensor.Weight]; ok {
+	if c.Has(0, tensor.Weight) {
 		t.Fatal("phantom weight counts for weightless einsum")
 	}
 }

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -57,26 +56,12 @@ func TestEngineCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// ulpEqual tolerates only last-ULP accumulation differences: the
-// evaluator sums per-tensor energies by ranging over a Go map, whose
-// randomized iteration order can flip the final rounding bit between two
-// evaluations of the *same* context. Any genuine codec drift (a
-// renormalized PMF, a truncated float) is orders of magnitude larger.
-func ulpEqual(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= scale*1e-14
-}
-
 // TestLayerContextCodecRoundTrip is the bit-equality property: for every
 // (macro, layer) pair, a context that went encode -> decode carries
 // bit-identical data (the re-encode is a byte-level fixed point, and
 // every per-tensor energy is float-exact) and produces the same
-// evaluation results for the same mapping — exact for counts, within one
-// accumulation ULP for map-order-summed aggregates (see ulpEqual).
+// evaluation results for the same mapping, bit for bit: the evaluator
+// sums energies in a fixed level and tensor order.
 func TestLayerContextCodecRoundTrip(t *testing.T) {
 	layers := []workload.Layer{
 		workload.ResNet18().Layers[0], // sparse unsigned CNN layer
@@ -124,19 +109,17 @@ func TestLayerContextCodecRoundTrip(t *testing.T) {
 				t.Fatalf("%s/%s: restored context evaluates differently:\n got %+v\nwant %+v",
 					tc.name, layer.Name, got, want)
 			}
-			if !ulpEqual(got.Energy, want.Energy) || !ulpEqual(got.TimeSec, want.TimeSec) ||
-				!ulpEqual(got.LeakageJ, want.LeakageJ) {
+			if got.Energy != want.Energy || got.TimeSec != want.TimeSec ||
+				got.LeakageJ != want.LeakageJ {
 				t.Fatalf("%s/%s: restored context energy/time diverge:\n got %+v\nwant %+v",
 					tc.name, layer.Name, got, want)
 			}
 			for i := range want.Levels {
-				if !ulpEqual(got.Levels[i].Total, want.Levels[i].Total) {
+				if got.Levels[i].Total != want.Levels[i].Total {
 					t.Fatalf("%s/%s level %s: energy %g != %g",
 						tc.name, layer.Name, want.Levels[i].Name,
 						got.Levels[i].Total, want.Levels[i].Total)
 				}
-				// Per-tensor values come straight from the context's energy
-				// tables without re-accumulation: these must be bit-equal.
 				for k, v := range want.Levels[i].ByTensor {
 					if got.Levels[i].ByTensor[k] != v {
 						t.Fatalf("%s/%s level %s tensor %v: %g != %g (must be bit-equal)",

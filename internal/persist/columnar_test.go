@@ -60,7 +60,7 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 				t.Fatalf("%s/%s: restored context evaluates differently:\n got %+v\nwant %+v",
 					tc.name, layer.Name, got, want)
 			}
-			if !ulpEqual(got.Energy, want.Energy) || !ulpEqual(got.TimeSec, want.TimeSec) {
+			if got.Energy != want.Energy || got.TimeSec != want.TimeSec {
 				t.Fatalf("%s/%s: restored context energy/time diverge:\n got %+v\nwant %+v",
 					tc.name, layer.Name, got, want)
 			}

@@ -23,6 +23,10 @@ const (
 	Output
 )
 
+// NumKinds is the number of tensor roles: per-role tables indexed by Kind
+// have this length.
+const NumKinds = 3
+
 // String returns the conventional name of the tensor role.
 func (k Kind) String() string {
 	switch k {
@@ -71,7 +75,9 @@ type Einsum struct {
 }
 
 // Validate checks that dimension names are unique with positive bounds and
-// that every projection references declared dimensions.
+// that every projection references declared dimensions. Einsums have a
+// handful of dimensions and spaces, so names are checked by scanning
+// rather than through maps.
 func (e *Einsum) Validate() error {
 	if e.Name == "" {
 		return errors.New("tensor: einsum has no name")
@@ -79,32 +85,30 @@ func (e *Einsum) Validate() error {
 	if len(e.Dims) == 0 {
 		return fmt.Errorf("tensor: einsum %q has no dimensions", e.Name)
 	}
-	seen := make(map[string]bool, len(e.Dims))
-	for _, d := range e.Dims {
+	for i, d := range e.Dims {
 		if d.Name == "" {
 			return fmt.Errorf("tensor: einsum %q has an unnamed dimension", e.Name)
 		}
-		if seen[d.Name] {
+		if e.hasDim(d.Name, i) {
 			return fmt.Errorf("tensor: einsum %q declares dimension %q twice", e.Name, d.Name)
 		}
 		if d.Bound <= 0 {
 			return fmt.Errorf("tensor: einsum %q dimension %q has bound %d", e.Name, d.Name, d.Bound)
 		}
-		seen[d.Name] = true
 	}
 	if len(e.Spaces) == 0 {
 		return fmt.Errorf("tensor: einsum %q has no data spaces", e.Name)
 	}
 	var haveOutput bool
-	names := make(map[string]bool, len(e.Spaces))
-	for _, s := range e.Spaces {
+	for i, s := range e.Spaces {
 		if s.Name == "" {
 			return fmt.Errorf("tensor: einsum %q has an unnamed data space", e.Name)
 		}
-		if names[s.Name] {
-			return fmt.Errorf("tensor: einsum %q declares data space %q twice", e.Name, s.Name)
+		for _, prev := range e.Spaces[:i] {
+			if prev.Name == s.Name {
+				return fmt.Errorf("tensor: einsum %q declares data space %q twice", e.Name, s.Name)
+			}
 		}
-		names[s.Name] = true
 		if s.Kind == Output {
 			haveOutput = true
 		}
@@ -113,7 +117,7 @@ func (e *Einsum) Validate() error {
 				return fmt.Errorf("tensor: einsum %q space %q has an empty axis", e.Name, s.Name)
 			}
 			for _, c := range ax {
-				if !seen[c.Dim] {
+				if !e.hasDim(c.Dim, len(e.Dims)) {
 					return fmt.Errorf("tensor: einsum %q space %q references unknown dimension %q", e.Name, s.Name, c.Dim)
 				}
 				if c.Coeff == 0 {
@@ -126,6 +130,16 @@ func (e *Einsum) Validate() error {
 		return fmt.Errorf("tensor: einsum %q has no output data space", e.Name)
 	}
 	return nil
+}
+
+// hasDim reports whether one of the first n dimensions is named name.
+func (e *Einsum) hasDim(name string, n int) bool {
+	for _, d := range e.Dims[:n] {
+		if d.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // DimBound returns the bound of the named dimension, or an error.
