@@ -83,6 +83,7 @@ func benchEngine(b *testing.B) (*core.Engine, *core.LayerContext) {
 func BenchmarkPrepareLayer(b *testing.B) {
 	eng, _ := benchEngine(b)
 	layer := workload.ResNet18().Layers[5]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.PrepareLayer(layer); err != nil {

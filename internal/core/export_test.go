@@ -14,3 +14,19 @@ func (e *Engine) CostKernel(ctx *LayerContext) (mapper.CostFunc, error) {
 	}
 	return e.costKernel(ctx, plan), nil
 }
+
+// ColumnSumDepths returns the distinct reduction depths below each
+// level's upper boundary, capped as columnSumPMF caps them, in level
+// order: a superset of the depths PrepareLayer sums cell products over.
+func (e *Engine) ColumnSumDepths() []int64 {
+	var out []int64
+	seen := map[int64]bool{}
+	for i := range e.bindings {
+		d := min(e.arch.reductionDepthBelow(e.bindings[i].levelIdx+1), maxColumnDepth)
+		if !seen[d] {
+			seen[d] = true
+			out = append(out, d)
+		}
+	}
+	return out
+}

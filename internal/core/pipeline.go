@@ -116,7 +116,9 @@ func (e *Engine) PrepareLayerWithPMFs(l workload.Layer, inPMF, wPMF *dist.PMF) (
 
 	// Step 3: per-component average energies.
 	ctx.energies = make([]kindEnergies, len(e.bindings))
-	cellProduct := dist.Mul(ctx.InputSlicePMF, ctx.WeightSlicePMF).Rebin(512)
+	// Column sums convolve the cell-product PMF at 128 bins; rebin it
+	// once per layer rather than once per reduction depth.
+	cellProduct := dist.Mul(ctx.InputSlicePMF, ctx.WeightSlicePMF, 512).Rebin(128)
 	sums := make(map[int64]*dist.PMF)
 	for i := range e.bindings {
 		b := &e.bindings[i]
@@ -150,20 +152,20 @@ func encodeAverageRail(name string, bits int, p *dist.PMF) (*dist.PMF, int, erro
 	return avg, len(rails), nil
 }
 
+// maxColumnDepth caps the reduction depth a column sum is synthesized
+// over, which bounds SumNCapped at log2(maxColumnDepth) doublings.
+const maxColumnDepth = 65536
+
 // columnSumPMF synthesizes the distribution of the analog sum arriving at
 // the boundary above level b: depth-wise sum of independent cell products
 // (the independence assumption of §III-D1). Results are cached per depth
 // within one layer context via the sums map.
 func (e *Engine) columnSumPMF(b int, cellProduct *dist.PMF, sums map[int64]*dist.PMF) (*dist.PMF, error) {
-	depth := e.arch.reductionDepthBelow(b)
-	const maxDepth = 65536
-	if depth > maxDepth {
-		depth = maxDepth
-	}
+	depth := min(e.arch.reductionDepthBelow(b), maxColumnDepth)
 	if p, ok := sums[depth]; ok {
 		return p, nil
 	}
-	sum, err := dist.SumNCapped(cellProduct.Rebin(128), int(depth), 256)
+	sum, err := dist.SumNCapped(cellProduct, int(depth), 256)
 	if err != nil {
 		return nil, err
 	}

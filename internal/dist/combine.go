@@ -1,0 +1,375 @@
+package dist
+
+import (
+	"math"
+	"slices"
+)
+
+// The combine kernel computes the distribution of X⊕Y (X+Y or X·Y) for
+// independent X ~ a, Y ~ b and rebins it to at most n points. Its output
+// is bit-identical to accumulating every product atom a_i⊕b_j into a map
+// keyed by value, in row-major (i, j) order, dropping sums whose mass
+// underflowed to zero, sorting, and calling Rebin(n) — without the map.
+//
+// a and b are sorted, so each row a_i⊕b_j is monotone in j (X+Y, or X·Y
+// with a_i ≥ 0; rows with a_i < 0 are walked backwards), and Rebin's bin
+// index is monotone in the value. Every output bin's atoms are therefore
+// one contiguous run per row. The kernel walks the non-empty bins in
+// order and gathers each bin's runs in (i, j) order; a stable sort by
+// value then lines equal values up in the order the map summed them, and
+// the bin is folded exactly as Rebin folds it.
+
+// term is one product atom a_i⊕b_j with its mass, and its sub-bucket in
+// the current bin (see sortBin).
+type term struct {
+	v, p float64
+	sub  int
+}
+
+// combiner is the scratch of one Mul call or of the chain of convolutions
+// inside one SumN call. Nothing is retained once that call returns.
+type combiner struct {
+	cursor []int     // per row of a: index into b of its next unconsumed atom
+	nextV  []float64 // per row of a: the value of that atom
+	active []int     // rows being walked, in increasing order
+	buf    []term    // the current bin's atoms
+	spare  []term    // sortBin's scatter target
+	counts []int     // sortBin's sub-bucket ends
+	exact  []Point   // the distinct sums, while there are at most n
+	binned []Point   // the rebinned sums
+}
+
+// grow returns s resliced to length n, growing its capacity
+// geometrically when it is short.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// combine returns the distribution of a⊕b (a·b when mul, a+b otherwise)
+// rebinned to at most n points; n <= 0 keeps every distinct value.
+func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
+	op := func(x, y float64) float64 {
+		if mul {
+			return x * y
+		}
+		return x + y
+	}
+	// backward reports whether row i is walked from the end of b, the
+	// rows whose values decrease in j.
+	backward := func(i int) bool { return mul && a[i].Value < 0 }
+	m := len(b)
+
+	// The support bounds come from atoms with positive mass only: a
+	// map accumulator drops sums whose mass underflows to zero.
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i, pa := range a {
+		first, last, step := 0, m-1, 1
+		if backward(i) {
+			first, last, step = m-1, 0, -1
+		}
+		for j := first; j != last+step; j += step {
+			if pa.Prob*b[j].Prob > 0 {
+				lo = min(lo, op(pa.Value, b[j].Value))
+				break
+			}
+		}
+		for j := last; j != first-step; j -= step {
+			if pa.Prob*b[j].Prob > 0 {
+				hi = max(hi, op(pa.Value, b[j].Value))
+				break
+			}
+		}
+	}
+	if lo > hi {
+		return &PMF{pts: []Point{}}
+	}
+
+	// Rebin passes its input through when it has at most n points or no
+	// positive bin width; the kernel then uses a single bin and keeps
+	// every distinct value.
+	width := 0.0
+	if n > 0 {
+		width = (hi - lo) / float64(n)
+	}
+	binning, nb := width > 0, 1
+	if binning {
+		nb = n
+	}
+	// binOf is Rebin's bin index, int(pos(v)) clamped to the bins (atoms
+	// outside [lo, hi] have no mass); it is monotone in v. upper(k)
+	// returns the smallest value in a bin after bin k, +Inf for the last
+	// bin, which takes every atom left.
+	pos := func(v float64) float64 { return (v - lo) / width }
+	binOf := func(v float64) int {
+		if !binning {
+			return 0
+		}
+		switch x := pos(v); {
+		case !(x > 0):
+			return 0
+		case x >= float64(nb):
+			return nb - 1
+		default:
+			return int(x)
+		}
+	}
+	loKey, hiKey := orderedKey(lo), orderedKey(hi)
+	upper := func(k int) float64 {
+		if k == nb-1 {
+			return math.Inf(1)
+		}
+		kf := float64(k + 1)
+		above := func(key uint64) bool { return pos(fromOrderedKey(key)) >= kf }
+		// The estimate lo+(k+1)·width is usually within an ulp or two of
+		// the threshold: step to it. Otherwise bisect [lo, hi], as
+		// pos(lo) is 0 and pos(hi) ≈ nb.
+		t := min(max(orderedKey(lo+kf*width), loKey), hiKey)
+		for range 4 {
+			if !above(t) {
+				if t == hiKey {
+					break
+				}
+				t++
+			} else if t > loKey && above(t-1) {
+				t--
+			} else {
+				return fromOrderedKey(t)
+			}
+		}
+		below, over := loKey, hiKey
+		for over-below > 1 {
+			if mid := below + (over-below)/2; above(mid) {
+				over = mid
+			} else {
+				below = mid
+			}
+		}
+		return fromOrderedKey(over)
+	}
+
+	// Rows join the walk once the bins reach their first atom. For X+Y
+	// first atoms increase with i, so rows join in order; for X·Y every
+	// row is walked from the start.
+	c.cursor = grow(c.cursor, len(a))
+	c.nextV = grow(c.nextV, len(a))
+	c.active = c.active[:0]
+	minV := math.Inf(1)
+	for i, pa := range a {
+		j := 0
+		if backward(i) {
+			j = m - 1
+		}
+		c.cursor[i] = j
+		c.nextV[i] = op(pa.Value, b[j].Value)
+		minV = min(minV, c.nextV[i])
+		if mul {
+			c.active = append(c.active, i)
+		}
+	}
+	pending := len(c.active) // rows before pending have joined
+
+	exact, binned := c.exact[:0], c.binned[:0]
+	distinct := 0
+	for pending < len(a) || len(c.active) > 0 {
+		// Skip straight to the bin of the smallest unconsumed atom.
+		k := binOf(minV)
+		binHi := upper(k)
+		// The last bin takes every atom left. So does a bin that misses
+		// the smallest atom, which only sums that overflowed to ±Inf
+		// cause; it keeps the walk from stalling.
+		last := k == nb-1 || !(minV < binHi)
+		inBin := func(v float64) bool { return last || !(v >= binHi) }
+		for ; pending < len(a) && inBin(c.nextV[pending]); pending++ {
+			c.active = append(c.active, pending)
+		}
+		minV = math.Inf(1)
+		if pending < len(a) {
+			minV = c.nextV[pending]
+		}
+		buf := c.buf[:0]
+		kept := c.active[:0]
+		for _, i := range c.active {
+			if !inBin(c.nextV[i]) {
+				kept = append(kept, i)
+				minV = min(minV, c.nextV[i])
+				continue
+			}
+			pa, step, start := a[i], 1, len(buf)
+			if backward(i) {
+				step = -1
+			}
+			for j := c.cursor[i]; j >= 0 && j < m; j += step {
+				v := op(pa.Value, b[j].Value)
+				if !inBin(v) {
+					c.cursor[i], c.nextV[i] = j, v
+					kept = append(kept, i)
+					minV = min(minV, v)
+					break
+				}
+				// An atom whose mass underflowed changes no sum; it is
+				// kept only where it can set the sign of a zero key.
+				if p := pa.Prob * b[j].Prob; p > 0 || v == 0 {
+					buf = append(buf, term{v: v, p: p})
+				}
+			}
+			if step < 0 {
+				slices.Reverse(buf[start:])
+			}
+		}
+		c.active = kept
+		c.buf = buf
+		buf = c.sortBin(buf, lo+float64(k)*width, min(binHi, hi))
+
+		var mass, moment float64
+		for s := 0; s < len(buf); {
+			e, p := s, 0.0
+			for ; e < len(buf) && buf[e].v == buf[s].v; e++ {
+				p += buf[e].p
+			}
+			// Equal values (+0 and -0) share one map key, which holds
+			// the value last added.
+			v := buf[e-1].v
+			s = e
+			if !(p > 0) {
+				continue
+			}
+			distinct++
+			if !binning || distinct <= n {
+				exact = append(exact, Point{Value: v, Prob: p})
+			}
+			mass += p
+			moment += p * v
+		}
+		if binning && mass > 0 {
+			binned = append(binned, Point{Value: moment / mass, Prob: mass})
+		}
+	}
+	c.exact, c.binned = exact, binned
+
+	out := binned
+	if !binning || distinct <= n {
+		out = exact
+	}
+	return &PMF{pts: slices.Clone(out)}
+}
+
+// orderedKey maps a float64 to a uint64 whose unsigned order is the
+// float order (-0 just below +0); fromOrderedKey inverts it.
+func orderedKey(f float64) uint64 {
+	u := math.Float64bits(f)
+	if u>>63 != 0 {
+		return ^u
+	}
+	return u | 1<<63
+}
+
+func fromOrderedKey(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// sortBin stably sorts one bin's terms by value. The bin's values lie
+// in [lo, hi] (up to zero-mass stragglers), so a counting sort into
+// len(buf) equal sub-buckets of that range leaves mostly short runs,
+// each finished by sortRun. It returns the sorted terms, which may live
+// in either of c's term buffers.
+func (c *combiner) sortBin(buf []term, lo, hi float64) []term {
+	t := len(buf)
+	if t <= 16 || sorted(buf) {
+		insertionSort(buf)
+		return buf
+	}
+	tf := float64(t)
+	scale := tf / (hi - lo)
+	c.counts = grow(c.counts, t+1)
+	clear(c.counts)
+	for i := range buf {
+		// Any sub-bucket index monotone in the value keeps equal values
+		// together and orders the rest.
+		k := 0
+		switch x := (buf[i].v - lo) * scale; {
+		case x >= tf:
+			k = t - 1
+		case x > 0:
+			k = int(x)
+		}
+		buf[i].sub = k
+		c.counts[k+1]++
+	}
+	for k := 1; k <= t; k++ {
+		c.counts[k] += c.counts[k-1]
+	}
+	out := grow(c.spare, t)
+	for _, tm := range buf {
+		out[c.counts[tm.sub]] = tm
+		c.counts[tm.sub]++
+	}
+	c.spare, c.buf = buf, out
+	start := 0
+	for _, end := range c.counts[:t] {
+		sortRun(out[start:end], buf[start:end])
+		start = end
+	}
+	return out
+}
+
+// sortRun stably sorts a run of terms by value, using tmp (at least as
+// long) as scratch: insertion sort for short runs, merge sort otherwise.
+// Sub-buckets can still hold long runs, of values that agree to within
+// rounding error.
+func sortRun(run, tmp []term) {
+	const block = 16
+	n := len(run)
+	if n <= block || sorted(run) {
+		insertionSort(run)
+		return
+	}
+	for s := 0; s < n; s += block {
+		insertionSort(run[s:min(s+block, n)])
+	}
+	src, dst := run, tmp[:n]
+	for width := block; width < n; width *= 2 {
+		for s := 0; s < n; s += 2 * width {
+			mid, end := min(s+width, n), min(s+2*width, n)
+			merge(dst[s:end], src[s:mid], src[mid:end])
+		}
+		src, dst = dst, src
+	}
+	copy(run, src)
+}
+
+// merge stably merges the sorted runs x and y into out.
+func merge(out, x, y []term) {
+	k := 0
+	for len(x) > 0 && len(y) > 0 {
+		if y[0].v < x[0].v {
+			out[k], y = y[0], y[1:]
+		} else {
+			out[k], x = x[0], x[1:]
+		}
+		k++
+	}
+	k += copy(out[k:], x)
+	copy(out[k:], y)
+}
+
+// sorted reports whether a run of terms is in value order.
+func sorted(run []term) bool {
+	for i := 1; i < len(run); i++ {
+		if run[i].v < run[i-1].v {
+			return false
+		}
+	}
+	return true
+}
+
+// insertionSort stably sorts a short run of terms by value.
+func insertionSort(run []term) {
+	for i := 1; i < len(run); i++ {
+		for j := i; j > 0 && run[j].v < run[j-1].v; j-- {
+			run[j], run[j-1] = run[j-1], run[j]
+		}
+	}
+}

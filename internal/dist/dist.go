@@ -5,7 +5,9 @@
 // finally reduced by the circuit plug-ins to an expected energy per action.
 //
 // A PMF is an immutable, sorted, normalized list of (value, probability)
-// points. All combinators return new PMFs; a *PMF is safe to share across
+// points. Combinators never modify their inputs, though some return an
+// input unchanged: Mix with weight 0 or 1, and Rebin of a PMF that
+// already fits its bin count. A *PMF is therefore safe to share across
 // goroutines, which is what lets layer contexts be cached and reused by
 // concurrent sweeps (package serve).
 package dist
@@ -267,47 +269,18 @@ func Mix(a, b *PMF, w float64) (*PMF, error) {
 	return FromPoints(pts)
 }
 
-// Mul returns the distribution of X·Y for independent X ~ a, Y ~ b.
-// Callers typically Rebin the result to bound downstream cost.
-func Mul(a, b *PMF) *PMF {
-	acc := make(map[float64]float64, a.Len()*b.Len())
-	for _, pa := range a.pts {
-		for _, pb := range b.pts {
-			acc[pa.Value*pb.Value] += pa.Prob * pb.Prob
-		}
-	}
-	return fromMap(acc)
+// Mul returns the distribution of X·Y for independent X ~ a, Y ~ b,
+// rebinned to at most bins points (as Rebin(bins) would; bins <= 0 keeps
+// every distinct product).
+func Mul(a, b *PMF, bins int) *PMF {
+	var c combiner
+	return c.combine(a.pts, b.pts, true, bins)
 }
 
 // convBins bounds the support of intermediate convolution results. 512
 // bins keep SumN over tens of thousands of terms fast while the
 // conditional-mean rebinning keeps the running mean exact.
 const convBins = 512
-
-// conv returns the distribution of X+Y for independent X ~ a, Y ~ b,
-// rebinned to at most convBins points.
-func conv(a, b *PMF) *PMF {
-	acc := make(map[float64]float64, a.Len()*b.Len())
-	for _, pa := range a.pts {
-		for _, pb := range b.pts {
-			acc[pa.Value+pb.Value] += pa.Prob * pb.Prob
-		}
-	}
-	return fromMap(acc).Rebin(convBins)
-}
-
-// fromMap assembles a PMF from an accumulator map without renormalizing
-// precision loss (mass sums to one up to rounding by construction).
-func fromMap(acc map[float64]float64) *PMF {
-	pts := make([]Point, 0, len(acc))
-	for v, p := range acc {
-		if p > 0 {
-			pts = append(pts, Point{Value: v, Prob: p})
-		}
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Value < pts[j].Value })
-	return &PMF{pts: pts}
-}
 
 // SumN returns the distribution of the sum of n independent draws from p,
 // computed by binary-exponentiation convolution (log2 n convolutions) with
@@ -341,6 +314,10 @@ func sumN(p *PMF, n int, ceiling float64) (*PMF, error) {
 		}
 		return q.Map(func(v float64) float64 { return math.Min(v, ceiling) })
 	}
+	// conv returns the distribution of X+Y for independent X ~ x,
+	// Y ~ y, rebinned to at most convBins points.
+	var c combiner
+	conv := func(x, y *PMF) *PMF { return c.combine(x.pts, y.pts, false, convBins) }
 	base := clip(p.Rebin(convBins))
 	var acc *PMF
 	for n > 0 {

@@ -196,7 +196,7 @@ func TestConvolutionIdentities(t *testing.T) {
 	// Mul multiplies means of independent variables.
 	a, _ := UniformInts(0, 3)
 	b, _ := UniformInts(1, 4)
-	prod := Mul(a, b)
+	prod := Mul(a, b, 0)
 	if err := prod.Validate(); err != nil {
 		t.Fatal(err)
 	}

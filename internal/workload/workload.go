@@ -161,7 +161,7 @@ func (l Layer) OutputPMF(inputBits, weightBits, depth int) (*dist.PMF, error) {
 	if depth <= 0 {
 		return nil, fmt.Errorf("workload: output depth %d", depth)
 	}
-	prod := dist.Mul(in, w).Rebin(256)
+	prod := dist.Mul(in, w, 256)
 	return dist.SumN(prod, depth)
 }
 
