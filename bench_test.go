@@ -222,7 +222,7 @@ func BenchmarkNetworkEvaluation(b *testing.B) {
 	net.Layers = net.Layers[:6]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.EvaluateNetwork(net, 8, int64(i)); err != nil {
+		if _, err := eng.EvaluateNetworkOptsCtx(context.Background(), net, core.SearchOptions{MaxMappings: 8, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,12 +276,12 @@ func BenchmarkSearchLayerParallel8(b *testing.B) { benchSearchLayer(b, 8) }
 func BenchmarkEvaluateRequestParallel(b *testing.B) {
 	srv := NewServer(BatchOptions{SearchWorkers: 8})
 	req := EvalRequest{Macro: "base", Network: "toy", MaxMappings: searchBudget}
-	if _, err := srv.Evaluate(req); err != nil { // prime the cache
+	if _, err := srv.EvaluateCtx(context.Background(), req); err != nil { // prime the cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := srv.Evaluate(req); err != nil {
+		if _, err := srv.EvaluateCtx(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func benchSweepGrid() []EvalRequest {
 
 func runSweep(b *testing.B, srv *Server, workers int) {
 	b.Helper()
-	results, err := srv.SweepN(benchSweepGrid(), workers)
+	results, err := srv.SweepCtx(context.Background(), benchSweepGrid(), workers, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func BenchmarkJobsThroughput(b *testing.B) {
 	grid := benchSweepGrid()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap, err := srv.SubmitSweep(grid, 1)
+		snap, err := srv.SubmitSweepOpts(grid, SweepJobOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -433,7 +433,7 @@ func BenchmarkJobStoreChurn(b *testing.B) {
 	reqs := []EvalRequest{{Macro: "base", Network: "toy", MaxMappings: 1}}
 	ctx := context.Background()
 	// Prime so the engine/context compile cost is off the clock.
-	snap, err := srv.SubmitSweep(reqs, 1)
+	snap, err := srv.SubmitSweepOpts(reqs, SweepJobOptions{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func BenchmarkJobStoreChurn(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap, err := srv.SubmitSweep(reqs, 1)
+		snap, err := srv.SubmitSweepOpts(reqs, SweepJobOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -468,7 +468,7 @@ func BenchmarkFacadeQuickstart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := eng.EvaluateLayer(net.Layers[0], 4, 1)
+		r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), net.Layers[0], core.SearchOptions{MaxMappings: 4, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

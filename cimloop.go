@@ -22,7 +22,7 @@
 //	arch, _ := cimloop.Macro("macro-b")
 //	eng, _ := cimloop.NewEngine(arch)
 //	net, _ := cimloop.NetworkByName("resnet18")
-//	res, _ := eng.EvaluateNetwork(net, 100, 0)
+//	res, _ := eng.EvaluateNetworkOptsCtx(ctx, net, cimloop.SearchOptions{MaxMappings: 100})
 //	fmt.Println(res.TOPSPerW())
 //
 // # Batch evaluation and serving
@@ -40,7 +40,7 @@
 //	    []string{"resnet18", "vit-base"},
 //	    nil,  // no system wrap; pass scenario names for Fig. 15 systems
 //	    0, 0) // default layer count and mapping budget
-//	results, _ := srv.Sweep(reqs)
+//	results, _ := srv.SweepCtx(ctx, reqs, 0, nil) // 0: the server's Workers
 //	fmt.Println(cimloop.SweepResultsTable(results).String())
 //	fmt.Printf("cache: %+v\n", srv.CacheStats())
 //
@@ -76,10 +76,10 @@
 // and aborts in-flight per-layer mapping searches via context. When the
 // bounded job queue is full the service answers 429 with a Retry-After
 // header instead of queueing unboundedly. The same flow drives
-// programmatic use: Server.SubmitSweep, Server.Job, Server.CancelJob,
-// Server.WaitJob, and Server.SweepCtx for a context-aware synchronous
-// sweep. The `cimloop jobs` subcommand (submit/list/status/wait/cancel)
-// is the CLI client for these endpoints.
+// programmatic use: Server.SubmitSweepOpts, Server.Job, Server.CancelJob,
+// Server.WaitJob, and Server.SweepCtx for a synchronous sweep. The
+// `cimloop jobs` subcommand (submit/list/status/wait/cancel) is the CLI
+// client for these endpoints.
 //
 // The experiment runner itself routes its grid sweeps (Fig. 2, Fig.
 // 13-16) through the same executor, so reproductions get the parallel
@@ -348,7 +348,7 @@ const (
 	JobCancelled = jobs.StatusCancelled
 )
 
-// ErrJobQueueFull is returned by Server.SubmitSweep when the bounded
+// ErrJobQueueFull is returned by Server.SubmitSweepOpts when the bounded
 // pending-job queue is saturated; retry after Server.RetryAfter.
 var ErrJobQueueFull = jobs.ErrQueueFull
 

@@ -1,6 +1,7 @@
 package cimloop
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func TestFacadeMacroFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.EvaluateNetwork(net, 8, 1)
+	res, err := eng.EvaluateNetworkOptsCtx(context.Background(), net, SearchOptions{MaxMappings: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ hierarchy:
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := eng.EvaluateLayer(net.Layers[0], 4, 1)
+	r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), net.Layers[0], SearchOptions{MaxMappings: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestFacadeExperimentsRegistry(t *testing.T) {
 func TestFacadeBatchServer(t *testing.T) {
 	srv := NewServer(BatchOptions{Workers: 4, MaxMappings: 2})
 	reqs := SweepGrid([]string{"base", "macro-b"}, []string{"toy"}, nil, 0, 2)
-	results, err := srv.Sweep(reqs)
+	results, err := srv.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestFacadeBatchServer(t *testing.T) {
 		t.Fatalf("table:\n%s", table.String())
 	}
 	// A second identical sweep must be served from cache.
-	if _, err := srv.Sweep(reqs); err != nil {
+	if _, err := srv.SweepCtx(context.Background(), reqs, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.CacheStats()

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := eng.EvaluateNetwork(net, 20, 0)
+		res, err := eng.EvaluateNetworkOptsCtx(context.Background(), net, cimloop.SearchOptions{MaxMappings: 20})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := eng.EvaluateNetwork(net, 20, 0)
+		res, err := eng.EvaluateNetworkOptsCtx(context.Background(), net, cimloop.SearchOptions{MaxMappings: 20})
 		if err != nil {
 			log.Fatal(err)
 		}

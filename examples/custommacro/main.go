@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -81,7 +82,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := eng.EvaluateNetwork(net, 40, 0)
+		res, err := eng.EvaluateNetworkOptsCtx(context.Background(), net, cimloop.SearchOptions{MaxMappings: 40})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,7 @@ func main() {
 			var macs int64
 			for _, l := range net.Layers {
 				// Scenario studies pin the dataflow: one (greedy) mapping.
-				r, err := eng.EvaluateLayer(l, 1, 0)
+				r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), l, cimloop.SearchOptions{MaxMappings: 1})
 				if err != nil {
 					log.Fatal(err)
 				}

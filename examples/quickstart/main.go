@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 	layer := net.Layers[5] // a 3x3 128-channel convolution
 
 	// Search 200 mappings for the lowest-energy schedule.
-	res, err := eng.EvaluateLayer(layer, 200, 0)
+	res, _, err := eng.EvaluateLayerOptsCtx(context.Background(), layer, cimloop.SearchOptions{MaxMappings: 200})
 	if err != nil {
 		log.Fatal(err)
 	}

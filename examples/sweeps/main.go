@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 	// Evaluate the grid with the same engine the server uses.
 	srv := cimloop.NewServer(cimloop.BatchOptions{})
 	defer srv.Close()
-	results, err := srv.Sweep(reqs)
+	results, err := srv.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

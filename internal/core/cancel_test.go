@@ -35,7 +35,7 @@ func TestSearchLayerCtxCancelled(t *testing.T) {
 	eng, lctx := cancelTestEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, evaluated, err := eng.SearchLayerCtx(ctx, lctx, 64, 1)
+	_, evaluated, err := eng.SearchLayerOptsCtx(ctx, lctx, core.SearchOptions{MaxMappings: 64, Seed: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -72,7 +72,7 @@ func TestSearchLayerCtxStopsMidSearch(t *testing.T) {
 	const budget = 64
 	// Sanity: the uncancelled search evaluates more candidates than the
 	// countdown allows, so an early return is attributable to the context.
-	_, full, err := eng.SearchLayerCtx(context.Background(), lctx, budget, 1)
+	_, full, err := eng.SearchLayerOptsCtx(context.Background(), lctx, core.SearchOptions{MaxMappings: budget, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSearchLayerCtxStopsMidSearch(t *testing.T) {
 		t.Skipf("search only evaluates %d candidates; cannot observe an early stop", full)
 	}
 	ctx := &countdownCtx{Context: context.Background(), left: 3}
-	_, evaluated, err := eng.SearchLayerCtx(ctx, lctx, budget, 1)
+	_, evaluated, err := eng.SearchLayerOptsCtx(ctx, lctx, core.SearchOptions{MaxMappings: budget, Seed: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -105,14 +105,15 @@ func TestEvaluateNetworkCtxDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err = eng.EvaluateNetworkCtx(ctx, workload.Toy(), 8, 1)
+	_, err = eng.EvaluateNetworkOptsCtx(ctx, workload.Toy(), core.SearchOptions{MaxMappings: 8, Seed: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
-// TestEvaluateNetworkCtxBackground checks the ctx-aware path computes
-// exactly what the ctx-free path computes.
+// TestEvaluateNetworkCtxBackground checks a network evaluation under a
+// background context is the repeat-weighted sum of its layers' searches,
+// layer i searched with Seed+i.
 func TestEvaluateNetworkCtxBackground(t *testing.T) {
 	arch, err := macros.Base(macros.Config{Rows: 16, Cols: 16})
 	if err != nil {
@@ -122,16 +123,21 @@ func TestEvaluateNetworkCtxBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.EvaluateNetwork(workload.Toy(), 8, 3)
+	net := workload.Toy()
+	got, err := eng.EvaluateNetworkOptsCtx(context.Background(), net, core.SearchOptions{MaxMappings: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.EvaluateNetworkCtx(context.Background(), workload.Toy(), 8, 3)
-	if err != nil {
-		t.Fatal(err)
+	want := &core.NetworkResult{}
+	for i, l := range net.Layers {
+		r, evaluated, err := eng.EvaluateLayerOptsCtx(context.Background(), l, core.SearchOptions{MaxMappings: 8, Seed: 3 + int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(r, l.Repeat, evaluated)
 	}
-	if got.Energy != want.Energy || got.MACs != want.MACs {
-		t.Fatalf("ctx path diverged: energy %g vs %g, MACs %d vs %d",
-			got.Energy, want.Energy, got.MACs, want.MACs)
+	if got.Energy != want.Energy || got.TimeSec != want.TimeSec || got.MACs != want.MACs ||
+		got.MappingsEvaluated != want.MappingsEvaluated || len(got.PerLayer) != len(want.PerLayer) {
+		t.Fatalf("network %+v, sum of layers %+v", got, want)
 	}
 }

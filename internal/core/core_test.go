@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestEvaluateLayerAllMacros(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, l := range toy.Layers {
-			r, err := e.EvaluateLayer(l, 8, 1)
+			r, _, err := e.EvaluateLayerOptsCtx(context.Background(), l, core.SearchOptions{MaxMappings: 8, Seed: 1})
 			if err != nil {
 				t.Fatalf("%s layer %s: %v", name, l.Name, err)
 			}
@@ -100,7 +101,7 @@ func TestEnergyEfficiencyPlausible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.EvaluateLayer(n.Layers[0], 8, 1)
+	r, _, err := e.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestVoltageScalingTradesEnergyForSpeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := e.EvaluateLayer(n.Layers[0], 4, 1)
+		r, _, err := e.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 4, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,11 +161,11 @@ func TestDataValueDependence(t *testing.T) {
 		l.Act.Sparsity = sparsity
 		return l
 	}
-	dense, err := e.EvaluateLayer(mk(0.0), 4, 1)
+	dense, _, err := e.EvaluateLayerOptsCtx(context.Background(), mk(0.0), core.SearchOptions{MaxMappings: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := e.EvaluateLayer(mk(0.9), 4, 1)
+	sparse, _, err := e.EvaluateLayerOptsCtx(context.Background(), mk(0.9), core.SearchOptions{MaxMappings: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestLargerArrayAmortizesADC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := e.EvaluateLayer(n.Layers[0], 4, 1)
+		r, _, err := e.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 4, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +213,7 @@ func TestNetworkEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := workload.Toy()
-	res, err := e.EvaluateNetwork(n, 4, 1)
+	res, err := e.EvaluateNetworkOptsCtx(context.Background(), n, core.SearchOptions{MaxMappings: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestNetworkEvaluation(t *testing.T) {
 	}
 	bad := workload.Toy()
 	bad.Layers[0].Repeat = 0
-	if _, err := e.EvaluateNetwork(bad, 4, 1); err == nil {
+	if _, err := e.EvaluateNetworkOptsCtx(context.Background(), bad, core.SearchOptions{MaxMappings: 4, Seed: 1}); err == nil {
 		t.Fatal("want error for invalid network")
 	}
 }
@@ -335,7 +336,7 @@ func TestBitSerialCostsMoreCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := e.EvaluateLayer(n.Layers[0], 1, 1)
+		r, _, err := e.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 1, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +366,7 @@ func TestMacroBAnalogAdderCutsADCEnergy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := e.EvaluateLayer(n.Layers[0], 4, 1)
+		r, _, err := e.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 4, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -305,31 +305,23 @@ type SearchOptions struct {
 	SampleShards int
 }
 
-// SearchLayer finds the lowest-energy mapping for a prepared layer,
-// evaluating up to maxMappings candidates. It returns the best result and
-// the number of mappings evaluated.
-func (e *Engine) SearchLayer(ctx *LayerContext, maxMappings int, seed int64) (*Result, int, error) {
-	return e.SearchLayerCtx(context.Background(), ctx, maxMappings, seed)
-}
-
-// SearchLayerCtx is SearchLayer under a context: the candidate loop
-// checks for cancellation before each mapping evaluation, so a cancelled
-// or expired context makes the search return ctx.Err() promptly instead
-// of finishing the whole budget. Deadlines and job cancellation in the
-// serving layer reach in-flight work through this path.
-func (e *Engine) SearchLayerCtx(ctx context.Context, lctx *LayerContext, maxMappings int, seed int64) (*Result, int, error) {
-	return e.SearchLayerOptsCtx(ctx, lctx, SearchOptions{MaxMappings: maxMappings, Seed: seed})
-}
-
-// SearchLayerOptsCtx is the full form of the per-layer search: the
+// SearchLayerOptsCtx finds the lowest-energy mapping for a prepared
+// layer and returns it with the number of mappings evaluated. The
 // SearchOptions select the budget, seed, and intra-search parallelism.
-// The layer's count-analysis Plan is compiled once; each candidate then
+// The layer's count-analysis Plan is compiled once and serves the
+// mapper's candidate validation and every cost kernel; each candidate
 // runs the cost-only kernel (analysis into a reused Scratch plus pricing,
 // no Result), and the Result is built once, for the winner. With
 // SearchWorkers > 1 candidate evaluations fan across a worker pool
-// (mapper.SearchParallelCtx), each worker with its own Scratch. Pricing
-// sums in a fixed order, so the winner and its Result are bit-identical
-// across runs and worker counts.
+// (mapper.Search), each worker with its own Scratch. Pricing sums in a
+// fixed order, so the winner and its Result are bit-identical across runs
+// and worker counts.
+//
+// The candidate loop checks for cancellation before each mapping
+// evaluation, so a cancelled or expired context makes the search return
+// ctx.Err() promptly instead of finishing the whole budget. Deadlines and
+// job cancellation in the serving layer reach in-flight work through
+// this path.
 func (e *Engine) SearchLayerOptsCtx(ctx context.Context, lctx *LayerContext, so SearchOptions) (*Result, int, error) {
 	plan, err := mapping.NewPlan(e.arch.Levels, lctx.Sliced)
 	if err != nil {
@@ -340,7 +332,7 @@ func (e *Engine) SearchLayerOptsCtx(ctx context.Context, lctx *LayerContext, so 
 		opts.Shards = so.SampleShards
 	}
 	newCost := func() mapper.CostFunc { return e.costKernel(lctx, plan) }
-	best, evaluated, err := mapper.SearchParallelCtx(ctx, e.arch.Levels, lctx.Sliced, opts, so.SearchWorkers, newCost)
+	best, evaluated, err := mapper.Search(ctx, plan, e.arch.Levels, lctx.Sliced, opts, so.SearchWorkers, newCost)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -351,20 +343,9 @@ func (e *Engine) SearchLayerOptsCtx(ctx context.Context, lctx *LayerContext, so 
 	return r, evaluated, nil
 }
 
-// EvaluateLayer prepares a layer and searches for its best mapping.
-func (e *Engine) EvaluateLayer(l workload.Layer, maxMappings int, seed int64) (*Result, error) {
-	return e.EvaluateLayerCtx(context.Background(), l, maxMappings, seed)
-}
-
-// EvaluateLayerCtx is EvaluateLayer under a context (see SearchLayerCtx).
-func (e *Engine) EvaluateLayerCtx(ctx context.Context, l workload.Layer, maxMappings int, seed int64) (*Result, error) {
-	r, _, err := e.EvaluateLayerOptsCtx(ctx, l, SearchOptions{MaxMappings: maxMappings, Seed: seed})
-	return r, err
-}
-
 // EvaluateLayerOptsCtx prepares a layer and searches its mapping space
-// with the full option set, additionally returning the number of mappings
-// evaluated.
+// (see SearchLayerOptsCtx), returning the best result and the number of
+// mappings evaluated.
 func (e *Engine) EvaluateLayerOptsCtx(ctx context.Context, l workload.Layer, so SearchOptions) (*Result, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -391,6 +372,17 @@ type NetworkResult struct {
 	MappingsEvaluated int64
 }
 
+// Add appends one layer's best result to the network: its energy, time
+// and MACs count repeat times, its evaluated mappings once.
+func (n *NetworkResult) Add(r *Result, repeat, evaluated int) {
+	n.PerLayer = append(n.PerLayer, r)
+	rep := float64(repeat)
+	n.Energy += r.Energy * rep
+	n.TimeSec += r.TimeSec * rep
+	n.MACs += r.MACs * int64(repeat)
+	n.MappingsEvaluated += int64(evaluated)
+}
+
 // TOPSPerW returns network-level energy efficiency.
 func (n *NetworkResult) TOPSPerW() float64 {
 	if n.Energy <= 0 {
@@ -415,22 +407,12 @@ func (n *NetworkResult) EnergyPerMAC() float64 {
 	return n.Energy / float64(n.MACs)
 }
 
-// EvaluateNetwork searches the best mapping for every layer of a network
-// and aggregates energy and time across repeats.
-func (e *Engine) EvaluateNetwork(n *workload.Network, maxMappings int, seed int64) (*NetworkResult, error) {
-	return e.EvaluateNetworkCtx(context.Background(), n, maxMappings, seed)
-}
-
-// EvaluateNetworkCtx is EvaluateNetwork under a context: cancellation is
-// checked between layers and inside each layer's mapping search.
-func (e *Engine) EvaluateNetworkCtx(ctx context.Context, n *workload.Network, maxMappings int, seed int64) (*NetworkResult, error) {
-	return e.EvaluateNetworkOptsCtx(ctx, n, SearchOptions{MaxMappings: maxMappings, Seed: seed})
-}
-
-// EvaluateNetworkOptsCtx is EvaluateNetwork with the full option set:
-// SearchWorkers > 1 fans each layer's candidate evaluations across a
-// worker pool for single-request latency, with results bit-identical to
-// the serial path (layer i still searches with Seed+i).
+// EvaluateNetworkOptsCtx searches the best mapping for every layer of a
+// network (layer i with Seed+i) and aggregates energy and time across
+// repeats. Cancellation is checked between layers and inside each layer's
+// mapping search. SearchWorkers > 1 fans each layer's candidate
+// evaluations across a worker pool for single-request latency, with
+// results bit-identical to the serial search.
 func (e *Engine) EvaluateNetworkOptsCtx(ctx context.Context, n *workload.Network, so SearchOptions) (*NetworkResult, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -443,12 +425,7 @@ func (e *Engine) EvaluateNetworkOptsCtx(ctx context.Context, n *workload.Network
 		if err != nil {
 			return nil, fmt.Errorf("core: network %q layer %q: %w", n.Name, l.Name, err)
 		}
-		out.PerLayer = append(out.PerLayer, r)
-		rep := float64(l.Repeat)
-		out.Energy += r.Energy * rep
-		out.TimeSec += r.TimeSec * rep
-		out.MACs += r.MACs * int64(l.Repeat)
-		out.MappingsEvaluated += int64(evaluated)
+		out.Add(r, l.Repeat, evaluated)
 	}
 	return out, nil
 }

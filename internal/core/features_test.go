@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -24,7 +25,7 @@ func TestLeakageIncludedAndReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := eng.EvaluateLayer(n.Layers[0], 2, 1)
+	r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestLeakageIncludedAndReported(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := e.EvaluateLayer(n.Layers[0], 1, 1)
+		r, _, err := e.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 1, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func TestADCShareTradesThroughputForArea(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := eng.EvaluateLayer(n.Layers[0], 1, 1)
+		r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 1, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func TestDeviceSwapChangesEnergyNotStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := eng.EvaluateLayer(n.Layers[0], 2, 1)
+		r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 2, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

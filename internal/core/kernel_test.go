@@ -98,39 +98,47 @@ func TestCostKernelMatchesEvaluateMapping(t *testing.T) {
 // used to depend on Go map iteration order: energies were summed over
 // per-tensor maps, so repeating one search in one process could change
 // the last bits of Energy and, on near-ties, the winning mapping
-// (macro-b, ResNet18 layer 4, seed 3 was such a case). Repeats, and the
-// parallel search, must now agree bit for bit.
+// (macro-b, ResNet18 layer 4, seed 3 was such a case). On every built-in
+// macro and the first ResNet18 layers, searches at each SearchWorkers
+// width must agree bit for bit — mapping, Energy and evaluated count —
+// within each SampleShards setting.
 func TestSearchWinnerDeterministic(t *testing.T) {
-	arch, err := macros.ByName("macro-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.NewEngine(arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lctx, err := eng.PrepareLayer(workload.ResNet18().Layers[4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	search := func(workers int) *core.Result {
-		t.Helper()
-		r, _, err := eng.SearchLayerOptsCtx(context.Background(), lctx,
-			core.SearchOptions{MaxMappings: 256, Seed: 3, SearchWorkers: workers})
+	layers := workload.ResNet18().Layers[:5]
+	for _, name := range []string{"base", "macro-a", "macro-b", "macro-c", "macro-d", "digital-cim", "tpu-like", "photonic"} {
+		arch, err := macros.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
-	}
-	want := search(1)
-	for i := 0; i < 20; i++ {
-		got := search(1)
-		if got.Mapping.String() != want.Mapping.String() || math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
-			t.Fatalf("repeat %d: %s %v, first run %s %v", i, got.Mapping, got.Energy, want.Mapping, want.Energy)
+		eng, err := core.NewEngine(arch)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	got := search(4)
-	if got.Mapping.String() != want.Mapping.String() || math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
-		t.Fatalf("4 workers: %s %v, serial %s %v", got.Mapping, got.Energy, want.Mapping, want.Energy)
+		for li, l := range layers {
+			lctx, err := eng.PrepareLayer(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{0, 4} {
+				type outcome struct {
+					mapping   string
+					energy    uint64
+					evaluated int
+				}
+				var want outcome
+				for _, workers := range []int{1, 2, 4} {
+					r, evaluated, err := eng.SearchLayerOptsCtx(context.Background(), lctx,
+						core.SearchOptions{MaxMappings: 256, Seed: 3, SearchWorkers: workers, SampleShards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := outcome{r.Mapping.String(), math.Float64bits(r.Energy), evaluated}
+					if workers == 1 {
+						want = got
+					} else if got != want {
+						t.Errorf("%s layer %d shards %d: %d workers found %+v, 1 worker %+v", name, li, shards, workers, got, want)
+					}
+				}
+			}
+		}
 	}
 }

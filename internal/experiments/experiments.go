@@ -154,7 +154,7 @@ var sweeper = serve.NewServer(serve.BatchOptions{})
 // sweepNets runs prebuilt (arch, net) requests through the shared
 // executor and unwraps the per-layer network results in request order.
 func sweepNets(reqs []serve.Request, o Options) ([]*core.NetworkResult, error) {
-	results, err := sweeper.SweepN(reqs, o.workers())
+	results, err := sweeper.SweepCtx(context.Background(), reqs, o.workers(), nil)
 	if err != nil {
 		return nil, err
 	}

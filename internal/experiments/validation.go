@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -335,7 +336,7 @@ func Fig7(o Options) ([]*report.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				r, err := eng.EvaluateLayer(layer, 2, o.Seed)
+				r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), layer, core.SearchOptions{MaxMappings: 2, Seed: o.Seed})
 				if err != nil {
 					return nil, err
 				}
@@ -436,7 +437,8 @@ func evalMaxUtil(arch *core.Arch, o Options) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return eng.EvaluateLayer(layer, 2, o.Seed)
+	r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), layer, core.SearchOptions{MaxMappings: 2, Seed: o.Seed})
+	return r, err
 }
 
 func minInt(a, b int) int {

@@ -1,6 +1,7 @@
 package macros
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -119,7 +120,7 @@ func TestGroupOfOneCollapses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := eng.EvaluateLayer(n.Layers[0], 4, 1)
+	r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestMacroEfficienciesPlausible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := eng.EvaluateLayer(n.Layers[0], 4, 1)
+		r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 4, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +214,7 @@ func TestBeyondCiM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := engD.EvaluateLayer(n.Layers[0], 4, 1)
+	rd, _, err := engD.EvaluateLayerOptsCtx(context.Background(), n.Layers[0], core.SearchOptions{MaxMappings: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestBeyondCiM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := engP.EvaluateLayer(np.Layers[0], 4, 1)
+	rp, _, err := engP.EvaluateLayerOptsCtx(context.Background(), np.Layers[0], core.SearchOptions{MaxMappings: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

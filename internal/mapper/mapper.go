@@ -8,7 +8,6 @@
 package mapper
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -61,6 +60,15 @@ type Options struct {
 	// pass re-programs weights once instead of per inner iteration).
 	// Ordered outermost first.
 	OuterDims []string
+}
+
+// budget returns MaxMappings, or the default of 100 candidates when it is
+// unset.
+func (o Options) budget() int {
+	if o.MaxMappings <= 0 {
+		return 100
+	}
+	return o.MaxMappings
 }
 
 // remainingBound returns the per-dim bound still to cover after the fixed
@@ -131,6 +139,11 @@ func newMapping(levels []spec.Level, fixed map[int][]mapping.Loop) *mapping.Mapp
 // divide), and every leftover factor becomes a temporal loop at the chosen
 // temporal level, InnerDims innermost.
 func Greedy(levels []spec.Level, e *tensor.Einsum, opts Options) (*mapping.Mapping, error) {
+	return greedy(levels, e, opts, func(m *mapping.Mapping) error { return mapping.Validate(levels, e, m) })
+}
+
+// greedy builds the Greedy mapping and checks it with validate.
+func greedy(levels []spec.Level, e *tensor.Einsum, opts Options, validate func(*mapping.Mapping) error) (*mapping.Mapping, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
@@ -212,7 +225,7 @@ func Greedy(levels []spec.Level, e *tensor.Einsum, opts Options) (*mapping.Mappi
 		}
 		m.LevelLoops[target] = append(m.LevelLoops[target], mapping.Loop{Dim: d, Factor: rem[d]})
 	}
-	if err := mapping.Validate(levels, e, m); err != nil {
+	if err := validate(m); err != nil {
 		return nil, fmt.Errorf("mapper: greedy produced invalid mapping: %w", err)
 	}
 	return m, nil
@@ -239,10 +252,15 @@ func temporalTarget(levels []spec.Level, opts Options) (int, error) {
 
 // Sample generates up to MaxMappings distinct valid mappings by seeded
 // random factor splitting and permutation, always including the Greedy
-// mapping first.
+// mapping first. It compiles the layer's mapping.Plan for this one call;
+// Search takes a compiled one instead.
 func Sample(levels []spec.Level, e *tensor.Einsum, opts Options) ([]*mapping.Mapping, error) {
+	plan, err := mapping.NewPlan(levels, e)
+	if err != nil {
+		return nil, err
+	}
 	var out []*mapping.Mapping
-	err := sampleSeq(levels, e, opts, func(_ int, m *mapping.Mapping) bool {
+	err = sampleSeq(plan, levels, e, opts, func(_ int, m *mapping.Mapping) bool {
 		out = append(out, m)
 		return true
 	})
@@ -254,31 +272,30 @@ func Sample(levels []spec.Level, e *tensor.Einsum, opts Options) ([]*mapping.Map
 
 // sampleSeq generates the exact Sample candidate sequence one mapping at a
 // time, calling yield with each candidate's index; yield returning false
-// stops generation early. SearchParallelCtx feeds its worker pool from
-// this generator so candidate evaluation overlaps generation instead of
-// waiting for the whole sample. Options.Shards >= 1 routes through the
-// concurrent sharded pipeline (sampleSeqSharded); the sequence stays a
-// deterministic function of (Seed, Shards) either way.
-func sampleSeq(levels []spec.Level, e *tensor.Einsum, opts Options, yield func(int, *mapping.Mapping) bool) error {
-	if opts.MaxMappings <= 0 {
-		opts.MaxMappings = 100
-	}
-	greedy, err := Greedy(levels, e, opts)
+// stops generation early. Search prices candidates as this generator
+// yields them instead of waiting for the whole sample. plan is the
+// compiled count analysis of (levels, e) and validates every candidate.
+// Options.Shards >= 1 routes through the concurrent sharded pipeline
+// (sampleSeqSharded); the sequence stays a deterministic function of
+// (Seed, Shards) either way.
+func sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, yield func(int, *mapping.Mapping) bool) error {
+	opts.MaxMappings = opts.budget()
+	first, err := greedy(levels, e, opts, plan.Validate)
 	if err != nil {
 		return err
 	}
-	if !yield(0, greedy) {
+	if !yield(0, first) {
 		return nil
 	}
-	s, err := newSampler(levels, e, opts)
+	s, err := newSampler(plan, levels, e, opts)
 	if err != nil {
 		return err
 	}
 	if opts.Shards >= 1 {
-		return sampleSeqSharded(s, opts, greedy.String(), yield)
+		return sampleSeqSharded(s, opts, first.String(), yield)
 	}
 	n := 1
-	seen := map[string]bool{greedy.String(): true}
+	seen := map[string]bool{first.String(): true}
 	s.stream(rand.New(rand.NewSource(opts.Seed)), seen, func(_ string, m *mapping.Mapping) bool {
 		if !yield(n, m) {
 			return false
@@ -292,7 +309,7 @@ func sampleSeq(levels []spec.Level, e *tensor.Einsum, opts Options, yield func(i
 // sampler draws the random candidates of one (levels, einsum, options)
 // triple. newSampler resolves the name-keyed options — remaining bounds,
 // mesh budgets, spatial preferences, storage levels — into index tables
-// once per search, and compiles the layer's mapping.Plan for validation.
+// once per search; the layer's compiled mapping.Plan validates draws.
 // A draw reuses one scratch mapping and key buffer, so rejected draws
 // allocate nothing; only accepted candidates are copied out. The tables
 // are read-only; fork gives each concurrent stream its own draw state.
@@ -318,11 +335,7 @@ type spatialSlot struct {
 	prefs  []int // preferred dims the einsum has, in preference order
 }
 
-func newSampler(levels []spec.Level, e *tensor.Einsum, opts Options) (*sampler, error) {
-	plan, err := mapping.NewPlan(levels, e)
-	if err != nil {
-		return nil, err
-	}
+func newSampler(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options) (*sampler, error) {
 	rem, err := remainingBound(e, opts.Fixed)
 	if err != nil {
 		return nil, err
@@ -529,57 +542,4 @@ func nthDivisor(b, limit, k int) int {
 		}
 	}
 	panic("mapper: divisor index out of range")
-}
-
-// Result pairs a mapping with its evaluated cost.
-type Result struct {
-	Mapping *mapping.Mapping
-	Cost    float64
-}
-
-// CostFunc prices one candidate mapping for a search.
-type CostFunc func(*mapping.Mapping) (float64, error)
-
-// Search generates candidates and returns the one minimizing the caller's
-// cost function, along with the number of mappings evaluated. Candidates
-// whose evaluation fails are skipped; if every candidate fails, the first
-// error is returned.
-func Search(levels []spec.Level, e *tensor.Einsum, opts Options, cost CostFunc) (*Result, int, error) {
-	return SearchCtx(context.Background(), levels, e, opts, cost)
-}
-
-// SearchCtx is Search under a context: cancellation is checked before
-// each candidate evaluation, so a cancelled search returns ctx.Err()
-// promptly instead of finishing the whole sample.
-func SearchCtx(ctx context.Context, levels []spec.Level, e *tensor.Einsum, opts Options, cost CostFunc) (*Result, int, error) {
-	cands, err := Sample(levels, e, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	var best *Result
-	var firstErr error
-	evaluated := 0
-	for _, m := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, evaluated, err
-		}
-		c, err := cost(m)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		evaluated++
-		if best == nil || c < best.Cost {
-			best = &Result{Mapping: m, Cost: c}
-		}
-	}
-	if best == nil {
-		if firstErr != nil {
-			return nil, 0, firstErr
-		}
-		return nil, 0, errors.New("mapper: no valid mapping found")
-	}
-	return best, evaluated, nil
 }

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -212,7 +213,7 @@ func TestSearchMinimizesCost(t *testing.T) {
 		}
 		return float64(c.MACs), nil
 	}
-	best, n, err := Search(levels, e, opts, cost)
+	best, n, err := search(t, context.Background(), levels, e, opts, 1, perWorker(cost))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +231,9 @@ func TestSearchAllCandidatesFail(t *testing.T) {
 	opts := defaultOpts()
 	opts.MaxMappings = 5
 	wantErr := errors.New("boom")
-	_, _, err := Search(levels, e, opts, func(*mapping.Mapping) (float64, error) {
+	_, _, err := search(t, context.Background(), levels, e, opts, 1, perWorker(func(*mapping.Mapping) (float64, error) {
 		return 0, wantErr
-	})
+	}))
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("got %v, want boom", err)
 	}
@@ -244,13 +245,13 @@ func TestSearchSkipsFailingCandidates(t *testing.T) {
 	opts := defaultOpts()
 	opts.MaxMappings = 10
 	calls := 0
-	best, _, err := Search(levels, e, opts, func(m *mapping.Mapping) (float64, error) {
+	best, _, err := search(t, context.Background(), levels, e, opts, 1, perWorker(func(m *mapping.Mapping) (float64, error) {
 		calls++
 		if calls%2 == 0 {
 			return 0, errors.New("flaky")
 		}
 		return float64(calls), nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,167 @@
+package mapper
+
+import (
+	"context"
+	"errors"
+	"sync"
+
+	"repro/internal/mapping"
+	"repro/internal/spec"
+	"repro/internal/tensor"
+)
+
+// Result pairs a mapping with its evaluated cost.
+type Result struct {
+	Mapping *mapping.Mapping
+	Cost    float64
+}
+
+// CostFunc prices one candidate mapping for a search.
+type CostFunc func(*mapping.Mapping) (float64, error)
+
+// searchPartial accumulates one worker's share of the reduction. Both
+// folds are order-independent: the winner is the lexicographic minimum of
+// (cost, candidate index) — in candidate order, "strictly lower cost wins,
+// earlier candidate keeps ties" — and the reported error is the one with
+// the lowest candidate index. Merging partials therefore yields the same
+// answer no matter how candidates were interleaved, and memory stays
+// constant in the budget instead of O(MaxMappings).
+type searchPartial struct {
+	best      *mapping.Mapping
+	bestCost  float64
+	bestIdx   int
+	firstErr  error
+	errIdx    int
+	evaluated int
+}
+
+func (p *searchPartial) observe(i int, m *mapping.Mapping, cost float64, err error) {
+	if err != nil {
+		if p.firstErr == nil || i < p.errIdx {
+			p.firstErr, p.errIdx = err, i
+		}
+		return
+	}
+	p.evaluated++
+	if p.best == nil || cost < p.bestCost || (cost == p.bestCost && i < p.bestIdx) {
+		p.best, p.bestCost, p.bestIdx = m, cost, i
+	}
+}
+
+func (p *searchPartial) merge(q *searchPartial) {
+	if q.firstErr != nil {
+		if p.firstErr == nil || q.errIdx < p.errIdx {
+			p.firstErr, p.errIdx = q.firstErr, q.errIdx
+		}
+	}
+	p.evaluated += q.evaluated
+	if q.best != nil {
+		if p.best == nil || q.bestCost < p.bestCost || (q.bestCost == p.bestCost && q.bestIdx < p.bestIdx) {
+			p.best, p.bestCost, p.bestIdx = q.best, q.bestCost, q.bestIdx
+		}
+	}
+}
+
+// Search generates candidates and returns the one minimizing the cost
+// function, along with the number of mappings evaluated. plan is the
+// compiled count analysis of (levels, e); the search validates the greedy
+// mapping and every sampled candidate with it. The candidate sequence is
+// Sample's, and the winner is the minimum-cost candidate with ties broken
+// by the lowest candidate index. Candidates whose evaluation fails are
+// skipped; if every candidate fails, the first one's error (in candidate
+// order) is returned.
+//
+// With workers <= 1 each candidate is priced inline as the generator
+// yields it, on the caller's goroutine. With more, candidates stream from
+// the generator into a bounded worker pool, so evaluation overlaps
+// generation, and the per-worker partial reductions merge after all
+// workers finish. Both widths run the same reduction, so the winner, the
+// error and the evaluated count do not depend on workers. newCost is
+// called once per worker, and each worker prices candidates only with the
+// CostFunc it got, so a cost function may keep per-worker scratch state;
+// state shared between the CostFuncs must be safe for concurrent use.
+//
+// Cancellation is checked before every candidate evaluation: a cancelled
+// search stops generating, drains promptly, and returns ctx.Err() with
+// the partial evaluated count.
+func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, newCost func() CostFunc) (*Result, int, error) {
+	opts.MaxMappings = opts.budget()
+	if workers > opts.MaxMappings {
+		workers = opts.MaxMappings
+	}
+	var total searchPartial
+	var emit func(int, *mapping.Mapping)
+	wait := func() {}
+	if workers <= 1 {
+		cost := newCost()
+		emit = func(i int, m *mapping.Mapping) {
+			v, err := cost(m)
+			total.observe(i, m, v, err)
+		}
+	} else {
+		emit, wait = startPool(ctx, workers, newCost, &total)
+	}
+	sampleErr := sampleSeq(plan, levels, e, opts, func(i int, m *mapping.Mapping) bool {
+		if ctx.Err() != nil {
+			return false
+		}
+		emit(i, m)
+		return true
+	})
+	wait()
+	if sampleErr != nil {
+		// Same contract as the cancellation path below: report how much
+		// work was done before the generator failed.
+		return nil, total.evaluated, sampleErr
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, total.evaluated, err
+	}
+	if total.best == nil {
+		if total.firstErr != nil {
+			return nil, 0, total.firstErr
+		}
+		return nil, 0, errors.New("mapper: no valid mapping found")
+	}
+	return &Result{Mapping: total.best, Cost: total.bestCost}, total.evaluated, nil
+}
+
+// startPool starts workers goroutines, each pricing candidates with its
+// own newCost() function into a partial reduction. emit hands one
+// candidate to the pool; wait, called once generation has ended, drains
+// the pool and merges every partial into total.
+func startPool(ctx context.Context, workers int, newCost func() CostFunc, total *searchPartial) (emit func(int, *mapping.Mapping), wait func()) {
+	type candidate struct {
+		i int
+		m *mapping.Mapping
+	}
+	feed := make(chan candidate, workers)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(cost CostFunc) {
+			defer wg.Done()
+			var local searchPartial
+			for c := range feed {
+				// The per-candidate cancellation check; after cancellation
+				// workers keep draining the feed without evaluating so
+				// close(feed) is never stranded.
+				if ctx.Err() != nil {
+					continue
+				}
+				v, err := cost(c.m)
+				local.observe(c.i, c.m, v, err)
+			}
+			mu.Lock()
+			total.merge(&local)
+			mu.Unlock()
+		}(newCost())
+	}
+	emit = func(i int, m *mapping.Mapping) { feed <- candidate{i, m} }
+	wait = func() {
+		close(feed)
+		wg.Wait()
+	}
+	return emit, wait
+}

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/mapping"
+	"repro/internal/spec"
+	"repro/internal/tensor"
 )
 
 // costByString is a deterministic, concurrency-safe cost function: a hash
@@ -22,25 +24,69 @@ func costByString(m *mapping.Mapping) (float64, error) {
 	return float64(h % 100003), nil
 }
 
-// TestSearchParallelMatchesSerial is the equivalence property: across
-// seeds, budgets, and worker counts the parallel search returns the
-// identical best mapping, cost, and evaluated count as the serial search.
 // perWorker hands every worker the same cost function.
 func perWorker(cost CostFunc) func() CostFunc {
 	return func() CostFunc { return cost }
 }
 
+// search runs Search with a freshly compiled plan.
+func search(t testing.TB, ctx context.Context, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, newCost func() CostFunc) (*Result, int, error) {
+	t.Helper()
+	plan, err := mapping.NewPlan(levels, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Search(ctx, plan, levels, e, opts, workers, newCost)
+}
+
+// serialSearch is the oracle the search's reduction is checked against:
+// the plain serial loop over Sample, in which a strictly lower cost wins
+// (so the earlier candidate keeps ties) and the first failure's error is
+// kept. It shares nothing with Search but the candidate sequence.
+func serialSearch(levels []spec.Level, e *tensor.Einsum, opts Options, cost CostFunc) (*Result, int, error) {
+	cands, err := Sample(levels, e, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	var best *Result
+	var firstErr error
+	evaluated := 0
+	for _, m := range cands {
+		c, err := cost(m)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		evaluated++
+		if best == nil || c < best.Cost {
+			best = &Result{Mapping: m, Cost: c}
+		}
+	}
+	if best == nil {
+		if firstErr != nil {
+			return nil, 0, firstErr
+		}
+		return nil, 0, errors.New("mapper: no valid mapping found")
+	}
+	return best, evaluated, nil
+}
+
+// TestSearchParallelMatchesSerial is the equivalence property: across
+// seeds, budgets, and worker counts the search returns the identical best
+// mapping, cost, and evaluated count as the serial oracle.
 func TestSearchParallelMatchesSerial(t *testing.T) {
 	levels := cimLevels(64, 32)
 	e := mvm(t, 16, 64, 32)
 	for seed := int64(0); seed < 8; seed++ {
 		for _, budget := range []int{1, 7, 64} {
-			for _, workers := range []int{2, 3, 8, 64} {
+			for _, workers := range []int{1, 2, 3, 8, 64} {
 				opts := defaultOpts()
 				opts.Seed = seed
 				opts.MaxMappings = budget
-				want, wantN, wantErr := Search(levels, e, opts, costByString)
-				got, gotN, gotErr := SearchParallel(levels, e, opts, workers, perWorker(costByString))
+				want, wantN, wantErr := serialSearch(levels, e, opts, costByString)
+				got, gotN, gotErr := search(t, context.Background(), levels, e, opts, workers, perWorker(costByString))
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("seed %d budget %d workers %d: err %v vs %v", seed, budget, workers, gotErr, wantErr)
 				}
@@ -65,12 +111,12 @@ func TestSearchParallelTieBreaksByIndex(t *testing.T) {
 	opts := defaultOpts()
 	opts.MaxMappings = 32
 	flat := func(*mapping.Mapping) (float64, error) { return 42, nil }
-	want, _, err := Search(levels, e, opts, flat)
+	want, _, err := serialSearch(levels, e, opts, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 8} {
-		got, _, err := SearchParallel(levels, e, opts, workers, perWorker(flat))
+	for _, workers := range []int{1, 2, 8} {
+		got, _, err := search(t, context.Background(), levels, e, opts, workers, perWorker(flat))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +139,11 @@ func TestSearchParallelFirstError(t *testing.T) {
 		idx.Add(1)
 		return 0, fmt.Errorf("cost failed for %s", m)
 	}
-	wantRes, wantN, wantErr := Search(levels, e, opts, failAll)
+	wantRes, wantN, wantErr := serialSearch(levels, e, opts, failAll)
 	if wantRes != nil || wantErr == nil {
 		t.Fatalf("serial: result %v err %v, want nil result and an error", wantRes, wantErr)
 	}
-	got, gotN, gotErr := SearchParallel(levels, e, opts, 8, perWorker(failAll))
+	got, gotN, gotErr := search(t, context.Background(), levels, e, opts, 8, perWorker(failAll))
 	if got != nil {
 		t.Fatalf("parallel returned a result %v despite every candidate failing", got)
 	}
@@ -129,11 +175,11 @@ func TestSearchParallelSkipsFailingCandidates(t *testing.T) {
 		}
 		return costByString(m)
 	}
-	want, wantN, err := Search(levels, e, opts, failGreedy)
+	want, wantN, err := serialSearch(levels, e, opts, failGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotN, err := SearchParallel(levels, e, opts, 8, perWorker(failGreedy))
+	got, gotN, err := search(t, context.Background(), levels, e, opts, 8, perWorker(failGreedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,73 +189,88 @@ func TestSearchParallelSkipsFailingCandidates(t *testing.T) {
 }
 
 // TestSearchParallelCancelledBeforeStart checks an already-cancelled
-// context evaluates nothing and returns ctx.Err(), like the serial path.
+// context evaluates nothing and returns ctx.Err(), inline (one worker) and
+// in the pool.
 func TestSearchParallelCancelledBeforeStart(t *testing.T) {
 	levels := cimLevels(64, 32)
 	e := mvm(t, 16, 64, 32)
 	opts := defaultOpts()
 	opts.MaxMappings = 32
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var calls atomic.Int64
-	res, evaluated, err := SearchParallelCtx(ctx, levels, e, opts, 8, perWorker(func(m *mapping.Mapping) (float64, error) {
-		calls.Add(1)
-		return costByString(m)
-	}))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res != nil || evaluated != 0 || calls.Load() != 0 {
-		t.Fatalf("res %v evaluated %d calls %d after pre-cancellation", res, evaluated, calls.Load())
+	for _, workers := range []int{1, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var calls atomic.Int64
+		res, evaluated, err := search(t, ctx, levels, e, opts, workers, perWorker(func(m *mapping.Mapping) (float64, error) {
+			calls.Add(1)
+			return costByString(m)
+		}))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
+		}
+		if res != nil || evaluated != 0 || calls.Load() != 0 {
+			t.Fatalf("workers %d: res %v evaluated %d calls %d after pre-cancellation", workers, res, evaluated, calls.Load())
+		}
 	}
 }
 
-// TestSearchParallelCancelMidFanOut cancels while the pool is mid-flight:
-// the first evaluation triggers cancellation, and the search must drain
-// promptly, return ctx.Err(), and evaluate well under the full budget.
-// Run under -race this also exercises the worker/feeder shutdown path.
+// TestSearchParallelCancelMidFanOut cancels while the search is
+// mid-flight: the first evaluation triggers cancellation, and the search
+// must drain promptly, return ctx.Err(), and evaluate well under the full
+// budget. Inline (one worker) the count is exact: only the first
+// candidate was priced. Run under -race this also exercises the
+// worker/feeder shutdown path.
 func TestSearchParallelCancelMidFanOut(t *testing.T) {
 	levels := cimLevels(64, 32)
 	e := mvm(t, 16, 64, 32)
 	opts := defaultOpts()
 	opts.MaxMappings = 64
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var calls atomic.Int64
-	gate := make(chan struct{})
-	var once sync.Once
-	res, evaluated, err := SearchParallelCtx(ctx, levels, e, opts, 4, perWorker(func(m *mapping.Mapping) (float64, error) {
-		n := calls.Add(1)
-		if n == 1 {
-			cancel()
-			once.Do(func() { close(gate) })
-		} else {
-			// Later workers block until cancellation is visible, so the
-			// run deterministically stops early.
-			<-gate
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		gate := make(chan struct{})
+		var once sync.Once
+		res, evaluated, err := search(t, ctx, levels, e, opts, workers, perWorker(func(m *mapping.Mapping) (float64, error) {
+			n := calls.Add(1)
+			if n == 1 {
+				cancel()
+				once.Do(func() { close(gate) })
+			} else {
+				// Later workers block until cancellation is visible, so the
+				// run deterministically stops early.
+				<-gate
+			}
+			return costByString(m)
+		}))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
 		}
-		return costByString(m)
-	}))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Fatalf("cancelled search returned a result %v", res)
-	}
-	if evaluated >= opts.MaxMappings/2 {
-		t.Fatalf("evaluated %d of %d candidates despite mid-fan-out cancellation", evaluated, opts.MaxMappings)
+		if res != nil {
+			t.Fatalf("workers %d: cancelled search returned a result %v", workers, res)
+		}
+		if evaluated >= opts.MaxMappings/2 {
+			t.Fatalf("workers %d: evaluated %d of %d candidates despite mid-fan-out cancellation", workers, evaluated, opts.MaxMappings)
+		}
+		if workers == 1 && evaluated != 1 {
+			t.Fatalf("inline search evaluated %d candidates after cancelling in the first, want 1", evaluated)
+		}
 	}
 }
 
 // TestSearchParallelConcurrentSearches runs many parallel searches against
-// the same inputs concurrently (the serve pool's shape) and checks every
-// one agrees with the serial answer. Meaningful chiefly under -race.
+// the same inputs and one shared plan concurrently (the serve pool's
+// shape) and checks every one agrees with the serial oracle. Meaningful
+// chiefly under -race.
 func TestSearchParallelConcurrentSearches(t *testing.T) {
 	levels := cimLevels(64, 32)
 	e := mvm(t, 16, 64, 32)
 	opts := defaultOpts()
 	opts.MaxMappings = 32
-	want, wantN, err := Search(levels, e, opts, costByString)
+	want, wantN, err := serialSearch(levels, e, opts, costByString)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := mapping.NewPlan(levels, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +280,7 @@ func TestSearchParallelConcurrentSearches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, gotN, err := SearchParallel(levels, e, opts, 4, perWorker(costByString))
+			got, gotN, err := Search(context.Background(), plan, levels, e, opts, 4, perWorker(costByString))
 			if err != nil {
 				errs <- err
 				return
@@ -237,19 +298,19 @@ func TestSearchParallelConcurrentSearches(t *testing.T) {
 	}
 }
 
-// TestSearchParallelSingleWorkerFallsBack checks workers <= 1 takes the
-// serial path byte for byte.
+// TestSearchParallelSingleWorkerFallsBack checks every workers <= 1 runs
+// the inline search and matches the serial oracle byte for byte.
 func TestSearchParallelSingleWorkerFallsBack(t *testing.T) {
 	levels := cimLevels(64, 32)
 	e := mvm(t, 16, 64, 32)
 	opts := defaultOpts()
 	opts.MaxMappings = 16
-	want, wantN, err := Search(levels, e, opts, costByString)
+	want, wantN, err := serialSearch(levels, e, opts, costByString)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, -3} {
-		got, gotN, err := SearchParallel(levels, e, opts, workers, perWorker(costByString))
+		got, gotN, err := search(t, context.Background(), levels, e, opts, workers, perWorker(costByString))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +334,11 @@ func TestSampleSeqMatchesSample(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []string
-		err = sampleSeq(levels, e, opts, func(i int, m *mapping.Mapping) bool {
+		plan, err := mapping.NewPlan(levels, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sampleSeq(plan, levels, e, opts, func(i int, m *mapping.Mapping) bool {
 			if i != len(got) {
 				t.Fatalf("index %d out of order (have %d)", i, len(got))
 			}
@@ -293,7 +358,7 @@ func TestSampleSeqMatchesSample(t *testing.T) {
 		}
 		// Early stop is honored.
 		n := 0
-		if err := sampleSeq(levels, e, opts, func(int, *mapping.Mapping) bool { n++; return n < 3 }); err != nil {
+		if err := sampleSeq(plan, levels, e, opts, func(int, *mapping.Mapping) bool { n++; return n < 3 }); err != nil {
 			t.Fatal(err)
 		}
 		if n != 3 {

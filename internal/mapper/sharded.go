@@ -8,7 +8,7 @@ import (
 
 // The sharded candidate pipeline lifts the serial-sampler ceiling on
 // parallel search: with a single seeded stream, generation is the Amdahl
-// bottleneck that bounds SearchParallelCtx speedup no matter how many
+// bottleneck that bounds parallel Search speedup no matter how many
 // evaluation workers run. Here G independent generators (shard g draws
 // from Seed ^ g) produce candidates concurrently, and a cheap merger
 // interleaves them into one global sequence.

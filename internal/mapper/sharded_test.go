@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/mapping"
@@ -120,12 +121,12 @@ func TestShardedSameWinnerAcrossWorkers(t *testing.T) {
 			opts := defaultOpts()
 			opts.MaxMappings = 48
 			opts.Shards = shards
-			want, wantN, err := Search(levels, e, opts, costByString)
+			want, wantN, err := serialSearch(levels, e, opts, costByString)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 3, 8} {
-				got, gotN, err := SearchParallel(levels, e, opts, workers, perWorker(costByString))
+			for _, workers := range []int{1, 2, 3, 8} {
+				got, gotN, err := search(t, context.Background(), levels, e, opts, workers, perWorker(costByString))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,8 +148,12 @@ func TestShardedEarlyStop(t *testing.T) {
 	opts := defaultOpts()
 	opts.MaxMappings = 64
 	opts.Shards = 8
+	plan, err := mapping.NewPlan(levels, e)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := 0
-	if err := sampleSeq(levels, e, opts, func(int, *mapping.Mapping) bool { n++; return n < 3 }); err != nil {
+	if err := sampleSeq(plan, levels, e, opts, func(int, *mapping.Mapping) bool { n++; return n < 3 }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -64,13 +65,13 @@ func TestAdaptiveServerMatchesStaticAnswers(t *testing.T) {
 		t.Fatal("SearchWorkers < 0 still reported adaptive mode")
 	}
 	req := Request{Macro: "base", Network: "toy", MaxMappings: 16, Seed: 5}
-	want, err := serial.Evaluate(req)
+	want, err := serial.EvaluateCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Twice, so the second pass runs with a measured (tuned) width.
 	for pass := 0; pass < 2; pass++ {
-		got, err := adaptive.Evaluate(req)
+		got, err := adaptive.EvaluateCtx(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -281,15 +281,10 @@ func (c *Cache) admit(key string, costSec float64, val any) {
 	c.insertLocked(e)
 }
 
-// Engine returns the compiled engine for an architecture, compiling it at
-// most once per content fingerprint.
-func (c *Cache) Engine(arch *core.Arch) (*core.Engine, error) {
-	return c.EngineCtx(context.Background(), arch)
-}
-
-// EngineCtx is Engine with trace attribution: when this lookup's caller
-// is the singleflight winner, the inline compilation is booked to the
-// caller's span as the "compile" phase. Losers that merely block on the
+// EngineCtx returns the compiled engine for an architecture, compiling it
+// at most once per content fingerprint. When this lookup's caller is the
+// singleflight winner, the inline compilation is booked to the caller's
+// span as the "compile" phase. Losers that merely block on the
 // winner's fill record nothing under "compile" — their wait shows up as
 // cache time, which is what it is to them.
 func (c *Cache) EngineCtx(ctx context.Context, arch *core.Arch) (*core.Engine, error) {
@@ -304,9 +299,11 @@ func (c *Cache) EngineCtx(ctx context.Context, arch *core.Arch) (*core.Engine, e
 	return v.(*core.Engine), nil
 }
 
-// LayerContext returns the amortized per-layer state for (engine, layer),
-// running the data-value-dependent pipeline (Algorithm 1 lines 3-7) at
-// most once per (arch, layer, encoding) fingerprint.
+// LayerContextCtx returns the amortized per-layer state for (engine,
+// layer), running the data-value-dependent pipeline (Algorithm 1 lines
+// 3-7) at most once per (arch, layer, encoding) fingerprint. A
+// compilation run inline by this lookup lands in the caller's span under
+// "compile" (see EngineCtx).
 //
 // A context whose per-level energy tables do not match the engine's
 // flattened level count is structurally unusable (indexing would panic
@@ -315,13 +312,6 @@ func (c *Cache) EngineCtx(ctx context.Context, arch *core.Arch) (*core.Engine, e
 // payload-schema drift the envelope version did not catch), so mismatches
 // are dropped and recomputed — the write-behind hook then overwrites the
 // bad record under the same key.
-func (c *Cache) LayerContext(eng *core.Engine, l workload.Layer) (*core.LayerContext, error) {
-	return c.LayerContextCtx(context.Background(), eng, l)
-}
-
-// LayerContextCtx is LayerContext with trace attribution (see
-// EngineCtx): a compilation run inline by this lookup lands in the
-// caller's span under "compile".
 func (c *Cache) LayerContextCtx(ctx context.Context, eng *core.Engine, l workload.Layer) (*core.LayerContext, error) {
 	key := contextKey(ArchFingerprint(eng.Arch()), LayerFingerprint(l))
 	compute := func() (any, error) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -51,11 +52,11 @@ func TestCacheHitMissCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng1, err := c.Engine(arch)
+	eng1, err := c.EngineCtx(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2, err := c.Engine(arch)
+	eng2, err := c.EngineCtx(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +69,11 @@ func TestCacheHitMissCounts(t *testing.T) {
 	}
 
 	layer := workload.Toy().Layers[0]
-	ctx1, err := c.LayerContext(eng1, layer)
+	ctx1, err := c.LayerContextCtx(context.Background(), eng1, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx2, err := c.LayerContext(eng1, layer)
+	ctx2, err := c.LayerContextCtx(context.Background(), eng1, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				eng, err := c.Engine(arch)
+				eng, err := c.EngineCtx(context.Background(), arch)
 				if err != nil {
 					t.Error(err)
 					return
@@ -211,7 +212,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				engines[eng] = true
 				mu.Unlock()
 				for _, l := range net.Layers {
-					if _, err := c.LayerContext(eng, l); err != nil {
+					if _, err := c.LayerContextCtx(context.Background(), eng, l); err != nil {
 						t.Error(err)
 						return
 					}

@@ -37,7 +37,7 @@ func TestSubmitSweepJobLifecycle(t *testing.T) {
 	defer srv.Close()
 
 	reqs := Grid([]string{"base", "macro-b"}, []string{"toy"}, nil, 0, 2)
-	snap, err := srv.SubmitSweep(reqs, 2)
+	snap, err := srv.SubmitSweepOpts(reqs, SweepJobOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSubmitSweepReportsPerItemErrors(t *testing.T) {
 		{Macro: "base", Network: "toy"},
 		{Macro: "no-such-macro", Network: "toy"},
 	}
-	snap, err := srv.SubmitSweep(reqs, 1)
+	snap, err := srv.SubmitSweepOpts(reqs, SweepJobOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestCancelJobStopsInFlightWork(t *testing.T) {
 	// than can finish between "running" and the cancel below.
 	reqs := Grid([]string{"base", "macro-a", "macro-b", "macro-d"},
 		[]string{"resnet18"}, nil, 0, 400)
-	snap, err := srv.SubmitSweep(reqs, 1)
+	snap, err := srv.SubmitSweepOpts(reqs, SweepJobOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSweepCtxStopsDispatchOnCancel(t *testing.T) {
 func TestSweepCtxMatchesSweep(t *testing.T) {
 	srv := NewServer(BatchOptions{Workers: 4, MaxMappings: 2})
 	reqs := Grid([]string{"base", "macro-b"}, []string{"toy"}, nil, 0, 2)
-	want, err := srv.Sweep(reqs)
+	want, err := srv.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestSubmitSweepBackpressure(t *testing.T) {
 	defer releaseQueued()
 
 	reqs := Grid([]string{"base"}, []string{"toy"}, nil, 0, 2)
-	if _, err := srv.SubmitSweep(reqs, 1); !errors.Is(err, jobs.ErrQueueFull) {
+	if _, err := srv.SubmitSweepOpts(reqs, SweepJobOptions{Workers: 1}); !errors.Is(err, jobs.ErrQueueFull) {
 		t.Fatalf("err = %v, want jobs.ErrQueueFull", err)
 	}
 	if srv.RetryAfter() <= 0 {

@@ -64,11 +64,11 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	serial := NewServer(BatchOptions{})
 	parallel := NewServer(BatchOptions{SearchWorkers: 8})
 	req := Request{Macro: "base", Network: "toy", MaxMappings: 24, Seed: 3}
-	want, err := serial.Evaluate(req)
+	want, err := serial.EvaluateCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := parallel.Evaluate(req)
+	got, err := parallel.EvaluateCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	}
 	// Per-request override on a serial server: same answer again.
 	req.SearchWorkers = 4
-	over, err := serial.Evaluate(req)
+	over, err := serial.EvaluateCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestBudgetCapacityCoversSearchWorkers(t *testing.T) {
 func TestSweepRestoresBudget(t *testing.T) {
 	s := NewServer(BatchOptions{Workers: 2, SearchWorkers: 4})
 	reqs := Grid([]string{"base", "macro-b"}, []string{"toy"}, nil, 1, 6)
-	results, err := s.Sweep(reqs)
+	results, err := s.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +134,12 @@ func TestSweepRestoresBudget(t *testing.T) {
 func TestSweepParallelSearchMatchesSerial(t *testing.T) {
 	reqs := Grid([]string{"base", "macro-b"}, []string{"toy"}, nil, 2, 8)
 	serial := NewServer(BatchOptions{Workers: 1})
-	want, err := serial.Sweep(reqs)
+	want, err := serial.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel := NewServer(BatchOptions{Workers: 2, SearchWorkers: 8})
-	got, err := parallel.Sweep(reqs)
+	got, err := parallel.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

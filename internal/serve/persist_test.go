@@ -30,7 +30,7 @@ func TestWarmStartRoundTrip(t *testing.T) {
 	if err := first.PersistError(); err != nil {
 		t.Fatal(err)
 	}
-	res1, err := first.Evaluate(warmRequest())
+	res1, err := first.EvaluateCtx(context.Background(), warmRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestWarmStartRoundTrip(t *testing.T) {
 		t.Fatalf("cache stats after warm start = %+v, want %d restored entries", cs, 1+layers)
 	}
 
-	res2, err := second.Evaluate(warmRequest())
+	res2, err := second.EvaluateCtx(context.Background(), warmRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestWarmStartOptional(t *testing.T) {
 	if ps := srv.PersistStats(); ps.Enabled || ps.Error != "" {
 		t.Fatalf("persistence must be disabled by default: %+v", ps)
 	}
-	if _, err := srv.Evaluate(warmRequest()); err != nil {
+	if _, err := srv.EvaluateCtx(context.Background(), warmRequest()); err != nil {
 		t.Fatal(err)
 	}
 	if cs := srv.CacheStats(); cs.Restored != 0 {
@@ -91,7 +91,7 @@ func TestWarmStartOptional(t *testing.T) {
 func TestWarmStartSurvivesCorruption(t *testing.T) {
 	dir := t.TempDir()
 	first := NewServer(BatchOptions{Workers: 1, CacheDir: dir})
-	if _, err := first.Evaluate(warmRequest()); err != nil {
+	if _, err := first.EvaluateCtx(context.Background(), warmRequest()); err != nil {
 		t.Fatal(err)
 	}
 	first.Close()
@@ -134,7 +134,7 @@ func TestWarmStartSurvivesCorruption(t *testing.T) {
 		}
 	}
 	// And the server still serves.
-	if _, err := second.Evaluate(warmRequest()); err != nil {
+	if _, err := second.EvaluateCtx(context.Background(), warmRequest()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,7 +144,7 @@ func TestWarmStartSurvivesCorruption(t *testing.T) {
 func TestJobSnapshotsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	first := NewServer(BatchOptions{Workers: 1, JobsDir: dir})
-	snap, err := first.SubmitSweep([]Request{warmRequest()}, 1)
+	snap, err := first.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestQueuedJobsReplayAfterRestart(t *testing.T) {
 	big := Grid([]string{"base", "macro-b"}, []string{"mobilenetv3-large"}, nil, 0, 8)
 	ids := make([]string, 0, 3)
 	for _, reqs := range [][]Request{big, {warmRequest()}, {warmRequest()}} {
-		snap, err := first.SubmitSweep(reqs, 1)
+		snap, err := first.SubmitSweepOpts(reqs, SweepJobOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestQueuedJobsReplayAfterRestart(t *testing.T) {
 		}
 	}
 	// New submissions never collide with replayed IDs.
-	snap, err := second.SubmitSweep([]Request{warmRequest()}, 1)
+	snap, err := second.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestQueuedJobsReplayAfterRestart(t *testing.T) {
 func TestFinishedJobRetiresWAL(t *testing.T) {
 	dir := t.TempDir()
 	srv := NewServer(BatchOptions{Workers: 1, JobsDir: dir})
-	snap, err := srv.SubmitSweep([]Request{warmRequest()}, 1)
+	snap, err := srv.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestProgrammaticRequestsNotWALLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := first.SubmitSweep([]Request{{Arch: arch, Network: "toy", MaxMappings: 2}}, 1)
+	snap, err := first.SubmitSweepOpts([]Request{{Arch: arch, Network: "toy", MaxMappings: 2}}, SweepJobOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,10 +291,10 @@ func TestCancelledQueuedJobRetiresWAL(t *testing.T) {
 	first := NewServer(BatchOptions{Workers: 1, JobsDir: dir, MaxRunningJobs: 1})
 	// Occupy the single runner so the next submission stays queued.
 	big := Grid([]string{"base", "macro-b"}, []string{"mobilenetv3-large"}, nil, 0, 8)
-	if _, err := first.SubmitSweep(big, 1); err != nil {
+	if _, err := first.SubmitSweepOpts(big, SweepJobOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	queued, err := first.SubmitSweep([]Request{warmRequest()}, 1)
+	queued, err := first.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestSharedDirRejected(t *testing.T) {
 		t.Fatalf("neither store may open on a shared dir: %+v", ps)
 	}
 	// The server itself still serves, just without durability.
-	if _, err := srv.Evaluate(warmRequest()); err != nil {
+	if _, err := srv.EvaluateCtx(context.Background(), warmRequest()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -343,7 +343,7 @@ func TestJobRetentionPrunesDisk(t *testing.T) {
 	ctx := context.Background()
 	var ids []string
 	for i := 0; i < 5; i++ {
-		snap, err := srv.SubmitSweep([]Request{warmRequest()}, 1)
+		snap, err := srv.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func TestListenAndServeBindErrorKeepsServerUsable(t *testing.T) {
 	if err := srv.ListenAndServe("256.256.256.256:0"); err == nil {
 		t.Fatal("expected a bind error")
 	}
-	if _, err := srv.SubmitSweep([]Request{warmRequest()}, 1); err != nil {
+	if _, err := srv.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1}); err != nil {
 		t.Fatalf("job store must stay open after a bind failure: %v", err)
 	}
 }
@@ -398,12 +398,12 @@ func TestDriftedContextRecordRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := srv.cache.Engine(arch)
+	eng, err := srv.cache.EngineCtx(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	layer := workload.Toy().Layers[0]
-	good, err := srv.cache.LayerContext(eng, layer)
+	good, err := srv.cache.LayerContextCtx(context.Background(), eng, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestDriftedContextRecordRecovers(t *testing.T) {
 	srv.cache.invalidate(key, good)
 	srv.cache.admit(key, 1.0, bad)
 
-	got, err := srv.cache.LayerContext(eng, layer)
+	got, err := srv.cache.LayerContextCtx(context.Background(), eng, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestDriftedContextRecordRecovers(t *testing.T) {
 		t.Fatalf("drifted context served with %d level tables, want recomputed %d",
 			got.LevelCount(), good.LevelCount())
 	}
-	if _, err := srv.Evaluate(warmRequest()); err != nil {
+	if _, err := srv.EvaluateCtx(context.Background(), warmRequest()); err != nil {
 		t.Fatalf("evaluation after recovery: %v", err)
 	}
 }

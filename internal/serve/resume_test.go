@@ -33,7 +33,7 @@ func TestCheckpointResumeOnlyUnfinished(t *testing.T) {
 	// Uninterrupted reference run: per-item mapping counts and the
 	// merged table every interrupted run must reproduce exactly.
 	ref := NewServer(BatchOptions{Workers: 1})
-	refResults, err := ref.Sweep(reqs)
+	refResults, err := ref.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestCheckpointResumeOnlyUnfinished(t *testing.T) {
 		t.Run(string(rune('0'+k))+"-items-done", func(t *testing.T) {
 			dir := t.TempDir()
 			first := NewServer(BatchOptions{Workers: 1, JobsDir: dir})
-			snap, err := first.SubmitSweep(reqs, 1)
+			snap, err := first.SubmitSweepOpts(reqs, SweepJobOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestCheckpointResumeOnlyUnfinished(t *testing.T) {
 func TestCheckpointsRetiredWithJob(t *testing.T) {
 	dir := t.TempDir()
 	first := NewServer(BatchOptions{Workers: 1, JobsDir: dir})
-	snap, err := first.SubmitSweep(resumeReqs(), 1)
+	snap, err := first.SubmitSweepOpts(resumeReqs(), SweepJobOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@
 // Use it directly:
 //
 //	srv := serve.NewServer(serve.BatchOptions{Workers: 8})
-//	results, _ := srv.Sweep(serve.Grid([]string{"macro-a", "macro-b"},
-//	    []string{"resnet18"}, nil, 0, 0))
+//	results, _ := srv.SweepCtx(ctx, serve.Grid([]string{"macro-a", "macro-b"},
+//	    []string{"resnet18"}, nil, 0, 0), 8, nil)
 //	fmt.Println(serve.SweepTable(results).String())
 //
 // or over HTTP via Server.Handler (see http.go and `cimloop serve`).
@@ -481,17 +481,12 @@ func blockingWait(ctx context.Context) time.Duration {
 	return budgetWaitCap
 }
 
-// Evaluate runs one request through the cache: the engine and every layer
-// context are fetched (or compiled once) from the content-addressed
+// EvaluateCtx runs one request through the cache: the engine and every
+// layer context are fetched (or compiled once) from the content-addressed
 // cache, and only the per-mapping count analysis runs unconditionally.
-func (s *Server) Evaluate(req Request) (*Result, error) {
-	return s.EvaluateCtx(context.Background(), req)
-}
-
-// EvaluateCtx is Evaluate under a context: cancellation and deadlines
-// are checked between layers and inside each layer's mapping search, so
-// a cancelled request (client disconnect, job cancel) stops in-flight
-// work instead of finishing the evaluation.
+// Cancellation and deadlines are checked between layers and inside each
+// layer's mapping search, so a cancelled request (client disconnect, job
+// cancel) stops in-flight work instead of finishing the evaluation.
 func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) {
 	started := time.Now()
 	sp := obs.FromContext(ctx)
@@ -543,8 +538,8 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 	// (requests must be served), it just cannot borrow fan-out extras.
 	self := s.budget.tryAcquire(1)
 	defer s.budget.release(self)
-	// Mirror core.Engine.EvaluateNetwork, but fetch each layer's
-	// amortized context through the cache instead of re-preparing it.
+	// core.Engine.EvaluateNetworkOptsCtx's loop, but each layer's
+	// amortized context comes from the cache instead of being re-prepared.
 	nr := &core.NetworkResult{Arch: eng.Arch().Name, Network: net.Name, AreaUm2: eng.Area()}
 	for i, l := range net.Layers {
 		if err := ctx.Err(); err != nil {
@@ -588,12 +583,7 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 		if adaptive {
 			s.tuner.observe(key, evaluated, 1+extra, time.Since(searchStart))
 		}
-		nr.PerLayer = append(nr.PerLayer, r)
-		rep := float64(l.Repeat)
-		nr.Energy += r.Energy * rep
-		nr.TimeSec += r.TimeSec * rep
-		nr.MACs += r.MACs * int64(l.Repeat)
-		nr.MappingsEvaluated += int64(evaluated)
+		nr.Add(r, l.Repeat, evaluated)
 	}
 	s.mappingsEvaluated.Add(nr.MappingsEvaluated)
 	res := &Result{
@@ -643,27 +633,16 @@ func requestTag(r *Request, archName, netName string) string {
 	return t
 }
 
-// Sweep evaluates a batch of requests across the worker pool, streaming
-// completions through a channel and returning results in request order.
-// Per-request failures land in Result.Err; the sweep itself only fails on
-// an empty batch.
-func (s *Server) Sweep(reqs []Request) ([]*Result, error) {
-	return s.SweepCtx(context.Background(), reqs, s.opts.workers(), nil)
-}
-
-// SweepN is Sweep with an explicit worker bound overriding the server's
-// (callers like the experiment runner carry their own parallelism knob).
-func (s *Server) SweepN(reqs []Request, workers int) ([]*Result, error) {
-	return s.SweepCtx(context.Background(), reqs, workers, nil)
-}
-
-// SweepCtx is the sweep's full form: a context that stops the feeder —
-// once ctx is cancelled no further grid items are dispatched, and
-// in-flight evaluations abort through the per-layer search — plus an
-// optional onDone callback invoked from the completion path as each item
-// finishes (the progress stream the async job API surfaces). Results are
-// returned in request order; on cancellation the partial slice is
-// returned alongside ctx.Err(), with never-dispatched items left nil.
+// SweepCtx evaluates a batch of requests across up to workers goroutines
+// (<= 0 means the server's Workers), streaming completions through a
+// channel and returning results in request order. Per-request failures
+// land in Result.Err; the sweep itself fails only on an empty batch or a
+// cancelled context. Once ctx is cancelled no further grid items are
+// dispatched, and in-flight evaluations abort through the per-layer
+// search; the partial slice is returned alongside ctx.Err(), with
+// never-dispatched items left nil. The optional onDone callback is
+// invoked from the completion path as each item finishes (the progress
+// stream the async job API surfaces).
 func (s *Server) SweepCtx(ctx context.Context, reqs []Request, workers int, onDone func(int, *Result)) ([]*Result, error) {
 	out, _, err := s.sweepCtx(ctx, reqs, workers, onDone, nil)
 	return out, err
@@ -827,18 +806,14 @@ func secondsToTimeout(sec float64) time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
-// SubmitSweep enqueues a sweep as an async job: the batch fans across
-// the worker pool in the background, per-item completions stream into
-// the job's progress, and the finished job carries the rendered sweep
-// table as its result. Returns jobs.ErrQueueFull when the pending queue
-// is saturated (the HTTP layer's 429 + Retry-After).
-func (s *Server) SubmitSweep(reqs []Request, workers int) (jobs.Snapshot, error) {
-	return s.SubmitSweepOpts(reqs, SweepJobOptions{Workers: workers})
-}
-
-// SubmitSweepOpts is SubmitSweep with per-job options (deadline,
-// priority, tenant). An accepted job is write-ahead-logged when job
-// persistence is enabled, so a restart replays it if it never finished.
+// SubmitSweepOpts enqueues a sweep as an async job with per-job options
+// (workers, deadline, priority, tenant): the batch fans across the worker
+// pool in the background, per-item completions stream into the job's
+// progress, and the finished job carries the rendered sweep table as its
+// result. Returns jobs.ErrQueueFull when the pending queue is saturated
+// (the HTTP layer's 429 + Retry-After).
+//
+// An accepted job is write-ahead-logged when job persistence is enabled, so a restart replays it if it never finished.
 // The WAL record is enqueued BEFORE the job becomes runnable (reserved
 // ID), so even a job that finishes instantly has its WAL on the
 // write-behind queue ahead of its terminal snapshot and WAL retirement —

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -22,13 +23,13 @@ func TestEvaluateMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := workload.Toy()
-	want, err := eng.EvaluateNetwork(net, 8, 3)
+	want, err := eng.EvaluateNetworkOptsCtx(context.Background(), net, core.SearchOptions{MaxMappings: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	srv := NewServer(BatchOptions{})
-	got, err := srv.Evaluate(Request{Arch: arch, Net: net, MaxMappings: 8, Seed: 3})
+	got, err := srv.EvaluateCtx(context.Background(), Request{Arch: arch, Net: net, MaxMappings: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestSweepGridAndCacheReuse(t *testing.T) {
 	if len(reqs) != 2 {
 		t.Fatalf("grid size %d, want 2", len(reqs))
 	}
-	cold, err := srv.Sweep(reqs)
+	cold, err := srv.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestSweepGridAndCacheReuse(t *testing.T) {
 		t.Fatalf("cold sweep must miss everywhere, got %d hits", afterCold.Hits)
 	}
 
-	warm, err := srv.Sweep(reqs)
+	warm, err := srv.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSweepOrderAndErrors(t *testing.T) {
 		{Macro: "base", Network: "no-such-network", Tag: "third"},
 		{Macro: "base", Network: "toy", Tag: "fourth"},
 	}
-	results, err := srv.Sweep(reqs)
+	results, err := srv.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +123,14 @@ func TestSweepOrderAndErrors(t *testing.T) {
 		t.Fatalf("table rows %d, want 4", len(table.Rows))
 	}
 
-	if _, err := srv.Sweep(nil); err == nil {
+	if _, err := srv.SweepCtx(context.Background(), nil, 0, nil); err == nil {
 		t.Fatal("empty sweep must error")
 	}
 }
 
 func TestScenarioRequests(t *testing.T) {
 	srv := NewServer(BatchOptions{MaxMappings: 2})
-	res, err := srv.Evaluate(Request{
+	res, err := srv.EvaluateCtx(context.Background(), Request{
 		Macro: "macro-d", Network: "toy",
 		Scenario: "weight-stationary", SystemMacros: 2,
 	})
@@ -142,7 +143,7 @@ func TestScenarioRequests(t *testing.T) {
 	if !strings.Contains(res.Tag, "weight-stationary") {
 		t.Fatalf("tag %q should mention the scenario", res.Tag)
 	}
-	if _, err := srv.Evaluate(Request{Macro: "base", Network: "toy", Scenario: "nope"}); err == nil {
+	if _, err := srv.EvaluateCtx(context.Background(), Request{Macro: "base", Network: "toy", Scenario: "nope"}); err == nil {
 		t.Fatal("unknown scenario must error")
 	}
 }
@@ -157,7 +158,7 @@ func TestRequestValidation(t *testing.T) {
 		{Macro: "base", Network: "toy", Net: workload.Toy()}, // two nets
 	}
 	for i, req := range cases {
-		if _, err := srv.Evaluate(req); err == nil {
+		if _, err := srv.EvaluateCtx(context.Background(), req); err == nil {
 			t.Fatalf("case %d: want validation error", i)
 		}
 	}
@@ -166,7 +167,7 @@ func TestRequestValidation(t *testing.T) {
 // TestLayersCap checks the fast-path layer subset.
 func TestLayersCap(t *testing.T) {
 	srv := NewServer(BatchOptions{MaxMappings: 2})
-	res, err := srv.Evaluate(Request{Macro: "base", Network: "resnet18", Layers: 2})
+	res, err := srv.EvaluateCtx(context.Background(), Request{Macro: "base", Network: "resnet18", Layers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package specfile
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,7 +35,7 @@ func TestShippedSpecFiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := eng.EvaluateLayer(workload.Toy().Layers[0], 4, 1)
+			r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), workload.Toy().Layers[0], core.SearchOptions{MaxMappings: 4, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

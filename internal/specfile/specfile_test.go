@@ -1,6 +1,7 @@
 package specfile
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestParsedArchRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := eng.EvaluateLayer(workload.Toy().Layers[0], 4, 1)
+	r, _, err := eng.EvaluateLayerOptsCtx(context.Background(), workload.Toy().Layers[0], core.SearchOptions{MaxMappings: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sweepdef_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestPhotonicTransformerPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := serve.NewServer(serve.BatchOptions{})
-	results, err := srv.Sweep(reqs)
+	results, err := srv.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestBeyondCMOSPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := serve.NewServer(serve.BatchOptions{})
-	results, err := srv.Sweep(reqs)
+	results, err := srv.SweepCtx(context.Background(), reqs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

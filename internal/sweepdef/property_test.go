@@ -1,6 +1,7 @@
 package sweepdef_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/serve"
@@ -34,7 +35,7 @@ func TestSweepdefGeneratedDefinitionsEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate(%d).Compile:\n%s\n%v", seed, text, err)
 			}
-			results, err := srv.Sweep(reqs)
+			results, err := srv.SweepCtx(context.Background(), reqs, 0, nil)
 			if err != nil {
 				t.Fatalf("seed %d: Sweep: %v\n%s", seed, err, text)
 			}

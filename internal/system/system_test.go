@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -31,7 +32,7 @@ func TestBuildAllScenarios(t *testing.T) {
 			t.Fatalf("%s: %v", sc, err)
 		}
 		l := workload.Toy().Layers[0]
-		r, err := e.EvaluateLayer(l, 6, 1)
+		r, _, err := e.EvaluateLayerOptsCtx(context.Background(), l, core.SearchOptions{MaxMappings: 6, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
@@ -62,7 +63,7 @@ func TestScenarioOrdering(t *testing.T) {
 		}
 		// Scenario studies pin the dataflow: greedy mapping only, so the
 		// search cannot undo the scenario's loop order.
-		r, err := e.EvaluateLayer(l, 1, 1)
+		r, _, err := e.EvaluateLayerOptsCtx(context.Background(), l, core.SearchOptions{MaxMappings: 1, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
