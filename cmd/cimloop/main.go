@@ -10,9 +10,6 @@
 //	cimloop spec <file.yaml> [-network NAME] [-mappings N] [-search-workers N]
 //	cimloop serve [-addr :8080] [-workers N] [-mappings N] [-cache N] [-search-workers N]
 //	              [-cache-dir DIR] [-jobs-dir DIR] [-max-body BYTES]
-//	              [-node-id ID -peers id=url,...] [-vnodes N] [-blob URL]
-//	cimloop blobd [-addr :8090] -dir DIR
-//	cimloop cluster status [-addr URL]
 //	cimloop jobs submit|list|status|wait|cancel [...] [-addr URL]
 //	cimloop obs slow|metrics [-addr URL]
 //
@@ -38,12 +35,6 @@
 // compiled engines, per-layer contexts, and job records persist across
 // restarts, so a restarted server serves repeated requests as cache hits
 // and still answers /v1/jobs/{id} for jobs finished before the restart.
-//
-// -node-id/-peers turn a serve instance into one member of a static
-// consistent-hash ring (requests owned by a peer forward to it), -blob
-// layers a shared warm tier under the cache so any node's compile
-// warm-starts the others, `cimloop blobd` runs that tier, and `cimloop
-// cluster status` renders GET /v1/cluster. See docs/CLUSTER.md.
 //
 // Observability (see docs/OBSERVABILITY.md): every serve instance
 // exposes Prometheus-format metrics at GET /metrics and a slow-request
@@ -102,10 +93,6 @@ func run(args []string) error {
 		return runSpec(args[1:])
 	case "serve":
 		return runServe(args[1:])
-	case "blobd":
-		return runBlobd(args[1:])
-	case "cluster":
-		return runCluster(args[1:])
 	case "jobs":
 		return runJobs(args[1:])
 	case "sweeps":
@@ -127,10 +114,7 @@ func usage() {
   cimloop macros                                     show macro parameters (Table III)
   cimloop spec <file.yaml> [-network NAME] ...       evaluate a textual specification
   cimloop serve [-addr :8080] [-workers N] [-cache-dir DIR] [-jobs-dir DIR] ...
-                [-node-id ID -peers id=url,...] [-blob URL]
                                                      run the batch-evaluation HTTP service
-  cimloop blobd [-addr :8090] -dir DIR               run the shared warm-start blob tier
-  cimloop cluster status [-addr URL]                 show ring membership, health, ownership
   cimloop jobs submit -macros a,b -networks x [-priority interactive] ...
                                                      submit an async sweep to a serve instance
   cimloop jobs list [-status S] [-limit N] [-cursor ID]  page and filter jobs
@@ -165,13 +149,6 @@ func runServe(args []string) error {
 	jobQueue := fs.Int("job-queue", 0, "pending async jobs before 429 + Retry-After (0 = default)")
 	jobRetention := fs.Int("job-retention", 0, "finished jobs kept for /v1/jobs (0 = default)")
 	maxBody := fs.Int64("max-body", 0, "request-body byte bound; larger bodies get 413 (0 = 1 MiB default)")
-	nodeID := fs.String("node-id", "",
-		"this node's identity in the consistent-hash ring; must appear in -peers")
-	peers := fs.String("peers", "",
-		"static ring membership as id=url,id=url,... (requires -node-id)")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per ring member (0 = default)")
-	blob := fs.String("blob", "",
-		"shared blob-tier base URL (a cimloop blobd instance); any node's compile warm-starts the others")
 	tenantsFile := fs.String("tenants", "",
 		"tenant file (YAML): bearer tokens, fair-queuing weights, per-tenant quotas; enables auth (empty = open server); SIGHUP reloads it")
 	sweepsDir := fs.String("sweeps", "",
@@ -206,22 +183,12 @@ func runServe(args []string) error {
 		MaxQueuedJobs:  *jobQueue,
 		JobRetention:   *jobRetention,
 		MaxBodyBytes:   *maxBody,
-		ClusterNodeID:  *nodeID,
-		ClusterPeers:   *peers,
-		ClusterVNodes:  *vnodes,
-		BlobURL:        *blob,
 		Tenants:        tenants,
 		SlowThreshold:  *slowThreshold,
 	})
 	// Requested-but-broken durability should fail loudly at startup, not
 	// silently serve cold forever.
 	if err := srv.PersistError(); err != nil {
-		return err
-	}
-	// Same contract for clustering: a misconfigured ring (node-id missing
-	// from -peers, unparseable peer list) must not boot as a silent
-	// single-node island.
-	if err := srv.ClusterError(); err != nil {
 		return err
 	}
 	if *sweepsDir != "" {

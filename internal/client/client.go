@@ -250,15 +250,6 @@ func (c *Client) DebugSlow(ctx context.Context, limit int) (api.SlowResponse, er
 	return out, err
 }
 
-// ClusterStatus fetches the server's ring membership, per-node health,
-// key-ownership split, and blob-tier state. A single-node server answers
-// with Enabled false.
-func (c *Client) ClusterStatus(ctx context.Context) (api.ClusterResponse, error) {
-	var out api.ClusterResponse
-	err := c.do(ctx, http.MethodGet, "/v1/cluster", nil, &out)
-	return out, err
-}
-
 // Evaluate runs one synchronous evaluation.
 func (c *Client) Evaluate(ctx context.Context, req api.EvalRequest) (*api.EvalResult, error) {
 	var out api.EvalResult

@@ -221,6 +221,12 @@ func NewEngine(a *Arch) (*Engine, error) {
 		if err := e.bind(&b, params); err != nil {
 			return nil, fmt.Errorf("core: arch %q level %q: %w", a.Name, lv.Name, err)
 		}
+		// Transit and compute costs come from a circuit model; a memory
+		// class there binds none and would fail at the first evaluation.
+		if (lv.Kind == spec.TransitLevel || lv.Kind == spec.ComputeLevel) && b.model == nil {
+			return nil, fmt.Errorf("core: arch %q level %q: class %q has no circuit model for a %s level",
+				a.Name, lv.Name, lv.Class, lv.Kind)
+		}
 		e.bindings = append(e.bindings, b)
 	}
 	for _, b := range e.bindings {

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -264,6 +265,41 @@ func TestArchValidation(t *testing.T) {
 	for i, f := range cases {
 		if err := mutate(f); err == nil {
 			t.Errorf("case %d: want error", i)
+		}
+	}
+}
+
+// TestNewEngineRejectsMemoryClassOffStorage: a memory class (sram-buffer,
+// dram) on a transit or compute level binds no circuit model, so the
+// engine must refuse it up front instead of dereferencing a nil model
+// in layer preparation.
+func TestNewEngineRejectsMemoryClassOffStorage(t *testing.T) {
+	for _, kind := range []spec.LevelKind{spec.TransitLevel, spec.ComputeLevel} {
+		for _, class := range []string{"sram-buffer", "dram"} {
+			a, err := macros.Base(macros.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := -1
+			for i, lv := range a.Levels {
+				if lv.Kind == kind {
+					idx = i
+					break
+				}
+			}
+			if idx < 0 {
+				t.Fatalf("base macro has no %s level", kind)
+			}
+			a.Levels[idx].Class = class
+			_, err = core.NewEngine(a)
+			if err == nil {
+				t.Fatalf("%s level as %s: want error", kind, class)
+			}
+			for _, want := range []string{a.Levels[idx].Name, class} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s level as %s: error %q does not name %q", kind, class, err, want)
+				}
+			}
 		}
 	}
 }

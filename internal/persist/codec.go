@@ -17,11 +17,11 @@ import (
 // envelope already carries the binary framing (magic, version, checksum),
 // the values are plain data, and Go's JSON round-trips float64 values
 // bit-exactly (shortest round-trip formatting). Layer contexts — the
-// records a boot scan decodes by the hundred — additionally have a binary
-// columnar form (KindLayerContextCol) whose PMF points and energy tables
-// are raw float64 columns: the JSON cost of a context is almost entirely
-// float parsing, and the columnar payload removes it. Decoders validate
-// before returning so a decoded value is always usable.
+// records a boot scan decodes by the hundred — use a binary columnar
+// payload (KindLayerContextCol) whose PMF points and energy tables are
+// raw float64 columns: a JSON context's cost was almost entirely float
+// parsing, and the columnar payload removes it. Decoders validate before
+// returning so a decoded value is always usable.
 
 // EncodeEngine serializes a compiled engine as its architecture — the
 // plain-data form an engine is deterministically compiled from.
@@ -42,36 +42,6 @@ func DecodeEngine(payload []byte) (*core.Engine, error) {
 		return nil, fmt.Errorf("persist: engine payload: %w", err)
 	}
 	return eng, nil
-}
-
-// EncodeLayerContext serializes a per-layer amortized context via its
-// plain-data view.
-func EncodeLayerContext(c *core.LayerContext) ([]byte, error) {
-	return json.Marshal(c.Export())
-}
-
-// DecodeLayerContext rebuilds an evaluable layer context from an
-// EncodeLayerContext payload without re-running the preparation pipeline.
-func DecodeLayerContext(payload []byte) (*core.LayerContext, error) {
-	var data core.LayerContextData
-	if err := json.Unmarshal(payload, &data); err != nil {
-		return nil, fmt.Errorf("persist: layer context payload: %w", err)
-	}
-	return core.RestoreLayerContext(&data)
-}
-
-// DecodeLayerContextKind dispatches on the record kind, accepting both
-// the legacy JSON payload (KindLayerContext) and the binary columnar one
-// (KindLayerContextCol) — the JSON fallback that keeps old stores and
-// mixed-version blob tiers readable.
-func DecodeLayerContextKind(kind Kind, payload []byte) (*core.LayerContext, error) {
-	switch kind {
-	case KindLayerContext:
-		return DecodeLayerContext(payload)
-	case KindLayerContextCol:
-		return DecodeLayerContextColumnar(payload)
-	}
-	return nil, fmt.Errorf("persist: kind %s does not hold a layer context", kind)
 }
 
 // The columnar layer-context payload, all integers big-endian like the

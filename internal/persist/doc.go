@@ -11,14 +11,16 @@
 //	offset  size  field
 //	0       4     magic "CWS1" (CiM warm-start store)
 //	4       2     format version, big-endian uint16 (currently 1)
-//	6       1     record kind (KindEngine, KindLayerContext, KindJob)
+//	6       1     record kind (KindEngine, KindJob, KindLayerContextCol,
+//	              KindCheckpoint; 2 is reserved for the retired JSON
+//	              layer-context kind)
 //	7       8     cost, big-endian IEEE-754 float64 — measured compile
 //	              seconds for cache entries (feeds the GDSF eviction
 //	              weight on warm start), zero for job records
 //	15      4     key length, big-endian uint32
 //	19      n     key (the content-addressed cache key or job record key)
 //	19+n    4     payload length, big-endian uint32
-//	23+n    m     payload (kind-specific JSON, see codec.go)
+//	23+n    m     payload (kind-specific, see codec.go)
 //	23+n+m  4     CRC-32 (IEEE) of all preceding bytes
 //
 // Filenames are derived from the kind and a hash of the key

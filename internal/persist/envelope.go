@@ -16,17 +16,17 @@ const (
 	// KindEngine is a compiled engine, serialized as its architecture
 	// (JSON core.Arch); the decoder is core.NewEngine.
 	KindEngine Kind = 1
-	// KindLayerContext is a per-layer amortized context, serialized as
-	// JSON core.LayerContextData.
+	// KindLayerContext is reserved: it tagged the retired JSON layer-
+	// context payload. Nothing writes or admits it; a leftover file is
+	// skipped and deleted by the serving layer's boot scan.
 	KindLayerContext Kind = 2
 	// KindJob is an async-job record: a terminal snapshot or a queued-job
 	// WAL entry, distinguished by key prefix (see internal/serve).
 	KindJob Kind = 3
 	// KindLayerContextCol is a layer context in the binary columnar
 	// payload format (EncodeLayerContextColumnar): PMF points and energy
-	// tables as raw float64 columns instead of JSON, cutting
-	// warm-from-disk decode cost. Readers accept both kinds; new writes
-	// use this one.
+	// tables as raw float64 columns, so a warm-from-disk decode does no
+	// float parsing.
 	KindLayerContextCol Kind = 4
 	// KindCheckpoint is one completed grid item of a running sweep job
 	// (EncodeCheckpointRecord), written through the write-behind queue as

@@ -122,8 +122,6 @@ func (s *Store) Stats() Stats {
 // RecordName maps a record key to its stable file (or object) name.
 // Keys embed hex fingerprints and separator characters, so the name is a
 // hash of the key; the authoritative key is stored inside the envelope.
-// The disk store and the cluster blob tier share this scheme, so a file
-// copied between the two tiers keeps its identity.
 func RecordName(kind Kind, key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return fmt.Sprintf("%s-%s%s", kind, hex.EncodeToString(sum[:16]), fileSuffix)

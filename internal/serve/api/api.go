@@ -310,13 +310,11 @@ type CacheStats struct {
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
-	// Restored counts entries admitted from a warm tier — the on-disk
-	// store at boot, or the cluster blob tier on a read-through miss —
-	// rather than computed (they count as neither hit nor miss).
+	// Restored counts entries admitted from the on-disk warm-start store
+	// at boot rather than computed (they count as neither hit nor miss).
 	Restored uint64 `json:"restored"`
-	// Compiles counts misses that actually ran the compute pipeline (no
-	// tier had the value). On a warm cluster node this stays flat while
-	// restored climbs — the number the warm-share tests pin to zero.
+	// Compiles counts misses that ran the compute pipeline (an engine
+	// compile or a layer-context preparation).
 	Compiles uint64 `json:"compiles"`
 }
 
@@ -434,8 +432,7 @@ type SlowResponse struct {
 	ThresholdSec float64 `json:"threshold_sec"`
 }
 
-// Version is the wire-contract generation, reported by /healthz and
-// echoed per peer in /v1/cluster (so mixed-version rings are visible).
+// Version is the wire-contract generation, reported by /healthz.
 const Version = "v1"
 
 // HealthzResponse is the 200 body of GET /healthz.
@@ -448,89 +445,4 @@ type HealthzResponse struct {
 	Search    BudgetStats  `json:"search"`
 	Persist   PersistStats `json:"persist"`
 	Obs       ObsStats     `json:"obs"`
-}
-
-// ClusterNodeStatus is one ring member in GET /v1/cluster: its static
-// identity plus the answering node's latest view of it.
-type ClusterNodeStatus struct {
-	ID   string `json:"id"`
-	Addr string `json:"addr"`
-	// Self marks the answering node's own row (never probed over the
-	// network).
-	Self bool `json:"self,omitempty"`
-	// Healthy is the latest /healthz probe verdict for the member.
-	// Probes are cached briefly server-side, so a burst of /v1/cluster
-	// reads costs one probe round, not one per read.
-	Healthy bool `json:"healthy"`
-	// Version is the member's reported wire-contract version ("" while
-	// unreachable) — a mixed-version ring is visible at a glance.
-	Version string `json:"version,omitempty"`
-	// SharePct is the member's exact percentage of the hash circle: the
-	// share of a uniformly hashed key population it owns.
-	SharePct float64 `json:"share_pct"`
-	// OwnedKeys counts entries in the answering node's local cache that
-	// the ring assigns to this member. On a well-routed ring the
-	// answering node's own row dominates; a large foreign count means
-	// unroutable traffic (prebuilt values, hop-guarded forwards) landed
-	// here.
-	OwnedKeys int `json:"owned_keys"`
-}
-
-// ClusterForwardStats counts the forwarding middleware's decisions on
-// the answering node.
-type ClusterForwardStats struct {
-	// Local counts routable requests this node owned and served itself.
-	Local uint64 `json:"local"`
-	// Forwarded counts requests proxied to their ring owner.
-	Forwarded uint64 `json:"forwarded"`
-	// Received counts forwarded requests accepted from peers (the
-	// X-Cimloop-Forwarded hop guard pins them here).
-	Received uint64 `json:"received"`
-	// Errors counts forward attempts that failed; each fell back to
-	// local evaluation, so the request still succeeded.
-	Errors uint64 `json:"errors"`
-}
-
-// ClusterBlobStats is the shared blob tier's section of GET /v1/cluster.
-type ClusterBlobStats struct {
-	// URL is the tier's base URL.
-	URL string `json:"url"`
-	// Healthy is the tier's current reachability: the circuit breaker's
-	// verdict, refreshed by a probe when the breaker is due one — so a
-	// recovered tier reports healthy without waiting for cache traffic.
-	Healthy bool `json:"healthy"`
-	// Stats is this node's traffic against the tier.
-	Stats RemoteTierStats `json:"stats"`
-}
-
-// RemoteTierStats mirrors the blob-tier client's counters (the wire
-// shape of cluster.RemoteStats, duplicated here so the contract package
-// stays dependency-light).
-type RemoteTierStats struct {
-	Gets    uint64 `json:"gets"`
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Puts    uint64 `json:"puts"`
-	Errors  uint64 `json:"errors"`
-	Dropped uint64 `json:"dropped"`
-}
-
-// ClusterResponse is the 200 body of GET /v1/cluster.
-type ClusterResponse struct {
-	// Enabled is false on a single-node server; every other field is
-	// then zero.
-	Enabled bool `json:"enabled"`
-	// Self is the answering node's ring ID.
-	Self string `json:"self,omitempty"`
-	// VirtualNodes is the ring's per-member virtual-node count.
-	VirtualNodes int `json:"virtual_nodes,omitempty"`
-	// Nodes lists the static membership, sorted by ID.
-	Nodes []ClusterNodeStatus `json:"nodes,omitempty"`
-	// CachedKeys is the answering node's live cache entry count — the
-	// denominator of the per-member OwnedKeys split.
-	CachedKeys int `json:"cached_keys"`
-	// Forward counts the forwarding middleware's routing decisions.
-	Forward ClusterForwardStats `json:"forward"`
-	// Blob describes the shared warm tier; nil when none is configured.
-	Blob *ClusterBlobStats `json:"blob,omitempty"`
 }

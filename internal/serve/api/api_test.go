@@ -178,25 +178,6 @@ func goldenCases() []struct {
 			Recorded:     40,
 			ThresholdSec: 0.25,
 		}},
-		{"cluster_response", ClusterResponse{
-			Enabled:      true,
-			Self:         "node-a",
-			VirtualNodes: 128,
-			Nodes: []ClusterNodeStatus{
-				{ID: "node-a", Addr: "http://10.0.0.1:8080", Self: true, Healthy: true,
-					Version: Version, SharePct: 34.5, OwnedKeys: 12},
-				{ID: "node-b", Addr: "http://10.0.0.2:8080", Healthy: false,
-					SharePct: 65.5, OwnedKeys: 3},
-			},
-			CachedKeys: 15,
-			Forward:    ClusterForwardStats{Local: 9, Forwarded: 4, Received: 2, Errors: 1},
-			Blob: &ClusterBlobStats{
-				URL:     "http://10.0.0.9:8090",
-				Healthy: true,
-				Stats:   RemoteTierStats{Gets: 8, Hits: 5, Misses: 3, Puts: 6, Errors: 1, Dropped: 2},
-			},
-		}},
-		{"cluster_response_disabled", ClusterResponse{}},
 		{"error_queue_full", Error{
 			Code: CodeQueueFull, Message: "jobs: pending queue full",
 			RetryAfterSec: 2,
@@ -299,8 +280,6 @@ func newOfSameType(t *testing.T, v any) any {
 		return new(HealthzResponse)
 	case SlowResponse:
 		return new(SlowResponse)
-	case ClusterResponse:
-		return new(ClusterResponse)
 	case Error:
 		return new(Error)
 	default:

@@ -15,9 +15,8 @@ import (
 // authenticated tenant ID rides the request context into job
 // submission (WFQ weight + quota), job visibility (a tenant sees only
 // its own jobs), and listing filters. /healthz and /metrics stay open —
-// liveness probes, cluster peer health checks, load balancers, and
-// scrape agents must not need credentials (and the exposition names
-// tenants by ID, never by token). Without a tenant file the middleware
+// liveness probes, load balancers, and scrape agents must not need
+// credentials (and the exposition names tenants by ID, never by token). Without a tenant file the middleware
 // is a no-op and the server behaves exactly as before.
 //
 // The middleware reads the live tenant set per request (Server.tenants,

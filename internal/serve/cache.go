@@ -49,21 +49,9 @@ type Cache struct {
 	hits, misses, evictions, restored, compiles uint64
 
 	// onFill, when set (before first use), is invoked after each
-	// successful fill — outside the cache lock — with the entry's key,
-	// value, and cost. computed distinguishes a real compilation (cost was
-	// measured here) from a loader restore (cost came with the record);
-	// the persistence layer writes both through to local disk but only
-	// computed values out to the cluster blob tier, so restored records
-	// never echo back to their source.
-	onFill func(key string, val any, costSec float64, computed bool)
-
-	// loader, when set (before first use), is consulted on each miss
-	// before the compute closure runs — the read-through seam for warm
-	// tiers beyond this process (the cluster's remote blob tier). It
-	// returns the restored value and its original compute cost. The
-	// per-entry once.Do gives loader lookups the same singleflight as
-	// computations: one fetch per key, however many concurrent callers.
-	loader func(key string) (val any, costSec float64, ok bool)
+	// successful compile — outside the cache lock — with the entry's key,
+	// value, and measured cost (the persistence layer's write-behind).
+	onFill func(key string, val any, costSec float64)
 }
 
 // cacheEntry is one cache slot. The compute closure is stored on the
@@ -71,14 +59,12 @@ type Cache struct {
 // once.Do(fill): whoever gets there first computes, everyone else blocks
 // until the value is published.
 type cacheEntry struct {
-	key      string
-	compute  func() (any, error)
-	loader   func(key string) (any, float64, bool)
-	once     sync.Once
-	val      any
-	err      error
-	costSec  float64 // measured by fill; set under the cache lock
-	computed bool    // true if fill ran compute (vs a loader restore)
+	key     string
+	compute func() (any, error)
+	once    sync.Once
+	val     any
+	err     error
+	costSec float64 // measured by fill; set under the cache lock
 
 	// GDSF bookkeeping, guarded by the cache lock.
 	freq     float64
@@ -88,18 +74,9 @@ type cacheEntry struct {
 }
 
 func (e *cacheEntry) fill() {
-	if e.loader != nil {
-		if val, costSec, ok := e.loader(e.key); ok {
-			e.val, e.costSec = val, costSec
-			e.compute, e.loader = nil, nil
-			return
-		}
-		e.loader = nil
-	}
 	start := time.Now()
 	e.val, e.err = e.compute()
 	e.costSec = time.Since(start).Seconds()
-	e.computed = true
 	e.compute = nil
 }
 
@@ -202,17 +179,10 @@ func (c *Cache) removeLocked(e *cacheEntry) {
 	}
 }
 
-// getOrCompute returns the cached value for key, consulting the warm
-// loader and then computing on miss. Failed computations are not cached:
-// the entry is removed so a later request retries.
+// getOrCompute returns the cached value for key, computing it on miss.
+// Failed computations are not cached: the entry is removed so a later
+// request retries.
 func (c *Cache) getOrCompute(key string, compute func() (any, error)) (any, error) {
-	return c.lookup(key, compute, true)
-}
-
-// lookup is getOrCompute with the loader optional: a caller that just
-// invalidated a loader-restored value retries with useLoader false, so
-// the recompute cannot fetch the same bad record again.
-func (c *Cache) lookup(key string, compute func() (any, error), useLoader bool) (any, error) {
 	c.mu.Lock()
 	if e, ok := c.items[key]; ok {
 		c.hits++
@@ -227,9 +197,6 @@ func (c *Cache) lookup(key string, compute func() (any, error), useLoader bool) 
 		compute: compute,
 		freq:    1,
 		prio:    math.Inf(1), // pinned until the fill settles its cost
-	}
-	if useLoader {
-		e.loader = c.loader
 	}
 	c.insertLocked(e)
 	c.mu.Unlock()
@@ -249,15 +216,11 @@ func (c *Cache) lookup(key string, compute func() (any, error), useLoader bool) 
 		e.prio = c.clock + e.freq*e.costSec
 		heap.Fix(&c.pq, e.index)
 	}
-	if e.computed {
-		c.compiles++
-	} else {
-		c.restored++
-	}
+	c.compiles++
 	onFill := c.onFill
 	c.mu.Unlock()
 	if onFill != nil {
-		onFill(e.key, e.val, e.costSec, e.computed)
+		onFill(e.key, e.val, e.costSec)
 	}
 	return e.val, e.err
 }
@@ -320,9 +283,7 @@ func (c *Cache) LayerContextCtx(ctx context.Context, eng *core.Engine, l workloa
 	}
 	levels := len(eng.Arch().Levels)
 	for attempt := 0; ; attempt++ {
-		// The retry after an invalidation skips the warm loader: the bad
-		// record came from a warm tier, and refetching it would loop.
-		v, err := c.lookup(key, compute, attempt == 0)
+		v, err := c.getOrCompute(key, compute)
 		if err != nil {
 			return nil, err
 		}

@@ -28,13 +28,7 @@ import (
 //	                            like /healthz)
 //	GET  /v1/debug/slow         api.SlowResponse: the slow-request ring,
 //	                            newest first; ?limit= truncates
-//	GET  /v1/cluster            api.ClusterResponse: ring membership,
-//	                            per-node health/version, key-ownership
-//	                            split, blob-tier state
-//	POST /v1/evaluate           api.EvalRequest -> api.EvalResult; on a
-//	                            clustered server, requests owned by a
-//	                            peer are forwarded to it (one hop,
-//	                            guarded by X-Cimloop-Forwarded)
+//	POST /v1/evaluate           api.EvalRequest -> api.EvalResult
 //	POST /v1/sweep              api.SweepRequest -> api.SweepResponse;
 //	                            grids at or beyond the async threshold
 //	                            (or "async": true) return 202 +
@@ -70,8 +64,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/debug/slow", s.handleSlow)
-	mux.HandleFunc("GET /v1/cluster", s.handleCluster)
-	mux.HandleFunc("POST /v1/evaluate", s.handleEvaluateRouted)
+	mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleJobList)

@@ -19,9 +19,9 @@ import (
 // same producers — both read the same counters, so the two surfaces
 // cannot drift apart. Request-scoped spans are created per HTTP
 // request and per sweep item, accumulate phase timings (queue, cache,
-// compile, search, forward) as the context flows serve → jobs → core →
-// mapper → persist → cluster, and land in phase histograms and the
-// slow log when they finish.
+// compile, search) as the context flows serve → jobs → core → mapper →
+// persist, and land in phase histograms and the slow log when they
+// finish.
 
 // DefaultSlowLogSize bounds the /v1/debug/slow ring when
 // BatchOptions.SlowLogSize is zero.
@@ -35,7 +35,7 @@ func (o BatchOptions) slowLogSize() int {
 }
 
 // serverMetrics holds the hot-path instruments. Everything snapshot-
-// shaped (cache/jobs/budget/persist/cluster stats) is instead emitted
+// shaped (cache/jobs/budget/persist stats) is instead emitted
 // by the registry collector at scrape time — one producer, two views.
 type serverMetrics struct {
 	reg *obs.Registry
@@ -59,7 +59,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		requestSeconds: reg.HistogramVec("cimloop_http_request_seconds",
 			"HTTP request latency by route pattern.", nil, "route"),
 		phaseSeconds: reg.HistogramVec("cimloop_request_phase_seconds",
-			"Time spent per traced request phase (queue, cache, compile, search, forward).", nil, "phase"),
+			"Time spent per traced request phase (queue, cache, compile, search).", nil, "phase"),
 		evaluateSeconds: reg.Histogram("cimloop_evaluate_seconds",
 			"End-to-end latency of one evaluation (cache lookups + mapping search).", nil),
 		queueWait: reg.HistogramVec("cimloop_job_queue_wait_seconds",
@@ -104,7 +104,7 @@ func (s *Server) registerCollectors() {
 		e.Counter("cimloop_cache_hits_total", "Engine/context cache hits.", float64(cs.Hits))
 		e.Counter("cimloop_cache_misses_total", "Engine/context cache misses.", float64(cs.Misses))
 		e.Counter("cimloop_cache_evictions_total", "GDSF cache evictions.", float64(cs.Evictions))
-		e.Counter("cimloop_cache_restored_total", "Cache entries restored from warm tiers.", float64(cs.Restored))
+		e.Counter("cimloop_cache_restored_total", "Cache entries admitted from the warm-start disk store.", float64(cs.Restored))
 		e.Counter("cimloop_cache_compiles_total", "Cold compiles (engine or layer context).", float64(cs.Compiles))
 		e.Gauge("cimloop_cache_entries", "Live cache entries.", float64(cs.Entries))
 
@@ -148,13 +148,6 @@ func (s *Server) registerCollectors() {
 				e.Counter("cimloop_persist_write_errors_total", "Write-behind store errors.", float64(st.stats.WriteErrors), "store", st.name)
 				e.Counter("cimloop_persist_dropped_total", "Non-blocking puts dropped by a full queue.", float64(st.stats.Dropped), "store", st.name)
 			}
-		}
-
-		if s.cluster.enabled {
-			e.Counter("cimloop_cluster_evaluations_total", "Routed evaluations by disposition.", float64(s.cluster.local.Load()), "route", "local")
-			e.Counter("cimloop_cluster_evaluations_total", "", float64(s.cluster.forwarded.Load()), "route", "forwarded")
-			e.Counter("cimloop_cluster_evaluations_total", "", float64(s.cluster.received.Load()), "route", "received")
-			e.Counter("cimloop_cluster_forward_errors_total", "Forwards that fell back to local evaluation.", float64(s.cluster.forwardErrs.Load()))
 		}
 
 		e.Gauge("cimloop_slow_log_entries", "Entries retained in the slow-request ring.", float64(s.slow.Len()))

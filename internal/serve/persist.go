@@ -123,39 +123,16 @@ func (s *Server) openPersist(cacheDir, jobsDir string) {
 }
 
 // cacheFillHook returns the cache's onFill callback: encode (on the
-// writer goroutine) and enqueue each filled engine/context, tagged with
-// its compile cost so a future warm start seeds the GDSF weight. Every
-// fill lands in the local disk store; only computed fills also write
-// through to the cluster blob tier — a value restored FROM that tier
-// must not echo straight back to it.
-func (s *Server) cacheFillHook() func(key string, val any, costSec float64, computed bool) {
+// writer goroutine) and enqueue each compiled engine/context, tagged with
+// its compile cost so a future warm start seeds the GDSF weight.
+func (s *Server) cacheFillHook() func(key string, val any, costSec float64) {
 	store := s.persist.cache
-	remote := s.cluster.remote
-	return func(key string, val any, costSec float64, computed bool) {
-		var kind persist.Kind
-		var encode func() ([]byte, error)
+	return func(key string, val any, costSec float64) {
 		switch v := val.(type) {
 		case *core.Engine:
-			kind = persist.KindEngine
-			encode = func() ([]byte, error) { return persist.EncodeEngine(v) }
+			store.Put(persist.KindEngine, key, costSec, func() ([]byte, error) { return persist.EncodeEngine(v) })
 		case *core.LayerContext:
-			// New context writes use the binary columnar payload; old JSON
-			// records stay readable (warmStartCache accepts both kinds),
-			// but the filename is kind-prefixed, so retire the legacy file
-			// for this key or both would be rescanned forever.
-			kind = persist.KindLayerContextCol
-			encode = func() ([]byte, error) { return persist.EncodeLayerContextColumnar(v) }
-			if store != nil {
-				store.Delete(persist.KindLayerContext, key)
-			}
-		default:
-			return
-		}
-		if store != nil {
-			store.Put(kind, key, costSec, encode)
-		}
-		if remote != nil && computed {
-			remote.Put(kind, key, costSec, encode)
+			store.Put(persist.KindLayerContextCol, key, costSec, func() ([]byte, error) { return persist.EncodeLayerContextColumnar(v) })
 		}
 	}
 }
@@ -186,11 +163,8 @@ func (s *Server) warmStartCache() {
 				return fmt.Errorf("serve: engine record key mismatch")
 			}
 			s.cache.admit(rec.Key, rec.CostSec, eng)
-		case persist.KindLayerContext, persist.KindLayerContextCol:
-			// Both payload generations are admitted: columnar is what this
-			// version writes, JSON is the fallback for records from before
-			// the codec (or written by older nodes).
-			lctx, err := persist.DecodeLayerContextKind(rec.Kind, rec.Payload)
+		case persist.KindLayerContextCol:
+			lctx, err := persist.DecodeLayerContextColumnar(rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -200,6 +174,8 @@ func (s *Server) warmStartCache() {
 			}
 			s.cache.admit(rec.Key, rec.CostSec, lctx)
 		default:
+			// Includes the retired JSON context kind: the scan counts the
+			// record as skipped and deletes it.
 			return fmt.Errorf("serve: unexpected record kind %v in cache dir", rec.Kind)
 		}
 		return nil
@@ -211,24 +187,15 @@ func (s *Server) warmStartCache() {
 	s.persist.warm.Skipped += stats.Skipped
 	// Count what was admitted by kind from the cache's own view: admit
 	// dedups, so stats.Loaded could overcount under races.
-	for key := range s.snapshotCacheKeys() {
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	for key := range s.cache.items {
 		if strings.HasPrefix(key, "eng|") {
 			s.persist.warm.Engines++
 		} else {
 			s.persist.warm.Contexts++
 		}
 	}
-}
-
-// snapshotCacheKeys snapshots the cache's key set (takes the cache lock).
-func (s *Server) snapshotCacheKeys() map[string]struct{} {
-	s.cache.mu.Lock()
-	defer s.cache.mu.Unlock()
-	keys := make(map[string]struct{}, len(s.cache.items))
-	for k := range s.cache.items {
-		keys[k] = struct{}{}
-	}
-	return keys
 }
 
 // jobTerminalHook returns the job store's OnTerminal callback: persist

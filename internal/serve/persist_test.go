@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/persist"
 	"repro/internal/serve/jobs"
 	"repro/internal/workload"
 )
@@ -136,6 +138,58 @@ func TestWarmStartSurvivesCorruption(t *testing.T) {
 	// And the server still serves.
 	if _, err := second.EvaluateCtx(context.Background(), warmRequest()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmStartRefusesLegacyContextKind: a well-formed record of the
+// retired JSON layer-context kind, stored under the key its content
+// fingerprints to, is refused on boot: counted as skipped, never
+// admitted, and its file deleted.
+func TestWarmStartRefusesLegacyContextKind(t *testing.T) {
+	scratch := NewServer(BatchOptions{Workers: 1})
+	defer scratch.Close()
+	req := warmRequest()
+	arch, err := resolveArch(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := scratch.cache.EngineCtx(context.Background(), arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer := workload.Toy().Layers[0]
+	lctx, err := scratch.cache.LayerContextCtx(context.Background(), eng, layer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(lctx.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := contextKey(ArchFingerprint(eng.Arch()), LayerFingerprint(layer))
+	data, err := persist.EncodeRecord(persist.Record{
+		Kind: persist.KindLayerContext, Key: key, CostSec: 0.5, Payload: payload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, persist.RecordName(persist.KindLayerContext, key))
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := NewServer(BatchOptions{Workers: 1, CacheDir: dir})
+	defer srv.Close()
+	if err := srv.PersistError(); err != nil {
+		t.Fatal(err)
+	}
+	warm := srv.PersistStats().Warm
+	if warm.Skipped != 1 || warm.Contexts != 0 {
+		t.Fatalf("warm stats = %+v, want the legacy record skipped, none admitted", warm)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("legacy record must be deleted by the boot scan (stat: %v)", err)
 	}
 }
 

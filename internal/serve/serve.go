@@ -117,25 +117,6 @@ type BatchOptions struct {
 	// unbounded.
 	MaxBodyBytes int64
 
-	// ClusterNodeID and ClusterPeers turn the server into one member of a
-	// static ring (see internal/cluster and docs/CLUSTER.md): NodeID must
-	// match one entry of the Peers list ("id=url,id=url,..."), ownership
-	// of cache keys and evaluation requests is split by consistent
-	// hashing, and POST /v1/evaluate requests owned by a peer are
-	// forwarded to it. Both empty disables clustering (the default;
-	// behavior is then identical to earlier versions).
-	ClusterNodeID string
-	ClusterPeers  string
-	// ClusterVNodes overrides the ring's virtual-node count (default
-	// cluster.DefaultVirtualNodes). Every member must use the same value.
-	ClusterVNodes int
-	// BlobURL layers a shared remote blob tier (a `cimloop blobd`
-	// process, or any HTTP object store speaking the persist envelope)
-	// under the local cache: cold compiles write through to it, and cache
-	// misses read through it before compiling — so any node's compile
-	// warm-starts every other node. Usable with or without the ring.
-	BlobURL string
-
 	// Tenants enables multi-tenant mode (see LoadTenantsFile and
 	// docs/TENANCY.md): every /v1 request must carry a bearer token from
 	// the tenant file, jobs are scheduled by per-tenant weighted fair
@@ -245,7 +226,6 @@ type Server struct {
 	budget  *tokenBudget
 	tuner   searchTuner
 	persist persistState
-	cluster clusterState
 	start   time.Time
 	// met and slow are the observability spine (see obs.go): every
 	// subsystem reports into met's registry, /metrics and /healthz are
@@ -298,14 +278,8 @@ func NewServer(opts BatchOptions) *Server {
 	if s.persist.jobs != nil {
 		s.persist.jobs.SetObserver(s.persistObserver("jobs"))
 	}
-	s.initCluster(opts)
-	if s.persist.cache != nil || s.cluster.remote != nil {
+	if s.persist.cache != nil {
 		s.cache.onFill = s.cacheFillHook()
-	}
-	if s.cluster.remote != nil {
-		// L3 read-through: a local miss consults the shared blob tier
-		// before compiling, under the cache's per-key singleflight.
-		s.cache.loader = s.remoteLoader()
 	}
 	jo := jobs.Options{
 		MaxRunning:      opts.MaxRunningJobs,
@@ -368,7 +342,6 @@ func (s *Server) SearchStats() BudgetStats {
 func (s *Server) Close() {
 	s.jobs.Close()
 	s.closePersist()
-	s.closeCluster()
 }
 
 // Request describes one evaluation. It is the wire type

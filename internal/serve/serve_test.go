@@ -164,6 +164,43 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// memoryClassTransitSpec puts a coalescing (transit) level on an SRAM
+// buffer class, which binds no circuit model. It passes spec validation.
+const memoryClassTransitSpec = `name: p
+node_nm: 22
+hierarchy:
+  - component: buf
+    class: sram-buffer
+    coalesce: [Inputs]
+  - container: c
+    children:
+      - container: r
+        children:
+          - component: A
+            class: sram-cell
+            compute: true
+`
+
+// TestSweepRejectsModelessTransitSpec: a spec that binds a memory class to
+// a transit level comes back as an item error. The sweep workers have no
+// panic recovery, so a nil circuit model reaching layer preparation would
+// kill the whole process.
+func TestSweepRejectsModelessTransitSpec(t *testing.T) {
+	srv := NewServer(BatchOptions{Workers: 1})
+	defer srv.Close()
+	res, err := srv.SweepCtx(context.Background(),
+		[]Request{{Spec: memoryClassTransitSpec, Network: "toy", MaxMappings: 2}}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0] == nil || res[0].Err == "" {
+		t.Fatalf("sweep result = %+v, want one item carrying an error", res)
+	}
+	if !strings.Contains(res[0].Err, "buf") {
+		t.Fatalf("error %q should name the offending level", res[0].Err)
+	}
+}
+
 // TestLayersCap checks the fast-path layer subset.
 func TestLayersCap(t *testing.T) {
 	srv := NewServer(BatchOptions{MaxMappings: 2})
