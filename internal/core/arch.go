@@ -120,6 +120,16 @@ func (a *Arch) Validate() error {
 	if a.ADCShare < 0 || a.ADCShare > 1024 {
 		return fmt.Errorf("core: arch %q adc share %d out of [0,1024]", a.Name, a.ADCShare)
 	}
+	// A slice level pins the slice loops to that level's loop nest
+	// (MapperOptions); negative keeps the slices temporal.
+	for _, sl := range []struct {
+		name  string
+		level int
+	}{{"weight slice level", a.WeightSliceLevel}, {"input slice level", a.InputSliceLevel}} {
+		if sl.level >= len(a.Levels) {
+			return fmt.Errorf("core: arch %q %s %d is past its %d levels", a.Name, sl.name, sl.level, len(a.Levels))
+		}
+	}
 	return nil
 }
 

@@ -261,6 +261,10 @@ func TestArchValidation(t *testing.T) {
 		func(a *core.Arch) { a.CellBits = a.WeightBits + 1 },
 		func(a *core.Arch) { a.Vdd = -1 },
 		func(a *core.Arch) { a.Levels[1].Class = "nonsense" },
+		// A slice level past the hierarchy used to index past the
+		// mapper's loop nests and panic in the first layer search.
+		func(a *core.Arch) { a.WeightSliceLevel = len(a.Levels) },
+		func(a *core.Arch) { a.InputSliceLevel = len(a.Levels) + 3 },
 	}
 	for i, f := range cases {
 		if err := mutate(f); err == nil {

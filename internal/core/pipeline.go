@@ -158,7 +158,10 @@ const maxColumnDepth = 65536
 
 // columnSumPMF synthesizes the distribution of the analog sum arriving at
 // the boundary above level b: depth-wise sum of independent cell products
-// (the independence assumption of §III-D1). Results are cached per depth
+// (the independence assumption of §III-D1), saturating at 256. Integer
+// cell products (few-bit cells and DAC slices, as in macros A and B) give
+// the exact capped distribution; products rebinned off the integers give
+// SumNCapped's 512-point approximation. Results are cached per depth
 // within one layer context via the sums map.
 func (e *Engine) columnSumPMF(b int, cellProduct *dist.PMF, sums map[int64]*dist.PMF) (*dist.PMF, error) {
 	depth := min(e.arch.reductionDepthBelow(b), maxColumnDepth)

@@ -33,16 +33,33 @@ func BenchmarkConv(b *testing.B) {
 }
 
 // BenchmarkSumNCapped measures the column-sum synthesis PrepareLayer
-// runs per reduction depth: a 128-bin cell-product PMF summed and capped.
+// runs per reduction depth: a cell-product PMF summed and capped at 256.
+// The integer cells (a 2-bit input times a 4-bit weight, and macro A's
+// 1-bit by 1-bit cell) stay on the integers; the 1-bit by 8-bit cell,
+// rebinned to 128 points as PrepareLayer rebins it, has non-integer
+// support and takes the rebinning sort path.
 func BenchmarkSumNCapped(b *testing.B) {
+	bit, _ := UniformInts(0, 1)
 	in, _ := UniformInts(0, 3)
-	w, _ := UniformInts(0, 15)
-	cell := Mul(in, w, 512).Rebin(128)
-	for _, depth := range []int{256, 65536} {
-		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+	w4, _ := UniformInts(0, 15)
+	w8, _ := UniformInts(0, 255)
+	cell := Mul(in, w4, 512).Rebin(128)
+	bitCell := Mul(bit, bit, 512)
+	wideCell := Mul(bit, w8, 512).Rebin(128)
+	for _, c := range []struct {
+		name  string
+		cell  *PMF
+		depth int
+	}{
+		{"depth256", cell, 256},
+		{"depth65536", cell, 65536},
+		{"bit-cell/depth2304", bitCell, 2304},
+		{"rebinned-cell/depth256", wideCell, 256},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SumNCapped(cell, depth, 256); err != nil {
+				if _, err := SumNCapped(c.cell, c.depth, 256); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,14 +10,34 @@ import (
 // is bit-identical to accumulating every product atom a_i⊕b_j into a map
 // keyed by value, in row-major (i, j) order, dropping sums whose mass
 // underflowed to zero, sorting, and calling Rebin(n) — without the map.
+// It has two paths to that output.
 //
-// a and b are sorted, so each row a_i⊕b_j is monotone in j (X+Y, or X·Y
-// with a_i ≥ 0; rows with a_i < 0 are walked backwards), and Rebin's bin
-// index is monotone in the value. Every output bin's atoms are therefore
-// one contiguous run per row. The kernel walks the non-empty bins in
-// order and gathers each bin's runs in (i, j) order; a stable sort by
-// value then lines equal values up in the order the map summed them, and
-// the bin is folded exactly as Rebin folds it.
+// The dense path takes integer operands whose results span at most
+// latticeSpan values (the column sums of CiM arrays with few-bit cells,
+// and few-bit slice products). Every sum or product is then an exact
+// integer, so each atom's mass is added into a value-indexed array in
+// (i, j) order, the order the map adds it in; the sign of the last
+// zero-valued atom is the sign of the map's ±0 key. The positive-mass
+// slots are read out in value order and folded as Rebin folds them.
+//
+// The sort path takes everything else. a and b are sorted, so each row
+// a_i⊕b_j is monotone in j (X+Y, or X·Y with a_i ≥ 0; rows with a_i < 0
+// are walked backwards), and Rebin's bin index is monotone in the value.
+// Every output bin's atoms are therefore one contiguous run per row. The
+// kernel walks the non-empty bins in order and gathers each bin's runs in
+// (i, j) order; a stable sort by value then lines equal values up in the
+// order the map summed them, and the bin is folded exactly as Rebin
+// folds it.
+
+// latticeMax bounds the magnitude of the integer atoms the dense path
+// takes, so that every sum and product of two is an exact float64.
+// latticeSpan bounds its accumulator: an 8-bit product (span 65026) takes
+// the sort path, as an accumulator that size costs more memory than the
+// sort saves time.
+const (
+	latticeMax  = 1 << 26
+	latticeSpan = 4096
+)
 
 // term is one product atom a_i⊕b_j with its mass, and its sub-bucket in
 // the current bin (see sortBin).
@@ -37,6 +57,8 @@ type combiner struct {
 	counts []int     // sortBin's sub-bucket ends
 	exact  []Point   // the distinct sums, while there are at most n
 	binned []Point   // the rebinned sums
+	dense  []float64 // the dense path's mass per value
+	offs   []int     // the dense path's slot offset of each atom of b
 }
 
 // grow returns s resliced to length n, growing its capacity
@@ -48,6 +70,9 @@ func grow[T any](s []T, n int) []T {
 // combine returns the distribution of a⊕b (a·b when mul, a+b otherwise)
 // rebinned to at most n points; n <= 0 keeps every distinct value.
 func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
+	if lo, span, ok := lattice(a, b, mul); ok {
+		return c.combineDense(a, b, mul, n, lo, span)
+	}
 	op := func(x, y float64) float64 {
 		if mul {
 			return x * y
@@ -249,6 +274,125 @@ func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
 	out := binned
 	if !binning || distinct <= n {
 		out = exact
+	}
+	return &PMF{pts: slices.Clone(out)}
+}
+
+// integers reports whether every atom of pts is an integer of magnitude
+// at most latticeMax.
+func integers(pts []Point) bool {
+	for _, pt := range pts {
+		if pt.Value != math.Trunc(pt.Value) || math.Abs(pt.Value) > latticeMax {
+			return false
+		}
+	}
+	return true
+}
+
+// lattice reports whether a⊕b takes the dense path: both operands are
+// integer atoms and the results span at most latticeSpan values, lo the
+// smallest.
+func lattice(a, b []Point, mul bool) (lo float64, span int, ok bool) {
+	if len(a) == 0 || len(b) == 0 || !integers(a) || !integers(b) {
+		return 0, 0, false
+	}
+	a0, a1, b0, b1 := a[0].Value, a[len(a)-1].Value, b[0].Value, b[len(b)-1].Value
+	lo, hi := a0+b0, a1+b1
+	if mul {
+		// A product's extremes over the rectangle are at its corners.
+		lo = min(a0*b0, a0*b1, a1*b0, a1*b1)
+		hi = max(a0*b0, a0*b1, a1*b0, a1*b1)
+	}
+	if hi-lo >= latticeSpan {
+		return 0, 0, false
+	}
+	return lo, int(hi-lo) + 1, true
+}
+
+// combineDense is combine's dense path for the operands lattice accepts:
+// results lie in lo, lo+1, ..., lo+span-1.
+func (c *combiner) combineDense(a, b []Point, mul bool, n int, lo float64, span int) *PMF {
+	acc := grow(c.dense, span)
+	clear(acc)
+	c.dense = acc
+	// A mass that underflowed to zero adds nothing (masses are never
+	// -0), but a zero-valued atom sets the sign of the map's zero key
+	// whatever its mass.
+	negZero := false
+	if mul {
+		for _, pa := range a {
+			for _, pb := range b {
+				v := pa.Value * pb.Value
+				if v == 0 {
+					negZero = math.Signbit(v)
+				}
+				acc[int(v-lo)] += pa.Prob * pb.Prob
+			}
+		}
+	} else {
+		// a_i+b_j is slot (a_i-a_0)+(b_j-b_0), as lo is a_0+b_0.
+		offs := grow(c.offs, len(b))
+		c.offs = offs
+		for j, pb := range b {
+			offs[j] = int(pb.Value - b[0].Value)
+		}
+		contiguous := offs[len(offs)-1] == len(offs)-1
+		zeroSlot := int(-lo)
+		for _, pa := range a {
+			start := int(pa.Value - a[0].Value)
+			row := acc[start:]
+			if contiguous {
+				row = row[:len(b)]
+				for j, pb := range b {
+					row[j] += pa.Prob * pb.Prob
+				}
+			} else {
+				for j, off := range offs {
+					row[off] += pa.Prob * b[j].Prob
+				}
+			}
+			// The row's zero-valued atom, if any, is in slot zeroSlot.
+			if j, ok := slices.BinarySearch(offs, zeroSlot-start); ok {
+				negZero = math.Signbit(pa.Value + b[j].Value)
+			}
+		}
+	}
+	zero := 0.0
+	if negZero {
+		zero = math.Copysign(0, -1)
+	}
+	exact := c.exact[:0]
+	for k, p := range acc {
+		if p > 0 {
+			v := lo + float64(k)
+			if v == 0 {
+				v = zero
+			}
+			exact = append(exact, Point{Value: v, Prob: p})
+		}
+	}
+	c.exact = exact
+	out := exact
+	if n > 0 && len(exact) > n {
+		first := exact[0].Value
+		if width := (exact[len(exact)-1].Value - first) / float64(n); width > 0 {
+			// Rebin's bins, folded in value order: its bin index is
+			// monotone in the value, so each bin is one run of atoms.
+			binned := c.binned[:0]
+			k, mass, moment := -1, 0.0, 0.0
+			for _, pt := range exact {
+				if i := min(int((pt.Value-first)/width), n-1); i != k {
+					if k >= 0 {
+						binned = append(binned, Point{Value: moment / mass, Prob: mass})
+					}
+					k, mass, moment = i, 0, 0
+				}
+				mass += pt.Prob
+				moment += pt.Prob * pt.Value
+			}
+			binned = append(binned, Point{Value: moment / mass, Prob: mass})
+			c.binned, out = binned, binned
+		}
 	}
 	return &PMF{pts: slices.Clone(out)}
 }

@@ -42,15 +42,17 @@ func fromMap(acc map[float64]float64) *PMF {
 	return &PMF{pts: pts}
 }
 
-// oracleSumN is sumN with the oracle's convolution.
-func oracleSumN(p *PMF, n int, ceiling float64) *PMF {
-	clip := func(q *PMF) *PMF {
-		if math.IsInf(ceiling, 1) || q.Max() <= ceiling {
-			return q
-		}
-		return q.Map(func(v float64) float64 { return math.Min(v, ceiling) })
+// oracleSumN is sumN with the oracle's convolution rebinned to convBins
+// at every step, capped integer sums included. rebinned reports whether
+// any step had more than convBins distinct sums: only there can a capped
+// integer sum differ from sumN, which keeps it on the integers.
+func oracleSumN(p *PMF, n int, ceiling float64) (sum *PMF, rebinned bool) {
+	clip := func(q *PMF) *PMF { return clipAt(q, ceiling) }
+	conv := func(x, y *PMF) *PMF {
+		q := oracleCombine(x, y, false, 0)
+		rebinned = rebinned || q.Len() > convBins
+		return q.Rebin(convBins)
 	}
-	conv := func(x, y *PMF) *PMF { return oracleCombine(x, y, false, convBins) }
 	base := clip(p.Rebin(convBins))
 	var acc *PMF
 	for n > 0 {
@@ -66,8 +68,78 @@ func oracleSumN(p *PMF, n int, ceiling float64) *PMF {
 			base = clip(conv(base, base))
 		}
 	}
-	return acc
+	return acc, rebinned
 }
+
+// clipAt is sumN's clip: q with every value above ceiling moved to it.
+func clipAt(q *PMF, ceiling float64) *PMF {
+	if math.IsInf(ceiling, 1) || q.Max() <= ceiling {
+		return q
+	}
+	return q.Map(func(v float64) float64 { return math.Min(v, ceiling) })
+}
+
+// bruteSumN enumerates the capped sum of one or two draws from a
+// non-negative p: every pair of atoms, summed into a map in row-major
+// order and clipped, as sumN clips its operands and each sum.
+func bruteSumN(p *PMF, n int, ceiling float64) *PMF {
+	x := clipAt(p, ceiling)
+	if n == 1 {
+		return x
+	}
+	return clipAt(oracleCombine(x, x, false, 0), ceiling)
+}
+
+// sequentialSumN is the capped sum of n draws from a PMF of non-negative
+// integers, convolved one draw at a time with each partial sum clipped:
+// the exact distribution, up to rounding. It returns the mass at each of
+// 0..ceiling.
+func sequentialSumN(p *PMF, n, ceiling int) []float64 {
+	sum := make([]float64, ceiling+1)
+	for _, pt := range p.pts {
+		sum[min(int(pt.Value), ceiling)] += pt.Prob
+	}
+	next := make([]float64, ceiling+1)
+	for range n - 1 {
+		clear(next)
+		for x, px := range sum {
+			if px == 0 {
+				continue
+			}
+			for _, pt := range p.pts {
+				next[min(x+int(pt.Value), ceiling)] += px * pt.Prob
+			}
+		}
+		sum, next = next, sum
+	}
+	return sum
+}
+
+// cdfGap returns the largest difference between the CDFs of got and the
+// masses ref over 0, 1, ..., len(ref)-1, and fails the test unless got's
+// atoms all lie on those integers.
+func cdfGap(t testing.TB, what string, got *PMF, ref []float64) float64 {
+	t.Helper()
+	mass := make([]float64, len(ref))
+	for _, pt := range got.pts {
+		k := int(pt.Value)
+		if float64(k) != pt.Value || k < 0 || k >= len(ref) {
+			t.Fatalf("%s: atom %v is off the integers 0..%d", what, pt, len(ref)-1)
+		}
+		mass[k] = pt.Prob
+	}
+	gap, cg, cr := 0.0, 0.0, 0.0
+	for k := range ref {
+		cg += mass[k]
+		cr += ref[k]
+		gap = max(gap, math.Abs(cg-cr))
+	}
+	return gap
+}
+
+// latticeCDFTol bounds the CDF difference between a capped integer sum
+// and sequentialSumN: rounding differences of two summation orders.
+const latticeCDFTol = 1e-12
 
 // sameBits reports whether got and want hold bit-identical points.
 func sameBits(t *testing.T, what string, got, want *PMF) {
@@ -197,15 +269,22 @@ func TestCombineMatchesOracleRandom(t *testing.T) {
 }
 
 // TestSumNMatchesOracle checks SumN and SumNCapped, which chain the
-// kernel's convolutions, against the oracle's chain.
+// kernel's convolutions. Uncapped sums, sums of non-integer PMFs, and
+// capped integer sums whose old chain never rebinned match the oracle's
+// chain bit for bit. Capped integer sums that the old chain rebinned off
+// the integers are held to the exact distribution instead: to
+// sequentialSumN within latticeCDFTol, and to enumeration bit for bit for
+// up to two draws.
 func TestSumNMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	u4, _ := UniformInts(0, 15)
 	cell := Mul(u4, u4, 512).Rebin(128)
-	cases := []*PMF{cell, Delta(1), Delta(0)}
+	wide, _ := UniformInts(0, 300)
+	cases := []*PMF{cell, Delta(1), Delta(0), wide}
 	for i := 0; i < 6; i++ {
 		cases = append(cases, randomPMF(t, rng, 64))
 	}
+	exactChecked := 0
 	for ci, p := range cases {
 		depths := []int{1, 2, 3, 16}
 		if p == cell {
@@ -216,16 +295,81 @@ func TestSumNMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, fmt.Sprintf("SumN case %d depth %d", ci, depth), got, oracleSumN(p, depth, math.Inf(1)))
+			want, _ := oracleSumN(p, depth, math.Inf(1))
+			sameBits(t, fmt.Sprintf("SumN case %d depth %d", ci, depth), got, want)
 			if p.Min() < 0 {
 				continue
 			}
+			what := fmt.Sprintf("SumNCapped case %d depth %d", ci, depth)
 			got, err = SumNCapped(p, depth, 256)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, fmt.Sprintf("SumNCapped case %d depth %d", ci, depth), got, oracleSumN(p, depth, 256))
+			want, rebinned := oracleSumN(p, depth, 256)
+			if !rebinned || !integers(p.pts) {
+				sameBits(t, what, got, want)
+				continue
+			}
+			exactChecked++
+			if gap := cdfGap(t, what, got, sequentialSumN(p, depth, 256)); gap > latticeCDFTol {
+				t.Fatalf("%s: CDF differs from the sequential sum by %g", what, gap)
+			}
+			if depth <= 2 {
+				sameBits(t, what+" (enumerated)", got, bruteSumN(p, depth, 256))
+			}
 		}
+	}
+	// case 0 at depths 16, 255 and 4096, and the wide case from depth 2.
+	if exactChecked < 6 {
+		t.Fatalf("only %d capped sums checked against the exact distribution", exactChecked)
+	}
+}
+
+// randomLatticePMF draws a PMF of up to maxLen integer atoms, signed or
+// not, narrow enough that most products fit the dense path. Zero is
+// sometimes -0, and some masses are small enough that products of two
+// underflow or are subnormal.
+func randomLatticePMF(t testing.TB, rng *rand.Rand, maxLen int) *PMF {
+	m := []int{1, 3, 15, 40, 255}[rng.Intn(5)]
+	lo := 0
+	if rng.Intn(2) == 0 {
+		lo = -m
+	}
+	n := 1 + rng.Intn(maxLen)
+	pts := make([]Point, n)
+	for i := range pts {
+		v := float64(lo + rng.Intn(m-lo+1))
+		if v == 0 && rng.Intn(2) == 0 {
+			v = math.Copysign(0, -1)
+		}
+		p := rng.Float64() + 1e-3
+		if rng.Intn(4) == 0 {
+			p = math.Ldexp(1+rng.Float64(), -500-rng.Intn(570))
+		}
+		pts[i] = Point{Value: v, Prob: p}
+	}
+	return mustPoints(t, pts)
+}
+
+// TestCombineMatchesOracleLattice compares the kernel with the oracle bit
+// for bit on integer operands, most of which take the dense path.
+func TestCombineMatchesOracleLattice(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cases, dense := 0, 0
+	for iter := 0; iter < 600; iter++ {
+		a, b := randomLatticePMF(t, rng, 64), randomLatticePMF(t, rng, 64)
+		for _, n := range []int{0, 1, 2, 16, 128, 512, 4096} {
+			for _, mul := range []bool{false, true} {
+				if _, _, ok := lattice(a.pts, b.pts, mul); ok {
+					dense++
+				}
+				cases++
+				checkCombine(t, fmt.Sprintf("lattice %d mul=%v n=%d", iter, mul, n), a, b, mul, n)
+			}
+		}
+	}
+	if 4*dense < 3*cases {
+		t.Fatalf("only %d of %d cases took the dense path", dense, cases)
 	}
 }
 
@@ -267,5 +411,31 @@ func FuzzCombineMatchesOracle(f *testing.F) {
 		}
 		n = n%1024 - 1
 		checkCombine(t, "fuzz", a, b, mul, n)
+	})
+}
+
+// FuzzSumNCappedLattice: a capped sum of non-negative integers must be
+// the exact distribution — sequentialSumN within latticeCDFTol, and the
+// enumerated sum bit for bit for up to two draws.
+func FuzzSumNCappedLattice(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 0, 0, 1, 0, 0, 0}, uint16(2304), uint16(256))
+	f.Add([]byte{4, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, uint16(16), uint16(256))
+	f.Add([]byte{1, 0x2c, 0x01, 0, 0, 0, 0, 0x7f, 0x30}, uint16(2), uint16(7))
+	f.Fuzz(func(t *testing.T, data []byte, depth, ceiling uint16) {
+		p, _ := fuzzPMF(data, 1)
+		if p == nil || p.Min() < 0 {
+			return
+		}
+		n, c := int(depth)%600+1, int(ceiling)%convBins+1
+		got, err := SumNCapped(p, n, float64(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gap := cdfGap(t, "fuzz", got, sequentialSumN(p, n, c)); gap > latticeCDFTol {
+			t.Fatalf("depth %d cap %d: CDF differs from the sequential sum by %g", n, c, gap)
+		}
+		if n <= 2 {
+			sameBits(t, "fuzz (enumerated)", got, bruteSumN(p, n, float64(c)))
+		}
 	})
 }

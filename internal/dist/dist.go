@@ -10,6 +10,14 @@
 // already fits its bin count. A *PMF is therefore safe to share across
 // goroutines, which is what lets layer contexts be cached and reused by
 // concurrent sweeps (package serve).
+//
+// Mul and the convolutions of SumN share one combine kernel (combine.go)
+// with two paths: a dense array for integer operands whose results span
+// few values, and a sorting walk over the output bins for the rest. Both
+// are bit-identical to accumulating the products in a map and calling
+// Rebin, which the tests keep as an oracle. SumNCapped keeps integer sums
+// on the integers under an integer cap (see there), and so computes the
+// exact capped distribution where rebinning each step would not.
 package dist
 
 import (
@@ -294,6 +302,12 @@ func SumN(p *PMF, n int) (*PMF, error) {
 // (the "+1 bit per 4x rows" coupling of the ADC sizing study). For the
 // non-negative slice-product PMFs this models, clipping each partial sum
 // is identical to clipping the final sum.
+//
+// A non-negative integer PMF (the cell products of few-bit CiM cells)
+// summed under an integer cap of at most 512 stays on the integers: each
+// doubling is convolved exactly, at most 2·cap+1 points, and the overflow
+// is folded into the cap, so the result is the exact capped distribution
+// up to rounding. Every other input is rebinned to 512 points per step.
 func SumNCapped(p *PMF, n int, ceiling float64) (*PMF, error) {
 	if ceiling <= 0 || math.IsNaN(ceiling) {
 		return nil, fmt.Errorf("dist: sum cap %g must be positive", ceiling)
@@ -315,9 +329,20 @@ func sumN(p *PMF, n int, ceiling float64) (*PMF, error) {
 		return q.Map(func(v float64) float64 { return math.Min(v, ceiling) })
 	}
 	// conv returns the distribution of X+Y for independent X ~ x,
-	// Y ~ y, rebinned to at most convBins points.
+	// Y ~ y, rebinned to at most convBins points — or exact, when both
+	// are non-negative integers under an integer cap of at most
+	// convBins, since clip then brings the sum back to cap+1 points.
+	// Rebinning such a sum would move it off the integers, by rounding
+	// the bin means, for every later step.
 	var c combiner
-	conv := func(x, y *PMF) *PMF { return c.combine(x.pts, y.pts, false, convBins) }
+	integerCap := ceiling <= convBins && ceiling == math.Trunc(ceiling)
+	conv := func(x, y *PMF) *PMF {
+		bins := convBins
+		if integerCap && x.Min() >= 0 && y.Min() >= 0 && integers(x.pts) && integers(y.pts) {
+			bins = 0
+		}
+		return c.combine(x.pts, y.pts, false, bins)
+	}
 	base := clip(p.Rebin(convBins))
 	var acc *PMF
 	for n > 0 {

@@ -2,6 +2,7 @@ package sweepdef_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -125,5 +126,74 @@ func TestBeyondCMOSPinned(t *testing.T) {
 	pin(t, "digital-cim TOPS/W", eff["digital-cim"], 0.2008)
 	if !(eff["photonic"] > eff["digital-accelerator"] && eff["digital-accelerator"] > eff["digital-cim"]) {
 		t.Errorf("efficiency ordering photonic > tpu-like > digital-cim violated: %v", eff)
+	}
+}
+
+// checkedInLayers caps the layers TestCheckedInSweepInvariants evaluates
+// per network, which keeps every checked-in grid to seconds.
+const checkedInLayers = 3
+
+// TestCheckedInSweepInvariants runs every checked-in definition at its
+// defaults, capped to the leading layers of each network, and checks the
+// conservation and sanity invariants of every layer result: the layer
+// energy is the sum of its level totals (which include leakage), every
+// energy is finite and non-negative, the hardware runs at least the
+// workload's MACs, and the utilization lies in (0, 1].
+func TestCheckedInSweepInvariants(t *testing.T) {
+	set := loadCheckedIn(t)
+	srv := serve.NewServer(serve.BatchOptions{})
+	for _, def := range set.All() {
+		reqs, err := def.Compile(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", def.Name, err)
+		}
+		for i := range reqs {
+			if reqs[i].Layers == 0 || reqs[i].Layers > checkedInLayers {
+				reqs[i].Layers = checkedInLayers
+			}
+		}
+		results, err := srv.SweepCtx(context.Background(), reqs, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", def.Name, err)
+		}
+		for _, r := range results {
+			if r.Err != "" {
+				t.Fatalf("%s %s: %s", def.Name, r.Tag, r.Err)
+			}
+			if len(r.NetworkResult.PerLayer) == 0 {
+				t.Fatalf("%s %s: no layer results", def.Name, r.Tag)
+			}
+			for _, lr := range r.NetworkResult.PerLayer {
+				what := fmt.Sprintf("%s %s layer %s", def.Name, r.Tag, lr.Layer)
+				sum := 0.0
+				for _, lv := range lr.Levels {
+					checkEnergy(t, what+" level "+lv.Name, lv.Total)
+					for k, e := range lv.ByTensor {
+						checkEnergy(t, fmt.Sprintf("%s level %s tensor %v", what, lv.Name, k), e)
+					}
+					sum += lv.Total
+				}
+				checkEnergy(t, what, lr.Energy)
+				checkEnergy(t, what+" leakage", lr.LeakageJ)
+				// Leakage is part of the level totals, so it is counted once.
+				if lr.Energy != sum || lr.LeakageJ > lr.Energy {
+					t.Errorf("%s: energy %g, level totals sum to %g, leakage %g", what, lr.Energy, sum, lr.LeakageJ)
+				}
+				if lr.PaddedMACs < lr.MACs {
+					t.Errorf("%s: %d padded MACs below the workload's %d", what, lr.PaddedMACs, lr.MACs)
+				}
+				if !(lr.Utilization > 0 && lr.Utilization <= 1) {
+					t.Errorf("%s: utilization %g outside (0, 1]", what, lr.Utilization)
+				}
+			}
+		}
+	}
+}
+
+// checkEnergy fails the test unless e is a finite, non-negative energy.
+func checkEnergy(t *testing.T, what string, e float64) {
+	t.Helper()
+	if math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
+		t.Errorf("%s: energy %g is not finite and non-negative", what, e)
 	}
 }
