@@ -308,12 +308,14 @@ func BenchmarkMappingsPerSecond(b *testing.B) {
 // serve. The sweep grid is 3 macros x 2 networks with a small mapping
 // budget, so per-layer setup (what the cache elides) dominates.
 
-// benchSweepGrid is the 3-macro x 2-network grid the serve benchmarks run.
-func benchSweepGrid() []EvalRequest {
+// benchSweepGrid is the 3-macro x 2-network grid the serve benchmarks
+// run, each macro alone unless scenarios name Fig. 15 systems to wrap it
+// in.
+func benchSweepGrid(scenarios ...string) []EvalRequest {
 	return SweepGrid(
 		[]string{"base", "macro-b", "macro-d"},
 		[]string{"toy", "mobilenetv3-large"},
-		nil,
+		scenarios,
 		2, // first layers of each network
 		4, // small mapping budget: setup dominates
 	)
@@ -321,7 +323,12 @@ func benchSweepGrid() []EvalRequest {
 
 func runSweep(b *testing.B, srv *Server, workers int) {
 	b.Helper()
-	results, err := srv.SweepCtx(context.Background(), benchSweepGrid(), workers, nil)
+	runGrid(b, srv, benchSweepGrid(), workers)
+}
+
+func runGrid(b *testing.B, srv *Server, grid []EvalRequest, workers int) {
+	b.Helper()
+	results, err := srv.SweepCtx(context.Background(), grid, workers, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -338,6 +345,19 @@ func BenchmarkSweepColdCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		srv := NewServer(BatchOptions{Workers: 1})
 		runSweep(b, srv, 1)
+	}
+}
+
+// BenchmarkSweepColdScenarios measures a first-contact sweep of
+// benchSweepGrid's macros, each alone and inside the three Fig. 15
+// system scenarios, on a fresh server per iteration. A macro's four
+// architectures share cell products and reduction depths, so the
+// server's column-sum memo sums each once.
+func BenchmarkSweepColdScenarios(b *testing.B) {
+	grid := benchSweepGrid("", AllDRAM.String(), WeightStationary.String(), OnChipIO.String())
+	for i := 0; i < b.N; i++ {
+		srv := NewServer(BatchOptions{Workers: 1})
+		runGrid(b, srv, grid, 1)
 	}
 }
 

@@ -204,6 +204,17 @@ type Engine struct {
 	area     float64 // µm², all instances
 	clock    float64 // effective clock at the arch's supply
 	leakage  float64 // watts of static power across all buffers
+	sums     *ColumnSums
+}
+
+// WithColumnSums returns a copy of e whose layer preparations share the
+// column-sum memo m (nil: each PrepareLayer call sums on its own). The
+// copy shares e's compiled state; prepared contexts are bit-identical
+// either way.
+func (e *Engine) WithColumnSums(m *ColumnSums) *Engine {
+	c := *e
+	c.sums = m
+	return &c
 }
 
 // NewEngine validates and compiles an architecture: binds every level to

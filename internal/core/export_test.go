@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/dist"
 	"repro/internal/mapper"
 	"repro/internal/mapping"
 )
@@ -29,4 +30,10 @@ func (e *Engine) ColumnSumDepths() []int64 {
 		}
 	}
 	return out
+}
+
+// SumOf is the memo lookup columnSumPMF makes for one cell product and
+// reduction depth.
+func (m *ColumnSums) SumOf(cell *dist.PMF, depth int64) (*dist.PMF, error) {
+	return m.sum(cellKey(cell), cell, depth)
 }

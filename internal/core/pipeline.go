@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"repro/internal/circuits"
@@ -117,12 +118,17 @@ func (e *Engine) PrepareLayerWithPMFs(l workload.Layer, inPMF, wPMF *dist.PMF) (
 	// Step 3: per-component average energies.
 	ctx.energies = make([]kindEnergies, len(e.bindings))
 	// Column sums convolve the cell-product PMF at 128 bins; rebin it
-	// once per layer rather than once per reduction depth.
-	cellProduct := dist.Mul(ctx.InputSlicePMF, ctx.WeightSlicePMF, 512).Rebin(128)
-	sums := make(map[int64]*dist.PMF)
+	// once per layer rather than once per reduction depth. An engine
+	// without a shared memo sums into one local to this call.
+	cell := dist.Mul(ctx.InputSlicePMF, ctx.WeightSlicePMF, 512).Rebin(128)
+	memo := e.sums
+	if memo == nil {
+		memo = NewColumnSums(0)
+	}
+	sums := layerSums{memo: memo, cell: cell, key: cellKey(cell)}
 	for i := range e.bindings {
 		b := &e.bindings[i]
-		m, err := e.levelEnergies(b, ctx, cellProduct, sums)
+		m, err := e.levelEnergies(b, ctx, &sums)
 		if err != nil {
 			return nil, fmt.Errorf("core: level %q: %w", b.level.Name, err)
 		}
@@ -156,25 +162,27 @@ func encodeAverageRail(name string, bits int, p *dist.PMF) (*dist.PMF, int, erro
 // over, which bounds SumNCapped at log2(maxColumnDepth) doublings.
 const maxColumnDepth = 65536
 
+// layerSums is one layer preparation's handle on a column-sum memo: the
+// layer's cell-product PMF and its content key.
+type layerSums struct {
+	memo *ColumnSums
+	cell *dist.PMF
+	key  [sha256.Size]byte
+}
+
 // columnSumPMF synthesizes the distribution of the analog sum arriving at
 // the boundary above level b: depth-wise sum of independent cell products
-// (the independence assumption of §III-D1), saturating at 256. Integer
-// cell products (few-bit cells and DAC slices, as in macros A and B) give
-// the exact capped distribution; products rebinned off the integers give
-// SumNCapped's 512-point approximation. Results are cached per depth
-// within one layer context via the sums map.
-func (e *Engine) columnSumPMF(b int, cellProduct *dist.PMF, sums map[int64]*dist.PMF) (*dist.PMF, error) {
+// (the independence assumption of §III-D1), saturating at columnSumCap.
+// Integer cell products (few-bit cells and DAC slices, as in macros A and
+// B) give the exact capped distribution; products rebinned off the
+// integers give SumNCapped's 512-point approximation. Results are
+// memoized by (cell-product content, depth, cap) in s.memo: the engine's
+// shared ColumnSums — one per server, bounded by the server's cache
+// capacity, see WithColumnSums — or else one local to the PrepareLayer
+// call.
+func (e *Engine) columnSumPMF(b int, s *layerSums) (*dist.PMF, error) {
 	depth := min(e.arch.reductionDepthBelow(b), maxColumnDepth)
-	if p, ok := sums[depth]; ok {
-		return p, nil
-	}
-	sum, err := dist.SumNCapped(cellProduct, int(depth), 256)
-	if err != nil {
-		return nil, err
-	}
-	sum = sum.Rebin(512)
-	sums[depth] = sum
-	return sum, nil
+	return s.memo.sum(s.key, s.cell, depth)
 }
 
 // quantizePMFTo rescales a non-negative value PMF onto [0, 2^bits-1]
@@ -205,7 +213,7 @@ func (a *Arch) ColumnFullScale(b int) float64 {
 }
 
 // levelEnergies computes the per-value access energies for one level.
-func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, cellProduct *dist.PMF, sums map[int64]*dist.PMF) (kindEnergies, error) {
+func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, sums *layerSums) (kindEnergies, error) {
 	a := e.arch
 	lv := b.level
 	var out kindEnergies
@@ -264,7 +272,7 @@ func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, cellProduct *dist.
 				case tensor.Weight:
 					ops.Weight = ctx.WeightSlicePMF
 				default:
-					sum, err := e.columnSumPMF(b.levelIdx+1, cellProduct, sums)
+					sum, err := e.columnSumPMF(b.levelIdx+1, sums)
 					if err != nil {
 						return out, err
 					}
@@ -297,7 +305,7 @@ func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, cellProduct *dist.
 			case tensor.Weight:
 				ops.Weight = ctx.WeightSlicePMF
 			default:
-				sum, err := e.columnSumPMF(b.levelIdx+1, cellProduct, sums)
+				sum, err := e.columnSumPMF(b.levelIdx+1, sums)
 				if err != nil {
 					return out, err
 				}

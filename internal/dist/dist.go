@@ -242,13 +242,33 @@ func (p *PMF) Rebin(n int) *PMF {
 		bins[i].mass += pt.Prob
 		bins[i].moment += pt.Prob * pt.Value
 	}
-	pts := make([]Point, 0, n)
+	kept := 0
+	for _, b := range bins {
+		if b.mass > 0 {
+			kept++
+		}
+	}
+	// Exactly the non-empty bins: a rebinned PMF may be kept long-lived
+	// (a memoized column sum), and spare capacity would be kept with it.
+	pts := make([]Point, 0, kept)
 	for _, b := range bins {
 		if b.mass <= 0 {
 			continue
 		}
 		pts = append(pts, Point{Value: b.moment / b.mass, Prob: b.mass})
 	}
+	return &PMF{pts: pts}
+}
+
+// Compact returns p with no spare capacity behind its points: p itself,
+// or an exact-length copy. For PMFs kept long-lived, such as memoized
+// sums that clipping merged down from a larger support.
+func (p *PMF) Compact() *PMF {
+	if cap(p.pts) == len(p.pts) {
+		return p
+	}
+	pts := make([]Point, len(p.pts))
+	copy(pts, p.pts)
 	return &PMF{pts: pts}
 }
 

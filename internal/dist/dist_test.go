@@ -286,6 +286,52 @@ func TestRebinPreservesMeanAndMass(t *testing.T) {
 	}
 }
 
+// TestRebinExactLength pins that Rebin allocates exactly its non-empty
+// bins, and that each bin is the mass and conditional mean of its atoms.
+func TestRebinExactLength(t *testing.T) {
+	// Clustered support: 600 atoms in three runs leave most of 512 bins
+	// empty.
+	var pts []Point
+	for _, base := range []float64{0, 5000, 9000} {
+		for i := 0; i < 200; i++ {
+			pts = append(pts, Point{Value: base + float64(i)*0.25, Prob: float64(1 + i%7)})
+		}
+	}
+	p, err := FromPoints(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := p.Rebin(512)
+	if got := r.Points(); cap(got) != len(got) {
+		t.Fatalf("Rebin(512) kept %d points in capacity %d", len(got), cap(got))
+	}
+	// Reference: the same binning, accumulated bin by bin.
+	lo, width := p.Min(), (p.Max()-p.Min())/512
+	var want []Point
+	k, mass, moment := -1, 0.0, 0.0
+	for _, pt := range p.Points() {
+		if i := min(int((pt.Value-lo)/width), 511); i != k {
+			if k >= 0 {
+				want = append(want, Point{Value: moment / mass, Prob: mass})
+			}
+			k, mass, moment = i, 0, 0
+		}
+		mass += pt.Prob
+		moment += pt.Prob * pt.Value
+	}
+	want = append(want, Point{Value: moment / mass, Prob: mass})
+	got := r.Points()
+	if len(got) != len(want) {
+		t.Fatalf("Rebin(512) has %d points, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) ||
+			math.Float64bits(got[i].Prob) != math.Float64bits(want[i].Prob) {
+			t.Fatalf("point %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // Property: FromPoints output always validates and preserves the
 // mass-weighted mean of its input.
 func TestFromPointsProperty(t *testing.T) {

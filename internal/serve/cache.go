@@ -38,6 +38,14 @@ type Stats = api.CacheStats
 // Concurrent lookups of the same missing key compute the value once; the
 // losers block on the winner's result. All methods are safe for concurrent
 // use, and cached values are immutable once published.
+//
+// Below the layer contexts, every engine the cache compiles or restores
+// shares the cache's one column-sum memo (core.ColumnSums): a context
+// miss sums each distinct (cell-product content, reduction depth, cap)
+// once per server, so one macro wrapped in several system scenarios, or
+// layers with equal operand statistics, reuse each other's column sums.
+// The memo is bounded by the same entry capacity as the cache, counted
+// in (cell product, depth) entries and evicted least recently used.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -47,6 +55,9 @@ type Cache struct {
 	useSeq   uint64  // recency counter for LRU tie-breaking
 
 	hits, misses, evictions, restored, compiles uint64
+
+	// sums is the column-sum memo shared by every engine in the cache.
+	sums *core.ColumnSums
 
 	// onFill, when set (before first use), is invoked after each
 	// successful compile — outside the cache lock — with the entry's key,
@@ -125,6 +136,7 @@ func NewCache(maxEntries int) *Cache {
 	return &Cache{
 		capacity: maxEntries,
 		items:    make(map[string]*cacheEntry, maxEntries),
+		sums:     core.NewColumnSums(maxEntries),
 	}
 }
 
@@ -245,28 +257,35 @@ func (c *Cache) admit(key string, costSec float64, val any) {
 }
 
 // EngineCtx returns the compiled engine for an architecture, compiling it
-// at most once per content fingerprint. When this lookup's caller is the
+// at most once per content fingerprint, together with that fingerprint
+// (ArchFingerprint) for the request's LayerContextCtx lookups. The engine
+// shares the cache's column-sum memo. When this lookup's caller is the
 // singleflight winner, the inline compilation is booked to the caller's
 // span as the "compile" phase. Losers that merely block on the
 // winner's fill record nothing under "compile" — their wait shows up as
 // cache time, which is what it is to them.
-func (c *Cache) EngineCtx(ctx context.Context, arch *core.Arch) (*core.Engine, error) {
-	key := engineKey(ArchFingerprint(arch))
-	v, err := c.getOrCompute(key, func() (any, error) {
+func (c *Cache) EngineCtx(ctx context.Context, arch *core.Arch) (*core.Engine, string, error) {
+	archFP := ArchFingerprint(arch)
+	v, err := c.getOrCompute(engineKey(archFP), func() (any, error) {
 		defer obs.Timed(ctx, "compile")()
-		return core.NewEngine(arch)
+		eng, err := core.NewEngine(arch)
+		if err != nil {
+			return nil, err
+		}
+		return eng.WithColumnSums(c.sums), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return v.(*core.Engine), nil
+	return v.(*core.Engine), archFP, nil
 }
 
 // LayerContextCtx returns the amortized per-layer state for (engine,
 // layer), running the data-value-dependent pipeline (Algorithm 1 lines
-// 3-7) at most once per (arch, layer, encoding) fingerprint. A
-// compilation run inline by this lookup lands in the caller's span under
-// "compile" (see EngineCtx).
+// 3-7) at most once per (arch, layer, encoding) fingerprint. archFP is
+// the engine's fingerprint as EngineCtx returned it. A compilation run
+// inline by this lookup lands in the caller's span under "compile" (see
+// EngineCtx).
 //
 // A context whose per-level energy tables do not match the engine's
 // flattened level count is structurally unusable (indexing would panic
@@ -275,8 +294,8 @@ func (c *Cache) EngineCtx(ctx context.Context, arch *core.Arch) (*core.Engine, e
 // payload-schema drift the envelope version did not catch), so mismatches
 // are dropped and recomputed — the write-behind hook then overwrites the
 // bad record under the same key.
-func (c *Cache) LayerContextCtx(ctx context.Context, eng *core.Engine, l workload.Layer) (*core.LayerContext, error) {
-	key := contextKey(ArchFingerprint(eng.Arch()), LayerFingerprint(l))
+func (c *Cache) LayerContextCtx(ctx context.Context, eng *core.Engine, archFP string, l workload.Layer) (*core.LayerContext, error) {
+	key := contextKey(archFP, LayerFingerprint(l))
 	compute := func() (any, error) {
 		defer obs.Timed(ctx, "compile")()
 		return eng.PrepareLayer(l)

@@ -52,11 +52,11 @@ func TestCacheHitMissCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng1, err := c.EngineCtx(context.Background(), arch)
+	eng1, archFP, err := c.EngineCtx(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2, err := c.EngineCtx(context.Background(), arch)
+	eng2, _, err := c.EngineCtx(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestCacheHitMissCounts(t *testing.T) {
 	}
 
 	layer := workload.Toy().Layers[0]
-	ctx1, err := c.LayerContextCtx(context.Background(), eng1, layer)
+	ctx1, err := c.LayerContextCtx(context.Background(), eng1, archFP, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx2, err := c.LayerContextCtx(context.Background(), eng1, layer)
+	ctx2, err := c.LayerContextCtx(context.Background(), eng1, archFP, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				eng, err := c.EngineCtx(context.Background(), arch)
+				eng, archFP, err := c.EngineCtx(context.Background(), arch)
 				if err != nil {
 					t.Error(err)
 					return
@@ -212,7 +212,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				engines[eng] = true
 				mu.Unlock()
 				for _, l := range net.Layers {
-					if _, err := c.LayerContextCtx(context.Background(), eng, l); err != nil {
+					if _, err := c.LayerContextCtx(context.Background(), eng, archFP, l); err != nil {
 						t.Error(err)
 						return
 					}
@@ -228,5 +228,51 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	wantMisses := uint64(1 + len(net.Layers)) // one engine + one context per layer
 	if st.Misses != wantMisses {
 		t.Fatalf("misses = %d, want %d (singleflight)", st.Misses, wantMisses)
+	}
+}
+
+// TestCacheEnginesShareColumnSums: engines the cache compiles, and
+// engines a warm start restores, sum into the cache's one column-sum
+// memo, which the cache's entry capacity bounds.
+func TestCacheEnginesShareColumnSums(t *testing.T) {
+	c := NewCache(2)
+	arch, err := macros.ByName("macro-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, archFP, err := c.EngineCtx(context.Background(), arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range workload.ResNet18().Layers[:4] {
+		if _, err := c.LayerContextCtx(context.Background(), eng, archFP, l); err != nil {
+			t.Fatal(err)
+		}
+		if n := c.sums.Len(); n == 0 || n > 2 {
+			t.Fatalf("after %s the memo holds %d column sums, want 1..2", l.Name, n)
+		}
+	}
+
+	dir := t.TempDir()
+	first := NewServer(BatchOptions{Workers: 1, CacheDir: dir})
+	if _, err := first.EvaluateCtx(context.Background(), warmRequest()); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	second := NewServer(BatchOptions{Workers: 1, CacheDir: dir})
+	defer second.Close()
+	if n := second.cache.sums.Len(); n != 0 {
+		t.Fatalf("a warm start summed %d column sums, want 0", n)
+	}
+	req := warmRequest()
+	req.Network, req.Layers = "resnet18", 1
+	if _, err := second.EvaluateCtx(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if cs := second.CacheStats(); cs.Misses != 1 {
+		t.Fatalf("cache stats %+v: want the restored engine hit and one context miss", cs)
+	}
+	if second.cache.sums.Len() == 0 {
+		t.Fatal("the restored engine's layer preparation bypassed the server's memo")
 	}
 }

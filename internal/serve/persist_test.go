@@ -153,12 +153,12 @@ func TestWarmStartRefusesLegacyContextKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := scratch.cache.EngineCtx(context.Background(), arch)
+	eng, archFP, err := scratch.cache.EngineCtx(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	layer := workload.Toy().Layers[0]
-	lctx, err := scratch.cache.LayerContextCtx(context.Background(), eng, layer)
+	lctx, err := scratch.cache.LayerContextCtx(context.Background(), eng, archFP, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestWarmStartRefusesLegacyContextKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := contextKey(ArchFingerprint(eng.Arch()), LayerFingerprint(layer))
+	key := contextKey(archFP, LayerFingerprint(layer))
 	data, err := persist.EncodeRecord(persist.Record{
 		Kind: persist.KindLayerContext, Key: key, CostSec: 0.5, Payload: payload,
 	})
@@ -452,12 +452,12 @@ func TestDriftedContextRecordRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := srv.cache.EngineCtx(context.Background(), arch)
+	eng, archFP, err := srv.cache.EngineCtx(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	layer := workload.Toy().Layers[0]
-	good, err := srv.cache.LayerContextCtx(context.Background(), eng, layer)
+	good, err := srv.cache.LayerContextCtx(context.Background(), eng, archFP, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,11 +469,11 @@ func TestDriftedContextRecordRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := contextKey(ArchFingerprint(eng.Arch()), LayerFingerprint(layer))
+	key := contextKey(archFP, LayerFingerprint(layer))
 	srv.cache.invalidate(key, good)
 	srv.cache.admit(key, 1.0, bad)
 
-	got, err := srv.cache.LayerContextCtx(context.Background(), eng, layer)
+	got, err := srv.cache.LayerContextCtx(context.Background(), eng, archFP, layer)
 	if err != nil {
 		t.Fatal(err)
 	}

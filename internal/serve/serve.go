@@ -476,7 +476,7 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 	}
 	lookup := time.Now()
 	compiled := sp.Phase("compile")
-	eng, err := s.cache.EngineCtx(ctx, arch)
+	eng, archFP, err := s.cache.EngineCtx(ctx, arch)
 	if err != nil {
 		return nil, err
 	}
@@ -519,7 +519,7 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 			return nil, err
 		}
 		lookup = time.Now()
-		lctx, err := s.cache.LayerContextCtx(ctx, eng, l)
+		lctx, err := s.cache.LayerContextCtx(ctx, eng, archFP, l)
 		if err != nil {
 			return nil, fmt.Errorf("serve: network %q layer %q: %w", net.Name, l.Name, err)
 		}
