@@ -351,8 +351,9 @@ func BenchmarkSweepColdCache(b *testing.B) {
 // BenchmarkSweepColdScenarios measures a first-contact sweep of
 // benchSweepGrid's macros, each alone and inside the three Fig. 15
 // system scenarios, on a fresh server per iteration. A macro's four
-// architectures share cell products and reduction depths, so the
-// server's column-sum memo sums each once.
+// architectures share operand stages and reduction depths, so the
+// server's preparation memo encodes, slices and multiplies each
+// layer's operands once and sums each column once.
 func BenchmarkSweepColdScenarios(b *testing.B) {
 	grid := benchSweepGrid("", AllDRAM.String(), WeightStationary.String(), OnChipIO.String())
 	for i := 0; i < b.N; i++ {

@@ -204,16 +204,19 @@ type Engine struct {
 	area     float64 // µm², all instances
 	clock    float64 // effective clock at the arch's supply
 	leakage  float64 // watts of static power across all buffers
-	sums     *ColumnSums
+	memo     *PrepareMemo
 }
 
-// WithColumnSums returns a copy of e whose layer preparations share the
-// column-sum memo m (nil: each PrepareLayer call sums on its own). The
-// copy shares e's compiled state; prepared contexts are bit-identical
-// either way.
-func (e *Engine) WithColumnSums(m *ColumnSums) *Engine {
+// WithPrepareMemo returns a copy of e whose layer preparations share the
+// memo m — operand stages keyed by (resolved encodings, operand and slice
+// precisions, operand PMFs) and column sums keyed by (cell product,
+// depth) — with every other engine holding m (nil: each PrepareLayer call
+// uses a memo of its own). A server shares one memo among all its
+// engines, bounded by its cache capacity. The copy shares e's compiled
+// state; prepared contexts are bit-identical either way.
+func (e *Engine) WithPrepareMemo(m *PrepareMemo) *Engine {
 	c := *e
-	c.sums = m
+	c.memo = m
 	return &c
 }
 

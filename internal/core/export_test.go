@@ -34,6 +34,20 @@ func (e *Engine) ColumnSumDepths() []int64 {
 
 // SumOf is the memo lookup columnSumPMF makes for one cell product and
 // reduction depth.
-func (m *ColumnSums) SumOf(cell *dist.PMF, depth int64) (*dist.PMF, error) {
-	return m.sum(cellKey(cell), cell, depth)
+func (m *PrepareMemo) SumOf(cell *dist.PMF, depth int64) (*dist.PMF, error) {
+	return m.sum(&operandStage{cell: cell, cellKey: cellKey(cell)}, depth)
+}
+
+// Kinds counts the memo's entries by kind.
+func (m *PrepareMemo) Kinds() (operands, sums int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k := range m.items {
+		if k.kind == operandEntry {
+			operands++
+		} else {
+			sums++
+		}
+	}
+	return operands, sums
 }

@@ -1,0 +1,450 @@
+package core_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/macros"
+	"repro/internal/system"
+	"repro/internal/workload"
+)
+
+// memoLayers is how many leading ResNet18 layers the memo tests prepare.
+const memoLayers = 8
+
+// memoJob is one (engine, layer) preparation of the memo tests.
+type memoJob struct {
+	macro    string
+	layerIdx int
+	key      string
+	eng      *core.Engine
+	layer    workload.Layer
+}
+
+// memoJobs prepares the leading ResNet18 layers on every built-in macro,
+// alone and inside each Fig. 15 system scenario: the engines of one macro
+// share cell products, so a shared memo is exercised across
+// architectures.
+func memoJobs(t *testing.T) []memoJob {
+	t.Helper()
+	var jobs []memoJob
+	for _, mac := range digestMacros {
+		arch, err := macros.ByName(mac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		archs := []*core.Arch{arch}
+		names := []string{mac}
+		for _, sc := range []system.Scenario{system.AllDRAM, system.WeightStationary, system.OnChipIO} {
+			sys, err := system.Build(arch, sc, system.Config{Macros: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			archs = append(archs, sys)
+			names = append(names, mac+"/"+sc.String())
+		}
+		for i, a := range archs {
+			eng, err := core.NewEngine(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for li, l := range workload.ResNet18().Layers[:memoLayers] {
+				jobs = append(jobs, memoJob{
+					macro:    mac,
+					layerIdx: li,
+					key:      fmt.Sprintf("%s/%d", names[i], li),
+					eng:      eng,
+					layer:    l,
+				})
+			}
+		}
+	}
+	return jobs
+}
+
+// contextDigest hashes every bit of a prepared context's exported view.
+func contextDigest(t *testing.T, eng *core.Engine, l workload.Layer) string {
+	t.Helper()
+	ctx, err := eng.PrepareLayer(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	writeContext(h, ctx.Export())
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// prepareAll prepares jobs in order, each engine sharing memo (nil: a
+// call-local memo per preparation).
+func prepareAll(t *testing.T, jobs []memoJob, memo *core.PrepareMemo) map[string]string {
+	t.Helper()
+	got := make(map[string]string, len(jobs))
+	for _, j := range jobs {
+		got[j.key] = contextDigest(t, j.eng.WithPrepareMemo(memo), j.layer)
+	}
+	return got
+}
+
+func compareDigests(t *testing.T, label string, got, want map[string]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d contexts, want %d", label, len(got), len(want))
+	}
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("%s: %s: context digest %s, want %s", label, k, got[k], w)
+		}
+	}
+}
+
+// TestColumnSumsMatchCallLocal: for 8 macros x 4 scenarios x ResNet18
+// layers 0-7, contexts prepared against one shared memo — filled in grid
+// order, and a second one filled in reverse order — export bit-equal to
+// contexts prepared with a call-local memo, and the shared memo reused
+// operand stages across the grid.
+func TestColumnSumsMatchCallLocal(t *testing.T) {
+	jobs := memoJobs(t)
+	want := prepareAll(t, jobs, nil)
+
+	shared := core.NewPrepareMemo(0)
+	compareDigests(t, "shared", prepareAll(t, jobs, shared), want)
+	operands, sums := shared.Kinds()
+	if sums == 0 {
+		t.Fatal("shared memo holds no column sums")
+	}
+	// Every preparation looks its operand stage up once; an unbounded
+	// memo holds one entry per distinct key.
+	if operands == 0 || operands >= len(jobs) {
+		t.Fatalf("%d operand-stage lookups filled %d entries: want reuse", len(jobs), operands)
+	}
+
+	reversed := make([]memoJob, len(jobs))
+	for i, j := range jobs {
+		reversed[len(jobs)-1-i] = j
+	}
+	compareDigests(t, "reverse-filled", prepareAll(t, reversed, core.NewPrepareMemo(0)), want)
+}
+
+// TestColumnSumsBound: a memo never holds more than its capacity, both
+// entry kinds counted together, and contexts prepared through evictions
+// of both kinds are unchanged.
+func TestColumnSumsBound(t *testing.T) {
+	var jobs []memoJob
+	for _, j := range memoJobs(t) {
+		if j.macro == "macro-a" || j.macro == "macro-b" {
+			jobs = append(jobs, j)
+		}
+	}
+	want := prepareAll(t, jobs, nil)
+	unbounded := core.NewPrepareMemo(0)
+	prepareAll(t, jobs, unbounded)
+	operands, sums := unbounded.Kinds()
+	for _, capacity := range []int{1, 3} {
+		// Every distinct key is filled once; more distinct keys of a kind
+		// than the capacity forces evictions of that kind.
+		if operands <= capacity || sums <= capacity {
+			t.Fatalf("capacity %d evicts too little: %d operand stages, %d column sums", capacity, operands, sums)
+		}
+		memo := core.NewPrepareMemo(capacity)
+		got := make(map[string]string, len(jobs))
+		for _, j := range jobs {
+			got[j.key] = contextDigest(t, j.eng.WithPrepareMemo(memo), j.layer)
+			if n := memo.Len(); n > capacity {
+				t.Fatalf("capacity %d: memo holds %d entries after %s", capacity, n, j.key)
+			}
+		}
+		compareDigests(t, fmt.Sprintf("capacity %d", capacity), got, want)
+	}
+}
+
+// TestColumnSumsConcurrentFill: goroutines preparing the grid in
+// different orders against one shared memo reproduce the call-local
+// contexts; concurrent lookups of one missing operand stage, through
+// PrepareLayer on engines of different scenarios, and of one missing sum
+// each fill it once.
+func TestColumnSumsConcurrentFill(t *testing.T) {
+	var jobs []memoJob
+	for _, j := range memoJobs(t) {
+		// The integer-cell CiM macros keep this cheap under -race.
+		if (j.macro == "base" || j.macro == "macro-a" || j.macro == "macro-b") && j.layerIdx < 4 {
+			jobs = append(jobs, j)
+		}
+	}
+	want := prepareAll(t, jobs, nil)
+
+	for _, capacity := range []int{0, 4} {
+		memo := core.NewPrepareMemo(capacity)
+		const workers = 4
+		got := make([]map[string]string, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[w] = map[string]string{}
+				for _, i := range rand.New(rand.NewSource(int64(w))).Perm(len(jobs)) {
+					j := jobs[i]
+					ctx, err := j.eng.WithPrepareMemo(memo).PrepareLayer(j.layer)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					h := sha256.New()
+					writeContext(h, ctx.Export())
+					got[w][j.key] = hex.EncodeToString(h.Sum(nil))
+				}
+			}()
+		}
+		wg.Wait()
+		for w := range got {
+			compareDigests(t, fmt.Sprintf("capacity %d worker %d", capacity, w), got[w], want)
+		}
+	}
+
+	// The base macro alone and in its three scenarios: one operand stage.
+	var sameOperands []memoJob
+	for _, j := range jobs {
+		if j.macro == "base" && j.layerIdx == 0 {
+			sameOperands = append(sameOperands, j)
+		}
+	}
+	memo := core.NewPrepareMemo(0)
+	ctxs := make([]*core.LayerContext, 8)
+	errs := make([]error, len(ctxs))
+	var wg sync.WaitGroup
+	for i := range ctxs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j := sameOperands[i%len(sameOperands)]
+			ctxs[i], errs[i] = j.eng.WithPrepareMemo(memo).PrepareLayer(j.layer)
+		}()
+	}
+	wg.Wait()
+	for i, ctx := range ctxs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if ctx.InputSlicePMF != ctxs[0].InputSlicePMF || ctx.WeightSlicePMF != ctxs[0].WeightSlicePMF {
+			t.Fatalf("preparation %d holds its own slice PMFs, want the one shared operand stage", i)
+		}
+	}
+	if operands, _ := memo.Kinds(); operands != 1 {
+		t.Fatalf("memo holds %d operand stages, want 1", operands)
+	}
+
+	cell, err := dist.FromPoints([]dist.Point{{Value: 0.5, Prob: 1}, {Value: 1.25, Prob: 2}, {Value: 3.75, Prob: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo = core.NewPrepareMemo(0)
+	sums := make([]*dist.PMF, 8)
+	errs = make([]error, len(sums))
+	for i := range sums {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sums[i], errs[i] = memo.SumOf(cell, 64)
+		}()
+	}
+	wg.Wait()
+	for i, s := range sums {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if s != sums[0] {
+			t.Fatalf("lookup %d returned %p, want the one shared sum %p", i, s, sums[0])
+		}
+	}
+	if memo.Len() != 1 {
+		t.Fatalf("memo holds %d entries, want 1", memo.Len())
+	}
+}
+
+// TestColumnSumsEntry: a memo entry is SumNCapped at cap 256 rebinned to
+// 512 points, keyed by the cell product's exact content; failures are
+// not memoized.
+func TestColumnSumsEntry(t *testing.T) {
+	cell, err := dist.FromPoints([]dist.Point{{Value: 0.5, Prob: 1}, {Value: 1.25, Prob: 2}, {Value: 3.75, Prob: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := core.NewPrepareMemo(0)
+	got, err := memo.SumOf(cell, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := dist.SumNCapped(cell, 300, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Rebin(512).Points()
+	if len(got.Points()) != len(want) {
+		t.Fatalf("memo sum has %d points, want %d", got.Len(), len(want))
+	}
+	for i, pt := range got.Points() {
+		if math.Float64bits(pt.Value) != math.Float64bits(want[i].Value) ||
+			math.Float64bits(pt.Prob) != math.Float64bits(want[i].Prob) {
+			t.Fatalf("point %d = %+v, want %+v", i, pt, want[i])
+		}
+	}
+
+	// An equal-content cell product built separately hits the entry; a
+	// cell differing in one probability bit does not.
+	same, err := dist.FromPoints([]dist.Point{{Value: 3.75, Prob: 1}, {Value: 0.5, Prob: 1}, {Value: 1.25, Prob: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := memo.SumOf(same, 300); err != nil || s != got {
+		t.Fatalf("equal cell product: got %p (%v), want the memoized %p", s, err, got)
+	}
+	pts := append([]dist.Point(nil), cell.Points()...)
+	pts[1].Prob = math.Nextafter(pts[1].Prob, 1)
+	other, err := dist.FromPoints(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := memo.SumOf(other, 300); err != nil || s == got {
+		t.Fatalf("cell product one bit apart shared the memoized sum (err %v)", err)
+	}
+	if memo.Len() != 2 {
+		t.Fatalf("memo holds %d entries, want 2", memo.Len())
+	}
+
+	if _, err := memo.SumOf(cell, 0); err == nil {
+		t.Fatal("a zero-depth sum must fail")
+	}
+	if memo.Len() != 2 {
+		t.Fatalf("a failed sum was memoized: %d entries, want 2", memo.Len())
+	}
+}
+
+// TestPrepareMemoOperandKey: the operand-stage key covers everything the
+// stage reads. One base-macro layer is prepared with each key field
+// varied in turn — the input and weight encodings, the four operand and
+// slice precisions, a signed input (the input encoding resolves by
+// sign), and two operand pairs whose point lists concatenate to the same
+// list split at different points. Against one shared memo every variant
+// gets its own operand entry and exports bit-equal to its call-local
+// preparation.
+func TestPrepareMemoOperandKey(t *testing.T) {
+	base, err := macros.ByName("base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := workload.ResNet18().Layers[1]
+	// 6-bit operands fit every precision varied below.
+	inPMF, err := l.InputPMF(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wPMF, err := l.WeightPMF(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed := l
+	signed.Act.Signed = true
+	signedPMF, err := signed.InputPMF(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(pts ...dist.Point) *dist.PMF {
+		p, err := dist.Restore(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// (0 1 2 | 3) and (0 1 | 2 3): equal concatenations of valid PMFs.
+	splitIn := restore(dist.Point{Value: 0, Prob: 0.5}, dist.Point{Value: 1, Prob: 0.5}, dist.Point{Value: 2, Prob: 1e-12})
+	splitW := restore(dist.Point{Value: 3, Prob: 1})
+	joinIn := restore(dist.Point{Value: 0, Prob: 0.5}, dist.Point{Value: 1, Prob: 0.5})
+	joinW := restore(dist.Point{Value: 2, Prob: 1e-12}, dist.Point{Value: 3, Prob: 1})
+
+	variants := []struct {
+		name     string
+		edit     func(a *core.Arch)
+		in, w    *dist.PMF
+		resolved string // input encoding the variant must resolve to
+	}{
+		{"base", func(*core.Arch) {}, inPMF, wPMF, "unsigned"},
+		{"input-encoding", func(a *core.Arch) { a.InputEncoding = "offset" }, inPMF, wPMF, "offset"},
+		{"weight-encoding", func(a *core.Arch) { a.WeightEncoding = "twos-complement" }, inPMF, wPMF, "unsigned"},
+		{"input-bits", func(a *core.Arch) { a.InputBits = 7 }, inPMF, wPMF, "unsigned"},
+		{"dac-bits", func(a *core.Arch) { a.DACBits = 2 }, inPMF, wPMF, "unsigned"},
+		{"weight-bits", func(a *core.Arch) { a.WeightBits = 7 }, inPMF, wPMF, "unsigned"},
+		{"cell-bits", func(a *core.Arch) { a.CellBits = 1 }, inPMF, wPMF, "unsigned"},
+		{"signed-input", func(*core.Arch) {}, signedPMF, wPMF, "offset"},
+		{"split-late", func(*core.Arch) {}, splitIn, splitW, "unsigned"},
+		{"split-early", func(*core.Arch) {}, joinIn, joinW, "unsigned"},
+	}
+	memo := core.NewPrepareMemo(0)
+	for i, v := range variants {
+		a := *base
+		v.edit(&a)
+		if got := a.ResolveInputEncoding(v.in.Min() < 0); got != v.resolved {
+			t.Fatalf("%s: input encoding resolves to %q, want %q", v.name, got, v.resolved)
+		}
+		eng, err := core.NewEngine(&a)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		digest := func(e *core.Engine) string {
+			ctx, err := e.PrepareLayerWithPMFs(l, v.in, v.w)
+			if err != nil {
+				t.Fatalf("%s: %v", v.name, err)
+			}
+			h := sha256.New()
+			writeContext(h, ctx.Export())
+			return hex.EncodeToString(h.Sum(nil))
+		}
+		if got, want := digest(eng.WithPrepareMemo(memo)), digest(eng); got != want {
+			t.Errorf("%s: shared-memo context %s, call-local %s", v.name, got, want)
+		}
+		if operands, _ := memo.Kinds(); operands != i+1 {
+			t.Fatalf("after %s the memo holds %d operand stages, want %d: a key field is missing", v.name, operands, i+1)
+		}
+	}
+}
+
+// TestPrepareMemoDropsFailures: an operand stage that fails (a
+// non-integer input on macro D's unsigned encoding) leaves no entry, and
+// the engine then prepares a valid layer as if it never failed.
+func TestPrepareMemoDropsFailures(t *testing.T) {
+	arch, err := macros.ByName("macro-d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := core.NewPrepareMemo(0)
+	shared := eng.WithPrepareMemo(memo)
+	l := workload.ResNet18().Layers[0]
+	wPMF, err := l.WeightPMF(arch.WeightBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = shared.PrepareLayerWithPMFs(l, dist.Delta(2.5), wPMF)
+	if err == nil || !strings.Contains(err.Error(), "unsigned cannot encode") {
+		t.Fatalf("err = %v, want the unsigned encoding's refusal", err)
+	}
+	if n := memo.Len(); n != 0 {
+		t.Fatalf("a failed operand stage left %d memo entries", n)
+	}
+	if got, want := contextDigest(t, shared, l), contextDigest(t, eng, l); got != want {
+		t.Fatalf("after a failure the shared-memo context is %s, call-local %s", got, want)
+	}
+	if operands, _ := memo.Kinds(); operands != 1 {
+		t.Fatalf("memo holds %d operand stages after one valid preparation, want 1", operands)
+	}
+}

@@ -74,58 +74,39 @@ func (e *Engine) PrepareLayer(l workload.Layer) (*LayerContext, error) {
 // distributions — e.g. empirical PMFs recorded from profiled tensors, the
 // paper's RecordOperandPMFs (Algorithm 1 line 3). Values must be integer
 // levels within the architecture's operand precisions.
+//
+// The operand stage (encoding, slicing, cell product) and the column sums
+// are looked up in the engine's PrepareMemo — one per server, shared by
+// every engine the server compiles and bounded by its cache capacity, see
+// WithPrepareMemo — or else in one local to this call. The operand stage
+// is keyed by the resolved encodings, the four operand and slice
+// precisions and the exact operand PMFs, so architectures that agree on
+// those share it; contexts share the memoized PMFs, never copies.
 func (e *Engine) PrepareLayerWithPMFs(l workload.Layer, inPMF, wPMF *dist.PMF) (*LayerContext, error) {
-	a := e.arch
-	sliced, err := a.SlicedEinsum(l.Op)
+	sliced, err := e.arch.SlicedEinsum(l.Op)
 	if err != nil {
 		return nil, err
 	}
-	ctx := &LayerContext{Layer: l, Sliced: sliced}
-
-	// Step 2a: encoding. Unsigned workloads presented to a signed-capable
-	// encoding are fine; signed workloads fall back to a signed encoding.
-	inEncName := a.ResolveInputEncoding(inPMF.Min() < 0)
-	wEncName := a.ResolveWeightEncoding()
-	inRail, rails, err := encodeAverageRail(inEncName, a.InputBits, inPMF)
-	if err != nil {
-		return nil, fmt.Errorf("core: input encoding: %w", err)
+	memo := e.memo
+	if memo == nil {
+		memo = NewPrepareMemo(0)
 	}
-	ctx.inputRails = rails
-	wRail, wRails, err := encodeAverageRail(wEncName, a.WeightBits, wPMF)
-	if err != nil {
-		return nil, fmt.Errorf("core: weight encoding: %w", err)
-	}
-	ctx.weightRails = wRails
-
-	// Step 2b: slicing.
-	inSlicing, err := enc.NewSlicing(a.InputBits, a.DACBits)
+	ops, err := memo.operands(e.arch, inPMF, wPMF)
 	if err != nil {
 		return nil, err
 	}
-	ctx.InputSlicePMF, err = inSlicing.AverageSlicePMF(inRail)
-	if err != nil {
-		return nil, err
-	}
-	wSlicing, err := enc.NewSlicing(a.WeightBits, a.CellBits)
-	if err != nil {
-		return nil, err
-	}
-	ctx.WeightSlicePMF, err = wSlicing.AverageSlicePMF(wRail)
-	if err != nil {
-		return nil, err
+	ctx := &LayerContext{
+		Layer:          l,
+		Sliced:         sliced,
+		inputRails:     ops.inputRails,
+		weightRails:    ops.weightRails,
+		InputSlicePMF:  ops.inSlice,
+		WeightSlicePMF: ops.wSlice,
 	}
 
 	// Step 3: per-component average energies.
 	ctx.energies = make([]kindEnergies, len(e.bindings))
-	// Column sums convolve the cell-product PMF at 128 bins; rebin it
-	// once per layer rather than once per reduction depth. An engine
-	// without a shared memo sums into one local to this call.
-	cell := dist.Mul(ctx.InputSlicePMF, ctx.WeightSlicePMF, 512).Rebin(128)
-	memo := e.sums
-	if memo == nil {
-		memo = NewColumnSums(0)
-	}
-	sums := layerSums{memo: memo, cell: cell, key: cellKey(cell)}
+	sums := layerSums{memo: memo, ops: ops}
 	for i := range e.bindings {
 		b := &e.bindings[i]
 		m, err := e.levelEnergies(b, ctx, &sums)
@@ -135,6 +116,64 @@ func (e *Engine) PrepareLayerWithPMFs(l workload.Layer, inPMF, wPMF *dist.PMF) (
 		ctx.energies[i] = m
 	}
 	return ctx, nil
+}
+
+// operandStage is what a layer preparation derives from its operand PMFs
+// alone: the average slice PMFs after encoding and slicing, the rail
+// counts of the encodings (a differential encoding drives two physical
+// rails per operand), and the cell product the column sums convolve with
+// its content key. It is immutable once prepared.
+type operandStage struct {
+	inSlice, wSlice         *dist.PMF
+	inputRails, weightRails int
+	cell                    *dist.PMF
+	cellKey                 [sha256.Size]byte
+}
+
+// prepareOperands runs the operand stage for operand PMFs inPMF and wPMF
+// under the resolved encodings inEnc and wEnc.
+func prepareOperands(a *Arch, inEnc, wEnc string, inPMF, wPMF *dist.PMF) (*operandStage, error) {
+	// Step 2a: encoding. Unsigned workloads presented to a signed-capable
+	// encoding are fine; signed workloads fall back to a signed encoding
+	// (ResolveInputEncoding).
+	inRail, inRails, err := encodeAverageRail(inEnc, a.InputBits, inPMF)
+	if err != nil {
+		return nil, fmt.Errorf("core: input encoding: %w", err)
+	}
+	wRail, wRails, err := encodeAverageRail(wEnc, a.WeightBits, wPMF)
+	if err != nil {
+		return nil, fmt.Errorf("core: weight encoding: %w", err)
+	}
+
+	// Step 2b: slicing.
+	inSlicing, err := enc.NewSlicing(a.InputBits, a.DACBits)
+	if err != nil {
+		return nil, err
+	}
+	inSlice, err := inSlicing.AverageSlicePMF(inRail)
+	if err != nil {
+		return nil, err
+	}
+	wSlicing, err := enc.NewSlicing(a.WeightBits, a.CellBits)
+	if err != nil {
+		return nil, err
+	}
+	wSlice, err := wSlicing.AverageSlicePMF(wRail)
+	if err != nil {
+		return nil, err
+	}
+
+	// Column sums convolve the cell-product PMF at 128 bins; rebin it
+	// once here rather than once per reduction depth.
+	cell := dist.Mul(inSlice, wSlice, 512).Rebin(128)
+	return &operandStage{
+		inSlice:     inSlice,
+		wSlice:      wSlice,
+		inputRails:  inRails,
+		weightRails: wRails,
+		cell:        cell,
+		cellKey:     cellKey(cell),
+	}, nil
 }
 
 // encodeAverageRail encodes a PMF and returns the average rail PMF plus
@@ -162,12 +201,11 @@ func encodeAverageRail(name string, bits int, p *dist.PMF) (*dist.PMF, int, erro
 // over, which bounds SumNCapped at log2(maxColumnDepth) doublings.
 const maxColumnDepth = 65536
 
-// layerSums is one layer preparation's handle on a column-sum memo: the
-// layer's cell-product PMF and its content key.
+// layerSums is one layer preparation's handle on a memo's column sums:
+// the memo and the layer's operand stage, whose cell product is summed.
 type layerSums struct {
-	memo *ColumnSums
-	cell *dist.PMF
-	key  [sha256.Size]byte
+	memo *PrepareMemo
+	ops  *operandStage
 }
 
 // columnSumPMF synthesizes the distribution of the analog sum arriving at
@@ -176,13 +214,13 @@ type layerSums struct {
 // Integer cell products (few-bit cells and DAC slices, as in macros A and
 // B) give the exact capped distribution; products rebinned off the
 // integers give SumNCapped's 512-point approximation. Results are
-// memoized by (cell-product content, depth, cap) in s.memo: the engine's
-// shared ColumnSums — one per server, bounded by the server's cache
-// capacity, see WithColumnSums — or else one local to the PrepareLayer
-// call.
+// memoized by (cell-product content, depth) in s.memo: the engine's
+// shared PrepareMemo — one per server, bounded by the server's cache
+// capacity together with the operand stages, see WithPrepareMemo — or
+// else one local to the PrepareLayer call.
 func (e *Engine) columnSumPMF(b int, s *layerSums) (*dist.PMF, error) {
 	depth := min(e.arch.reductionDepthBelow(b), maxColumnDepth)
-	return s.memo.sum(s.key, s.cell, depth)
+	return s.memo.sum(s.ops, depth)
 }
 
 // quantizePMFTo rescales a non-negative value PMF onto [0, 2^bits-1]

@@ -40,12 +40,16 @@ type Stats = api.CacheStats
 // use, and cached values are immutable once published.
 //
 // Below the layer contexts, every engine the cache compiles or restores
-// shares the cache's one column-sum memo (core.ColumnSums): a context
-// miss sums each distinct (cell-product content, reduction depth, cap)
-// once per server, so one macro wrapped in several system scenarios, or
-// layers with equal operand statistics, reuse each other's column sums.
-// The memo is bounded by the same entry capacity as the cache, counted
-// in (cell product, depth) entries and evicted least recently used.
+// shares the cache's one preparation memo (core.PrepareMemo), so a
+// context miss reuses whatever another engine of this server already
+// derived from the same inputs: the operand stage (encoding, slicing,
+// cell product) per distinct (resolved encodings, operand and slice
+// precisions, operand PMFs), and the column sums per distinct (cell
+// product, reduction depth). One macro wrapped in several system
+// scenarios, or layers with equal operand statistics, thus prepare
+// their shared stages once per server. The memo is bounded by the same
+// entry capacity as the cache, both entry kinds counted together and
+// evicted least recently used.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -56,8 +60,8 @@ type Cache struct {
 
 	hits, misses, evictions, restored, compiles uint64
 
-	// sums is the column-sum memo shared by every engine in the cache.
-	sums *core.ColumnSums
+	// memo is the preparation memo shared by every engine in the cache.
+	memo *core.PrepareMemo
 
 	// onFill, when set (before first use), is invoked after each
 	// successful compile — outside the cache lock — with the entry's key,
@@ -136,7 +140,7 @@ func NewCache(maxEntries int) *Cache {
 	return &Cache{
 		capacity: maxEntries,
 		items:    make(map[string]*cacheEntry, maxEntries),
-		sums:     core.NewColumnSums(maxEntries),
+		memo:     core.NewPrepareMemo(maxEntries),
 	}
 }
 
@@ -259,7 +263,7 @@ func (c *Cache) admit(key string, costSec float64, val any) {
 // EngineCtx returns the compiled engine for an architecture, compiling it
 // at most once per content fingerprint, together with that fingerprint
 // (ArchFingerprint) for the request's LayerContextCtx lookups. The engine
-// shares the cache's column-sum memo. When this lookup's caller is the
+// shares the cache's preparation memo. When this lookup's caller is the
 // singleflight winner, the inline compilation is booked to the caller's
 // span as the "compile" phase. Losers that merely block on the
 // winner's fill record nothing under "compile" — their wait shows up as
@@ -272,7 +276,7 @@ func (c *Cache) EngineCtx(ctx context.Context, arch *core.Arch) (*core.Engine, s
 		if err != nil {
 			return nil, err
 		}
-		return eng.WithColumnSums(c.sums), nil
+		return eng.WithPrepareMemo(c.memo), nil
 	})
 	if err != nil {
 		return nil, "", err

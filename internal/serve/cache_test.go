@@ -232,8 +232,9 @@ func TestCacheConcurrentAccess(t *testing.T) {
 }
 
 // TestCacheEnginesShareColumnSums: engines the cache compiles, and
-// engines a warm start restores, sum into the cache's one column-sum
-// memo, which the cache's entry capacity bounds.
+// engines a warm start restores, prepare layers through the cache's one
+// preparation memo (operand stages and column sums), which the cache's
+// entry capacity bounds.
 func TestCacheEnginesShareColumnSums(t *testing.T) {
 	c := NewCache(2)
 	arch, err := macros.ByName("macro-a")
@@ -248,8 +249,8 @@ func TestCacheEnginesShareColumnSums(t *testing.T) {
 		if _, err := c.LayerContextCtx(context.Background(), eng, archFP, l); err != nil {
 			t.Fatal(err)
 		}
-		if n := c.sums.Len(); n == 0 || n > 2 {
-			t.Fatalf("after %s the memo holds %d column sums, want 1..2", l.Name, n)
+		if n := c.memo.Len(); n == 0 || n > 2 {
+			t.Fatalf("after %s the memo holds %d entries, want 1..2", l.Name, n)
 		}
 	}
 
@@ -261,8 +262,8 @@ func TestCacheEnginesShareColumnSums(t *testing.T) {
 	first.Close()
 	second := NewServer(BatchOptions{Workers: 1, CacheDir: dir})
 	defer second.Close()
-	if n := second.cache.sums.Len(); n != 0 {
-		t.Fatalf("a warm start summed %d column sums, want 0", n)
+	if n := second.cache.memo.Len(); n != 0 {
+		t.Fatalf("a warm start filled %d memo entries, want 0", n)
 	}
 	req := warmRequest()
 	req.Network, req.Layers = "resnet18", 1
@@ -272,7 +273,7 @@ func TestCacheEnginesShareColumnSums(t *testing.T) {
 	if cs := second.CacheStats(); cs.Misses != 1 {
 		t.Fatalf("cache stats %+v: want the restored engine hit and one context miss", cs)
 	}
-	if second.cache.sums.Len() == 0 {
+	if second.cache.memo.Len() == 0 {
 		t.Fatal("the restored engine's layer preparation bypassed the server's memo")
 	}
 }

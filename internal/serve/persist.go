@@ -162,7 +162,7 @@ func (s *Server) warmStartCache() {
 			if engineKey(ArchFingerprint(eng.Arch())) != rec.Key {
 				return fmt.Errorf("serve: engine record key mismatch")
 			}
-			s.cache.admit(rec.Key, rec.CostSec, eng.WithColumnSums(s.cache.sums))
+			s.cache.admit(rec.Key, rec.CostSec, eng.WithPrepareMemo(s.cache.memo))
 		case persist.KindLayerContextCol:
 			lctx, err := persist.DecodeLayerContextColumnar(rec.Payload)
 			if err != nil {

@@ -78,7 +78,8 @@ type BatchOptions struct {
 	// defaults to 1, preserving every historical result byte for byte.
 	SampleShards int
 	// CacheEntries bounds the engine/context cache (default
-	// DefaultCacheEntries).
+	// DefaultCacheEntries), and separately the preparation memo its
+	// engines share (core.PrepareMemo).
 	CacheEntries int
 
 	// CacheDir enables durable warm starts for the engine/context cache:
