@@ -168,25 +168,6 @@ func BenchmarkMapperSample(b *testing.B) {
 	}
 }
 
-// BenchmarkMapperSampleSharded measures candidate generation throughput
-// with the generator split across 8 concurrent shard rngs — the sampler
-// ceiling the parallel search benches used to hit.
-func BenchmarkMapperSampleSharded(b *testing.B) {
-	eng, ctx := benchEngine(b)
-	opts := eng.Arch().MapperOptions(64, 1)
-	opts.Shards = 8
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ms, err := mapper.Sample(eng.Arch().Levels, ctx.Sliced, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ms) == 0 {
-			b.Fatal("no mappings")
-		}
-	}
-}
-
 // BenchmarkValueSimulator measures the value-level ground truth: the slow
 // path the statistical model replaces (Table II's left column).
 func BenchmarkValueSimulator(b *testing.B) {
@@ -229,12 +210,11 @@ func BenchmarkNetworkEvaluation(b *testing.B) {
 }
 
 // Intra-request mapping-search parallelism: one layer, a large candidate
-// budget, serial vs fanned evaluation. The parallel variants shard the
-// candidate generator to match the worker count (SampleShards = workers),
-// so neither sampling nor evaluation is serialized; results stay
-// deterministic for a given (Seed, shards). Serial keeps the single
-// generator stream. CI's benchmark gate compares Serial vs Parallel8
-// (see BENCH_baseline.json and cmd/benchgate).
+// budget, serial vs fanned evaluation. Every variant draws the same
+// single-stream candidate sequence (the generator runs on one goroutine
+// and feeds the pool), so all widths find the same winner. CI's benchmark
+// gate compares Serial vs Parallel8 (see BENCH_baseline.json and
+// cmd/benchgate).
 
 // searchBudget is large enough that per-candidate evaluation dominates
 // the serial sampler (Amdahl headroom for the fan-out).
@@ -244,15 +224,11 @@ func benchSearchLayer(b *testing.B, workers int) {
 	b.Helper()
 	eng, lctx := benchEngine(b)
 	ctx := context.Background()
-	shards := 0
-	if workers > 1 {
-		shards = workers
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, evaluated, err := eng.SearchLayerOptsCtx(ctx, lctx, core.SearchOptions{
-			MaxMappings: searchBudget, Seed: 1, SearchWorkers: workers, SampleShards: shards})
+			MaxMappings: searchBudget, Seed: 1, SearchWorkers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -127,11 +127,11 @@ func parseBench(path string) (*benchResults, error) {
 	return out, nil
 }
 
-// allocSlack is the fractional allocs/op rise the gate forgives. The
-// sharded parallel searches allocate slightly more or less from run to
-// run (their generators run ahead of the merge by a timing-dependent
-// number of candidates, about 0.5%); one more allocation per candidate
-// of a 256-candidate search is a 20% rise.
+// allocSlack is the fractional allocs/op rise the gate forgives: a
+// small margin for run-to-run jitter in the benchmarks that start
+// goroutines (the parallel searches and sweeps), far below a real
+// regression — one more allocation per candidate of a 256-candidate
+// search is a 20% rise.
 const allocSlack = 0.02
 
 // gateAllocs compares the current allocs/op against the baseline's and

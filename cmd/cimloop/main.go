@@ -24,12 +24,8 @@
 // -search-workers fans each layer's candidate mapping evaluations across
 // a bounded goroutine pool. The parallel search is bit-identical to the
 // serial one (deterministic minimum-cost, lowest-index winner), so the
-// flag only changes latency, never results; under `serve` the default
-// (0) picks the width adaptively per layer from measured candidate cost.
-// -sample-shards additionally parallelizes candidate *generation* across
-// independent seeded streams with a deterministic merge — that one does
-// select a different candidate set, so results are reproducible only at
-// equal (seed, shards).
+// flag only changes latency, never results; values <= 1 (the default)
+// search serially.
 //
 // -cache-dir and -jobs-dir enable durable warm starts (package persist):
 // compiled engines, per-layer contexts, and job records persist across
@@ -135,9 +131,7 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "evaluation goroutines (0 = one per CPU)")
 	searchWorkers := fs.Int("search-workers", 0,
-		"per-request mapping-search fan-out, budget shared with the worker pool (0 = adaptive per layer from measured candidate cost; negative = serial)")
-	sampleShards := fs.Int("sample-shards", 0,
-		"candidate-generation shards per layer search; >1 samples a different (still deterministic) candidate set, so results are comparable only at equal (seed, shards) (0 = 1 stream, the historical sequence)")
+		"per-request mapping-search fan-out, budget shared with the worker pool (<= 1 = serial)")
 	mappings := fs.Int("mappings", 0, "default per-layer mapping budget (0 = 60)")
 	cacheEntries := fs.Int("cache", 0, "engine/context cache entries (0 = default)")
 	cacheDir := fs.String("cache-dir", "",
@@ -174,7 +168,6 @@ func runServe(args []string) error {
 	srv := cimloop.NewServer(cimloop.BatchOptions{
 		Workers:        *workers,
 		SearchWorkers:  *searchWorkers,
-		SampleShards:   *sampleShards,
 		MaxMappings:    *mappings,
 		CacheEntries:   *cacheEntries,
 		CacheDir:       *cacheDir,

@@ -294,15 +294,6 @@ type SearchOptions struct {
 	// winner), so the knob trades goroutines for single-request latency
 	// without changing any answer.
 	SearchWorkers int
-	// SampleShards splits candidate *generation* across this many
-	// independent seeded streams with a deterministic merge
-	// (mapper.Options.Shards), lifting the serial-sampler ceiling on
-	// SearchWorkers speedup. Unlike SearchWorkers, the shard count is part
-	// of the result's identity: values > 1 sample a different (still
-	// deterministic) candidate set, so results are reproducible only at
-	// equal (Seed, SampleShards). <= 1 keeps today's single-stream
-	// sequence.
-	SampleShards int
 }
 
 // SearchLayerOptsCtx finds the lowest-energy mapping for a prepared
@@ -328,9 +319,6 @@ func (e *Engine) SearchLayerOptsCtx(ctx context.Context, lctx *LayerContext, so 
 		return nil, 0, err
 	}
 	opts := e.arch.MapperOptions(so.MaxMappings, so.Seed)
-	if so.SampleShards > 1 {
-		opts.Shards = so.SampleShards
-	}
 	newCost := func() mapper.CostFunc { return e.costKernel(lctx, plan) }
 	best, evaluated, err := mapper.Search(ctx, plan, e.arch.Levels, lctx.Sliced, opts, so.SearchWorkers, newCost)
 	if err != nil {

@@ -100,8 +100,7 @@ func TestCostKernelMatchesEvaluateMapping(t *testing.T) {
 // the last bits of Energy and, on near-ties, the winning mapping
 // (macro-b, ResNet18 layer 4, seed 3 was such a case). On every built-in
 // macro and the first ResNet18 layers, searches at each SearchWorkers
-// width must agree bit for bit — mapping, Energy and evaluated count —
-// within each SampleShards setting.
+// width must agree bit for bit — mapping, Energy and evaluated count.
 func TestSearchWinnerDeterministic(t *testing.T) {
 	layers := workload.ResNet18().Layers[:5]
 	for _, name := range []string{"base", "macro-a", "macro-b", "macro-c", "macro-d", "digital-cim", "tpu-like", "photonic"} {
@@ -118,25 +117,23 @@ func TestSearchWinnerDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{0, 4} {
-				type outcome struct {
-					mapping   string
-					energy    uint64
-					evaluated int
+			type outcome struct {
+				mapping   string
+				energy    uint64
+				evaluated int
+			}
+			var want outcome
+			for _, workers := range []int{1, 2, 4} {
+				r, evaluated, err := eng.SearchLayerOptsCtx(context.Background(), lctx,
+					core.SearchOptions{MaxMappings: 256, Seed: 3, SearchWorkers: workers})
+				if err != nil {
+					t.Fatal(err)
 				}
-				var want outcome
-				for _, workers := range []int{1, 2, 4} {
-					r, evaluated, err := eng.SearchLayerOptsCtx(context.Background(), lctx,
-						core.SearchOptions{MaxMappings: 256, Seed: 3, SearchWorkers: workers, SampleShards: shards})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := outcome{r.Mapping.String(), math.Float64bits(r.Energy), evaluated}
-					if workers == 1 {
-						want = got
-					} else if got != want {
-						t.Errorf("%s layer %d shards %d: %d workers found %+v, 1 worker %+v", name, li, shards, workers, got, want)
-					}
+				got := outcome{r.Mapping.String(), math.Float64bits(r.Energy), evaluated}
+				if workers == 1 {
+					want = got
+				} else if got != want {
+					t.Errorf("%s layer %d: %d workers found %+v, 1 worker %+v", name, li, workers, got, want)
 				}
 			}
 		}

@@ -18,8 +18,8 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/sample_digest.json")
 
 // sampleDigest hashes the String of every mapper.Sample candidate of
-// every ResNet18 layer on the base macro for one (seed, shards) pair.
-func sampleDigest(t *testing.T, seed int64, shards int) string {
+// every ResNet18 layer on the base macro for one seed.
+func sampleDigest(t *testing.T, seed int64) string {
 	t.Helper()
 	arch, err := macros.ByName("base")
 	if err != nil {
@@ -31,9 +31,7 @@ func sampleDigest(t *testing.T, seed int64, shards int) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := arch.MapperOptions(64, seed)
-		opts.Shards = shards
-		cands, err := mapper.Sample(arch.Levels, sliced, opts)
+		cands, err := mapper.Sample(arch.Levels, sliced, arch.MapperOptions(64, seed))
 		if err != nil {
 			t.Fatalf("layer %d: %v", li, err)
 		}
@@ -45,8 +43,9 @@ func sampleDigest(t *testing.T, seed int64, shards int) string {
 }
 
 // TestSampleDigest pins the sampler's candidate sequence, and with it
-// every rng draw, for seeds 1-3 at each shard mode. Run with -update to
-// rewrite the file after a deliberate change to the sampler.
+// every rng draw, for seeds 1-3. The keys keep the "shards=0" label the
+// digests were recorded under. Run with -update to rewrite the file
+// after a deliberate change to the sampler.
 func TestSampleDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -54,9 +53,7 @@ func TestSampleDigest(t *testing.T) {
 	path := filepath.Join("testdata", "sample_digest.json")
 	got := map[string]string{}
 	for seed := int64(1); seed <= 3; seed++ {
-		for _, shards := range []int{0, 1, 4} {
-			got[fmt.Sprintf("seed=%d shards=%d", seed, shards)] = sampleDigest(t, seed, shards)
-		}
+		got[fmt.Sprintf("seed=%d shards=0", seed)] = sampleDigest(t, seed)
 	}
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")

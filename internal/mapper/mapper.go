@@ -24,17 +24,6 @@ type Options struct {
 	MaxMappings int
 	// Seed makes sampling deterministic.
 	Seed int64
-	// Shards splits candidate generation across this many independent
-	// seeded streams (shard g draws from Seed ^ g) running concurrently,
-	// merged by a fixed round-robin interleave with cross-shard dedup so
-	// the candidate sequence — and therefore any search winner — is a
-	// pure function of (Seed, Shards), never of scheduling. Shards == 1
-	// runs the sharded pipeline with a single stream and reproduces the
-	// unsharded sequence byte-for-byte; 0 or negative (the zero value)
-	// uses the plain in-line generator, also byte-identical. Values > 1
-	// change which candidates are sampled, so results are comparable
-	// only at equal (Seed, Shards).
-	Shards int
 	// Fixed pins loops to levels (e.g. bit-slice dims onto a column
 	// mesh); generators never move them. Keyed by level index.
 	Fixed map[int][]mapping.Loop
@@ -275,9 +264,6 @@ func Sample(levels []spec.Level, e *tensor.Einsum, opts Options) ([]*mapping.Map
 // stops generation early. Search prices candidates as this generator
 // yields them instead of waiting for the whole sample. plan is the
 // compiled count analysis of (levels, e) and validates every candidate.
-// Options.Shards >= 1 routes through the concurrent sharded pipeline
-// (sampleSeqSharded); the sequence stays a deterministic function of
-// (Seed, Shards) either way.
 func sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, yield func(int, *mapping.Mapping) bool) error {
 	opts.MaxMappings = opts.budget()
 	first, err := greedy(levels, e, opts, plan.Validate)
@@ -291,12 +277,9 @@ func sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts O
 	if err != nil {
 		return err
 	}
-	if opts.Shards >= 1 {
-		return sampleSeqSharded(s, opts, first.String(), yield)
-	}
 	n := 1
 	seen := map[string]bool{first.String(): true}
-	s.stream(rand.New(rand.NewSource(opts.Seed)), seen, func(_ string, m *mapping.Mapping) bool {
+	s.stream(rand.New(rand.NewSource(opts.Seed)), seen, func(m *mapping.Mapping) bool {
 		if !yield(n, m) {
 			return false
 		}
@@ -311,8 +294,7 @@ func sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts O
 // mesh budgets, spatial preferences, storage levels — into index tables
 // once per search; the layer's compiled mapping.Plan validates draws.
 // A draw reuses one scratch mapping and key buffer, so rejected draws
-// allocate nothing; only accepted candidates are copied out. The tables
-// are read-only; fork gives each concurrent stream its own draw state.
+// allocate nothing; only accepted candidates are copied out.
 type sampler struct {
 	plan    *mapping.Plan
 	dims    []string         // einsum dimension names; a dim's index is its position
@@ -369,31 +351,17 @@ func newSampler(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts 
 		}
 		s.spatial = append(s.spatial, slot)
 	}
-	s.initDraw()
+	s.rem = make([]int, len(s.rem0))
+	s.m = mapping.Mapping{LevelLoops: make([][]mapping.Loop, len(s.fixed))}
 	return s, nil
 }
 
-// initDraw gives s draw state of its own.
-func (s *sampler) initDraw() {
-	s.rem = make([]int, len(s.rem0))
-	s.m = mapping.Mapping{LevelLoops: make([][]mapping.Loop, len(s.fixed))}
-	s.key = nil
-}
-
-// fork returns a sampler sharing s's tables with draw state of its own.
-func (s *sampler) fork() *sampler {
-	f := *s
-	f.initDraw()
-	return &f
-}
-
 // stream draws from rng until it has emitted max-1 fresh valid candidates
-// or spent max*20 draws: the budget of the unsharded sampler after the
-// greedy mapping, and of every shard. seen holds the keys already taken
-// (at least the greedy mapping's) and gains each emitted key. emit
-// receives each candidate, a copy the caller owns, with its String key;
-// returning false stops the stream.
-func (s *sampler) stream(rng *rand.Rand, seen map[string]bool, emit func(key string, m *mapping.Mapping) bool) {
+// or spent max*20 draws: the sampler's budget after the greedy mapping.
+// seen holds the keys already taken (at least the greedy mapping's) and
+// gains each emitted key. emit receives each candidate, a copy the
+// caller owns; returning false stops the stream.
+func (s *sampler) stream(rng *rand.Rand, seen map[string]bool, emit func(m *mapping.Mapping) bool) {
 	produced, tries := 0, 0
 	for produced < s.max-1 && tries < s.max*20 {
 		tries++
@@ -405,10 +373,9 @@ func (s *sampler) stream(rng *rand.Rand, seen map[string]bool, emit func(key str
 		if s.plan.Validate(&s.m) != nil {
 			continue
 		}
-		key := string(s.key)
-		seen[key] = true
+		seen[string(s.key)] = true
 		produced++
-		if !emit(key, cloneMapping(&s.m)) {
+		if !emit(cloneMapping(&s.m)) {
 			return
 		}
 	}

@@ -60,21 +60,11 @@ type EvalRequest struct {
 	// sequential evaluator).
 	Seed int64 `json:"seed,omitempty"`
 	// SearchWorkers overrides the server's intra-request search fan-out
-	// for this request: > 0 is a fixed width, negative forces serial, 0
-	// keeps the server default (which may be adaptive). The effective
-	// width is still clamped by the shared concurrency budget, so a
-	// request cannot oversubscribe a busy pool; answers are identical at
-	// any width.
+	// for this request: > 1 is a fixed width, 0 keeps the server default,
+	// anything else searches serially. The effective width is still
+	// clamped by the shared concurrency budget, so a request cannot
+	// oversubscribe a busy pool; answers are identical at any width.
 	SearchWorkers int `json:"search_workers,omitempty"`
-	// SampleShards overrides the server's candidate-generation shard
-	// count: > 1 samples each layer's mapping candidates from that many
-	// concurrent seeded streams with a deterministic merge. Unlike
-	// search_workers, the shard count selects WHICH candidates are
-	// sampled: results are reproducible given the same (seed,
-	// sample_shards) but differ from the single-stream default, so set it
-	// explicitly when comparing runs. <= 0 keeps the server default
-	// (normally 1, the historical stream).
-	SampleShards int `json:"sample_shards,omitempty"`
 }
 
 // EvalResult is one completed evaluation — the response of POST
@@ -336,25 +326,15 @@ type BudgetStats struct {
 	// Available is the instantaneous unclaimed share of the budget.
 	Available int `json:"available"`
 	// SearchWorkers is the server's default per-request search fan-out
-	// (1 = serial searches unless a request asks for more; 0 = the width
-	// is picked adaptively per layer, see Adaptive).
+	// (1 = serial searches unless a request asks for more).
 	SearchWorkers int `json:"search_workers"`
-	// BlockedAcquires counts fan-out acquisitions that waited (blocking
-	// budget mode): the request had deadline headroom, the budget was
-	// empty, and the server parked it briefly for tokens instead of
-	// degrading the search to serial.
+	// BlockedAcquires is retired and always 0: budget acquisition never
+	// blocks. The field stays for readers of earlier healthz output.
 	BlockedAcquires uint64 `json:"blocked_acquires"`
-	// Adaptive reports adaptive-width mode: the server picks each layer
-	// search's fan-out from an EWMA of that layer's measured per-candidate
-	// cost instead of a static width. Width never changes results, so the
-	// mode is invisible in answers — these counters are its only surface.
-	Adaptive bool `json:"adaptive,omitempty"`
-	// AdaptivePlans counts per-layer width decisions the tuner has made.
+	// AdaptivePlans is retired and always 0: the search width is fixed
+	// configuration, never tuned per layer. The field stays for readers
+	// of earlier healthz output.
 	AdaptivePlans uint64 `json:"adaptive_plans,omitempty"`
-	// TunedLayers counts distinct (arch, layer) pairs with a cost EWMA —
-	// layers whose next search gets a measured width rather than the
-	// serial first-probe.
-	TunedLayers int `json:"tuned_layers,omitempty"`
 	// MappingsEvaluated is the lifetime count of candidate mappings costed
 	// by this server across all requests and jobs. Monotonic, so two reads
 	// bracket exactly the search work done between them — the tenancy

@@ -1,12 +1,6 @@
 package serve
 
-import (
-	"context"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/serve/api"
-)
+import "repro/internal/serve/api"
 
 // tokenBudget is the server's global evaluation-concurrency budget: a
 // non-blocking counting semaphore shared between the request-level worker
@@ -19,13 +13,9 @@ import (
 // request, the whole budget is available for its fan-out. Acquisition
 // never blocks (a caller finding the budget empty still evaluates, it
 // just cannot fan out), so the budget shapes work but never deadlocks or
-// rejects it. The one exception is deliberate: acquireWait lets a
-// request with ample deadline headroom park briefly for its FIRST
-// fan-out token instead of degrading straight to a serial search — see
-// blocking budget mode below.
+// rejects it.
 type tokenBudget struct {
-	tokens  chan struct{}
-	blocked atomic.Uint64
+	tokens chan struct{}
 }
 
 func newTokenBudget(n int) *tokenBudget {
@@ -53,34 +43,6 @@ func (b *tokenBudget) tryAcquire(n int) int {
 	}
 	return got
 }
-
-// acquireWait is blocking budget mode: take up to n tokens, parking up
-// to wait for the FIRST one when none is free, then draining the rest
-// non-blocking. The wait applies only to going from zero to one token —
-// the difference between a serial and a parallel layer search — because
-// that first token carries nearly all of the fan-out's marginal value;
-// waiting for a full complement would park requests behind each other
-// for diminishing returns. wait <= 0 degrades to tryAcquire, and ctx
-// cancellation ends the wait early. Returns the number of tokens held.
-func (b *tokenBudget) acquireWait(ctx context.Context, n int, wait time.Duration) int {
-	got := b.tryAcquire(n)
-	if got > 0 || n <= 0 || wait <= 0 {
-		return got
-	}
-	b.blocked.Add(1)
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-b.tokens:
-		return 1 + b.tryAcquire(n-1)
-	case <-t.C:
-	case <-ctx.Done():
-	}
-	return 0
-}
-
-// blockedAcquires counts acquisitions that entered a blocking wait.
-func (b *tokenBudget) blockedAcquires() uint64 { return b.blocked.Load() }
 
 // release returns n previously acquired tokens.
 func (b *tokenBudget) release(n int) {

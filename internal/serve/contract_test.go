@@ -49,6 +49,11 @@ func TestErrorEnvelopeMalformedAndUnknown(t *testing.T) {
 	if code, _ := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" {
 		t.Fatalf("unknown field: %d %v", status, out)
 	}
+	// A removed field is an unknown one, named in the message.
+	status, out = do("POST", "/v1/evaluate", `{"macro": "base", "network": "toy", "max_mappings": 2, "sample_shards": 2}`)
+	if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "sample_shards") {
+		t.Fatalf("removed sample_shards field: %d %v", status, out)
+	}
 	// Semantically invalid request.
 	status, out = do("POST", "/v1/evaluate", `{"macro": "no-such", "network": "toy"}`)
 	if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "no-such") {

@@ -134,7 +134,6 @@ func (s *Server) registerCollectors() {
 		bs := s.SearchStats()
 		e.Gauge("cimloop_search_budget_capacity", "Shared evaluation-concurrency budget size.", float64(bs.Capacity))
 		e.Gauge("cimloop_search_budget_available", "Free budget tokens (instantaneous).", float64(bs.Available))
-		e.Counter("cimloop_search_blocked_acquires_total", "Budget acquisitions that entered a blocking wait.", float64(bs.BlockedAcquires))
 		e.Counter("cimloop_mappings_evaluated_total", "Candidate mappings evaluated since boot.", float64(bs.MappingsEvaluated))
 
 		ps := s.PersistStats()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -87,6 +88,32 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	}
 	if over.EnergyJ != want.EnergyJ || over.MappingsEvaluated != want.MappingsEvaluated {
 		t.Fatalf("per-request override diverged: %+v vs %+v", over, want)
+	}
+}
+
+// TestDefaultServerSearchesSerially checks the zero-option server reports
+// a serial default width and answers bit-equal to an explicitly serial
+// (SearchWorkers < 0) server, leaving its budget whole afterwards.
+func TestDefaultServerSearchesSerially(t *testing.T) {
+	def := NewServer(BatchOptions{})
+	serial := NewServer(BatchOptions{SearchWorkers: -1})
+	if got := def.SearchStats().SearchWorkers; got != 1 {
+		t.Fatalf("zero-value server reports SearchWorkers %d, want 1", got)
+	}
+	req := Request{Macro: "base", Network: "toy", MaxMappings: 16, Seed: 5}
+	want, err := serial.EvaluateCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := def.EvaluateCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.EnergyJ) != math.Float64bits(want.EnergyJ) || got.MappingsEvaluated != want.MappingsEvaluated {
+		t.Fatalf("default server diverged: %+v vs %+v", got, want)
+	}
+	if st := def.SearchStats(); st.Available != st.Capacity {
+		t.Fatalf("budget leaked: %d of %d", st.Available, st.Capacity)
 	}
 }
 

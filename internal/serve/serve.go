@@ -61,22 +61,13 @@ type BatchOptions struct {
 	// each layer's candidate evaluations spread across up to this many
 	// goroutines. Parallel search is bit-identical to serial —
 	// deterministic minimum-cost, lowest-index winner — so the knob only
-	// trades goroutines for single-request latency. Zero (the default)
-	// picks the width adaptively per layer from measured candidate cost
-	// (see searchTuner); negative forces serial search. The fan-out draws
-	// on a concurrency budget shared with the request-level worker pool,
-	// so nested parallelism never oversubscribes: a saturated pool
-	// degrades searches to serial, a lone request gets the whole budget.
+	// trades goroutines for single-request latency. > 1 is a fixed width;
+	// anything else (the zero value included) searches serially. The
+	// fan-out draws on a concurrency budget shared with the request-level
+	// worker pool, so nested parallelism never oversubscribes: a saturated
+	// pool degrades searches to serial, a lone request gets the whole
+	// budget.
 	SearchWorkers int
-	// SampleShards is the default candidate-generation shard count
-	// (core.SearchOptions.SampleShards): > 1 generates each layer's
-	// candidates from that many concurrent seeded streams with a
-	// deterministic merge. Results are a pure function of
-	// (seed, shard count) — but a *different* function than the
-	// single-stream default, so the server never picks this adaptively;
-	// it is fixed configuration (or per-request via sample_shards) and
-	// defaults to 1, preserving every historical result byte for byte.
-	SampleShards int
 	// CacheEntries bounds the engine/context cache (default
 	// DefaultCacheEntries), and separately the preparation memo its
 	// engines share (core.PrepareMemo).
@@ -180,43 +171,14 @@ func (o BatchOptions) mappings() int {
 	return 60
 }
 
-// searchWorkers resolves the configured default fan-out: > 0 is that
-// fixed width, negative is serial (1), and 0 — the zero value — is the
-// adaptive sentinel (the tuner picks a width per layer).
-func (o BatchOptions) searchWorkers() int {
-	if o.SearchWorkers > 0 {
-		return o.SearchWorkers
-	}
-	if o.SearchWorkers < 0 {
-		return 1
-	}
-	return 0 // adaptive
-}
-
-func (o BatchOptions) adaptiveSearch() bool { return o.SearchWorkers == 0 }
-
-func (o BatchOptions) sampleShards() int {
-	if o.SampleShards > 1 {
-		return o.SampleShards
-	}
-	return 1
-}
+// searchWorkers resolves the configured default fan-out: > 1 is that
+// fixed width, anything else is serial (1).
+func (o BatchOptions) searchWorkers() int { return max(o.SearchWorkers, 1) }
 
 // budgetCapacity sizes the shared concurrency budget: wide enough for the
 // request pool at full tilt, and for the configured search fan-out when a
-// single request has the server to itself. In adaptive mode the widest
-// useful fan-out is one goroutine per CPU.
-func (o BatchOptions) budgetCapacity() int {
-	n := o.workers()
-	if o.adaptiveSearch() {
-		if c := runtime.NumCPU(); c > n {
-			n = c
-		}
-	} else if sw := o.searchWorkers(); sw > n {
-		n = sw
-	}
-	return n
-}
+// single request has the server to itself.
+func (o BatchOptions) budgetCapacity() int { return max(o.workers(), o.searchWorkers()) }
 
 // Server owns the shared cache and worker bound. It is safe for
 // concurrent use; one Server is meant to outlive many requests.
@@ -225,7 +187,6 @@ type Server struct {
 	cache   *Cache
 	jobs    *jobs.Store
 	budget  *tokenBudget
-	tuner   searchTuner
 	persist persistState
 	start   time.Time
 	// met and slow are the observability spine (see obs.go): every
@@ -318,21 +279,14 @@ func (s *Server) CacheStats() Stats { return s.cache.Stats() }
 // JobStats snapshots the job store's occupancy.
 func (s *Server) JobStats() jobs.Stats { return s.jobs.Stats() }
 
-// SearchStats snapshots the shared evaluation-concurrency budget and, in
-// adaptive mode, the width tuner.
+// SearchStats snapshots the shared evaluation-concurrency budget.
 func (s *Server) SearchStats() BudgetStats {
-	st := BudgetStats{
+	return BudgetStats{
 		Capacity:          s.budget.capacity(),
 		Available:         s.budget.available(),
 		SearchWorkers:     s.opts.searchWorkers(),
-		BlockedAcquires:   s.budget.blockedAcquires(),
-		Adaptive:          s.opts.adaptiveSearch(),
 		MappingsEvaluated: s.mappingsEvaluated.Load(),
 	}
-	if st.Adaptive {
-		st.AdaptivePlans, st.TunedLayers = s.tuner.stats()
-	}
-	return st
 }
 
 // Close cancels every queued or running job, waits for the job runners
@@ -426,35 +380,6 @@ func resolveNet(r *Request) (*workload.Network, error) {
 	return net, nil
 }
 
-// Blocking budget mode: how long one layer's fan-out acquisition may
-// park for its first token. budgetWaitCap bounds the wait absolutely;
-// a request whose deadline is nearer than budgetHeadroomMin never
-// blocks at all (its remaining time belongs to the search itself).
-const (
-	budgetWaitCap     = 250 * time.Millisecond
-	budgetHeadroomMin = 2 * time.Second
-)
-
-// blockingWait sizes the per-layer blocking-acquire window from the
-// request's deadline: no deadline means the full cap, a near deadline
-// means no blocking, and in between the wait is a small fraction of the
-// headroom (headroom/16, capped) so even a many-layer network spends a
-// bounded share of its budget parked.
-func blockingWait(ctx context.Context) time.Duration {
-	d, ok := ctx.Deadline()
-	if !ok {
-		return budgetWaitCap
-	}
-	headroom := time.Until(d)
-	if headroom < budgetHeadroomMin {
-		return 0
-	}
-	if w := headroom / 16; w < budgetWaitCap {
-		return w
-	}
-	return budgetWaitCap
-}
-
 // EvaluateCtx runs one request through the cache: the engine and every
 // layer context are fetched (or compiled once) from the content-addressed
 // cache, and only the per-mapping count analysis runs unconditionally.
@@ -486,24 +411,11 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 	if mappings <= 0 {
 		mappings = s.opts.mappings()
 	}
-	// Per-request search_workers: > 0 fixed width, negative serial, 0
-	// defers to the server default — which may itself be the adaptive
-	// sentinel (0), in which case the tuner picks a width per layer.
-	searchWorkers := req.SearchWorkers
-	adaptive := false
-	switch {
-	case searchWorkers < 0:
-		searchWorkers = 1
-	case searchWorkers == 0:
-		searchWorkers = s.opts.searchWorkers()
-		adaptive = searchWorkers == 0
-	}
-	// Shard count is part of the result's identity (it selects the
-	// candidate set), so unlike the width it is never adapted: request
-	// field, else server configuration, else 1 (the historical stream).
-	shards := req.SampleShards
-	if shards <= 0 {
-		shards = s.opts.sampleShards()
+	// Per-request search_workers: > 1 fixed width, omitted (0) the
+	// server default, anything else serial.
+	width := s.opts.searchWorkers()
+	if req.SearchWorkers != 0 {
+		width = max(req.SearchWorkers, 1)
 	}
 	// Every evaluating goroutine — a sweep worker or a direct caller —
 	// holds one budget token for the duration of its request, so the
@@ -528,34 +440,18 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 		// The calling goroutine is one search worker for free; extras are
 		// borrowed per layer from the shared budget so concurrent requests
 		// split the machine instead of stacking goroutines. Returned
-		// between layers, the tokens keep the split fluid. A request with
-		// ample deadline headroom may park briefly for its first extra
-		// token (blocking budget mode) rather than degrade to a serial
-		// search the moment the pool is saturated.
-		width := searchWorkers
-		var key string
-		if adaptive {
-			key = tunerKey(arch.Name, l.Name)
-			width = s.tuner.width(key, mappings, s.budget.capacity())
-		}
-		extra := 0
-		if width > 1 {
-			extra = s.budget.acquireWait(ctx, width-1, blockingWait(ctx))
-		}
+		// between layers, the tokens keep the split fluid.
+		extra := s.budget.tryAcquire(width - 1)
 		searchStart := time.Now()
 		r, evaluated, err := eng.SearchLayerOptsCtx(ctx, lctx, core.SearchOptions{
 			MaxMappings:   mappings,
 			Seed:          req.Seed + int64(i),
 			SearchWorkers: 1 + extra,
-			SampleShards:  shards,
 		})
 		s.budget.release(extra)
 		sp.Observe("search", time.Since(searchStart))
 		if err != nil {
 			return nil, fmt.Errorf("serve: network %q layer %q: %w", net.Name, l.Name, err)
-		}
-		if adaptive {
-			s.tuner.observe(key, evaluated, 1+extra, time.Since(searchStart))
 		}
 		nr.Add(r, l.Repeat, evaluated)
 	}

@@ -48,7 +48,7 @@ func TestCheckedInDefinitionsValidate(t *testing.T) {
 }
 
 // pin asserts a metric against a recorded value within a 1% band: the
-// mapping search is deterministic at fixed (seed, shards), so drift
+// mapping search is deterministic at a fixed seed, so drift
 // means the energy/timing models or the definitions changed.
 func pin(t *testing.T, what string, got, want float64) {
 	t.Helper()

@@ -38,13 +38,8 @@ func Generate(seed int64) (*Definition, string, error) {
 		sysMacros = append(sysMacros, "2")
 	}
 
-	mappings := 2 + rng.Intn(5) // 2..6
-	shards := 1 + rng.Intn(2)   // 1..2
-	// Stay at or below one search worker: asking for fan-out extras
-	// parks each request in the server's blocking budget wait when the
-	// pool is contended, which only adds dead wall-clock to a suite
-	// whose property is definition validity.
-	workers := rng.Intn(3) - 1    // -1..1
+	mappings := 2 + rng.Intn(5)   // 2..6
+	workers := rng.Intn(4) - 1    // -1..2
 	layers := rng.Intn(3)         // 0..2
 	evalSeed := rng.Intn(1 << 16) // deterministic per definition
 
@@ -96,7 +91,6 @@ func Generate(seed int64) (*Definition, string, error) {
 	} else {
 		fmt.Fprintf(&b, "  max_mappings: %d\n", mappings)
 	}
-	fmt.Fprintf(&b, "  sample_shards: %d\n", shards)
 	fmt.Fprintf(&b, "  search_workers: %d\n", workers)
 	fmt.Fprintf(&b, "layers: %d\n", layers)
 	fmt.Fprintf(&b, "seed: %d\n", evalSeed)

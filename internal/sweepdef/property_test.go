@@ -18,11 +18,7 @@ func TestSweepdefGeneratedDefinitionsEvaluate(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
-	// Serial layer search: 100 concurrent toy grids would otherwise
-	// spend most of their wall clock parked in the shared fan-out
-	// budget's blocking wait, and the property under test is definition
-	// validity, not search parallelism.
-	srv := serve.NewServer(serve.BatchOptions{SearchWorkers: -1})
+	srv := serve.NewServer(serve.BatchOptions{})
 	for seed := int64(0); seed < seeds; seed++ {
 		seed := seed
 		t.Run("", func(t *testing.T) {

@@ -32,7 +32,6 @@
 //	  system_macros: [1, 4]
 //	budgets:
 //	  max_mappings: "{mappings}"
-//	  sample_shards: 1
 //	  search_workers: 0
 //	layers: 0
 //	seed: 0
@@ -104,7 +103,6 @@ type Definition struct {
 	// Budgets and workload shaping. Each is an int literal or a "{param}"
 	// string.
 	MaxMappings   any
-	SampleShards  any
 	SearchWorkers any
 	Layers        any
 	Seed          any
@@ -356,8 +354,6 @@ func (d *Definition) parseBudgets(v any) error {
 		switch key {
 		case "max_mappings":
 			d.MaxMappings = raw
-		case "sample_shards":
-			d.SampleShards = raw
 		case "search_workers":
 			d.SearchWorkers = raw
 		default:
@@ -615,7 +611,6 @@ func (d *Definition) Compile(args map[string]any) ([]api.EvalRequest, error) {
 		min  int
 	}{
 		{"budgets.max_mappings", d.MaxMappings, 0},
-		{"budgets.sample_shards", d.SampleShards, 0},
 		{"budgets.search_workers", d.SearchWorkers, -1 << 30},
 		{"layers", d.Layers, 0},
 		{"seed", d.Seed, -1 << 30},
@@ -651,7 +646,6 @@ func (d *Definition) Compile(args map[string]any) ([]api.EvalRequest, error) {
 						SystemMacros:  sm,
 						Layers:        ints["layers"],
 						MaxMappings:   ints["budgets.max_mappings"],
-						SampleShards:  ints["budgets.sample_shards"],
 						SearchWorkers: ints["budgets.search_workers"],
 						Seed:          int64(ints["seed"]),
 					})

@@ -28,7 +28,6 @@ axes:
   system_macros: [1, 4]
 budgets:
   max_mappings: "{mappings}"
-  sample_shards: 1
   search_workers: 0
 layers: 1
 seed: 7
@@ -70,7 +69,7 @@ func TestCompileCrossProductAtDefaults(t *testing.T) {
 	if first.Macro != "macro-b" || first.Network != "resnet18" || first.MaxMappings != 30 {
 		t.Fatalf("first request = %+v", first)
 	}
-	if first.Layers != 1 || first.Seed != 7 || first.SampleShards != 1 {
+	if first.Layers != 1 || first.Seed != 7 {
 		t.Fatalf("budgets not threaded: %+v", first)
 	}
 }
@@ -163,6 +162,17 @@ axes:
   macros: [base]
   networks: ["{net}"]
 `,
+		"removed budget sample_shards": `name: x
+axes:
+  macros: [base]
+  networks: [toy]
+budgets:
+  sample_shards: 2
+`,
+	}
+	// Cases whose message is pinned beyond the file/line attribution.
+	wantMsg := map[string]string{
+		"removed budget sample_shards": `bad.yaml: line 5: unknown budget "sample_shards"`,
 	}
 	for name, doc := range cases {
 		_, err := Parse("bad.yaml", doc)
@@ -173,6 +183,9 @@ axes:
 		msg := err.Error()
 		if !strings.Contains(msg, "bad.yaml") || !strings.Contains(msg, "line ") {
 			t.Errorf("%s: error %q lacks file/line attribution", name, msg)
+		}
+		if want := wantMsg[name]; !strings.Contains(msg, want) {
+			t.Errorf("%s: error %q does not contain %q", name, msg, want)
 		}
 	}
 }
