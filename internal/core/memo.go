@@ -38,6 +38,13 @@ type PrepareMemo struct {
 	capacity int // <= 0: unbounded
 	items    map[memoKey]*memoEntry
 	lru      memoEntry // ring sentinel: lru.next is the most recent entry
+	counts   [memoKinds]MemoCounts
+}
+
+// MemoCounts counts a PrepareMemo's lookups of one entry kind, and the
+// fills among them: lookups that found no entry and computed it.
+type MemoCounts struct {
+	Lookups, Fills uint64
 }
 
 // memoKind tells a PrepareMemo's two entry kinds apart.
@@ -46,6 +53,7 @@ type memoKind uint8
 const (
 	operandEntry memoKind = iota
 	sumEntry
+	memoKinds // the number of kinds
 )
 
 type memoKey struct {
@@ -78,6 +86,14 @@ func (m *PrepareMemo) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.items)
+}
+
+// Stats returns the lookups and fills of operand-stage entries and of
+// column-sum entries since the memo was made.
+func (m *PrepareMemo) Stats() (operands, sums MemoCounts) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.counts[operandEntry], m.counts[sumEntry]
 }
 
 // appendPMF appends p's point count and every value and probability bit
@@ -116,10 +132,12 @@ func operandKey(a *Arch, inEnc, wEnc string, inPMF, wPMF *dist.PMF) [sha256.Size
 // is held. A failed fill's entry is dropped, so a later lookup retries.
 func (m *PrepareMemo) get(k memoKey, fill func(*memoEntry) error) (*memoEntry, error) {
 	m.mu.Lock()
+	m.counts[k.kind].Lookups++
 	e, ok := m.items[k]
 	if ok {
 		e.unlink()
 	} else {
+		m.counts[k.kind].Fills++
 		e = &memoEntry{key: k}
 		m.items[k] = e
 		for m.capacity > 0 && len(m.items) > m.capacity {

@@ -1,8 +1,8 @@
 package dist
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -18,15 +18,25 @@ func benchPMF(b *testing.B, n int) *PMF {
 }
 
 // BenchmarkConv measures one convolution step of SumN, rebinned to
-// convBins points.
+// convBins points: the self-convolutions SumN's doublings run, which
+// take the half walk, and a sum of two distinct operands with the same
+// points, which takes the full walk.
 func BenchmarkConv(b *testing.B) {
-	for _, n := range []int{256, 512} {
-		x := benchPMF(b, n)
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+	x256, x512 := benchPMF(b, 256), benchPMF(b, 512)
+	y512 := &PMF{pts: slices.Clone(x512.pts)}
+	for _, c := range []struct {
+		name string
+		x, y *PMF
+	}{
+		{"256x256", x256, x256},
+		{"512x512", x512, x512},
+		{"512x512-distinct", x512, y512},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var c combiner
+			var cb combiner
 			for i := 0; i < b.N; i++ {
-				c.combine(x.pts, x.pts, false, convBins)
+				cb.combine(c.x.pts, c.y.pts, false, convBins)
 			}
 		})
 	}
@@ -35,9 +45,12 @@ func BenchmarkConv(b *testing.B) {
 // BenchmarkSumNCapped measures the column-sum synthesis PrepareLayer
 // runs per reduction depth: a cell-product PMF summed and capped at 256.
 // The integer cells (a 2-bit input times a 4-bit weight, and macro A's
-// 1-bit by 1-bit cell) stay on the integers; the 1-bit by 8-bit cell,
-// rebinned to 128 points as PrepareLayer rebins it, has non-integer
-// support and takes the rebinning sort path.
+// 1-bit by 1-bit cell) stay on the integers, on the dense path. The
+// 1-bit by 8-bit cells, rebinned to 128 points as PrepareLayer rebins
+// them, have non-integer support and take the rebinning sort path, whose
+// doublings walk half of each self-convolution: macro C's cell with a
+// uniform weight, where most sums collide, and with a bell-shaped
+// weight, the realistic shape with few collisions.
 func BenchmarkSumNCapped(b *testing.B) {
 	bit, _ := UniformInts(0, 1)
 	in, _ := UniformInts(0, 3)
@@ -46,6 +59,7 @@ func BenchmarkSumNCapped(b *testing.B) {
 	cell := Mul(in, w4, 512).Rebin(128)
 	bitCell := Mul(bit, bit, 512)
 	wideCell := Mul(bit, w8, 512).Rebin(128)
+	bellCell := Mul(bit, bellInts(b, 0, 255), 512).Rebin(128)
 	for _, c := range []struct {
 		name  string
 		cell  *PMF
@@ -55,6 +69,7 @@ func BenchmarkSumNCapped(b *testing.B) {
 		{"depth65536", cell, 65536},
 		{"bit-cell/depth2304", bitCell, 2304},
 		{"rebinned-cell/depth256", wideCell, 256},
+		{"gaussian-cell/depth256", bellCell, 256},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

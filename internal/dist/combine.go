@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"math"
 	"slices"
 )
@@ -28,6 +29,16 @@ import (
 // (i, j) order; a stable sort by value then lines equal values up in the
 // order the map summed them, and the bin is folded exactly as Rebin
 // folds it.
+//
+// A self-convolution (X+Y with a and b one slice, as every doubling in
+// SumN is) walks only the half j >= i of the rectangle: atom (i, j) has
+// the value and mass bits of its mirror (j, i), as float + and × commute,
+// so each off-diagonal atom stands for both. Row i starts at j = i; its
+// first atoms 2·a_i still increase with i. After the stable sort, a value
+// held by one atom folds to its mass p, or to p+p (the map's 0+p+p) off
+// the diagonal. A value held by more is expanded into both mirrors and
+// summed in (i, j) order, the value taken from the last, which keeps the
+// map's summation order and the sign of its ±0 key.
 
 // latticeMax bounds the magnitude of the integer atoms the dense path
 // takes, so that every sum and product of two is an exact float64.
@@ -39,12 +50,19 @@ const (
 	latticeSpan = 4096
 )
 
-// term is one product atom a_i⊕b_j with its mass, and its sub-bucket in
-// the current bin (see sortBin).
+// term is one product atom a_i⊕b_j with its mass, its sub-bucket in the
+// current bin (see sortBin), and its position i<<16 | j, which only the
+// half walk of a self-convolution reads: its operands have at most
+// maxSelf atoms, so the position orders atoms as (i, j) does.
 type term struct {
 	v, p float64
-	sub  int
+	sub  int32
+	pos  uint32
 }
+
+// maxSelf bounds the operand length of the half walk: longer operands
+// take the full walk, as their positions do not fit a term.
+const maxSelf = 1 << 16
 
 // combiner is the scratch of one Mul call or of the chain of convolutions
 // inside one SumN call. Nothing is retained once that call returns.
@@ -54,6 +72,7 @@ type combiner struct {
 	active []int     // rows being walked, in increasing order
 	buf    []term    // the current bin's atoms
 	spare  []term    // sortBin's scatter target
+	pairs  []term    // the mirrors of the half walk's atoms of one value
 	counts []int     // sortBin's sub-bucket ends
 	exact  []Point   // the distinct sums, while there are at most n
 	binned []Point   // the rebinned sums
@@ -83,6 +102,7 @@ func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
 	// rows whose values decrease in j.
 	backward := func(i int) bool { return mul && a[i].Value < 0 }
 	m := len(b)
+	half := halfWalk(a, b, mul)
 
 	// The support bounds come from atoms with positive mass only: a
 	// map accumulator drops sums whose mass underflows to zero.
@@ -174,7 +194,7 @@ func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
 
 	// Rows join the walk once the bins reach their first atom. For X+Y
 	// first atoms increase with i, so rows join in order; for X·Y every
-	// row is walked from the start.
+	// row is walked from the start. The half walk starts row i at j = i.
 	c.cursor = grow(c.cursor, len(a))
 	c.nextV = grow(c.nextV, len(a))
 	c.active = c.active[:0]
@@ -183,6 +203,8 @@ func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
 		j := 0
 		if backward(i) {
 			j = m - 1
+		} else if half {
+			j = i
 		}
 		c.cursor[i] = j
 		c.nextV[i] = op(pa.Value, b[j].Value)
@@ -219,7 +241,7 @@ func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
 				minV = min(minV, c.nextV[i])
 				continue
 			}
-			pa, step, start := a[i], 1, len(buf)
+			pa, step, start, row := a[i], 1, len(buf), uint32(i)<<16
 			if backward(i) {
 				step = -1
 			}
@@ -234,7 +256,7 @@ func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
 				// An atom whose mass underflowed changes no sum; it is
 				// kept only where it can set the sign of a zero key.
 				if p := pa.Prob * b[j].Prob; p > 0 || v == 0 {
-					buf = append(buf, term{v: v, p: p})
+					buf = append(buf, term{v: v, p: p, pos: row | uint32(j)})
 				}
 			}
 			if step < 0 {
@@ -254,6 +276,14 @@ func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
 			// Equal values (+0 and -0) share one map key, which holds
 			// the value last added.
 			v := buf[e-1].v
+			if half {
+				switch pos := buf[s].pos; {
+				case e-s > 1:
+					v, p = c.foldMirrored(buf[s:e])
+				case pos>>16 != pos&0xffff:
+					p += p // 0+p+p: the atom and its mirror
+				}
+			}
 			s = e
 			if !(p > 0) {
 				continue
@@ -276,6 +306,43 @@ func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
 		out = exact
 	}
 	return &PMF{pts: slices.Clone(out)}
+}
+
+// halfWalk reports whether the sort path walks half of a⊕b: a
+// self-convolution whose positions fit a term.
+func halfWalk(a, b []Point, mul bool) bool {
+	return !mul && len(a) == len(b) && len(a) > 0 && len(a) <= maxSelf && &a[0] == &b[0]
+}
+
+// foldMirrored returns the map's key and mass for one value held by the
+// half-walk atoms run, which are in (i, j) order: the run and the mirrors
+// (j, i) of its off-diagonal atoms, merged and summed in (i, j) order,
+// with the value of the last.
+func (c *combiner) foldMirrored(run []term) (v, p float64) {
+	// Along one value j falls as i rises, so the mirrors of the run taken
+	// backwards are usually in order already.
+	mirrors := c.pairs[:0]
+	for k := len(run) - 1; k >= 0; k-- {
+		if tm := run[k]; tm.pos>>16 != tm.pos&0xffff {
+			tm.pos = tm.pos<<16 | tm.pos>>16
+			mirrors = append(mirrors, tm)
+		}
+	}
+	c.pairs = mirrors
+	byPos := func(x, y term) int { return cmp.Compare(x.pos, y.pos) }
+	if !slices.IsSortedFunc(mirrors, byPos) {
+		slices.SortFunc(mirrors, byPos)
+	}
+	for len(run) > 0 || len(mirrors) > 0 {
+		var tm term
+		if len(mirrors) == 0 || len(run) > 0 && run[0].pos < mirrors[0].pos {
+			tm, run = run[0], run[1:]
+		} else {
+			tm, mirrors = mirrors[0], mirrors[1:]
+		}
+		v, p = tm.v, p+tm.p
+	}
+	return v, p
 }
 
 // integers reports whether every atom of pts is an integer of magnitude
@@ -439,7 +506,7 @@ func (c *combiner) sortBin(buf []term, lo, hi float64) []term {
 		case x > 0:
 			k = int(x)
 		}
-		buf[i].sub = k
+		buf[i].sub = int32(k)
 		c.counts[k+1]++
 	}
 	for k := 1; k <= t; k++ {

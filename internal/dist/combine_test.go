@@ -201,6 +201,24 @@ func randomPMF(t testing.TB, rng *rand.Rand, maxLen int) *PMF {
 	return mustPoints(t, pts)
 }
 
+// bellInts returns a PMF over the integers lo..hi whose mass is
+// bell-shaped around their midpoint, like a trained layer's weights.
+func bellInts(t testing.TB, lo, hi int) *PMF {
+	pts := make([]Point, 0, hi-lo+1)
+	mid, sd := float64(lo+hi)/2, float64(hi-lo)/6
+	for v := lo; v <= hi; v++ {
+		x := (float64(v) - mid) / sd
+		pts = append(pts, Point{Value: float64(v), Prob: math.Exp(-x * x / 2)})
+	}
+	return mustPoints(t, pts)
+}
+
+// selfWalk reports whether a+a takes the half walk of the sort path.
+func selfWalk(a *PMF) bool {
+	_, _, dense := lattice(a.pts, a.pts, false)
+	return !dense && halfWalk(a.pts, a.pts, false)
+}
+
 // TestCombineMatchesOracle compares the kernel with the map-based oracle
 // bit for bit on hand-picked edge cases.
 func TestCombineMatchesOracle(t *testing.T) {
@@ -208,9 +226,30 @@ func TestCombineMatchesOracle(t *testing.T) {
 	s8, _ := UniformInts(-128, 127)
 	u3, _ := UniformInts(0, 3)
 	u16, _ := UniformInts(0, 15)
+	bit, _ := UniformInts(0, 1)
 	tiny := mustPoints(t, []Point{{0, 1}, {1, 1e-170}, {2, 1e-200}, {3, 1}, {5, 1e-300}})
 	allTiny := mustPoints(t, []Point{{-1, 1e-300}, {0, 1}, {4, 1e-300}})
 	signedTiny := mustPoints(t, []Point{{-3, 1e-200}, {-1, 1}, {0, 1}, {2, 1e-250}})
+	// Self-convolutions off the integers take the half walk. Macro C's
+	// 1-bit by 8-bit cell, rebinned as PrepareLayer rebins it, lies on a
+	// half-integer grid where most sums are held by more than two atoms.
+	cell := Mul(bit, u8, 512).Rebin(128)
+	bellCell := Mul(bit, bellInts(t, 0, 255), 512).Rebin(128)
+	// Zero sums: -0+-0 is -0, x+-x is +0. The first's last zero atom in
+	// (i, j) order is +0, the second's -0.
+	zeros := mustPoints(t, []Point{{-1.5, 1}, {-0.5, 2}, {math.Copysign(0, -1), 3}, {0.5, 2}, {1.5, 1}})
+	negZero := mustPoints(t, []Point{{-2.5, 1}, {-1.25, 1e-300}, {math.Copysign(0, -1), 3}, {0.75, 2}})
+	// Products of these masses are subnormal (1e-160·1e-160) or
+	// underflow to zero (1e-170·1e-200).
+	subnormal := mustPoints(t, []Point{{0.5, 1}, {1.25, 1e-160}, {2.75, 1e-170}, {3.5, 1}, {4.25, 1e-200}, {6.75, 1e-160}})
+	// Sums with 2^53 round away the small addend, so one row holds a
+	// value more than once and the mirrors of a value are out of order.
+	rounding := mustPoints(t, []Point{{0.125, 0.3}, {0.25, 0.7}, {0.375, 0.1}, {0.5, 1.3}, {1 << 53, 0.9}, {1<<53 + 2, 0.6}})
+	for _, p := range []*PMF{cell, bellCell, zeros, negZero, subnormal, rounding} {
+		if !selfWalk(p) {
+			t.Fatalf("%v: self-convolution does not take the half walk", p.pts[:2])
+		}
+	}
 	for _, n := range []int{0, 1, 2, 7, 128, 256, 512} {
 		for _, mul := range []bool{false, true} {
 			for name, pair := range map[string][2]*PMF{
@@ -225,6 +264,12 @@ func TestCombineMatchesOracle(t *testing.T) {
 				"underflow":        {tiny, tiny},
 				"underflow bounds": {allTiny, allTiny},
 				"underflow signed": {signedTiny, s8},
+				"self cell":        {cell, cell},
+				"self bell cell":   {bellCell, bellCell},
+				"self zeros":       {zeros, zeros},
+				"self -0":          {negZero, negZero},
+				"self subnormal":   {subnormal, subnormal},
+				"self rounding":    {rounding, rounding},
 			} {
 				op := "conv"
 				if mul {
@@ -257,14 +302,24 @@ func TestCombineOverflowTerminates(t *testing.T) {
 }
 
 // TestCombineMatchesOracleRandom is the same comparison over random
-// PMFs, at bin counts above and below the number of distinct results.
+// PMFs, at bin counts above and below the number of distinct results,
+// including a self-convolution a+a per iteration.
 func TestCombineMatchesOracleRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 300; iter++ {
+	const iters = 300
+	self := 0
+	for iter := 0; iter < iters; iter++ {
 		a, b := randomPMF(t, rng, 200), randomPMF(t, rng, 200)
 		n := []int{0, 1, 16, 128, 512, 4096}[rng.Intn(6)]
 		checkCombine(t, fmt.Sprintf("conv random %d", iter), a, b, false, n)
 		checkCombine(t, fmt.Sprintf("mul random %d", iter), a, b, true, n)
+		if selfWalk(a) {
+			self++
+		}
+		checkCombine(t, fmt.Sprintf("self random %d", iter), a, a, false, n)
+	}
+	if 2*self < iters {
+		t.Fatalf("only %d of %d self-convolutions took the half walk", self, iters)
 	}
 }
 
@@ -411,6 +466,23 @@ func FuzzCombineMatchesOracle(f *testing.F) {
 		}
 		n = n%1024 - 1
 		checkCombine(t, "fuzz", a, b, mul, n)
+	})
+}
+
+// FuzzSelfConvMatchesOracle: a self-convolution p+p, which takes the
+// half walk off the integers, must match the map-based oracle bit for
+// bit at any bin count.
+func FuzzSelfConvMatchesOracle(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0}, 4, uint8(1))
+	f.Add([]byte{4, 0xfd, 0xff, 0, 0, 0xff, 0xff, 0x40, 0x28, 1, 0, 0x40, 0x28, 3, 0, 0, 0}, 512, uint8(1))
+	f.Add([]byte{2, 0, 0, 0, 0x7f, 1, 0, 0, 0x7f}, 0, uint8(5))
+	f.Fuzz(func(t *testing.T, data []byte, n int, scaleCode uint8) {
+		scale := []float64{1, 0.5, 0.1, 1e-3, 3, 1e-300}[int(scaleCode)%6]
+		p, _ := fuzzPMF(data, scale)
+		if p == nil {
+			return
+		}
+		checkCombine(t, "fuzz self", p, p, false, n%1024-1)
 	})
 }
 

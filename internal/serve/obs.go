@@ -94,7 +94,8 @@ func (s *Server) finishSpan(sp *obs.Span, d time.Duration) {
 
 // registerCollectors wires the existing stat producers into the
 // registry as scrape-time collectors. /healthz reads the same
-// producers, so every series here has a healthz counterpart.
+// producers, so every series here but the prepare memo's has a healthz
+// counterpart.
 func (s *Server) registerCollectors() {
 	reg := s.met.reg
 	reg.GaugeFunc("cimloop_uptime_seconds", "Seconds since boot.",
@@ -107,6 +108,12 @@ func (s *Server) registerCollectors() {
 		e.Counter("cimloop_cache_restored_total", "Cache entries admitted from the warm-start disk store.", float64(cs.Restored))
 		e.Counter("cimloop_cache_compiles_total", "Cold compiles (engine or layer context).", float64(cs.Compiles))
 		e.Gauge("cimloop_cache_entries", "Live cache entries.", float64(cs.Entries))
+		// The layer-preparation memo the cached engines share.
+		ops, sums := s.cache.memo.Stats()
+		e.Counter("cimloop_prepare_memo_lookups_total", "Layer-preparation memo lookups by entry kind.", float64(ops.Lookups), "kind", "operand")
+		e.Counter("cimloop_prepare_memo_lookups_total", "", float64(sums.Lookups), "kind", "sum")
+		e.Counter("cimloop_prepare_memo_fills_total", "Layer-preparation memo lookups that computed their entry, by kind.", float64(ops.Fills), "kind", "operand")
+		e.Counter("cimloop_prepare_memo_fills_total", "", float64(sums.Fills), "kind", "sum")
 
 		js := s.JobStats()
 		e.Gauge("cimloop_jobs_queued", "Queued jobs by scheduling class.", float64(js.QueuedInteractive), "class", "interactive")

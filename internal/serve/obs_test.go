@@ -3,11 +3,13 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -99,6 +101,61 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", text)
+	}
+}
+
+// TestMetricsPrepareMemo: the prepare memo's lookups and fills are
+// exported per entry kind. The same macro and network under a system
+// scenario is a new cache key whose layer preparations all hit the memo:
+// lookups rise, fills do not.
+func TestMetricsPrepareMemo(t *testing.T) {
+	srv := NewServer(BatchOptions{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// counts scrapes the lookups and fills of each entry kind.
+	counts := func() map[string]float64 {
+		t.Helper()
+		_, text, _ := rawGet(t, ts, "/metrics", "")
+		out := map[string]float64{}
+		for _, series := range []string{"lookups", "fills"} {
+			for _, kind := range []string{"operand", "sum"} {
+				name := fmt.Sprintf(`cimloop_prepare_memo_%s_total{kind="%s"}`, series, kind)
+				i := strings.Index(text, name+" ")
+				if i < 0 {
+					t.Fatalf("exposition missing %s:\n%s", name, text)
+				}
+				line, _, _ := strings.Cut(text[i+len(name)+1:], "\n")
+				v, err := strconv.ParseFloat(line, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[series+"/"+kind] = v
+			}
+		}
+		return out
+	}
+
+	req := Request{Macro: "macro-b", Network: "toy", MaxMappings: 4}
+	if _, err := srv.EvaluateCtx(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	cold := counts()
+	for _, k := range []string{"operand", "sum"} {
+		if cold["fills/"+k] == 0 || cold["lookups/"+k] < cold["fills/"+k] {
+			t.Fatalf("%s entries after a cold evaluate: %v", k, cold)
+		}
+	}
+	req.Scenario = "weight-stationary"
+	if _, err := srv.EvaluateCtx(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	warm := counts()
+	for _, k := range []string{"operand", "sum"} {
+		if warm["lookups/"+k] <= cold["lookups/"+k] || warm["fills/"+k] != cold["fills/"+k] {
+			t.Fatalf("%s entries: %v after the cold evaluate, %v after the scenario", k, cold, warm)
+		}
 	}
 }
 
