@@ -168,10 +168,11 @@ func BenchmarkMapperSample(b *testing.B) {
 	}
 }
 
-// BenchmarkValueSimulator measures the value-level ground truth: the slow
-// path the statistical model replaces (Table II's left column).
+// BenchmarkValueSimulator measures the value-level ground truth at Fig. 6
+// size (64x32 value-aware base macro, Steps 32): the slow path the
+// statistical model replaces (Table II's left column).
 func BenchmarkValueSimulator(b *testing.B) {
-	arch, err := macros.Base(macros.Config{Rows: 32, Cols: 16})
+	arch, err := macros.Base(macros.Config{Rows: 64, Cols: 32, ValueAwareADC: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -180,9 +181,10 @@ func BenchmarkValueSimulator(b *testing.B) {
 		b.Fatal(err)
 	}
 	layer := workload.ResNet18().Layers[5]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := valuesim.Simulate(eng, layer, valuesim.Config{Steps: 8, Seed: 1}); err != nil {
+		if _, _, _, err := valuesim.Simulate(eng, layer, valuesim.Config{Steps: 32, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

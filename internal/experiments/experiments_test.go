@@ -69,24 +69,29 @@ func num(t *testing.T, s string) float64 {
 	return v
 }
 
-// Fig. 6 shape: the data-value-dependent average error must beat the
-// fixed-energy average error.
+// Fig. 6 at full size (21 ResNet18 layers, Steps 32): the
+// data-value-dependent error must beat the fixed-energy error on every
+// layer, not just on average, and stay small.
 func TestFig6Shape(t *testing.T) {
-	tables, err := Fig6(fastOpts())
+	tables, err := Fig6(Options{Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := tables[0].Rows
-	avg := rows[len(rows)-2]
-	if avg[0] != "Avg." {
-		t.Fatalf("expected Avg. row, got %v", avg)
+	if len(rows) != 21+2 {
+		t.Fatalf("want 21 layer rows plus Avg. and Max., got %d rows", len(rows))
 	}
-	dvd, fixed := num(t, avg[1]), num(t, avg[2])
-	if dvd >= fixed {
-		t.Fatalf("data-value-dependent avg error %.2f%% should beat fixed %.2f%%", dvd, fixed)
+	for _, r := range rows[:21] {
+		dvd, fixed := num(t, r[1]), num(t, r[2])
+		if dvd >= fixed {
+			t.Errorf("%s: data-value-dependent error %.2f%% should beat fixed %.2f%%", r[0], dvd, fixed)
+		}
+		if dvd > 3 {
+			t.Errorf("%s: data-value-dependent error %.2f%% too high (paper: 3%% avg, 7%% max)", r[0], dvd)
+		}
 	}
-	if dvd > 15 {
-		t.Fatalf("data-value-dependent error %.2f%% too high", dvd)
+	if avg := rows[21]; avg[0] != "Avg." || num(t, avg[1]) >= num(t, avg[2]) {
+		t.Fatalf("Avg. row %v: data-value-dependent error should beat fixed", avg)
 	}
 }
 
@@ -130,10 +135,10 @@ func TestFig4Shape(t *testing.T) {
 	}
 }
 
-// Table II shape: amortized many-mapping rate beats the 1-mapping rate,
-// and the statistical model beats the value-level simulator.
+// Table II shape at full size: the amortized many-mapping rate beats the
+// 1-mapping rate and beats the value-level simulator by at least 10x.
 func TestTable2Shape(t *testing.T) {
-	tables, err := Table2(fastOpts())
+	tables, err := Table2(Options{Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +146,11 @@ func TestTable2Shape(t *testing.T) {
 	simRate := num(t, rows[0][2])
 	oneRate := num(t, rows[1][2])
 	manyRate := num(t, rows[1][3])
-	// In fast mode the simulated array is tiny, so only the amortized
-	// statistical rate is guaranteed to dominate; at full scale the
-	// 1-mapping rate beats the simulator too (the paper's 0.28 vs 0.07).
-	if manyRate <= simRate {
-		t.Fatalf("amortized statistical rate %.3g should beat simulator %.3g", manyRate, simRate)
+	// At full size the amortized statistical rate beats the value-level
+	// simulator by two orders of magnitude (~100-300x on 2 CPUs); ask for
+	// at least 10x, which leaves room for a loaded or race-built run.
+	if manyRate < 10*simRate {
+		t.Fatalf("amortized statistical rate %.3g should be at least 10x the simulator's %.3g", manyRate, simRate)
 	}
 	if manyRate <= oneRate {
 		t.Fatalf("amortized rate %.3g should beat 1-mapping rate %.3g", manyRate, oneRate)

@@ -141,29 +141,28 @@ func Fig6(o Options) ([]*report.Table, error) {
 	net := o.subset(workload.ResNet18(), 6)
 	cfg := valuesim.Config{Steps: o.steps(), Seed: o.Seed + 17}
 
-	// First pass: per-layer comparisons and empirical PMFs.
+	// First pass: per-layer simulations, comparisons and empirical PMFs.
 	var ins, ws []*dist.PMF
 	var dvd []float64
+	var cmps []*valuesim.Comparison
 	for _, l := range net.Layers {
 		cmp, err := valuesim.Compare(eng, l, cfg, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig6 layer %s: %w", l.Name, err)
 		}
+		cmps = append(cmps, cmp)
 		dvd = append(dvd, cmp.RelError)
-		_, inPMF, wPMF, err := valuesim.Simulate(eng, l, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ins = append(ins, inPMF)
-		ws = append(ws, wPMF)
+		ins = append(ins, cmp.InPMF)
+		ws = append(ws, cmp.WPMF)
 	}
 	avgIn, avgW, err := valuesim.AveragePMFs(ins, ws)
 	if err != nil {
 		return nil, err
 	}
+	// Second pass: the fixed-energy model against the same simulations.
 	var fixed []float64
-	for _, l := range net.Layers {
-		cmp, err := valuesim.Compare(eng, l, cfg, avgIn, avgW)
+	for i, l := range net.Layers {
+		cmp, err := cmps[i].WithPMFs(eng, l, avgIn, avgW)
 		if err != nil {
 			return nil, err
 		}

@@ -15,6 +15,8 @@ import (
 type Comparison struct {
 	Sim  *Result
 	Stat *core.Result
+	// InPMF and WPMF are the simulator's empirical operand PMFs.
+	InPMF, WPMF *dist.PMF
 	// SimEnergy and StatEnergy are compute-path macro energies.
 	SimEnergy  float64
 	StatEnergy float64
@@ -40,13 +42,22 @@ func Compare(eng *core.Engine, layer workload.Layer, cfg Config, inOverride, wOv
 	if err != nil {
 		return nil, err
 	}
+	cmp := &Comparison{Sim: sim, InPMF: inPMF, WPMF: wPMF}
 	if inOverride != nil {
 		inPMF = inOverride
 	}
 	if wOverride != nil {
 		wPMF = wOverride
 	}
+	return cmp.WithPMFs(eng, layer, inPMF, wPMF)
+}
 
+// WithPMFs evaluates the statistical side of c again with other operand
+// PMFs (for example Fig. 6's network-global averages) against the same
+// simulation, which it reuses rather than repeats. eng and layer must be
+// the ones c was simulated with.
+func (c *Comparison) WithPMFs(eng *core.Engine, layer workload.Layer, inPMF, wPMF *dist.PMF) (*Comparison, error) {
+	sim := c.Sim
 	// The matched operation: steps input vectors through a rows x cols
 	// array.
 	op, err := tensor.MatMul(layer.Name+"+matched", sim.Steps, sim.Rows, sim.LogicalCols)
@@ -69,7 +80,7 @@ func Compare(eng *core.Engine, layer workload.Layer, cfg Config, inOverride, wOv
 		return nil, err
 	}
 
-	cmp := &Comparison{Sim: sim, Stat: stat, PerComponent: map[string][2]float64{}}
+	cmp := &Comparison{Sim: sim, Stat: stat, InPMF: c.InPMF, WPMF: c.WPMF, PerComponent: map[string][2]float64{}}
 	cmp.SimEnergy = sim.Energy
 	for _, le := range stat.Levels {
 		simE, inSim := sim.ByComponent[le.Name]

@@ -15,6 +15,17 @@
 // adders/accumulators, ADCs, digital accumulation). Buffer traffic is
 // value-independent and identical in both models by construction, so
 // comparisons are made over the compute-path components.
+//
+// Every per-action energy is a pure function of integer operands, so the
+// simulator tabulates it on a lattice filled lazily from the engine's own
+// bound models: the DAC by input slice level, the cell by (input slice,
+// cell level) pair, the analog adder by column sum and the readout (ADC,
+// then shift-add) by column or grouped sum. A lattice wider than the
+// simulation's MAC count, and Macro C's running analog accumulation, call
+// the models directly instead. Charges are summed per level index in the
+// per-action order, so the result is bit-identical to charging each action
+// through its model; oracle_test.go keeps that per-action loop as the
+// reference.
 package valuesim
 
 import (
@@ -137,157 +148,361 @@ type Config struct {
 // (the profiling step of Algorithm 1 line 3, for feeding the statistical
 // model the same marginals).
 func Simulate(eng *core.Engine, layer workload.Layer, cfg Config) (*Result, *dist.PMF, *dist.PMF, error) {
+	s, err := newSimulation(eng, layer, cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	res, err := s.run()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	inPMF, err := dist.FromSamples(s.inSamples)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	wPMF, err := dist.FromSamples(s.wSamples)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return res, inPMF, wPMF, nil
+}
+
+// simulation is one simulation's sampled operands, encoded once, and its
+// per-action energies.
+type simulation struct {
+	a                                      *core.Arch
+	shape                                  *macroShape
+	steps, ibSlices, wbSlices, logicalCols int
+
+	inputs    [][]int // [step][row] operand levels
+	inEnc     *enc.Encoding
+	inSlicing enc.Slicing
+	// wCells holds the weights' cell levels as one flat [col][slice][row]
+	// array, so a column sum walks contiguous memory.
+	wCells              []int
+	inSamples, wSamples []float64
+
+	// Per-action energies, nil where the component is absent.
+	dac, cell, adder, adc, shiftAdd *lattice
+	// accum is Macro C's analog accumulator: its energy depends on a
+	// running float sum, so it and the ADC behind it (adcAccum, at the
+	// full scale accumFull) are called directly.
+	accum, adcAccum circuits.Model
+	accumFull       float64
+	adcBits         int
+}
+
+func newSimulation(eng *core.Engine, layer workload.Layer, cfg Config) (*simulation, error) {
 	if cfg.Steps <= 0 {
-		return nil, nil, nil, fmt.Errorf("valuesim: steps %d must be positive", cfg.Steps)
+		return nil, fmt.Errorf("valuesim: steps %d must be positive", cfg.Steps)
 	}
 	a := eng.Arch()
 	shape, err := detectShape(a.Levels)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	wbSlices := a.WeightSlices()
-	ibSlices := a.InputSlices()
+	s := &simulation{a: a, shape: shape, steps: cfg.Steps, wbSlices: a.WeightSlices(), ibSlices: a.InputSlices()}
 
 	// Resolve where weight slices live: within an analog-added group
 	// (Macro B), across separate logical columns (Base), or inside one
 	// device (Macros C/D, wbSlices == 1).
-	logicalCols := shape.physCols
+	s.logicalCols = shape.physCols
 	if shape.groupCols > 1 {
-		if wbSlices > shape.groupCols {
-			return nil, nil, nil, fmt.Errorf("valuesim: %d weight slices exceed %d grouped columns", wbSlices, shape.groupCols)
+		if s.wbSlices > shape.groupCols {
+			return nil, fmt.Errorf("valuesim: %d weight slices exceed %d grouped columns", s.wbSlices, shape.groupCols)
 		}
-	} else if wbSlices > 1 {
-		if logicalCols%wbSlices != 0 {
-			return nil, nil, nil, fmt.Errorf("valuesim: %d weight slices do not divide %d columns", wbSlices, logicalCols)
+	} else if s.wbSlices > 1 {
+		if s.logicalCols%s.wbSlices != 0 {
+			return nil, fmt.Errorf("valuesim: %d weight slices do not divide %d columns", s.wbSlices, s.logicalCols)
 		}
-		logicalCols /= wbSlices
+		s.logicalCols /= s.wbSlices
 	}
+	rows, cols, wb := shape.rows, s.logicalCols, s.wbSlices
 
-	ops, err := layer.SampleOperands(shape.rows, logicalCols, cfg.Steps, a.InputBits, a.WeightBits, cfg.Seed)
+	ops, err := layer.SampleOperands(rows, cols, cfg.Steps, a.InputBits, a.WeightBits, cfg.Seed)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
+	s.inputs = ops.Inputs
 
-	inEnc, err := enc.ByName(a.ResolveInputEncoding(layer.Act.Signed), a.InputBits)
-	if err != nil {
-		return nil, nil, nil, err
+	if s.inEnc, err = enc.ByName(a.ResolveInputEncoding(layer.Act.Signed), a.InputBits); err != nil {
+		return nil, err
 	}
 	wEnc, err := enc.ByName(a.ResolveWeightEncoding(), a.WeightBits)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	inSlicing, err := enc.NewSlicing(a.InputBits, a.DACBits)
-	if err != nil {
-		return nil, nil, nil, err
+	if s.inSlicing, err = enc.NewSlicing(a.InputBits, a.DACBits); err != nil {
+		return nil, err
 	}
 	wSlicing, err := enc.NewSlicing(a.WeightBits, a.CellBits)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 
 	// Pre-encode weights into per-slice cell values; record raw levels.
-	wCells := make([][][]int, shape.rows) // [row][logicalCol][slice]
-	wSamples := make([]float64, 0, shape.rows*logicalCols)
-	for r := 0; r < shape.rows; r++ {
-		wCells[r] = make([][]int, logicalCols)
-		for c := 0; c < logicalCols; c++ {
+	s.wCells = make([]int, cols*wb*rows)
+	s.wSamples = make([]float64, 0, rows*cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
 			raw := ops.Weights[r][c]
-			wSamples = append(wSamples, float64(raw))
+			s.wSamples = append(s.wSamples, float64(raw))
 			rails, err := wEnc.Encode(raw)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
-			slices := make([]int, wbSlices)
-			for k := 0; k < wbSlices; k++ {
-				slices[k] = wSlicing.SliceValue(rails[0], k)
+			for k := 0; k < wb; k++ {
+				s.wCells[(c*wb+k)*rows+r] = wSlicing.SliceValue(rails[0], k)
 			}
-			wCells[r][c] = slices
 		}
 	}
-	inSamples := make([]float64, 0, cfg.Steps*shape.rows)
+	s.inSamples = make([]float64, 0, cfg.Steps*rows)
 	for t := range ops.Inputs {
 		for _, v := range ops.Inputs[t] {
-			inSamples = append(inSamples, float64(v))
+			s.inSamples = append(s.inSamples, float64(v))
 		}
 	}
 
 	models := shapeModels(eng, shape)
 	if models.cell == nil {
-		return nil, nil, nil, errors.New("valuesim: no compute model bound")
+		return nil, errors.New("valuesim: no compute model bound")
 	}
-	res := &Result{
-		ByComponent: map[string]float64{},
-		Steps:       cfg.Steps,
-		Rows:        shape.rows,
-		LogicalCols: logicalCols,
-	}
-	adcFullScale := a.ColumnFullScale(shape.adcBoundary())
-	adcBits := 8
-	if adc, ok := models.adc.(*circuits.ADC); ok {
-		adcBits = adc.Bits()
-	}
-	charge := func(idx int, joules float64) {
-		if idx < 0 || joules == 0 {
-			return
-		}
-		res.Energy += joules
-		res.ByComponent[a.Levels[idx].Name] += joules
-	}
+	s.tabulate(models)
+	return s, nil
+}
 
-	accum := make([]float64, logicalCols)
-	inSlice := make([]int, shape.rows)
-	for t := 0; t < cfg.Steps; t++ {
-		for c := range accum {
-			accum[c] = 0
+// tabulate sets up the per-action energies. Each is a lattice over the
+// integer operand its model is charged with: the input slice level (DAC),
+// the (input slice, cell) level pair (cell), the integer column sum
+// (analog adder) and the column or grouped sum (ADC, then shift-add). A
+// lattice tabulates only when its range is no wider than the simulation's
+// MAC count, so filling it never costs more than the loop it serves;
+// otherwise (Macro D's 4M-wide sums) it calls the model on every action.
+// Macro C's accumulator path always calls its models.
+func (s *simulation) tabulate(m *shapeModelsSet) {
+	a, rows := s.a, s.shape.rows
+	macs := s.steps * s.ibSlices * s.logicalCols * s.wbSlices * rows
+	maxIn := 1<<uint(a.DACBits) - 1
+	maxCell := 1<<uint(a.CellBits) - 1
+	if m.dac != nil {
+		s.dac = newLattice(maxIn+1, macs, func(v int) float64 {
+			return m.dac.EnergyAt(float64(v), 0, 0)
+		})
+	}
+	s.cell = newLattice((maxIn+1)<<uint(a.CellBits), macs, func(i int) float64 {
+		return m.cell.EnergyAt(float64(i>>uint(a.CellBits)), float64(i&maxCell), 0)
+	})
+	maxSum := rows * maxIn * maxCell
+	if m.adder != nil {
+		s.adder = newLattice(maxSum+1, macs, func(sum int) float64 {
+			return m.adder.EnergyAt(0, 0, float64(sum))
+		})
+		// A group reads out the sum of its slices' columns, each
+		// weighted by its place value: a sum over whole weights.
+		maxSum = rows * maxIn * (1<<uint(a.WeightBits) - 1)
+	}
+	s.adcBits = 8
+	if adc, ok := m.adc.(*circuits.ADC); ok {
+		s.adcBits = adc.Bits()
+	}
+	adcFullScale := a.ColumnFullScale(s.shape.adcBoundary())
+	if m.accumM != nil {
+		s.accum, s.adcAccum = m.accumM, m.adc
+		s.accumFull = adcFullScale * (math.Exp2(float64(a.InputBits)) - 1) / (math.Exp2(float64(a.DACBits)) - 1)
+		return
+	}
+	if m.adc != nil {
+		s.adc = newLattice(maxSum+1, macs, func(sum int) float64 {
+			return m.adc.EnergyAt(0, 0, quantizeCode(float64(sum), adcFullScale, s.adcBits))
+		})
+	}
+	if m.shiftAdd != nil {
+		s.shiftAdd = newLattice(maxSum+1, macs, func(sum int) float64 {
+			return m.shiftAdd.EnergyAt(0, 0, float64(sum))
+		})
+	}
+}
+
+// run streams the sampled inputs through the array, step by step and
+// input slice by input slice, charging every action in a fixed order.
+func (s *simulation) run() (*Result, error) {
+	a, sh := s.a, s.shape
+	rows, cols, wb := sh.rows, s.logicalCols, s.wbSlices
+	led := ledger{level: make([]float64, len(a.Levels)), hit: make([]bool, len(a.Levels))}
+	accum := make([]float64, cols)
+	rail := make([]int, rows)
+	in := make([]int, rows)
+	cellRow := make([]int, rows) // in[r] << CellBits: the cell lattice's row offset
+	cellFilled := make([]bool, 1<<uint(a.DACBits))
+	for t := 0; t < s.steps; t++ {
+		clear(accum)
+		// Encode each input once per step; its slices are bit fields.
+		for r := range rail {
+			rails, err := s.inEnc.Encode(s.inputs[t][r])
+			if err != nil {
+				return nil, err
+			}
+			rail[r] = rails[0]
 		}
-		for ib := 0; ib < ibSlices; ib++ {
-			for r := 0; r < shape.rows; r++ {
-				rails, err := inEnc.Encode(ops.Inputs[t][r])
-				if err != nil {
-					return nil, nil, nil, err
+		for ib := 0; ib < s.ibSlices; ib++ {
+			for r, x := range rail {
+				v := s.inSlicing.SliceValue(x, ib)
+				in[r] = v
+				cellRow[r] = v << uint(a.CellBits)
+				if s.cell.e != nil && !cellFilled[v] {
+					// First use of this input level: fill its row.
+					for w := 0; w < 1<<uint(a.CellBits); w++ {
+						s.cell.at(cellRow[r] | w)
+					}
+					cellFilled[v] = true
 				}
-				v := inSlicing.SliceValue(rails[0], ib)
-				inSlice[r] = v
-				if models.dac != nil {
-					charge(shape.dacIdx, models.dac.EnergyAt(float64(v), 0, 0))
+				if s.dac != nil {
+					led.charge(sh.dacIdx, s.dac.at(v))
 				}
 			}
-			for c := 0; c < logicalCols; c++ {
+			for c := 0; c < cols; c++ {
 				groupSum := 0.0
-				for k := 0; k < wbSlices; k++ {
-					colSum := 0
-					for r := 0; r < shape.rows; r++ {
-						w := wCells[r][c][k]
-						charge(shape.computeIdx, models.cell.EnergyAt(float64(inSlice[r]), float64(w), 0))
-						colSum += inSlice[r] * w
-						res.MACs++
-					}
-					if models.adder != nil {
+				for k := 0; k < wb; k++ {
+					colSum := s.column(&led, s.wCells[(c*wb+k)*rows:][:rows], in, cellRow)
+					if s.adder != nil {
 						// The analog adder consumes each member column;
 						// the group reads out once below.
-						charge(shape.adderIdx, models.adder.EnergyAt(0, 0, float64(colSum)))
+						led.charge(sh.adderIdx, s.adder.at(colSum))
 						groupSum += float64(colSum) * float64(int64(1)<<uint(k*a.CellBits))
 						continue
 					}
 					// Each weight-slice column reads out individually.
-					readout(res, charge, models, shape, a, adcBits, adcFullScale, float64(colSum), accum, c, ib, ibSlices)
+					s.readout(&led, float64(colSum), accum, c, ib)
 				}
-				if models.adder != nil {
-					readout(res, charge, models, shape, a, adcBits, adcFullScale, groupSum, accum, c, ib, ibSlices)
+				if s.adder != nil {
+					s.readout(&led, groupSum, accum, c, ib)
 				}
 			}
 		}
 	}
+	res := &Result{
+		Energy:      led.energy,
+		ByComponent: map[string]float64{},
+		MACs:        int64(s.steps) * int64(s.ibSlices) * int64(cols) * int64(wb) * int64(rows),
+		Steps:       s.steps,
+		Rows:        rows,
+		LogicalCols: cols,
+	}
+	for i, hit := range led.hit {
+		if hit {
+			res.ByComponent[a.Levels[i].Name] = led.level[i]
+		}
+	}
+	return res, nil
+}
 
-	inPMF, err := dist.FromSamples(inSamples)
-	if err != nil {
-		return nil, nil, nil, err
+// column charges one weight-slice column's cell actions in row order and
+// returns its integer sum. The running totals stay in locals and are
+// written back once; every addition is the one charge makes, in the same
+// order, so every bit matches. Adding a zero charge leaves a total as it
+// was (no total is ever -0), so zeros are added rather than branched on.
+func (s *simulation) column(led *ledger, ws, in, cellRow []int) int {
+	ci := s.shape.computeIdx
+	energy, total := led.energy, led.level[ci]
+	// bits ORs the charges: its magnitude bits are nonzero iff some
+	// charge is nonzero (or NaN).
+	var bits uint64
+	sum := 0
+	in, cellRow = in[:len(ws)], cellRow[:len(ws)]
+	if tab := s.cell.e; tab != nil {
+		// run has filled the rows of every input slice level in use.
+		for r, w := range ws {
+			e := tab[cellRow[r]|w]
+			energy += e
+			total += e
+			bits |= math.Float64bits(e)
+			sum += in[r] * w
+		}
+	} else {
+		for r, w := range ws {
+			e := s.cell.f(cellRow[r] | w)
+			energy += e
+			total += e
+			bits |= math.Float64bits(e)
+			sum += in[r] * w
+		}
 	}
-	wPMF, err := dist.FromSamples(wSamples)
-	if err != nil {
-		return nil, nil, nil, err
+	led.energy, led.level[ci] = energy, total
+	if bits&^(1<<63) != 0 {
+		led.hit[ci] = true
 	}
-	return res, inPMF, wPMF, nil
+	return sum
+}
+
+// readout charges the output path of one column (or group) sum at one
+// input slice: analog accumulation across input slices (Macro C) or
+// immediate ADC conversion, followed by digital accumulation.
+func (s *simulation) readout(led *ledger, sum float64, accum []float64, col, ib int) {
+	sh := s.shape
+	if s.accum != nil {
+		accum[col] += sum * float64(int64(1)<<uint(ib*s.a.DACBits))
+		led.charge(sh.accumIdx, s.accum.EnergyAt(0, 0, accum[col]))
+		if ib == s.ibSlices-1 && s.adcAccum != nil {
+			led.charge(sh.adcIdx, s.adcAccum.EnergyAt(0, 0, quantizeCode(accum[col], s.accumFull, s.adcBits)))
+		}
+		return
+	}
+	// Column and group sums are integers well inside float64's exact
+	// range, so the lattice index is the sum itself.
+	i := int(sum)
+	if s.adc != nil {
+		led.charge(sh.adcIdx, s.adc.at(i))
+	}
+	if s.shiftAdd != nil {
+		led.charge(sh.shiftAddIdx, s.shiftAdd.at(i))
+	}
+}
+
+// ledger totals the charged energy overall and per level, in charge order.
+type ledger struct {
+	energy float64
+	level  []float64
+	hit    []bool // the level has a nonzero charge
+}
+
+func (l *ledger) charge(idx int, joules float64) {
+	if idx < 0 || joules == 0 {
+		return
+	}
+	l.energy += joules
+	l.level[idx] += joules
+	l.hit[idx] = true
+}
+
+// lattice tabulates a per-action energy, a pure function of an integer
+// operand in [0, len(e)), filling each point on its first use. Unfilled
+// points hold NaN; a model that returns NaN is just called on every use.
+// With e nil (the range is too wide to tabulate) every use calls f.
+type lattice struct {
+	e []float64
+	f func(int) float64
+}
+
+func newLattice(points, macs int, f func(int) float64) *lattice {
+	l := &lattice{f: f}
+	if points <= macs {
+		l.e = make([]float64, points)
+		for i := range l.e {
+			l.e[i] = math.NaN()
+		}
+	}
+	return l
+}
+
+func (l *lattice) at(i int) float64 {
+	if uint(i) < uint(len(l.e)) && !math.IsNaN(l.e[i]) {
+		return l.e[i]
+	}
+	e := l.f(i)
+	if uint(i) < uint(len(l.e)) {
+		l.e[i] = e
+	}
+	return e
 }
 
 // adcBoundary returns the boundary index for the ADC full-scale.
@@ -321,27 +536,6 @@ func shapeModels(eng *core.Engine, s *macroShape) *shapeModelsSet {
 		m.shiftAdd = eng.ComponentModel(s.shiftAddIdx)
 	}
 	return m
-}
-
-// readout models the output path for one column sum at one input slice:
-// analog accumulation across input slices (Macro C) or immediate ADC
-// conversion, followed by digital accumulation.
-func readout(res *Result, charge func(int, float64), m *shapeModelsSet, s *macroShape, a *core.Arch, adcBits int, adcFullScale, sum float64, accum []float64, col, ib, ibSlices int) {
-	if m.accumM != nil {
-		accum[col] += sum * float64(int64(1)<<uint(ib*a.DACBits))
-		charge(s.accumIdx, m.accumM.EnergyAt(0, 0, accum[col]))
-		if ib == ibSlices-1 && m.adc != nil {
-			full := adcFullScale * (math.Exp2(float64(a.InputBits)) - 1) / (math.Exp2(float64(a.DACBits)) - 1)
-			charge(s.adcIdx, m.adc.EnergyAt(0, 0, quantizeCode(accum[col], full, adcBits)))
-		}
-		return
-	}
-	if m.adc != nil {
-		charge(s.adcIdx, m.adc.EnergyAt(0, 0, quantizeCode(sum, adcFullScale, adcBits)))
-	}
-	if m.shiftAdd != nil {
-		charge(s.shiftAddIdx, m.shiftAdd.EnergyAt(0, 0, sum))
-	}
 }
 
 // quantizeCode maps an analog sum onto an ADC output code, matching the

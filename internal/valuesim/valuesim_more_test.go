@@ -48,3 +48,36 @@ func TestSimulateRejectsUnknownTopologies(t *testing.T) {
 		t.Fatal("want error for unsupported photonic transit classes")
 	}
 }
+
+// Re-evaluating a comparison with other PMFs must equal a fresh Compare
+// with those PMFs as overrides, and keep the empirical PMFs it carries.
+func TestWithPMFsMatchesCompareOverride(t *testing.T) {
+	eng := smallEngine(t, macros.Base, macros.Config{Rows: 16, Cols: 16})
+	net := workload.ResNet18()
+	cfg := Config{Steps: 8, Seed: 4}
+	first, err := Compare(eng, net.Layers[1], cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Compare(eng, net.Layers[7], cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := first.WithPMFs(eng, net.Layers[1], other.InPMF, other.WPMF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Compare(eng, net.Layers[1], cfg, other.InPMF, other.WPMF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RelError != want.RelError || got.StatEnergy != want.StatEnergy || got.SimEnergy != want.SimEnergy {
+		t.Fatalf("WithPMFs %+v, Compare with overrides %+v", got, want)
+	}
+	if got.RelError == first.RelError {
+		t.Fatal("other PMFs left the statistical side unchanged")
+	}
+	if got.InPMF != first.InPMF || got.WPMF != first.WPMF || want.InPMF.Mean() != first.InPMF.Mean() {
+		t.Fatal("comparisons must carry the simulation's empirical PMFs")
+	}
+}

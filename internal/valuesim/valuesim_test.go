@@ -154,20 +154,16 @@ func TestStatisticalModelTracksGroundTruth(t *testing.T) {
 		}
 		dvdErrs = append(dvdErrs, cmp.RelError)
 		cmps = append(cmps, cmp)
-		_, inPMF, wPMF, err := Simulate(e, l, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ins = append(ins, inPMF)
-		ws = append(ws, wPMF)
+		ins = append(ins, cmp.InPMF)
+		ws = append(ws, cmp.WPMF)
 	}
 	avgIn, avgW, err := AveragePMFs(ins, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var fixedErrs []float64
-	for _, l := range layers {
-		cmp, err := Compare(e, l, cfg, avgIn, avgW)
+	for i, l := range layers {
+		cmp, err := cmps[i].WithPMFs(e, l, avgIn, avgW)
 		if err != nil {
 			t.Fatal(err)
 		}
