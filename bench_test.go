@@ -151,12 +151,17 @@ func BenchmarkAnalyzeInto(b *testing.B) {
 	}
 }
 
-// BenchmarkMapperSample measures candidate mapping generation throughput.
+// BenchmarkMapperSample measures candidate mapping generation throughput
+// at the search benchmarks' budget. Its ns/cand is the cost of the
+// generator that feeds a parallel search's workers (draw, dedup,
+// validation, copy), so SearchLayerSerial's ns/cand divided by it bounds
+// the speedup any SearchLayerParallel width can reach.
 func BenchmarkMapperSample(b *testing.B) {
 	eng, ctx := benchEngine(b)
-	opts := eng.Arch().MapperOptions(64, 1)
+	opts := eng.Arch().MapperOptions(searchBudget, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
+	cands := 0
 	for i := 0; i < b.N; i++ {
 		ms, err := mapper.Sample(eng.Arch().Levels, ctx.Sliced, opts)
 		if err != nil {
@@ -165,7 +170,9 @@ func BenchmarkMapperSample(b *testing.B) {
 		if len(ms) == 0 {
 			b.Fatal("no mappings")
 		}
+		cands += len(ms)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cands), "ns/cand")
 }
 
 // BenchmarkValueSimulator measures the value-level ground truth at Fig. 6
@@ -228,6 +235,7 @@ func benchSearchLayer(b *testing.B, workers int) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
+	cands := 0
 	for i := 0; i < b.N; i++ {
 		r, evaluated, err := eng.SearchLayerOptsCtx(ctx, lctx, core.SearchOptions{
 			MaxMappings: searchBudget, Seed: 1, SearchWorkers: workers})
@@ -240,7 +248,9 @@ func benchSearchLayer(b *testing.B, workers int) {
 		if i == 0 {
 			b.ReportMetric(float64(evaluated), "cands")
 		}
+		cands += evaluated
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cands), "ns/cand")
 }
 
 func BenchmarkSearchLayerSerial(b *testing.B)    { benchSearchLayer(b, 1) }

@@ -3,19 +3,22 @@ package core
 // The per-mapping half of Algorithm 1 (lines 8-10) is split along the
 // same line as the count analysis in package mapping. A layer search
 // compiles the layer's mapping.Plan once — the level list and the sliced
-// einsum resolved into index tables — and gives every search worker its
-// own mapping.Scratch. Each candidate then runs the cost-only kernel
-// (costKernel): Plan.AnalyzeInto into the worker's Scratch, then price, which
-// multiplies the counts by the LayerContext's per-action energies (stored
-// per level as arrays indexed by tensor kind) and returns the energy
-// scalar. With a warm Scratch the kernel allocates nothing. The full
-// Result, with its per-level breakdown, is built once, for the winner, by
-// the same price function, so the winner's Energy is bit for bit the
-// number the search compared. price sums levels outermost first and
-// tensors in tensor.Kind order, which makes every energy, and therefore
-// every winner, independent of run, worker count and map iteration
-// order. EvaluateMapping is the one-shot form: it compiles a Plan for its
-// one mapping.
+// einsum resolved into index tables — and mapper.Search gives every
+// search worker its own mapping.Scratch. The search validates each
+// candidate by loading it into that Scratch (Plan.Load), so the check
+// runs once; the candidate then runs the cost-only kernel (costKernel):
+// Plan.AnalyzeLoaded on the loaded Scratch, then price, which multiplies
+// the counts by the LayerContext's per-action energies (stored per level
+// as arrays indexed by tensor kind) and returns the energy scalar. The
+// candidate is priced where the sampler drew it and copied only if it
+// becomes the new best. With a warm Scratch the kernel allocates
+// nothing. The full Result, with its per-level breakdown, is built once,
+// for the winner, by the same price function, so the winner's Energy is
+// bit for bit the number the search compared. price sums levels
+// outermost first and tensors in tensor.Kind order, which makes every
+// energy, and therefore every winner, independent of run, worker count
+// and map iteration order. EvaluateMapping is the one-shot form: it
+// compiles a Plan for its one mapping and analyzes it with AnalyzeInto.
 
 import (
 	"context"
@@ -122,17 +125,12 @@ func (e *Engine) evaluate(ctx *LayerContext, plan *mapping.Plan, s *mapping.Scra
 }
 
 // costKernel returns the search's cost-only kernel for one layer: the
-// layer energy of a mapping, with no Result built, analyzed into a
-// Scratch the kernel owns. Once that Scratch has grown it allocates
-// nothing. A kernel must not be called from two goroutines at once.
-func (e *Engine) costKernel(ctx *LayerContext, plan *mapping.Plan) mapper.CostFunc {
-	s := new(mapping.Scratch)
-	return func(m *mapping.Mapping) (float64, error) {
-		counts, err := plan.AnalyzeInto(m, s)
-		if err != nil {
-			return 0, err
-		}
-		return e.price(ctx, counts, nil), nil
+// layer energy of the candidate mapper.Search has validated and laid out
+// in s, with no Result built. Once s has grown it allocates nothing. A
+// kernel must not be called from two goroutines at once.
+func (e *Engine) costKernel(ctx *LayerContext, plan *mapping.Plan, s *mapping.Scratch) mapper.CostFunc {
+	return func(*mapping.Mapping) (float64, error) {
+		return e.price(ctx, plan.AnalyzeLoaded(s), nil), nil
 	}
 }
 
@@ -300,13 +298,16 @@ type SearchOptions struct {
 // layer and returns it with the number of mappings evaluated. The
 // SearchOptions select the budget, seed, and intra-search parallelism.
 // The layer's count-analysis Plan is compiled once and serves the
-// mapper's candidate validation and every cost kernel; each candidate
-// runs the cost-only kernel (analysis into a reused Scratch plus pricing,
-// no Result), and the Result is built once, for the winner. With
-// SearchWorkers > 1 candidate evaluations fan across a worker pool
-// (mapper.Search), each worker with its own Scratch. Pricing sums in a
-// fixed order, so the winner and its Result are bit-identical across runs
-// and worker counts.
+// mapper's candidate validation and every cost kernel. On the serial
+// path each candidate is checked once, by the load into the search's
+// Scratch that the kernel then analyzes, and priced in the sampler's own
+// memory (pricing only, no Result); only a new best is copied, and the
+// Result is built once, for the winner. With SearchWorkers > 1 the
+// sampler validates and copies each candidate into a recycled buffer,
+// and candidate evaluations fan across a worker pool (mapper.Search),
+// each worker loading into its own Scratch. Pricing sums in a fixed
+// order, so the winner and its Result are bit-identical across runs and
+// worker counts.
 //
 // The candidate loop checks for cancellation before each mapping
 // evaluation, so a cancelled or expired context makes the search return
@@ -319,7 +320,7 @@ func (e *Engine) SearchLayerOptsCtx(ctx context.Context, lctx *LayerContext, so 
 		return nil, 0, err
 	}
 	opts := e.arch.MapperOptions(so.MaxMappings, so.Seed)
-	newCost := func() mapper.CostFunc { return e.costKernel(lctx, plan) }
+	newCost := func(s *mapping.Scratch) mapper.CostFunc { return e.costKernel(lctx, plan, s) }
 	best, evaluated, err := mapper.Search(ctx, plan, e.arch.Levels, lctx.Sliced, opts, so.SearchWorkers, newCost)
 	if err != nil {
 		return nil, 0, err

@@ -6,14 +6,22 @@ import (
 	"repro/internal/mapping"
 )
 
-// CostKernel returns the search's cost-only kernel for one prepared
-// layer, with its Plan compiled and a Scratch of its own.
+// CostKernel returns the search's per-candidate work for one prepared
+// layer, with its Plan compiled and a Scratch of its own: the Load that
+// validates a candidate and lays it out, then the cost-only kernel.
 func (e *Engine) CostKernel(ctx *LayerContext) (mapper.CostFunc, error) {
 	plan, err := mapping.NewPlan(e.arch.Levels, ctx.Sliced)
 	if err != nil {
 		return nil, err
 	}
-	return e.costKernel(ctx, plan), nil
+	s := new(mapping.Scratch)
+	cost := e.costKernel(ctx, plan, s)
+	return func(m *mapping.Mapping) (float64, error) {
+		if err := plan.Load(m, s); err != nil {
+			return 0, err
+		}
+		return cost(m)
+	}, nil
 }
 
 // ColumnSumDepths returns the distinct reduction depths below each

@@ -8,10 +8,13 @@
 package mapper
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/mapping"
 	"repro/internal/spec"
@@ -242,15 +245,17 @@ func temporalTarget(levels []spec.Level, opts Options) (int, error) {
 // Sample generates up to MaxMappings distinct valid mappings by seeded
 // random factor splitting and permutation, always including the Greedy
 // mapping first. It compiles the layer's mapping.Plan for this one call;
-// Search takes a compiled one instead.
+// Search takes a compiled one instead. Every returned mapping is a copy
+// the caller owns.
 func Sample(levels []spec.Level, e *tensor.Einsum, opts Options) ([]*mapping.Mapping, error) {
 	plan, err := mapping.NewPlan(levels, e)
 	if err != nil {
 		return nil, err
 	}
 	var out []*mapping.Mapping
-	err = sampleSeq(plan, levels, e, opts, func(_ int, m *mapping.Mapping) bool {
-		out = append(out, m)
+	c := copier{batch: min(opts.budget(), 64)}
+	err = sampleSeq(plan, levels, e, opts, nil, func(_ int, m *mapping.Mapping) bool {
+		out = append(out, c.copy(m))
 		return true
 	})
 	if err != nil {
@@ -263,23 +268,32 @@ func Sample(levels []spec.Level, e *tensor.Einsum, opts Options) ([]*mapping.Map
 // time, calling yield with each candidate's index; yield returning false
 // stops generation early. Search prices candidates as this generator
 // yields them instead of waiting for the whole sample. plan is the
-// compiled count analysis of (levels, e) and validates every candidate.
-func sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, yield func(int, *mapping.Mapping) bool) error {
+// compiled count analysis of (levels, e) and validates every candidate:
+// with s nil by Plan.Validate, otherwise by Plan.Load into s, so that
+// each yielded candidate is already laid out in s.
+//
+// The yielded mapping is borrowed: it is valid only during the yield
+// call, after which the generator draws the next candidate into the same
+// memory. A caller that keeps a candidate must copy it.
+func sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, s *mapping.Scratch, yield func(int, *mapping.Mapping) bool) error {
 	opts.MaxMappings = opts.budget()
-	first, err := greedy(levels, e, opts, plan.Validate)
+	valid := plan.Validate
+	if s != nil {
+		valid = func(m *mapping.Mapping) error { return plan.Load(m, s) }
+	}
+	first, err := greedy(levels, e, opts, valid)
 	if err != nil {
 		return err
 	}
 	if !yield(0, first) {
 		return nil
 	}
-	s, err := newSampler(plan, levels, e, opts)
+	smp, err := newSampler(levels, e, opts, valid)
 	if err != nil {
 		return err
 	}
 	n := 1
-	seen := map[string]bool{first.String(): true}
-	s.stream(rand.New(rand.NewSource(opts.Seed)), seen, func(m *mapping.Mapping) bool {
+	smp.stream(rand.New(rand.NewSource(opts.Seed)), first, func(m *mapping.Mapping) bool {
 		if !yield(n, m) {
 			return false
 		}
@@ -291,23 +305,47 @@ func sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts O
 
 // sampler draws the random candidates of one (levels, einsum, options)
 // triple. newSampler resolves the name-keyed options — remaining bounds,
-// mesh budgets, spatial preferences, storage levels — into index tables
-// once per search; the layer's compiled mapping.Plan validates draws.
-// A draw reuses one scratch mapping and key buffer, so rejected draws
-// allocate nothing; only accepted candidates are copied out.
+// mesh budgets, spatial preferences, storage levels, fixed loops — into
+// index tables once per search, and valid (the layer Plan's check)
+// validates draws. A draw works in index space: it splits factors with
+// the sampler's divisor table, lays the loops out per level as (dim
+// index, factor) pairs, and from them builds the dedup key and writes
+// the candidate, with its dim names, into the one scratch mapping all
+// draws share. stream lends that mapping to its caller for one call: no
+// candidate is copied, and once the buffers have grown no draw
+// allocates.
 type sampler struct {
-	plan    *mapping.Plan
-	dims    []string         // einsum dimension names; a dim's index is its position
-	rem0    []int            // per-dim bound left after the fixed loops
-	spatial []spatialSlot    // spatial levels, innermost first
-	storage []int            // storage levels, outermost first
-	fixed   [][]mapping.Loop // fixed loops per level
-	max     int              // Options.MaxMappings
+	valid   func(*mapping.Mapping) error
+	dims    []string      // einsum dimension names; a dim's index is its position
+	rem0    []int         // per-dim bound left after the fixed loops
+	spatial []spatialSlot // spatial levels, innermost first
+	storage []int         // storage levels, outermost first
+	fixed   [][]ixLoop    // fixed loops per level
+	max     int           // Options.MaxMappings
+
+	// divs caches the ascending divisors of the bounds drawn from, in a
+	// table indexed by a hash of the bound; the lists are windows of
+	// divBuf. divScratch holds the divisors of a bound whose entry
+	// another bound took first.
+	divs       [64]divisorList
+	divBuf     []int
+	divScratch []int
 
 	// Draw state.
-	rem []int
-	m   mapping.Mapping
-	key []byte
+	rem   []int
+	loops [][]ixLoop // the draw's loops per level
+	key   []byte     // the draw's dedup key
+	m     mapping.Mapping
+}
+
+// ixLoop is a loop with its dim as an index into sampler.dims.
+type ixLoop struct{ dim, factor int }
+
+// divisorList is one entry of the sampler's divisor table: the divisors
+// of b, ascending.
+type divisorList struct {
+	b    int
+	divs []int
 }
 
 // spatialSlot is one spatial level's share of a draw's spatial placement.
@@ -317,23 +355,28 @@ type spatialSlot struct {
 	prefs  []int // preferred dims the einsum has, in preference order
 }
 
-func newSampler(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options) (*sampler, error) {
+func newSampler(levels []spec.Level, e *tensor.Einsum, opts Options, valid func(*mapping.Mapping) error) (*sampler, error) {
 	rem, err := remainingBound(e, opts.Fixed)
 	if err != nil {
 		return nil, err
 	}
 	s := &sampler{
-		plan:    plan,
+		valid:   valid,
 		dims:    make([]string, len(e.Dims)),
 		rem0:    make([]int, len(e.Dims)),
 		storage: storageLevels(levels),
-		fixed:   newMapping(levels, opts.Fixed).LevelLoops,
+		fixed:   make([][]ixLoop, len(levels)),
 		max:     opts.MaxMappings,
 	}
 	index := make(map[string]int, len(e.Dims))
 	for i, d := range e.Dims {
 		s.dims[i], s.rem0[i] = d.Name, rem[d.Name]
 		index[d.Name] = i
+	}
+	for lvl, loops := range opts.Fixed {
+		for _, l := range loops {
+			s.fixed[lvl] = append(s.fixed[lvl], ixLoop{index[l.Dim], l.Factor})
+		}
 	}
 	budget := meshBudget(levels, opts.Fixed)
 	for li := len(levels) - 1; li >= 0; li-- {
@@ -352,43 +395,59 @@ func newSampler(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts 
 		s.spatial = append(s.spatial, slot)
 	}
 	s.rem = make([]int, len(s.rem0))
-	s.m = mapping.Mapping{LevelLoops: make([][]mapping.Loop, len(s.fixed))}
+	s.divBuf = make([]int, 0, 64)
+	s.loops = make([][]ixLoop, len(levels))
+	s.m = mapping.Mapping{LevelLoops: make([][]mapping.Loop, len(levels))}
 	return s, nil
 }
 
 // stream draws from rng until it has emitted max-1 fresh valid candidates
-// or spent max*20 draws: the sampler's budget after the greedy mapping.
-// seen holds the keys already taken (at least the greedy mapping's) and
-// gains each emitted key. emit receives each candidate, a copy the
-// caller owns; returning false stops the stream.
-func (s *sampler) stream(rng *rand.Rand, seen map[string]bool, emit func(m *mapping.Mapping) bool) {
+// or spent max*20 draws: the sampler's budget after the greedy mapping
+// first, which is taken already. emit receives each candidate in the
+// sampler's scratch mapping, borrowed for the call: the next draw
+// overwrites it. Returning false stops the stream.
+func (s *sampler) stream(rng *rand.Rand, first *mapping.Mapping, emit func(m *mapping.Mapping) bool) {
+	// Sized for the budget, but a budget far above the layer's mapping
+	// space is common, so the hint is capped. The keys are slices of one
+	// append-only Builder, whose bytes never change once written, so
+	// taking a key allocates nothing of its own.
+	hint := min(s.max, 1024)
+	seen := make(map[string]struct{}, hint)
+	var keys strings.Builder
+	keys.Grow(32 * hint)
+	take := func(key []byte) {
+		start := keys.Len()
+		keys.Write(key)
+		seen[keys.String()[start:]] = struct{}{}
+	}
+	take(s.keyOf(first))
 	produced, tries := 0, 0
 	for produced < s.max-1 && tries < s.max*20 {
 		tries++
 		s.draw(rng)
-		s.key = s.m.AppendTo(s.key[:0])
-		if seen[string(s.key)] {
+		if _, dup := seen[string(s.key)]; dup {
 			continue
 		}
-		if s.plan.Validate(&s.m) != nil {
+		if s.valid(&s.m) != nil {
 			continue
 		}
-		seen[string(s.key)] = true
+		take(s.key)
 		produced++
-		if !emit(cloneMapping(&s.m)) {
+		if !emit(&s.m) {
 			return
 		}
 	}
 }
 
 // draw builds one random candidate (possibly invalid; stream checks) in
-// s.m: a random subset of preferred dims gets random spatial factors,
+// s.loops: a random subset of preferred dims gets random spatial factors,
 // every remaining dim is split randomly across storage levels, and each
-// storage level's loops are shuffled.
+// storage level's loops are shuffled. It then writes the candidate's key
+// to s.key and the candidate itself to s.m.
 func (s *sampler) draw(rng *rand.Rand) {
-	loops := s.m.LevelLoops
-	for i := range loops {
-		loops[i] = append(loops[i][:0], s.fixed[i]...)
+	loops := s.loops
+	for i, f := range s.fixed {
+		loops[i] = append(loops[i][:0], f...)
 	}
 	copy(s.rem, s.rem0)
 
@@ -400,11 +459,11 @@ func (s *sampler) draw(rng *rand.Rand) {
 			if room <= 1 || b <= 1 {
 				continue
 			}
-			f := randomFactor(rng, b, room)
+			f := s.randomFactor(rng, b, room)
 			if f <= 1 {
 				continue
 			}
-			loops[slot.level] = append(loops[slot.level], mapping.Loop{Dim: s.dims[d], Factor: f})
+			loops[slot.level] = append(loops[slot.level], ixLoop{d, f})
 			room /= f
 			s.rem[d] = ceilDiv(b, f)
 		}
@@ -415,11 +474,11 @@ func (s *sampler) draw(rng *rand.Rand) {
 	for d, b := range s.rem {
 		for b > 1 {
 			li := s.storage[rng.Intn(len(s.storage))]
-			f := randomFactor(rng, b, b)
+			f := s.randomFactor(rng, b, b)
 			if f <= 1 {
 				f = b
 			}
-			loops[li] = append(loops[li], mapping.Loop{Dim: s.dims[d], Factor: f})
+			loops[li] = append(loops[li], ixLoop{d, f})
 			b = ceilDiv(b, f)
 		}
 	}
@@ -428,85 +487,151 @@ func (s *sampler) draw(rng *rand.Rand) {
 		ll := loops[li]
 		rng.Shuffle(len(ll), func(i, j int) { ll[i], ll[j] = ll[j], ll[i] })
 	}
+
+	// The key, and the candidate with its dim names.
+	s.key = s.key[:0]
+	for li, ll := range loops {
+		out := s.m.LevelLoops[li][:0]
+		for _, l := range ll {
+			s.key = appendKey(s.key, li, l.dim, l.factor)
+			out = append(out, mapping.Loop{Dim: s.dims[l.dim], Factor: l.factor})
+		}
+		s.m.LevelLoops[li] = out
+	}
 }
 
-// cloneMapping copies m into one allocation of loops. Levels without
-// loops stay nil.
-func cloneMapping(m *mapping.Mapping) *mapping.Mapping {
-	n := 0
+// keyOf returns the dedup key of a mapping over the sampler's dims: the
+// key draw builds for the same loops.
+func (s *sampler) keyOf(m *mapping.Mapping) []byte {
+	var key []byte
+	for li, ll := range m.LevelLoops {
+		for _, l := range ll {
+			key = appendKey(key, li, slices.Index(s.dims, l.Dim), l.Factor)
+		}
+	}
+	return key
+}
+
+// appendKey appends one loop to a dedup key: its level, dim index and
+// factor as uvarints. A key lists every loop, levels outermost first and
+// each level's loops in order. Uvarints are prefix-free, so a key decodes
+// back to the mapping's loop lists, and since dim names and indices are
+// one to one, two mappings get equal keys exactly when their String
+// forms are equal.
+func appendKey(key []byte, level, dim, factor int) []byte {
+	if level|dim|factor < 0x80 { // each uvarint is one byte
+		return append(key, byte(level), byte(dim), byte(factor))
+	}
+	key = binary.AppendUvarint(key, uint64(level))
+	key = binary.AppendUvarint(key, uint64(dim))
+	return binary.AppendUvarint(key, uint64(factor))
+}
+
+// copier makes copies of borrowed mappings that the caller owns. It
+// carves each copy's Mapping, loop lists and loops from chunks sized for
+// batch copies, so a batch of copies costs three allocations. Levels
+// without loops stay nil.
+type copier struct {
+	batch int
+	maps  []mapping.Mapping
+	lists [][]mapping.Loop
+	loops []mapping.Loop
+}
+
+// copy returns a copy of m.
+func (c *copier) copy(m *mapping.Mapping) *mapping.Mapping {
+	nl, n := len(m.LevelLoops), 0
 	for _, l := range m.LevelLoops {
 		n += len(l)
 	}
-	flat := make([]mapping.Loop, 0, n)
-	out := &mapping.Mapping{LevelLoops: make([][]mapping.Loop, len(m.LevelLoops))}
+	if len(c.maps) == cap(c.maps) {
+		c.maps = make([]mapping.Mapping, 0, c.batch)
+	}
+	if cap(c.lists)-len(c.lists) < nl {
+		c.lists = make([][]mapping.Loop, 0, c.batch*nl)
+	}
+	if cap(c.loops)-len(c.loops) < n {
+		c.loops = make([]mapping.Loop, 0, c.batch*n)
+	}
+	lists := c.lists[len(c.lists) : len(c.lists)+nl : len(c.lists)+nl]
+	c.lists = c.lists[:len(c.lists)+nl]
 	for i, l := range m.LevelLoops {
 		if len(l) == 0 {
 			continue
 		}
-		start := len(flat)
-		flat = append(flat, l...)
-		out.LevelLoops[i] = flat[start:len(flat):len(flat)]
+		start := len(c.loops)
+		c.loops = append(c.loops, l...)
+		lists[i] = c.loops[start:len(c.loops):len(c.loops)]
 	}
-	return out
+	c.maps = append(c.maps, mapping.Mapping{LevelLoops: lists})
+	return &c.maps[len(c.maps)-1]
 }
 
 // randomFactor picks a random divisor of b capped at limit, occasionally
 // the limit itself (a padded split). The padded candidate is only added
 // when limit does not already divide b — when it does, the divisor count
 // already includes it, and adding it again would double its selection
-// weight. Divisors are counted and indexed in ascending order without
-// being collected into a slice; the rng draws must stay exactly those of
-// the collecting form, or every seeded candidate sequence changes.
-func randomFactor(rng *rand.Rand, b, limit int) int {
+// weight. The rng draws must stay exactly those of the form that
+// collected the divisors up to limit into a slice, or every seeded
+// candidate sequence changes.
+func (s *sampler) randomFactor(rng *rand.Rand, b, limit int) int {
 	if limit > b {
 		limit = b
 	}
-	divisors := 0
-	for d := 1; d*d <= b; d++ {
-		if b%d != 0 {
-			continue
-		}
-		if d <= limit {
-			divisors++
-		}
-		if q := b / d; q != d && q <= limit {
-			divisors++
-		}
+	divs := s.divisors(b)
+	n := len(divs) // divisors of b up to limit
+	for n > 0 && divs[n-1] > limit {
+		n--
 	}
-	cands := divisors
-	if limit < b && b%limit != 0 && (divisors == 0 || rng.Intn(4) == 0) {
+	cands := n
+	if limit < b && b%limit != 0 && (n == 0 || rng.Intn(4) == 0) {
 		cands++ // padded split
 	}
 	if cands == 0 {
 		return 1
 	}
 	k := rng.Intn(cands)
-	if k == divisors {
+	if k == n {
 		return limit
 	}
-	return nthDivisor(b, limit, k)
+	return divs[k]
 }
 
-// nthDivisor returns the k-th smallest divisor of b that is at most limit
-// (k from 0): first the divisors up to sqrt(b) ascending, then their
-// cofactors ascending.
-func nthDivisor(b, limit, k int) int {
-	d := 1
-	for ; d*d <= b; d++ {
-		if b%d == 0 && d <= limit {
-			if k == 0 {
-				return d
-			}
-			k--
+// divisors returns the divisors of b in ascending order. The first bound
+// to hash to an entry of the sampler's table keeps it (b > 0, so no
+// entry matches before it is filled), and its divisors are computed once
+// per search; a later bound hashing to a taken entry has its divisors
+// computed into divScratch on every call.
+func (s *sampler) divisors(b int) []int {
+	e := &s.divs[uint64(b)*0x9e3779b97f4a7c15>>58]
+	switch {
+	case e.b == b:
+		return e.divs
+	case e.b != 0:
+		s.divScratch = appendDivisors(s.divScratch[:0], b)
+		return s.divScratch
+	}
+	start := len(s.divBuf)
+	s.divBuf = appendDivisors(s.divBuf, b)
+	e.b, e.divs = b, s.divBuf[start:len(s.divBuf):len(s.divBuf)]
+	return e.divs
+}
+
+// appendDivisors appends the divisors of b to dst in ascending order: the
+// divisors up to sqrt(b), then their cofactors. A window of dst that an
+// earlier call appended stays valid when a later append moves dst,
+// since the old backing array is never written again.
+func appendDivisors(dst []int, b int) []int {
+	start := len(dst)
+	for d := 1; d*d <= b; d++ {
+		if b%d == 0 {
+			dst = append(dst, d)
 		}
 	}
-	for d--; d >= 1; d-- {
-		if q := b / d; b%d == 0 && q != d && q <= limit {
-			if k == 0 {
-				return q
-			}
-			k--
+	for i := len(dst) - 1; i >= start; i-- {
+		if d := dst[i]; b/d != d {
+			dst = append(dst, b/d)
 		}
 	}
-	panic("mapper: divisor index out of range")
+	return dst
 }

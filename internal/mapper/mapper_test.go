@@ -261,7 +261,8 @@ func TestSearchSkipsFailingCandidates(t *testing.T) {
 }
 
 // randomFactor must draw exactly like the slice-collecting version it
-// replaced: same divisors in the same order, same rng calls.
+// replaced: same divisors in the same order, same rng calls, whether a
+// bound's divisors are computed or come from the sampler's table.
 func TestRandomFactorMatchesCollectedDivisors(t *testing.T) {
 	collected := func(rng *rand.Rand, b, limit int) int {
 		if limit > b {
@@ -282,10 +283,11 @@ func TestRandomFactorMatchesCollectedDivisors(t *testing.T) {
 		return cands[rng.Intn(len(cands))]
 	}
 	got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	s := new(sampler)
 	for b := 1; b <= 300; b++ {
 		for limit := 1; limit <= b+2; limit++ {
 			for rep := 0; rep < 3; rep++ {
-				if g, w := randomFactor(got, b, limit), collected(want, b, limit); g != w {
+				if g, w := s.randomFactor(got, b, limit), collected(want, b, limit); g != w {
 					t.Fatalf("randomFactor(%d, %d) = %d, want %d", b, limit, g, w)
 				}
 			}

@@ -16,7 +16,12 @@ type Result struct {
 	Cost    float64
 }
 
-// CostFunc prices one candidate mapping for a search.
+// CostFunc prices one candidate mapping for a search. The mapping is
+// borrowed: it is valid only for the call, because the search draws the
+// next candidate into the same memory. A CostFunc that keeps its argument
+// must copy it; the search itself copies only each new best. (Sample
+// returns copies, and the worker pool prices copies in buffers it
+// recycles.)
 type CostFunc func(*mapping.Mapping) (float64, error)
 
 // searchPartial accumulates one worker's share of the reduction. Both
@@ -35,6 +40,8 @@ type searchPartial struct {
 	evaluated int
 }
 
+// observe folds candidate i into the partial. m is borrowed: a new best
+// is copied.
 func (p *searchPartial) observe(i int, m *mapping.Mapping, cost float64, err error) {
 	if err != nil {
 		if p.firstErr == nil || i < p.errIdx {
@@ -44,7 +51,7 @@ func (p *searchPartial) observe(i int, m *mapping.Mapping, cost float64, err err
 	}
 	p.evaluated++
 	if p.best == nil || cost < p.bestCost || (cost == p.bestCost && i < p.bestIdx) {
-		p.best, p.bestCost, p.bestIdx = m, cost, i
+		p.best, p.bestCost, p.bestIdx = (&copier{batch: 1}).copy(m), cost, i
 	}
 }
 
@@ -71,37 +78,48 @@ func (p *searchPartial) merge(q *searchPartial) {
 // skipped; if every candidate fails, the first one's error (in candidate
 // order) is returned.
 //
+// Each worker owns a mapping.Scratch, and newCost is called once per
+// worker with it. Before each call of the CostFunc newCost returned, the
+// search has validated the candidate and laid it out in that Scratch with
+// plan.Load, so a cost function that analyzes counts reads them with
+// plan.AnalyzeLoaded instead of checking the candidate again. Each worker
+// prices candidates only with the CostFunc it got, so a cost function may
+// keep per-worker scratch state; state shared between the CostFuncs must
+// be safe for concurrent use.
+//
 // With workers <= 1 each candidate is priced inline as the generator
-// yields it, on the caller's goroutine. With more, candidates stream from
-// the generator into a bounded worker pool, so evaluation overlaps
-// generation, and the per-worker partial reductions merge after all
-// workers finish. Both widths run the same reduction, so the winner, the
-// error and the evaluated count do not depend on workers. newCost is
-// called once per worker, and each worker prices candidates only with the
-// CostFunc it got, so a cost function may keep per-worker scratch state;
-// state shared between the CostFuncs must be safe for concurrent use.
+// yields it, on the caller's goroutine: its validation is the Load into
+// the Scratch, and it is priced in the generator's own memory, with no
+// copy. With more, the generator validates each candidate, copies it into
+// a recycled buffer and streams it into a bounded worker pool, where a
+// worker loads and prices it, so evaluation overlaps generation; the
+// per-worker partial reductions merge after all workers finish. Both
+// widths run the same reduction, so the winner, the error and the
+// evaluated count do not depend on workers.
 //
 // Cancellation is checked before every candidate evaluation: a cancelled
 // search stops generating, drains promptly, and returns ctx.Err() with
 // the partial evaluated count.
-func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, newCost func() CostFunc) (*Result, int, error) {
+func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, newCost func(*mapping.Scratch) CostFunc) (*Result, int, error) {
 	opts.MaxMappings = opts.budget()
 	if workers > opts.MaxMappings {
 		workers = opts.MaxMappings
 	}
 	var total searchPartial
 	var emit func(int, *mapping.Mapping)
+	var scratch *mapping.Scratch // the inline worker's: sampleSeq loads into it
 	wait := func() {}
 	if workers <= 1 {
-		cost := newCost()
+		scratch = new(mapping.Scratch)
+		cost := newCost(scratch)
 		emit = func(i int, m *mapping.Mapping) {
 			v, err := cost(m)
 			total.observe(i, m, v, err)
 		}
 	} else {
-		emit, wait = startPool(ctx, workers, newCost, &total)
+		emit, wait = startPool(ctx, plan, workers, newCost, &total)
 	}
-	sampleErr := sampleSeq(plan, levels, e, opts, func(i int, m *mapping.Mapping) bool {
+	sampleErr := sampleSeq(plan, levels, e, opts, scratch, func(i int, m *mapping.Mapping) bool {
 		if ctx.Err() != nil {
 			return false
 		}
@@ -126,20 +144,27 @@ func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *ten
 	return &Result{Mapping: total.best, Cost: total.bestCost}, total.evaluated, nil
 }
 
-// startPool starts workers goroutines, each pricing candidates with its
-// own newCost() function into a partial reduction. emit hands one
-// candidate to the pool; wait, called once generation has ended, drains
-// the pool and merges every partial into total.
-func startPool(ctx context.Context, workers int, newCost func() CostFunc, total *searchPartial) (emit func(int, *mapping.Mapping), wait func()) {
+// startPool starts workers goroutines, each loading candidates into its
+// own Scratch and pricing them with the newCost function of that Scratch
+// into a partial reduction. emit copies one borrowed candidate into a
+// free buffer and hands it to the pool; the worker returns the buffer
+// once the candidate is priced. wait, called once generation has ended,
+// drains the pool and merges every partial into total.
+func startPool(ctx context.Context, plan *mapping.Plan, workers int, newCost func(*mapping.Scratch) CostFunc, total *searchPartial) (emit func(int, *mapping.Mapping), wait func()) {
 	type candidate struct {
 		i int
 		m *mapping.Mapping
 	}
 	feed := make(chan candidate, workers)
+	// At most 2*workers+1 buffers exist: one per feed slot, one per
+	// worker and the one emit is filling, since emit allocates only when
+	// every other buffer is in flight.
+	free := make(chan *mapping.Mapping, 2*workers+1)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		s := new(mapping.Scratch)
 		go func(cost CostFunc) {
 			defer wg.Done()
 			var local searchPartial
@@ -147,21 +172,43 @@ func startPool(ctx context.Context, workers int, newCost func() CostFunc, total 
 				// The per-candidate cancellation check; after cancellation
 				// workers keep draining the feed without evaluating so
 				// close(feed) is never stranded.
-				if ctx.Err() != nil {
-					continue
+				if ctx.Err() == nil {
+					v, err := 0.0, plan.Load(c.m, s)
+					if err == nil {
+						v, err = cost(c.m)
+					}
+					local.observe(c.i, c.m, v, err)
 				}
-				v, err := cost(c.m)
-				local.observe(c.i, c.m, v, err)
+				free <- c.m
 			}
 			mu.Lock()
 			total.merge(&local)
 			mu.Unlock()
-		}(newCost())
+		}(newCost(s))
 	}
-	emit = func(i int, m *mapping.Mapping) { feed <- candidate{i, m} }
+	emit = func(i int, m *mapping.Mapping) {
+		var buf *mapping.Mapping
+		select {
+		case buf = <-free:
+		default:
+			buf = new(mapping.Mapping)
+		}
+		copyInto(buf, m)
+		feed <- candidate{i, buf}
+	}
 	wait = func() {
 		close(feed)
 		wg.Wait()
 	}
 	return emit, wait
+}
+
+// copyInto makes dst a copy of m, reusing dst's loop buffers.
+func copyInto(dst, m *mapping.Mapping) {
+	if len(dst.LevelLoops) != len(m.LevelLoops) {
+		dst.LevelLoops = make([][]mapping.Loop, len(m.LevelLoops))
+	}
+	for i, l := range m.LevelLoops {
+		dst.LevelLoops[i] = append(dst.LevelLoops[i][:0], l...)
+	}
 }

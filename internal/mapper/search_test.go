@@ -25,12 +25,12 @@ func costByString(m *mapping.Mapping) (float64, error) {
 }
 
 // perWorker hands every worker the same cost function.
-func perWorker(cost CostFunc) func() CostFunc {
-	return func() CostFunc { return cost }
+func perWorker(cost CostFunc) func(*mapping.Scratch) CostFunc {
+	return func(*mapping.Scratch) CostFunc { return cost }
 }
 
 // search runs Search with a freshly compiled plan.
-func search(t testing.TB, ctx context.Context, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, newCost func() CostFunc) (*Result, int, error) {
+func search(t testing.TB, ctx context.Context, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, newCost func(*mapping.Scratch) CostFunc) (*Result, int, error) {
 	t.Helper()
 	plan, err := mapping.NewPlan(levels, e)
 	if err != nil {
@@ -338,7 +338,7 @@ func TestSampleSeqMatchesSample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = sampleSeq(plan, levels, e, opts, func(i int, m *mapping.Mapping) bool {
+		err = sampleSeq(plan, levels, e, opts, nil, func(i int, m *mapping.Mapping) bool {
 			if i != len(got) {
 				t.Fatalf("index %d out of order (have %d)", i, len(got))
 			}
@@ -358,7 +358,7 @@ func TestSampleSeqMatchesSample(t *testing.T) {
 		}
 		// Early stop is honored.
 		n := 0
-		if err := sampleSeq(plan, levels, e, opts, func(int, *mapping.Mapping) bool { n++; return n < 3 }); err != nil {
+		if err := sampleSeq(plan, levels, e, opts, nil, func(int, *mapping.Mapping) bool { n++; return n < 3 }); err != nil {
 			t.Fatal(err)
 		}
 		if n != 3 {

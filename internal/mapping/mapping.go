@@ -27,7 +27,10 @@
 // tensors' actual volumes. Plan.AnalyzeInto then analyzes one mapping at
 // a time into a caller-owned Scratch, whose buffers (and the Counts they
 // hold) are reused from call to call, so once a Scratch has grown to the
-// layer's size the per-mapping analysis allocates nothing. A Plan is
+// layer's size the per-mapping analysis allocates nothing. It is two
+// halves: Plan.Load validates the mapping and lays it out in the Scratch,
+// and Plan.AnalyzeLoaded counts that layout, so a caller that has loaded
+// a mapping to validate it does not check it twice. A Plan is
 // read-only and may be shared between goroutines; a Scratch may not.
 // Analyze and Validate are the one-shot forms that compile a Plan per
 // call.
@@ -62,18 +65,12 @@ type Mapping struct {
 
 // String renders the mapping compactly, e.g. "L0[K:4 C:2] L3[P:8]".
 func (m *Mapping) String() string {
-	return string(m.AppendTo(nil))
-}
-
-// AppendTo appends the String form of the mapping to dst and returns the
-// extended buffer. Samplers use it to build dedup keys in a reused buffer.
-func (m *Mapping) AppendTo(dst []byte) []byte {
-	start := len(dst)
+	var dst []byte
 	for i, loops := range m.LevelLoops {
 		if len(loops) == 0 {
 			continue
 		}
-		if len(dst) > start {
+		if len(dst) > 0 {
 			dst = append(dst, ' ')
 		}
 		dst = append(dst, 'L')
@@ -89,10 +86,10 @@ func (m *Mapping) AppendTo(dst []byte) []byte {
 		}
 		dst = append(dst, ']')
 	}
-	if len(dst) == start {
-		dst = append(dst, "(empty mapping)"...)
+	if len(dst) == 0 {
+		return "(empty mapping)"
 	}
-	return dst
+	return string(dst)
 }
 
 // TensorCounts aggregates per-layer access counts for one tensor at one
@@ -168,6 +165,10 @@ type Plan struct {
 	levels []spec.Level
 	dims   []string // dimension names; a dimension's index is its position
 	bounds []int
+	// byFirst[c] is 1 + the index of the first dimension whose name
+	// starts with byte c, or 0 if none does, with sharedFirst set when a
+	// later dimension's name starts with c too.
+	byFirst [256]uint8
 
 	// spaces has bit 1<<kind set for each tensor the einsum has. When
 	// several data spaces share a kind, the last one describes it.
@@ -216,6 +217,11 @@ func NewPlan(levels []spec.Level, e *tensor.Einsum) (*Plan, error) {
 	p.reuse, p.present = flags[3*nl:4*nl:4*nl], flags[4*nl:]
 	for i, d := range e.Dims {
 		p.dims[i], p.bounds[i] = d.Name, d.Bound
+		if c := &p.byFirst[d.Name[0]]; *c == 0 {
+			*c = uint8(i + 1)
+		} else {
+			*c |= sharedFirst
+		}
 	}
 	// All tensors' axis terms share one backing array.
 	n := 0
@@ -287,15 +293,30 @@ func kindMask(m map[tensor.Kind]bool) uint8 {
 	return mask
 }
 
+// sharedFirst marks a Plan.byFirst entry whose first byte starts the
+// names of several dimensions (maxDims keeps indices below it).
+const sharedFirst = 0x80
+
 // dimIndex returns the index of the named dimension, or -1. Einsums have
-// a handful of mostly one-letter dimensions, so a scan that rejects on
-// the first byte before comparing whole names beats a map.
+// a handful of mostly one-letter dimensions, so the first byte of a name
+// usually settles it, and a map would be slower.
 func (p *Plan) dimIndex(name string) int {
 	if name == "" {
 		return -1 // einsum validation rejects unnamed dimensions
 	}
-	for i, d := range p.dims {
-		if d[0] == name[0] && d == name {
+	c := p.byFirst[name[0]]
+	if c == 0 {
+		return -1
+	}
+	i := int(c&^sharedFirst) - 1
+	if c&sharedFirst == 0 {
+		if p.dims[i] == name {
+			return i
+		}
+		return -1
+	}
+	for ; i < len(p.dims); i++ {
+		if d := p.dims[i]; d[0] == name[0] && d == name {
 			return i
 		}
 	}
@@ -432,10 +453,12 @@ func Validate(levels []spec.Level, e *tensor.Einsum, m *Mapping) error {
 	return p.Validate(m)
 }
 
-// load validates m and lays it out in s: its loops in global order, the
-// per-level spatial products, the MAC/cycle/instance totals, and the tile
-// extents at every level.
-func (p *Plan) load(m *Mapping, s *Scratch) error {
+// Load validates m like Validate and lays it out in s: its loops in
+// global order, the per-level spatial products, the MAC/cycle/instance
+// totals, and the tile extents at every level. AnalyzeLoaded then
+// analyzes that layout; m itself is not read again, so the caller may
+// reuse it once Load returns.
+func (p *Plan) Load(m *Mapping, s *Scratch) error {
 	nd, nl := len(p.dims), len(p.levels)
 	s.padded = resize(s.padded, nd)
 	n := 0
@@ -634,12 +657,20 @@ func Analyze(levels []spec.Level, e *tensor.Einsum, m *Mapping) (*Counts, error)
 }
 
 // AnalyzeInto validates the mapping like Validate and computes its
-// per-level, per-tensor access counts into s. The returned Counts belong
-// to s and are overwritten by the next call with the same Scratch.
+// per-level, per-tensor access counts into s: Load, then AnalyzeLoaded.
+// The returned Counts belong to s and are overwritten by the next call
+// with the same Scratch.
 func (p *Plan) AnalyzeInto(m *Mapping, s *Scratch) (*Counts, error) {
-	if err := p.load(m, s); err != nil {
+	if err := p.Load(m, s); err != nil {
 		return nil, err
 	}
+	return p.AnalyzeLoaded(s), nil
+}
+
+// AnalyzeLoaded computes the access counts of the mapping the last
+// successful Load laid out in s (after a failed Load the layout is
+// meaningless). The returned Counts belong to s, like AnalyzeInto's.
+func (p *Plan) AnalyzeLoaded(s *Scratch) *Counts {
 	nl := len(p.levels)
 	c := &s.counts
 	c.PerLevel = resize(c.PerLevel, nl)
@@ -714,5 +745,5 @@ func (p *Plan) AnalyzeInto(m *Mapping, s *Scratch) (*Counts, error) {
 			}
 		}
 	}
-	return c, nil
+	return c
 }

@@ -330,6 +330,36 @@ func TestMappingString(t *testing.T) {
 	}
 }
 
+// dimIndex resolves names through their first byte: it must find every
+// dimension, also those whose names share a first byte (the sliced
+// einsums' _IB and _WB), and reject names that only share a prefix.
+func TestDimIndexSharedFirstByte(t *testing.T) {
+	e := &tensor.Einsum{
+		Name: "shared",
+		Dims: []tensor.Dim{{Name: "K", Bound: 2}, {Name: "_IB", Bound: 2}, {Name: "C", Bound: 2},
+			{Name: "_WB", Bound: 2}, {Name: "KK", Bound: 2}},
+		Spaces: []tensor.DataSpace{
+			{Name: "Inputs", Kind: tensor.Input, Axes: []tensor.Axis{{{Dim: "C", Coeff: 1}}, {{Dim: "_IB", Coeff: 1}}}},
+			{Name: "Weights", Kind: tensor.Weight, Axes: []tensor.Axis{{{Dim: "C", Coeff: 1}}, {{Dim: "K", Coeff: 1}}, {{Dim: "_WB", Coeff: 1}}}},
+			{Name: "Outputs", Kind: tensor.Output, Axes: []tensor.Axis{{{Dim: "K", Coeff: 1}}, {{Dim: "KK", Coeff: 1}}}},
+		},
+	}
+	p, err := NewPlan(testLevels(4, nil), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range e.Dims {
+		if got := p.dimIndex(d.Name); got != i {
+			t.Errorf("dimIndex(%q) = %d, want %d", d.Name, got, i)
+		}
+	}
+	for _, name := range []string{"", "M", "_", "_I", "_IBX", "KKK", "k"} {
+		if got := p.dimIndex(name); got != -1 {
+			t.Errorf("dimIndex(%q) = %d, want -1", name, got)
+		}
+	}
+}
+
 // The closed-form parentTraffic must match the brute-force oracle across
 // permutations that exercise the irrelevant-run rule.
 func TestParentTrafficMatchesOracleOnPermutations(t *testing.T) {

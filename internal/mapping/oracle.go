@@ -96,7 +96,7 @@ func loadPlan(levels []spec.Level, e *tensor.Einsum, m *Mapping) (*Plan, *Scratc
 		return nil, nil, err
 	}
 	s := new(Scratch)
-	if err := p.load(m, s); err != nil {
+	if err := p.Load(m, s); err != nil {
 		return nil, nil, err
 	}
 	return p, s, nil
