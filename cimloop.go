@@ -85,7 +85,7 @@
 // 13-16) through the same executor, so reproductions get the parallel
 // speedup and cache reuse for free.
 //
-// # Typed v1 contract, Go SDK, priorities, and server-push progress
+// # Typed v1 contract, Go SDK, and server-push progress
 //
 // The entire wire contract — request/response types for every endpoint,
 // a structured error envelope with stable machine-readable codes
@@ -100,11 +100,11 @@
 // WaitJob streaming job progress over Server-Sent Events
 // (GET /v1/jobs/{id}/events, Last-Event-ID resume) with long-poll and
 // plain-poll fallbacks — the `cimloop jobs` subcommands are a thin
-// shell over it. Job submissions carry a scheduling class
-// ("priority": interactive|batch): the pending queue dispatches
-// interactive jobs ahead of batch sweeps (FIFO within a class, bounded
-// anti-starvation, class persisted in the write-ahead log so replays
-// keep it), and GET /v1/jobs pages with ?status/?limit/?cursor.
+// shell over it. Accepted jobs run in FIFO order (a restart replays
+// interrupted ones in their original order), and GET /v1/jobs pages
+// with ?status/?limit/?cursor. BatchOptions.Token (`cimloop serve
+// -token-file`) puts every endpoint but /healthz and /metrics behind one
+// bearer token.
 //
 // # Durable warm starts
 //
@@ -271,15 +271,8 @@ type (
 	EvalResult = serve.Result
 	// CacheStats snapshots the service cache's hit/miss/eviction counters.
 	CacheStats = serve.Stats
-	// SweepJobOptions tunes one async sweep job (workers, deadline,
-	// priority, tenant).
+	// SweepJobOptions tunes one async sweep job (workers, deadline).
 	SweepJobOptions = serve.SweepJobOptions
-	// Tenants is a parsed multi-tenant configuration: bearer tokens,
-	// weighted-fair-queuing weights, and per-tenant quotas. Set it on
-	// BatchOptions.Tenants to require authentication.
-	Tenants = serve.Tenants
-	// TenantConfig is one tenant's entry in a Tenants configuration.
-	TenantConfig = serve.TenantConfig
 	// SweepDefs is a validated set of declarative sweep definitions
 	// (sweeps/*.yaml; see docs/EXPERIMENTS.md). Set it on
 	// BatchOptions.SweepDefs — or use Server.ReloadSweepDefsDir — to
@@ -300,9 +293,6 @@ type (
 	JobStatus = jobs.Status
 	// JobStats counts retained jobs by lifecycle stage.
 	JobStats = jobs.Stats
-	// JobPriority is an async job's scheduling class: interactive jobs
-	// dispatch before batch jobs, FIFO within a class.
-	JobPriority = jobs.Priority
 )
 
 // Typed v1 wire contract and Go SDK (packages internal/serve/api and
@@ -315,7 +305,7 @@ type (
 	// APIErrorCode enumerates the stable error codes.
 	APIErrorCode = api.ErrorCode
 	// SweepRequest is the body of POST /v1/sweep and /v1/jobs: an
-	// explicit request list or a grid, plus async/timeout/priority knobs.
+	// explicit request list or a grid, plus async/timeout knobs.
 	SweepRequest = api.SweepRequest
 	// JobEvent is one Server-Sent progress/terminal event on the job
 	// stream.
@@ -332,12 +322,6 @@ type (
 // NewClient returns the Go SDK client for the serve instance at addr
 // ("host:port" or a full URL).
 func NewClient(addr string, opts ...client.Option) *Client { return client.New(addr, opts...) }
-
-// Async job scheduling classes.
-const (
-	JobInteractive = jobs.PriorityInteractive
-	JobBatch       = jobs.PriorityBatch
-)
 
 // Async job lifecycle states.
 const (
@@ -373,9 +357,9 @@ func SweepGrid(macroNames, networks, scenarios []string, layers, maxMappings int
 // SweepResultsTable renders sweep results as a report table.
 func SweepResultsTable(results []*EvalResult) *Table { return serve.SweepTable(results) }
 
-// LoadTenantsFile reads a tenant file (see docs/TENANCY.md) for
-// BatchOptions.Tenants.
-func LoadTenantsFile(path string) (*Tenants, error) { return serve.LoadTenantsFile(path) }
+// LoadTokenFile reads a bearer-token file (one token; surrounding
+// whitespace trimmed) for BatchOptions.Token.
+func LoadTokenFile(path string) (string, error) { return serve.LoadTokenFile(path) }
 
 // LoadSweepDefs reads and validates a directory of declarative sweep
 // definitions (see docs/EXPERIMENTS.md) for BatchOptions.SweepDefs. Any

@@ -21,7 +21,7 @@ import (
 // (internal/client) for the async job API of a running `cimloop serve`
 // instance — the CLI holds no wire knowledge of its own.
 //
-//	cimloop jobs submit -macros a,b -networks x[,y] [-priority interactive] [...]
+//	cimloop jobs submit -macros a,b -networks x[,y] [...]
 //	cimloop jobs list [-status running] [-limit N] [-cursor ID]
 //	cimloop jobs status <id>
 //	cimloop jobs wait <id> [-timeout 0] [-poll]
@@ -63,7 +63,7 @@ func addrFlag(fs *flag.FlagSet) *string {
 // shell history and process listings).
 func tokenFlag(fs *flag.FlagSet) *string {
 	return fs.String("token", os.Getenv("CIMLOOP_TOKEN"),
-		"bearer token for a multi-tenant server (default $CIMLOOP_TOKEN; empty = no auth header)")
+		"bearer token for a server started with -token-file (default $CIMLOOP_TOKEN; empty = no auth header)")
 }
 
 // newClient builds the SDK client with the shared flags applied.
@@ -104,17 +104,11 @@ func jobsSubmit(args []string) error {
 	scenarios := fs.String("scenarios", "", "comma-separated full-system scenarios (optional)")
 	layers := fs.Int("layers", 0, "cap evaluated layers per network (0 = all)")
 	mappings := fs.Int("mappings", 0, "per-layer mapping budget (0 = server default)")
-	priority := fs.String("priority", "",
-		"scheduling class: interactive jobs dispatch before batch jobs (default batch)")
 	jobTimeout := fs.Duration("timeout", 0,
 		"per-job deadline enforced server-side from job start (0 = none); an expired job fails with a deadline error")
 	wait := fs.Bool("wait", false, "block until the job finishes and print its table")
 	poll := fs.Bool("poll", false, "with -wait: poll instead of streaming progress via SSE")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	pri, err := jobs.ParsePriority(*priority)
-	if err != nil {
 		return err
 	}
 	req := api.SweepRequest{
@@ -124,7 +118,6 @@ func jobsSubmit(args []string) error {
 		Layers:      *layers,
 		MaxMappings: *mappings,
 		TimeoutSec:  jobTimeout.Seconds(),
-		Priority:    pri,
 	}
 	if len(req.Macros) == 0 || len(req.Networks) == 0 {
 		return fmt.Errorf("jobs submit: need -macros and -networks")
@@ -136,8 +129,8 @@ func jobsSubmit(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("accepted %s (%s, %d requests): poll with `cimloop jobs status %s` or stream with `cimloop jobs wait %s`\n",
-		acc.Job.ID, acc.Job.Priority, acc.Job.Total, acc.Job.ID, acc.Job.ID)
+	fmt.Printf("accepted %s (%d requests): poll with `cimloop jobs status %s` or stream with `cimloop jobs wait %s`\n",
+		acc.Job.ID, acc.Job.Total, acc.Job.ID, acc.Job.ID)
 	if !*wait {
 		return nil
 	}
@@ -164,13 +157,13 @@ func jobsList(args []string) error {
 	if err != nil {
 		return err
 	}
-	t := report.NewTable("Jobs", "id", "label", "priority", "status", "progress", "first error")
+	t := report.NewTable("Jobs", "id", "label", "status", "progress", "first error")
 	for _, j := range out.Jobs {
 		firstErr := j.FirstError
 		if firstErr == "" {
 			firstErr = "-"
 		}
-		t.AddRow(j.ID, j.Label, string(j.Priority), string(j.Status),
+		t.AddRow(j.ID, j.Label, string(j.Status),
 			fmt.Sprintf("%d/%d", j.Completed, j.Total), firstErr)
 	}
 	fmt.Println(t.String())
@@ -185,13 +178,6 @@ func printSnapshot(j jobs.Snapshot) {
 	t := report.NewTable("Job "+j.ID, "field", "value")
 	t.AddRow("label", j.Label)
 	t.AddRow("status", string(j.Status))
-	t.AddRow("priority", string(j.Priority))
-	if j.Tenant != "" {
-		t.AddRow("tenant", j.Tenant)
-	}
-	if j.Resumes > 0 {
-		t.AddRow("resumes", strconv.Itoa(j.Resumes))
-	}
 	t.AddRow("progress", fmt.Sprintf("%d/%d", j.Completed, j.Total))
 	if j.FirstError != "" {
 		t.AddRow("first error", j.FirstError)

@@ -30,7 +30,7 @@ func TestJobsSubmitWaitLifecycle(t *testing.T) {
 	if err := run([]string{"jobs", "submit",
 		"-addr", url,
 		"-macros", "base,macro-b", "-networks", "toy",
-		"-mappings", "2", "-priority", "interactive",
+		"-mappings", "2",
 		"-wait"}); err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestJobsErrors(t *testing.T) {
 		{"jobs", "wait"},
 		{"jobs", "cancel"},
 		{"jobs", "submit", "-addr", url}, // no grid
-		{"jobs", "submit", "-addr", url, "-macros", "base", "-networks", "toy", "-priority", "urgent"}, // bad class
-		{"jobs", "status", "job-999999", "-addr", url},                                                 // 404
-		{"jobs", "cancel", "job-999999", "-addr", url},                                                 // 404
-		{"jobs", "submit", "-addr", url, "-no-such-flag"},                                              // bad flag
-		{"jobs", "status", "job-000001", "-addr", "127.0.0.1:1"},                                       // nothing listening
+		{"jobs", "submit", "-addr", url, "-macros", "base", "-networks", "toy", "-priority", "batch"}, // removed flag
+		{"jobs", "status", "job-999999", "-addr", url},                                                // 404
+		{"jobs", "cancel", "job-999999", "-addr", url},                                                // 404
+		{"jobs", "submit", "-addr", url, "-no-such-flag"},                                             // bad flag
+		{"jobs", "status", "job-000001", "-addr", "127.0.0.1:1"},                                      // nothing listening
 	}
 	for _, c := range cases {
 		if err := run(c); err == nil {

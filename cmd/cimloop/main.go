@@ -9,17 +9,16 @@
 //	cimloop macros
 //	cimloop spec <file.yaml> [-network NAME] [-mappings N] [-search-workers N]
 //	cimloop serve [-addr :8080] [-workers N] [-mappings N] [-cache N] [-search-workers N]
-//	              [-cache-dir DIR] [-jobs-dir DIR] [-max-body BYTES]
+//	              [-cache-dir DIR] [-jobs-dir DIR] [-max-body BYTES] [-token-file FILE]
 //	cimloop jobs submit|list|status|wait|cancel [...] [-addr URL]
 //	cimloop obs slow|metrics [-addr URL]
 //
 // The jobs subcommands are a thin shell over the typed Go SDK
 // (internal/client) against the v1 wire contract (internal/serve/api,
-// documented in docs/API.md): submissions can carry a scheduling class
-// (-priority interactive|batch; interactive jobs dispatch first), `jobs
-// list` filters and pages (-status, -limit, -cursor), and `jobs wait`
-// streams progress over Server-Sent Events, falling back to polling
-// only when the stream is unavailable (-poll forces the fallback).
+// documented in docs/API.md): jobs run in FIFO order, `jobs list`
+// filters and pages (-status, -limit, -cursor), and `jobs wait` streams
+// progress over Server-Sent Events, falling back to polling only when
+// the stream is unavailable (-poll forces the fallback).
 //
 // -search-workers fans each layer's candidate mapping evaluations across
 // a bounded goroutine pool. The parallel search is bit-identical to the
@@ -38,9 +37,11 @@
 // both from the command line. -debug-addr starts a SECOND listener
 // (loopback recommended) with net/http/pprof plus /metrics and
 // /healthz — pprof is never mounted on the public address. A server
-// started with -tenants reloads the tenant file on SIGHUP: the new
-// file is validated first and the previous set is kept on any error,
-// so a bad rotation cannot lock out (or open up) a live server.
+// started with -token-file puts every endpoint but /healthz and
+// /metrics behind that one bearer token and re-reads the file on
+// SIGHUP: the new token is validated first and the previous one is kept
+// on any error, so a bad rotation cannot lock out (or open up) a live
+// server.
 package main
 
 import (
@@ -109,10 +110,9 @@ func usage() {
   cimloop run <experiment|all> [-fast] [-csv] ...    regenerate paper tables/figures
   cimloop macros                                     show macro parameters (Table III)
   cimloop spec <file.yaml> [-network NAME] ...       evaluate a textual specification
-  cimloop serve [-addr :8080] [-workers N] [-cache-dir DIR] [-jobs-dir DIR] ...
-                                                     run the batch-evaluation HTTP service
-  cimloop jobs submit -macros a,b -networks x [-priority interactive] ...
-                                                     submit an async sweep to a serve instance
+  cimloop serve [-addr :8080] [-workers N] [-cache-dir DIR] [-jobs-dir DIR]
+                [-token-file FILE] ...               run the batch-evaluation HTTP service
+  cimloop jobs submit -macros a,b -networks x ...    submit an async sweep to a serve instance
   cimloop jobs list [-status S] [-limit N] [-cursor ID]  page and filter jobs
   cimloop jobs status <id>|wait <id>|cancel <id>     inspect and control async jobs
                                                      (wait streams progress via SSE)
@@ -143,8 +143,8 @@ func runServe(args []string) error {
 	jobQueue := fs.Int("job-queue", 0, "pending async jobs before 429 + Retry-After (0 = default)")
 	jobRetention := fs.Int("job-retention", 0, "finished jobs kept for /v1/jobs (0 = default)")
 	maxBody := fs.Int64("max-body", 0, "request-body byte bound; larger bodies get 413 (0 = 1 MiB default)")
-	tenantsFile := fs.String("tenants", "",
-		"tenant file (YAML): bearer tokens, fair-queuing weights, per-tenant quotas; enables auth (empty = open server); SIGHUP reloads it")
+	tokenFile := fs.String("token-file", "",
+		"file holding the one bearer token every /v1 request must carry (empty = open server); SIGHUP reloads it")
 	sweepsDir := fs.String("sweeps", "",
 		"directory of declarative sweep definitions (sweeps/*.yaml) served at /v1/experiments/{name} (empty = none); SIGHUP reloads it")
 	debugAddr := fs.String("debug-addr", "",
@@ -154,12 +154,12 @@ func runServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var tenants *cimloop.Tenants
-	if *tenantsFile != "" {
-		// A requested-but-broken tenant file must fail at startup: booting
+	var token string
+	if *tokenFile != "" {
+		// A requested-but-broken token file must fail at startup: booting
 		// an open server where auth was asked for is the worst failure mode.
 		var err error
-		if tenants, err = cimloop.LoadTenantsFile(*tenantsFile); err != nil {
+		if token, err = cimloop.LoadTokenFile(*tokenFile); err != nil {
 			return err
 		}
 	}
@@ -176,7 +176,7 @@ func runServe(args []string) error {
 		MaxQueuedJobs:  *jobQueue,
 		JobRetention:   *jobRetention,
 		MaxBodyBytes:   *maxBody,
-		Tenants:        tenants,
+		Token:          token,
 		SlowThreshold:  *slowThreshold,
 	})
 	// Requested-but-broken durability should fail loudly at startup, not
@@ -185,7 +185,7 @@ func runServe(args []string) error {
 		return err
 	}
 	if *sweepsDir != "" {
-		// Same fail-fast contract as tenants and durability: a requested
+		// Same fail-fast contract as the token and durability: a requested
 		// definition directory that does not load (or that shadows a
 		// built-in experiment name) stops the boot instead of serving a
 		// partial experiment surface.
@@ -203,21 +203,21 @@ func runServe(args []string) error {
 	// persistence queues before exit, so a restarted instance starts warm.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *tenantsFile != "" || *sweepsDir != "" {
-		// SIGHUP rotates credentials and sweep definitions without a
-		// restart. Both reloads validate before swapping, so a half-written
-		// tenant file or a broken definition logs an error and the running
-		// set stays in force.
+	if *tokenFile != "" || *sweepsDir != "" {
+		// SIGHUP rotates the token and sweep definitions without a
+		// restart. Both reloads validate before swapping, so an empty token
+		// file or a broken definition logs an error and the running one
+		// stays in force.
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
 		defer signal.Stop(hup)
 		go func() {
 			for range hup {
-				if *tenantsFile != "" {
-					if err := srv.ReloadTenantsFile(*tenantsFile); err != nil {
-						fmt.Fprintf(os.Stderr, "cimloop: tenant reload failed, keeping previous set: %v\n", err)
+				if *tokenFile != "" {
+					if err := srv.ReloadTokenFile(*tokenFile); err != nil {
+						fmt.Fprintf(os.Stderr, "cimloop: token reload failed, keeping previous token: %v\n", err)
 					} else {
-						fmt.Fprintf(os.Stderr, "cimloop: reloaded tenant file %s\n", *tenantsFile)
+						fmt.Fprintf(os.Stderr, "cimloop: reloaded token file %s\n", *tokenFile)
 					}
 				}
 				if *sweepsDir != "" {

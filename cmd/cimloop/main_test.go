@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func TestRunList(t *testing.T) {
@@ -98,5 +99,33 @@ hierarchy:
 func TestRunServeFlagErrors(t *testing.T) {
 	if err := run([]string{"serve", "-no-such-flag"}); err == nil {
 		t.Fatal("bad serve flag must error")
+	}
+}
+
+// TestRunServeRefusesBadAuth: a serve command that asks for auth it
+// cannot have must exit with an error before it listens — never boot an
+// open server. That covers the removed -tenants flag and a -token-file
+// that is missing or empty.
+func TestRunServeRefusesBadAuth(t *testing.T) {
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty-token")
+	if err := os.WriteFile(empty, []byte("\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"serve", "-addr", "127.0.0.1:0", "-tenants", "x"},
+		{"serve", "-addr", "127.0.0.1:0", "-token-file", filepath.Join(dir, "missing")},
+		{"serve", "-addr", "127.0.0.1:0", "-token-file", empty},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- run(args) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("run(%v) succeeded, want an error", args)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("run(%v) is serving; it must refuse to boot", args)
+		}
 	}
 }

@@ -75,9 +75,9 @@ func obsSlow(args []string) error {
 		title += fmt.Sprintf(", threshold %.3gs", out.ThresholdSec)
 	}
 	title += ")"
-	t := report.NewTable(title, "route", "tag", "tenant", "duration (s)", "phases", "error")
+	t := report.NewTable(title, "route", "tag", "duration (s)", "phases", "error")
 	for _, e := range out.Requests {
-		t.AddRow(e.Route, orDash(e.Tag), orDash(e.Tenant),
+		t.AddRow(e.Route, orDash(e.Tag),
 			strconv.FormatFloat(e.DurationSec, 'f', 3, 64),
 			orDash(phaseSummary(e.Phases)), orDash(e.Error))
 	}

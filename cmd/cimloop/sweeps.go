@@ -10,7 +10,6 @@ import (
 	cimloop "repro"
 	"repro/internal/report"
 	"repro/internal/serve/api"
-	"repro/internal/serve/jobs"
 	"repro/internal/sweepdef"
 )
 
@@ -23,7 +22,7 @@ import (
 //	cimloop sweeps show <name> [-dir ./sweeps]
 //	cimloop sweeps validate [DIR]
 //	cimloop sweeps run <name> [-p k=v ...] [-dir ./sweeps | -addr URL]
-//	                   [-async] [-priority C] [-timeout D] [-wait] [-csv]
+//	                   [-async] [-timeout D] [-wait] [-csv]
 func runSweeps(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("sweeps: missing verb (ls, show, validate, run)")
@@ -71,12 +70,8 @@ func (p paramArgs) Set(s string) error {
 
 // infosTable renders experiment listings shared by offline and remote ls.
 func infosTable(infos []api.ExperimentInfo) *report.Table {
-	t := report.NewTable("Sweep definitions", "name", "priority", "requests", "params", "description")
+	t := report.NewTable("Sweep definitions", "name", "requests", "params", "description")
 	for _, info := range infos {
-		pri := info.Priority
-		if pri == "" {
-			pri = "batch"
-		}
 		var params []string
 		for _, p := range info.Params {
 			params = append(params, fmt.Sprintf("%s:%s", p.Name, p.Type))
@@ -85,7 +80,7 @@ func infosTable(infos []api.ExperimentInfo) *report.Table {
 		if ps == "" {
 			ps = "-"
 		}
-		t.AddRow(info.Name, pri, strconv.Itoa(info.Requests), ps, info.Description)
+		t.AddRow(info.Name, strconv.Itoa(info.Requests), ps, info.Description)
 	}
 	return t
 }
@@ -140,11 +135,6 @@ func sweepsShow(name string, args []string) error {
 	if info.Description != "" {
 		t.AddRow("description", info.Description)
 	}
-	pri := info.Priority
-	if pri == "" {
-		pri = "batch"
-	}
-	t.AddRow("priority", pri)
 	t.AddRow("requests at defaults", strconv.Itoa(info.Requests))
 	fmt.Println(t.String())
 	if len(info.Params) > 0 {
@@ -204,8 +194,6 @@ func sweepsRun(name string, args []string) error {
 	params := paramArgs{}
 	fs.Var(params, "p", "bind one declared parameter as name=value (repeatable)")
 	async := fs.Bool("async", false, "with -addr: force the job path (202 + job ID)")
-	priority := fs.String("priority", "",
-		"with -addr: override the definition's scheduling class (interactive|batch)")
 	timeout := fs.Duration("timeout", 0, "deadline for the run (0 = none)")
 	wait := fs.Bool("wait", false, "with -addr -async: block until the job finishes and print its table")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table (offline runs)")
@@ -213,7 +201,7 @@ func sweepsRun(name string, args []string) error {
 		return err
 	}
 	if *addr != "" {
-		return sweepsRunRemote(name, *addr, *token, params, *async, *priority, timeout.Seconds(), *wait)
+		return sweepsRunRemote(name, *addr, *token, params, *async, timeout.Seconds(), *wait)
 	}
 	set, err := sweepdef.LoadDir(*dir)
 	if err != nil {
@@ -251,24 +239,19 @@ func sweepsRun(name string, args []string) error {
 // sweepsRunRemote runs one definition on a serve instance via the SDK:
 // POST /v1/experiments/{name}, honoring the same 200-vs-202 fork as
 // POST /v1/sweep.
-func sweepsRunRemote(name, addr, token string, params paramArgs, async bool, priority string, timeoutSec float64, wait bool) error {
-	pri, err := jobs.ParsePriority(priority)
-	if err != nil {
-		return err
-	}
+func sweepsRunRemote(name, addr, token string, params paramArgs, async bool, timeoutSec float64, wait bool) error {
 	c := newClient(addr, token)
 	resp, acc, err := c.RunNamedExperiment(context.Background(), name, api.NamedExperimentRequest{
 		Params:     params,
 		Async:      async,
 		TimeoutSec: timeoutSec,
-		Priority:   pri,
 	})
 	if err != nil {
 		return err
 	}
 	if acc != nil {
-		fmt.Printf("accepted %s (%s, %d requests): poll with `cimloop jobs status %s`\n",
-			acc.Job.ID, acc.Job.Priority, acc.Job.Total, acc.Job.ID)
+		fmt.Printf("accepted %s (%d requests): poll with `cimloop jobs status %s`\n",
+			acc.Job.ID, acc.Job.Total, acc.Job.ID)
 		if !wait {
 			return nil
 		}

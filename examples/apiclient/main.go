@@ -1,5 +1,5 @@
 // API client example: drive the batch-evaluation service through the
-// typed v1 contract and the Go SDK — submit a prioritized async sweep,
+// typed v1 contract and the Go SDK — submit an async sweep,
 // stream its progress over Server-Sent Events, and read the terminal
 // snapshot. The service runs in-process behind httptest so the example
 // is self-contained, but client.New works identically against a real
@@ -34,18 +34,16 @@ func main() {
 	}
 	fmt.Printf("%-22s %.3g J (%.3g TOPS/W)\n", res.Tag, res.EnergyJ, res.TOPSPerW)
 
-	// An interactive-class async sweep: it would jump ahead of any queued
-	// batch-class overnight sweeps.
+	// An async sweep: it joins the server's FIFO job queue.
 	acc, err := c.SubmitJob(ctx, cimloop.SweepRequest{
 		Macros:   []string{"base", "macro-b"},
 		Networks: []string{"toy"},
 		Layers:   2, MaxMappings: 4,
-		Priority: cimloop.JobInteractive,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("accepted %s (%s): events at %s\n", acc.Job.ID, acc.Job.Priority, acc.EventsURL)
+	fmt.Printf("accepted %s: events at %s\n", acc.Job.ID, acc.EventsURL)
 
 	// Wait via SSE (the SDK falls back to polling only if the stream is
 	// unavailable), observing every progress event.

@@ -14,7 +14,6 @@
 //	acc, err := c.SubmitJob(ctx, api.SweepRequest{
 //	    Macros:   []string{"base", "macro-b"},
 //	    Networks: []string{"resnet18"},
-//	    Priority: jobs.PriorityInteractive,
 //	})
 //	snap, err := c.WaitJob(ctx, acc.Job.ID, client.WaitOptions{
 //	    OnEvent: func(ev api.JobEvent) { fmt.Println(ev.Job.Completed) },
@@ -68,8 +67,8 @@ func WithMaxRetries(n int) Option {
 }
 
 // WithToken sends "Authorization: Bearer <token>" on every request
-// (including SSE streams), for servers running with a tenant file.
-// Empty means no header — the default for single-tenant servers.
+// (including SSE streams), for servers running with a token file.
+// Empty means no header — the default for open servers.
 func WithToken(token string) Option {
 	return func(c *Client) { c.token = token }
 }

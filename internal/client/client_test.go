@@ -52,12 +52,11 @@ func TestClientTypedRoundTrips(t *testing.T) {
 	// Async opt-in flips the same call to a job handoff.
 	sweep2, acc2, err := c.Sweep(ctx, api.SweepRequest{
 		Macros: []string{"base"}, Networks: []string{"toy"}, MaxMappings: 2, Async: true,
-		Priority: jobs.PriorityInteractive,
 	})
 	if err != nil || sweep2 != nil || acc2 == nil {
 		t.Fatalf("async sweep: %+v %+v %v", sweep2, acc2, err)
 	}
-	if acc2.Job.Priority != jobs.PriorityInteractive || acc2.EventsURL == "" {
+	if acc2.Job.Status != jobs.StatusQueued || acc2.EventsURL == "" {
 		t.Fatalf("accepted: %+v", acc2)
 	}
 	final, err := c.WaitJob(ctx, acc2.Job.ID, WaitOptions{})

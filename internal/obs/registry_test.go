@@ -20,10 +20,10 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 func TestObsTextGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("demo_requests_total", "Total requests.").Add(3)
-	r.CounterVec("demo_dispatches_total", "Dispatches by tenant.", "tenant").With("team-a").Add(5)
-	r.CounterVec("demo_dispatches_total", "Dispatches by tenant.", "tenant").With("team-b").Add(2)
+	r.CounterVec("demo_dispatches_total", "Dispatches by team.", "team").With("team-a").Add(5)
+	r.CounterVec("demo_dispatches_total", "Dispatches by team.", "team").With("team-b").Add(2)
 	r.Gauge("demo_queue_depth", "Jobs queued.").Set(4)
-	r.GaugeVec("demo_share", "Share by tenant and class.", "tenant", "class").With("team-a", "batch").Set(0.25)
+	r.GaugeVec("demo_share", "Share by team and class.", "team", "class").With("team-a", "batch").Set(0.25)
 	r.GaugeFunc("demo_uptime_seconds", "Uptime.", func() float64 { return 12.5 })
 	r.CounterFunc("demo_hits_total", "Cache hits.", func() float64 { return 42 })
 	h := r.Histogram("demo_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1})
@@ -35,7 +35,7 @@ func TestObsTextGolden(t *testing.T) {
 	hv.With("search").Observe(0.5)
 	hv.With("compile").Observe(0.01)
 	r.Collect(func(e *Emit) {
-		e.Counter("demo_collected_total", "Collector-sourced counter.", 7, "tenant", "team-a")
+		e.Counter("demo_collected_total", "Collector-sourced counter.", 7, "team", "team-a")
 		e.Gauge("demo_collected_gauge", "Collector-sourced gauge.", 1.5)
 	})
 

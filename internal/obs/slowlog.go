@@ -10,7 +10,6 @@ import (
 type SlowEntry struct {
 	Route       string        `json:"route"`
 	Tag         string        `json:"tag,omitempty"`
-	Tenant      string        `json:"tenant,omitempty"`
 	Start       time.Time     `json:"start"`
 	DurationSec float64       `json:"duration_sec"`
 	Phases      []PhaseTiming `json:"phases,omitempty"`
@@ -52,7 +51,6 @@ func (l *SlowLog) RecordSpan(s *Span, d time.Duration) bool {
 	return l.Record(SlowEntry{
 		Route:       s.Route,
 		Tag:         s.Tag(),
-		Tenant:      s.Tenant,
 		Start:       s.Start(),
 		DurationSec: d.Seconds(),
 		Phases:      s.Phases(),

@@ -67,7 +67,6 @@ func TestSlowLogThreshold(t *testing.T) {
 func TestSlowLogRecordSpan(t *testing.T) {
 	l := NewSlowLog(2, 0)
 	sp := NewSpan("POST /v1/evaluate")
-	sp.Tenant = "team-a"
 	sp.SetTag("base/toy")
 	sp.Observe("search", 40*time.Millisecond)
 	sp.SetError("boom")
@@ -75,7 +74,7 @@ func TestSlowLogRecordSpan(t *testing.T) {
 		t.Fatal("span not recorded")
 	}
 	e := l.Snapshot()[0]
-	if e.Route != "POST /v1/evaluate" || e.Tenant != "team-a" || e.Tag != "base/toy" || e.Error != "boom" {
+	if e.Route != "POST /v1/evaluate" || e.Tag != "base/toy" || e.Error != "boom" {
 		t.Errorf("entry = %+v", e)
 	}
 	if e.DurationSec != 0.05 {

@@ -21,8 +21,7 @@ type PhaseTiming struct {
 // attribute the time. All methods are safe for concurrent use and
 // nil-safe, so code paths without a span pay one nil check.
 type Span struct {
-	Route  string // bounded route or operation name, e.g. "POST /v1/sweep"
-	Tenant string // tenant ID, "" when tenancy is off
+	Route string // bounded route or operation name, e.g. "POST /v1/sweep"
 
 	start time.Time
 

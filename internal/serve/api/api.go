@@ -115,10 +115,6 @@ type SweepRequest struct {
 	// start), both via context.WithTimeout — expiry aborts in-flight
 	// layer searches. Zero means no deadline.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-	// Priority is the async job's scheduling class: "interactive" jobs
-	// dispatch before "batch" jobs (the default), FIFO within a class.
-	// Ignored by synchronous sweeps.
-	Priority jobs.Priority `json:"priority,omitempty"`
 }
 
 // SweepResponse is the 200 body of a synchronous POST /v1/sweep.
@@ -255,8 +251,6 @@ type ExperimentInfo struct {
 	Source string `json:"source"`
 	// File is the definition's file name within the sweeps directory.
 	File string `json:"file,omitempty"`
-	// Priority is the definition's default async scheduling class.
-	Priority string `json:"priority,omitempty"`
 	// Requests is the grid size when every parameter takes its default.
 	Requests int `json:"requests"`
 	// Params is the parameter schema; bind values by Name.
@@ -275,8 +269,6 @@ type NamedExperimentRequest struct {
 	Async bool `json:"async,omitempty"`
 	// TimeoutSec caps the run like SweepRequest.TimeoutSec.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-	// Priority overrides the definition's default scheduling class.
-	Priority jobs.Priority `json:"priority,omitempty"`
 }
 
 // ExperimentRunRequest is the body of POST /v1/experiments.
@@ -392,10 +384,10 @@ type ObsStats struct {
 	// DroppedLabelSets counts metric updates collapsed into an overflow
 	// series by the registry's label-cardinality bound.
 	DroppedLabelSets uint64 `json:"dropped_label_sets,omitempty"`
-	// TenantReloads / TenantReloadErrors count SIGHUP tenant-file
+	// TokenReloads / TokenReloadErrors count SIGHUP token-file
 	// hot-reload attempts by outcome.
-	TenantReloads      int64 `json:"tenant_reloads,omitempty"`
-	TenantReloadErrors int64 `json:"tenant_reload_errors,omitempty"`
+	TokenReloads      int64 `json:"token_reloads,omitempty"`
+	TokenReloadErrors int64 `json:"token_reload_errors,omitempty"`
 	// SweepReloads / SweepReloadErrors count sweep-definition reload
 	// attempts by outcome (boot registration and SIGHUP).
 	SweepReloads      int64 `json:"sweep_reloads,omitempty"`

@@ -37,12 +37,9 @@ func goldenCases() []struct {
 		ID:         "job-000007",
 		Label:      "sweep of 2 requests",
 		Status:     jobs.StatusRunning,
-		Priority:   jobs.PriorityInteractive,
-		Tenant:     "team-a",
 		Version:    5,
 		Completed:  1,
 		Total:      2,
-		Resumes:    1,
 		FirstError: "boom",
 		Results:    []any{map[string]any{"tag": "base/toy"}, nil},
 		CreatedAt:  created,
@@ -74,7 +71,7 @@ func goldenCases() []struct {
 		{"sweep_request", SweepRequest{
 			Macros: []string{"base", "macro-b"}, Networks: []string{"toy"},
 			Scenarios: []string{"weight-stationary"}, Layers: 2, MaxMappings: 4,
-			Async: true, TimeoutSec: 30, Priority: jobs.PriorityInteractive,
+			Async: true, TimeoutSec: 30,
 		}},
 		{"sweep_request_explicit", SweepRequest{
 			Requests: []EvalRequest{{Macro: "base", Network: "toy"}},
@@ -90,15 +87,8 @@ func goldenCases() []struct {
 			EventsURL: "/v1/jobs/job-000007/events",
 		}},
 		{"job_list_response", JobListResponse{
-			Jobs: []jobs.Snapshot{snap},
-			Stats: jobs.Stats{
-				Queued: 1, QueuedInteractive: 1, QueuedBatch: 0,
-				QueuedByTenant: map[string]int{"team-a": 1},
-				Running:        1, Finished: 3, Preemptions: 2,
-				Dispatches:          7,
-				DispatchesByTenant:  map[string]int64{"team-a": 5, "team-b": 2},
-				PreemptionsByTenant: map[string]int64{"team-a": 2},
-			},
+			Jobs:       []jobs.Snapshot{snap},
+			Stats:      jobs.Stats{Queued: 1, Running: 1, Finished: 3},
 			NextCursor: "job-000007",
 		}},
 		{"job_event_progress", JobEvent{Type: JobEventProgress, Job: snap}},
@@ -117,7 +107,6 @@ func goldenCases() []struct {
 				Description: "Macro-B full-system scenario grid",
 				Source:      "sweep",
 				File:        "fig15-scenarios.yaml",
-				Priority:    "batch",
 				Requests:    6,
 				Params: []ExperimentParam{
 					{
@@ -140,14 +129,13 @@ func goldenCases() []struct {
 			Params:     map[string]any{"mappings": 60, "network": "gpt2"},
 			Async:      true,
 			TimeoutSec: 30,
-			Priority:   jobs.PriorityBatch,
 		}},
 		{"healthz_response", HealthzResponse{
 			Status:    "ok",
 			Version:   Version,
 			UptimeSec: 12.5,
 			Cache:     CacheStats{Hits: 10, Misses: 2, Evictions: 1, Entries: 9, Restored: 4, Compiles: 6},
-			Jobs:      jobs.Stats{Queued: 2, QueuedInteractive: 1, QueuedBatch: 1, Running: 1, Finished: 5},
+			Jobs:      jobs.Stats{Queued: 2, Running: 1, Finished: 5},
 			Search: BudgetStats{Capacity: 8, Available: 3, SearchWorkers: 4,
 				BlockedAcquires: 2, MappingsEvaluated: 1200},
 			Persist: PersistStats{
@@ -157,7 +145,7 @@ func goldenCases() []struct {
 			},
 			Obs: ObsStats{
 				Spans: 42, SlowEntries: 8, SlowRecorded: 40, SlowThresholdSec: 0.25,
-				DroppedLabelSets: 3, TenantReloads: 2, TenantReloadErrors: 1,
+				DroppedLabelSets: 3, TokenReloads: 2, TokenReloadErrors: 1,
 				SweepReloads: 3, SweepReloadErrors: 1,
 			},
 		}},
@@ -165,7 +153,6 @@ func goldenCases() []struct {
 			Requests: []obs.SlowEntry{{
 				Route:       "POST /v1/evaluate",
 				Tag:         "macro-b/resnet18",
-				Tenant:      "team-a",
 				Start:       created,
 				DurationSec: 1.75,
 				Phases: []obs.PhaseTiming{
@@ -188,12 +175,6 @@ func goldenCases() []struct {
 		}},
 		{"error_unauthorized", Error{
 			Code: CodeUnauthorized, Message: "unknown bearer token",
-		}},
-		{"error_tenant_queue_full", Error{
-			Code:          CodeQueueFull,
-			Message:       "jobs: tenant \"team-a\" has 2 jobs pending (quota 2)",
-			RetryAfterSec: 2,
-			Details:       map[string]string{"tenant": "team-a"},
 		}},
 	}
 }

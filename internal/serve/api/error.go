@@ -22,15 +22,13 @@ const (
 	// CodeMethodNotAllowed is a known route with the wrong HTTP method;
 	// the Allow response header lists the supported ones.
 	CodeMethodNotAllowed ErrorCode = "method_not_allowed"
-	// CodeUnauthorized is a missing, malformed, or unknown bearer token
-	// on a server running with a tenant file (HTTP 401). The response
+	// CodeUnauthorized is a missing, malformed, or wrong bearer token on
+	// a server running with a token file (HTTP 401). The response
 	// carries a WWW-Authenticate: Bearer header.
 	CodeUnauthorized ErrorCode = "unauthorized"
 	// CodeQueueFull is the backpressure signal (HTTP 429): the pending
-	// job queue is at capacity — globally, or for the caller's tenant
-	// when its max_pending quota is hit (the envelope's "tenant" detail
-	// is set in that case). RetryAfterSec (and the Retry-After header)
-	// say when to try again.
+	// job queue is at capacity. RetryAfterSec (and the Retry-After
+	// header) say when to try again.
 	CodeQueueFull ErrorCode = "queue_full"
 	// CodeDeadlineExceeded is a sweep or job killed by its own
 	// timeout_sec (HTTP 504) — a server-side timeout, not a malformed

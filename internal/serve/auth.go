@@ -1,45 +1,59 @@
 package serve
 
 import (
-	"context"
+	"crypto/subtle"
+	"errors"
+	"fmt"
 	"net/http"
+	"os"
 	"strings"
 
 	"repro/internal/serve/api"
-	"repro/internal/serve/jobs"
 )
 
-// Bearer-token authentication: when the server runs with a tenant file
-// (BatchOptions.Tenants), every API request must carry
-// "Authorization: Bearer <token>" naming a configured tenant. The
-// authenticated tenant ID rides the request context into job
-// submission (WFQ weight + quota), job visibility (a tenant sees only
-// its own jobs), and listing filters. /healthz and /metrics stay open —
-// liveness probes, load balancers, and scrape agents must not need
-// credentials (and the exposition names tenants by ID, never by token). Without a tenant file the middleware
-// is a no-op and the server behaves exactly as before.
+// Bearer-token authentication: when the server runs with a token
+// (BatchOptions.Token, normally read by LoadTokenFile), every API
+// request must carry "Authorization: Bearer <token>". /healthz and
+// /metrics stay open — liveness probes, load balancers, and scrape
+// agents must not need credentials. Without a token the middleware is a
+// no-op and the server is open.
 //
-// The middleware reads the live tenant set per request (Server.tenants,
-// an atomic pointer), so a SIGHUP reload rotates tokens without a
-// restart: in-flight requests finish under whichever set they started
-// with, and the next request sees the new one.
+// There is one principal: whoever holds the token sees every job. The
+// middleware reads the live token per request (Server.token, an atomic
+// pointer), so a SIGHUP reload rotates it without a restart: in-flight
+// requests finish under whichever token they started with, and the next
+// request sees the new one.
 
-// tenantKey carries the authenticated tenant ID through the request
-// context.
-type tenantKey struct{}
-
-// tenantFrom returns the request's authenticated tenant ID ("" when
-// tenancy is off).
-func tenantFrom(ctx context.Context) string {
-	id, _ := ctx.Value(tenantKey{}).(string)
-	return id
+// parseToken validates the contents of a token file: one token,
+// surrounding whitespace (a trailing newline, say) trimmed. An empty
+// file, or one whose text has inner whitespace — two tokens, or a
+// config file passed by mistake — is refused.
+func parseToken(text string) (string, error) {
+	tok := strings.TrimSpace(text)
+	if tok == "" {
+		return "", errors.New("token: file is empty")
+	}
+	if strings.ContainsAny(tok, " \t\r\n") {
+		return "", errors.New("token: file must hold exactly one token with no inner whitespace")
+	}
+	return tok, nil
 }
 
-// withAuth enforces bearer-token authentication when tenancy is on.
-// Tenancy on/off is fixed at boot (the handler chain is already built);
-// the token table itself is re-read per request so reloads take effect.
+// LoadTokenFile reads and validates a bearer-token file.
+func LoadTokenFile(path string) (string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return "", fmt.Errorf("token: %w", err)
+	}
+	return parseToken(string(data))
+}
+
+// withAuth enforces bearer-token authentication when the server booted
+// with a token. Auth on/off is fixed at boot (the handler chain is
+// already built); the token itself is re-read per request so reloads
+// take effect.
 func (s *Server) withAuth(next http.Handler) http.Handler {
-	if !s.tenantSet().Enabled() {
+	if s.opts.Token == "" {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -57,12 +71,14 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 			writeUnauthorized(w, "Authorization header is not a bearer token")
 			return
 		}
-		tc, ok := s.tenantSet().Lookup(strings.TrimSpace(auth[len(prefix):]))
-		if !ok {
-			writeUnauthorized(w, "unknown bearer token")
+		// Constant time: response timing must not leak how much of a
+		// guessed token matched.
+		got := strings.TrimSpace(auth[len(prefix):])
+		if subtle.ConstantTimeCompare([]byte(*s.token.Load()), []byte(got)) != 1 {
+			writeUnauthorized(w, "wrong bearer token")
 			return
 		}
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), tenantKey{}, tc.ID)))
+		next.ServeHTTP(w, r)
 	})
 }
 
@@ -73,17 +89,38 @@ func writeUnauthorized(w http.ResponseWriter, msg string) {
 	writeAPIError(w, http.StatusUnauthorized, api.Errorf(api.CodeUnauthorized, "%s", msg))
 }
 
-// jobForTenant fetches a job under tenant scoping: with tenancy on, a
-// tenant resolves only its own jobs — another tenant's job ID answers
-// 404 exactly like a nonexistent one, so job existence does not leak
-// across tenants. With tenancy off it is plain Job.
-func (s *Server) jobForTenant(r *http.Request, id string) (jobs.Snapshot, bool) {
-	snap, ok := s.Job(id)
-	if !ok {
-		return snap, false
+// ReloadToken swaps in a new bearer token without a restart — the
+// SIGHUP rotation path. The server must have booted with a token (an
+// open server cannot be locked down retroactively: its handler chain was
+// built without the auth middleware), and the new token must be
+// non-empty. On any error the old token stays in force. Reloads are
+// counted in the registry (cimloop_token_reloads_total) and surfaced in
+// /healthz.
+func (s *Server) ReloadToken(token string) error {
+	var err error
+	switch {
+	case s.opts.Token == "":
+		err = errors.New("serve: auth is off; restart with -token-file to enable it")
+	case token == "":
+		err = errors.New("serve: refusing to load an empty token")
 	}
-	if s.tenantSet().Enabled() && snap.Tenant != tenantFrom(r.Context()) {
-		return jobs.Snapshot{}, false
+	if err != nil {
+		s.met.tokenReloads.With("error").Inc()
+		return err
 	}
-	return snap, true
+	s.token.Store(&token)
+	s.met.tokenReloads.With("ok").Inc()
+	return nil
+}
+
+// ReloadTokenFile is ReloadToken from a file path: read and validate
+// first, swap only on success — a broken file on disk leaves the running
+// token untouched (and the failure counted).
+func (s *Server) ReloadTokenFile(path string) error {
+	token, err := LoadTokenFile(path)
+	if err != nil {
+		s.met.tokenReloads.With("error").Inc()
+		return err
+	}
+	return s.ReloadToken(token)
 }

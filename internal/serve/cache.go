@@ -24,15 +24,15 @@ type Stats = api.CacheStats
 // layer, encoding) triple compiles once and is reused, the cross-request
 // extension of the paper's per-layer amortization.
 //
-// Eviction is cost-aware GDSF rather than pure LRU: each entry's priority
+// Eviction is cost-aware GDSF rather than pure LRU: each entry's score
 // is L + frequency x measured compile cost, where L is an inflation clock
-// raised to the evicted priority on every eviction. A context that took
+// raised to the evicted score on every eviction. A context that took
 // seconds to prepare (a 1024x1024 engine's layer) outlives a toy context
 // prepared in microseconds even when the toy one is more recent, while
 // the clock ages unused expensive entries out eventually. Entry sizes are
 // uniform (slots hold pointers to shared immutable state), so the classic
 // GDSF size divisor is 1. Ties — and entries still computing, whose cost
-// is unknown and whose priority is +Inf so mid-flight work is never
+// is unknown and whose score is +Inf so mid-flight work is never
 // evicted by a burst of lookups — fall back to least-recently-used order.
 //
 // Concurrent lookups of the same missing key compute the value once; the
@@ -95,8 +95,8 @@ func (e *cacheEntry) fill() {
 	e.compute = nil
 }
 
-// entryHeap is a min-heap on (priority, recency): the evicted entry is
-// the lowest-priority one, oldest first among equals.
+// entryHeap is a min-heap on (score, recency): the evicted entry is
+// the lowest-score one, oldest first among equals.
 type entryHeap []*cacheEntry
 
 func (h entryHeap) Len() int { return len(h) }
@@ -156,7 +156,7 @@ func (c *Cache) Stats() Stats {
 
 // touchLocked records a use: bump frequency and recency, and re-rank the
 // entry if its cost is already known (an entry still computing keeps its
-// +Inf pin; its priority settles when the fill completes).
+// +Inf pin; its score settles when the fill completes).
 func (c *Cache) touchLocked(e *cacheEntry) {
 	c.useSeq++
 	e.lastUsed = c.useSeq
@@ -225,7 +225,7 @@ func (c *Cache) getOrCompute(key string, compute func() (any, error)) (any, erro
 		c.mu.Unlock()
 		return e.val, e.err
 	}
-	// Settle the entry's real priority now that its cost is measured. The
+	// Settle the entry's real score now that its cost is measured. The
 	// entry may already have been evicted mid-fill (index < 0); the value
 	// is still returned to waiters and still persisted below.
 	if e.index >= 0 {

@@ -59,10 +59,13 @@ func TestErrorEnvelopeMalformedAndUnknown(t *testing.T) {
 	if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "no-such") {
 		t.Fatalf("bad macro: %d %v", status, out)
 	}
-	// Unknown priority class.
-	status, out = do("POST", "/v1/jobs", `{"macros": ["base"], "networks": ["toy"], "priority": "urgent"}`)
-	if code, _ := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" {
-		t.Fatalf("bad priority: %d %v", status, out)
+	// The removed priority field is refused, not silently ignored, on
+	// every sweep-shaped body.
+	for _, path := range []string{"/v1/sweep", "/v1/jobs"} {
+		status, out = do("POST", path, `{"macros": ["base"], "networks": ["toy"], "max_mappings": 2, "priority": "interactive"}`)
+		if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "priority") {
+			t.Fatalf("removed priority field on %s: %d %v", path, status, out)
+		}
 	}
 	// Unknown job ID.
 	status, out = do("GET", "/v1/jobs/job-999999", "")
@@ -271,13 +274,30 @@ func TestJobListPaginationHTTP(t *testing.T) {
 	}
 }
 
-// TestHTTPPriorityOrdering is the acceptance check on the wire: with a
-// heavyweight batch sweep queued first, an interactive job submitted
-// AFTER it finishes while the batch job has not even started — the
-// priority queue dispatched the interactive one first. (If dispatch
-// were FIFO, the interactive job could not finish before the
-// minutes-long batch grid.)
-func TestHTTPPriorityOrdering(t *testing.T) {
+// awaitDispatched blocks until job id has left the queue (running or
+// terminal) and returns that snapshot.
+func awaitDispatched(t *testing.T, srv *Server, id string) jobs.Snapshot {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	var version int64
+	for {
+		snap, err := srv.AwaitJob(ctx, id, version)
+		if err != nil {
+			t.Fatalf("job %s never dispatched: %v", id, err)
+		}
+		if snap.Status != jobs.StatusQueued {
+			return snap
+		}
+		version = snap.Version
+	}
+}
+
+// TestHTTPFIFOOrdering is the acceptance check on the wire: with the
+// single runner busy, jobs submitted over HTTP dispatch in submission
+// order — when the later job leaves the queue, the earlier one has
+// already finished.
+func TestHTTPFIFOOrdering(t *testing.T) {
 	srv := NewServer(BatchOptions{Workers: 1, AsyncThreshold: -1})
 	defer srv.Close()
 	_, do := testClient(t, srv)
@@ -287,55 +307,46 @@ func TestHTTPPriorityOrdering(t *testing.T) {
 	waitRunning(t, srv, runningID)
 
 	status, out := do("POST", "/v1/jobs",
-		`{"macros": ["base", "macro-a", "macro-b", "macro-d"], "networks": ["resnet18"], "max_mappings": 400, "priority": "batch"}`)
-	batchID := acceptedJobID(t, status, out)
+		`{"macros": ["base", "macro-b"], "networks": ["toy"], "max_mappings": 2}`)
+	firstID := acceptedJobID(t, status, out)
 	status, out = do("POST", "/v1/jobs",
-		`{"macros": ["base"], "networks": ["toy"], "max_mappings": 1, "layers": 1, "priority": "interactive"}`)
-	interID := acceptedJobID(t, status, out)
-
-	if job, ok := out["job"].(map[string]any); !ok || job["priority"] != "interactive" {
-		t.Fatalf("accepted snapshot priority: %v", out)
+		`{"macros": ["base"], "networks": ["toy"], "max_mappings": 1, "layers": 1}`)
+	secondID := acceptedJobID(t, status, out)
+	_, list := do("GET", "/v1/jobs?status=queued", "")
+	if queued, _ := list["jobs"].([]any); len(queued) != 2 {
+		t.Fatalf("want both jobs queued: %v", list)
 	}
 
 	release()
-	final := pollJob(t, do, interID)
-	if final["status"] != "succeeded" {
-		t.Fatalf("interactive job: %v", final)
+	awaitDispatched(t, srv, secondID)
+	if first, _ := srv.Job(firstID); first.Status != jobs.StatusSucceeded {
+		t.Fatalf("second job dispatched while the first was %s: FIFO broken", first.Status)
 	}
-	// The heavyweight batch job must not have finished first.
-	_, batchSnap := do("GET", "/v1/jobs/"+batchID, "")
-	if batchSnap["status"] == "succeeded" {
-		t.Fatalf("batch grid finished before the interactive job: %v", batchSnap)
+	if final := pollJob(t, do, secondID); final["status"] != "succeeded" {
+		t.Fatalf("second job: %v", final)
 	}
-	if _, cancelOut := do("POST", "/v1/jobs/"+batchID+"/cancel", ""); cancelOut["id"] != batchID {
-		t.Fatalf("cancel: %v", cancelOut)
-	}
-	pollJob(t, do, batchID)
 }
 
-// TestWALReplayPreservesPriority: a restart replays interrupted jobs in
-// their original scheduling class.
-func TestWALReplayPreservesPriority(t *testing.T) {
+// TestWALReplayPreservesFIFOOrder: a restart replays interrupted jobs in
+// their original submission order.
+func TestWALReplayPreservesFIFOOrder(t *testing.T) {
 	dir := t.TempDir()
 	first := NewServer(BatchOptions{Workers: 1, JobsDir: dir, MaxRunningJobs: 1})
-	// A deep grid occupies the runner; one job of each class queues
-	// behind it. Close interrupts all three.
+	// A deep grid occupies the runner; two small jobs queue behind it.
+	// Close interrupts all three.
 	big := Grid([]string{"base", "macro-b"}, []string{"mobilenetv3-large"}, nil, 0, 8)
-	if _, err := first.SubmitSweepOpts(big, SweepJobOptions{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	batchSnap, err := first.SubmitSweepOpts([]Request{{Macro: "base", Network: "toy", MaxMappings: 1, Layers: 1}},
-		SweepJobOptions{Priority: jobs.PriorityBatch})
+	bigSnap, err := first.SubmitSweepOpts(big, SweepJobOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	interSnap, err := first.SubmitSweepOpts([]Request{{Macro: "base", Network: "toy", MaxMappings: 1, Layers: 1}},
-		SweepJobOptions{Priority: jobs.PriorityInteractive})
+	small := []Request{{Macro: "base", Network: "toy", MaxMappings: 1, Layers: 1}}
+	aSnap, err := first.SubmitSweepOpts(small, SweepJobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batchSnap.Priority != jobs.PriorityBatch || interSnap.Priority != jobs.PriorityInteractive {
-		t.Fatalf("submitted priorities: %q %q", batchSnap.Priority, interSnap.Priority)
+	bSnap, err := first.SubmitSweepOpts(small, SweepJobOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	first.Close()
 
@@ -344,20 +355,16 @@ func TestWALReplayPreservesPriority(t *testing.T) {
 	if ps := second.PersistStats(); ps.Warm.Replayed != 3 {
 		t.Fatalf("warm stats %+v, want 3 replayed", ps.Warm)
 	}
+	// The replayed deep grid runs first again; cancelling it lets the
+	// two small jobs through in their original order.
+	second.CancelJob(bigSnap.ID)
+	awaitDispatched(t, second, bSnap.ID)
+	if a, _ := second.Job(aSnap.ID); a.Status != jobs.StatusSucceeded {
+		t.Fatalf("replayed %s dispatched while %s was %s: FIFO broken", bSnap.ID, aSnap.ID, a.Status)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	gotBatch, err := second.WaitJob(ctx, batchSnap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotInter, err := second.WaitJob(ctx, interSnap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotBatch.Priority != jobs.PriorityBatch {
-		t.Fatalf("replayed batch job came back %q", gotBatch.Priority)
-	}
-	if gotInter.Priority != jobs.PriorityInteractive {
-		t.Fatalf("replayed interactive job came back %q", gotInter.Priority)
+	if got, err := second.WaitJob(ctx, bSnap.ID); err != nil || got.Status != jobs.StatusSucceeded {
+		t.Fatalf("replayed %s: %+v %v", bSnap.ID, got, err)
 	}
 }

@@ -31,9 +31,9 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			api.Errorf(api.CodeInternal, "response writer cannot stream"))
 		return
 	}
-	// The 404 must beat the stream headers: check existence (under tenant
-	// scoping) before committing to text/event-stream.
-	if _, exists := s.jobForTenant(r, id); !exists {
+	// The 404 must beat the stream headers: check existence before
+	// committing to text/event-stream.
+	if _, exists := s.Job(id); !exists {
 		writeJobNotFound(w, id)
 		return
 	}

@@ -34,9 +34,8 @@ import (
 //	                            (or "async": true) return 202 +
 //	                            api.JobAccepted instead
 //	POST /v1/jobs               submit a sweep as an async job -> 202 +
-//	                            api.JobAccepted; "priority" selects the
-//	                            scheduling class; a full queue returns
-//	                            429 + Retry-After
+//	                            api.JobAccepted; jobs run in FIFO order;
+//	                            a full queue returns 429 + Retry-After
 //	GET  /v1/jobs               api.JobListResponse; ?status= filters,
 //	                            ?limit= and ?cursor= page
 //	GET  /v1/jobs/{id}          one jobs.Snapshot; ?after_version= and
@@ -78,8 +77,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/experiments/{name}", s.handleNamedExperiment)
 	// Auth runs outside the mux so an unauthenticated request learns
 	// nothing about the route table; /healthz and /metrics are exempt
-	// inside withAuth. The obs middleware sits inside auth so spans carry
-	// the authenticated tenant and 401s never mint route label sets.
+	// inside withAuth. The obs middleware sits inside auth so 401s never
+	// mint route label sets.
 	return withRecovery(withJSONErrors(s.withAuth(s.withObs(mux))))
 }
 
@@ -266,17 +265,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &body) {
 		return
 	}
-	if !validSweepPriority(w, body.Priority) {
-		return
-	}
 	reqs := resolveSweep(&body)
 	// Grid-sized sweeps don't hold the connection open: hand back a job.
 	if thr := s.opts.asyncThreshold(); body.Async || (thr > 0 && len(reqs) >= thr) {
-		s.acceptJob(w, reqs, SweepJobOptions{
-			Timeout:  sweepTimeout(&body),
-			Priority: body.Priority,
-			Tenant:   tenantFrom(r.Context()),
-		})
+		s.acceptJob(w, reqs, SweepJobOptions{Timeout: sweepTimeout(&body)})
 		return
 	}
 	// The request context stops the feeder when the client disconnects
@@ -306,16 +298,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// validSweepPriority rejects unknown scheduling classes with the
-// envelope (empty means batch and is fine).
-func validSweepPriority(w http.ResponseWriter, p jobs.Priority) bool {
-	if _, err := jobs.ParsePriority(string(p)); err != nil {
-		writeAPIError(w, http.StatusBadRequest, api.Errorf(api.CodeInvalidRequest, "%v", err))
-		return false
-	}
-	return true
-}
-
 // acceptJob submits reqs as an async sweep job and answers 202 (or 429 +
 // Retry-After under backpressure).
 func (s *Server) acceptJob(w http.ResponseWriter, reqs []Request, opts SweepJobOptions) {
@@ -327,12 +309,6 @@ func (s *Server) acceptJob(w http.ResponseWriter, reqs []Request, opts SweepJobO
 			secs = 1
 		}
 		e := api.Errorf(api.CodeQueueFull, "%v", err)
-		var tq *jobs.TenantQueueFullError
-		if errors.As(err, &tq) {
-			// Per-tenant quota, not global backpressure: name the tenant so
-			// a client can tell "my quota" from "the server is busy".
-			e.Details = map[string]string{"tenant": tq.Tenant}
-		}
 		e.RetryAfterSec = secs
 		writeAPIError(w, http.StatusTooManyRequests, e)
 		return
@@ -356,14 +332,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &body) {
 		return
 	}
-	if !validSweepPriority(w, body.Priority) {
-		return
-	}
-	s.acceptJob(w, resolveSweep(&body), SweepJobOptions{
-		Timeout:  sweepTimeout(&body),
-		Priority: body.Priority,
-		Tenant:   tenantFrom(r.Context()),
-	})
+	s.acceptJob(w, resolveSweep(&body), SweepJobOptions{Timeout: sweepTimeout(&body)})
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -391,11 +360,6 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		lq.Limit = n
 	}
 	lq.After = q.Get("cursor")
-	if s.tenantSet().Enabled() {
-		// A tenant lists only its own jobs; the shared Stats block still
-		// reflects the whole queue (capacity is a shared resource).
-		lq.Tenant = tenantFrom(r.Context())
-	}
 	page, next := s.jobs.ListPage(lq)
 	writeJSON(w, http.StatusOK, api.JobListResponse{
 		Jobs:       page,
@@ -427,18 +391,12 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		after = n
 	}
 	if after < 0 {
-		snap, ok := s.jobForTenant(r, id)
+		snap, ok := s.Job(id)
 		if !ok {
 			writeJobNotFound(w, id)
 			return
 		}
 		writeJSON(w, http.StatusOK, snap)
-		return
-	}
-	// Scope check before parking: another tenant's job must 404 now, not
-	// hold the connection open against a job the caller may not see.
-	if _, ok := s.jobForTenant(r, id); !ok {
-		writeJobNotFound(w, id)
 		return
 	}
 	// One poll round is always bounded: wait_sec caps it explicitly,
@@ -465,7 +423,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		// The poll window elapsed with no news: answer the current state
 		// (the client sees an unchanged version). A dropped client gets
 		// whatever write fails silently — it is gone either way.
-		snap, ok := s.jobForTenant(r, id)
+		snap, ok := s.Job(id)
 		if !ok {
 			writeJobNotFound(w, id)
 			return
@@ -486,10 +444,6 @@ func writeJobNotFound(w http.ResponseWriter, id string) {
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.jobForTenant(r, id); !ok {
-		writeJobNotFound(w, id)
-		return
-	}
 	snap, ok := s.CancelJob(id)
 	if !ok {
 		writeJobNotFound(w, id)

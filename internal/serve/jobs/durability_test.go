@@ -98,11 +98,12 @@ func TestSubmitWithIDReplays(t *testing.T) {
 	s := NewStore(Options{MaxQueued: 1})
 	defer s.Close()
 	done := make(chan struct{})
-	snap, err := s.SubmitWithID("job-000042", PriorityBatch, "replayed", 1, func(ctx context.Context, report Report) (any, error) {
-		close(done)
-		report(0, "partial", nil)
-		return "ok", nil
-	})
+	snap, err := s.SubmitJob(Submission{ID: "job-000042", Label: "replayed", Total: 1, Replay: true,
+		Fn: func(ctx context.Context, report Report) (any, error) {
+			close(done)
+			report(0, "partial", nil)
+			return "ok", nil
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestSubmitWithIDReplays(t *testing.T) {
 		t.Fatalf("replayed job finished %+v", final)
 	}
 	// Duplicate IDs are refused.
-	if _, err := s.SubmitWithID("job-000042", PriorityBatch, "dup", 0, nopJob(nil)); err == nil {
+	if _, err := s.SubmitJob(Submission{ID: "job-000042", Label: "dup", Fn: nopJob(nil), Replay: true}); err == nil {
 		t.Fatal("duplicate ID must fail")
 	}
 	// New submissions continue after the replayed ID.
@@ -143,13 +144,13 @@ func TestSubmitWithIDBypassesQueueBound(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	if _, err := s.SubmitWithID("job-000001", PriorityBatch, "running", 0, blocker); err != nil {
+	if _, err := s.SubmitJob(Submission{ID: "job-000001", Label: "running", Fn: blocker, Replay: true}); err != nil {
 		t.Fatal(err)
 	}
 	<-block
 	for i := 2; i <= 4; i++ {
 		id := []string{"", "", "job-000002", "job-000003", "job-000004"}[i]
-		if _, err := s.SubmitWithID(id, PriorityBatch, "queued replay", 0, nopJob(nil)); err != nil {
+		if _, err := s.SubmitJob(Submission{ID: id, Label: "queued replay", Fn: nopJob(nil), Replay: true}); err != nil {
 			t.Fatalf("replay %s must bypass the queue bound: %v", id, err)
 		}
 	}

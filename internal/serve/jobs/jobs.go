@@ -1,7 +1,8 @@
 // Package jobs is the async half of the batch-evaluation service: an
 // in-memory store of long-running jobs with bounded concurrency, a
-// bounded pending queue (the service's backpressure valve), per-item
-// progress, cancellation, and bounded retention of finished jobs.
+// bounded FIFO pending queue (the service's backpressure valve),
+// per-item progress, cancellation, and bounded retention of finished
+// jobs.
 //
 // The store is deliberately ignorant of what a job computes: a job is a
 // function of a context plus a progress reporter. The serving layer wraps
@@ -13,8 +14,9 @@
 // The store itself stays in-memory, but it exposes the seams durability
 // needs: Options.OnTerminal streams terminal snapshots to a persistence
 // layer, Restore re-inserts persisted terminal jobs under their original
-// IDs after a restart, and SubmitWithID replays write-ahead-logged jobs
-// that never finished (see internal/persist and the serving layer).
+// IDs after a restart, and SubmitJob with Submission.Replay replays
+// write-ahead-logged jobs that never finished (see internal/persist and
+// the serving layer).
 package jobs
 
 import (
@@ -84,16 +86,11 @@ type Options struct {
 	// persistence layer deletes the job's on-disk snapshot here, so the
 	// disk tier is bounded by the same retention as the memory tier.
 	OnEvicted func(id string)
-	// Tenants maps tenant ids to their scheduling parameters (WFQ weight
-	// and per-tenant pending quota). Tenants absent from the map — and
-	// the anonymous tenant "" — run at weight 1 with no per-tenant bound.
-	Tenants map[string]Tenant
 	// ObserveDispatch, when set, is invoked outside the store mutex each
-	// time a queued job is dispatched to a runner, with the job's tenant,
-	// scheduling class, and how long it waited in the queue since its
-	// last (re-)enqueue. The serving layer feeds its queue-wait latency
+	// time a queued job is dispatched to a runner, with how long it waited
+	// in the queue. The serving layer feeds its queue-wait latency
 	// histogram from this hook.
-	ObserveDispatch func(tenant string, pri Priority, wait time.Duration)
+	ObserveDispatch func(wait time.Duration)
 }
 
 func (o Options) maxRunning() int {
@@ -141,15 +138,6 @@ type Snapshot struct {
 	ID     string `json:"id"`
 	Label  string `json:"label,omitempty"`
 	Status Status `json:"status"`
-	// Priority is the job's scheduling class (interactive before batch).
-	Priority Priority `json:"priority,omitempty"`
-	// Tenant is the submitting tenant's id ("" when the server runs
-	// without a tenants file).
-	Tenant string `json:"tenant,omitempty"`
-	// Resumes counts how many times the job was preempted and requeued
-	// (each resume re-dispatches the body, which skips checkpointed
-	// items).
-	Resumes int `json:"resumes,omitempty"`
 	// Version counts the job's observable mutations (enqueue, start, each
 	// completed item, terminal transition). It is the cursor for Await and
 	// the HTTP layer's SSE/long-poll progress endpoints: a snapshot with a
@@ -186,12 +174,10 @@ func (s Snapshot) Done() bool { return s.Status.Terminal() }
 // job is the store's mutable record. All fields below the fn line are
 // guarded by the store mutex.
 type job struct {
-	id       string
-	label    string
-	total    int
-	priority Priority
-	tenant   string
-	fn       Fn
+	id    string
+	label string
+	total int
+	fn    Fn
 
 	status    Status
 	completed int
@@ -199,16 +185,6 @@ type job struct {
 	partials  []any
 	result    any
 	err       string
-	// finishTag is the job's WFQ virtual finish time, assigned once at
-	// admission (see enqueueLocked); enqSeq is the deterministic
-	// tie-breaker (global submission order).
-	finishTag float64
-	enqSeq    int64
-	// resumes counts preemption round trips; dispatchBase is the
-	// completed count when the current dispatch started, so Preempting
-	// can require progress before another yield.
-	resumes      int
-	dispatchBase int
 	// version counts observable mutations; changed is closed and replaced
 	// on every bump, so any number of watchers (SSE streams, long-polls)
 	// can wait for "something newer than version N" without per-watcher
@@ -223,10 +199,9 @@ type job struct {
 	// shutdown-interrupted (the persistence layer would keep its WAL and
 	// resurrect it on the next boot).
 	userCancelled bool
-	created       time.Time
-	// enqueued is when the job last entered the pending queue (admission
-	// or preemption requeue) — the queue-wait clock ObserveDispatch reads.
-	enqueued time.Time
+	// created is when the job entered the pending queue — also the
+	// queue-wait clock ObserveDispatch reads.
+	created  time.Time
 	started  time.Time
 	finished time.Time
 	done     chan struct{} // closed on terminal transition
@@ -242,32 +217,11 @@ type Store struct {
 	seq   int
 	jobs  map[string]*job
 	order []*job // insertion order: List and retention eviction
-	// pending is the weighted-fair queue: per class, one FIFO per
-	// tenant, dispatched interactive-class-first and min-finish-tag
-	// within a class (see popPendingLocked / popClassLocked);
-	// cancellation removes in place. pendingN counts queued jobs per
-	// class; vtime is each class's virtual clock.
-	pending  [numPriorities]map[string][]*job
-	pendingN [numPriorities]int
-	vtime    [numPriorities]float64
-	// tenants is per-tenant scheduler state; enqSeq is the global
-	// admission counter (WFQ tie-breaker); preemptions counts
-	// yield-and-requeue round trips across all jobs.
-	tenants     map[string]*tenantState
-	enqSeq      int64
-	preemptions int64
-	// dispatched counts queued→running transitions since boot;
-	// dispatches and preempted break dispatch and preemption counts down
-	// by tenant id — the observable evidence that WFQ shares hold
-	// (ROADMAP item 2's per-tenant breakdowns).
-	dispatched int64
-	dispatches map[string]int64
-	preempted  map[string]int64
-	// hiStreak counts consecutive interactive dispatches while batch work
-	// waited — the deterministic anti-starvation counter.
-	hiStreak int
-	started  bool
-	closed   bool
+	// pending is the FIFO queue runners pop from the front;
+	// cancellation removes in place.
+	pending []*job
+	started bool
+	closed  bool
 
 	wg sync.WaitGroup
 	// notifyWG tracks OnTerminal/OnEvicted notifications issued from
@@ -284,9 +238,8 @@ type Store struct {
 // experiment runner's package-level sweeper, say) cost nothing.
 func NewStore(opts Options) *Store {
 	s := &Store{
-		opts:    opts,
-		jobs:    make(map[string]*job),
-		tenants: make(map[string]*tenantState),
+		opts: opts,
+		jobs: make(map[string]*job),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -304,117 +257,49 @@ func (s *Store) startLocked() {
 	}
 }
 
-// runner drains the pending queues until the store closes.
+// runner drains the pending queue, oldest first, until the store
+// closes (Close empties the queue, so an empty queue after wake-up means
+// shutdown).
 func (s *Store) runner() {
 	defer s.wg.Done()
 	s.mu.Lock()
 	for {
-		for s.pendingLenLocked() == 0 && !s.closed {
+		for len(s.pending) == 0 && !s.closed {
 			s.cond.Wait()
 		}
-		j := s.popPendingLocked()
-		if j == nil {
+		if len(s.pending) == 0 {
 			s.mu.Unlock()
 			return
 		}
+		j := s.pending[0]
+		s.pending[0] = nil // don't pin the job from the backing array
+		s.pending = s.pending[1:]
 		s.mu.Unlock()
 		s.run(j)
 		s.mu.Lock()
 	}
 }
 
-// pendingLenLocked is the total queued-job count across classes.
-func (s *Store) pendingLenLocked() int {
-	n := 0
-	for _, c := range s.pendingN {
-		n += c
-	}
-	return n
-}
-
-// popPendingLocked dequeues the next job to run: interactive class
-// before batch, WFQ order within a class (popClassLocked), except that
-// after starveLimit consecutive interactive dispatches with batch work
-// waiting, one batch job is dispatched. The rule is a pure function of
-// the submission/dispatch history, so scheduling is deterministic for a
-// given submission sequence.
-func (s *Store) popPendingLocked() *job {
-	switch {
-	case s.hiStreak >= starveLimit && s.pendingN[rankBatch] > 0:
-		s.hiStreak = 0
-		return s.popClassLocked(rankBatch)
-	case s.pendingN[rankInteractive] > 0:
-		if s.pendingN[rankBatch] > 0 {
-			s.hiStreak++
-		} else {
-			s.hiStreak = 0 // nothing was passed over
-		}
-		return s.popClassLocked(rankInteractive)
-	case s.pendingN[rankBatch] > 0:
-		s.hiStreak = 0
-		return s.popClassLocked(rankBatch)
-	}
-	return nil
-}
-
 // RetryAfter is the backoff hint to pair with ErrQueueFull (the HTTP
 // layer turns it into a Retry-After header).
 func (s *Store) RetryAfter() time.Duration { return s.opts.retryAfter() }
 
-// Stats counts jobs by lifecycle stage (queued also broken down by
-// scheduling class and by tenant).
+// Stats counts jobs by lifecycle stage.
 type Stats struct {
-	Queued            int `json:"queued"`
-	QueuedInteractive int `json:"queued_interactive"`
-	QueuedBatch       int `json:"queued_batch"`
-	Running           int `json:"running"`
-	Finished          int `json:"finished"`
-	// QueuedByTenant breaks the queued count down by tenant id (absent
-	// when every queued job belongs to the anonymous tenant).
-	QueuedByTenant map[string]int `json:"queued_by_tenant,omitempty"`
-	// Preemptions counts yield-and-requeue round trips since boot.
-	Preemptions int64 `json:"preemptions,omitempty"`
-	// Dispatches counts queued→running transitions since boot.
-	Dispatches int64 `json:"dispatches,omitempty"`
-	// DispatchesByTenant breaks dispatches down by tenant id (absent when
-	// every dispatched job was anonymous) — the per-tenant WFQ share.
-	DispatchesByTenant map[string]int64 `json:"dispatches_by_tenant,omitempty"`
-	// PreemptionsByTenant breaks preemption round trips down by tenant id.
-	PreemptionsByTenant map[string]int64 `json:"preemptions_by_tenant,omitempty"`
+	Queued   int `json:"queued"`
+	Running  int `json:"running"`
+	Finished int `json:"finished"`
 }
 
 // Stats snapshots the store's occupancy.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Preemptions: s.preemptions, Dispatches: s.dispatched}
-	if len(s.dispatches) > 0 {
-		st.DispatchesByTenant = make(map[string]int64, len(s.dispatches))
-		for t, n := range s.dispatches {
-			st.DispatchesByTenant[t] = n
-		}
-	}
-	if len(s.preempted) > 0 {
-		st.PreemptionsByTenant = make(map[string]int64, len(s.preempted))
-		for t, n := range s.preempted {
-			st.PreemptionsByTenant[t] = n
-		}
-	}
+	var st Stats
 	for _, j := range s.order {
 		switch {
 		case j.status == StatusQueued:
 			st.Queued++
-			if j.priority.rank() == rankInteractive {
-				st.QueuedInteractive++
-			} else {
-				st.QueuedBatch++
-			}
-			if j.tenant != "" {
-				if st.QueuedByTenant == nil {
-					st.QueuedByTenant = make(map[string]int)
-				}
-				st.QueuedByTenant[j.tenant]++
-			}
 		case j.status == StatusRunning:
 			st.Running++
 		default:
@@ -424,27 +309,23 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Submission describes one job for SubmitJob. The zero value of every
-// optional field is meaningful: ID "" allocates the next store ID,
-// Priority "" is batch, Tenant "" is the anonymous tenant.
+// Submission describes one job for SubmitJob. ID "" allocates the next
+// store ID.
 type Submission struct {
-	ID       string
-	Priority Priority
-	Tenant   string
-	Label    string
-	Total    int
-	Fn       Fn
-	// Replay bypasses the pending-queue bound and the per-tenant quota:
-	// the job was admitted before a restart (it has a WAL) and bouncing
-	// it now would break the accepted-job contract.
+	ID    string
+	Label string
+	Total int
+	Fn    Fn
+	// Replay bypasses the pending-queue bound: the job was admitted
+	// before a restart (it has a WAL) and bouncing it now would break the
+	// accepted-job contract.
 	Replay bool
 }
 
-// SubmitJob enqueues one job and returns its initial snapshot. It fails
-// fast with ErrQueueFull when the pending queue is at capacity (or a
-// TenantQueueFullError when the tenant's own quota is) — the
-// backpressure contract — and never blocks on a saturated pool.
-// Cancelling a queued job frees its slot immediately.
+// SubmitJob appends one job to the FIFO queue and returns its initial
+// snapshot. It fails fast with ErrQueueFull when the pending queue is
+// at capacity — the backpressure contract — and never blocks on a
+// saturated pool. Cancelling a queued job frees its slot immediately.
 func (s *Store) SubmitJob(sub Submission) (Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -458,20 +339,15 @@ func (s *Store) SubmitJob(sub Submission) (Snapshot, error) {
 	return s.submitLocked(sub)
 }
 
-// Submit enqueues a batch-class job with a work list of total items
-// (see SubmitJob for the backpressure contract).
+// Submit enqueues a job with a work list of total items (see SubmitJob
+// for the backpressure contract).
 func (s *Store) Submit(label string, total int, fn Fn) (Snapshot, error) {
 	return s.SubmitJob(Submission{Label: label, Total: total, Fn: fn})
 }
 
-// SubmitPriority is Submit with an explicit scheduling class.
-func (s *Store) SubmitPriority(pri Priority, label string, total int, fn Fn) (Snapshot, error) {
-	return s.SubmitJob(Submission{Priority: pri, Label: label, Total: total, Fn: fn})
-}
-
 // ReserveID allocates the next job ID without creating a job, so a
 // caller can write the job's write-ahead record to durable storage
-// BEFORE SubmitReserved makes the job runnable — otherwise a job that
+// BEFORE SubmitJob makes the job runnable — otherwise a job that
 // finishes instantly could have its terminal records persisted ahead of
 // its WAL, leaving a stale WAL that replays finished work after a
 // restart. A reserved ID that is never submitted is simply skipped.
@@ -482,15 +358,8 @@ func (s *Store) ReserveID() string {
 	return fmt.Sprintf("job-%06d", s.seq)
 }
 
-// SubmitReserved is Submit under an ID from ReserveID: same backpressure
-// contract (ErrQueueFull on a saturated queue), caller-ordered ID.
-func (s *Store) SubmitReserved(id string, pri Priority, label string, total int, fn Fn) (Snapshot, error) {
-	return s.SubmitJob(Submission{ID: id, Priority: pri, Label: label, Total: total, Fn: fn})
-}
-
 // submitLocked creates and enqueues one queued job. Fresh submissions
-// honor the pending-queue cap and the tenant's quota; replays bypass
-// both.
+// honor the pending-queue cap; replays bypass it.
 func (s *Store) submitLocked(sub Submission) (Snapshot, error) {
 	if sub.Fn == nil {
 		return Snapshot{}, errors.New("jobs: nil job body")
@@ -498,22 +367,11 @@ func (s *Store) submitLocked(sub Submission) (Snapshot, error) {
 	if sub.ID == "" {
 		return Snapshot{}, errors.New("jobs: empty job ID")
 	}
-	pri := sub.Priority.orDefault()
-	if !pri.Valid() {
-		return Snapshot{}, fmt.Errorf("jobs: unknown priority %q", pri)
-	}
 	if _, ok := s.jobs[sub.ID]; ok {
 		return Snapshot{}, fmt.Errorf("jobs: job %q already exists", sub.ID)
 	}
-	if !sub.Replay {
-		if s.pendingLenLocked() >= s.opts.maxQueued() {
-			return Snapshot{}, ErrQueueFull
-		}
-		if t, ok := s.opts.Tenants[sub.Tenant]; ok && t.MaxPending > 0 {
-			if ts, ok := s.tenants[sub.Tenant]; ok && ts.queued >= t.MaxPending {
-				return Snapshot{}, &TenantQueueFullError{Tenant: sub.Tenant, Limit: t.MaxPending}
-			}
-		}
+	if !sub.Replay && len(s.pending) >= s.opts.maxQueued() {
+		return Snapshot{}, ErrQueueFull
 	}
 	total := sub.Total
 	if total < 0 {
@@ -527,8 +385,6 @@ func (s *Store) submitLocked(sub Submission) (Snapshot, error) {
 		id:       sub.ID,
 		label:    sub.Label,
 		total:    total,
-		priority: pri,
-		tenant:   sub.Tenant,
 		fn:       sub.Fn,
 		status:   StatusQueued,
 		partials: make([]any, total),
@@ -537,7 +393,8 @@ func (s *Store) submitLocked(sub Submission) (Snapshot, error) {
 		created:  time.Now(),
 		done:     make(chan struct{}),
 	}
-	s.enqueueLocked(j)
+	s.pending = append(s.pending, j)
+	s.cond.Signal()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	return j.snapshotLocked(), nil
@@ -566,7 +423,7 @@ func idSeq(id string) int {
 // counter advances past restored IDs so new submissions cannot collide.
 // Restoring an ID that already exists is a silent no-op (first wins);
 // restoring a non-terminal snapshot is an error — interrupted jobs are
-// replayed via SubmitWithID, not resurrected mid-state.
+// replayed via SubmitJob with Replay set, not resurrected mid-state.
 func (s *Store) Restore(snap Snapshot) error {
 	if !snap.Status.Terminal() {
 		return fmt.Errorf("jobs: cannot restore %q in non-terminal state %q", snap.ID, snap.Status)
@@ -595,15 +452,12 @@ func (s *Store) Restore(snap Snapshot) error {
 		id:        snap.ID,
 		label:     snap.Label,
 		total:     snap.Total,
-		priority:  snap.Priority.orDefault(),
-		tenant:    snap.Tenant,
 		status:    snap.Status,
 		completed: snap.Completed,
 		firstErr:  snap.FirstError,
 		result:    snap.Result,
 		err:       snap.Error,
 		version:   snap.Version,
-		resumes:   snap.Resumes,
 		changed:   make(chan struct{}),
 		created:   snap.CreatedAt,
 		done:      make(chan struct{}),
@@ -629,20 +483,6 @@ func (s *Store) Restore(snap Snapshot) error {
 	return nil
 }
 
-// SubmitWithID is Submit under a caller-chosen ID: the replay path for
-// write-ahead-logged jobs that were queued (or still running) when the
-// previous process stopped. Replayed jobs bypass the pending-queue bound —
-// they were admitted before the restart, and bouncing them would break
-// the accepted-job contract — and advance the ID counter past their ID.
-// An ID already in the store is an error. Replays keep their persisted
-// scheduling class and tenant, and because they are enqueued at boot —
-// before any new submission — a replayed job's WFQ tags are assigned in
-// the same relative order as the original admissions, so the dispatch
-// order survives the restart.
-func (s *Store) SubmitWithID(id string, pri Priority, label string, total int, fn Fn) (Snapshot, error) {
-	return s.SubmitJob(Submission{ID: id, Priority: pri, Label: label, Total: total, Fn: fn, Replay: true})
-}
-
 // run executes one dequeued job to a terminal state.
 func (s *Store) run(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -656,22 +496,11 @@ func (s *Store) run(j *job) {
 	j.status = StatusRunning
 	j.started = time.Now()
 	j.cancel = cancel
-	j.dispatchBase = j.completed
-	s.dispatched++
-	if j.tenant != "" {
-		if s.dispatches == nil {
-			s.dispatches = make(map[string]int64)
-		}
-		s.dispatches[j.tenant]++
-	}
-	wait := time.Duration(0)
-	if !j.enqueued.IsZero() {
-		wait = j.started.Sub(j.enqueued)
-	}
+	wait := j.started.Sub(j.created)
 	s.bumpLocked(j)
 	s.mu.Unlock()
 	if s.opts.ObserveDispatch != nil {
-		s.opts.ObserveDispatch(j.tenant, j.priority.orDefault(), wait)
+		s.opts.ObserveDispatch(wait)
 	}
 
 	report := func(i int, partial any, err error) {
@@ -690,42 +519,15 @@ func (s *Store) run(j *job) {
 
 	s.mu.Lock()
 	j.cancel = nil
-	if errors.Is(err, ErrPreempted) && !j.cancelRequested && !s.closed {
-		// Cooperative yield: the body checkpointed its progress and bowed
-		// out. Requeue at the head of its tenant/class FIFO (original
-		// finish tag, so it cannot leapfrog peers) and leave the job
-		// non-terminal — no OnTerminal, done stays open, the WAL stays.
-		j.status = StatusQueued
-		j.resumes++
-		s.preemptions++
-		if j.tenant != "" {
-			if s.preempted == nil {
-				s.preempted = make(map[string]int64)
-			}
-			s.preempted[j.tenant]++
-		}
-		s.requeueLocked(j)
-		s.bumpLocked(j)
-		s.mu.Unlock()
-		return
-	}
 	switch {
 	case j.cancelRequested:
 		j.status = StatusCancelled
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, ErrPreempted) {
+		if err != nil && !errors.Is(err, context.Canceled) {
 			j.err = err.Error()
 		}
 	case err != nil:
 		j.status = StatusFailed
-		if errors.Is(err, ErrPreempted) {
-			// The store is closing: the runner is about to exit, so the
-			// yielded job cannot be requeued. Classify it like any other
-			// shutdown interruption so its WAL replays next boot.
-			j.status = StatusCancelled
-			j.cancelRequested = true
-		} else {
-			j.err = err.Error()
-		}
+		j.err = err.Error()
 	default:
 		j.status = StatusSucceeded
 		j.result = result
@@ -821,10 +623,6 @@ func (s *Store) List() []Snapshot {
 type ListQuery struct {
 	// Status keeps only jobs in that lifecycle state ("" = all).
 	Status Status
-	// Tenant keeps only jobs owned by that tenant id ("" = all). The
-	// HTTP layer sets it from the authenticated token so tenants only
-	// see their own jobs.
-	Tenant string
 	// Limit caps the page size (<= 0 = unlimited).
 	Limit int
 	// After is an exclusive cursor: only jobs whose ID's monotonic
@@ -857,9 +655,6 @@ func (s *Store) ListPage(q ListQuery) (page []Snapshot, next string) {
 			continue
 		}
 		if q.Status != "" && j.status != q.Status {
-			continue
-		}
-		if q.Tenant != "" && j.tenant != q.Tenant {
 			continue
 		}
 		if q.Limit > 0 && len(page) == q.Limit {
@@ -918,18 +713,9 @@ func (s *Store) Cancel(id string) (Snapshot, bool) {
 // but has not yet marked it running); that is fine — the runner skips
 // non-queued jobs.
 func (s *Store) dropPendingLocked(j *job) {
-	rank := j.priority.rank()
-	q := s.pending[rank][j.tenant]
-	for i, p := range q {
+	for i, p := range s.pending {
 		if p == j {
-			q = append(q[:i], q[i+1:]...)
-			if len(q) == 0 {
-				delete(s.pending[rank], j.tenant)
-			} else {
-				s.pending[rank][j.tenant] = q
-			}
-			s.pendingN[rank]--
-			s.tenantStateLocked(j.tenant).queued--
+			s.pending = append(s.pending[:i], s.pending[i+1:]...)
 			return
 		}
 	}
@@ -1034,9 +820,6 @@ func (j *job) summaryLocked() Snapshot {
 		ID:         j.id,
 		Label:      j.label,
 		Status:     j.status,
-		Priority:   j.priority,
-		Tenant:     j.tenant,
-		Resumes:    j.resumes,
 		Version:    j.version,
 		Completed:  j.completed,
 		Total:      j.total,

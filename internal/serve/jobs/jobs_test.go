@@ -534,3 +534,235 @@ func TestWaitHonorsContext(t *testing.T) {
 	}
 	s.Cancel(snap.ID)
 }
+
+// gate blocks one runner until released, so tests control exactly when
+// the scheduler makes its next dispatch decision.
+func gate() (Fn, func()) {
+	ch := make(chan struct{})
+	var once sync.Once
+	fn := func(ctx context.Context, report Report) (any, error) {
+		select {
+		case <-ch:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	}
+	return fn, func() { once.Do(func() { close(ch) }) }
+}
+
+// recordingStore submits jobs that append their label to a shared log,
+// so dispatch order is observable.
+func recordingStore(t *testing.T, opts Options) (*Store, *[]string, *sync.Mutex) {
+	t.Helper()
+	s := NewStore(opts)
+	t.Cleanup(s.Close)
+	var mu sync.Mutex
+	log := []string{}
+	return s, &log, &mu
+}
+
+func runOrderJob(log *[]string, mu *sync.Mutex, label string) Fn {
+	return func(ctx context.Context, report Report) (any, error) {
+		mu.Lock()
+		*log = append(*log, label)
+		mu.Unlock()
+		return nil, nil
+	}
+}
+
+// TestFIFOOrder is the headline guarantee: jobs queued behind a busy
+// runner dispatch in submission order, and the queued count is exact.
+// Fresh submissions and replays (Submission.Replay, as WAL replay
+// submits them at boot in ascending-ID order) queue the same way, so a
+// restart cannot reorder accepted work.
+func TestFIFOOrder(t *testing.T) {
+	for _, replay := range []bool{false, true} {
+		s, log, mu := recordingStore(t, Options{MaxRunning: 1, MaxQueued: 16})
+		// Occupy the single runner so everything below queues.
+		blocker, release := gate()
+		bsnap, err := s.Submit("blocker", 0, blocker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitStatus(t, s, bsnap.ID, StatusRunning)
+		want := []string{"j1", "j2", "j3", "j4"}
+		var jobIDs []string
+		for _, label := range want {
+			snap, err := s.SubmitJob(Submission{Label: label, Total: 1, Fn: runOrderJob(log, mu, label), Replay: replay})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobIDs = append(jobIDs, snap.ID)
+		}
+		if st := s.Stats(); st.Queued != len(want) || st.Running != 1 {
+			t.Fatalf("replay=%v stats %+v", replay, st)
+		}
+		release()
+		for _, id := range jobIDs {
+			if _, err := s.Wait(context.Background(), id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mu.Lock()
+		got := fmt.Sprint(*log)
+		mu.Unlock()
+		if got != fmt.Sprint(want) {
+			t.Fatalf("replay=%v dispatch order %v, want %v", replay, got, want)
+		}
+	}
+}
+
+// TestAwaitVersionCursor: Await returns immediately for a stale cursor,
+// blocks until news for a fresh one, and returns immediately on
+// terminal jobs regardless of cursor.
+func TestAwaitVersionCursor(t *testing.T) {
+	s := NewStore(Options{MaxRunning: 1})
+	defer s.Close()
+	step := make(chan struct{})
+	snap, err := s.Submit("steps", 2, func(ctx context.Context, report Report) (any, error) {
+		<-step
+		report(0, "a", nil)
+		<-step
+		report(1, "b", nil)
+		return "done", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version != 1 {
+		t.Fatalf("initial version %d, want 1", snap.Version)
+	}
+
+	// Stale cursor 0: immediate (version is already 1).
+	got, err := s.Await(context.Background(), snap.ID, 0)
+	if err != nil || got.Version < 1 {
+		t.Fatalf("await stale: %v %v", got.Version, err)
+	}
+
+	// Await the first progress report concurrently with producing it.
+	type res struct {
+		snap Snapshot
+		err  error
+	}
+	ch := make(chan res, 1)
+	cur := got.Version
+	go func() {
+		s2, err := s.Await(context.Background(), snap.ID, cur)
+		ch <- res{s2, err}
+	}()
+	step <- struct{}{} // first item completes
+	r := <-ch
+	if r.err != nil || r.snap.Version <= cur {
+		t.Fatalf("await news: %+v", r)
+	}
+	step <- struct{}{} // job finishes
+	final, err := s.Wait(context.Background(), snap.ID)
+	if err != nil || !final.Done() {
+		t.Fatalf("final: %+v %v", final, err)
+	}
+	// Terminal job: even a cursor at (or past) the final version returns
+	// immediately instead of hanging.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := s.Await(context.Background(), snap.ID, final.Version+100); err != nil {
+			t.Errorf("await terminal: %v", err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Await hung on a terminal job")
+	}
+
+	// Unknown IDs are ErrUnknownJob; an expired context surfaces as its
+	// error.
+	if _, err := s.Await(context.Background(), "job-999999", 0); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("unknown: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	running, _ := s.Submit("idle", 0, func(ctx context.Context, report Report) (any, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	snap2, _ := s.Get(running.ID)
+	if _, err := s.Await(ctx, running.ID, snap2.Version+10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled await: %v", err)
+	}
+}
+
+// TestListPage covers the pagination and filter contract: cursors are
+// numeric on the monotonic ID, filters compose with limits, and a
+// cursor naming an evicted job still resumes correctly.
+func TestListPage(t *testing.T) {
+	s := NewStore(Options{MaxRunning: 1, MaxQueued: 64, Retention: 64})
+	defer s.Close()
+	for i := 0; i < 5; i++ {
+		snap, err := s.Submit(fmt.Sprintf("j%d", i), 0, func(ctx context.Context, report Report) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Wait(context.Background(), snap.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page, next := s.ListPage(ListQuery{Limit: 2})
+	if len(page) != 2 || page[0].ID != "job-000001" || next != "job-000002" {
+		t.Fatalf("page1 %v next %q", ids(page), next)
+	}
+	page, next = s.ListPage(ListQuery{Limit: 2, After: next})
+	if len(page) != 2 || page[0].ID != "job-000003" || next != "job-000004" {
+		t.Fatalf("page2 %v next %q", ids(page), next)
+	}
+	page, next = s.ListPage(ListQuery{Limit: 2, After: next})
+	if len(page) != 1 || page[0].ID != "job-000005" || next != "" {
+		t.Fatalf("page3 %v next %q", ids(page), next)
+	}
+	// A cursor for an ID that no longer exists (evicted) still works:
+	// strictly-greater comparison, not position lookup.
+	page, _ = s.ListPage(ListQuery{After: "job-000002"})
+	if len(page) != 3 || page[0].ID != "job-000003" {
+		t.Fatalf("gap cursor %v", ids(page))
+	}
+	// Status filter: everything finished, so queued yields nothing.
+	if page, _ = s.ListPage(ListQuery{Status: StatusQueued}); len(page) != 0 {
+		t.Fatalf("queued filter %v", ids(page))
+	}
+	if page, _ = s.ListPage(ListQuery{Status: StatusSucceeded, Limit: 3}); len(page) != 3 {
+		t.Fatalf("succeeded filter %v", ids(page))
+	}
+}
+
+// TestListPageOrdersById: after a restart the store's insertion order
+// can disagree with ID order (restored terminal snapshots first, then
+// replayed lower-ID jobs). Pagination must walk by ID or the exclusive
+// cursor would skip the out-of-place jobs on every later page.
+func TestListPageOrdersByID(t *testing.T) {
+	s := NewStore(Options{MaxRunning: 1})
+	defer s.Close()
+	if err := s.Restore(Snapshot{ID: "job-000009", Status: StatusSucceeded, Version: 3}); err != nil {
+		t.Fatal(err)
+	}
+	blocker, release := gate()
+	defer release()
+	if _, err := s.SubmitJob(Submission{ID: "job-000007", Label: "replayed", Fn: blocker, Replay: true}); err != nil {
+		t.Fatal(err)
+	}
+	page, next := s.ListPage(ListQuery{Limit: 1})
+	if len(page) != 1 || page[0].ID != "job-000007" || next != "job-000007" {
+		t.Fatalf("page1 %v next %q, want job-000007 first", ids(page), next)
+	}
+	page, next = s.ListPage(ListQuery{Limit: 1, After: next})
+	if len(page) != 1 || page[0].ID != "job-000009" || next != "" {
+		t.Fatalf("page2 %v next %q: cursor skipped the restored job", ids(page), next)
+	}
+}
+
+func ids(snaps []Snapshot) []string {
+	out := make([]string, len(snaps))
+	for i, s := range snaps {
+		out[i] = s.ID
+	}
+	return out
+}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/serve/api"
-	"repro/internal/serve/jobs"
 )
 
 // Observability wiring: the server owns one obs.Registry that every
@@ -44,9 +42,9 @@ type serverMetrics struct {
 	requestSeconds  *obs.HistogramVec // route
 	phaseSeconds    *obs.HistogramVec // phase
 	evaluateSeconds *obs.Histogram
-	queueWait       *obs.HistogramVec // class
+	queueWait       *obs.Histogram
 	persistWrite    *obs.HistogramVec // store
-	tenantReloads   *obs.CounterVec   // result
+	tokenReloads    *obs.CounterVec   // result
 	sweepReloads    *obs.CounterVec   // result
 	spansTotal      *obs.Counter
 }
@@ -62,12 +60,12 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Time spent per traced request phase (queue, cache, compile, search).", nil, "phase"),
 		evaluateSeconds: reg.Histogram("cimloop_evaluate_seconds",
 			"End-to-end latency of one evaluation (cache lookups + mapping search).", nil),
-		queueWait: reg.HistogramVec("cimloop_job_queue_wait_seconds",
-			"Time jobs spent queued before dispatch, by scheduling class.", nil, "class"),
+		queueWait: reg.Histogram("cimloop_job_queue_wait_seconds",
+			"Time jobs spent queued before dispatch.", nil),
 		persistWrite: reg.HistogramVec("cimloop_persist_write_seconds",
 			"Write-behind store write latency (encode + fsync + rename), by store.", nil, "store"),
-		tenantReloads: reg.CounterVec("cimloop_tenant_reloads_total",
-			"Tenant-file hot reloads by result (SIGHUP token rotation).", "result"),
+		tokenReloads: reg.CounterVec("cimloop_token_reloads_total",
+			"Token-file hot reloads by result (SIGHUP token rotation).", "result"),
 		sweepReloads: reg.CounterVec("cimloop_sweepdef_reloads_total",
 			"Sweep-definition hot reloads by result (boot registration and SIGHUP).", "result"),
 		spansTotal: reg.Counter("cimloop_spans_total",
@@ -116,27 +114,9 @@ func (s *Server) registerCollectors() {
 		e.Counter("cimloop_prepare_memo_fills_total", "", float64(sums.Fills), "kind", "sum")
 
 		js := s.JobStats()
-		e.Gauge("cimloop_jobs_queued", "Queued jobs by scheduling class.", float64(js.QueuedInteractive), "class", "interactive")
-		e.Gauge("cimloop_jobs_queued", "", float64(js.QueuedBatch), "class", "batch")
+		e.Gauge("cimloop_jobs_queued", "Queued jobs.", float64(js.Queued))
 		e.Gauge("cimloop_jobs_running", "Running jobs.", float64(js.Running))
 		e.Gauge("cimloop_jobs_finished", "Retained terminal jobs.", float64(js.Finished))
-		for t, n := range js.QueuedByTenant {
-			e.Gauge("cimloop_jobs_queued_by_tenant", "Queued jobs by tenant.", float64(n), "tenant", t)
-		}
-		e.Counter("cimloop_jobs_preemptions_total", "Batch-job preemption round trips.", float64(js.Preemptions))
-		// Per-tenant WFQ dispatch shares (ROADMAP item 2). The anonymous
-		// remainder keeps the per-tenant series summing to the total.
-		var tenantSum int64
-		for t, n := range js.DispatchesByTenant {
-			tenantSum += n
-			e.Counter("cimloop_wfq_dispatches_total", "Job dispatches by tenant (WFQ shares).", float64(n), "tenant", t)
-		}
-		if anon := js.Dispatches - tenantSum; anon > 0 {
-			e.Counter("cimloop_wfq_dispatches_total", "", float64(anon), "tenant", "")
-		}
-		for t, n := range js.PreemptionsByTenant {
-			e.Counter("cimloop_jobs_preempted_by_tenant_total", "Preemption round trips by tenant.", float64(n), "tenant", t)
-		}
 
 		bs := s.SearchStats()
 		e.Gauge("cimloop_search_budget_capacity", "Shared evaluation-concurrency budget size.", float64(bs.Capacity))
@@ -166,60 +146,16 @@ func (s *Server) registerCollectors() {
 // the slow log, not tracked separately.
 func (s *Server) ObsStats() api.ObsStats {
 	return api.ObsStats{
-		Spans:              int64(s.met.spansTotal.Value()),
-		SlowEntries:        s.slow.Len(),
-		SlowRecorded:       s.slow.Recorded(),
-		SlowThresholdSec:   s.slow.Threshold().Seconds(),
-		DroppedLabelSets:   s.met.reg.DroppedLabelSets(),
-		TenantReloads:      int64(s.met.tenantReloads.With("ok").Value()),
-		TenantReloadErrors: int64(s.met.tenantReloads.With("error").Value()),
-		SweepReloads:       int64(s.met.sweepReloads.With("ok").Value()),
-		SweepReloadErrors:  int64(s.met.sweepReloads.With("error").Value()),
+		Spans:             int64(s.met.spansTotal.Value()),
+		SlowEntries:       s.slow.Len(),
+		SlowRecorded:      s.slow.Recorded(),
+		SlowThresholdSec:  s.slow.Threshold().Seconds(),
+		DroppedLabelSets:  s.met.reg.DroppedLabelSets(),
+		TokenReloads:      int64(s.met.tokenReloads.With("ok").Value()),
+		TokenReloadErrors: int64(s.met.tokenReloads.With("error").Value()),
+		SweepReloads:      int64(s.met.sweepReloads.With("ok").Value()),
+		SweepReloadErrors: int64(s.met.sweepReloads.With("error").Value()),
 	}
-}
-
-// tenantSet is the live tenant table. It starts as BatchOptions.Tenants
-// and is replaced atomically by ReloadTenants, so every request-path
-// reader sees either the old or the new set, never a mix.
-func (s *Server) tenantSet() *Tenants { return s.tenants.Load() }
-
-// ReloadTenants swaps in a new tenant set without a restart — the
-// SIGHUP token-rotation path. The new set must be valid and non-empty,
-// and tenancy must have been enabled at boot (an open server cannot be
-// locked down retroactively, nor a tenanted one opened up: handlers
-// built without auth middleware are already serving). On any error the
-// old set stays in force untouched. Reloads are counted in the
-// registry (cimloop_tenant_reloads_total) and surfaced in /healthz.
-func (s *Server) ReloadTenants(t *Tenants) error {
-	err := func() error {
-		if !s.tenantSet().Enabled() {
-			return errors.New("serve: tenancy is off; restart with -tenants to enable it")
-		}
-		if !t.Enabled() {
-			return errors.New("serve: refusing to load an empty tenant set")
-		}
-		return nil
-	}()
-	if err != nil {
-		s.met.tenantReloads.With("error").Inc()
-		return err
-	}
-	s.tenants.Store(t)
-	s.jobs.SetTenants(t.JobTenants())
-	s.met.tenantReloads.With("ok").Inc()
-	return nil
-}
-
-// ReloadTenantsFile is ReloadTenants from a file path: parse and
-// validate first, swap only on success — a broken file on disk leaves
-// the running set untouched (and the failure counted).
-func (s *Server) ReloadTenantsFile(path string) error {
-	t, err := LoadTenantsFile(path)
-	if err != nil {
-		s.met.tenantReloads.With("error").Inc()
-		return err
-	}
-	return s.ReloadTenants(t)
 }
 
 // withObs wraps the mux with per-request tracing and metrics: a span on
@@ -239,7 +175,6 @@ func (s *Server) withObs(mux *http.ServeMux) http.Handler {
 			route = pattern
 		}
 		sp := obs.NewSpan(route)
-		sp.Tenant = tenantFrom(r.Context())
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		mux.ServeHTTP(rec, r.WithContext(obs.ContextWith(r.Context(), sp)))
 		d := time.Since(sp.Start())
@@ -276,14 +211,14 @@ func (w *statusRecorder) Flush() {
 
 // handleMetrics serves the registry as Prometheus text format. Exempt
 // from auth like /healthz: scrape targets don't carry bearer tokens,
-// and the exposition names tenants by id, never by token.
+// and the exposition holds no secrets.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.reg.Handler().ServeHTTP(w, r)
 }
 
 // handleSlow serves the slow-request ring (newest first). Behind auth
-// when tenancy is on — request tags and error strings are operator
-// data. ?limit=N truncates the snapshot.
+// when the server has a token — request tags and error strings are
+// operator data. ?limit=N truncates the snapshot.
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	entries := s.slow.Snapshot()
 	if v := r.URL.Query().Get("limit"); v != "" {
@@ -318,11 +253,4 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
-}
-
-// observeDispatch is the jobs.Options hook feeding the queue-wait
-// histogram (per scheduling class; the per-tenant dispatch counters
-// live in jobs.Stats and are emitted by the collector).
-func (s *Server) observeDispatch(tenant string, pri jobs.Priority, wait time.Duration) {
-	s.met.queueWait.With(string(pri)).Observe(wait.Seconds())
 }

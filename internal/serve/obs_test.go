@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -42,20 +40,17 @@ func rawGet(t *testing.T, ts *httptest.Server, path, token string) (int, string,
 	return resp.StatusCode, string(body), resp.Header
 }
 
-// TestMetricsExposition drives a tenant-attributed sweep job end to end
-// and asserts the Prometheus exposition carries the acceptance-critical
-// series: per-tenant WFQ dispatch counters, the search-phase and
-// evaluate latency histograms, cache counters, and HTTP route counters
-// — all scraped without credentials (/metrics is auth-exempt; tenants
-// appear by id, never by token).
+// TestMetricsExposition drives a sweep job end to end on an
+// authenticated server and asserts the Prometheus exposition carries the
+// acceptance-critical series: the job queue-wait, search-phase and
+// evaluate latency histograms, cache counters, and HTTP route counters —
+// all scraped without credentials (/metrics is auth-exempt).
 func TestMetricsExposition(t *testing.T) {
-	srv := NewServer(BatchOptions{Workers: 1, Tenants: mustTenants(t, twoTenantsYAML)})
+	srv := NewServer(BatchOptions{Workers: 1, Token: testToken})
 	defer srv.Close()
-	do := tenantClient(t, srv)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts, do := authClient(t, srv)
 
-	id := submitJob(t, do, "secret-a",
+	id := submitJob(t, do, testToken,
 		`{"macros": ["base", "macro-b"], "networks": ["toy"], "max_mappings": 2}`)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -68,7 +63,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	// One unroutable (but authenticated) request: must show up under the
 	// bounded "unmatched" route label, not its raw path.
-	if status, _, _ := rawGet(t, ts, "/no/such/path", "secret-a"); status != http.StatusNotFound {
+	if status, _, _ := rawGet(t, ts, "/no/such/path", testToken); status != http.StatusNotFound {
 		t.Fatalf("bogus path: %d, want 404", status)
 	}
 
@@ -83,12 +78,12 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE cimloop_http_requests_total counter",
 		`cimloop_http_requests_total{route="POST /v1/jobs",code="202"} 1`,
 		`cimloop_http_requests_total{route="unmatched",code="404"} 1`,
-		`cimloop_wfq_dispatches_total{tenant="team-a"}`,
 		`cimloop_request_phase_seconds_count{phase="search"}`,
 		`cimloop_request_phase_seconds_count{phase="compile"}`,
 		"cimloop_evaluate_seconds_bucket{le=",
 		"cimloop_evaluate_seconds_count",
-		`cimloop_job_queue_wait_seconds_count{class="batch"}`,
+		"cimloop_job_queue_wait_seconds_count 1",
+		"cimloop_jobs_queued 0",
 		"cimloop_cache_compiles_total",
 		"cimloop_cache_hits_total",
 		"cimloop_jobs_finished 1",
@@ -164,13 +159,11 @@ func TestMetricsPrepareMemo(t *testing.T) {
 // timings are visible (non-zero) in /v1/debug/slow. The slow endpoint
 // itself stays behind auth — request tags and errors are operator data.
 func TestSlowLogCapturesSweepPhases(t *testing.T) {
-	srv := NewServer(BatchOptions{Workers: 1, Tenants: mustTenants(t, twoTenantsYAML)})
+	srv := NewServer(BatchOptions{Workers: 1, Token: testToken})
 	defer srv.Close()
-	do := tenantClient(t, srv)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts, do := authClient(t, srv)
 
-	id := submitJob(t, do, "secret-a",
+	id := submitJob(t, do, testToken,
 		`{"macros": ["base", "macro-b"], "networks": ["toy"], "max_mappings": 2}`)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -181,7 +174,7 @@ func TestSlowLogCapturesSweepPhases(t *testing.T) {
 	if status, _, _ := rawGet(t, ts, "/v1/debug/slow", ""); status != http.StatusUnauthorized {
 		t.Fatalf("slow log without token: %d, want 401", status)
 	}
-	status, body, _ := rawGet(t, ts, "/v1/debug/slow", "secret-a")
+	status, body, _ := rawGet(t, ts, "/v1/debug/slow", testToken)
 	if status != http.StatusOK {
 		t.Fatalf("GET /v1/debug/slow: %d %s", status, body)
 	}
@@ -202,13 +195,12 @@ func TestSlowLogCapturesSweepPhases(t *testing.T) {
 		return 0, false
 	}
 	var items int
-	var sawQueued, sawCompiled, sawSearched, sawTenant bool
+	var sawQueued, sawCompiled, sawSearched bool
 	for _, e := range out.Requests {
 		if e.Route != "sweep-item" {
 			continue
 		}
 		items++
-		sawTenant = sawTenant || e.Tenant == "team-a"
 		if v, ok := phase(e, "queue"); ok && v > 0 {
 			sawQueued = true
 		}
@@ -222,10 +214,10 @@ func TestSlowLogCapturesSweepPhases(t *testing.T) {
 	if items < 2 {
 		t.Fatalf("want >= 2 sweep-item entries, got %d: %+v", items, out.Requests)
 	}
-	if !sawQueued || !sawCompiled || !sawSearched || !sawTenant {
-		t.Fatalf("sweep items must show non-zero queue/compile/search and the tenant "+
-			"(queue=%v compile=%v search=%v tenant=%v): %+v",
-			sawQueued, sawCompiled, sawSearched, sawTenant, out.Requests)
+	if !sawQueued || !sawCompiled || !sawSearched {
+		t.Fatalf("sweep items must show non-zero queue/compile/search "+
+			"(queue=%v compile=%v search=%v): %+v",
+			sawQueued, sawCompiled, sawSearched, out.Requests)
 	}
 	// The HTTP span for the submit is there too, labeled by route pattern.
 	var sawSubmit bool
@@ -237,7 +229,7 @@ func TestSlowLogCapturesSweepPhases(t *testing.T) {
 	}
 
 	// ?limit truncates; a garbage limit is a 400 envelope.
-	status, body, _ = rawGet(t, ts, "/v1/debug/slow?limit=1", "secret-a")
+	status, body, _ = rawGet(t, ts, "/v1/debug/slow?limit=1", testToken)
 	var limited api.SlowResponse
 	if err := json.Unmarshal([]byte(body), &limited); err != nil {
 		t.Fatal(err)
@@ -245,7 +237,7 @@ func TestSlowLogCapturesSweepPhases(t *testing.T) {
 	if status != http.StatusOK || len(limited.Requests) != 1 {
 		t.Fatalf("limit=1: %d with %d entries", status, len(limited.Requests))
 	}
-	if status, body, _ = rawGet(t, ts, "/v1/debug/slow?limit=zero", "secret-a"); status != http.StatusBadRequest {
+	if status, body, _ = rawGet(t, ts, "/v1/debug/slow?limit=zero", testToken); status != http.StatusBadRequest {
 		t.Fatalf("limit=zero: %d %s, want 400", status, body)
 	}
 }
@@ -275,74 +267,67 @@ func TestHealthzObsView(t *testing.T) {
 	}
 }
 
-// TestReloadTenants covers the SIGHUP rotation contract: a valid new
-// set swaps atomically (old token out, new token in), every invalid
-// reload keeps the old set in force, and both outcomes are counted.
-func TestReloadTenants(t *testing.T) {
-	srv := NewServer(BatchOptions{Tenants: mustTenants(t, twoTenantsYAML)})
+// TestReloadToken covers the SIGHUP rotation contract: a valid new
+// token swaps atomically (old token out, new token in), every invalid
+// reload keeps the old token in force, and both outcomes are counted.
+func TestReloadToken(t *testing.T) {
+	srv := NewServer(BatchOptions{Token: testToken})
 	defer srv.Close()
-	do := tenantClient(t, srv)
+	ts, do := authClient(t, srv)
 
-	if status, _, out := do("secret-a", "GET", "/v1/macros", ""); status != http.StatusOK {
+	if status, _, out := do(testToken, "GET", "/v1/macros", ""); status != http.StatusOK {
 		t.Fatalf("baseline auth: %d %v", status, out)
 	}
-
-	rotated := mustTenants(t, `tenants:
-  - id: team-a
-    token: rotated-a
-    weight: 2
-  - id: team-b
-    token: secret-b
-`)
-	if err := srv.ReloadTenants(rotated); err != nil {
+	if err := srv.ReloadToken("rotated-a"); err != nil {
 		t.Fatal(err)
 	}
-	if status, _, _ := do("secret-a", "GET", "/v1/macros", ""); status != http.StatusUnauthorized {
+	if status, _, _ := do(testToken, "GET", "/v1/macros", ""); status != http.StatusUnauthorized {
 		t.Fatalf("old token after rotation: %d, want 401", status)
 	}
 	if status, _, _ := do("rotated-a", "GET", "/v1/macros", ""); status != http.StatusOK {
 		t.Fatalf("rotated token: %d, want 200", status)
 	}
 
-	// A nil/empty set must be refused — rotating to "no tenants" would
-	// silently open the server.
-	if err := srv.ReloadTenants(nil); err == nil {
-		t.Fatal("reloading an empty tenant set must fail")
+	// An empty token must be refused — rotating to "no token" would
+	// silently open the server — and so must an empty token file, with
+	// the old token kept.
+	if err := srv.ReloadToken(""); err == nil {
+		t.Fatal("reloading an empty token must fail")
 	}
-	// A broken file on disk must be refused with the old set kept.
-	bad := filepath.Join(t.TempDir(), "tenants.yaml")
-	if err := os.WriteFile(bad, []byte("tenants:\n  - id: x\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.ReloadTenantsFile(bad); err == nil {
-		t.Fatal("reloading a tenant file with no tokens must fail")
+	if err := srv.ReloadTokenFile(writeFile(t, "token", "\n")); err == nil {
+		t.Fatal("reloading an empty token file must fail")
 	}
 	if status, _, _ := do("rotated-a", "GET", "/v1/macros", ""); status != http.StatusOK {
-		t.Fatal("failed reloads must keep the previous set serving")
+		t.Fatal("failed reloads must keep the previous token serving")
 	}
 	// A good file swaps.
-	good := filepath.Join(t.TempDir(), "tenants.yaml")
-	if err := os.WriteFile(good, []byte("tenants:\n  - id: team-c\n    token: secret-c\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.ReloadTenantsFile(good); err != nil {
+	if err := srv.ReloadTokenFile(writeFile(t, "token", "secret-c\n")); err != nil {
 		t.Fatal(err)
 	}
 	if status, _, _ := do("secret-c", "GET", "/v1/macros", ""); status != http.StatusOK {
-		t.Fatal("file reload must admit the new tenant")
+		t.Fatal("file reload must admit the new token")
 	}
 
 	st := srv.ObsStats()
-	if st.TenantReloads != 2 || st.TenantReloadErrors != 2 {
-		t.Fatalf("reload counters = %d ok / %d error, want 2/2", st.TenantReloads, st.TenantReloadErrors)
+	if st.TokenReloads != 2 || st.TokenReloadErrors != 2 {
+		t.Fatalf("reload counters = %d ok / %d error, want 2/2", st.TokenReloads, st.TokenReloadErrors)
+	}
+	_, text, _ := rawGet(t, ts, "/metrics", "")
+	for _, want := range []string{
+		`cimloop_token_reloads_total{result="ok"} 2`,
+		`cimloop_token_reloads_total{result="error"} 2`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 
 	// An open server cannot be locked down retroactively: its handler
 	// chain was built without the auth middleware.
 	open := NewServer(BatchOptions{})
 	defer open.Close()
-	if err := open.ReloadTenants(mustTenants(t, twoTenantsYAML)); err == nil {
-		t.Fatal("enabling tenancy on a running open server must fail")
+	if err := open.ReloadToken(testToken); err == nil {
+		t.Fatal("enabling auth on a running open server must fail")
 	}
 }
 

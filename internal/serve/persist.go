@@ -34,20 +34,18 @@ func jobSnapKey(id string) string { return "job|" + id }
 func jobWALKey(id string) string  { return "wal|" + id }
 
 // jobWAL is the write-ahead record of an accepted sweep job: everything
-// needed to re-run it after a restart, including its scheduling class so
-// a replayed overnight sweep does not jump ahead of interactive work.
-// Only JSON-expressible requests are replayable — the HTTP path always
-// is, but programmatic requests carrying prebuilt *Arch/*Net values
-// cannot be serialized, so such jobs are not write-ahead-logged at all
+// needed to re-run it after a restart. Records written by older versions
+// may carry fields this one no longer has; decoding ignores them. Only
+// JSON-expressible requests are replayable — the HTTP path always is,
+// but programmatic requests carrying prebuilt *Arch/*Net values cannot
+// be serialized, so such jobs are not write-ahead-logged at all
 // (walExpressible); their terminal snapshots still persist.
 type jobWAL struct {
-	ID         string        `json:"id"`
-	Requests   []Request     `json:"requests"`
-	Workers    int           `json:"workers,omitempty"`
-	TimeoutSec float64       `json:"timeout_sec,omitempty"`
-	Priority   jobs.Priority `json:"priority,omitempty"`
-	Tenant     string        `json:"tenant,omitempty"`
-	CreatedAt  time.Time     `json:"created_at"`
+	ID         string    `json:"id"`
+	Requests   []Request `json:"requests"`
+	Workers    int       `json:"workers,omitempty"`
+	TimeoutSec float64   `json:"timeout_sec,omitempty"`
+	CreatedAt  time.Time `json:"created_at"`
 }
 
 // Checkpoint record keys: "ckpt|<job id>|<zero-padded item index>". The
@@ -257,8 +255,6 @@ func (s *Server) logJobWAL(id string, reqs []Request, opts SweepJobOptions) {
 		Requests:   reqs,
 		Workers:    opts.Workers,
 		TimeoutSec: opts.Timeout.Seconds(),
-		Priority:   opts.Priority,
-		Tenant:     opts.Tenant,
 		CreatedAt:  time.Now(),
 	}
 	store.PutBlocking(persist.KindJob, jobWALKey(id), 0, func() ([]byte, error) {
@@ -346,7 +342,8 @@ func (s *Server) warmStartJobs() {
 	s.persist.warm.Skipped += stats.Skipped
 
 	// Submission order: restores then replays, each by ascending ID, so
-	// List reads like the pre-restart timeline.
+	// List reads like the pre-restart timeline and replays keep their
+	// FIFO dispatch order.
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].ID < snaps[j].ID })
 	sort.Slice(wals, func(i, j int) bool { return wals[i].ID < wals[j].ID })
 	terminal := make(map[string]bool, len(snaps))
@@ -366,10 +363,8 @@ func (s *Server) warmStartJobs() {
 			continue
 		}
 		opts := SweepJobOptions{
-			Workers:  wal.Workers,
-			Timeout:  secondsToTimeout(wal.TimeoutSec),
-			Priority: wal.Priority,
-			Tenant:   wal.Tenant,
+			Workers: wal.Workers,
+			Timeout: secondsToTimeout(wal.TimeoutSec),
 		}
 		run := s.newSweepRun(wal.ID, wal.Requests, opts, true)
 		for _, ck := range ckpts[wal.ID] {
@@ -386,13 +381,11 @@ func (s *Server) warmStartJobs() {
 			s.persist.warm.Checkpoints++
 		}
 		_, err := s.jobs.SubmitJob(jobs.Submission{
-			ID:       wal.ID,
-			Priority: wal.Priority,
-			Tenant:   wal.Tenant,
-			Label:    sweepLabel(wal.Requests),
-			Total:    len(wal.Requests),
-			Fn:       run.fn(),
-			Replay:   true,
+			ID:     wal.ID,
+			Label:  sweepLabel(wal.Requests),
+			Total:  len(wal.Requests),
+			Fn:     run.fn(),
+			Replay: true,
 		})
 		if err != nil {
 			s.persist.warm.Skipped++

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/persist"
 	"repro/internal/serve/jobs"
 )
 
@@ -161,5 +163,89 @@ func TestCheckpointsRetiredWithJob(t *testing.T) {
 	got, ok := third.Job(snap.ID)
 	if !ok || got.Status != jobs.StatusSucceeded || got.Completed != len(resumeReqs()) {
 		t.Fatalf("restored snapshot = %+v", got)
+	}
+}
+
+// TestLegacyJobRecordsBoot: a jobs dir written before the queue became a
+// single FIFO — records that still carry "priority", "tenant" and
+// "resumes" — boots cleanly. The terminal snapshot restores under its
+// original ID; the WAL jobs replay in ID order (the later two were once
+// interactive and would have jumped the queue) and skip their
+// checkpointed items.
+func TestLegacyJobRecordsBoot(t *testing.T) {
+	dir := t.TempDir()
+	st, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(kind persist.Kind, key, payload string) {
+		st.PutBlocking(kind, key, 0, func() ([]byte, error) { return []byte(payload), nil })
+	}
+	put(persist.KindJob, jobSnapKey("job-000003"), `{"id": "job-000003", "label": "sweep of 1 requests",
+		"status": "succeeded", "priority": "interactive", "tenant": "team-a", "resumes": 2,
+		"version": 7, "completed": 1, "total": 1, "result": "legacy table",
+		"created_at": "2026-07-26T12:00:00Z", "elapsed_sec": 1.5}`)
+	req := `{"macro": "base", "network": "toy", "max_mappings": 2, "layers": 1}`
+	put(persist.KindJob, jobWALKey("job-000004"), `{"id": "job-000004",
+		"requests": [`+req+`, `+req+`, `+req+`], "workers": 1,
+		"priority": "batch", "tenant": "team-a", "created_at": "2026-07-26T12:00:01Z"}`)
+	for _, id := range []string{"job-000005", "job-000006"} {
+		put(persist.KindJob, jobWALKey(id), `{"id": "`+id+`", "requests": [`+req+`],
+			"priority": "interactive", "tenant": "team-b", "created_at": "2026-07-26T12:00:02Z"}`)
+	}
+	for i := 0; i < 2; i++ {
+		rec, err := persist.EncodeCheckpointRecord(persist.CheckpointRecord{
+			JobID: "job-000004", Index: i, Payload: []byte(fmt.Sprintf(`{"tag": "checkpoint-%d"}`, i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(persist.KindCheckpoint, ckptKey("job-000004", i), string(rec))
+	}
+	st.Close()
+
+	srv := NewServer(BatchOptions{Workers: 1, JobsDir: dir, MaxRunningJobs: 1})
+	defer srv.Close()
+	warm := srv.PersistStats().Warm
+	if warm.Jobs != 1 || warm.Replayed != 3 || warm.Checkpoints != 2 || warm.Skipped != 0 {
+		t.Fatalf("warm stats = %+v, want 1 restored, 3 replayed, 2 checkpoints", warm)
+	}
+
+	snap, ok := srv.Job("job-000003")
+	if !ok || snap.Status != jobs.StatusSucceeded || snap.Version != 7 || snap.Result != "legacy table" {
+		t.Fatalf("restored snapshot = %+v", snap)
+	}
+
+	// FIFO: the last job leaves the queue only after both earlier ones
+	// have finished.
+	awaitDispatched(t, srv, "job-000006")
+	for _, id := range []string{"job-000004", "job-000005"} {
+		if cur, _ := srv.Job(id); cur.Status != jobs.StatusSucceeded {
+			t.Fatalf("job-000006 dispatched while %s was %s: FIFO broken", id, cur.Status)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	first, err := srv.WaitJob(ctx, "job-000004")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Status != jobs.StatusSucceeded || first.Completed != 3 {
+		t.Fatalf("replayed job-000004 = %+v", first)
+	}
+	// Checkpointed items come back as restored, not re-evaluated: only
+	// the third item ran, so its tag is the computed one.
+	for i, want := range []string{"checkpoint-0", "checkpoint-1", "base/toy"} {
+		if res, _ := first.Results[i].(*Result); res == nil || res.Tag != want {
+			t.Fatalf("job-000004 item %d = %+v, want tag %q", i, first.Results[i], want)
+		}
+	}
+	if last, err := srv.WaitJob(ctx, "job-000006"); err != nil || last.Status != jobs.StatusSucceeded {
+		t.Fatalf("replayed job-000006 = %+v, %v", last, err)
+	}
+	// New submissions continue after the replayed IDs.
+	next, err := srv.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{})
+	if err != nil || next.ID != "job-000007" {
+		t.Fatalf("next submission = %+v, %v", next, err)
 	}
 }

@@ -109,21 +109,19 @@ type BatchOptions struct {
 	// unbounded.
 	MaxBodyBytes int64
 
-	// Tenants enables multi-tenant mode (see LoadTenantsFile and
-	// docs/TENANCY.md): every /v1 request must carry a bearer token from
-	// the tenant file, jobs are scheduled by per-tenant weighted fair
-	// queuing with per-tenant pending quotas, and each tenant sees only
-	// its own jobs. Nil (the default) keeps the server anonymous and
-	// open, byte-identical to earlier versions. The set can be hot-swapped
-	// later via ReloadTenants (the CLI wires SIGHUP to it).
-	Tenants *Tenants
+	// Token enables bearer-token authentication (see auth.go and
+	// LoadTokenFile): every /v1 request must carry
+	// "Authorization: Bearer <Token>". Empty (the default) keeps the
+	// server open. The token can be rotated later via ReloadToken (the
+	// CLI wires SIGHUP to it).
+	Token string
 
 	// SweepDefs registers a set of declarative sweep definitions (package
 	// sweepdef, normally loaded from a sweeps/ directory) as named,
 	// parameterized experiments behind GET /v1/experiments and
 	// POST /v1/experiments/{name}. Nil serves no definitions; the set can
 	// be hot-swapped later via ReloadSweepDefs (the CLI wires SIGHUP to
-	// it, next to the tenant reload).
+	// it, next to the token reload).
 	SweepDefs *sweepdef.Set
 
 	// SlowLogSize bounds the /v1/debug/slow request ring (default
@@ -194,16 +192,16 @@ type Server struct {
 	// two views of it, and finished request spans land in slow.
 	met  *serverMetrics
 	slow *obs.SlowLog
-	// tenants is the live tenant set. It is read per request and swapped
-	// atomically by ReloadTenants (SIGHUP token rotation), so a reload
-	// never tears a request between two sets.
-	tenants atomic.Pointer[Tenants]
+	// token is the live bearer token. It is read per request and swapped
+	// atomically by ReloadToken (SIGHUP rotation), so a reload never tears
+	// a request between two tokens.
+	token atomic.Pointer[string]
 	// sweeps is the live sweep-definition set (see sweeps.go), swapped
 	// atomically by ReloadSweepDefs under the same never-tear rule.
 	sweeps atomic.Pointer[sweepdef.Set]
 	// mappingsEvaluated is the cumulative count of candidate mappings
-	// evaluated since boot, surfaced in /healthz. Checkpointed resume is
-	// observable through it: a resumed sweep adds only its unfinished
+	// evaluated since boot, surfaced in /healthz. Checkpointed replay is
+	// observable through it: a replayed sweep adds only its unfinished
 	// items' evaluations.
 	mappingsEvaluated atomic.Int64
 
@@ -231,7 +229,7 @@ func NewServer(opts BatchOptions) *Server {
 	}
 	s.met = newServerMetrics(obs.NewRegistry())
 	s.slow = obs.NewSlowLog(opts.slowLogSize(), opts.SlowThreshold)
-	s.tenants.Store(opts.Tenants)
+	s.token.Store(&opts.Token)
 	s.sweeps.Store(opts.SweepDefs)
 	s.openPersist(opts.CacheDir, opts.JobsDir)
 	if s.persist.cache != nil {
@@ -248,8 +246,7 @@ func NewServer(opts BatchOptions) *Server {
 		MaxQueued:       opts.MaxQueuedJobs,
 		Retention:       opts.JobRetention,
 		RetryAfter:      opts.JobRetryAfter,
-		Tenants:         opts.Tenants.JobTenants(),
-		ObserveDispatch: s.observeDispatch,
+		ObserveDispatch: func(wait time.Duration) { s.met.queueWait.Observe(wait.Seconds()) },
 	}
 	if s.persist.jobs != nil {
 		jo.OnTerminal = s.jobTerminalHook()
@@ -514,20 +511,8 @@ func requestTag(r *Request, archName, netName string) string {
 // invoked from the completion path as each item finishes (the progress
 // stream the async job API surfaces).
 func (s *Server) SweepCtx(ctx context.Context, reqs []Request, workers int, onDone func(int, *Result)) ([]*Result, error) {
-	out, _, err := s.sweepCtx(ctx, reqs, workers, onDone, nil)
-	return out, err
-}
-
-// sweepCtx is the fan-out engine under SweepCtx and the preemptible
-// sweep-job body: an optional yield hook is polled at item boundaries
-// (before each evaluation starts), and once it reports true the sweep
-// stops dispatching, drains in-flight items, and returns
-// preempted=true with the never-evaluated slots left nil. Yield is
-// sticky — one true answer stops the whole remaining grid — so a
-// preempted job gives the queue back at the earliest safe point.
-func (s *Server) sweepCtx(ctx context.Context, reqs []Request, workers int, onDone func(int, *Result), yield func() bool) (_ []*Result, preempted bool, _ error) {
 	if len(reqs) == 0 {
-		return nil, false, errors.New("serve: empty sweep")
+		return nil, errors.New("serve: empty sweep")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -538,26 +523,11 @@ func (s *Server) sweepCtx(ctx context.Context, reqs []Request, workers int, onDo
 	if workers > len(reqs) {
 		workers = len(reqs)
 	}
-	var yielded atomic.Bool
-	shouldYield := func() bool {
-		if yield == nil {
-			return false
-		}
-		if yielded.Load() {
-			return true
-		}
-		if yield() {
-			yielded.Store(true)
-			return true
-		}
-		return false
-	}
 	type indexed struct {
 		i   int
-		res *Result // nil: skipped because the sweep was cancelled or preempted
+		res *Result // nil: skipped because the sweep was cancelled
 	}
 	sweepStart := time.Now()
-	tenant := tenantFrom(ctx)
 	feed := make(chan int)
 	done := make(chan indexed)
 	var wg sync.WaitGroup
@@ -566,7 +536,7 @@ func (s *Server) sweepCtx(ctx context.Context, reqs []Request, workers int, onDo
 		go func() {
 			defer wg.Done()
 			for i := range feed {
-				if ctx.Err() != nil || shouldYield() {
+				if ctx.Err() != nil {
 					done <- indexed{i, nil}
 					continue
 				}
@@ -578,7 +548,6 @@ func (s *Server) sweepCtx(ctx context.Context, reqs []Request, workers int, onDo
 				// make a single slow item findable in /v1/debug/slow.
 				itemStart := time.Now()
 				sp := obs.NewSpan("sweep-item")
-				sp.Tenant = tenant
 				sp.Observe("queue", itemStart.Sub(sweepStart))
 				// EvaluateCtx itself holds one budget token per in-flight
 				// evaluation, so the pool and any intra-request fan-out
@@ -608,9 +577,6 @@ func (s *Server) sweepCtx(ctx context.Context, reqs []Request, workers int, onDo
 			close(done)
 		}()
 		for i := range reqs {
-			if yielded.Load() {
-				return // stop dispatching the rest of the grid
-			}
 			select {
 			case feed <- i:
 			case <-ctx.Done():
@@ -628,10 +594,7 @@ func (s *Server) sweepCtx(ctx context.Context, reqs []Request, workers int, onDo
 			onDone(d.i, d.res)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return out, false, err
-	}
-	return out, yielded.Load(), nil
+	return out, ctx.Err()
 }
 
 // SweepJobOptions tunes one async sweep job.
@@ -642,18 +605,8 @@ type SweepJobOptions struct {
 	// running (queue time excluded): the job context is wrapped in
 	// context.WithTimeout, so expiry aborts in-flight layer searches and
 	// the job fails with context.DeadlineExceeded. Zero means no deadline.
-	// A preempted-and-resumed batch job gets a fresh window on each
-	// dispatch — the deadline bounds continuous occupancy of a runner,
-	// not wall-clock lifetime.
+	// A job replayed after a restart gets a fresh window.
 	Timeout time.Duration
-	// Priority is the job's scheduling class: interactive jobs dispatch
-	// before batch jobs (the default), FIFO within a class. Persisted in
-	// the write-ahead log, so a replayed job keeps its class.
-	Priority jobs.Priority
-	// Tenant attributes the job to a tenant for weighted fair queuing
-	// and quota accounting ("" = the anonymous tenant). The HTTP layer
-	// fills it from the authenticated bearer token.
-	Tenant string
 }
 
 // sweepLabel names a sweep job.
@@ -677,7 +630,7 @@ func secondsToTimeout(sec float64) time.Duration {
 }
 
 // SubmitSweepOpts enqueues a sweep as an async job with per-job options
-// (workers, deadline, priority, tenant): the batch fans across the worker
+// (workers, deadline): the batch fans across the worker
 // pool in the background, per-item completions stream into the job's
 // progress, and the finished job carries the rendered sweep table as its
 // result. Returns jobs.ErrQueueFull when the pending queue is saturated
@@ -687,20 +640,15 @@ func secondsToTimeout(sec float64) time.Duration {
 // The WAL record is enqueued BEFORE the job becomes runnable (reserved
 // ID), so even a job that finishes instantly has its WAL on the
 // write-behind queue ahead of its terminal snapshot and WAL retirement —
-// the FIFO writer then leaves no stale WAL behind. Batch jobs yield at
-// item boundaries when interactive work is waiting (see jobs.Store
-// preemption); completed items survive the yield in memory and — when
-// persistence is on — as on-disk checkpoints, so neither an in-process
-// resume nor a crash-replay repeats finished items.
+// the FIFO writer then leaves no stale WAL behind. Completed items are
+// checkpointed on disk as they finish, so a crash-replay does not repeat
+// them.
 func (s *Server) SubmitSweepOpts(reqs []Request, opts SweepJobOptions) (jobs.Snapshot, error) {
 	if len(reqs) == 0 {
 		return jobs.Snapshot{}, errors.New("serve: empty sweep")
 	}
-	if !opts.Priority.Valid() && opts.Priority != "" {
-		return jobs.Snapshot{}, fmt.Errorf("serve: unknown priority %q", opts.Priority)
-	}
-	// Always reserve the ID up front: the job body needs it to ask the
-	// queue "should I yield?" while running.
+	// Reserve the ID up front: the WAL record and the job body's
+	// checkpoints are keyed by it.
 	id := s.jobs.ReserveID()
 	wal := s.persist.jobs != nil && walExpressible(reqs)
 	run := s.newSweepRun(id, reqs, opts, wal)
@@ -713,12 +661,10 @@ func (s *Server) SubmitSweepOpts(reqs []Request, opts SweepJobOptions) (jobs.Sna
 		s.persist.jobs.Flush()
 	}
 	snap, err := s.jobs.SubmitJob(jobs.Submission{
-		ID:       id,
-		Priority: opts.Priority,
-		Tenant:   opts.Tenant,
-		Label:    sweepLabel(reqs),
-		Total:    len(reqs),
-		Fn:       run.fn(),
+		ID:    id,
+		Label: sweepLabel(reqs),
+		Total: len(reqs),
+		Fn:    run.fn(),
 	})
 	if err != nil {
 		if wal {

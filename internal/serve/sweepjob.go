@@ -4,18 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"sync"
 
 	"repro/internal/serve/jobs"
 )
 
-// sweepRun is the durable state of one sweep job across dispatches: which
-// grid items are finished (and their results), and which of those have
-// already been reported into the job's progress. A batch job that yields
-// to interactive work is requeued and later re-dispatched with the SAME
-// sweepRun, so the resumed run evaluates only the unfinished items; the
-// same structure seeds WAL replay from on-disk checkpoints after a
-// restart.
+// sweepRun is the state of one sweep job: which grid items are finished
+// and their results. WAL replay after a restart seeds it from on-disk
+// checkpoints (restore) before the job is submitted, so the replayed run
+// evaluates only the unfinished items. A job is dispatched at most once
+// per process, so every item finished at dispatch time is a restored
+// one.
 type sweepRun struct {
 	srv  *Server
 	id   string
@@ -25,26 +23,19 @@ type sweepRun struct {
 	// crash-replay also skips finished items.
 	ckpt bool
 
-	mu      sync.Mutex
 	done    []bool
 	results []*Result
-	// reported tracks which finished items this job has already streamed
-	// into its progress. An in-process resume keeps the job object (and
-	// its completed count), so only items restored from disk into a FRESH
-	// job — WAL replay — are re-reported.
-	reported []bool
 }
 
 func (s *Server) newSweepRun(id string, reqs []Request, opts SweepJobOptions, ckpt bool) *sweepRun {
 	return &sweepRun{
-		srv:      s,
-		id:       id,
-		reqs:     reqs,
-		opts:     opts,
-		ckpt:     ckpt,
-		done:     make([]bool, len(reqs)),
-		results:  make([]*Result, len(reqs)),
-		reported: make([]bool, len(reqs)),
+		srv:     s,
+		id:      id,
+		reqs:    reqs,
+		opts:    opts,
+		ckpt:    ckpt,
+		done:    make([]bool, len(reqs)),
+		results: make([]*Result, len(reqs)),
 	}
 }
 
@@ -55,10 +46,8 @@ func (r *sweepRun) restore(i int, res *Result) {
 	if i < 0 || i >= len(r.reqs) || res == nil {
 		return
 	}
-	r.mu.Lock()
 	r.done[i] = true
 	r.results[i] = res
-	r.mu.Unlock()
 }
 
 // resultErr converts a per-item failure string back into the error the
@@ -70,10 +59,8 @@ func resultErr(res *Result) error {
 	return nil
 }
 
-// fn builds the job body. Each dispatch first reports any finished items
-// the job object has not seen (restored checkpoints on replay), then
-// fans out only the unfinished remainder, yielding at item boundaries
-// while the queue says interactive work is waiting.
+// fn builds the job body. It first reports the items restored from
+// checkpoints, then fans out only the unfinished remainder.
 func (r *sweepRun) fn() jobs.Fn {
 	return func(ctx context.Context, report jobs.Report) (any, error) {
 		if r.opts.Timeout > 0 {
@@ -81,58 +68,35 @@ func (r *sweepRun) fn() jobs.Fn {
 			ctx, cancel = context.WithTimeout(ctx, r.opts.Timeout)
 			defer cancel()
 		}
-		if r.opts.Tenant != "" {
-			// The job context starts fresh (it outlives the submitting HTTP
-			// request); re-attach the tenant so per-item trace spans and the
-			// slow log attribute the work.
-			ctx = context.WithValue(ctx, tenantKey{}, r.opts.Tenant)
-		}
-		r.mu.Lock()
-		var restored, pending []int
+		var pending []int
 		for i := range r.reqs {
-			switch {
-			case !r.done[i]:
+			if r.done[i] {
+				report(i, r.results[i], resultErr(r.results[i]))
+			} else {
 				pending = append(pending, i)
-			case !r.reported[i]:
-				r.reported[i] = true
-				restored = append(restored, i)
 			}
-		}
-		r.mu.Unlock()
-		for _, i := range restored {
-			report(i, r.results[i], resultErr(r.results[i]))
 		}
 		if len(pending) > 0 {
 			sub := make([]Request, len(pending))
 			for k, i := range pending {
 				sub[k] = r.reqs[i]
 			}
-			_, preempted, err := r.srv.sweepCtx(ctx, sub, r.opts.Workers,
-				func(k int, res *Result) {
-					i := pending[k]
-					r.mu.Lock()
-					r.done[i] = true
-					r.results[i] = res
-					r.reported[i] = true
-					r.mu.Unlock()
-					report(i, res, resultErr(res))
-					if r.ckpt {
-						r.srv.writeCheckpoint(r.id, i, res)
-					}
-				},
-				func() bool { return r.srv.jobs.Preempting(r.id) })
+			// SweepCtx calls onDone on this goroutine, so the writes
+			// below need no lock.
+			_, err := r.srv.SweepCtx(ctx, sub, r.opts.Workers, func(k int, res *Result) {
+				i := pending[k]
+				r.done[i] = true
+				r.results[i] = res
+				report(i, res, resultErr(res))
+				if r.ckpt {
+					r.srv.writeCheckpoint(r.id, i, res)
+				}
+			})
 			if err != nil {
 				return nil, err
 			}
-			if preempted {
-				return nil, jobs.ErrPreempted
-			}
 		}
-		r.mu.Lock()
-		full := make([]*Result, len(r.results))
-		copy(full, r.results)
-		r.mu.Unlock()
-		return SweepTable(full).String(), nil
+		return SweepTable(r.results).String(), nil
 	}
 }
 

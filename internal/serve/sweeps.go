@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"repro/internal/serve/api"
-	"repro/internal/serve/jobs"
 	"repro/internal/sweepdef"
 )
 
@@ -15,11 +14,11 @@ import (
 // (package sweepdef) registered as named, parameterized endpoints.
 // GET /v1/experiments lists them with their parameter schemas;
 // POST /v1/experiments/{name} binds parameters and runs the compiled
-// grid through the normal sweep path — so async promotion, tenancy,
-// weighted fair queuing, checkpointed preemption, and metrics all apply
-// to a declarative run exactly as they do to a hand-built sweep. The
-// set is swapped atomically by ReloadSweepDefs (the CLI wires SIGHUP to
-// it, next to the tenant reload), so adding a scenario is editing a
+// grid through the normal sweep path — so async promotion, auth, the
+// FIFO job queue with its checkpointed crash replay, and metrics all
+// apply to a declarative run exactly as they do to a hand-built sweep.
+// The set is swapped atomically by ReloadSweepDefs (the CLI wires SIGHUP
+// to it, next to the token reload), so adding a scenario is editing a
 // file, not rebuilding a binary.
 
 // sweepSet is the live definition set (nil when none registered).
@@ -101,26 +100,13 @@ func (s *Server) handleNamedExperiment(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSONOptional(w, r, &body) {
 		return
 	}
-	if !validSweepPriority(w, body.Priority) {
-		return
-	}
 	reqs, err := def.Compile(body.Params)
 	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, api.Errorf(api.CodeInvalidRequest, "%v", err))
 		return
 	}
-	// The definition's declared class is the default; the request may
-	// override it (validated above).
-	pri := body.Priority
-	if pri == "" {
-		pri = jobs.Priority(def.Priority)
-	}
 	if thr := s.opts.asyncThreshold(); body.Async || (thr > 0 && len(reqs) >= thr) {
-		s.acceptJob(w, reqs, SweepJobOptions{
-			Timeout:  secondsToTimeout(body.TimeoutSec),
-			Priority: pri,
-			Tenant:   tenantFrom(r.Context()),
-		})
+		s.acceptJob(w, reqs, SweepJobOptions{Timeout: secondsToTimeout(body.TimeoutSec)})
 		return
 	}
 	ctx := r.Context()

@@ -10,7 +10,6 @@ import (
 
 const testDefDoc = `name: unit-smoke
 description: tiny grid for handler tests
-priority: interactive
 params:
   - name: mappings
     type: int
@@ -105,30 +104,28 @@ func TestNamedExperimentErrors(t *testing.T) {
 	if code, _ := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" {
 		t.Fatalf("undeclared: %d %v", status, out)
 	}
-	// Invalid priority class.
-	status, out = do("POST", "/v1/experiments/unit-smoke", `{"priority": "urgent"}`)
-	if code, _ := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" {
+	// The removed priority field is an unknown one.
+	status, out = do("POST", "/v1/experiments/unit-smoke", `{"priority": "interactive"}`)
+	if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "priority") {
 		t.Fatalf("priority: %d %v", status, out)
 	}
 }
 
-func TestNamedExperimentAsyncUsesDefinitionPriority(t *testing.T) {
+// TestNamedExperimentAsync: "async": true hands the compiled grid to the
+// job queue, and the job runs it to completion.
+func TestNamedExperimentAsync(t *testing.T) {
 	srv := NewServer(BatchOptions{SweepDefs: testSweepSet(t)})
 	defer srv.Close()
 	_, do := testClient(t, srv)
 
 	status, out := do("POST", "/v1/experiments/unit-smoke", `{"async": true}`)
-	if status != http.StatusAccepted {
-		t.Fatalf("async: %d %v", status, out)
+	id := acceptedJobID(t, status, out)
+	final := pollJob(t, do, id)
+	if final["status"] != "succeeded" || final["completed"] != float64(1) {
+		t.Fatalf("async named experiment: %v", final)
 	}
-	job, ok := out["job"].(map[string]any)
-	if !ok {
-		t.Fatalf("no job in 202 body: %v", out)
-	}
-	// The definition declares priority: interactive; with no override in
-	// the request, the job inherits it.
-	if job["priority"] != "interactive" {
-		t.Fatalf("job priority = %v, want the definition's interactive", job["priority"])
+	if table, _ := final["result"].(string); !strings.Contains(table, "base") {
+		t.Fatalf("job result missing evaluated row: %v", final["result"])
 	}
 }
 

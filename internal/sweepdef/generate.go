@@ -46,11 +46,6 @@ func Generate(seed int64) (*Definition, string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "name: gen-%08x\n", uint32(seed))
 	fmt.Fprintf(&b, "description: generated property-test definition (seed %d)\n", seed)
-	if rng.Intn(2) == 0 {
-		b.WriteString("priority: interactive\n")
-	} else {
-		b.WriteString("priority: batch\n")
-	}
 
 	// Sometimes declare parameters and reference them from the axes and
 	// budgets, so templating and coercion stay on the tested path. The

@@ -1,9 +1,8 @@
 // Package sweepdef turns YAML files under a sweeps/ directory into
 // first-class, parameterized experiments: each file declares a macro x
-// network x scenario grid, search budgets, a scheduling class, and typed
-// parameters with defaults and ranges, and compiles — after binding
-// parameter values into "{param}" placeholders — into the typed request
-// grids of the batch-evaluation service (api.EvalRequest). The serving
+// network x scenario grid, search budgets, and typed parameters with
+// defaults and ranges, and compiles — after binding parameter values
+// into "{param}" placeholders — into the typed request grids of the batch-evaluation service (api.EvalRequest). The serving
 // layer registers a directory of definitions behind GET /v1/experiments
 // and POST /v1/experiments/{name}; the CLI runs the same files offline.
 // Scenario coverage is data, not code: adding an experiment is writing a
@@ -14,7 +13,6 @@
 //
 //	name: fig15-scenarios
 //	description: Macro-B full-system scenario grid (paper Fig. 15)
-//	priority: batch
 //	params:
 //	  - name: network
 //	    type: string
@@ -87,10 +85,7 @@ type Param struct {
 type Definition struct {
 	Name        string
 	Description string
-	// Priority is the default async scheduling class ("", "interactive",
-	// or "batch"); requests may override it.
-	Priority string
-	Params   []Param
+	Params      []Param
 
 	// Axes: the grid is the cross product macros x networks x scenarios x
 	// system_macros. Scenarios and SystemMacros may be empty (bare macro,
@@ -170,12 +165,6 @@ func Parse(file, text string) (*Definition, error) {
 				return nil, errf(file, lineOf(text, key), "'description' must be a string")
 			}
 			d.Description = s
-		case "priority":
-			s, ok := v.(string)
-			if !ok || (s != "" && s != "interactive" && s != "batch") {
-				return nil, errf(file, lineOf(text, key), "'priority' must be \"interactive\" or \"batch\"")
-			}
-			d.Priority = s
 		case "params":
 			if err := d.parseParams(v); err != nil {
 				return nil, err
@@ -677,7 +666,6 @@ func (d *Definition) Info() api.ExperimentInfo {
 		Description: d.Description,
 		Source:      "sweep",
 		File:        filepath.Base(d.File),
-		Priority:    d.Priority,
 	}
 	if reqs, err := d.Compile(nil); err == nil {
 		info.Requests = len(reqs)

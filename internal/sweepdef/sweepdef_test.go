@@ -9,7 +9,6 @@ import (
 
 const validDoc = `name: fig15-scenarios
 description: Macro-B full-system scenario grid
-priority: batch
 params:
   - name: network
     type: string
@@ -38,8 +37,8 @@ func TestParseValidDefinition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if d.Name != "fig15-scenarios" || d.Priority != "batch" {
-		t.Fatalf("identity = %q/%q", d.Name, d.Priority)
+	if d.Name != "fig15-scenarios" {
+		t.Fatalf("name = %q", d.Name)
 	}
 	if len(d.Params) != 2 || d.Params[0].Name != "network" || d.Params[1].Type != "int" {
 		t.Fatalf("params = %+v", d.Params)
@@ -169,10 +168,17 @@ axes:
 budgets:
   sample_shards: 2
 `,
+		"removed key priority": `name: x
+priority: batch
+axes:
+  macros: [base]
+  networks: [toy]
+`,
 	}
 	// Cases whose message is pinned beyond the file/line attribution.
 	wantMsg := map[string]string{
 		"removed budget sample_shards": `bad.yaml: line 5: unknown budget "sample_shards"`,
+		"removed key priority":         `bad.yaml: line 2: unknown key "priority"`,
 	}
 	for name, doc := range cases {
 		_, err := Parse("bad.yaml", doc)

@@ -3,8 +3,8 @@
 # end to end through the SDK-backed CLI plus raw curl:
 #   - error envelopes with stable codes on unknown routes/methods and
 #     oversized bodies (never net/http plain text)
-#   - prioritized job submission: an interactive job submitted behind a
-#     queued batch sweep starts (and finishes) first
+#   - FIFO job dispatch: of two jobs queued behind a busy runner, the
+#     later one starts only after the earlier one has finished
 #   - `cimloop jobs wait` receives progress via SSE (not polling), and a
 #     raw curl of /v1/jobs/{id}/events sees framed terminal events
 #   - paginated job listing with a monotonic-ID cursor
@@ -31,7 +31,7 @@ echo "api_smoke: building cimloop"
 go build -o "$BIN" ./cmd/cimloop
 
 # One worker + one running job, size-based async promotion off: the
-# priority experiment below needs a deterministically occupied runner.
+# FIFO experiment below needs a deterministically occupied runner.
 "$BIN" serve -addr "$ADDR" -workers 1 -async-threshold -1 -max-body 4096 &
 PID=$!
 for _ in $(seq 1 100); do
@@ -54,39 +54,37 @@ CODE=$(printf '%s' "$BIG" | curl -s -X POST --data-binary @- "$BASE/v1/evaluate"
 CODE=$(curl -s "$BASE/v1/jobs?status=bogus" | jq -r .code)
 [ "$CODE" = invalid_request ] || fail "bad filter code was $CODE"
 
-echo "api_smoke: priority — interactive overtakes a queued batch sweep"
-# Heavy batch job #1 occupies the single runner...
-"$BIN" jobs submit -addr "$BASE" -priority batch \
+echo "api_smoke: FIFO — queued jobs dispatch in submission order"
+# A heavy job #1 occupies the single runner...
+"$BIN" jobs submit -addr "$BASE" \
   -macros base,macro-a,macro-b,macro-d -networks resnet18 -mappings 400 \
-  >/dev/null || fail "batch submit 1"
-# ...heavy batch job #2 queues behind it...
-"$BIN" jobs submit -addr "$BASE" -priority batch \
-  -macros base,macro-a,macro-b,macro-d -networks resnet18 -mappings 400 \
-  >/dev/null || fail "batch submit 2"
-# ...and a small interactive job arrives last.
-"$BIN" jobs submit -addr "$BASE" -priority interactive \
-  -macros base -networks toy -layers 1 -mappings 2 \
-  >/dev/null || fail "interactive submit"
+  >/dev/null || fail "submit 1"
+# ...and two small jobs queue behind it.
+"$BIN" jobs submit -addr "$BASE" -macros base,macro-b -networks toy -mappings 2 \
+  >/dev/null || fail "submit 2"
+"$BIN" jobs submit -addr "$BASE" -macros base -networks toy -layers 1 -mappings 2 \
+  >/dev/null || fail "submit 3"
+QUEUED=$(curl -sf "$BASE/v1/jobs?status=queued" | jq -r '[.jobs[].id] | join(",")')
+[ "$QUEUED" = job-000002,job-000003 ] || fail "queued jobs were '$QUEUED'"
 
-[ "$(curl -s "$BASE/v1/jobs/job-000003" | jq -r .priority)" = interactive ] \
-  || fail "job 3 did not record its class"
-
-# Free the runner: the scheduler must now pick the interactive job, not
-# batch job #2.
+# Free the runner: job 2 must run to completion before job 3 leaves the
+# queue.
 curl -sf -X POST "$BASE/v1/jobs/job-000001/cancel" >/dev/null || fail "cancel job 1"
+for _ in $(seq 1 600); do
+  [ "$(curl -sf "$BASE/v1/jobs/job-000003" | jq -r .status)" != queued ] && break
+  sleep 0.05
+done
+STATUS3=$(curl -sf "$BASE/v1/jobs/job-000003" | jq -r .status)
+[ "$STATUS3" != queued ] || fail "job 3 never left the queue"
+STATUS2=$(curl -sf "$BASE/v1/jobs/job-000002" | jq -r .status)
+[ "$STATUS2" = succeeded ] || fail "job 3 dispatched while job 2 was $STATUS2 (not FIFO)"
 
 echo "api_smoke: jobs wait streams via SSE"
 WAITLOG="$WORK/wait.log"
 "$BIN" jobs wait job-000003 -addr "$BASE" -timeout 120s 2>"$WAITLOG" \
-  || { cat "$WAITLOG" >&2; fail "interactive job did not succeed"; }
+  || { cat "$WAITLOG" >&2; fail "job 3 did not succeed"; }
 grep -q "streaming progress via SSE" "$WAITLOG" || { cat "$WAITLOG" >&2; fail "wait did not use SSE"; }
 grep -q "job-000003" "$WAITLOG" || fail "wait logged no progress events"
-
-# The heavyweight batch sweep queued before the interactive job must not
-# have finished first — priority dispatch, not FIFO.
-BATCH2=$(curl -s "$BASE/v1/jobs/job-000002" | jq -r .status)
-[ "$BATCH2" != succeeded ] || fail "batch job finished before the interactive one (FIFO?)"
-curl -sf -X POST "$BASE/v1/jobs/job-000002/cancel" >/dev/null || fail "cancel job 2"
 
 echo "api_smoke: raw SSE frames and terminal snapshot"
 EVENTS=$(curl -sN -m 10 "$BASE/v1/jobs/job-000003/events") || fail "SSE curl failed"
@@ -107,4 +105,4 @@ PAGE2=$(curl -sf "$BASE/v1/jobs?limit=2&cursor=$CURSOR")
 
 kill -TERM "$PID" && wait "$PID" || fail "server exited non-zero on SIGTERM"
 PID=""
-echo "api_smoke: PASS — envelopes typed, interactive beat batch, SSE streamed, listing paged"
+echo "api_smoke: PASS — envelopes typed, jobs ran FIFO, SSE streamed, listing paged"

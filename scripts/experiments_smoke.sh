@@ -74,8 +74,6 @@ echo "experiments_smoke: async run resumed via the jobs API"
 ACC=$(curl -sf -X POST "$BASE/v1/experiments/quick-smoke" -d '{"async": true}') || fail "async run"
 JOB=$(echo "$ACC" | jq -r .job.id)
 [ "$JOB" != null ] || fail "202 body carried no job: $ACC"
-# The definition declares priority: interactive; the job must inherit it.
-[ "$(echo "$ACC" | jq -r .job.priority)" = interactive ] || fail "job did not inherit the definition's class: $ACC"
 "$BIN" jobs wait "$JOB" -addr "$BASE" -timeout 120s >/dev/null 2>&1 || fail "async job did not succeed"
 
 echo "experiments_smoke: SIGHUP reload adds a definition without a restart"
