@@ -73,13 +73,18 @@ func submitJob(t *testing.T, do func(token, method, path, body string) (int, htt
 	return id
 }
 
-// TestLoadTokenFile pins the token-file format: one token, surrounding
-// whitespace trimmed; anything else is refused with a named error.
-func TestLoadTokenFile(t *testing.T) {
+// TestLoadTokenFileValid pins the token-file format: one token, with
+// surrounding whitespace trimmed.
+func TestLoadTokenFileValid(t *testing.T) {
 	tok, err := LoadTokenFile(writeFile(t, "token", "  "+testToken+"\n"))
 	if err != nil || tok != testToken {
 		t.Fatalf("LoadTokenFile = %q, %v", tok, err)
 	}
+}
+
+// TestLoadTokenFileErrors: anything but one token is refused with a
+// named error, so an old tenants file cannot boot an open server.
+func TestLoadTokenFileErrors(t *testing.T) {
 	cases := []struct{ name, text, wantErr string }{
 		{"empty", "", "empty"},
 		{"whitespace only", " \n\t\n", "empty"},

@@ -572,43 +572,46 @@ func runOrderJob(log *[]string, mu *sync.Mutex, label string) Fn {
 
 // TestFIFOOrder is the headline guarantee: jobs queued behind a busy
 // runner dispatch in submission order, and the queued count is exact.
-// Fresh submissions and replays (Submission.Replay, as WAL replay
-// submits them at boot in ascending-ID order) queue the same way, so a
-// restart cannot reorder accepted work.
-func TestFIFOOrder(t *testing.T) {
-	for _, replay := range []bool{false, true} {
-		s, log, mu := recordingStore(t, Options{MaxRunning: 1, MaxQueued: 16})
-		// Occupy the single runner so everything below queues.
-		blocker, release := gate()
-		bsnap, err := s.Submit("blocker", 0, blocker)
+func TestFIFOOrder(t *testing.T) { checkFIFOOrder(t, false) }
+
+// TestFIFOOrderAcrossReplay: replays (Submission.Replay, as WAL replay
+// submits them at boot in ascending-ID order) queue exactly like fresh
+// submissions, so a restart cannot reorder accepted work.
+func TestFIFOOrderAcrossReplay(t *testing.T) { checkFIFOOrder(t, true) }
+
+func checkFIFOOrder(t *testing.T, replay bool) {
+	t.Helper()
+	s, log, mu := recordingStore(t, Options{MaxRunning: 1, MaxQueued: 16})
+	// Occupy the single runner so everything below queues.
+	blocker, release := gate()
+	bsnap, err := s.Submit("blocker", 0, blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, s, bsnap.ID, StatusRunning)
+	want := []string{"j1", "j2", "j3", "j4"}
+	var jobIDs []string
+	for _, label := range want {
+		snap, err := s.SubmitJob(Submission{Label: label, Total: 1, Fn: runOrderJob(log, mu, label), Replay: replay})
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitStatus(t, s, bsnap.ID, StatusRunning)
-		want := []string{"j1", "j2", "j3", "j4"}
-		var jobIDs []string
-		for _, label := range want {
-			snap, err := s.SubmitJob(Submission{Label: label, Total: 1, Fn: runOrderJob(log, mu, label), Replay: replay})
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobIDs = append(jobIDs, snap.ID)
+		jobIDs = append(jobIDs, snap.ID)
+	}
+	if st := s.Stats(); st.Queued != len(want) || st.Running != 1 {
+		t.Fatalf("replay=%v stats %+v", replay, st)
+	}
+	release()
+	for _, id := range jobIDs {
+		if _, err := s.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
 		}
-		if st := s.Stats(); st.Queued != len(want) || st.Running != 1 {
-			t.Fatalf("replay=%v stats %+v", replay, st)
-		}
-		release()
-		for _, id := range jobIDs {
-			if _, err := s.Wait(context.Background(), id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mu.Lock()
-		got := fmt.Sprint(*log)
-		mu.Unlock()
-		if got != fmt.Sprint(want) {
-			t.Fatalf("replay=%v dispatch order %v, want %v", replay, got, want)
-		}
+	}
+	mu.Lock()
+	got := fmt.Sprint(*log)
+	mu.Unlock()
+	if got != fmt.Sprint(want) {
+		t.Fatalf("replay=%v dispatch order %v, want %v", replay, got, want)
 	}
 }
 
