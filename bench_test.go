@@ -355,6 +355,7 @@ func BenchmarkSweepColdScenarios(b *testing.B) {
 func BenchmarkSweepWarmCache(b *testing.B) {
 	srv := NewServer(BatchOptions{Workers: 1})
 	runSweep(b, srv, 1) // prime
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runSweep(b, srv, 1)

@@ -205,6 +205,11 @@ type Engine struct {
 	clock    float64 // effective clock at the arch's supply
 	leakage  float64 // watts of static power across all buffers
 	memo     *PrepareMemo
+	// mapperOpts is the arch-static mapper guidance (MapperOptions with
+	// no budget or seed), built once at compile time. The mapper only
+	// reads its maps and slices, so every search shares them and sets
+	// its own budget and seed on a copy of the struct.
+	mapperOpts mapper.Options
 }
 
 // WithPrepareMemo returns a copy of e whose layer preparations share the
@@ -231,7 +236,7 @@ func NewEngine(a *Arch) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: arch %q: %w", a.Name, err)
 	}
-	e := &Engine{arch: a, clock: a.ClockHz * freqScale}
+	e := &Engine{arch: a, clock: a.ClockHz * freqScale, mapperOpts: a.MapperOptions(0, 0)}
 	params := circuits.Params{Node: a.Node, Vdd: vdd}
 	instances := int64(1)
 	for i := range a.Levels {

@@ -275,7 +275,8 @@ func (e *Engine) valueBits(t tensor.Kind) float64 {
 // greedy mapping for a prepared layer (used when a fixed, reproducible
 // schedule is needed, e.g. to match the value-level simulator).
 func (e *Engine) GreedyMapping(ctx *LayerContext) (*mapping.Mapping, error) {
-	opts := e.arch.MapperOptions(1, 0)
+	opts := e.mapperOpts
+	opts.MaxMappings = 1
 	return mapper.Greedy(e.arch.Levels, ctx.Sliced, opts)
 }
 
@@ -319,7 +320,8 @@ func (e *Engine) SearchLayerOptsCtx(ctx context.Context, lctx *LayerContext, so 
 	if err != nil {
 		return nil, 0, err
 	}
-	opts := e.arch.MapperOptions(so.MaxMappings, so.Seed)
+	opts := e.mapperOpts
+	opts.MaxMappings, opts.Seed = so.MaxMappings, so.Seed
 	newCost := func(s *mapping.Scratch) mapper.CostFunc { return e.costKernel(lctx, plan, s) }
 	best, evaluated, err := mapper.Search(ctx, plan, e.arch.Levels, lctx.Sliced, opts, so.SearchWorkers, newCost)
 	if err != nil {

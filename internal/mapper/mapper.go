@@ -293,7 +293,7 @@ func sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts O
 		return err
 	}
 	n := 1
-	smp.stream(rand.New(rand.NewSource(opts.Seed)), first, func(m *mapping.Mapping) bool {
+	smp.stream(newRand(opts.Seed), first, func(m *mapping.Mapping) bool {
 		if !yield(n, m) {
 			return false
 		}

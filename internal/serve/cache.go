@@ -50,6 +50,12 @@ type Stats = api.CacheStats
 // their shared stages once per server. The memo is bounded by the same
 // entry capacity as the cache, both entry kinds counted together and
 // evicted least recently used.
+//
+// Above the cache, a Server resolves each bare built-in macro name and
+// each zoo network name once (nameMemo, names.go) and passes their
+// fingerprints in, so a warm lookup of a named request neither rebuilds
+// the macro or network nor rehashes it: it is a map lookup per key.
+// EngineCtx and LayerContextCtx hash their argument on every call.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -270,6 +276,13 @@ func (c *Cache) admit(key string, costSec float64, val any) {
 // cache time, which is what it is to them.
 func (c *Cache) EngineCtx(ctx context.Context, arch *core.Arch) (*core.Engine, string, error) {
 	archFP := ArchFingerprint(arch)
+	eng, err := c.engine(ctx, arch, archFP)
+	return eng, archFP, err
+}
+
+// engine is EngineCtx for a caller that already holds the arch's
+// fingerprint (the server's name memo, or its own resolution).
+func (c *Cache) engine(ctx context.Context, arch *core.Arch, archFP string) (*core.Engine, error) {
 	v, err := c.getOrCompute(engineKey(archFP), func() (any, error) {
 		defer obs.Timed(ctx, "compile")()
 		eng, err := core.NewEngine(arch)
@@ -279,9 +292,9 @@ func (c *Cache) EngineCtx(ctx context.Context, arch *core.Arch) (*core.Engine, s
 		return eng.WithPrepareMemo(c.memo), nil
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return v.(*core.Engine), archFP, nil
+	return v.(*core.Engine), nil
 }
 
 // LayerContextCtx returns the amortized per-layer state for (engine,
@@ -299,7 +312,13 @@ func (c *Cache) EngineCtx(ctx context.Context, arch *core.Arch) (*core.Engine, s
 // are dropped and recomputed — the write-behind hook then overwrites the
 // bad record under the same key.
 func (c *Cache) LayerContextCtx(ctx context.Context, eng *core.Engine, archFP string, l workload.Layer) (*core.LayerContext, error) {
-	key := contextKey(archFP, LayerFingerprint(l))
+	return c.layerContext(ctx, eng, archFP, LayerFingerprint(l), l)
+}
+
+// layerContext is LayerContextCtx for a caller that already holds the
+// layer's fingerprint.
+func (c *Cache) layerContext(ctx context.Context, eng *core.Engine, archFP, layerFP string, l workload.Layer) (*core.LayerContext, error) {
+	key := contextKey(archFP, layerFP)
 	compute := func() (any, error) {
 		defer obs.Timed(ctx, "compile")()
 		return eng.PrepareLayer(l)

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/tech"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -20,14 +21,21 @@ import (
 // fields are serialized in sorted key order so the hash is stable.
 
 // ArchFingerprint returns a stable content hash of an architecture: the
-// flattened level hierarchy, technology context, operand precisions, data
-// encodings, and mapper guidance.
+// flattened level hierarchy, technology context (the node, with its
+// scaling factors when they differ from the node table's), operand
+// precisions, data encodings, and mapper guidance.
 func ArchFingerprint(a *core.Arch) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "arch|%s|node=%d|vdd=%g|clk=%g|bits=%d/%d/%d/%d|enc=%s/%s|adcshare=%d|",
 		a.Name, a.Node.Nm, a.Vdd, a.ClockHz,
 		a.InputBits, a.WeightBits, a.DACBits, a.CellBits,
 		a.InputEncoding, a.WeightEncoding, a.ADCShare)
+	// The node's scaling factors feed every component model. A node
+	// equal to its table entry is named by Nm alone, which keeps the
+	// fingerprints of unscaled nodes (every built-in macro) as they were.
+	if ref, err := tech.ByNm(a.Node.Nm); err != nil || ref != a.Node {
+		fmt.Fprintf(h, "nodef=%g/%g/%g/%g|", a.Node.Vdd, a.Node.Energy, a.Node.Area, a.Node.Delay)
+	}
 	fmt.Fprintf(h, "tlvl=%d|wsl=%d|isl=%d|inner=%v|", a.TemporalLevel, a.WeightSliceLevel, a.InputSliceLevel, a.InnerDims)
 	writeIntKeyed(h, "sprefs", len(a.SpatialPrefs), func(w io.Writer) {
 		for _, k := range sortedIntKeys(a.SpatialPrefs) {

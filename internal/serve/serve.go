@@ -8,7 +8,9 @@
 // once and reusing them across thousands of mappings; serve extends that
 // amortization across requests: many clients sweeping the same macros and
 // networks share cached state, and a warm sweep pays only the per-mapping
-// count analysis.
+// count analysis. Built-in macro and network names are resolved, validated
+// and fingerprinted once per server (see nameMemo), so a warm request does
+// not rebuild or rehash what its names always denote.
 //
 // Use it directly:
 //
@@ -204,6 +206,10 @@ type Server struct {
 	// observable through it: a replayed sweep adds only its unfinished
 	// items' evaluations.
 	mappingsEvaluated atomic.Int64
+	// names memoizes bare macro and zoo network names with their
+	// fingerprints (see nameMemo), so warm requests stop rebuilding and
+	// rehashing what a name always resolves to.
+	names nameMemo
 
 	// ExperimentNames and RunExperiment are injected by the facade so the
 	// HTTP API can list and run paper reproductions without this package
@@ -356,25 +362,67 @@ func scenarioByName(name string) (system.Scenario, error) {
 		system.AllDRAM, system.WeightStationary, system.OnChipIO)
 }
 
-// resolveNet materializes the request's workload.
-func resolveNet(r *Request) (*workload.Network, error) {
-	if (r.Network != "") == (r.Net != nil) {
-		return nil, errors.New("serve: request needs exactly one of network name or prebuilt net")
+// firstLayers returns net cut to its first k layers, or net itself when
+// k <= 0 or k covers every layer. The copy shares net's layers; the full
+// slice expression keeps an append on the copy off net's array.
+func firstLayers(net *workload.Network, k int) *workload.Network {
+	if k <= 0 || k >= len(net.Layers) {
+		return net
 	}
-	net := r.Net
-	if r.Network != "" {
-		var err error
-		net, err = workload.ByName(r.Network)
+	cp := *net
+	cp.Layers = net.Layers[:k:k]
+	return &cp
+}
+
+// resolved is a request's architecture and validated network with the
+// content fingerprints that address them in the cache.
+type resolved struct {
+	arch     *core.Arch
+	archFP   string
+	net      *workload.Network
+	layerFPs []string // LayerFingerprint of each of net's layers
+}
+
+// resolve materializes the request's architecture and network with
+// their fingerprints. A bare macro name and a network name come from the
+// server's name memo; every other source (inline spec, programmatic Arch
+// or Net, scenario wrap) is built and hashed per request. Either way a
+// bad request fails with the same error: the architecture's, then the
+// network's, then the network's validation error.
+func (s *Server) resolve(r *Request) (resolved, error) {
+	var rv resolved
+	if r.Macro != "" && r.Spec == "" && r.Arch == nil && r.Scenario == "" {
+		a, err := s.names.macro(r.Macro)
 		if err != nil {
-			return nil, err
+			return rv, err
 		}
+		rv.arch, rv.archFP = a.arch, a.fp
+	} else {
+		arch, err := resolveArch(r)
+		if err != nil {
+			return rv, err
+		}
+		rv.arch, rv.archFP = arch, ArchFingerprint(arch)
 	}
-	if r.Layers > 0 && r.Layers < len(net.Layers) {
-		cp := *net
-		cp.Layers = net.Layers[:r.Layers]
-		net = &cp
+	if (r.Network != "") == (r.Net != nil) {
+		return rv, errors.New("serve: request needs exactly one of network name or prebuilt net")
 	}
-	return net, nil
+	if r.Net != nil {
+		net := firstLayers(r.Net, r.Layers)
+		if err := net.Validate(); err != nil {
+			return rv, err
+		}
+		rv.net, rv.layerFPs = net, layerFingerprints(net.Layers)
+		return rv, nil
+	}
+	n, err := s.names.network(r.Network)
+	if err != nil {
+		return rv, err
+	}
+	// A prefix of a valid network is valid.
+	rv.net = firstLayers(n.net, r.Layers)
+	rv.layerFPs = n.fps[:len(rv.net.Layers):len(rv.net.Layers)]
+	return rv, nil
 }
 
 // EvaluateCtx runs one request through the cache: the engine and every
@@ -386,20 +434,14 @@ func resolveNet(r *Request) (*workload.Network, error) {
 func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) {
 	started := time.Now()
 	sp := obs.FromContext(ctx)
-	arch, err := resolveArch(&req)
+	rv, err := s.resolve(&req)
 	if err != nil {
 		return nil, err
 	}
-	net, err := resolveNet(&req)
-	if err != nil {
-		return nil, err
-	}
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
+	arch, net := rv.arch, rv.net
 	lookup := time.Now()
 	compiled := sp.Phase("compile")
-	eng, archFP, err := s.cache.EngineCtx(ctx, arch)
+	eng, err := s.cache.engine(ctx, arch, rv.archFP)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +471,7 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 			return nil, err
 		}
 		lookup = time.Now()
-		lctx, err := s.cache.LayerContextCtx(ctx, eng, archFP, l)
+		lctx, err := s.cache.layerContext(ctx, eng, rv.archFP, rv.layerFPs[i], l)
 		if err != nil {
 			return nil, fmt.Errorf("serve: network %q layer %q: %w", net.Name, l.Name, err)
 		}
