@@ -23,6 +23,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/mapper"
 	"repro/internal/mapping"
@@ -290,8 +291,11 @@ type SearchOptions struct {
 	// SearchWorkers fans candidate cost evaluations across a bounded
 	// worker pool; <= 1 keeps the serial path. The parallel search returns
 	// bit-identical results (deterministic minimum-cost, lowest-index
-	// winner), so the knob trades goroutines for single-request latency
-	// without changing any answer.
+	// winner). One goroutine still generates and copies every candidate,
+	// so a width gains at most the ratio of a serial candidate's cost to
+	// its generation cost; measured on 2-CPU hosts, no width has beaten
+	// the serial path, which also reuses pooled search memory the pool
+	// path does not.
 	SearchWorkers int
 }
 
@@ -302,13 +306,14 @@ type SearchOptions struct {
 // mapper's candidate validation and every cost kernel. On the serial
 // path each candidate is checked once, by the load into the search's
 // Scratch that the kernel then analyzes, and priced in the sampler's own
-// memory (pricing only, no Result); only a new best is copied, and the
-// Result is built once, for the winner. With SearchWorkers > 1 the
-// sampler validates and copies each candidate into a recycled buffer,
-// and candidate evaluations fan across a worker pool (mapper.Search),
-// each worker loading into its own Scratch. Pricing sums in a fixed
-// order, so the winner and its Result are bit-identical across runs and
-// worker counts.
+// memory (pricing only, no Result); the search's memory is pooled and
+// reused, only a new best is copied (into a reused buffer), and the
+// Result is built once, for the winner, in a recycled Scratch. With
+// SearchWorkers > 1 the sampler validates and copies each candidate into
+// a recycled buffer, and candidate evaluations fan across a worker pool
+// (mapper.Search), each worker loading into its own Scratch. Pricing
+// sums in a fixed order, so the winner and its Result are bit-identical
+// across runs and worker counts.
 //
 // The candidate loop checks for cancellation before each mapping
 // evaluation, so a cancelled or expired context makes the search return
@@ -327,12 +332,18 @@ func (e *Engine) SearchLayerOptsCtx(ctx context.Context, lctx *LayerContext, so 
 	if err != nil {
 		return nil, 0, err
 	}
-	r, err := e.evaluate(lctx, plan, new(mapping.Scratch), best.Mapping)
+	s := winnerScratch.Get().(*mapping.Scratch)
+	r, err := e.evaluate(lctx, plan, s, best.Mapping)
+	winnerScratch.Put(s)
 	if err != nil {
 		return nil, 0, err
 	}
 	return r, evaluated, nil
 }
+
+// winnerScratch recycles the Scratch a search's winner is analyzed in;
+// the Result built from it holds none of its memory.
+var winnerScratch = sync.Pool{New: func() any { return new(mapping.Scratch) }}
 
 // EvaluateLayerOptsCtx prepares a layer and searches its mapping space
 // (see SearchLayerOptsCtx), returning the best result and the number of

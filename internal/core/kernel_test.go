@@ -11,11 +11,14 @@ import (
 	"repro/internal/workload"
 )
 
+// builtinMacros names every built-in macro.
+var builtinMacros = []string{"base", "macro-a", "macro-b", "macro-c", "macro-d", "digital-cim", "tpu-like", "photonic"}
+
 // TestCostKernelAllocatesNothing is the allocation gate of the search's
 // per-candidate work: once its Scratch has grown, analyzing and pricing a
 // candidate allocates nothing, on every built-in macro.
 func TestCostKernelAllocatesNothing(t *testing.T) {
-	for _, name := range []string{"base", "macro-a", "macro-b", "macro-c", "macro-d", "digital-cim", "tpu-like", "photonic"} {
+	for _, name := range builtinMacros {
 		arch, err := macros.ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -50,6 +53,46 @@ func TestCostKernelAllocatesNothing(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: cost kernel allocates %v times per candidate, want 0", name, allocs)
+		}
+	}
+}
+
+// TestSearchAllocatesPerSearchOnly is the allocation gate of a whole
+// serial search: once warm, SearchLayerOptsCtx allocates the same count
+// at budgets 1, 16 and 256 on every built-in macro, so nothing per
+// candidate and nothing per new best, only the fixed per-search work
+// (the Plan, the cost closure, the winner's copy and its Result). The
+// search's memory comes from a sync.Pool, which may drop its contents
+// at a GC; over 100 runs a refill floors away.
+func TestSearchAllocatesPerSearchOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	ctx := context.Background()
+	for _, name := range builtinMacros {
+		arch, err := macros.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := core.NewEngine(arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lctx, err := eng.PrepareLayer(workload.ResNet18().Layers[5])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var allocs []float64
+		for _, budget := range []int{1, 16, 256} {
+			so := core.SearchOptions{MaxMappings: budget, Seed: 1}
+			allocs = append(allocs, testing.AllocsPerRun(100, func() {
+				if _, _, err := eng.SearchLayerOptsCtx(ctx, lctx, so); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if allocs[0] != allocs[1] || allocs[1] != allocs[2] {
+			t.Errorf("%s: a search allocates %v times at budgets 1, 16 and 256, want one count", name, allocs)
 		}
 	}
 }
@@ -103,7 +146,7 @@ func TestCostKernelMatchesEvaluateMapping(t *testing.T) {
 // width must agree bit for bit — mapping, Energy and evaluated count.
 func TestSearchWinnerDeterministic(t *testing.T) {
 	layers := workload.ResNet18().Layers[:5]
-	for _, name := range []string{"base", "macro-a", "macro-b", "macro-c", "macro-d", "digital-cim", "tpu-like", "photonic"} {
+	for _, name := range builtinMacros {
 		arch, err := macros.ByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package mapper
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mapping"
@@ -59,8 +60,8 @@ func keyHierarchy(t testing.TB) ([]spec.Level, *tensor.Einsum, Options) {
 func checkDrawKeys(t *testing.T, seed int64, n int) {
 	t.Helper()
 	levels, e, opts := keyHierarchy(t)
-	s, err := newSampler(levels, e, opts, nil)
-	if err != nil {
+	var s sampler
+	if err := s.reset(levels, e, opts); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -79,6 +80,18 @@ func checkDrawKeys(t *testing.T, seed int64, n int) {
 		}
 		byKey[key], byString[str] = str, key
 	}
+}
+
+// keyOf returns the dedup key of a mapping over the sampler's dims: the
+// key write builds for the same loops.
+func (s *sampler) keyOf(m *mapping.Mapping) []byte {
+	var key []byte
+	for li, ll := range m.LevelLoops {
+		for _, l := range ll {
+			key = appendKey(key, li, slices.Index(s.dims, l.Dim), l.Factor)
+		}
+	}
+	return key
 }
 
 // checkKeyPair checks that a and b get equal keys exactly when their

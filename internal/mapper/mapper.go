@@ -8,13 +8,15 @@
 package mapper
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
+	"unsafe"
 
 	"repro/internal/mapping"
 	"repro/internal/spec"
@@ -63,198 +65,46 @@ func (o Options) budget() int {
 	return o.MaxMappings
 }
 
-// remainingBound returns the per-dim bound still to cover after the fixed
-// loops are applied (ceiling division).
-func remainingBound(e *tensor.Einsum, fixed map[int][]mapping.Loop) (map[string]int, error) {
-	rem := make(map[string]int, len(e.Dims))
-	for _, d := range e.Dims {
-		rem[d.Name] = d.Bound
-	}
-	for lvl, loops := range fixed {
-		for _, l := range loops {
-			if l.Factor <= 0 {
-				return nil, fmt.Errorf("mapper: fixed loop %s at level %d has factor %d", l.Dim, lvl, l.Factor)
-			}
-			b, ok := rem[l.Dim]
-			if !ok {
-				return nil, fmt.Errorf("mapper: fixed loop over unknown dim %q", l.Dim)
-			}
-			rem[l.Dim] = ceilDiv(b, l.Factor)
-		}
-	}
-	return rem, nil
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// meshBudget returns the spatial capacity left at each spatial level after
-// fixed loops.
-func meshBudget(levels []spec.Level, fixed map[int][]mapping.Loop) map[int]int {
-	budget := make(map[int]int)
-	for i := range levels {
-		if levels[i].Kind == spec.SpatialLevel {
-			budget[i] = levels[i].Mesh
-		}
-	}
-	for lvl, loops := range fixed {
-		for _, l := range loops {
-			if _, ok := budget[lvl]; ok {
-				budget[lvl] /= l.Factor
-			}
-		}
-	}
-	return budget
-}
-
-// storageLevels lists storage level indices, outermost first.
-func storageLevels(levels []spec.Level) []int {
-	var out []int
-	for i := range levels {
-		if levels[i].Kind == spec.StorageLevel {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// newMapping seeds a mapping with the fixed loops.
-func newMapping(levels []spec.Level, fixed map[int][]mapping.Loop) *mapping.Mapping {
-	m := &mapping.Mapping{LevelLoops: make([][]mapping.Loop, len(levels))}
-	for lvl, loops := range fixed {
-		m.LevelLoops[lvl] = append(m.LevelLoops[lvl], loops...)
-	}
-	return m
-}
 
 // Greedy builds one deterministic mapping: spatial levels are filled
 // according to SpatialPrefs (padding to fill the mesh when a dim does not
 // divide), and every leftover factor becomes a temporal loop at the chosen
-// temporal level, InnerDims innermost.
+// temporal level, InnerDims innermost. It is the first candidate of every
+// search, built by the same code in pooled memory; Greedy returns a copy
+// the caller owns.
 func Greedy(levels []spec.Level, e *tensor.Einsum, opts Options) (*mapping.Mapping, error) {
-	return greedy(levels, e, opts, func(m *mapping.Mapping) error { return mapping.Validate(levels, e, m) })
-}
-
-// greedy builds the Greedy mapping and checks it with validate.
-func greedy(levels []spec.Level, e *tensor.Einsum, opts Options, validate func(*mapping.Mapping) error) (*mapping.Mapping, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	rem, err := remainingBound(e, opts.Fixed)
-	if err != nil {
+	st := getState()
+	defer st.release()
+	s := &st.smp
+	if err := s.reset(levels, e, opts); err != nil {
 		return nil, err
 	}
-	budget := meshBudget(levels, opts.Fixed)
-	m := newMapping(levels, opts.Fixed)
-
-	// Spatial placement, innermost spatial level first (closest to
-	// compute fills up first — it is the CiM array).
-	var spatialIdx []int
-	for i := range budget {
-		spatialIdx = append(spatialIdx, i)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(spatialIdx)))
-	for _, li := range spatialIdx {
-		prefs := opts.SpatialPrefs[li]
-		for _, d := range prefs {
-			// Preferences are architecture-static; dims absent from this
-			// workload (e.g. R/S on a matmul) are skipped.
-			b, ok := rem[d]
-			if !ok {
-				continue
-			}
-			room := budget[li]
-			if room <= 1 || b <= 1 {
-				continue
-			}
-			f := b
-			if f > room {
-				f = room
-			}
-			m.LevelLoops[li] = append(m.LevelLoops[li], mapping.Loop{Dim: d, Factor: f})
-			budget[li] = room / f
-			rem[d] = ceilDiv(b, f)
-		}
-	}
-
-	// Temporal leftovers.
-	tl, err := temporalTarget(levels, opts)
-	if err != nil {
+	valid := func(m *mapping.Mapping) error { return mapping.Validate(levels, e, m) }
+	if err := s.greedy(opts, valid); err != nil {
 		return nil, err
 	}
-	rank := make(map[string]int, len(opts.InnerDims)+len(opts.OuterDims))
-	for i, d := range opts.InnerDims {
-		rank[d] = i + 1
-	}
-	for i, d := range opts.OuterDims {
-		rank[d] = -len(opts.OuterDims) + i
-	}
-	var dims []string
-	for d := range rem {
-		if rem[d] > 1 {
-			dims = append(dims, d)
-		}
-	}
-	// Outermost first: OuterDims, then unlisted dims (sorted for
-	// determinism), then InnerDims in reverse preference.
-	sort.Slice(dims, func(i, j int) bool {
-		pi, pj := rank[dims[i]], rank[dims[j]]
-		if pi != pj {
-			return pi < pj
-		}
-		return dims[i] < dims[j]
-	})
-	storage := map[int]bool{}
-	for _, i := range storageLevels(levels) {
-		storage[i] = true
-	}
-	for _, d := range dims {
-		target := tl
-		if t, ok := opts.TemporalTargets[d]; ok {
-			if !storage[t] {
-				return nil, fmt.Errorf("mapper: temporal target %d for dim %s is not a storage level", t, d)
-			}
-			target = t
-		}
-		m.LevelLoops[target] = append(m.LevelLoops[target], mapping.Loop{Dim: d, Factor: rem[d]})
-	}
-	if err := validate(m); err != nil {
-		return nil, fmt.Errorf("mapper: greedy produced invalid mapping: %w", err)
-	}
-	return m, nil
-}
-
-func temporalTarget(levels []spec.Level, opts Options) (int, error) {
-	sl := storageLevels(levels)
-	if len(sl) == 0 {
-		return 0, errors.New("mapper: hierarchy has no storage level for temporal loops")
-	}
-	// TemporalLevel <= 0 (including the unset zero value) selects the
-	// outermost storage level.
-	tl := opts.TemporalLevel
-	if tl <= 0 {
-		return sl[0], nil
-	}
-	for _, i := range sl {
-		if i == tl {
-			return tl, nil
-		}
-	}
-	return 0, fmt.Errorf("mapper: temporal level %d is not a storage level", tl)
+	return (&copier{batch: 1}).copy(&s.m), nil
 }
 
 // Sample generates up to MaxMappings distinct valid mappings by seeded
 // random factor splitting and permutation, always including the Greedy
 // mapping first. It compiles the layer's mapping.Plan for this one call;
 // Search takes a compiled one instead. Every returned mapping is a copy
-// the caller owns.
+// the caller owns; none points into the pooled memory it was drawn in.
 func Sample(levels []spec.Level, e *tensor.Einsum, opts Options) ([]*mapping.Mapping, error) {
 	plan, err := mapping.NewPlan(levels, e)
 	if err != nil {
 		return nil, err
 	}
+	st := getState()
+	defer st.release()
 	var out []*mapping.Mapping
 	c := copier{batch: min(opts.budget(), 64)}
-	err = sampleSeq(plan, levels, e, opts, nil, func(_ int, m *mapping.Mapping) bool {
+	err = st.sampleSeq(plan, levels, e, opts, false, func(_ int, m *mapping.Mapping) bool {
 		out = append(out, c.copy(m))
 		return true
 	})
@@ -264,64 +114,104 @@ func Sample(levels []spec.Level, e *tensor.Einsum, opts Options) ([]*mapping.Map
 	return out, nil
 }
 
-// sampleSeq generates the exact Sample candidate sequence one mapping at a
-// time, calling yield with each candidate's index; yield returning false
-// stops generation early. Search prices candidates as this generator
-// yields them instead of waiting for the whole sample. plan is the
-// compiled count analysis of (levels, e) and validates every candidate:
-// with s nil by Plan.Validate, otherwise by Plan.Load into s, so that
-// each yielded candidate is already laid out in s.
-//
-// The yielded mapping is borrowed: it is valid only during the yield
-// call, after which the generator draws the next candidate into the same
-// memory. A caller that keeps a candidate must copy it.
-func sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, s *mapping.Scratch, yield func(int, *mapping.Mapping) bool) error {
-	opts.MaxMappings = opts.budget()
-	valid := plan.Validate
-	if s != nil {
-		valid = func(m *mapping.Mapping) error { return plan.Load(m, s) }
+// searchState is the mutable memory of one search: the sampler's tables
+// and buffers, the rand source and the Rand over it, and the serial
+// path's Scratch and best-so-far buffer. Searches take one from states
+// and release it when they return, so the memory is reused instead of
+// rebuilt, and the pool holds about one state per search running at
+// once: it is bounded by concurrency, not by how many layers or
+// architectures were searched.
+type searchState struct {
+	smp     sampler
+	src     seedSource
+	rng     *rand.Rand // over src; Rand.Seed re-seeds both in place
+	scratch mapping.Scratch
+	best    mapping.Mapping
+}
+
+var states = sync.Pool{New: func() any {
+	st := new(searchState)
+	st.rng = rand.New(&st.src)
+	return st
+}}
+
+// maxPooledKeys bounds the dedup set a released state keeps: a search
+// that took more keys than this gives its set and key arena up, so that
+// one huge budget does not pin its memory in the pool.
+const maxPooledKeys = 4096
+
+func getState() *searchState { return states.Get().(*searchState) }
+
+// release returns st to the pool. Nothing of st may be used afterwards,
+// and nothing a search returns may point into it.
+func (st *searchState) release() {
+	s := &st.smp
+	s.plan, s.scratch = nil, nil
+	if len(s.seen) > maxPooledKeys {
+		s.seen, s.keys = nil, nil
 	}
-	first, err := greedy(levels, e, opts, valid)
-	if err != nil {
+	states.Put(st)
+}
+
+// sampleSeq generates the exact Sample candidate sequence one mapping at
+// a time in st's memory, calling yield with each candidate's index;
+// yield returning false stops generation early. Search prices
+// candidates as this generator yields them instead of waiting for the
+// whole sample. plan is the compiled count analysis of (levels, e), so
+// e is valid, and it validates every candidate: by Plan.Validate, or
+// with load by Plan.Load into st.scratch, so that each yielded candidate
+// is already laid out there.
+//
+// The yielded mapping is borrowed from st: it is valid only during the
+// yield call, after which the generator draws the next candidate into
+// the same memory, and once st is released it belongs to the next
+// search. A caller that keeps a candidate must copy it.
+func (st *searchState) sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, load bool, yield func(int, *mapping.Mapping) bool) error {
+	s := &st.smp
+	if err := s.reset(levels, e, opts); err != nil {
 		return err
 	}
-	if !yield(0, first) {
+	s.plan, s.scratch = plan, nil
+	if load {
+		s.scratch = &st.scratch
+	}
+	if err := s.greedy(opts, s.check); err != nil {
+		return err
+	}
+	s.take()
+	if !yield(0, &s.m) {
 		return nil
 	}
-	smp, err := newSampler(levels, e, opts, valid)
-	if err != nil {
-		return err
-	}
-	n := 1
-	smp.stream(newRand(opts.Seed), first, func(m *mapping.Mapping) bool {
-		if !yield(n, m) {
-			return false
-		}
-		n++
-		return true
-	})
+	st.rng.Seed(opts.Seed)
+	s.stream(st.rng, yield)
 	return nil
 }
 
-// sampler draws the random candidates of one (levels, einsum, options)
-// triple. newSampler resolves the name-keyed options — remaining bounds,
-// mesh budgets, spatial preferences, storage levels, fixed loops — into
-// index tables once per search, and valid (the layer Plan's check)
-// validates draws. A draw works in index space: it splits factors with
-// the sampler's divisor table, lays the loops out per level as (dim
-// index, factor) pairs, and from them builds the dedup key and writes
-// the candidate, with its dim names, into the one scratch mapping all
-// draws share. stream lends that mapping to its caller for one call: no
-// candidate is copied, and once the buffers have grown no draw
-// allocates.
+// sampler generates the candidates of one (levels, einsum, options)
+// triple in memory that outlives the search: it is part of a pooled
+// searchState, and reset refills it for each search. reset resolves the
+// name-keyed options (remaining bounds, mesh budgets, spatial
+// preferences, storage levels, fixed loops) into dim-index tables, and
+// the greedy mapping and every random draw are built from those tables.
+// A candidate is laid out per level as (dim index, factor) pairs; from
+// them the sampler builds the candidate's dedup key and writes the
+// candidate, with its dim names, into m, the one mapping that the greedy
+// mapping and all draws share. Candidates are lent, never copied: m is
+// valid until the next candidate is built, and the whole sampler belongs
+// to the next search once its state is released, so nothing a search
+// hands back may point into it. Once its buffers have grown, neither
+// reset nor a candidate allocates.
 type sampler struct {
-	valid   func(*mapping.Mapping) error
+	plan    *mapping.Plan    // validates candidates
+	scratch *mapping.Scratch // when set, Plan.Load lays each valid candidate out in it
+
 	dims    []string      // einsum dimension names; a dim's index is its position
 	rem0    []int         // per-dim bound left after the fixed loops
 	spatial []spatialSlot // spatial levels, innermost first
+	prefs   []int         // the slots' preferred dims, slot after slot
 	storage []int         // storage levels, outermost first
 	fixed   [][]ixLoop    // fixed loops per level
-	max     int           // Options.MaxMappings
+	max     int           // the candidate budget
 
 	// divs caches the ascending divisors of the bounds drawn from, in a
 	// table indexed by a hash of the bound; the lists are windows of
@@ -331,11 +221,17 @@ type sampler struct {
 	divBuf     []int
 	divScratch []int
 
-	// Draw state.
+	// seen is the dedup set: the keys of the candidates taken, as
+	// strings over the bytes of keys, an append-only arena (see take).
+	seen map[string]struct{}
+	keys []byte
+
+	// Candidate state.
 	rem   []int
-	loops [][]ixLoop // the draw's loops per level
-	key   []byte     // the draw's dedup key
+	loops [][]ixLoop // the candidate's loops per level
+	key   []byte     // the candidate's dedup key
 	m     mapping.Mapping
+	order []int // the greedy mapping's temporal dims, outermost first
 }
 
 // ixLoop is a loop with its dim as an index into sampler.dims.
@@ -348,92 +244,233 @@ type divisorList struct {
 	divs []int
 }
 
-// spatialSlot is one spatial level's share of a draw's spatial placement.
+// spatialSlot is one spatial level's share of a candidate's spatial
+// placement.
 type spatialSlot struct {
 	level  int
-	budget int   // mesh capacity left after the fixed loops
-	prefs  []int // preferred dims the einsum has, in preference order
+	budget int // mesh capacity left after the fixed loops
+	// prefs[lo:hi] of the sampler are the preferred dims the einsum has,
+	// in preference order.
+	lo, hi int
 }
 
-func newSampler(levels []spec.Level, e *tensor.Einsum, opts Options, valid func(*mapping.Mapping) error) (*sampler, error) {
-	rem, err := remainingBound(e, opts.Fixed)
-	if err != nil {
-		return nil, err
+// resetLists returns l with n empty lists, reusing the lists' memory.
+func resetLists[T any](l [][]T, n int) [][]T {
+	l = slices.Grow(l[:0], n)[:n]
+	for i := range l {
+		l[i] = l[i][:0]
 	}
-	s := &sampler{
-		valid:   valid,
-		dims:    make([]string, len(e.Dims)),
-		rem0:    make([]int, len(e.Dims)),
-		storage: storageLevels(levels),
-		fixed:   make([][]ixLoop, len(levels)),
-		max:     opts.MaxMappings,
+	return l
+}
+
+// reset readies s for a search of e, a valid einsum, on levels under
+// opts: it fills the dim-index tables and empties the divisor table, the
+// dedup set and the candidate buffers, keeping their memory.
+func (s *sampler) reset(levels []spec.Level, e *tensor.Einsum, opts Options) error {
+	nl := len(levels)
+	s.dims, s.rem0 = s.dims[:0], s.rem0[:0]
+	for _, d := range e.Dims {
+		s.dims = append(s.dims, d.Name)
+		s.rem0 = append(s.rem0, d.Bound)
 	}
-	index := make(map[string]int, len(e.Dims))
-	for i, d := range e.Dims {
-		s.dims[i], s.rem0[i] = d.Name, rem[d.Name]
-		index[d.Name] = i
-	}
+	s.fixed = resetLists(s.fixed, nl)
 	for lvl, loops := range opts.Fixed {
 		for _, l := range loops {
-			s.fixed[lvl] = append(s.fixed[lvl], ixLoop{index[l.Dim], l.Factor})
+			if l.Factor <= 0 {
+				return fmt.Errorf("mapper: fixed loop %s at level %d has factor %d", l.Dim, lvl, l.Factor)
+			}
+			d := slices.Index(s.dims, l.Dim)
+			if d < 0 {
+				return fmt.Errorf("mapper: fixed loop over unknown dim %q", l.Dim)
+			}
+			if lvl < 0 || lvl >= nl {
+				return fmt.Errorf("mapper: fixed loop %s at level %d of a %d-level hierarchy", l.Dim, lvl, nl)
+			}
+			s.rem0[d] = ceilDiv(s.rem0[d], l.Factor)
+			s.fixed[lvl] = append(s.fixed[lvl], ixLoop{d, l.Factor})
 		}
 	}
-	budget := meshBudget(levels, opts.Fixed)
-	for li := len(levels) - 1; li >= 0; li-- {
-		room, ok := budget[li]
-		if !ok {
+	s.spatial, s.prefs = s.spatial[:0], s.prefs[:0]
+	for li := nl - 1; li >= 0; li-- {
+		if levels[li].Kind != spec.SpatialLevel {
 			continue
 		}
-		slot := spatialSlot{level: li, budget: room}
-		for _, d := range opts.SpatialPrefs[li] {
+		room := levels[li].Mesh
+		for _, l := range s.fixed[li] {
+			room /= l.factor
+		}
+		lo := len(s.prefs)
+		for _, name := range opts.SpatialPrefs[li] {
 			// Preferences are architecture-static; dims absent from this
 			// workload (e.g. R/S on a matmul) are skipped.
-			if i, ok := index[d]; ok {
-				slot.prefs = append(slot.prefs, i)
+			if d := slices.Index(s.dims, name); d >= 0 {
+				s.prefs = append(s.prefs, d)
 			}
 		}
-		s.spatial = append(s.spatial, slot)
+		s.spatial = append(s.spatial, spatialSlot{level: li, budget: room, lo: lo, hi: len(s.prefs)})
 	}
-	s.rem = make([]int, len(s.rem0))
-	s.divBuf = make([]int, 0, 64)
-	s.loops = make([][]ixLoop, len(levels))
-	s.m = mapping.Mapping{LevelLoops: make([][]mapping.Loop, len(levels))}
-	return s, nil
+	s.storage = s.storage[:0]
+	for i := range levels {
+		if levels[i].Kind == spec.StorageLevel {
+			s.storage = append(s.storage, i)
+		}
+	}
+	s.max = opts.budget()
+
+	clear(s.divs[:])
+	s.divBuf = s.divBuf[:0]
+	// The set is cleared before the arena under its keys is rewound.
+	if s.seen == nil {
+		s.seen = make(map[string]struct{})
+	} else {
+		clear(s.seen)
+	}
+	s.keys = s.keys[:0]
+	s.rem = slices.Grow(s.rem[:0], len(s.dims))[:len(s.dims)]
+	s.loops = resetLists(s.loops, nl)
+	s.m.LevelLoops = resetLists(s.m.LevelLoops, nl)
+	return nil
 }
 
-// stream draws from rng until it has emitted max-1 fresh valid candidates
-// or spent max*20 draws: the sampler's budget after the greedy mapping
-// first, which is taken already. emit receives each candidate in the
-// sampler's scratch mapping, borrowed for the call: the next draw
-// overwrites it. Returning false stops the stream.
-func (s *sampler) stream(rng *rand.Rand, first *mapping.Mapping, emit func(m *mapping.Mapping) bool) {
-	// Sized for the budget, but a budget far above the layer's mapping
-	// space is common, so the hint is capped. The keys are slices of one
-	// append-only Builder, whose bytes never change once written, so
-	// taking a key allocates nothing of its own.
-	hint := min(s.max, 1024)
-	seen := make(map[string]struct{}, hint)
-	var keys strings.Builder
-	keys.Grow(32 * hint)
-	take := func(key []byte) {
-		start := keys.Len()
-		keys.Write(key)
-		seen[keys.String()[start:]] = struct{}{}
+// begin starts a candidate in s.loops: each level holds its fixed loops,
+// and s.rem each dim's bound left after them.
+func (s *sampler) begin() [][]ixLoop {
+	for i, f := range s.fixed {
+		s.loops[i] = append(s.loops[i][:0], f...)
 	}
-	take(s.keyOf(first))
+	copy(s.rem, s.rem0)
+	return s.loops
+}
+
+// greedy lays the Greedy mapping out in s.loops: the fixed loops, then
+// at each spatial level, innermost first, the preferred dims as large as
+// the mesh allows, then every dim's leftover factor as one temporal loop
+// at its temporal level. It writes the mapping and its key to s.m and
+// s.key and checks it with valid.
+func (s *sampler) greedy(opts Options, valid func(*mapping.Mapping) error) error {
+	loops := s.begin()
+	for _, slot := range s.spatial {
+		room := slot.budget
+		for _, d := range s.prefs[slot.lo:slot.hi] {
+			b := s.rem[d]
+			if room <= 1 || b <= 1 {
+				continue
+			}
+			f := min(b, room)
+			loops[slot.level] = append(loops[slot.level], ixLoop{d, f})
+			room /= f
+			s.rem[d] = ceilDiv(b, f)
+		}
+	}
+
+	tl, err := s.temporalLevel(opts.TemporalLevel)
+	if err != nil {
+		return err
+	}
+	s.order = s.order[:0]
+	for d, b := range s.rem {
+		if b > 1 {
+			s.order = append(s.order, d)
+		}
+	}
+	// Outermost first by temporalRank; unlisted dims by name.
+	slices.SortFunc(s.order, func(a, b int) int {
+		da, db := s.dims[a], s.dims[b]
+		return cmp.Or(cmp.Compare(temporalRank(&opts, da), temporalRank(&opts, db)), strings.Compare(da, db))
+	})
+	for _, d := range s.order {
+		target := tl
+		if t, ok := opts.TemporalTargets[s.dims[d]]; ok {
+			if !slices.Contains(s.storage, t) {
+				return fmt.Errorf("mapper: temporal target %d for dim %s is not a storage level", t, s.dims[d])
+			}
+			target = t
+		}
+		loops[target] = append(loops[target], ixLoop{d, s.rem[d]})
+	}
+	s.write()
+	if err := valid(&s.m); err != nil {
+		return fmt.Errorf("mapper: greedy produced invalid mapping: %w", err)
+	}
+	return nil
+}
+
+// temporalRank is d's place in the greedy mapping's temporal order,
+// outermost first: OuterDims in order (negative ranks), then unlisted
+// dims (0), then InnerDims in reverse preference (from 1). A dim listed
+// twice takes its last place, and OuterDims outranks InnerDims.
+func temporalRank(opts *Options, d string) int {
+	for i := len(opts.OuterDims) - 1; i >= 0; i-- {
+		if opts.OuterDims[i] == d {
+			return i - len(opts.OuterDims)
+		}
+	}
+	for i := len(opts.InnerDims) - 1; i >= 0; i-- {
+		if opts.InnerDims[i] == d {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// temporalLevel returns the storage level that receives leftover
+// temporal loops: tl itself, or the outermost storage level when tl is
+// zero or negative (including the unset zero value).
+func (s *sampler) temporalLevel(tl int) (int, error) {
+	if len(s.storage) == 0 {
+		return 0, errors.New("mapper: hierarchy has no storage level for temporal loops")
+	}
+	if tl <= 0 {
+		return s.storage[0], nil
+	}
+	if !slices.Contains(s.storage, tl) {
+		return 0, fmt.Errorf("mapper: temporal level %d is not a storage level", tl)
+	}
+	return tl, nil
+}
+
+// check validates a candidate with the search's Plan: by loading it into
+// the Scratch when there is one, otherwise by Plan.Validate.
+func (s *sampler) check(m *mapping.Mapping) error {
+	if s.scratch != nil {
+		return s.plan.Load(m, s.scratch)
+	}
+	return s.plan.Validate(m)
+}
+
+// take adds the current candidate's key to the dedup set. The key's
+// bytes are appended to the arena s.keys, and the set holds a string
+// over them, so once the arena has grown taking a key allocates
+// nothing. Within a search the arena is append-only: growing it moves
+// the keys taken next to a new array and leaves the old one, which the
+// earlier strings still reference, unchanged. reset clears the set
+// before it rewinds the arena, so no string outlives its bytes.
+func (s *sampler) take() {
+	start := len(s.keys)
+	s.keys = append(s.keys, s.key...)
+	k := s.keys[start:]
+	s.seen[unsafe.String(unsafe.SliceData(k), len(k))] = struct{}{}
+}
+
+// stream draws from rng until it has yielded max-1 fresh valid
+// candidates or spent max*20 draws: the sampler's budget after the
+// greedy mapping, which is taken already. yield receives each
+// candidate's index (from 1) and the candidate in s.m, borrowed for the
+// call: the next draw overwrites it. Returning false stops the stream.
+func (s *sampler) stream(rng *rand.Rand, yield func(int, *mapping.Mapping) bool) {
 	produced, tries := 0, 0
 	for produced < s.max-1 && tries < s.max*20 {
 		tries++
 		s.draw(rng)
-		if _, dup := seen[string(s.key)]; dup {
+		if _, dup := s.seen[string(s.key)]; dup {
 			continue
 		}
-		if s.valid(&s.m) != nil {
+		if s.check(&s.m) != nil {
 			continue
 		}
-		take(s.key)
+		s.take()
 		produced++
-		if !emit(&s.m) {
+		if !yield(produced, &s.m) {
 			return
 		}
 	}
@@ -442,19 +479,15 @@ func (s *sampler) stream(rng *rand.Rand, first *mapping.Mapping, emit func(m *ma
 // draw builds one random candidate (possibly invalid; stream checks) in
 // s.loops: a random subset of preferred dims gets random spatial factors,
 // every remaining dim is split randomly across storage levels, and each
-// storage level's loops are shuffled. It then writes the candidate's key
-// to s.key and the candidate itself to s.m.
+// storage level's loops are shuffled. It then writes the candidate and
+// its key to s.m and s.key.
 func (s *sampler) draw(rng *rand.Rand) {
-	loops := s.loops
-	for i, f := range s.fixed {
-		loops[i] = append(loops[i][:0], f...)
-	}
-	copy(s.rem, s.rem0)
+	loops := s.begin()
 
 	// Spatial: random subset of preferred dims with random factors.
 	for _, slot := range s.spatial {
 		room := slot.budget
-		for _, d := range slot.prefs {
+		for _, d := range s.prefs[slot.lo:slot.hi] {
 			b := s.rem[d]
 			if room <= 1 || b <= 1 {
 				continue
@@ -487,10 +520,14 @@ func (s *sampler) draw(rng *rand.Rand) {
 		ll := loops[li]
 		rng.Shuffle(len(ll), func(i, j int) { ll[i], ll[j] = ll[j], ll[i] })
 	}
+	s.write()
+}
 
-	// The key, and the candidate with its dim names.
+// write writes the candidate laid out in s.loops to s.m, with its dim
+// names, and its dedup key to s.key.
+func (s *sampler) write() {
 	s.key = s.key[:0]
-	for li, ll := range loops {
+	for li, ll := range s.loops {
 		out := s.m.LevelLoops[li][:0]
 		for _, l := range ll {
 			s.key = appendKey(s.key, li, l.dim, l.factor)
@@ -498,18 +535,6 @@ func (s *sampler) draw(rng *rand.Rand) {
 		}
 		s.m.LevelLoops[li] = out
 	}
-}
-
-// keyOf returns the dedup key of a mapping over the sampler's dims: the
-// key draw builds for the same loops.
-func (s *sampler) keyOf(m *mapping.Mapping) []byte {
-	var key []byte
-	for li, ll := range m.LevelLoops {
-		for _, l := range ll {
-			key = appendKey(key, li, slices.Index(s.dims, l.Dim), l.Factor)
-		}
-	}
-	return key
 }
 
 // appendKey appends one loop to a dedup key: its level, dim index and

@@ -153,27 +153,40 @@ func TestGreedyErrors(t *testing.T) {
 	}
 }
 
+// TestSampleGeneratesDistinctValidMappings also samples a mapping space
+// smaller than the budget, where most draws repeat an earlier candidate
+// and the dedup set, its key arena grown many times over, rejects them,
+// and a budget above maxPooledKeys, whose search gives its dedup set up
+// when it releases its state.
 func TestSampleGeneratesDistinctValidMappings(t *testing.T) {
-	levels := cimLevels(32, 16)
-	e := mvm(t, 8, 32, 16)
-	opts := defaultOpts()
-	opts.MaxMappings = 50
-	ms, err := Sample(levels, e, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) < 10 {
-		t.Fatalf("expected a healthy candidate pool, got %d", len(ms))
-	}
-	seen := map[string]bool{}
-	for _, m := range ms {
-		if err := mapping.Validate(levels, e, m); err != nil {
-			t.Fatalf("invalid sampled mapping %s: %v", m, err)
+	for _, c := range []struct {
+		levels []spec.Level
+		e      *tensor.Einsum
+		budget int
+	}{
+		{cimLevels(32, 16), mvm(t, 8, 32, 16), 2 * maxPooledKeys},
+		{cimLevels(4, 4), mvm(t, 4, 8, 6), 2000},
+		{cimLevels(32, 16), mvm(t, 8, 32, 16), 50},
+	} {
+		opts := defaultOpts()
+		opts.MaxMappings = c.budget
+		ms, err := Sample(c.levels, c.e, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if seen[m.String()] {
-			t.Fatalf("duplicate mapping %s", m)
+		if len(ms) < 10 {
+			t.Fatalf("expected a healthy candidate pool, got %d", len(ms))
 		}
-		seen[m.String()] = true
+		seen := map[string]bool{}
+		for _, m := range ms {
+			if err := mapping.Validate(c.levels, c.e, m); err != nil {
+				t.Fatalf("invalid sampled mapping %s: %v", m, err)
+			}
+			if seen[m.String()] {
+				t.Fatalf("budget %d: duplicate mapping %s", c.budget, m)
+			}
+			seen[m.String()] = true
+		}
 	}
 }
 

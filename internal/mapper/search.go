@@ -17,11 +17,14 @@ type Result struct {
 }
 
 // CostFunc prices one candidate mapping for a search. The mapping is
-// borrowed: it is valid only for the call, because the search draws the
-// next candidate into the same memory. A CostFunc that keeps its argument
-// must copy it; the search itself copies only each new best. (Sample
-// returns copies, and the worker pool prices copies in buffers it
-// recycles.)
+// borrowed from the search's pooled memory: it is valid only for the
+// call, because the search draws the next candidate into the same memory
+// and, once it returns, hands that memory to the next search. A CostFunc
+// must not keep its argument or anything that points into it; one that
+// needs a candidate later must copy it. The search itself copies each new
+// best into a buffer it reuses and copies only the winner out, once, into
+// memory the caller owns. (Sample and Greedy return copies, and the worker
+// pool prices copies in buffers it recycles.)
 type CostFunc func(*mapping.Mapping) (float64, error)
 
 // searchPartial accumulates one worker's share of the reduction. Both
@@ -32,6 +35,9 @@ type CostFunc func(*mapping.Mapping) (float64, error)
 // answer no matter how candidates were interleaved, and memory stays
 // constant in the budget instead of O(MaxMappings).
 type searchPartial struct {
+	// keep, when set, receives a copy of each new best, so that best
+	// points into it; otherwise each new best is copied to fresh memory.
+	keep      *mapping.Mapping
 	best      *mapping.Mapping
 	bestCost  float64
 	bestIdx   int
@@ -41,7 +47,7 @@ type searchPartial struct {
 }
 
 // observe folds candidate i into the partial. m is borrowed: a new best
-// is copied.
+// is copied, into keep when it is set.
 func (p *searchPartial) observe(i int, m *mapping.Mapping, cost float64, err error) {
 	if err != nil {
 		if p.firstErr == nil || i < p.errIdx {
@@ -51,7 +57,13 @@ func (p *searchPartial) observe(i int, m *mapping.Mapping, cost float64, err err
 	}
 	p.evaluated++
 	if p.best == nil || cost < p.bestCost || (cost == p.bestCost && i < p.bestIdx) {
-		p.best, p.bestCost, p.bestIdx = (&copier{batch: 1}).copy(m), cost, i
+		if p.keep != nil {
+			copyInto(p.keep, m)
+			p.best = p.keep
+		} else {
+			p.best = (&copier{batch: 1}).copy(m)
+		}
+		p.bestCost, p.bestIdx = cost, i
 	}
 }
 
@@ -85,13 +97,17 @@ func (p *searchPartial) merge(q *searchPartial) {
 // plan.AnalyzeLoaded instead of checking the candidate again. Each worker
 // prices candidates only with the CostFunc it got, so a cost function may
 // keep per-worker scratch state; state shared between the CostFuncs must
-// be safe for concurrent use.
+// be safe for concurrent use. The Scratch is lent for the search: neither
+// it nor the CostFunc may be used after Search returns.
 //
 // With workers <= 1 each candidate is priced inline as the generator
 // yields it, on the caller's goroutine: its validation is the Load into
 // the Scratch, and it is priced in the generator's own memory, with no
-// copy. With more, the generator validates each candidate, copies it into
-// a recycled buffer and streams it into a bounded worker pool, where a
+// copy. That path runs in a pooled searchState (sampler tables, dedup
+// set, rand source, Scratch and best-so-far buffer), reused across
+// searches instead of rebuilt; only the winner is copied out. With more
+// workers, the generator validates each candidate, copies it into a
+// recycled buffer and streams it into a bounded worker pool, where a
 // worker loads and prices it, so evaluation overlaps generation; the
 // per-worker partial reductions merge after all workers finish. Both
 // widths run the same reduction, so the winner, the error and the
@@ -105,13 +121,15 @@ func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *ten
 	if workers > opts.MaxMappings {
 		workers = opts.MaxMappings
 	}
+	st := getState()
+	defer st.release()
 	var total searchPartial
 	var emit func(int, *mapping.Mapping)
-	var scratch *mapping.Scratch // the inline worker's: sampleSeq loads into it
 	wait := func() {}
-	if workers <= 1 {
-		scratch = new(mapping.Scratch)
-		cost := newCost(scratch)
+	serial := workers <= 1
+	if serial {
+		total.keep = &st.best
+		cost := newCost(&st.scratch) // sampleSeq loads each candidate into it
 		emit = func(i int, m *mapping.Mapping) {
 			v, err := cost(m)
 			total.observe(i, m, v, err)
@@ -119,7 +137,7 @@ func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *ten
 	} else {
 		emit, wait = startPool(ctx, plan, workers, newCost, &total)
 	}
-	sampleErr := sampleSeq(plan, levels, e, opts, scratch, func(i int, m *mapping.Mapping) bool {
+	sampleErr := st.sampleSeq(plan, levels, e, opts, serial, func(i int, m *mapping.Mapping) bool {
 		if ctx.Err() != nil {
 			return false
 		}
@@ -141,7 +159,11 @@ func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *ten
 		}
 		return nil, 0, errors.New("mapper: no valid mapping found")
 	}
-	return &Result{Mapping: total.best, Cost: total.bestCost}, total.evaluated, nil
+	best := total.best
+	if serial {
+		best = (&copier{batch: 1}).copy(best) // out of the pooled buffer
+	}
+	return &Result{Mapping: best, Cost: total.bestCost}, total.evaluated, nil
 }
 
 // startPool starts workers goroutines, each loading candidates into its

@@ -338,7 +338,8 @@ func TestSampleSeqMatchesSample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = sampleSeq(plan, levels, e, opts, nil, func(i int, m *mapping.Mapping) bool {
+		st := getState()
+		err = st.sampleSeq(plan, levels, e, opts, false, func(i int, m *mapping.Mapping) bool {
 			if i != len(got) {
 				t.Fatalf("index %d out of order (have %d)", i, len(got))
 			}
@@ -358,7 +359,9 @@ func TestSampleSeqMatchesSample(t *testing.T) {
 		}
 		// Early stop is honored.
 		n := 0
-		if err := sampleSeq(plan, levels, e, opts, nil, func(int, *mapping.Mapping) bool { n++; return n < 3 }); err != nil {
+		err = st.sampleSeq(plan, levels, e, opts, false, func(int, *mapping.Mapping) bool { n++; return n < 3 })
+		st.release()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if n != 3 {
