@@ -192,6 +192,10 @@ type binding struct {
 	// Storage or transit or compute backed by a circuit model (per-value
 	// costs):
 	model circuits.Model
+	// idleEnergy is model's energy for one action on zero-valued
+	// operands, EnergyAt(0, 0, 0): the price of an idle instance's strobe
+	// (0 without a model).
+	idleEnergy float64
 	// programEnergy is the per-value cost of writing a weight into a
 	// compute cell (device programming).
 	programEnergy float64
@@ -255,6 +259,9 @@ func NewEngine(a *Arch) (*Engine, error) {
 		if (lv.Kind == spec.TransitLevel || lv.Kind == spec.ComputeLevel) && b.model == nil {
 			return nil, fmt.Errorf("core: arch %q level %q: class %q has no circuit model for a %s level",
 				a.Name, lv.Name, lv.Class, lv.Kind)
+		}
+		if b.model != nil {
+			b.idleEnergy = b.model.EnergyAt(0, 0, 0)
 		}
 		e.bindings = append(e.bindings, b)
 	}

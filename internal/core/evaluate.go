@@ -3,22 +3,24 @@ package core
 // The per-mapping half of Algorithm 1 (lines 8-10) is split along the
 // same line as the count analysis in package mapping. A layer search
 // compiles the layer's mapping.Plan once — the level list and the sliced
-// einsum resolved into index tables — and mapper.Search gives every
-// search worker its own mapping.Scratch. The search validates each
-// candidate by loading it into that Scratch (Plan.Load), so the check
-// runs once; the candidate then runs the cost-only kernel (costKernel):
-// Plan.AnalyzeLoaded on the loaded Scratch, then price, which multiplies
-// the counts by the LayerContext's per-action energies (stored per level
-// as arrays indexed by tensor kind) and returns the energy scalar. The
-// candidate is priced where the sampler drew it and copied only if it
-// becomes the new best. With a warm Scratch the kernel allocates
-// nothing. The full Result, with its per-level breakdown, is built once,
-// for the winner, by the same price function, so the winner's Energy is
-// bit for bit the number the search compared. price sums levels
-// outermost first and tensors in tensor.Kind order, which makes every
-// energy, and therefore every winner, independent of run, worker count
-// and map iteration order. EvaluateMapping is the one-shot form: it
-// compiles a Plan for its one mapping and analyzes it with AnalyzeInto.
+// einsum resolved into index tables — and mapper.Search keeps every
+// candidate in index space from draw to price: the sampler draws (dim
+// index, factor) loops, Plan.LoadIndexed checks them once and lays them
+// out in the search's mapping.Scratch, folding each level's loops per
+// tensor, and the cost-only kernel (costKernel) prices that Scratch:
+// Plan.AnalyzeLoaded, whose counts are products of the per-level folds,
+// then price, which multiplies the counts by the LayerContext's
+// per-action energies (stored per level as arrays indexed by tensor
+// kind) and returns the energy scalar. Dim names are written only when a
+// candidate becomes the new best. With a warm Scratch the kernel
+// allocates nothing. The full Result, with its per-level breakdown (an
+// array per level, indexed by tensor kind), is built once, for the
+// winner, by the same price function, so the winner's Energy is bit for
+// bit the number the search compared. price sums levels outermost first
+// and tensors in tensor.Kind order, which makes every energy, and
+// therefore every winner, independent of run and worker count.
+// EvaluateMapping is the one-shot form: it compiles a Plan for its one
+// mapping and analyzes it with AnalyzeInto.
 
 import (
 	"context"
@@ -34,10 +36,12 @@ import (
 
 // LevelEnergy is the energy attributed to one level for one layer.
 type LevelEnergy struct {
-	Name     string
-	Class    string
-	Kind     spec.LevelKind
-	ByTensor map[tensor.Kind]float64
+	Name  string
+	Class string
+	Kind  spec.LevelKind
+	// ByTensor is the level's energy charged to each tensor, indexed by
+	// tensor.Kind; a tensor the level charges nothing reads 0.
+	ByTensor [tensor.NumKinds]float64
 	Total    float64
 }
 
@@ -127,10 +131,12 @@ func (e *Engine) evaluate(ctx *LayerContext, plan *mapping.Plan, s *mapping.Scra
 
 // costKernel returns the search's cost-only kernel for one layer: the
 // layer energy of the candidate mapper.Search has validated and laid out
-// in s, with no Result built. Once s has grown it allocates nothing. A
-// kernel must not be called from two goroutines at once.
-func (e *Engine) costKernel(ctx *LayerContext, plan *mapping.Plan, s *mapping.Scratch) mapper.CostFunc {
-	return func(*mapping.Mapping) (float64, error) {
+// in the Scratch it is given, with no Result built. Once that Scratch has
+// grown it allocates nothing. It reads the engine and the layer context
+// only, so it may price different Scratches from several goroutines at
+// once.
+func (e *Engine) costKernel(ctx *LayerContext, plan *mapping.Plan) mapper.CostFunc {
+	return func(s *mapping.Scratch) (float64, error) {
 		return e.price(ctx, plan.AnalyzeLoaded(s), nil), nil
 	}
 }
@@ -189,11 +195,10 @@ func (e *Engine) price(ctx *LayerContext, counts *mapping.Counts, res *Result) f
 			}
 		}
 		idleE := 0.0
-		if b.model != nil && idlePerMapped > 0 {
-			idleE = b.model.EnergyAt(0, 0, 0)
+		if idlePerMapped > 0 {
+			idleE = b.idleEnergy
 		}
 		var byKind [tensor.NumKinds]float64
-		var charged uint8 // tensors with a ByTensor entry
 		var total float64
 		for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
 			if !counts.Has(i, t) || !le.has(t) {
@@ -218,7 +223,6 @@ func (e *Engine) price(ctx *LayerContext, counts *mapping.Counts, res *Result) f
 			}
 			if joules != 0 {
 				byKind[t] += joules
-				charged |= 1 << uint(t)
 				total += joules
 			}
 		}
@@ -226,7 +230,6 @@ func (e *Engine) price(ctx *LayerContext, counts *mapping.Counts, res *Result) f
 			macE := le.byKind[tensor.Output].cross
 			joules := float64(counts.MACs) * (macE*railsIn*railsW + idlePerMapped*idleE)
 			byKind[tensor.Output] += joules
-			charged |= 1 << uint(tensor.Output)
 			total += joules
 		}
 		if b.buffer != nil && e.leakage > 0 {
@@ -235,19 +238,13 @@ func (e *Engine) price(ctx *LayerContext, counts *mapping.Counts, res *Result) f
 			leakJ += leak
 		}
 		if res != nil {
-			lv := LevelEnergy{
+			res.Levels = append(res.Levels, LevelEnergy{
 				Name:     b.level.Name,
 				Class:    b.level.Class,
 				Kind:     b.level.Kind,
-				ByTensor: make(map[tensor.Kind]float64, tensor.NumKinds),
+				ByTensor: byKind,
 				Total:    total,
-			}
-			for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
-				if charged&(1<<uint(t)) != 0 {
-					lv.ByTensor[t] = byKind[t]
-				}
-			}
-			res.Levels = append(res.Levels, lv)
+			})
 		}
 		energy += total
 	}
@@ -303,17 +300,17 @@ type SearchOptions struct {
 // layer and returns it with the number of mappings evaluated. The
 // SearchOptions select the budget, seed, and intra-search parallelism.
 // The layer's count-analysis Plan is compiled once and serves the
-// mapper's candidate validation and every cost kernel. On the serial
-// path each candidate is checked once, by the load into the search's
-// Scratch that the kernel then analyzes, and priced in the sampler's own
-// memory (pricing only, no Result); the search's memory is pooled and
-// reused, only a new best is copied (into a reused buffer), and the
-// Result is built once, for the winner, in a recycled Scratch. With
-// SearchWorkers > 1 the sampler validates and copies each candidate into
-// a recycled buffer, and candidate evaluations fan across a worker pool
-// (mapper.Search), each worker loading into its own Scratch. Pricing
-// sums in a fixed order, so the winner and its Result are bit-identical
-// across runs and worker counts.
+// mapper's candidate validation and the cost kernel. On the serial path
+// each candidate stays in index space: it is checked once, by the indexed
+// load into the search's Scratch that the kernel then analyzes and prices
+// (pricing only, no Result); the search's memory is pooled and reused,
+// only a new best is written out with its dim names (into a reused
+// buffer), and the Result is built once, for the winner, in a recycled
+// Scratch. With SearchWorkers > 1 the sampler validates each candidate,
+// writes it with its dim names into a recycled buffer, and candidate
+// evaluations fan across a worker pool (mapper.Search), each worker
+// loading into its own Scratch. Pricing sums in a fixed order, so the
+// winner and its Result are bit-identical across runs and worker counts.
 //
 // The candidate loop checks for cancellation before each mapping
 // evaluation, so a cancelled or expired context makes the search return
@@ -327,8 +324,7 @@ func (e *Engine) SearchLayerOptsCtx(ctx context.Context, lctx *LayerContext, so 
 	}
 	opts := e.mapperOpts
 	opts.MaxMappings, opts.Seed = so.MaxMappings, so.Seed
-	newCost := func(s *mapping.Scratch) mapper.CostFunc { return e.costKernel(lctx, plan, s) }
-	best, evaluated, err := mapper.Search(ctx, plan, e.arch.Levels, lctx.Sliced, opts, so.SearchWorkers, newCost)
+	best, evaluated, err := mapper.Search(ctx, plan, e.arch.Levels, lctx.Sliced, opts, so.SearchWorkers, e.costKernel(lctx, plan))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,25 +2,24 @@ package core
 
 import (
 	"repro/internal/dist"
-	"repro/internal/mapper"
 	"repro/internal/mapping"
 )
 
 // CostKernel returns the search's per-candidate work for one prepared
 // layer, with its Plan compiled and a Scratch of its own: the Load that
 // validates a candidate and lays it out, then the cost-only kernel.
-func (e *Engine) CostKernel(ctx *LayerContext) (mapper.CostFunc, error) {
+func (e *Engine) CostKernel(ctx *LayerContext) (func(*mapping.Mapping) (float64, error), error) {
 	plan, err := mapping.NewPlan(e.arch.Levels, ctx.Sliced)
 	if err != nil {
 		return nil, err
 	}
 	s := new(mapping.Scratch)
-	cost := e.costKernel(ctx, plan, s)
+	cost := e.costKernel(ctx, plan)
 	return func(m *mapping.Mapping) (float64, error) {
 		if err := plan.Load(m, s); err != nil {
 			return 0, err
 		}
-		return cost(m)
+		return cost(s)
 	}, nil
 }
 

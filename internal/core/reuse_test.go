@@ -77,8 +77,10 @@ func TestSearchStateReuseMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reject := func(*mapping.Scratch) mapper.CostFunc {
-				return func(m *mapping.Mapping) (float64, error) { return 0, fmt.Errorf("rejected %s", m) }
+			reject := func(s *mapping.Scratch) (float64, error) {
+				var m mapping.Mapping
+				plan.WriteLoaded(s, &m)
+				return 0, fmt.Errorf("rejected %s", &m)
 			}
 			jobs = append(jobs, job{fmt.Sprintf("%s/%s/all fail", name, l.Name), true, func() searchOutcome {
 				r, n, err := mapper.Search(context.Background(), plan, arch.Levels, lctx.Sliced, arch.MapperOptions(16, 3), 1, reject)

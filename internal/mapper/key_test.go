@@ -2,7 +2,6 @@ package mapper
 
 import (
 	"encoding/binary"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -61,15 +60,17 @@ func checkDrawKeys(t *testing.T, seed int64, n int) {
 	t.Helper()
 	levels, e, opts := keyHierarchy(t)
 	var s sampler
-	if err := s.reset(levels, e, opts); err != nil {
+	if err := s.reset(nil, nil, false, levels, e, opts); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	var src seedSource
+	src.Seed(seed)
 	byKey, byString := map[string]string{}, map[string]string{}
 	for i := 0; i < n; i++ {
-		s.draw(rng)
-		key, str := string(s.key), s.m.String()
-		if k := string(s.keyOf(&s.m)); k != key {
+		s.draw(&src)
+		m := s.drawn()
+		key, str := string(s.key), m.String()
+		if k := string(s.keyOf(m)); k != key {
 			t.Fatalf("seed %d draw %d %s: key %x built during the draw, keyOf %x", seed, i, str, key, k)
 		}
 		if prev, ok := byKey[key]; ok && prev != str {
@@ -82,8 +83,20 @@ func checkDrawKeys(t *testing.T, seed int64, n int) {
 	}
 }
 
+// drawn returns the sampler's current draw, checked or not, as a mapping
+// with its dim names.
+func (s *sampler) drawn() *mapping.Mapping {
+	m := &mapping.Mapping{LevelLoops: make([][]mapping.Loop, len(s.loops))}
+	for li, ll := range s.loops {
+		for _, l := range ll {
+			m.LevelLoops[li] = append(m.LevelLoops[li], mapping.Loop{Dim: s.dims[l.Dim], Factor: l.Factor})
+		}
+	}
+	return m
+}
+
 // keyOf returns the dedup key of a mapping over the sampler's dims: the
-// key write builds for the same loops.
+// key buildKey builds for the same loops.
 func (s *sampler) keyOf(m *mapping.Mapping) []byte {
 	var key []byte
 	for li, ll := range m.LevelLoops {

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -74,20 +73,20 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // search, built by the same code in pooled memory; Greedy returns a copy
 // the caller owns.
 func Greedy(levels []spec.Level, e *tensor.Einsum, opts Options) (*mapping.Mapping, error) {
-	if err := e.Validate(); err != nil {
+	plan, err := mapping.NewPlan(levels, e)
+	if err != nil {
 		return nil, err
 	}
 	st := getState()
 	defer st.release()
 	s := &st.smp
-	if err := s.reset(levels, e, opts); err != nil {
+	if err := s.reset(plan, &st.scratch, false, levels, e, opts); err != nil {
 		return nil, err
 	}
-	valid := func(m *mapping.Mapping) error { return mapping.Validate(levels, e, m) }
-	if err := s.greedy(opts, valid); err != nil {
+	if err := s.greedy(opts); err != nil {
 		return nil, err
 	}
-	return (&copier{batch: 1}).copy(&s.m), nil
+	return (&copier{batch: 1}).copy(s.named()), nil
 }
 
 // Sample generates up to MaxMappings distinct valid mappings by seeded
@@ -104,8 +103,8 @@ func Sample(levels []spec.Level, e *tensor.Einsum, opts Options) ([]*mapping.Map
 	defer st.release()
 	var out []*mapping.Mapping
 	c := copier{batch: min(opts.budget(), 64)}
-	err = st.sampleSeq(plan, levels, e, opts, false, func(_ int, m *mapping.Mapping) bool {
-		out = append(out, c.copy(m))
+	err = st.sampleSeq(plan, levels, e, opts, false, func(int) bool {
+		out = append(out, c.copy(st.smp.named()))
 		return true
 	})
 	if err != nil {
@@ -115,25 +114,20 @@ func Sample(levels []spec.Level, e *tensor.Einsum, opts Options) ([]*mapping.Map
 }
 
 // searchState is the mutable memory of one search: the sampler's tables
-// and buffers, the rand source and the Rand over it, and the serial
-// path's Scratch and best-so-far buffer. Searches take one from states
-// and release it when they return, so the memory is reused instead of
-// rebuilt, and the pool holds about one state per search running at
+// and buffers, the rand source, the Scratch every candidate is loaded
+// into and the serial path's best-so-far buffer. Searches take one from
+// states and release it when they return, so the memory is reused instead
+// of rebuilt, and the pool holds about one state per search running at
 // once: it is bounded by concurrency, not by how many layers or
 // architectures were searched.
 type searchState struct {
 	smp     sampler
-	src     seedSource
-	rng     *rand.Rand // over src; Rand.Seed re-seeds both in place
+	src     seedSource // re-seeded in place by each search
 	scratch mapping.Scratch
 	best    mapping.Mapping
 }
 
-var states = sync.Pool{New: func() any {
-	st := new(searchState)
-	st.rng = rand.New(&st.src)
-	return st
-}}
+var states = sync.Pool{New: func() any { return new(searchState) }}
 
 // maxPooledKeys bounds the dedup set a released state keeps: a search
 // that took more keys than this gives its set and key arena up, so that
@@ -158,32 +152,29 @@ func (st *searchState) release() {
 // yield returning false stops generation early. Search prices
 // candidates as this generator yields them instead of waiting for the
 // whole sample. plan is the compiled count analysis of (levels, e), so
-// e is valid, and it validates every candidate: by Plan.Validate, or
-// with load by Plan.Load into st.scratch, so that each yielded candidate
-// is already laid out there.
+// e is valid, and it checks every candidate in st.scratch: with layout
+// by loading it there (Plan.LoadIndexed), so that each yielded candidate
+// is laid out for analysis, otherwise by Plan.ValidateIndexed.
+// st.smp.named() writes the candidate as a named mapping.
 //
-// The yielded mapping is borrowed from st: it is valid only during the
+// The yielded candidate is borrowed from st: it is valid only during the
 // yield call, after which the generator draws the next candidate into
 // the same memory, and once st is released it belongs to the next
 // search. A caller that keeps a candidate must copy it.
-func (st *searchState) sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, load bool, yield func(int, *mapping.Mapping) bool) error {
+func (st *searchState) sampleSeq(plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, layout bool, yield func(int) bool) error {
 	s := &st.smp
-	if err := s.reset(levels, e, opts); err != nil {
+	if err := s.reset(plan, &st.scratch, layout, levels, e, opts); err != nil {
 		return err
 	}
-	s.plan, s.scratch = plan, nil
-	if load {
-		s.scratch = &st.scratch
-	}
-	if err := s.greedy(opts, s.check); err != nil {
+	if err := s.greedy(opts); err != nil {
 		return err
 	}
 	s.take()
-	if !yield(0, &s.m) {
+	if !yield(0) {
 		return nil
 	}
-	st.rng.Seed(opts.Seed)
-	s.stream(st.rng, yield)
+	st.src.Seed(opts.Seed)
+	s.stream(&st.src, yield)
 	return nil
 }
 
@@ -192,26 +183,28 @@ func (st *searchState) sampleSeq(plan *mapping.Plan, levels []spec.Level, e *ten
 // searchState, and reset refills it for each search. reset resolves the
 // name-keyed options (remaining bounds, mesh budgets, spatial
 // preferences, storage levels, fixed loops) into dim-index tables, and
-// the greedy mapping and every random draw are built from those tables.
-// A candidate is laid out per level as (dim index, factor) pairs; from
-// them the sampler builds the candidate's dedup key and writes the
-// candidate, with its dim names, into m, the one mapping that the greedy
-// mapping and all draws share. Candidates are lent, never copied: m is
-// valid until the next candidate is built, and the whole sampler belongs
-// to the next search once its state is released, so nothing a search
-// hands back may point into it. Once its buffers have grown, neither
-// reset nor a candidate allocates.
+// the greedy mapping and every random draw are built from those tables,
+// in index space: a candidate is laid out per level as (dim index,
+// factor) loops, from which the sampler builds its dedup key and which
+// the Plan checks in the Scratch directly (and, for a search, lays out
+// there for analysis). Dim names are written only on request, by named,
+// into m, the one mapping all candidates share. Candidates are lent,
+// never copied: they are valid until the next candidate is built, and the
+// whole sampler belongs to the next search once its state is released,
+// so nothing a search hands back may point into it. Once its buffers have
+// grown, neither reset nor a candidate allocates.
 type sampler struct {
-	plan    *mapping.Plan    // validates candidates
-	scratch *mapping.Scratch // when set, Plan.Load lays each valid candidate out in it
+	plan    *mapping.Plan    // checks candidates
+	scratch *mapping.Scratch // the Plan checks each candidate in it
+	layout  bool             // the Plan also lays each valid candidate out in scratch
 
-	dims    []string      // einsum dimension names; a dim's index is its position
-	rem0    []int         // per-dim bound left after the fixed loops
-	spatial []spatialSlot // spatial levels, innermost first
-	prefs   []int         // the slots' preferred dims, slot after slot
-	storage []int         // storage levels, outermost first
-	fixed   [][]ixLoop    // fixed loops per level
-	max     int           // the candidate budget
+	dims    []string              // einsum dimension names; a dim's index is its position
+	rem0    []int                 // per-dim bound left after the fixed loops
+	spatial []spatialSlot         // spatial levels, innermost first
+	prefs   []int                 // the slots' preferred dims, slot after slot
+	storage []int                 // storage levels, outermost first
+	fixed   [][]mapping.IndexLoop // fixed loops per level
+	max     int                   // the candidate budget
 
 	// divs caches the ascending divisors of the bounds drawn from, in a
 	// table indexed by a hash of the bound; the lists are windows of
@@ -228,14 +221,11 @@ type sampler struct {
 
 	// Candidate state.
 	rem   []int
-	loops [][]ixLoop // the candidate's loops per level
-	key   []byte     // the candidate's dedup key
-	m     mapping.Mapping
-	order []int // the greedy mapping's temporal dims, outermost first
+	loops [][]mapping.IndexLoop // the candidate's loops per level
+	key   []byte                // the candidate's dedup key
+	m     mapping.Mapping       // the candidate with its dim names, written by named
+	order []int                 // the greedy mapping's temporal dims, outermost first
 }
-
-// ixLoop is a loop with its dim as an index into sampler.dims.
-type ixLoop struct{ dim, factor int }
 
 // divisorList is one entry of the sampler's divisor table: the divisors
 // of b, ascending.
@@ -264,9 +254,11 @@ func resetLists[T any](l [][]T, n int) [][]T {
 }
 
 // reset readies s for a search of e, a valid einsum, on levels under
-// opts: it fills the dim-index tables and empties the divisor table, the
-// dedup set and the candidate buffers, keeping their memory.
-func (s *sampler) reset(levels []spec.Level, e *tensor.Einsum, opts Options) error {
+// opts, checking candidates with plan in scratch and, with layout, laying
+// them out there: it fills the dim-index tables and empties the divisor
+// table, the dedup set and the candidate buffers, keeping their memory.
+func (s *sampler) reset(plan *mapping.Plan, scratch *mapping.Scratch, layout bool, levels []spec.Level, e *tensor.Einsum, opts Options) error {
+	s.plan, s.scratch, s.layout = plan, scratch, layout
 	nl := len(levels)
 	s.dims, s.rem0 = s.dims[:0], s.rem0[:0]
 	for _, d := range e.Dims {
@@ -287,7 +279,7 @@ func (s *sampler) reset(levels []spec.Level, e *tensor.Einsum, opts Options) err
 				return fmt.Errorf("mapper: fixed loop %s at level %d of a %d-level hierarchy", l.Dim, lvl, nl)
 			}
 			s.rem0[d] = ceilDiv(s.rem0[d], l.Factor)
-			s.fixed[lvl] = append(s.fixed[lvl], ixLoop{d, l.Factor})
+			s.fixed[lvl] = append(s.fixed[lvl], mapping.IndexLoop{Dim: d, Factor: l.Factor})
 		}
 	}
 	s.spatial, s.prefs = s.spatial[:0], s.prefs[:0]
@@ -297,7 +289,7 @@ func (s *sampler) reset(levels []spec.Level, e *tensor.Einsum, opts Options) err
 		}
 		room := levels[li].Mesh
 		for _, l := range s.fixed[li] {
-			room /= l.factor
+			room /= l.Factor
 		}
 		lo := len(s.prefs)
 		for _, name := range opts.SpatialPrefs[li] {
@@ -328,13 +320,12 @@ func (s *sampler) reset(levels []spec.Level, e *tensor.Einsum, opts Options) err
 	s.keys = s.keys[:0]
 	s.rem = slices.Grow(s.rem[:0], len(s.dims))[:len(s.dims)]
 	s.loops = resetLists(s.loops, nl)
-	s.m.LevelLoops = resetLists(s.m.LevelLoops, nl)
 	return nil
 }
 
 // begin starts a candidate in s.loops: each level holds its fixed loops,
 // and s.rem each dim's bound left after them.
-func (s *sampler) begin() [][]ixLoop {
+func (s *sampler) begin() [][]mapping.IndexLoop {
 	for i, f := range s.fixed {
 		s.loops[i] = append(s.loops[i][:0], f...)
 	}
@@ -345,9 +336,9 @@ func (s *sampler) begin() [][]ixLoop {
 // greedy lays the Greedy mapping out in s.loops: the fixed loops, then
 // at each spatial level, innermost first, the preferred dims as large as
 // the mesh allows, then every dim's leftover factor as one temporal loop
-// at its temporal level. It writes the mapping and its key to s.m and
-// s.key and checks it with valid.
-func (s *sampler) greedy(opts Options, valid func(*mapping.Mapping) error) error {
+// at its temporal level. It builds the mapping's key in s.key and checks
+// it.
+func (s *sampler) greedy(opts Options) error {
 	loops := s.begin()
 	for _, slot := range s.spatial {
 		room := slot.budget
@@ -357,7 +348,7 @@ func (s *sampler) greedy(opts Options, valid func(*mapping.Mapping) error) error
 				continue
 			}
 			f := min(b, room)
-			loops[slot.level] = append(loops[slot.level], ixLoop{d, f})
+			loops[slot.level] = append(loops[slot.level], mapping.IndexLoop{Dim: d, Factor: f})
 			room /= f
 			s.rem[d] = ceilDiv(b, f)
 		}
@@ -386,10 +377,10 @@ func (s *sampler) greedy(opts Options, valid func(*mapping.Mapping) error) error
 			}
 			target = t
 		}
-		loops[target] = append(loops[target], ixLoop{d, s.rem[d]})
+		loops[target] = append(loops[target], mapping.IndexLoop{Dim: d, Factor: s.rem[d]})
 	}
-	s.write()
-	if err := valid(&s.m); err != nil {
+	s.buildKey()
+	if err := s.check(); err != nil {
 		return fmt.Errorf("mapper: greedy produced invalid mapping: %w", err)
 	}
 	return nil
@@ -429,13 +420,13 @@ func (s *sampler) temporalLevel(tl int) (int, error) {
 	return tl, nil
 }
 
-// check validates a candidate with the search's Plan: by loading it into
-// the Scratch when there is one, otherwise by Plan.Validate.
-func (s *sampler) check(m *mapping.Mapping) error {
-	if s.scratch != nil {
-		return s.plan.Load(m, s.scratch)
+// check validates the candidate in s.loops with the search's Plan in the
+// Scratch, laying it out there when s.layout is set.
+func (s *sampler) check() error {
+	if s.layout {
+		return s.plan.LoadIndexed(s.loops, s.scratch)
 	}
-	return s.plan.Validate(m)
+	return s.plan.ValidateIndexed(s.loops, s.scratch)
 }
 
 // take adds the current candidate's key to the dedup set. The key's
@@ -452,25 +443,26 @@ func (s *sampler) take() {
 	s.seen[unsafe.String(unsafe.SliceData(k), len(k))] = struct{}{}
 }
 
-// stream draws from rng until it has yielded max-1 fresh valid
+// stream draws from src until it has yielded max-1 fresh valid
 // candidates or spent max*20 draws: the sampler's budget after the
 // greedy mapping, which is taken already. yield receives each
-// candidate's index (from 1) and the candidate in s.m, borrowed for the
-// call: the next draw overwrites it. Returning false stops the stream.
-func (s *sampler) stream(rng *rand.Rand, yield func(int, *mapping.Mapping) bool) {
+// candidate's index (from 1); the candidate is in s.loops and checked in
+// the Scratch, borrowed for the call: the next draw overwrites it.
+// Returning false stops the stream.
+func (s *sampler) stream(src *seedSource, yield func(int) bool) {
 	produced, tries := 0, 0
 	for produced < s.max-1 && tries < s.max*20 {
 		tries++
-		s.draw(rng)
+		s.draw(src)
 		if _, dup := s.seen[string(s.key)]; dup {
 			continue
 		}
-		if s.check(&s.m) != nil {
+		if s.check() != nil {
 			continue
 		}
 		s.take()
 		produced++
-		if !yield(produced, &s.m) {
+		if !yield(produced) {
 			return
 		}
 	}
@@ -479,9 +471,10 @@ func (s *sampler) stream(rng *rand.Rand, yield func(int, *mapping.Mapping) bool)
 // draw builds one random candidate (possibly invalid; stream checks) in
 // s.loops: a random subset of preferred dims gets random spatial factors,
 // every remaining dim is split randomly across storage levels, and each
-// storage level's loops are shuffled. It then writes the candidate and
-// its key to s.m and s.key.
-func (s *sampler) draw(rng *rand.Rand) {
+// storage level's loops are shuffled. It then builds the candidate's key
+// in s.key. Every draw is one of math/rand's Rand.Intn and Shuffle
+// draws, made on src directly (see rng.go).
+func (s *sampler) draw(src *seedSource) {
 	loops := s.begin()
 
 	// Spatial: random subset of preferred dims with random factors.
@@ -492,11 +485,11 @@ func (s *sampler) draw(rng *rand.Rand) {
 			if room <= 1 || b <= 1 {
 				continue
 			}
-			f := s.randomFactor(rng, b, room)
+			f := s.randomFactor(src, b, room)
 			if f <= 1 {
 				continue
 			}
-			loops[slot.level] = append(loops[slot.level], ixLoop{d, f})
+			loops[slot.level] = append(loops[slot.level], mapping.IndexLoop{Dim: d, Factor: f})
 			room /= f
 			s.rem[d] = ceilDiv(b, f)
 		}
@@ -506,35 +499,37 @@ func (s *sampler) draw(rng *rand.Rand) {
 	// (dims visited in declaration order for determinism).
 	for d, b := range s.rem {
 		for b > 1 {
-			li := s.storage[rng.Intn(len(s.storage))]
-			f := s.randomFactor(rng, b, b)
+			li := s.storage[src.Intn(len(s.storage))]
+			f := s.randomFactor(src, b, b)
 			if f <= 1 {
 				f = b
 			}
-			loops[li] = append(loops[li], ixLoop{d, f})
+			loops[li] = append(loops[li], mapping.IndexLoop{Dim: d, Factor: f})
 			b = ceilDiv(b, f)
 		}
 	}
 	// Random permutation within each temporal level.
 	for _, li := range s.storage {
-		ll := loops[li]
-		rng.Shuffle(len(ll), func(i, j int) { ll[i], ll[j] = ll[j], ll[i] })
+		shuffle(src, loops[li])
 	}
-	s.write()
+	s.buildKey()
 }
 
-// write writes the candidate laid out in s.loops to s.m, with its dim
-// names, and its dedup key to s.key.
-func (s *sampler) write() {
+// buildKey builds the dedup key of the candidate in s.loops in s.key.
+func (s *sampler) buildKey() {
 	s.key = s.key[:0]
 	for li, ll := range s.loops {
-		out := s.m.LevelLoops[li][:0]
 		for _, l := range ll {
-			s.key = appendKey(s.key, li, l.dim, l.factor)
-			out = append(out, mapping.Loop{Dim: s.dims[l.dim], Factor: l.factor})
+			s.key = appendKey(s.key, li, l.Dim, l.Factor)
 		}
-		s.m.LevelLoops[li] = out
 	}
+}
+
+// named writes the candidate that passed check, with its dim names, to
+// s.m and returns it: borrowed like the candidate itself.
+func (s *sampler) named() *mapping.Mapping {
+	s.plan.WriteLoaded(s.scratch, &s.m)
+	return &s.m
 }
 
 // appendKey appends one loop to a dedup key: its level, dim index and
@@ -596,10 +591,10 @@ func (c *copier) copy(m *mapping.Mapping) *mapping.Mapping {
 // the limit itself (a padded split). The padded candidate is only added
 // when limit does not already divide b — when it does, the divisor count
 // already includes it, and adding it again would double its selection
-// weight. The rng draws must stay exactly those of the form that
+// weight. The draws must stay exactly those of the form that
 // collected the divisors up to limit into a slice, or every seeded
 // candidate sequence changes.
-func (s *sampler) randomFactor(rng *rand.Rand, b, limit int) int {
+func (s *sampler) randomFactor(src *seedSource, b, limit int) int {
 	if limit > b {
 		limit = b
 	}
@@ -609,13 +604,13 @@ func (s *sampler) randomFactor(rng *rand.Rand, b, limit int) int {
 		n--
 	}
 	cands := n
-	if limit < b && b%limit != 0 && (n == 0 || rng.Intn(4) == 0) {
+	if limit < b && b%limit != 0 && (n == 0 || src.Intn(4) == 0) {
 		cands++ // padded split
 	}
 	if cands == 0 {
 		return 1
 	}
-	k := rng.Intn(cands)
+	k := src.Intn(cands)
 	if k == n {
 		return limit
 	}

@@ -226,7 +226,7 @@ func TestSearchMinimizesCost(t *testing.T) {
 		}
 		return float64(c.MACs), nil
 	}
-	best, n, err := search(t, context.Background(), levels, e, opts, 1, perWorker(cost))
+	best, n, err := search(t, context.Background(), levels, e, opts, 1, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +244,9 @@ func TestSearchAllCandidatesFail(t *testing.T) {
 	opts := defaultOpts()
 	opts.MaxMappings = 5
 	wantErr := errors.New("boom")
-	_, _, err := search(t, context.Background(), levels, e, opts, 1, perWorker(func(*mapping.Mapping) (float64, error) {
+	_, _, err := search(t, context.Background(), levels, e, opts, 1, func(*mapping.Mapping) (float64, error) {
 		return 0, wantErr
-	}))
+	})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("got %v, want boom", err)
 	}
@@ -258,13 +258,13 @@ func TestSearchSkipsFailingCandidates(t *testing.T) {
 	opts := defaultOpts()
 	opts.MaxMappings = 10
 	calls := 0
-	best, _, err := search(t, context.Background(), levels, e, opts, 1, perWorker(func(m *mapping.Mapping) (float64, error) {
+	best, _, err := search(t, context.Background(), levels, e, opts, 1, func(m *mapping.Mapping) (float64, error) {
 		calls++
 		if calls%2 == 0 {
 			return 0, errors.New("flaky")
 		}
 		return float64(calls), nil
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +274,9 @@ func TestSearchSkipsFailingCandidates(t *testing.T) {
 }
 
 // randomFactor must draw exactly like the slice-collecting version it
-// replaced: same divisors in the same order, same rng calls, whether a
-// bound's divisors are computed or come from the sampler's table.
+// replaced, drawing through math/rand's Rand: same divisors in the same
+// order, same draws, whether a bound's divisors are computed or come from
+// the sampler's table.
 func TestRandomFactorMatchesCollectedDivisors(t *testing.T) {
 	collected := func(rng *rand.Rand, b, limit int) int {
 		if limit > b {
@@ -295,12 +296,14 @@ func TestRandomFactorMatchesCollectedDivisors(t *testing.T) {
 		}
 		return cands[rng.Intn(len(cands))]
 	}
-	got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	var got seedSource
+	got.Seed(9)
+	want := rand.New(rand.NewSource(9))
 	s := new(sampler)
 	for b := 1; b <= 300; b++ {
 		for limit := 1; limit <= b+2; limit++ {
 			for rep := 0; rep < 3; rep++ {
-				if g, w := s.randomFactor(got, b, limit), collected(want, b, limit); g != w {
+				if g, w := s.randomFactor(&got, b, limit), collected(want, b, limit); g != w {
 					t.Fatalf("randomFactor(%d, %d) = %d, want %d", b, limit, g, w)
 				}
 			}

@@ -16,16 +16,17 @@ type Result struct {
 	Cost    float64
 }
 
-// CostFunc prices one candidate mapping for a search. The mapping is
-// borrowed from the search's pooled memory: it is valid only for the
-// call, because the search draws the next candidate into the same memory
-// and, once it returns, hands that memory to the next search. A CostFunc
-// must not keep its argument or anything that points into it; one that
-// needs a candidate later must copy it. The search itself copies each new
-// best into a buffer it reuses and copies only the winner out, once, into
-// memory the caller owns. (Sample and Greedy return copies, and the worker
-// pool prices copies in buffers it recycles.)
-type CostFunc func(*mapping.Mapping) (float64, error)
+// CostFunc prices one candidate of a search: the mapping the search has
+// validated and laid out in the Scratch with the search's Plan (Load or
+// LoadIndexed), so a cost function that needs the counts reads them with
+// Plan.AnalyzeLoaded and one that needs the mapping itself gets it with
+// Plan.WriteLoaded. The Scratch is lent for the call only: the search
+// loads the next candidate into it and, once it returns, hands it to the
+// next search, so a CostFunc must not keep it or anything that points
+// into it. On a worker pool (workers > 1) the CostFunc is called from
+// several goroutines at once, each with its own Scratch, so any state it
+// shares between calls must be safe for concurrent use.
+type CostFunc func(*mapping.Scratch) (float64, error)
 
 // searchPartial accumulates one worker's share of the reduction. Both
 // folds are order-independent: the winner is the lexicographic minimum of
@@ -35,9 +36,6 @@ type CostFunc func(*mapping.Mapping) (float64, error)
 // answer no matter how candidates were interleaved, and memory stays
 // constant in the budget instead of O(MaxMappings).
 type searchPartial struct {
-	// keep, when set, receives a copy of each new best, so that best
-	// points into it; otherwise each new best is copied to fresh memory.
-	keep      *mapping.Mapping
 	best      *mapping.Mapping
 	bestCost  float64
 	bestIdx   int
@@ -46,25 +44,22 @@ type searchPartial struct {
 	evaluated int
 }
 
-// observe folds candidate i into the partial. m is borrowed: a new best
-// is copied, into keep when it is set.
-func (p *searchPartial) observe(i int, m *mapping.Mapping, cost float64, err error) {
+// observe folds candidate i's outcome into the partial and reports
+// whether the candidate is the new best, in which case the caller points
+// best at a copy of it.
+func (p *searchPartial) observe(i int, cost float64, err error) bool {
 	if err != nil {
 		if p.firstErr == nil || i < p.errIdx {
 			p.firstErr, p.errIdx = err, i
 		}
-		return
+		return false
 	}
 	p.evaluated++
 	if p.best == nil || cost < p.bestCost || (cost == p.bestCost && i < p.bestIdx) {
-		if p.keep != nil {
-			copyInto(p.keep, m)
-			p.best = p.keep
-		} else {
-			p.best = (&copier{batch: 1}).copy(m)
-		}
 		p.bestCost, p.bestIdx = cost, i
+		return true
 	}
+	return false
 }
 
 func (p *searchPartial) merge(q *searchPartial) {
@@ -90,25 +85,19 @@ func (p *searchPartial) merge(q *searchPartial) {
 // skipped; if every candidate fails, the first one's error (in candidate
 // order) is returned.
 //
-// Each worker owns a mapping.Scratch, and newCost is called once per
-// worker with it. Before each call of the CostFunc newCost returned, the
-// search has validated the candidate and laid it out in that Scratch with
-// plan.Load, so a cost function that analyzes counts reads them with
-// plan.AnalyzeLoaded instead of checking the candidate again. Each worker
-// prices candidates only with the CostFunc it got, so a cost function may
-// keep per-worker scratch state; state shared between the CostFuncs must
-// be safe for concurrent use. The Scratch is lent for the search: neither
-// it nor the CostFunc may be used after Search returns.
-//
-// With workers <= 1 each candidate is priced inline as the generator
-// yields it, on the caller's goroutine: its validation is the Load into
-// the Scratch, and it is priced in the generator's own memory, with no
-// copy. That path runs in a pooled searchState (sampler tables, dedup
-// set, rand source, Scratch and best-so-far buffer), reused across
-// searches instead of rebuilt; only the winner is copied out. With more
-// workers, the generator validates each candidate, copies it into a
-// recycled buffer and streams it into a bounded worker pool, where a
-// worker loads and prices it, so evaluation overlaps generation; the
+// With workers <= 1 (the serial path) the candidates never leave index
+// space: the sampler draws each one as (dim index, factor) loops, which
+// plan.LoadIndexed checks and lays out in the search's Scratch, and cost
+// prices that Scratch inline, on the caller's goroutine. Dim names are
+// written only for a new best, which plan.WriteLoaded copies out of the
+// Scratch into a reused buffer; the winner is copied out once, into
+// memory the caller owns. The path runs in a pooled searchState (sampler
+// tables, dedup set, rand source, Scratch and best-so-far buffer), reused
+// across searches instead of rebuilt. With more workers, the generator
+// validates each candidate with the same check (plan.ValidateIndexed),
+// writes it with its dim names into a recycled buffer and streams it into
+// a bounded worker pool, where a worker loads it into its own Scratch
+// (plan.Load) and prices it, so evaluation overlaps generation; the
 // per-worker partial reductions merge after all workers finish. Both
 // widths run the same reduction, so the winner, the error and the
 // evaluated count do not depend on workers.
@@ -116,7 +105,7 @@ func (p *searchPartial) merge(q *searchPartial) {
 // Cancellation is checked before every candidate evaluation: a cancelled
 // search stops generating, drains promptly, and returns ctx.Err() with
 // the partial evaluated count.
-func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, newCost func(*mapping.Scratch) CostFunc) (*Result, int, error) {
+func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, cost CostFunc) (*Result, int, error) {
 	opts.MaxMappings = opts.budget()
 	if workers > opts.MaxMappings {
 		workers = opts.MaxMappings
@@ -124,24 +113,27 @@ func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *ten
 	st := getState()
 	defer st.release()
 	var total searchPartial
-	var emit func(int, *mapping.Mapping)
+	var emit func(int)
 	wait := func() {}
 	serial := workers <= 1
 	if serial {
-		total.keep = &st.best
-		cost := newCost(&st.scratch) // sampleSeq loads each candidate into it
-		emit = func(i int, m *mapping.Mapping) {
-			v, err := cost(m)
-			total.observe(i, m, v, err)
+		emit = func(i int) {
+			v, err := cost(&st.scratch) // sampleSeq loaded candidate i into it
+			if total.observe(i, v, err) {
+				plan.WriteLoaded(&st.scratch, &st.best)
+				total.best = &st.best
+			}
 		}
 	} else {
-		emit, wait = startPool(ctx, plan, workers, newCost, &total)
+		send, drain := startPool(ctx, plan, workers, cost, &total)
+		emit = func(i int) { send(i, st.smp.named()) }
+		wait = drain
 	}
-	sampleErr := st.sampleSeq(plan, levels, e, opts, serial, func(i int, m *mapping.Mapping) bool {
+	sampleErr := st.sampleSeq(plan, levels, e, opts, serial, func(i int) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		emit(i, m)
+		emit(i)
 		return true
 	})
 	wait()
@@ -167,12 +159,12 @@ func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *ten
 }
 
 // startPool starts workers goroutines, each loading candidates into its
-// own Scratch and pricing them with the newCost function of that Scratch
-// into a partial reduction. emit copies one borrowed candidate into a
-// free buffer and hands it to the pool; the worker returns the buffer
-// once the candidate is priced. wait, called once generation has ended,
-// drains the pool and merges every partial into total.
-func startPool(ctx context.Context, plan *mapping.Plan, workers int, newCost func(*mapping.Scratch) CostFunc, total *searchPartial) (emit func(int, *mapping.Mapping), wait func()) {
+// own Scratch and pricing them with cost into a partial reduction. emit
+// copies one borrowed candidate into a free buffer and hands it to the
+// pool; the worker returns the buffer once the candidate is priced.
+// wait, called once generation has ended, drains the pool and merges
+// every partial into total.
+func startPool(ctx context.Context, plan *mapping.Plan, workers int, cost CostFunc, total *searchPartial) (emit func(int, *mapping.Mapping), wait func()) {
 	type candidate struct {
 		i int
 		m *mapping.Mapping
@@ -186,9 +178,9 @@ func startPool(ctx context.Context, plan *mapping.Plan, workers int, newCost fun
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		s := new(mapping.Scratch)
-		go func(cost CostFunc) {
+		go func() {
 			defer wg.Done()
+			s := new(mapping.Scratch)
 			var local searchPartial
 			for c := range feed {
 				// The per-candidate cancellation check; after cancellation
@@ -197,16 +189,18 @@ func startPool(ctx context.Context, plan *mapping.Plan, workers int, newCost fun
 				if ctx.Err() == nil {
 					v, err := 0.0, plan.Load(c.m, s)
 					if err == nil {
-						v, err = cost(c.m)
+						v, err = cost(s)
 					}
-					local.observe(c.i, c.m, v, err)
+					if local.observe(c.i, v, err) {
+						local.best = (&copier{batch: 1}).copy(c.m)
+					}
 				}
 				free <- c.m
 			}
 			mu.Lock()
 			total.merge(&local)
 			mu.Unlock()
-		}(newCost(s))
+		}()
 	}
 	emit = func(i int, m *mapping.Mapping) {
 		var buf *mapping.Mapping

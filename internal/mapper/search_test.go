@@ -24,26 +24,37 @@ func costByString(m *mapping.Mapping) (float64, error) {
 	return float64(h % 100003), nil
 }
 
-// perWorker hands every worker the same cost function.
-func perWorker(cost CostFunc) func(*mapping.Scratch) CostFunc {
-	return func(*mapping.Scratch) CostFunc { return cost }
+// mappingCost prices a mapping. The search tests price with one, so that
+// the serial oracle, which prices Sample's mappings, and Search, which
+// prices the Scratch each candidate is loaded in, see the same values.
+type mappingCost func(*mapping.Mapping) (float64, error)
+
+// loaded is cost as a CostFunc: it writes the candidate loaded in the
+// Scratch back to a mapping through plan and prices that. It is safe for
+// concurrent use when cost is.
+func loaded(plan *mapping.Plan, cost mappingCost) CostFunc {
+	return func(s *mapping.Scratch) (float64, error) {
+		var m mapping.Mapping
+		plan.WriteLoaded(s, &m)
+		return cost(&m)
+	}
 }
 
-// search runs Search with a freshly compiled plan.
-func search(t testing.TB, ctx context.Context, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, newCost func(*mapping.Scratch) CostFunc) (*Result, int, error) {
+// search runs Search with a freshly compiled plan, pricing by cost.
+func search(t testing.TB, ctx context.Context, levels []spec.Level, e *tensor.Einsum, opts Options, workers int, cost mappingCost) (*Result, int, error) {
 	t.Helper()
 	plan, err := mapping.NewPlan(levels, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Search(ctx, plan, levels, e, opts, workers, newCost)
+	return Search(ctx, plan, levels, e, opts, workers, loaded(plan, cost))
 }
 
 // serialSearch is the oracle the search's reduction is checked against:
 // the plain serial loop over Sample, in which a strictly lower cost wins
 // (so the earlier candidate keeps ties) and the first failure's error is
 // kept. It shares nothing with Search but the candidate sequence.
-func serialSearch(levels []spec.Level, e *tensor.Einsum, opts Options, cost CostFunc) (*Result, int, error) {
+func serialSearch(levels []spec.Level, e *tensor.Einsum, opts Options, cost mappingCost) (*Result, int, error) {
 	cands, err := Sample(levels, e, opts)
 	if err != nil {
 		return nil, 0, err
@@ -86,7 +97,7 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 				opts.Seed = seed
 				opts.MaxMappings = budget
 				want, wantN, wantErr := serialSearch(levels, e, opts, costByString)
-				got, gotN, gotErr := search(t, context.Background(), levels, e, opts, workers, perWorker(costByString))
+				got, gotN, gotErr := search(t, context.Background(), levels, e, opts, workers, costByString)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("seed %d budget %d workers %d: err %v vs %v", seed, budget, workers, gotErr, wantErr)
 				}
@@ -116,7 +127,7 @@ func TestSearchParallelTieBreaksByIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, _, err := search(t, context.Background(), levels, e, opts, workers, perWorker(flat))
+		got, _, err := search(t, context.Background(), levels, e, opts, workers, flat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +154,7 @@ func TestSearchParallelFirstError(t *testing.T) {
 	if wantRes != nil || wantErr == nil {
 		t.Fatalf("serial: result %v err %v, want nil result and an error", wantRes, wantErr)
 	}
-	got, gotN, gotErr := search(t, context.Background(), levels, e, opts, 8, perWorker(failAll))
+	got, gotN, gotErr := search(t, context.Background(), levels, e, opts, 8, failAll)
 	if got != nil {
 		t.Fatalf("parallel returned a result %v despite every candidate failing", got)
 	}
@@ -179,7 +190,7 @@ func TestSearchParallelSkipsFailingCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotN, err := search(t, context.Background(), levels, e, opts, 8, perWorker(failGreedy))
+	got, gotN, err := search(t, context.Background(), levels, e, opts, 8, failGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +211,10 @@ func TestSearchParallelCancelledBeforeStart(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		var calls atomic.Int64
-		res, evaluated, err := search(t, ctx, levels, e, opts, workers, perWorker(func(m *mapping.Mapping) (float64, error) {
+		res, evaluated, err := search(t, ctx, levels, e, opts, workers, func(m *mapping.Mapping) (float64, error) {
 			calls.Add(1)
 			return costByString(m)
-		}))
+		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
 		}
@@ -229,7 +240,7 @@ func TestSearchParallelCancelMidFanOut(t *testing.T) {
 		var calls atomic.Int64
 		gate := make(chan struct{})
 		var once sync.Once
-		res, evaluated, err := search(t, ctx, levels, e, opts, workers, perWorker(func(m *mapping.Mapping) (float64, error) {
+		res, evaluated, err := search(t, ctx, levels, e, opts, workers, func(m *mapping.Mapping) (float64, error) {
 			n := calls.Add(1)
 			if n == 1 {
 				cancel()
@@ -240,7 +251,7 @@ func TestSearchParallelCancelMidFanOut(t *testing.T) {
 				<-gate
 			}
 			return costByString(m)
-		}))
+		})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
@@ -280,7 +291,7 @@ func TestSearchParallelConcurrentSearches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, gotN, err := Search(context.Background(), plan, levels, e, opts, 4, perWorker(costByString))
+			got, gotN, err := Search(context.Background(), plan, levels, e, opts, 4, loaded(plan, costByString))
 			if err != nil {
 				errs <- err
 				return
@@ -310,7 +321,7 @@ func TestSearchParallelSingleWorkerFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, -3} {
-		got, gotN, err := search(t, context.Background(), levels, e, opts, workers, perWorker(costByString))
+		got, gotN, err := search(t, context.Background(), levels, e, opts, workers, costByString)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,11 +350,11 @@ func TestSampleSeqMatchesSample(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := getState()
-		err = st.sampleSeq(plan, levels, e, opts, false, func(i int, m *mapping.Mapping) bool {
+		err = st.sampleSeq(plan, levels, e, opts, false, func(i int) bool {
 			if i != len(got) {
 				t.Fatalf("index %d out of order (have %d)", i, len(got))
 			}
-			got = append(got, m.String())
+			got = append(got, st.smp.named().String())
 			return true
 		})
 		if err != nil {
@@ -359,7 +370,7 @@ func TestSampleSeqMatchesSample(t *testing.T) {
 		}
 		// Early stop is honored.
 		n := 0
-		err = st.sampleSeq(plan, levels, e, opts, false, func(int, *mapping.Mapping) bool { n++; return n < 3 })
+		err = st.sampleSeq(plan, levels, e, opts, false, func(int) bool { n++; return n < 3 })
 		st.release()
 		if err != nil {
 			t.Fatal(err)

@@ -23,20 +23,40 @@
 // is compiled once per (level list, sliced einsum): it validates the
 // einsum and turns every name-keyed lookup into an index — dimension
 // indices, per-tensor relevant-dimension bitmasks and axis tables,
-// per-level keep/transit/coalesce/reuse bitmasks, holder lists and the
-// tensors' actual volumes. Plan.AnalyzeInto then analyzes one mapping at
-// a time into a caller-owned Scratch, whose buffers (and the Counts they
-// hold) are reused from call to call, so once a Scratch has grown to the
-// layer's size the per-mapping analysis allocates nothing. It is two
-// halves: Plan.Load validates the mapping and lays it out in the Scratch,
-// and Plan.AnalyzeLoaded counts that layout, so a caller that has loaded
-// a mapping to validate it does not check it twice. A Plan is
-// read-only and may be shared between goroutines; a Scratch may not.
-// Analyze and Validate are the one-shot forms that compile a Plan per
-// call.
+// per-level keep/transit/coalesce/reuse bitmasks, holder lists, the
+// tensors' actual volumes, and for every boundary the first
+// output-coalescing transit at or below it. Per mapping, the Plan works
+// in a caller-owned Scratch whose buffers (and the Counts they hold) are
+// reused from call to call, so once a Scratch has grown to the layer's
+// size the per-mapping analysis allocates nothing. It has two halves:
+//
+//   - Load lays a mapping out in the Scratch: a named Mapping has its
+//     dimension names resolved to indices, while LoadIndexed takes loops
+//     already in index space (the mapper's draws), and both end in the
+//     one check of the loops and the one layout walk (ValidateIndexed
+//     runs the check alone). The walk goes innermost level first,
+//     building the tile extents at every level that keeps a tensor and
+//     folding each level's loops per tensor: the products of its
+//     relevant and irrelevant spatial factors, of all its temporal
+//     factors, and of its temporal factors out to the innermost relevant
+//     one.
+//   - AnalyzeLoaded counts that layout. Each parent-traffic, consumption
+//     and multicast count is a product over levels of those folds, so it
+//     costs O(levels) rather than a rescan of every loop, and each
+//     holder's tile volume is computed once per tensor. Integer products
+//     commute (and a level's spatial factors fit its mesh, so dividing
+//     by their product is dividing by each), so the counts are those of a
+//     loop-by-loop scan, bit for bit.
+//
+// AnalyzeInto is Load then AnalyzeLoaded, and WriteLoaded turns a loaded
+// layout back into a named Mapping. A Plan is read-only and may be shared
+// between goroutines; a Scratch may not. Analyze and Validate are the
+// one-shot forms that compile a Plan per call.
 //
 // The closed-form analysis is validated against a brute-force loop-nest
-// interpreter (oracle.go) that literally enumerates iterations.
+// interpreter (oracle.go) that literally enumerates iterations, and its
+// per-level folds against the per-loop scans they replaced (a test-only
+// oracle).
 package mapping
 
 import (
@@ -174,8 +194,10 @@ type Plan struct {
 	// several data spaces share a kind, the last one describes it.
 	spaces uint8
 	// relevant[kind] has bit d set when dimension d appears in the
-	// tensor's projection.
+	// tensor's projection; dimRel[d] is its transpose, with bit 1<<kind
+	// set for every tensor whose projection dimension d appears in.
 	relevant [tensor.NumKinds]uint64
+	dimRel   [maxDims]uint8
 	// axes[kind] is the tensor's projection: the terms of each axis in
 	// turn, every axis closed by a term with dim -1.
 	axes [tensor.NumKinds][]term
@@ -190,6 +212,10 @@ type Plan struct {
 	keeps, transits, coalesce, reuse []uint8
 	// holders[kind] lists the levels keeping the tensor, outermost first.
 	holders [tensor.NumKinds][]int
+	// coalesceFrom[b] is the first level at or below boundary b (b <=
+	// len(levels)) that is a transit level coalescing outputs, or
+	// len(levels) when there is none.
+	coalesceFrom []int
 	// present is Counts.present, the same for every mapping.
 	present []uint8
 }
@@ -210,8 +236,9 @@ func NewPlan(levels []spec.Level, e *tensor.Einsum) (*Plan, error) {
 		bounds:     make([]int, len(e.Dims)),
 		actualMACs: e.MACs(),
 		kind:       make([]spec.LevelKind, nl),
-		mesh:       make([]int, nl),
 	}
+	ints := make([]int, 2*nl+1) // one backing array for mesh and coalesceFrom
+	p.mesh, p.coalesceFrom = ints[:nl:nl], ints[nl:]
 	flags := make([]uint8, 5*nl) // one backing array for the five per-level masks
 	p.keeps, p.transits, p.coalesce = flags[:nl:nl], flags[nl:2*nl:2*nl], flags[2*nl:3*nl:3*nl]
 	p.reuse, p.present = flags[3*nl:4*nl:4*nl], flags[4*nl:]
@@ -253,6 +280,13 @@ func NewPlan(levels []spec.Level, e *tensor.Einsum) (*Plan, error) {
 		p.relevant[s.Kind], p.axes[s.Kind] = rel, terms[start:len(terms):len(terms)]
 		p.actual[s.Kind] = p.volume(s.Kind, p.bounds)
 	}
+	for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
+		for d := range p.dims {
+			if p.relevant[t]&(1<<uint(d)) != 0 {
+				p.dimRel[d] |= kindBit(t)
+			}
+		}
+	}
 	nh := 0
 	for i := range levels {
 		lv := &levels[i]
@@ -267,6 +301,13 @@ func NewPlan(levels []spec.Level, e *tensor.Einsum) (*Plan, error) {
 		}
 		p.present[i] &= p.spaces
 		nh += bits.OnesCount8(p.keeps[i])
+	}
+	p.coalesceFrom[nl] = nl
+	for i := nl - 1; i >= 0; i-- {
+		p.coalesceFrom[i] = p.coalesceFrom[i+1]
+		if p.kind[i] == spec.TransitLevel && p.coalesce[i]&kindBit(tensor.Output) != 0 {
+			p.coalesceFrom[i] = i
+		}
 	}
 	// All tensors' holder lists share one backing array.
 	holders := make([]int, 0, nh)
@@ -338,6 +379,13 @@ func (p *Plan) volume(t tensor.Kind, tile []int) int64 {
 	return vol
 }
 
+// IndexLoop is a Loop with its dimension given as an index into the
+// einsum's dimensions, the form LoadIndexed takes.
+type IndexLoop struct {
+	Dim    int
+	Factor int
+}
+
 // loopRef is one loop in global nest order with its level context.
 type loopRef struct {
 	dim     int
@@ -346,19 +394,50 @@ type loopRef struct {
 	spatial bool // attached to a spatial level
 }
 
+// levelFold is one level's loops folded per tensor by the layout walk.
+// Every count AnalyzeLoaded takes of a level's loops is one of these
+// products; a storage level has only temporal factors and a spatial
+// level only spatial ones, so the other products stay 1.
+type levelFold struct {
+	spatial  int64 // product of the level's spatial factors
+	temporal int64 // product of the level's temporal factors
+	// relTemporal has bit 1<<kind set when one of the level's temporal
+	// loops is relevant to the tensor.
+	relTemporal uint8
+	// toRelevant[kind] is the product of the level's temporal factors
+	// from its outermost loop through its innermost loop relevant to the
+	// tensor (1 when none is).
+	toRelevant [tensor.NumKinds]int64
+	// rel[kind] and irr[kind] are the products of the level's spatial
+	// factors over dimensions relevant and irrelevant to the tensor.
+	rel, irr [tensor.NumKinds]int64
+	// tile is the padded tile volume at the level of the tensor
+	// AnalyzeLoaded is counting, set at every holder of that tensor.
+	tile int64
+}
+
+// unitFold is a level with no loops.
+var unitFold = func() levelFold {
+	f := levelFold{spatial: 1, temporal: 1}
+	for t := range f.rel {
+		f.toRelevant[t], f.rel[t], f.irr[t] = 1, 1, 1
+	}
+	return f
+}()
+
 // Scratch holds the per-mapping state of an analysis and the Counts it
 // produces. Its buffers grow to the largest layer seen and are reused, so
 // analyzing into a warm Scratch allocates nothing. The zero value is
 // ready to use; a Scratch must not be used by two goroutines at once.
 type Scratch struct {
-	loops   []loopRef // in global order, outermost first
-	padded  []int     // per-dimension product of all factors
-	tiles   []int     // row h: per-dimension tile extents at level h
-	spatial []int64   // per-level product of spatial factors
-	macs    int64     // padded MAC count: product of all factors
-	cycles  int64
-	inst    int64
-	counts  Counts
+	loops  []loopRef   // in global order, outermost first
+	padded []int       // per-dimension product of all factors
+	tiles  []int       // row h: per-dimension tile extents at level h, if it keeps a tensor
+	folds  []levelFold // per level
+	macs   int64       // padded MAC count: product of all factors
+	cycles int64
+	inst   int64
+	counts Counts
 }
 
 // resize returns s with length n and every element zero, reusing its
@@ -384,59 +463,61 @@ func checkShape(levels []spec.Level, m *Mapping) error {
 	return nil
 }
 
-// check validates m against the plan, and with s non-nil lays its loops
-// out in s (s.padded must be len(p.dims) long): loops may only appear on
-// levels that support them, spatial factors must fit the mesh, and every
-// dimension's factor product must cover its bound. product receives each
-// dimension's factor product.
-func (p *Plan) check(m *Mapping, product []int, s *Scratch) error {
-	if err := checkShape(p.levels, m); err != nil {
-		return err
+// startLoops empties s.loops with room for n loops.
+func (s *Scratch) startLoops(n int) {
+	if cap(s.loops) < n {
+		s.loops = make([]loopRef, 0, n)
 	}
-	for d := range product {
-		product[d] = 1
+	s.loops = s.loops[:0]
+}
+
+// check validates the loops in s.loops, which hold a mapping's loops in
+// global order with every level's loops together: every loop's dim must
+// be one of the einsum's and its factor positive, loops may only appear
+// on spatial and storage levels, a spatial level's factors must fit its
+// mesh, and every dimension's factor product, left in s.padded, must
+// cover its bound. Load and LoadIndexed both end in it.
+func (p *Plan) check(s *Scratch) error {
+	nd := len(p.dims)
+	s.padded = resize(s.padded, nd)
+	for d := range s.padded {
+		s.padded[d] = 1
 	}
-	for i, loops := range m.LevelLoops {
-		sp := p.kind[i] == spec.SpatialLevel
-		spatialProduct := 1
-		for _, l := range loops {
-			d := p.dimIndex(l.Dim)
-			if d < 0 {
-				return fmt.Errorf("mapping: level %d (%s) loops over unknown dim %q", i, p.levels[i].Name, l.Dim)
+	next := 0
+	for i := range p.levels {
+		// over records that the spatial product passed the mesh: checked
+		// factor by factor, so that no product wraps and folds to a
+		// small one.
+		spatialProduct, over := 1, false
+		for ; next < len(s.loops) && s.loops[next].level == i; next++ {
+			l := &s.loops[next]
+			if l.dim < 0 || l.dim >= nd {
+				return fmt.Errorf("mapping: level %d (%s) loops over dim index %d of %d", i, p.levels[i].Name, l.dim, nd)
 			}
-			if l.Factor <= 0 {
-				return fmt.Errorf("mapping: level %d (%s) dim %s has factor %d", i, p.levels[i].Name, l.Dim, l.Factor)
+			if l.factor <= 0 {
+				return fmt.Errorf("mapping: level %d (%s) dim %s has factor %d", i, p.levels[i].Name, p.dims[l.dim], l.factor)
 			}
-			product[d] *= l.Factor
+			s.padded[l.dim] *= l.factor
 			switch p.kind[i] {
 			case spec.SpatialLevel:
-				spatialProduct *= l.Factor
+				over = over || l.factor > p.mesh[i]/spatialProduct
+				spatialProduct *= l.factor
 			case spec.StorageLevel:
 				// temporal loop, fine
 			default:
 				return fmt.Errorf("mapping: level %d (%s) is %s and cannot carry loops", i, p.levels[i].Name, p.kind[i])
 			}
-			if s != nil {
-				s.loops = append(s.loops, loopRef{dim: d, factor: l.Factor, level: i, spatial: sp})
-			}
 		}
-		if sp && spatialProduct > p.mesh[i] {
+		if p.kind[i] == spec.SpatialLevel && (over || spatialProduct > p.mesh[i]) {
 			return fmt.Errorf("mapping: level %d (%s) spatial factors %d exceed mesh %d", i, p.levels[i].Name, spatialProduct, p.mesh[i])
 		}
 	}
 	for d, b := range p.bounds {
-		if product[d] < b {
-			return fmt.Errorf("mapping: dim %s factors cover %d < bound %d", p.dims[d], product[d], b)
+		if s.padded[d] < b {
+			return fmt.Errorf("mapping: dim %s factors cover %d < bound %d", p.dims[d], s.padded[d], b)
 		}
 	}
 	return nil
-}
-
-// Validate checks a mapping against the plan's levels and einsum without
-// analyzing it. It allocates nothing unless it returns an error.
-func (p *Plan) Validate(m *Mapping) error {
-	var buf [maxDims]int
-	return p.check(m, buf[:len(p.dims)], nil)
 }
 
 // Validate checks a mapping against a hierarchy and workload: loops may
@@ -450,81 +531,171 @@ func Validate(levels []spec.Level, e *tensor.Einsum, m *Mapping) error {
 	if err != nil {
 		return err
 	}
-	return p.Validate(m)
+	return p.Load(m, new(Scratch))
 }
 
 // Load validates m like Validate and lays it out in s: its loops in
-// global order, the per-level spatial products, the MAC/cycle/instance
-// totals, and the tile extents at every level. AnalyzeLoaded then
-// analyzes that layout; m itself is not read again, so the caller may
-// reuse it once Load returns.
+// global order, the MAC/cycle/instance totals, the tile extents at every
+// level and every level's folds. It resolves m's dimension names and
+// then checks and lays the loops out as LoadIndexed does. AnalyzeLoaded
+// then analyzes that layout; m itself is not read again, so the caller
+// may reuse it once Load returns.
 func (p *Plan) Load(m *Mapping, s *Scratch) error {
-	nd, nl := len(p.dims), len(p.levels)
-	s.padded = resize(s.padded, nd)
+	if err := checkShape(p.levels, m); err != nil {
+		return err
+	}
 	n := 0
 	for _, loops := range m.LevelLoops {
 		n += len(loops)
 	}
-	if cap(s.loops) < n {
-		s.loops = make([]loopRef, 0, n)
+	s.startLoops(n)
+	for i, loops := range m.LevelLoops {
+		sp := p.kind[i] == spec.SpatialLevel
+		for _, l := range loops {
+			d := p.dimIndex(l.Dim)
+			if d < 0 {
+				return fmt.Errorf("mapping: level %d (%s) loops over unknown dim %q", i, p.levels[i].Name, l.Dim)
+			}
+			s.loops = append(s.loops, loopRef{dim: d, factor: l.Factor, level: i, spatial: sp})
+		}
 	}
-	s.loops = s.loops[:0]
-	if err := p.check(m, s.padded, s); err != nil {
+	return p.layout(s)
+}
+
+// LoadIndexed is Load for a mapping whose loops are given per level (in
+// level order, each level's loops outermost first) with their dimensions
+// as indices into the einsum's: the form a mapper draws in. It runs the
+// same check and the same layout, so it accepts exactly the mappings Load
+// accepts, and lays them out identically. loops is not read again once
+// it returns.
+func (p *Plan) LoadIndexed(loops [][]IndexLoop, s *Scratch) error {
+	if err := p.gather(loops, s); err != nil {
 		return err
 	}
-	s.spatial = resize(s.spatial, nl)
-	s.tiles = resize(s.tiles, (nl+1)*nd)
-	for d := nl * nd; d < len(s.tiles); d++ {
-		s.tiles[d] = 1
+	return p.layout(s)
+}
+
+// ValidateIndexed runs LoadIndexed's check without the layout, for a
+// caller that only needs to know whether the loops form a valid mapping.
+// It uses s's buffers, after which s holds the loops (WriteLoaded writes
+// them) but no layout to analyze.
+func (p *Plan) ValidateIndexed(loops [][]IndexLoop, s *Scratch) error {
+	if err := p.gather(loops, s); err != nil {
+		return err
 	}
-	s.macs, s.cycles, s.inst = 1, 1, 1
-	// Walk the loops innermost first, so that row h of tiles is row h+1
-	// times the factors at level h.
-	next := len(s.loops) - 1
-	for h := nl - 1; h >= 0; h-- {
-		row := s.tiles[h*nd : (h+1)*nd]
-		copy(row, s.tiles[(h+1)*nd:(h+2)*nd])
-		s.spatial[h] = 1
-		for ; next >= 0 && s.loops[next].level == h; next-- {
-			l := &s.loops[next]
-			row[l.dim] *= l.factor
-			s.macs *= int64(l.factor)
-			if l.spatial {
-				s.inst *= int64(l.factor)
-				s.spatial[h] *= int64(l.factor)
-			} else {
-				s.cycles *= int64(l.factor)
-			}
+	return p.check(s)
+}
+
+// gather puts indexed loops into s.loops in global order.
+func (p *Plan) gather(loops [][]IndexLoop, s *Scratch) error {
+	if len(loops) != len(p.levels) {
+		return fmt.Errorf("mapping: %d loop lists for %d levels", len(loops), len(p.levels))
+	}
+	n := 0
+	for _, ll := range loops {
+		n += len(ll)
+	}
+	s.startLoops(n)
+	for i, ll := range loops {
+		sp := p.kind[i] == spec.SpatialLevel
+		for _, l := range ll {
+			s.loops = append(s.loops, loopRef{dim: l.Dim, factor: l.Factor, level: i, spatial: sp})
 		}
 	}
 	return nil
 }
 
-// tileVolume returns the padded tile volume of t at level h: its extent
-// along each dimension is the product of factors of loops attached to
-// levels at or inside h.
+// layout checks the loops in s.loops and lays them out: it walks the
+// levels innermost first, multiplying each level's factors into the
+// running tile extents (the last row of tiles) and folding its loops as
+// it goes. A level that keeps a tensor gets a copy of the extents at it
+// in its row of tiles; the rows of other levels are never read.
+func (p *Plan) layout(s *Scratch) error {
+	if err := p.check(s); err != nil {
+		return err
+	}
+	nd, nl := len(p.dims), len(p.levels)
+	s.folds = resize(s.folds, nl)
+	if cap(s.tiles) < (nl+1)*nd {
+		s.tiles = make([]int, (nl+1)*nd)
+	}
+	s.tiles = s.tiles[:(nl+1)*nd]
+	extents := s.tiles[nl*nd:]
+	for d := range extents {
+		extents[d] = 1
+	}
+	s.macs, s.cycles, s.inst = 1, 1, 1
+	next := len(s.loops) - 1
+	for h := nl - 1; h >= 0; h-- {
+		f := &s.folds[h]
+		*f = unitFold
+		for ; next >= 0 && s.loops[next].level == h; next-- {
+			l := &s.loops[next]
+			extents[l.dim] *= l.factor
+			factor := int64(l.factor)
+			s.macs *= factor
+			rel := p.dimRel[l.dim]
+			if l.spatial {
+				s.inst *= factor
+				f.spatial *= factor
+				for t := range f.rel {
+					if rel&(1<<uint(t)) != 0 {
+						f.rel[t] *= factor
+					} else {
+						f.irr[t] *= factor
+					}
+				}
+				continue
+			}
+			s.cycles *= factor
+			f.temporal *= factor
+			// Walking inward-out, a loop is at or outside the level's
+			// innermost relevant loop once that loop has been seen.
+			f.relTemporal |= rel
+			for t := range f.toRelevant {
+				if f.relTemporal&(1<<uint(t)) != 0 {
+					f.toRelevant[t] *= factor
+				}
+			}
+		}
+		if p.keeps[h] != 0 {
+			copy(s.tiles[h*nd:(h+1)*nd], extents)
+		}
+	}
+	return nil
+}
+
+// WriteLoaded writes the mapping the last successful Load, LoadIndexed
+// or ValidateIndexed put in s to dst, with its dimension names, reusing
+// dst's loop lists.
+func (p *Plan) WriteLoaded(s *Scratch, dst *Mapping) {
+	nl := len(p.levels)
+	if cap(dst.LevelLoops) < nl {
+		dst.LevelLoops = make([][]Loop, nl)
+	}
+	dst.LevelLoops = dst.LevelLoops[:nl]
+	for i := range dst.LevelLoops {
+		dst.LevelLoops[i] = dst.LevelLoops[i][:0]
+	}
+	for _, l := range s.loops {
+		dst.LevelLoops[l.level] = append(dst.LevelLoops[l.level], Loop{Dim: p.dims[l.dim], Factor: l.factor})
+	}
+}
+
+// tileVolume returns the padded tile volume of t at level h, which must
+// keep a tensor: its extent along each dimension is the product of
+// factors of loops attached to levels at or inside h.
 func (p *Plan) tileVolume(s *Scratch, t tensor.Kind, h int) int64 {
 	nd := len(p.dims)
 	return p.volume(t, s.tiles[h*nd:(h+1)*nd])
 }
 
-// reducedAt reports whether the spatial loop at level j is collapsed for
-// tensor t when observed from the boundary just above level b (b <= j):
-// either the spatial level declares reuse for t, or (outputs only) a
+// reducedAt reports whether the spatial loops at level j are collapsed
+// for tensor t when observed from the boundary just above level b (b <=
+// j): either the spatial level declares reuse for t, or (outputs only) a
 // coalescing transit sits between the boundary and the spatial level.
 func (p *Plan) reducedAt(t tensor.Kind, j, b int) bool {
-	if p.reuse[j]&kindBit(t) != 0 {
-		return true
-	}
-	if t != tensor.Output {
-		return false
-	}
-	for c := b; c < j; c++ {
-		if p.kind[c] == spec.TransitLevel && p.coalesce[c]&kindBit(t) != 0 {
-			return true
-		}
-	}
-	return false
+	return p.reuse[j]&kindBit(t) != 0 || t == tensor.Output && p.coalesceFrom[b] < j
 }
 
 // isRelevant reports whether dimension d appears in t's projection.
@@ -532,91 +703,68 @@ func (p *Plan) isRelevant(t tensor.Kind, d int) bool {
 	return t >= 0 && t < tensor.NumKinds && p.relevant[t]&(1<<uint(d)) != 0
 }
 
-// parentTraffic returns the per-layer value count of tensor t crossing the
+// refetches returns the refetch multiplier of tensor t crossing the
 // boundary just above level b, where h (h >= b) is the first holder of t
-// at or inside b: tile volume times the refetch multiplier over all loops
-// outside h. The temporal free-reuse run is broken by the first t-relevant
-// temporal loop encountered moving outward from h.
-func (p *Plan) parentTraffic(s *Scratch, t tensor.Kind, h, b int) int64 {
-	tile := p.tileVolume(s, t, h)
+// at or inside b: parent traffic is h's tile volume times it. Every
+// t-relevant spatial loop outside h multiplies it, and so does every
+// irrelevant one not reduced from b. Temporal loops outside h multiply it
+// from the innermost t-relevant one outward; the irrelevant ones inside
+// that reuse h's tile for free.
+func (p *Plan) refetches(s *Scratch, t tensor.Kind, h, b int) int64 {
 	mult := int64(1)
-	runBroken := false
-	// Scan loops outside h from innermost outward.
-	for i := len(s.loops) - 1; i >= 0; i-- {
-		l := &s.loops[i]
-		if l.level >= h {
-			continue
+	broken := false // a t-relevant temporal loop lies inside the level
+	for j := h - 1; j >= 0; j-- {
+		f := &s.folds[j]
+		mult *= f.rel[t]
+		if f.irr[t] != 1 && !p.reducedAt(t, j, b) {
+			mult *= f.irr[t]
 		}
-		rel := p.isRelevant(t, l.dim)
-		if l.spatial {
-			switch {
-			case rel:
-				mult *= int64(l.factor) // unicast: distinct data per instance
-			case p.reducedAt(t, l.level, b):
-				// multicast/reduced: one parent access serves the mesh
-			default:
-				mult *= int64(l.factor)
-			}
-			continue
-		}
-		if rel {
-			mult *= int64(l.factor)
-			runBroken = true
-		} else if runBroken {
-			mult *= int64(l.factor)
+		switch {
+		case broken:
+			mult *= f.temporal
+		case f.relTemporal&kindBit(t) != 0:
+			mult *= f.toRelevant[t]
+			broken = true
 		}
 	}
-	return tile * mult
+	return mult
 }
 
 // consumption returns the per-layer value count of tensor t crossing the
 // boundary just above level b when no holder of t exists at or inside b:
 // every MAC consumes one value, collapsed by reused spatial loops inside
-// the boundary.
+// the boundary. A level's irrelevant spatial factors fit its mesh, so
+// dividing by their product is dividing by each in turn.
 func (p *Plan) consumption(s *Scratch, t tensor.Kind, b int) int64 {
 	n := s.macs
-	for i := range s.loops {
-		l := &s.loops[i]
-		if !l.spatial || l.level < b {
-			continue
-		}
-		if !p.isRelevant(t, l.dim) && p.reducedAt(t, l.level, b) {
-			n /= int64(l.factor)
+	for j := b; j < len(p.levels); j++ {
+		if irr := s.folds[j].irr[t]; irr != 1 && p.reducedAt(t, j, b) {
+			n /= irr
 		}
 	}
 	return n
 }
 
 // crossings returns the per-layer value count of tensor t crossing the
-// boundary just above level b.
+// boundary just above level b. The tile volumes of t's holders must be
+// in the folds.
 func (p *Plan) crossings(s *Scratch, t tensor.Kind, b int) int64 {
 	for h := b; h < len(p.levels); h++ {
 		if p.keeps[h]&kindBit(t) != 0 {
-			return p.parentTraffic(s, t, h, b)
+			return s.folds[h].tile * p.refetches(s, t, h, b)
 		}
 	}
 	return p.consumption(s, t, b)
 }
 
 // multicastCopies returns the number of instance copies receiving each
-// multicast parent access of tensor t into holder h: the product of reused
-// irrelevant spatial factors between h and its parent holder (or the top).
-func (p *Plan) multicastCopies(s *Scratch, t tensor.Kind, h int) int64 {
-	parent := -1
-	for i := h - 1; i >= 0; i-- {
-		if p.keeps[i]&kindBit(t) != 0 {
-			parent = i
-			break
-		}
-	}
+// multicast parent access of tensor t into holder h from its parent
+// holder: the product of reused irrelevant spatial factors between them.
+func (p *Plan) multicastCopies(s *Scratch, t tensor.Kind, parent, h int) int64 {
 	copies := int64(1)
-	for i := range s.loops {
-		l := &s.loops[i]
-		if !l.spatial || l.level >= h || l.level <= parent {
-			continue
-		}
-		if !p.isRelevant(t, l.dim) && p.reducedAt(t, l.level, h) {
-			copies *= int64(l.factor)
+	for j := parent + 1; j < h; j++ {
+		if irr := s.folds[j].irr[t]; irr != 1 && p.reducedAt(t, j, h) {
+			copies *= irr
 		}
 	}
 	return copies
@@ -668,8 +816,9 @@ func (p *Plan) AnalyzeInto(m *Mapping, s *Scratch) (*Counts, error) {
 }
 
 // AnalyzeLoaded computes the access counts of the mapping the last
-// successful Load laid out in s (after a failed Load the layout is
-// meaningless). The returned Counts belong to s, like AnalyzeInto's.
+// successful Load or LoadIndexed laid out in s (after a failed load the
+// layout is meaningless). The returned Counts belong to s, like
+// AnalyzeInto's.
 func (p *Plan) AnalyzeLoaded(s *Scratch) *Counts {
 	nl := len(p.levels)
 	c := &s.counts
@@ -684,7 +833,7 @@ func (p *Plan) AnalyzeLoaded(s *Scratch) *Counts {
 	mapped := int64(1)
 	for i := range c.MappedOutside {
 		c.MappedOutside[i] = mapped
-		mapped *= s.spatial[i]
+		mapped *= s.folds[i].spatial
 	}
 
 	for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
@@ -692,12 +841,15 @@ func (p *Plan) AnalyzeLoaded(s *Scratch) *Counts {
 			continue
 		}
 		holders := p.holders[t]
+		for _, h := range holders {
+			s.folds[h].tile = p.tileVolume(s, t, h)
+		}
 		util := p.utilizationOf(s, t)
 		if t != tensor.Output {
 			// Inputs and weights flow downward: parent reads fill children.
 			for idx, h := range holders {
 				tc := &c.PerLevel[h][t]
-				tc.Tile = scaleBy(p.tileVolume(s, t, h), util)
+				tc.Tile = scaleBy(s.folds[h].tile, util)
 				if idx == 0 {
 					// Top holder: data arrives once.
 					tc.Writes += tc.Tile
@@ -705,9 +857,9 @@ func (p *Plan) AnalyzeLoaded(s *Scratch) *Counts {
 				// Serve the next-inner holder, or compute directly.
 				if idx+1 < len(holders) {
 					inner := holders[idx+1]
-					pr := scaleBy(p.parentTraffic(s, t, inner, inner), util)
+					pr := scaleBy(s.folds[inner].tile*p.refetches(s, t, inner, inner), util)
 					tc.Reads += pr
-					c.PerLevel[inner][t].Writes += pr * p.multicastCopies(s, t, inner)
+					c.PerLevel[inner][t].Writes += pr * p.multicastCopies(s, t, h, inner)
 				} else {
 					tc.Reads += p.consumption(s, t, h+1)
 				}
@@ -718,7 +870,7 @@ func (p *Plan) AnalyzeLoaded(s *Scratch) *Counts {
 			for idx := len(holders) - 1; idx >= 0; idx-- {
 				h := holders[idx]
 				tc := &c.PerLevel[h][t]
-				tc.Tile = scaleBy(p.tileVolume(s, t, h), util)
+				tc.Tile = scaleBy(s.folds[h].tile, util)
 				if idx == len(holders)-1 {
 					// Innermost holder: read-modify-write per update.
 					updates := p.consumption(s, t, h+1)
@@ -728,7 +880,7 @@ func (p *Plan) AnalyzeLoaded(s *Scratch) *Counts {
 				if idx > 0 {
 					// Drain to the next-outer holder.
 					outer := &c.PerLevel[holders[idx-1]][t]
-					drains := scaleBy(p.parentTraffic(s, t, h, h), util)
+					drains := scaleBy(s.folds[h].tile*p.refetches(s, t, h, h), util)
 					tc.Reads += drains
 					outer.Writes += drains
 					if idx-1 > 0 {

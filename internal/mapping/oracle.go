@@ -10,11 +10,12 @@ import (
 // OracleParentTraffic computes, by literally enumerating the temporal loop
 // nest, the padded value count of tensor t crossing the boundary just
 // above level b, where h is the first holder of t at or inside b. It is
-// the ground-truth oracle for the closed-form Plan.parentTraffic: a refill
-// happens whenever the tuple of t-relevant temporal loop indices outside h
-// changes between consecutive steps, which reproduces the "innermost
-// irrelevant run reuses for free, everything further out refetches"
-// behavior from first principles.
+// the ground-truth oracle for the closed-form parent traffic (a holder's
+// tile volume times Plan.refetches): a refill happens whenever the tuple
+// of t-relevant temporal loop indices outside h changes between
+// consecutive steps, which reproduces the "innermost irrelevant run
+// reuses for free, everything further out refetches" behavior from first
+// principles.
 //
 // Exponential in the nest size; intended for tests on small mappings.
 func OracleParentTraffic(levels []spec.Level, e *tensor.Einsum, m *Mapping, t tensor.Kind, h, b int) (int64, error) {
@@ -102,7 +103,8 @@ func loadPlan(levels []spec.Level, e *tensor.Einsum, m *Mapping) (*Plan, *Scratc
 	return p, s, nil
 }
 
-// ParentTrafficClosedForm exposes the analytical parentTraffic for tests.
+// ParentTrafficClosedForm exposes the analytical parent traffic (tile
+// volume times refetches) for tests.
 func ParentTrafficClosedForm(levels []spec.Level, e *tensor.Einsum, m *Mapping, t tensor.Kind, h, b int) (int64, error) {
 	p, s, err := loadPlan(levels, e, m)
 	if err != nil {
@@ -111,7 +113,7 @@ func ParentTrafficClosedForm(levels []spec.Level, e *tensor.Einsum, m *Mapping, 
 	if h < 0 || h >= len(levels) || !levels[h].Keeps[t] {
 		return 0, fmt.Errorf("mapping: level %d does not hold %s", h, t)
 	}
-	return p.parentTraffic(s, t, h, b), nil
+	return p.tileVolume(s, t, h) * p.refetches(s, t, h, b), nil
 }
 
 // ConsumptionClosedForm exposes the analytical consumption for tests.
