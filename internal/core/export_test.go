@@ -1,8 +1,11 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/dist"
 	"repro/internal/mapping"
+	"repro/internal/workload"
 )
 
 // CostKernel returns the search's per-candidate work for one prepared
@@ -42,7 +45,7 @@ func (e *Engine) ColumnSumDepths() []int64 {
 // SumOf is the memo lookup columnSumPMF makes for one cell product and
 // reduction depth.
 func (m *PrepareMemo) SumOf(cell *dist.PMF, depth int64) (*dist.PMF, error) {
-	return m.sum(&operandStage{cell: cell, cellKey: cellKey(cell)}, depth)
+	return m.sum(&operandStage{cell: cell, cellKey: cellKey(cell)}, depth, true)
 }
 
 // Kinds counts the memo's entries by kind.
@@ -57,4 +60,44 @@ func (m *PrepareMemo) Kinds() (operands, sums int) {
 		}
 	}
 	return operands, sums
+}
+
+// HoldSums starts, on e's memo, a fill of the column sum of l's cell
+// product at every depth of ColumnSumDepths, each held until release is
+// called; release then waits for the fills to finish. The memo must hold
+// none of those sums yet.
+func (e *Engine) HoldSums(l workload.Layer) (release func(), err error) {
+	inPMF, err := l.InputPMF(e.arch.InputBits)
+	if err != nil {
+		return nil, err
+	}
+	wPMF, err := l.WeightPMF(e.arch.WeightBits)
+	if err != nil {
+		return nil, err
+	}
+	ops, err := e.memo.operands(e.arch, inPMF, wPMF, true)
+	if err != nil {
+		return nil, err
+	}
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, depth := range e.ColumnSumDepths() {
+		started := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k := memoKey{kind: sumEntry, digest: ops.cellKey, depth: depth}
+			e.memo.get(k, true, func(me *memoEntry) (err error) {
+				close(started)
+				<-gate
+				me.sum, err = columnSum(ops.cell, depth)
+				return err
+			})
+		}()
+		<-started
+	}
+	return func() {
+		close(gate)
+		wg.Wait()
+	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dist"
 )
@@ -31,7 +32,9 @@ const columnSumCap = 256
 // A memo holds at most its capacity of entries, both kinds counted
 // together, and evicts the least recently used; a recomputed entry is
 // bit-identical to the evicted one. Concurrent lookups of one missing
-// entry fill it once; failures are not memoized. All methods are safe for
+// entry fill it once, the others waiting for it — except a lookup that
+// does not wait (TryPrepareLayer), which finds the entry busy and counts
+// as no lookup; failures are not memoized. All methods are safe for
 // concurrent use.
 type PrepareMemo struct {
 	mu       sync.Mutex
@@ -67,6 +70,7 @@ type memoKey struct {
 type memoEntry struct {
 	key        memoKey
 	once       sync.Once
+	filled     atomic.Bool // fill has returned
 	ops        *operandStage
 	sum        *dist.PMF
 	err        error
@@ -130,10 +134,16 @@ func operandKey(a *Arch, inEnc, wEnc string, inPMF, wPMF *dist.PMF) [sha256.Size
 
 // get returns k's entry, running fill on it at most once while the entry
 // is held. A failed fill's entry is dropped, so a later lookup retries.
-func (m *PrepareMemo) get(k memoKey, fill func(*memoEntry) error) (*memoEntry, error) {
+// Unless wait, an entry another goroutine is filling is not waited for:
+// get returns ErrPrepareBusy.
+func (m *PrepareMemo) get(k memoKey, wait bool, fill func(*memoEntry) error) (*memoEntry, error) {
 	m.mu.Lock()
-	m.counts[k.kind].Lookups++
 	e, ok := m.items[k]
+	if ok && !wait && !e.filled.Load() {
+		m.mu.Unlock()
+		return nil, ErrPrepareBusy
+	}
+	m.counts[k.kind].Lookups++
 	if ok {
 		e.unlink()
 	} else {
@@ -149,7 +159,10 @@ func (m *PrepareMemo) get(k memoKey, fill func(*memoEntry) error) (*memoEntry, e
 	e.pushAfter(&m.lru)
 	m.mu.Unlock()
 
-	e.once.Do(func() { e.err = fill(e) })
+	e.once.Do(func() {
+		e.err = fill(e)
+		e.filled.Store(true)
+	})
 	if e.err != nil {
 		m.mu.Lock()
 		if m.items[k] == e {
@@ -163,31 +176,43 @@ func (m *PrepareMemo) get(k memoKey, fill func(*memoEntry) error) (*memoEntry, e
 
 // operands returns the operand stage of a layer with operand PMFs inPMF
 // and wPMF on architecture a, preparing it at most once while its entry
-// is held.
-func (m *PrepareMemo) operands(a *Arch, inPMF, wPMF *dist.PMF) (*operandStage, error) {
+// is held (see get for wait).
+func (m *PrepareMemo) operands(a *Arch, inPMF, wPMF *dist.PMF, wait bool) (*operandStage, error) {
 	inEnc := a.ResolveInputEncoding(inPMF.Min() < 0)
 	wEnc := a.ResolveWeightEncoding()
 	k := memoKey{kind: operandEntry, digest: operandKey(a, inEnc, wEnc, inPMF, wPMF)}
-	e, err := m.get(k, func(e *memoEntry) (err error) {
+	e, err := m.get(k, wait, func(e *memoEntry) (err error) {
 		e.ops, err = prepareOperands(a, inEnc, wEnc, inPMF, wPMF)
 		return err
 	})
-	return e.ops, err
+	if err != nil {
+		return nil, err
+	}
+	return e.ops, nil
 }
 
 // sum returns SumNCapped(ops.cell, depth, columnSumCap).Rebin(512),
-// computing it at most once while its entry is held.
-func (m *PrepareMemo) sum(ops *operandStage, depth int64) (*dist.PMF, error) {
+// computing it at most once while its entry is held (see get for wait).
+func (m *PrepareMemo) sum(ops *operandStage, depth int64, wait bool) (*dist.PMF, error) {
 	k := memoKey{kind: sumEntry, digest: ops.cellKey, depth: depth}
-	e, err := m.get(k, func(e *memoEntry) error {
-		s, err := dist.SumNCapped(ops.cell, int(depth), columnSumCap)
-		if err != nil {
-			return err
-		}
-		e.sum = s.Rebin(512).Compact()
-		return nil
+	e, err := m.get(k, wait, func(e *memoEntry) (err error) {
+		e.sum, err = columnSum(ops.cell, depth)
+		return err
 	})
-	return e.sum, err
+	if err != nil {
+		return nil, err
+	}
+	return e.sum, nil
+}
+
+// columnSum computes a column-sum entry: SumNCapped(cell, depth,
+// columnSumCap).Rebin(512), at exact length.
+func columnSum(cell *dist.PMF, depth int64) (*dist.PMF, error) {
+	s, err := dist.SumNCapped(cell, int(depth), columnSumCap)
+	if err != nil {
+		return nil, err
+	}
+	return s.Rebin(512).Compact(), nil
 }
 
 func (e *memoEntry) unlink() {

@@ -3,12 +3,14 @@ package core_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -447,4 +449,71 @@ func TestPrepareMemoDropsFailures(t *testing.T) {
 	if operands, _ := memo.Kinds(); operands != 1 {
 		t.Fatalf("memo holds %d operand stages after one valid preparation, want 1", operands)
 	}
+}
+
+// TestTryPrepareLayerBusy: while another goroutine fills a column sum a
+// layer needs, TryPrepareLayer returns ErrPrepareBusy without counting a
+// sum lookup, and PrepareLayer waits for the fill. Both then return the
+// context a lone PrepareLayer prepares.
+func TestTryPrepareLayerBusy(t *testing.T) {
+	arch, err := macros.ByName("base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := workload.ResNet18().Layers[0]
+	want := contextDigest(t, eng, l)
+
+	memo := core.NewPrepareMemo(0)
+	shared := eng.WithPrepareMemo(memo)
+	release, err := shared.HoldSums(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, before := memo.Stats()
+	if _, err := shared.TryPrepareLayer(l); !errors.Is(err, core.ErrPrepareBusy) {
+		t.Fatalf("TryPrepareLayer while a sum is filled elsewhere: err = %v, want ErrPrepareBusy", err)
+	}
+	if _, after := memo.Stats(); after != before {
+		t.Fatalf("a busy preparation counted sum lookups: %+v, then %+v", before, after)
+	}
+
+	waited := make(chan *core.LayerContext)
+	go func() {
+		ctx, err := shared.PrepareLayer(l)
+		if err != nil {
+			t.Error(err)
+		}
+		waited <- ctx
+	}()
+	select {
+	case <-waited:
+		t.Fatal("PrepareLayer returned while the sums it needs were being filled")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	ctx := <-waited
+	if ctx == nil {
+		t.FailNow()
+	}
+	for what, ctx := range map[string]*core.LayerContext{"waiting": ctx, "no-wait": mustTry(t, shared, l)} {
+		h := sha256.New()
+		writeContext(h, ctx.Export())
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Fatalf("%s preparation: context digest %s, a lone PrepareLayer's %s", what, got, want)
+		}
+	}
+}
+
+// mustTry returns TryPrepareLayer's context, failing the test on error.
+func mustTry(t *testing.T, eng *core.Engine, l workload.Layer) *core.LayerContext {
+	t.Helper()
+	ctx, err := eng.TryPrepareLayer(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctx
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 
 	"repro/internal/circuits"
@@ -59,6 +60,25 @@ type LayerContext struct {
 // operand PMFs → encoding → slicing → per-component average energy per
 // action. Operand PMFs are synthesized from the layer's statistics.
 func (e *Engine) PrepareLayer(l workload.Layer) (*LayerContext, error) {
+	return e.prepareLayer(l, true)
+}
+
+// ErrPrepareBusy is TryPrepareLayer's refusal to wait: a memo entry the
+// preparation needs is being filled by another goroutine.
+var ErrPrepareBusy = errors.New("core: layer preparation needs a memo entry another goroutine is filling")
+
+// TryPrepareLayer is PrepareLayer that never waits on another
+// goroutine's fill of the engine's PrepareMemo: where PrepareLayer would
+// block on an operand stage or column sum being computed elsewhere, it
+// returns ErrPrepareBusy, having filled whatever entries it reached
+// first. A caller with other work (the next layer of a network) can do
+// that and come back with PrepareLayer, which then finds the entry
+// filled. The context it returns is the one PrepareLayer would.
+func (e *Engine) TryPrepareLayer(l workload.Layer) (*LayerContext, error) {
+	return e.prepareLayer(l, false)
+}
+
+func (e *Engine) prepareLayer(l workload.Layer, wait bool) (*LayerContext, error) {
 	inPMF, err := l.InputPMF(e.arch.InputBits)
 	if err != nil {
 		return nil, err
@@ -67,7 +87,7 @@ func (e *Engine) PrepareLayer(l workload.Layer) (*LayerContext, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.PrepareLayerWithPMFs(l, inPMF, wPMF)
+	return e.prepareWithPMFs(l, inPMF, wPMF, wait)
 }
 
 // PrepareLayerWithPMFs is PrepareLayer with caller-supplied operand
@@ -83,6 +103,12 @@ func (e *Engine) PrepareLayer(l workload.Layer) (*LayerContext, error) {
 // precisions and the exact operand PMFs, so architectures that agree on
 // those share it; contexts share the memoized PMFs, never copies.
 func (e *Engine) PrepareLayerWithPMFs(l workload.Layer, inPMF, wPMF *dist.PMF) (*LayerContext, error) {
+	return e.prepareWithPMFs(l, inPMF, wPMF, true)
+}
+
+// prepareWithPMFs is PrepareLayerWithPMFs, or TryPrepareLayer's variant
+// of it when !wait.
+func (e *Engine) prepareWithPMFs(l workload.Layer, inPMF, wPMF *dist.PMF, wait bool) (*LayerContext, error) {
 	sliced, err := e.arch.SlicedEinsum(l.Op)
 	if err != nil {
 		return nil, err
@@ -91,7 +117,7 @@ func (e *Engine) PrepareLayerWithPMFs(l workload.Layer, inPMF, wPMF *dist.PMF) (
 	if memo == nil {
 		memo = NewPrepareMemo(0)
 	}
-	ops, err := memo.operands(e.arch, inPMF, wPMF)
+	ops, err := memo.operands(e.arch, inPMF, wPMF, wait)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +132,7 @@ func (e *Engine) PrepareLayerWithPMFs(l workload.Layer, inPMF, wPMF *dist.PMF) (
 
 	// Step 3: per-component average energies.
 	ctx.energies = make([]kindEnergies, len(e.bindings))
-	sums := layerSums{memo: memo, ops: ops}
+	sums := layerSums{memo: memo, ops: ops, wait: wait}
 	for i := range e.bindings {
 		b := &e.bindings[i]
 		m, err := e.levelEnergies(b, ctx, &sums)
@@ -202,10 +228,12 @@ func encodeAverageRail(name string, bits int, p *dist.PMF) (*dist.PMF, int, erro
 const maxColumnDepth = 65536
 
 // layerSums is one layer preparation's handle on a memo's column sums:
-// the memo and the layer's operand stage, whose cell product is summed.
+// the memo, the layer's operand stage, whose cell product is summed, and
+// whether a sum another goroutine is filling is waited for.
 type layerSums struct {
 	memo *PrepareMemo
 	ops  *operandStage
+	wait bool
 }
 
 // columnSumPMF synthesizes the distribution of the analog sum arriving at
@@ -220,7 +248,7 @@ type layerSums struct {
 // else one local to the PrepareLayer call.
 func (e *Engine) columnSumPMF(b int, s *layerSums) (*dist.PMF, error) {
 	depth := min(e.arch.reductionDepthBelow(b), maxColumnDepth)
-	return s.memo.sum(s.ops, depth)
+	return s.memo.sum(s.ops, depth, s.wait)
 }
 
 // quantizePMFTo rescales a non-negative value PMF onto [0, 2^bits-1]

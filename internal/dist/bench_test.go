@@ -46,11 +46,12 @@ func BenchmarkConv(b *testing.B) {
 // runs per reduction depth: a cell-product PMF summed and capped at 256.
 // The integer cells (a 2-bit input times a 4-bit weight, and macro A's
 // 1-bit by 1-bit cell) stay on the integers, on the dense path. The
-// 1-bit by 8-bit cells, rebinned to 128 points as PrepareLayer rebins
-// them, have non-integer support and take the rebinning sort path, whose
-// doublings walk half of each self-convolution: macro C's cell with a
-// uniform weight, where most sums collide, and with a bell-shaped
-// weight, the realistic shape with few collisions.
+// 1-bit by 8-bit cells are integer products too, multiplied on the dense
+// path, but rebinned to 128 points as PrepareLayer rebins them they have
+// non-integer support and take the rebinning sort path, whose doublings
+// walk half of each self-convolution: macro C's cell with a uniform
+// weight, where most sums collide, and with a bell-shaped weight, the
+// realistic shape with few collisions.
 func BenchmarkSumNCapped(b *testing.B) {
 	bit, _ := UniformInts(0, 1)
 	in, _ := UniformInts(0, 3)
@@ -83,7 +84,8 @@ func BenchmarkSumNCapped(b *testing.B) {
 }
 
 // BenchmarkMul measures the product of an unsigned and a signed 8-bit
-// operand PMF rebinned to 256 points, as workload.OutputPMF runs it.
+// operand PMF rebinned to 256 points, as workload.OutputPMF runs it: the
+// dense path over 16 windows of its 65,026-value span.
 func BenchmarkMul(b *testing.B) {
 	in, _ := UniformInts(0, 255)
 	w, _ := UniformInts(-128, 127)

@@ -14,12 +14,14 @@ import (
 // It has two paths to that output.
 //
 // The dense path takes integer operands whose results span at most
-// latticeSpan values (the column sums of CiM arrays with few-bit cells,
-// and few-bit slice products). Every sum or product is then an exact
-// integer, so each atom's mass is added into a value-indexed array in
-// (i, j) order, the order the map adds it in; the sign of the last
-// zero-valued atom is the sign of the map's ±0 key. The positive-mass
-// slots are read out in value order and folded as Rebin folds them.
+// latticeMax values: the column sums of CiM arrays with few-bit cells,
+// and the slice products of any width up to 8 bits by 8 bits. Every sum
+// or product is then an exact integer, so each atom's mass is added into
+// a value-indexed array, one window of at most latticeSpan values at a
+// time (combineDense). Each slot receives its atoms in (i, j) order, the
+// order the map adds them in; the sign of the last zero-valued atom is
+// the sign of the map's ±0 key. The positive-mass slots are read out in
+// value order and folded as Rebin folds them.
 //
 // The sort path takes everything else. a and b are sorted, so each row
 // a_i⊕b_j is monotone in j (X+Y, or X·Y with a_i ≥ 0; rows with a_i < 0
@@ -41,10 +43,11 @@ import (
 // map's summation order and the sign of its ±0 key.
 
 // latticeMax bounds the magnitude of the integer atoms the dense path
-// takes, so that every sum and product of two is an exact float64.
-// latticeSpan bounds its accumulator: an 8-bit product (span 65026) takes
-// the sort path, as an accumulator that size costs more memory than the
-// sort saves time.
+// takes, so that every sum and product of two is an exact float64, and
+// the span of its results, which bounds the windows it walks.
+// latticeSpan is its window: the accumulator it adds masses into holds
+// at most that many values, whatever the span (an 8-bit product spans
+// 65,026), so its memory stays small.
 const (
 	latticeMax  = 1 << 26
 	latticeSpan = 4096
@@ -89,8 +92,8 @@ func grow[T any](s []T, n int) []T {
 // combine returns the distribution of a⊕b (a·b when mul, a+b otherwise)
 // rebinned to at most n points; n <= 0 keeps every distinct value.
 func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
-	if lo, span, ok := lattice(a, b, mul); ok {
-		return c.combineDense(a, b, mul, n, lo, span)
+	if first, last, ok := lattice(a, b, mul); ok {
+		return c.combineDense(a, b, mul, n, first, last)
 	}
 	op := func(x, y float64) float64 {
 		if mul {
@@ -104,27 +107,7 @@ func (c *combiner) combine(a, b []Point, mul bool, n int) *PMF {
 	m := len(b)
 	half := halfWalk(a, b, mul)
 
-	// The support bounds come from atoms with positive mass only: a
-	// map accumulator drops sums whose mass underflows to zero.
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, pa := range a {
-		first, last, step := 0, m-1, 1
-		if backward(i) {
-			first, last, step = m-1, 0, -1
-		}
-		for j := first; j != last+step; j += step {
-			if pa.Prob*b[j].Prob > 0 {
-				lo = min(lo, op(pa.Value, b[j].Value))
-				break
-			}
-		}
-		for j := last; j != first-step; j -= step {
-			if pa.Prob*b[j].Prob > 0 {
-				hi = max(hi, op(pa.Value, b[j].Value))
-				break
-			}
-		}
-	}
+	lo, hi := support(a, b, mul)
 	if lo > hi {
 		return &PMF{pts: []Point{}}
 	}
@@ -357,111 +340,331 @@ func integers(pts []Point) bool {
 }
 
 // lattice reports whether a⊕b takes the dense path: both operands are
-// integer atoms and the results span at most latticeSpan values, lo the
-// smallest.
-func lattice(a, b []Point, mul bool) (lo float64, span int, ok bool) {
+// non-empty and hold integer atoms only, and the results span at most
+// latticeMax values, first to last, which bounds the windows the dense
+// path walks.
+func lattice(a, b []Point, mul bool) (first, last float64, ok bool) {
 	if len(a) == 0 || len(b) == 0 || !integers(a) || !integers(b) {
 		return 0, 0, false
 	}
 	a0, a1, b0, b1 := a[0].Value, a[len(a)-1].Value, b[0].Value, b[len(b)-1].Value
-	lo, hi := a0+b0, a1+b1
+	first, last = a0+b0, a1+b1
 	if mul {
 		// A product's extremes over the rectangle are at its corners.
-		lo = min(a0*b0, a0*b1, a1*b0, a1*b1)
-		hi = max(a0*b0, a0*b1, a1*b0, a1*b1)
+		first = min(a0*b0, a0*b1, a1*b0, a1*b1)
+		last = max(a0*b0, a0*b1, a1*b0, a1*b1)
 	}
-	if hi-lo >= latticeSpan {
-		return 0, 0, false
-	}
-	return lo, int(hi-lo) + 1, true
+	return first, last, last-first < latticeMax
 }
 
-// combineDense is combine's dense path for the operands lattice accepts:
-// results lie in lo, lo+1, ..., lo+span-1.
-func (c *combiner) combineDense(a, b []Point, mul bool, n int, lo float64, span int) *PMF {
-	acc := grow(c.dense, span)
+// apply returns x·y when mul, x+y otherwise.
+func apply(x, y float64, mul bool) float64 {
+	if mul {
+		return x * y
+	}
+	return x + y
+}
+
+// support returns the smallest and largest values of a⊕b among atoms
+// with positive mass, lo > hi when there are none: a map accumulator
+// drops sums whose mass underflows to zero. b is sorted, so each row's
+// extremes are its first and last atoms of positive mass, walked from
+// the end of b for a product row with a_i < 0.
+func support(a, b []Point, mul bool) (lo, hi float64) {
+	m := len(b)
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, pa := range a {
+		first, last, step := 0, m-1, 1
+		if mul && pa.Value < 0 {
+			first, last, step = m-1, 0, -1
+		}
+		for j := first; j != last+step; j += step {
+			if pa.Prob*b[j].Prob > 0 {
+				lo = min(lo, apply(pa.Value, b[j].Value, mul))
+				break
+			}
+		}
+		for j := last; j != first-step; j -= step {
+			if pa.Prob*b[j].Prob > 0 {
+				hi = max(hi, apply(pa.Value, b[j].Value, mul))
+				break
+			}
+		}
+	}
+	return lo, hi
+}
+
+// combineDense is combine's dense path for the operands lattice accepts,
+// whose results lie in first..last. Every sum or product is an exact
+// integer, so each atom's mass is added into the slot of its value, one
+// window of at most latticeSpan consecutive values at a time. When one
+// window holds every result, the atoms are added in (i, j) order
+// (mulRows, addRows). Otherwise each row of a keeps a cursor into b,
+// walked in increasing value (from the end of b for a product row with
+// a_i < 0), and each window starts at the smallest value no row has
+// consumed yet, so windows that would hold no atom are skipped
+// (walkWindows). Within a window the rows are walked in increasing i,
+// and a row puts at most one atom in a slot — b's values are distinct —
+// except a product row with a_i = 0, whose atoms all land in the zero
+// slot in increasing j. Either way every slot receives its atoms in
+// (i, j) order, the order the map adds them in, and the sign of the last
+// zero-valued atom is the sign of the map's ±0 key. A window's
+// positive-mass slots are read out in value order and folded as Rebin
+// folds them (denseFold).
+func (c *combiner) combineDense(a, b []Point, mul bool, n int, first, last float64) *PMF {
+	lo, hi := support(a, b, mul)
+	if lo > hi {
+		return &PMF{pts: []Point{}}
+	}
+	f := denseFold{n: n, lo: lo, next: math.Inf(-1), exact: c.exact[:0], binned: c.binned[:0]}
+	if n > 0 {
+		f.width = (hi - lo) / float64(n)
+	}
+	// The accumulator spans the results, up to one window.
+	acc := grow(c.dense, int(min(last-first+1, latticeSpan)))
 	clear(acc)
 	c.dense = acc
+	if n > 0 {
+		f.exact = slices.Grow(f.exact, min(n, len(acc)))
+	}
+	if len(acc) == int(last-first+1) {
+		// One window holds every result.
+		var negZero bool
+		if mul {
+			negZero = mulRows(a, b, acc, first)
+		} else {
+			negZero = c.addRows(a, b, acc)
+		}
+		zero := 0.0
+		if negZero {
+			zero = math.Copysign(0, -1)
+		}
+		f.drain(acc, first, zero)
+	} else {
+		c.walkWindows(a, b, mul, acc, &f)
+	}
+	out := f.points()
+	c.exact, c.binned = f.exact, f.binned
+	return &PMF{pts: slices.Clone(out)}
+}
+
+// mulRows adds every atom of a·b into acc, whose slot 0 holds the value
+// first and which spans every product, in (i, j) order, and reports
+// whether the last zero-valued atom is -0.
+func mulRows(a, b []Point, acc []float64, first float64) (negZero bool) {
+	for _, pa := range a {
+		for _, pb := range b {
+			v := pa.Value * pb.Value
+			if v == 0 {
+				negZero = math.Signbit(v)
+			}
+			acc[int(v-first)] += pa.Prob * pb.Prob
+		}
+	}
+	return negZero
+}
+
+// addRows adds every atom of a+b into acc, whose slot 0 holds the value
+// a_0+b_0 and which spans every sum, and reports whether the last
+// zero-valued atom in (i, j) order is -0. Row i is the run of slots from
+// a_i-a_0, in j order.
+func (c *combiner) addRows(a, b []Point, acc []float64) (negZero bool) {
+	offs := grow(c.offs, len(b))
+	c.offs = offs
+	for j, pb := range b {
+		offs[j] = int(pb.Value - b[0].Value)
+	}
+	contiguous := offs[len(offs)-1] == len(offs)-1
+	zeroSlot := int(-(a[0].Value + b[0].Value))
+	for _, pa := range a {
+		start := int(pa.Value - a[0].Value)
+		row := acc[start:]
+		if contiguous {
+			row = row[:len(b)]
+			for j, pb := range b {
+				row[j] += pa.Prob * pb.Prob
+			}
+		} else {
+			for j, off := range offs {
+				row[off] += pa.Prob * b[j].Prob
+			}
+		}
+		// The row's zero-valued atom, if any, is in slot zeroSlot.
+		if j, ok := slices.BinarySearch(offs, zeroSlot-start); ok {
+			negZero = math.Signbit(pa.Value + b[j].Value)
+		}
+	}
+	return negZero
+}
+
+// walkWindows adds the atoms of a⊕b into acc one window of len(acc)
+// values at a time, starting each window at the smallest value no row
+// has consumed yet, and drains each window into f (see combineDense).
+func (c *combiner) walkWindows(a, b []Point, mul bool, acc []float64, f *denseFold) {
+	m := len(b)
+	c.cursor = grow(c.cursor, len(a))
+	c.nextV = grow(c.nextV, len(a))
+	active := c.active[:0]
+	for i, pa := range a {
+		j := 0
+		if mul && pa.Value < 0 {
+			j = m - 1
+		}
+		c.cursor[i], c.nextV[i] = j, apply(pa.Value, b[j].Value, mul)
+		active = append(active, i)
+	}
 	// A mass that underflowed to zero adds nothing (masses are never
 	// -0), but a zero-valued atom sets the sign of the map's zero key
 	// whatever its mass.
 	negZero := false
-	if mul {
-		for _, pa := range a {
-			for _, pb := range b {
-				v := pa.Value * pb.Value
+	for len(active) > 0 {
+		start := math.Inf(1)
+		for _, i := range active {
+			start = min(start, c.nextV[i])
+		}
+		end := start + float64(len(acc))
+		top := 0
+		kept := active[:0]
+		for _, i := range active {
+			pa, j, v := a[i], c.cursor[i], c.nextV[i]
+			step := 1
+			if mul && pa.Value < 0 {
+				step = -1
+			}
+			for v < end {
+				k := int(v - start)
+				acc[k] += pa.Prob * b[j].Prob
+				top = max(top, k)
 				if v == 0 {
 					negZero = math.Signbit(v)
 				}
-				acc[int(v-lo)] += pa.Prob * pb.Prob
-			}
-		}
-	} else {
-		// a_i+b_j is slot (a_i-a_0)+(b_j-b_0), as lo is a_0+b_0.
-		offs := grow(c.offs, len(b))
-		c.offs = offs
-		for j, pb := range b {
-			offs[j] = int(pb.Value - b[0].Value)
-		}
-		contiguous := offs[len(offs)-1] == len(offs)-1
-		zeroSlot := int(-lo)
-		for _, pa := range a {
-			start := int(pa.Value - a[0].Value)
-			row := acc[start:]
-			if contiguous {
-				row = row[:len(b)]
-				for j, pb := range b {
-					row[j] += pa.Prob * pb.Prob
+				if j += step; j < 0 || j == m {
+					break
 				}
-			} else {
-				for j, off := range offs {
-					row[off] += pa.Prob * b[j].Prob
-				}
+				v = apply(pa.Value, b[j].Value, mul)
 			}
-			// The row's zero-valued atom, if any, is in slot zeroSlot.
-			if j, ok := slices.BinarySearch(offs, zeroSlot-start); ok {
-				negZero = math.Signbit(pa.Value + b[j].Value)
+			if j >= 0 && j < m {
+				c.cursor[i], c.nextV[i] = j, v
+				kept = append(kept, i)
 			}
 		}
-	}
-	zero := 0.0
-	if negZero {
-		zero = math.Copysign(0, -1)
-	}
-	exact := c.exact[:0]
-	for k, p := range acc {
-		if p > 0 {
-			v := lo + float64(k)
-			if v == 0 {
-				v = zero
-			}
-			exact = append(exact, Point{Value: v, Prob: p})
+		active = kept
+		zero := 0.0
+		if negZero {
+			zero = math.Copysign(0, -1)
 		}
+		f.drain(acc[:top+1], start, zero)
 	}
-	c.exact = exact
-	out := exact
-	if n > 0 && len(exact) > n {
-		first := exact[0].Value
-		if width := (exact[len(exact)-1].Value - first) / float64(n); width > 0 {
-			// Rebin's bins, folded in value order: its bin index is
-			// monotone in the value, so each bin is one run of atoms.
-			binned := c.binned[:0]
-			k, mass, moment := -1, 0.0, 0.0
-			for _, pt := range exact {
-				if i := min(int((pt.Value-first)/width), n-1); i != k {
-					if k >= 0 {
-						binned = append(binned, Point{Value: moment / mass, Prob: mass})
-					}
-					k, mass, moment = i, 0, 0
-				}
-				mass += pt.Prob
-				moment += pt.Prob * pt.Value
-			}
-			binned = append(binned, Point{Value: moment / mass, Prob: mass})
-			c.binned, out = binned, binned
+	c.active = active
+}
+
+// denseFold folds the dense path's distinct results, visited in value
+// order, as Rebin(n) folds them: while there are at most n, every one is
+// kept exact; past n, each is folded into its bin of width (hi-lo)/n,
+// where lo and hi are the support's extremes (Rebin's Min and Max).
+// Rebin's bin index is monotone in the value, so each bin is one run of
+// results.
+type denseFold struct {
+	n, distinct  int
+	lo, width    float64
+	next         float64 // the smallest integer past the bin being folded
+	mass, moment float64 // of the bin being folded
+	exact        []Point
+	binned       []Point
+}
+
+// drain reads the positive-mass slots of acc, slot k holding the value
+// start+k and a zero-valued one the map key zero, into f in value order,
+// and clears acc for the next window.
+func (f *denseFold) drain(acc []float64, start, zero float64) {
+	binning := f.width > 0
+	k := 0
+	for ; k < len(acc) && (!binning || f.distinct <= f.n); k++ {
+		p := acc[k]
+		if !(p > 0) {
+			continue
 		}
+		v := start + float64(k)
+		if v == 0 {
+			v = zero
+		}
+		if f.distinct++; !binning || f.distinct <= f.n {
+			f.exact = append(f.exact, Point{Value: v, Prob: p})
+			continue
+		}
+		// The first result past n: the exact ones are folded before it.
+		f.binned = slices.Grow(f.binned, f.n)
+		for _, pt := range f.exact {
+			f.fold(pt.Value, pt.Prob)
+		}
+		f.fold(v, p)
 	}
-	return &PMF{pts: slices.Clone(out)}
+	// Past n results only the bins are kept. A slot of zero mass adds
+	// nothing to its bin, whose moment is never -0, so every slot is
+	// folded without a test on its mass.
+	mass, moment := f.mass, f.moment
+	for ; k < len(acc); k++ {
+		p, v := acc[k], start+float64(k)
+		if v >= f.next && p > 0 {
+			f.mass, f.moment = mass, moment
+			f.open(v)
+			mass, moment = 0, 0
+		}
+		mass += p
+		moment += p * v
+	}
+	f.mass, f.moment = mass, moment
+	clear(acc)
+}
+
+// fold adds a result of positive mass to its bin, first opening that bin
+// when v lies past the one being folded.
+func (f *denseFold) fold(v, p float64) {
+	if v >= f.next {
+		f.open(v)
+	}
+	f.mass += p
+	f.moment += p * v
+}
+
+// open appends the bin being folded, if it holds any mass, and starts
+// folding v's bin.
+func (f *denseFold) open(v float64) {
+	if f.mass > 0 {
+		f.binned = append(f.binned, Point{Value: f.moment / f.mass, Prob: f.mass})
+	}
+	f.mass, f.moment = 0, 0
+	f.next = f.upper(f.bin(v))
+}
+
+// bin is Rebin's bin index of v.
+func (f *denseFold) bin(v float64) int {
+	return min(int((v-f.lo)/f.width), f.n-1)
+}
+
+// upper returns the smallest integer in a bin after bin k, +Inf for the
+// last bin. The estimate lo+(k+1)·width is within rounding of it.
+func (f *denseFold) upper(k int) float64 {
+	if k == f.n-1 {
+		return math.Inf(1)
+	}
+	t := math.Ceil(f.lo + float64(k+1)*f.width)
+	for f.bin(t) <= k {
+		t++
+	}
+	for f.bin(t-1) > k {
+		t--
+	}
+	return t
+}
+
+// points returns the folded distribution: the exact results, or the bins
+// when there were more than n.
+func (f *denseFold) points() []Point {
+	if f.width > 0 && f.distinct > f.n {
+		return append(f.binned, Point{Value: f.moment / f.mass, Prob: f.mass})
+	}
+	return f.exact
 }
 
 // orderedKey maps a float64 to a uint64 whose unsigned order is the

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 // The map-based reference the combine kernel replaces: every product
@@ -381,9 +382,8 @@ func TestSumNMatchesOracle(t *testing.T) {
 }
 
 // randomLatticePMF draws a PMF of up to maxLen integer atoms, signed or
-// not, narrow enough that most products fit the dense path. Zero is
-// sometimes -0, and some masses are small enough that products of two
-// underflow or are subnormal.
+// not, up to 8 bits wide. Zero is sometimes -0, and some masses are small
+// enough that products of two underflow or are subnormal.
 func randomLatticePMF(t testing.TB, rng *rand.Rand, maxLen int) *PMF {
 	m := []int{1, 3, 15, 40, 255}[rng.Intn(5)]
 	lo := 0
@@ -407,10 +407,11 @@ func randomLatticePMF(t testing.TB, rng *rand.Rand, maxLen int) *PMF {
 }
 
 // TestCombineMatchesOracleLattice compares the kernel with the oracle bit
-// for bit on integer operands, most of which take the dense path.
+// for bit on integer operands, which all take the dense path; the 8-bit
+// products among them walk several windows.
 func TestCombineMatchesOracleLattice(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	cases, dense := 0, 0
+	cases, dense, wide := 0, 0, 0
 	for iter := 0; iter < 600; iter++ {
 		a, b := randomLatticePMF(t, rng, 64), randomLatticePMF(t, rng, 64)
 		for _, n := range []int{0, 1, 2, 16, 128, 512, 4096} {
@@ -418,13 +419,104 @@ func TestCombineMatchesOracleLattice(t *testing.T) {
 				if _, _, ok := lattice(a.pts, b.pts, mul); ok {
 					dense++
 				}
+				if windowed(a, b, mul) {
+					wide++
+				}
 				cases++
 				checkCombine(t, fmt.Sprintf("lattice %d mul=%v n=%d", iter, mul, n), a, b, mul, n)
 			}
 		}
 	}
-	if 4*dense < 3*cases {
+	if dense < cases {
 		t.Fatalf("only %d of %d cases took the dense path", dense, cases)
+	}
+	if 20*wide < cases {
+		t.Fatalf("only %d of %d cases walked more than one window", wide, cases)
+	}
+}
+
+// windowed reports whether a⊕b takes the dense path over more than one
+// window.
+func windowed(a, b *PMF, mul bool) bool {
+	first, last, ok := lattice(a.pts, b.pts, mul)
+	return ok && last-first >= latticeSpan
+}
+
+// TestCombineMatchesOracleWindowed compares the kernel with the oracle bit
+// for bit on integer operands whose results span several windows: the
+// 8-bit slice products PrepareLayer and workload.OutputPMF multiply, with
+// uniform and bell-shaped masses, and wide sums, one of them over a
+// non-contiguous support.
+func TestCombineMatchesOracleWindowed(t *testing.T) {
+	u8, _ := UniformInts(0, 255)
+	s8, _ := UniformInts(-128, 127)
+	bellU8, bellS8 := bellInts(t, 0, 255), bellInts(t, -128, 127)
+	wide, _ := UniformInts(-1000, 3050)
+	narrow, _ := UniformInts(0, 100)
+	rng := rand.New(rand.NewSource(4))
+	sparse := make([]Point, 300)
+	for i := range sparse {
+		sparse[i] = Point{Value: float64(rng.Intn(12000) - 6000), Prob: rng.Float64() + 1e-3}
+	}
+	gappy := mustPoints(t, sparse)
+	cases := []struct {
+		name string
+		a, b *PMF
+		mul  bool
+	}{
+		{"u8*u8", u8, u8, true},
+		{"u8*s8", u8, s8, true},
+		{"s8*u8", s8, u8, true},
+		{"s8*s8", s8, s8, true},
+		{"bell u8*s8", bellU8, bellS8, true},
+		{"bell s8*s8", bellS8, bellS8, true},
+		{"wide+narrow", wide, narrow, false},
+		{"gappy+narrow", gappy, narrow, false},
+		{"gappy+gappy", gappy, gappy, false},
+	}
+	for _, c := range cases {
+		if !windowed(c.a, c.b, c.mul) {
+			t.Fatalf("%s: does not take the windowed dense path", c.name)
+		}
+		for _, n := range []int{0, 256, 512} {
+			checkCombine(t, fmt.Sprintf("%s n=%d", c.name, n), c.a, c.b, c.mul, n)
+		}
+	}
+}
+
+// TestCombineSparseWideProduct: products of 256 integers around ±10^5
+// span about 4·10^10 values, and around ±5·10^3 about 5·10^7, but hold
+// only 256² atoms. The first span is past latticeMax, so it takes the sort
+// path; the second takes the dense path, which skips the windows that
+// would hold no atom. Both match the oracle in about the time of any
+// other product of that size.
+func TestCombineSparseWideProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	draw := func(m int) *PMF {
+		pts := make([]Point, 256)
+		for i := range pts {
+			pts[i] = Point{Value: float64(rng.Intn(2*m+1) - m), Prob: rng.Float64() + 1e-3}
+		}
+		return mustPoints(t, pts)
+	}
+	for _, c := range []struct {
+		m     int
+		dense bool
+	}{{100000, false}, {5000, true}} {
+		a, b := draw(c.m), draw(c.m)
+		if _, _, ok := lattice(a.pts, b.pts, true); ok != c.dense || c.dense && !windowed(a, b, true) {
+			t.Fatalf("±%d: dense path %v, want %v over several windows", c.m, ok, c.dense)
+		}
+		for _, n := range []int{0, 512} {
+			start := time.Now()
+			var cb combiner
+			got := cb.combine(a.pts, b.pts, true, n)
+			// Walking every window of the span would take minutes.
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("±%d n=%d: took %v", c.m, n, d)
+			}
+			sameBits(t, fmt.Sprintf("±%d n=%d", c.m, n), got, oracleCombine(a, b, true, n))
+		}
 	}
 }
 

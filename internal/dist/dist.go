@@ -12,12 +12,14 @@
 // concurrent sweeps (package serve).
 //
 // Mul and the convolutions of SumN share one combine kernel (combine.go)
-// with two paths: a dense array for integer operands whose results span
-// few values, and a sorting walk over the output bins for the rest, which
-// walks only half of a self-convolution. Both are bit-identical to accumulating the products in a map and calling
-// Rebin, which the tests keep as an oracle. SumNCapped keeps integer sums
-// on the integers under an integer cap (see there), and so computes the
-// exact capped distribution where rebinning each step would not.
+// with two paths: a dense array for integer operands, 8-bit slice
+// products included, filled one window of values at a time, and a
+// sorting walk over the output bins for the rest, which walks only half
+// of a self-convolution. Both are bit-identical to accumulating the
+// products in a map and calling Rebin, which the tests keep as an
+// oracle. SumNCapped keeps integer sums on the integers under an integer
+// cap (see there), and so computes the exact capped distribution where
+// rebinning each step would not.
 package dist
 
 import (
@@ -327,9 +329,11 @@ func SumN(p *PMF, n int) (*PMF, error) {
 // summed under an integer cap of at most 512 stays on the integers: each
 // doubling is convolved exactly, at most 2·cap+1 points, and the overflow
 // is folded into the cap, so the result is the exact capped distribution
-// up to rounding. Every other input is rebinned to 512 points per step,
-// on combine's sort path; each doubling there is a self-convolution, of
-// which the kernel walks only half (combine.go).
+// up to rounding. Every other input is rebinned to 512 points per step:
+// an integer input on combine's dense path until its first rebin moves
+// it off the integers, and on the sort path from then on, where each
+// doubling is a self-convolution of which the kernel walks only half
+// (combine.go).
 func SumNCapped(p *PMF, n int, ceiling float64) (*PMF, error) {
 	if ceiling <= 0 || math.IsNaN(ceiling) {
 		return nil, fmt.Errorf("dist: sum cap %g must be positive", ceiling)

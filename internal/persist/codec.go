@@ -31,7 +31,10 @@ func EncodeEngine(e *core.Engine) ([]byte, error) {
 
 // DecodeEngine rebuilds a compiled engine from an EncodeEngine payload by
 // recompiling the architecture (microseconds; the expensive per-layer
-// pipeline lives in layer contexts, not engines).
+// pipeline lives in layer contexts, not engines). A serving warm start
+// does not call it: it builds a restored engine from the architecture of
+// the first request that needs it, whose fingerprint is the record's key,
+// which is cheaper than decoding this JSON.
 func DecodeEngine(payload []byte) (*core.Engine, error) {
 	var arch core.Arch
 	if err := json.Unmarshal(payload, &arch); err != nil {

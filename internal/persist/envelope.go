@@ -104,6 +104,7 @@ func EncodeRecord(r Record) ([]byte, error) {
 // DecodeRecord parses an envelope, verifying structure and checksum. It
 // returns ErrVersion for well-formed envelopes of another format version
 // and ErrCorrupt for everything unparseable; both mean "skip and delete".
+// The record's Payload is a slice of data, not a copy.
 func DecodeRecord(data []byte) (Record, error) {
 	if len(data) < envelopeOverhead {
 		return Record{}, fmt.Errorf("%w: %d bytes is shorter than the envelope", ErrCorrupt, len(data))
@@ -141,6 +142,6 @@ func DecodeRecord(data []byte) (Record, error) {
 	if payloadLen != rest-keyLen {
 		return Record{}, fmt.Errorf("%w: payload length %d does not match record size", ErrCorrupt, payloadLen)
 	}
-	r.Payload = append([]byte(nil), data[off+4:off+4+payloadLen]...)
+	r.Payload = data[off+4 : off+4+payloadLen : off+4+payloadLen]
 	return r, nil
 }

@@ -289,6 +289,11 @@ func (s *Store) syncDir() {
 // from a bad entry is recomputation, and keeping the file would re-fail
 // every boot. Scan itself fails only when the directory is unreadable.
 func (s *Store) Scan(workers int, fn func(Record) error) (ScanStats, error) {
+	return s.scan(workers, func(_ string, rec Record) error { return fn(rec) })
+}
+
+// scan is Scan with a callback that also receives the record's file name.
+func (s *Store) scan(workers int, fn func(name string, rec Record) error) (ScanStats, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return ScanStats{}, fmt.Errorf("persist: %w", err)
@@ -336,29 +341,38 @@ func (s *Store) Scan(workers int, fn func(Record) error) (ScanStats, error) {
 }
 
 // ScanOrdered is Scan with a cost-ordered admission pass: files are read
-// and decoded across at most workers goroutines, then fn is called
-// serially in descending CostSec order (ties broken by key, ascending,
-// so the order is deterministic). Use it for boot warm-starts feeding a
+// and their envelopes decoded across at most workers goroutines, which
+// also run prepare on each record (decoding and verifying its payload,
+// say); then admit is called serially with each prepared value, in
+// descending CostSec order (ties broken by key, ascending, so the order
+// is deterministic). The Record admit receives carries no Payload: the
+// prepared value replaces it. Use it for boot warm-starts feeding a
 // budgeted cache: the most expensive compiles are admitted first, so if
 // the cache cannot hold everything it keeps the records that are
-// costliest to recompute. A record that fails to decode — or that fn
-// refuses — is counted as skipped and its file deleted, exactly like
-// Scan.
-func (s *Store) ScanOrdered(workers int, fn func(Record) error) (ScanStats, error) {
-	type loaded struct {
+// costliest to recompute. A record that fails to decode — or that
+// prepare or admit refuses — is counted as skipped and its file deleted,
+// exactly like Scan.
+func (s *Store) ScanOrdered(workers int, prepare func(Record) (any, error), admit func(Record, any) error) (ScanStats, error) {
+	type prepared struct {
 		name string
 		rec  Record
+		val  any
 	}
 	var (
 		mu   sync.Mutex
-		recs []loaded
+		recs []prepared
 	)
-	// Collect pass: reuse Scan's fan-out with a callback that only
-	// accumulates, so the parallel half (read + decode + checksum) is
-	// shared and only admission is serialized.
-	stats, err := s.Scan(workers, func(rec Record) error {
+	// Collect pass: reuse Scan's fan-out with a callback that prepares
+	// and accumulates, so the parallel half (read + decode + checksum +
+	// prepare) is shared and only admission is serialized.
+	stats, err := s.scan(workers, func(name string, rec Record) error {
+		val, err := prepare(rec)
+		if err != nil {
+			return err
+		}
+		rec.Payload = nil
 		mu.Lock()
-		recs = append(recs, loaded{name: s.fileName(rec.Kind, rec.Key), rec: rec})
+		recs = append(recs, prepared{name: name, rec: rec, val: val})
 		mu.Unlock()
 		return nil
 	})
@@ -371,9 +385,9 @@ func (s *Store) ScanOrdered(workers int, fn func(Record) error) (ScanStats, erro
 		}
 		return recs[i].rec.Key < recs[j].rec.Key
 	})
-	for _, l := range recs {
-		if ferr := fn(l.rec); ferr != nil {
-			os.Remove(l.name)
+	for _, p := range recs {
+		if ferr := admit(p.rec, p.val); ferr != nil {
+			os.Remove(p.name)
 			stats.Loaded--
 			stats.Skipped++
 		}
@@ -383,12 +397,12 @@ func (s *Store) ScanOrdered(workers int, fn func(Record) error) (ScanStats, erro
 
 // loadOne reads, decodes, and hands one file to the callback, deleting it
 // on any failure.
-func (s *Store) loadOne(name string, fn func(Record) error) bool {
+func (s *Store) loadOne(name string, fn func(string, Record) error) bool {
 	data, err := os.ReadFile(name)
 	if err == nil {
 		var rec Record
 		if rec, err = DecodeRecord(data); err == nil {
-			err = fn(rec)
+			err = fn(name, rec)
 		}
 	}
 	if err != nil {

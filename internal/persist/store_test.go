@@ -157,9 +157,10 @@ func TestStoreScanReclaimsBadFiles(t *testing.T) {
 }
 
 // TestStoreScanOrderedAdmitsByDescendingCost pins the cost-ordered
-// admission contract: callbacks fire serially, most expensive record
+// admission contract: admissions fire serially, most expensive record
 // first, ties broken by ascending key — so a budgeted cache fed by a
-// boot warm-scan keeps the compiles that are costliest to redo.
+// boot warm-scan keeps the compiles that are costliest to redo — each
+// with the value its preparation returned in place of the payload.
 func TestStoreScanOrderedAdmitsByDescendingCost(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -175,8 +176,14 @@ func TestStoreScanOrderedAdmitsByDescendingCost(t *testing.T) {
 	s.Put(KindLayerContext, "ctx|b|tie", 1.5, payload("tie-b"))
 	s.Flush()
 
+	payloads := map[string]string{"eng|cheap": "cheap", "eng|mid": "mid", "eng|dear": "dear", "ctx|a|tie": "tie-a", "ctx|b|tie": "tie-b"}
 	var keys []string
-	stats, err := s.ScanOrdered(4, func(rec Record) error {
+	stats, err := s.ScanOrdered(4, func(rec Record) (any, error) {
+		return string(rec.Payload), nil
+	}, func(rec Record, val any) error {
+		if rec.Payload != nil || val != payloads[rec.Key] {
+			t.Errorf("%s: admitted with payload %q and prepared value %v", rec.Key, rec.Payload, val)
+		}
 		keys = append(keys, rec.Key)
 		return nil
 	})
@@ -192,8 +199,9 @@ func TestStoreScanOrderedAdmitsByDescendingCost(t *testing.T) {
 	}
 }
 
-// TestStoreScanOrderedReclaimsRejected: a record the admission callback
-// refuses is counted skipped and its file deleted, like Scan.
+// TestStoreScanOrderedReclaimsRejected: a record the preparation or the
+// admission callback refuses is counted skipped and its file deleted,
+// like Scan; only prepared records are offered for admission.
 func TestStoreScanOrderedReclaimsRejected(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -203,9 +211,17 @@ func TestStoreScanOrderedReclaimsRejected(t *testing.T) {
 	defer s.Close()
 	s.Put(KindEngine, "eng|keep", 2, payload("keep"))
 	s.Put(KindEngine, "eng|reject", 5, payload("reject"))
+	s.Put(KindEngine, "eng|unprepared", 3, payload("unprepared"))
 	s.Flush()
 
-	stats, err := s.ScanOrdered(2, func(rec Record) error {
+	var admitted []string
+	stats, err := s.ScanOrdered(2, func(rec Record) (any, error) {
+		if rec.Key == "eng|unprepared" {
+			return nil, fmt.Errorf("undecodable")
+		}
+		return nil, nil
+	}, func(rec Record, _ any) error {
+		admitted = append(admitted, rec.Key)
 		if rec.Key == "eng|reject" {
 			return fmt.Errorf("refused")
 		}
@@ -214,11 +230,16 @@ func TestStoreScanOrderedReclaimsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Files != 2 || stats.Loaded != 1 || stats.Skipped != 1 {
-		t.Fatalf("scan stats = %+v, want loaded=1 skipped=1", stats)
+	if stats.Files != 3 || stats.Loaded != 1 || stats.Skipped != 2 {
+		t.Fatalf("scan stats = %+v, want loaded=1 skipped=2", stats)
 	}
-	if _, err := os.Stat(filepath.Join(dir, RecordName(KindEngine, "eng|reject"))); !os.IsNotExist(err) {
-		t.Fatal("rejected record's file must be deleted")
+	if fmt.Sprint(admitted) != "[eng|reject eng|keep]" {
+		t.Fatalf("admitted %v, want the two prepared records by cost", admitted)
+	}
+	for _, key := range []string{"eng|reject", "eng|unprepared"} {
+		if _, err := os.Stat(filepath.Join(dir, RecordName(KindEngine, key))); !os.IsNotExist(err) {
+			t.Fatalf("refused record %s's file must be deleted", key)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, RecordName(KindEngine, "eng|keep"))); err != nil {
 		t.Fatal("accepted record's file must survive")

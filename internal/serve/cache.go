@@ -3,6 +3,7 @@ package serve
 import (
 	"container/heap"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -36,8 +37,12 @@ type Stats = api.CacheStats
 // evicted by a burst of lookups — fall back to least-recently-used order.
 //
 // Concurrent lookups of the same missing key compute the value once; the
-// losers block on the winner's result. All methods are safe for concurrent
-// use, and cached values are immutable once published.
+// losers block on the winner's result. A layer-context lookup that does
+// not wait (EvaluateCtx's first pass) instead finds a context still being
+// prepared busy, and a preparation of its own that would wait on another
+// goroutine's shared column sum (core.TryPrepareLayer) is abandoned;
+// neither counts as a hit, a miss or a compile. All methods are safe for
+// concurrent use, and cached values are immutable once published.
 //
 // Below the layer contexts, every engine the cache compiles or restores
 // shares the cache's one preparation memo (core.PrepareMemo), so a
@@ -86,6 +91,7 @@ type cacheEntry struct {
 	val     any
 	err     error
 	costSec float64 // measured by fill; set under the cache lock
+	ready   bool    // val is published; set under the cache lock
 
 	// GDSF bookkeeping, guarded by the cache lock.
 	freq     float64
@@ -203,48 +209,72 @@ func (c *Cache) removeLocked(e *cacheEntry) {
 
 // getOrCompute returns the cached value for key, computing it on miss.
 // Failed computations are not cached: the entry is removed so a later
-// request retries.
-func (c *Cache) getOrCompute(key string, compute func() (any, error)) (any, error) {
-	c.mu.Lock()
-	if e, ok := c.items[key]; ok {
-		c.hits++
-		c.touchLocked(e)
+// request retries. Unless wait, an entry still being computed is not
+// waited for, and a computation that failed with core.ErrPrepareBusy
+// (it would have waited) is no miss: both return that error. A waiting
+// lookup that lands on such an abandoned computation computes afresh.
+func (c *Cache) getOrCompute(key string, compute func() (any, error), wait bool) (any, error) {
+	for {
+		c.mu.Lock()
+		if e, ok := c.items[key]; ok {
+			if !wait && !e.ready {
+				c.mu.Unlock()
+				return nil, core.ErrPrepareBusy
+			}
+			c.hits++
+			c.touchLocked(e)
+			c.mu.Unlock()
+			e.once.Do(e.fill)
+			if errors.Is(e.err, core.ErrPrepareBusy) {
+				c.mu.Lock()
+				c.hits--
+				c.removeLocked(e)
+				c.mu.Unlock()
+				continue
+			}
+			return e.val, e.err
+		}
+		c.misses++
+		e := &cacheEntry{
+			key:     key,
+			compute: compute,
+			freq:    1,
+			prio:    math.Inf(1), // pinned until the fill settles its cost
+		}
+		c.insertLocked(e)
 		c.mu.Unlock()
+
 		e.once.Do(e.fill)
-		return e.val, e.err
-	}
-	c.misses++
-	e := &cacheEntry{
-		key:     key,
-		compute: compute,
-		freq:    1,
-		prio:    math.Inf(1), // pinned until the fill settles its cost
-	}
-	c.insertLocked(e)
-	c.mu.Unlock()
 
-	e.once.Do(e.fill)
-
-	c.mu.Lock()
-	if e.err != nil {
-		c.removeLocked(e)
+		c.mu.Lock()
+		if e.err != nil {
+			c.removeLocked(e)
+			busy := errors.Is(e.err, core.ErrPrepareBusy)
+			if busy {
+				c.misses--
+			}
+			c.mu.Unlock()
+			if busy && wait {
+				continue
+			}
+			return e.val, e.err
+		}
+		// Settle the entry's real score now that its cost is measured. The
+		// entry may already have been evicted mid-fill (index < 0); the value
+		// is still returned to waiters and still persisted below.
+		if e.index >= 0 {
+			e.prio = c.clock + e.freq*e.costSec
+			heap.Fix(&c.pq, e.index)
+		}
+		e.ready = true
+		c.compiles++
+		onFill := c.onFill
 		c.mu.Unlock()
+		if onFill != nil {
+			onFill(e.key, e.val, e.costSec)
+		}
 		return e.val, e.err
 	}
-	// Settle the entry's real score now that its cost is measured. The
-	// entry may already have been evicted mid-fill (index < 0); the value
-	// is still returned to waiters and still persisted below.
-	if e.index >= 0 {
-		e.prio = c.clock + e.freq*e.costSec
-		heap.Fix(&c.pq, e.index)
-	}
-	c.compiles++
-	onFill := c.onFill
-	c.mu.Unlock()
-	if onFill != nil {
-		onFill(e.key, e.val, e.costSec)
-	}
-	return e.val, e.err
 }
 
 // admit inserts an already-computed value (a warm-start restore) through
@@ -254,7 +284,7 @@ func (c *Cache) getOrCompute(key string, compute func() (any, error)) (any, erro
 // replaces a live entry. Admitted entries do not trigger onFill (they
 // came from disk; re-persisting them would be a no-op cycle).
 func (c *Cache) admit(key string, costSec float64, val any) {
-	e := &cacheEntry{key: key, val: val, costSec: costSec, freq: 1}
+	e := &cacheEntry{key: key, val: val, costSec: costSec, freq: 1, ready: true}
 	e.once.Do(func() {}) // mark filled: waiters must never run compute
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -283,18 +313,50 @@ func (c *Cache) EngineCtx(ctx context.Context, arch *core.Arch) (*core.Engine, s
 // engine is EngineCtx for a caller that already holds the arch's
 // fingerprint (the server's name memo, or its own resolution).
 func (c *Cache) engine(ctx context.Context, arch *core.Arch, archFP string) (*core.Engine, error) {
-	v, err := c.getOrCompute(engineKey(archFP), func() (any, error) {
+	compile := func() (any, error) {
 		defer obs.Timed(ctx, "compile")()
 		eng, err := core.NewEngine(arch)
 		if err != nil {
 			return nil, err
 		}
 		return eng.WithPrepareMemo(c.memo), nil
-	})
+	}
+	v, err := c.getOrCompute(engineKey(archFP), compile, true)
 	if err != nil {
 		return nil, err
 	}
+	if r, ok := v.(*restoredEngine); ok {
+		return r.get(compile)
+	}
 	return v.(*core.Engine), nil
+}
+
+// restoredEngine is the value a warm start admits for an engine record.
+// An engine is a microsecond compile of its architecture, where decoding
+// the record's JSON copy of that architecture costs ~70 µs, so the record
+// is not decoded: the first lookup that hits the entry builds the engine
+// from its own architecture, whose fingerprint is the record's key, as
+// the decoder would have built it from the record's. The entry then
+// serves that engine.
+type restoredEngine struct {
+	once sync.Once
+	eng  *core.Engine
+	err  error
+}
+
+// get returns the restored engine, built by compile on first use. A
+// failed build is returned to every caller: a failing architecture
+// fails its requests either way.
+func (r *restoredEngine) get(compile func() (any, error)) (*core.Engine, error) {
+	r.once.Do(func() {
+		v, err := compile()
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.eng = v.(*core.Engine)
+	})
+	return r.eng, r.err
 }
 
 // LayerContextCtx returns the amortized per-layer state for (engine,
@@ -312,20 +374,24 @@ func (c *Cache) engine(ctx context.Context, arch *core.Arch, archFP string) (*co
 // are dropped and recomputed — the write-behind hook then overwrites the
 // bad record under the same key.
 func (c *Cache) LayerContextCtx(ctx context.Context, eng *core.Engine, archFP string, l workload.Layer) (*core.LayerContext, error) {
-	return c.layerContext(ctx, eng, archFP, LayerFingerprint(l), l)
+	return c.layerContext(ctx, eng, archFP, LayerFingerprint(l), l, true)
 }
 
 // layerContext is LayerContextCtx for a caller that already holds the
-// layer's fingerprint.
-func (c *Cache) layerContext(ctx context.Context, eng *core.Engine, archFP, layerFP string, l workload.Layer) (*core.LayerContext, error) {
+// layer's fingerprint. Unless wait, it returns core.ErrPrepareBusy where
+// it would wait on another goroutine's work (see getOrCompute).
+func (c *Cache) layerContext(ctx context.Context, eng *core.Engine, archFP, layerFP string, l workload.Layer, wait bool) (*core.LayerContext, error) {
 	key := contextKey(archFP, layerFP)
 	compute := func() (any, error) {
 		defer obs.Timed(ctx, "compile")()
-		return eng.PrepareLayer(l)
+		if wait {
+			return eng.PrepareLayer(l)
+		}
+		return eng.TryPrepareLayer(l)
 	}
 	levels := len(eng.Arch().Levels)
 	for attempt := 0; ; attempt++ {
-		v, err := c.getOrCompute(key, compute)
+		v, err := c.getOrCompute(key, compute, wait)
 		if err != nil {
 			return nil, err
 		}

@@ -94,7 +94,7 @@ func TestCacheHitMissCounts(t *testing.T) {
 func cached(t *testing.T, c *Cache, key string) bool {
 	t.Helper()
 	hit := true
-	if _, err := c.getOrCompute(key, func() (any, error) { hit = false; return key, nil }); err != nil {
+	if _, err := c.getOrCompute(key, func() (any, error) { hit = false; return key, nil }, true); err != nil {
 		t.Fatal(err)
 	}
 	return hit
@@ -113,7 +113,7 @@ func TestCacheCostAwareEviction(t *testing.T) {
 	c.admit("expensive", 10.0, 3)
 	// A fourth entry forces one eviction: the two cheap entries have equal
 	// priority, so the older one goes; the expensive entry is untouchable.
-	if _, err := c.getOrCompute("k", func() (any, error) { return 4, nil }); err != nil {
+	if _, err := c.getOrCompute("k", func() (any, error) { return 4, nil }, true); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -172,10 +172,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 	c := NewCache(4)
 	calls := 0
 	fail := func() (any, error) { calls++; return nil, errors.New("boom") }
-	if _, err := c.getOrCompute("k", fail); err == nil {
+	if _, err := c.getOrCompute("k", fail, true); err == nil {
 		t.Fatal("want error")
 	}
-	if _, err := c.getOrCompute("k", fail); err == nil {
+	if _, err := c.getOrCompute("k", fail, true); err == nil {
 		t.Fatal("want error on retry")
 	}
 	if calls != 2 {

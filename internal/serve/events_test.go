@@ -124,7 +124,9 @@ func openStream(t *testing.T, ts *httptest.Server, id string, lastEventID int64)
 
 // TestSSEStreamToTerminal: the stream delivers monotonically versioned
 // progress events and ends with a terminal event carrying the full
-// snapshot.
+// snapshot. The second step is sent only once the first one's progress
+// frame has arrived: the stream sends the latest state, so two steps
+// sent together may arrive as one terminal frame.
 func TestSSEStreamToTerminal(t *testing.T) {
 	srv := NewServer(BatchOptions{})
 	defer srv.Close()
@@ -134,9 +136,25 @@ func TestSSEStreamToTerminal(t *testing.T) {
 	id, step := stepJob(t, srv, 2)
 	resp := openStream(t, ts, id, 0)
 	defer resp.Body.Close()
-	go func() { step <- struct{}{}; step <- struct{}{} }()
+	go func() { step <- struct{}{} }()
 
-	frames := readFrames(t, resp.Body, 64)
+	sc := sseScanner(resp.Body)
+	var frames []sseFrame
+	for len(frames) == 0 || frames[len(frames)-1].data.Job.Completed == 0 {
+		f, ok := nextFrame(t, sc)
+		if !ok {
+			t.Fatalf("stream ended before the first progress report, after %d frames", len(frames))
+		}
+		frames = append(frames, f)
+	}
+	go func() { step <- struct{}{} }()
+	for frames[len(frames)-1].event != api.JobEventTerminal {
+		f, ok := nextFrame(t, sc)
+		if !ok {
+			break
+		}
+		frames = append(frames, f)
+	}
 	if len(frames) < 2 {
 		t.Fatalf("got %d frames", len(frames))
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/system"
 )
 
 // TestTokenBudget exercises the semaphore's non-blocking contract.
@@ -226,5 +228,64 @@ func TestHTTPSearchWorkersField(t *testing.T) {
 	}
 	if h.Search.Capacity != 4 || h.Search.SearchWorkers != 4 {
 		t.Fatalf("healthz search stats %+v", h.Search)
+	}
+}
+
+// TestScenariosShareSumsConcurrently: four goroutines evaluate one macro
+// under its four scenarios on one server, so their layer preparations
+// share the macro's operand stages and column sums, and EvaluateCtx's
+// first pass skips the layers whose sums another goroutine is filling.
+// Every result matches a serial run's bit for bit, and the cache counts
+// the serial run's hits, misses and compiles: a skipped layer counts as
+// none of them.
+func TestScenariosShareSumsConcurrently(t *testing.T) {
+	scenarios := []string{"", system.AllDRAM.String(), system.WeightStationary.String(), system.OnChipIO.String()}
+	reqs := make([]Request, len(scenarios))
+	for i, sc := range scenarios {
+		reqs[i] = Request{Macro: "macro-c", Scenario: sc, Network: "resnet18", Layers: 4, MaxMappings: 4, Seed: int64(i)}
+	}
+	evaluate := func(srv *Server, req Request) ([]byte, error) {
+		res, err := srv.EvaluateCtx(context.Background(), req)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(res.NetworkResult)
+	}
+	serial := NewServer(BatchOptions{})
+	defer serial.Close()
+	want := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if want[i], err = evaluate(serial, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantStats := serial.CacheStats()
+	for round := 0; round < 3; round++ {
+		srv := NewServer(BatchOptions{})
+		got := make([][]byte, len(reqs))
+		errs := make([]error, len(reqs))
+		var wg sync.WaitGroup
+		for i, req := range reqs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = evaluate(srv, req)
+			}()
+		}
+		wg.Wait()
+		stats := srv.CacheStats()
+		srv.Close()
+		for i := range reqs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if string(got[i]) != string(want[i]) {
+				t.Fatalf("round %d, scenario %q: concurrent result differs from the serial one:\n%s\n%s", round, scenarios[i], got[i], want[i])
+			}
+		}
+		if stats != wantStats {
+			t.Fatalf("round %d: cache stats %+v, serial run's %+v", round, stats, wantStats)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -28,6 +29,20 @@ import (
 // slot after fingerprint verification.
 func engineKey(archFP string) string           { return "eng|" + archFP }
 func contextKey(archFP, layerFP string) string { return "ctx|" + archFP + "|" + layerFP }
+
+// isFingerprint reports whether s is a fingerprint as ArchFingerprint
+// and LayerFingerprint write them: a SHA-256 in lowercase hex.
+func isFingerprint(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for _, c := range []byte(s) {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // Job record keys distinguish terminal snapshots from write-ahead entries.
 func jobSnapKey(id string) string { return "job|" + id }
@@ -135,47 +150,52 @@ func (s *Server) cacheFillHook() func(key string, val any, costSec float64) {
 	}
 }
 
-// warmStartCache scans the cache dir with bounded parallelism, verifies
-// each record's content fingerprint, and admits survivors through the
-// normal eviction policy (capacity still holds). Mismatches and decode
-// failures are deleted by the scan. Admission runs in descending
-// persisted-cost order (ScanOrdered): when the cache budget cannot hold
-// every record on disk, the compiles that were most expensive to produce
-// are warm first and the cheap ones are the ones evicted.
+// warmStartCache scans the cache dir with bounded parallelism, decoding
+// each layer-context record and verifying its content fingerprint on the
+// scan's workers, and admits survivors through the normal eviction
+// policy (capacity still holds). An engine record is admitted by its key
+// alone: the first request that hits it builds the engine from the
+// request's architecture (restoredEngine), whose fingerprint the key is,
+// so the record's payload — the architecture as JSON, which older
+// servers decode — is never decoded. Mismatches and decode failures are
+// deleted by the scan. Admission runs in descending persisted-cost order
+// (ScanOrdered): when the cache budget cannot hold every record on disk,
+// the compiles that were most expensive to produce are warm first and
+// the cheap ones are the ones evicted.
 func (s *Server) warmStartCache() {
 	store := s.persist.cache
 	if store == nil {
 		return
 	}
-	stats, err := store.ScanOrdered(runtime.NumCPU(), func(rec persist.Record) error {
+	stats, err := store.ScanOrdered(runtime.NumCPU(), func(rec persist.Record) (any, error) {
 		switch rec.Kind {
 		case persist.KindEngine:
-			eng, err := persist.DecodeEngine(rec.Payload)
+			// Only an engine lookup, by an architecture that fingerprints
+			// to the key, may hit the entry.
+			if fp, ok := strings.CutPrefix(rec.Key, engineKey("")); !ok || !isFingerprint(fp) {
+				return nil, fmt.Errorf("serve: engine record under key %q", rec.Key)
+			}
+			return new(restoredEngine), nil
+		case persist.KindLayerContextCol:
+			lctx, err := persist.DecodeLayerContextColumnar(rec.Payload)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			// Re-fingerprint: a record whose decoded content no longer
 			// hashes to its key (schema drift, hand-edited file) must not
 			// be served under that key.
-			if engineKey(ArchFingerprint(eng.Arch())) != rec.Key {
-				return fmt.Errorf("serve: engine record key mismatch")
-			}
-			s.cache.admit(rec.Key, rec.CostSec, eng.WithPrepareMemo(s.cache.memo))
-		case persist.KindLayerContextCol:
-			lctx, err := persist.DecodeLayerContextColumnar(rec.Payload)
-			if err != nil {
-				return err
-			}
 			parts := strings.Split(rec.Key, "|")
 			if len(parts) != 3 || contextKey(parts[1], LayerFingerprint(lctx.Layer)) != rec.Key {
-				return fmt.Errorf("serve: context record key mismatch")
+				return nil, fmt.Errorf("serve: context record key mismatch")
 			}
-			s.cache.admit(rec.Key, rec.CostSec, lctx)
+			return lctx, nil
 		default:
 			// Includes the retired JSON context kind: the scan counts the
 			// record as skipped and deletes it.
-			return fmt.Errorf("serve: unexpected record kind %v in cache dir", rec.Kind)
+			return nil, fmt.Errorf("serve: unexpected record kind %v in cache dir", rec.Kind)
 		}
+	}, func(rec persist.Record, val any) error {
+		s.cache.admit(rec.Key, rec.CostSec, val)
 		return nil
 	})
 	if err != nil {

@@ -193,6 +193,62 @@ func TestWarmStartRefusesLegacyContextKind(t *testing.T) {
 	}
 }
 
+// TestWarmStartAdmitsEnginesUndecoded: an engine record is admitted by
+// its key without decoding its payload, and the first request that hits
+// it builds the engine from its own architecture: a record whose payload
+// is no architecture at all still serves the repeated request with zero
+// misses and the same answer. An engine record under a key no engine
+// lookup makes is refused and deleted.
+func TestWarmStartAdmitsEnginesUndecoded(t *testing.T) {
+	dir := t.TempDir()
+	first := NewServer(BatchOptions{Workers: 1, CacheDir: dir})
+	want, err := first.EvaluateCtx(context.Background(), warmRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+
+	req := warmRequest()
+	arch, err := resolveArch(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(key string) string {
+		data, err := persist.EncodeRecord(persist.Record{
+			Kind: persist.KindEngine, Key: key, CostSec: 0.5, Payload: []byte("not an architecture"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Join(dir, persist.RecordName(persist.KindEngine, key))
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return name
+	}
+	write(engineKey(ArchFingerprint(arch)))
+	stray := write(contextKey(ArchFingerprint(arch), LayerFingerprint(workload.Toy().Layers[0])))
+
+	second := NewServer(BatchOptions{Workers: 1, CacheDir: dir})
+	defer second.Close()
+	if warm := second.PersistStats().Warm; warm.Engines != 1 || warm.Skipped != 1 {
+		t.Fatalf("warm stats = %+v, want the engine admitted and the stray record skipped", warm)
+	}
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatalf("an engine record under a context key must be deleted (stat: %v)", err)
+	}
+	got, err := second.EvaluateCtx(context.Background(), warmRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := second.CacheStats(); cs.Misses != 0 {
+		t.Fatalf("the repeated request recompiled: stats %+v", cs)
+	}
+	if got.EnergyJ != want.EnergyJ || got.MappingsEvaluated != want.MappingsEvaluated {
+		t.Fatalf("restored evaluation %+v, first %+v", got, want)
+	}
+}
+
 // TestJobSnapshotsSurviveRestart: a job that finished before the restart
 // is still answerable — /v1/jobs/{id} returns its terminal snapshot.
 func TestJobSnapshotsSurviveRestart(t *testing.T) {
@@ -487,11 +543,14 @@ func TestDriftedContextRecordRecovers(t *testing.T) {
 }
 
 // TestSweepTimeout: a sweep submitted with a deadline fails with a
-// deadline error instead of running forever.
+// deadline error instead of running forever. The grid takes about 1 s
+// on one 2-CPU worker, 20 times the deadline, so the job cannot finish
+// inside it.
 func TestSweepTimeout(t *testing.T) {
 	srv := NewServer(BatchOptions{Workers: 1, MaxRunningJobs: 1})
 	defer srv.Close()
-	big := Grid([]string{"base", "macro-b", "macro-d"}, []string{"mobilenetv3-large"}, nil, 0, 20)
+	big := Grid([]string{"base", "macro-a", "macro-b", "macro-c", "macro-d"},
+		[]string{"mobilenetv3-large", "resnet18", "transformer"}, nil, 0, 20)
 	snap, err := srv.SubmitSweepOpts(big, SweepJobOptions{Workers: 1, Timeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

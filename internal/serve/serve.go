@@ -465,24 +465,50 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 	defer s.budget.release(self)
 	// core.Engine.EvaluateNetworkOptsCtx's loop, but each layer's
 	// amortized context comes from the cache instead of being re-prepared.
+	// The contexts are fetched first: those another request is preparing,
+	// or whose shared column sums another request is filling, are skipped
+	// and fetched again, waiting, once the rest are done, so concurrent
+	// requests that share a macro's sums fill different ones instead of
+	// queueing behind each other. The searches then run in layer order,
+	// which keeps NetworkResult's sums in that order.
+	var stack [64]*core.LayerContext
+	lctxs := stack[:0]
+	if len(net.Layers) > len(stack) {
+		lctxs = make([]*core.LayerContext, 0, len(net.Layers))
+	}
+	lctxs = lctxs[:len(net.Layers)]
+	for _, wait := range [2]bool{false, true} {
+		for i, l := range net.Layers {
+			if lctxs[i] != nil {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			lookup = time.Now()
+			lctx, err := s.cache.layerContext(ctx, eng, rv.archFP, rv.layerFPs[i], l, wait)
+			compiled = observeCacheLookup(sp, lookup, compiled)
+			if errors.Is(err, core.ErrPrepareBusy) && !wait {
+				continue
+			}
+			if err != nil {
+				return nil, fmt.Errorf("serve: network %q layer %q: %w", net.Name, l.Name, err)
+			}
+			lctxs[i] = lctx
+		}
+	}
 	nr := &core.NetworkResult{Arch: eng.Arch().Name, Network: net.Name, AreaUm2: eng.Area()}
 	for i, l := range net.Layers {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		lookup = time.Now()
-		lctx, err := s.cache.layerContext(ctx, eng, rv.archFP, rv.layerFPs[i], l)
-		if err != nil {
-			return nil, fmt.Errorf("serve: network %q layer %q: %w", net.Name, l.Name, err)
-		}
-		compiled = observeCacheLookup(sp, lookup, compiled)
 		// The calling goroutine is one search worker for free; extras are
 		// borrowed per layer from the shared budget so concurrent requests
 		// split the machine instead of stacking goroutines. Returned
 		// between layers, the tokens keep the split fluid.
 		extra := s.budget.tryAcquire(width - 1)
 		searchStart := time.Now()
-		r, evaluated, err := eng.SearchLayerOptsCtx(ctx, lctx, core.SearchOptions{
+		r, evaluated, err := eng.SearchLayerOptsCtx(ctx, lctxs[i], core.SearchOptions{
 			MaxMappings:   mappings,
 			Seed:          req.Seed + int64(i),
 			SearchWorkers: 1 + extra,
