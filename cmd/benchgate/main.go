@@ -4,11 +4,14 @@
 // tolerance.
 //
 // Raw ns/op numbers are machine-dependent, so the comparison is
-// normalized by a reference benchmark present in both the baseline and
-// the current run: every baseline figure is scaled by
-// current(ref)/baseline(ref) before the tolerance is applied. A CI runner
-// half as fast as the baseline machine doubles every allowance; what
-// trips the gate is a benchmark slowing down relative to its peers.
+// normalized: every baseline figure is scaled by the median of the
+// current/baseline ns/op ratios over every benchmark present in both
+// runs before the tolerance is applied. A CI runner half as fast as the
+// baseline machine doubles every allowance; what trips the gate is a
+// benchmark slowing down relative to its peers. The median of a dozen
+// ratios barely moves when one benchmark is noisy or slow, unlike the
+// ratio of any single reference; -ref names a benchmark to normalize by
+// instead.
 //
 //	go test -run xxx -bench 'SearchLayer|Sweep' -benchtime 3x -count 3 . > bench.txt
 //	go run ./cmd/benchgate bench.txt             # gate against the baseline
@@ -36,6 +39,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,8 +53,6 @@ import (
 type Baseline struct {
 	// Note documents the recording machine and the refresh command.
 	Note string `json:"note,omitempty"`
-	// Reference names the benchmark used to normalize machine speed.
-	Reference string `json:"reference"`
 	// CPUs is the logical CPU count of the recording host. A baseline
 	// recorded below 4 CPUs has no meaningful multi-core figures, so the
 	// Serial-vs-Parallel8 speedup gate skips (with a visible warning)
@@ -164,7 +166,7 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "committed baseline file")
 	update := flag.Bool("update", false, "rewrite the baseline from the bench output instead of gating")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional slowdown after normalization")
-	ref := flag.String("ref", "BenchmarkEvaluateMapping", "reference benchmark for machine-speed normalization")
+	ref := flag.String("ref", "", "reference benchmark for machine-speed normalization (default: the median ratio over all benchmarks)")
 	minSpeedup := flag.Float64("min-speedup", 0,
 		"required SearchLayerSerial/SearchLayerParallel8 ratio (0 disables; skipped below 4 CPUs)")
 	minWarmSpeedup := flag.Float64("min-warm-speedup", 0,
@@ -182,7 +184,7 @@ func main() {
 	cur := res.ns
 
 	if *update {
-		b := Baseline{Note: *note, Reference: *ref, CPUs: runtime.NumCPU(), NsPerOp: cur}
+		b := Baseline{Note: *note, CPUs: runtime.NumCPU(), NsPerOp: cur}
 		if len(res.allocs) > 0 {
 			b.AllocsPerOp = res.allocs
 		}
@@ -196,7 +198,7 @@ func main() {
 		if err := os.WriteFile(*baselinePath, append(data, '\n'), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("benchgate: wrote %s (%d benchmarks, reference %s)\n", *baselinePath, len(cur), *ref)
+		fmt.Printf("benchgate: wrote %s (%d benchmarks)\n", *baselinePath, len(cur))
 		return
 	}
 
@@ -208,65 +210,12 @@ func main() {
 	if err := json.Unmarshal(data, &base); err != nil {
 		fatal(fmt.Errorf("parsing %s: %w", *baselinePath, err))
 	}
-	// The baseline's recorded reference wins unless -ref was given
-	// explicitly on the command line.
-	refSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "ref" {
-			refSet = true
-		}
-	})
-	if base.Reference != "" && !refSet {
-		*ref = base.Reference
+	scale, how, err := speedScale(base.NsPerOp, cur, *ref)
+	if err != nil {
+		fatal(err)
 	}
-	curRef, okCur := cur[*ref]
-	baseRef, okBase := base.NsPerOp[*ref]
-	if !okCur || !okBase || baseRef <= 0 {
-		fatal(fmt.Errorf("reference benchmark %s missing from current run or baseline; run it alongside the gated set", *ref))
-	}
-	scale := curRef / baseRef
-	fmt.Printf("benchgate: machine-speed scale %.3f (reference %s: %.0f ns/op now, %.0f recorded)\n",
-		scale, *ref, curRef, baseRef)
-
-	// Every baseline benchmark must be present in the current run: a
-	// renamed benchmark, a drifted -bench regex, or a run that died
-	// part-way would otherwise drop out of the gate silently.
-	var names, missing []string
-	for name := range base.NsPerOp {
-		if name == *ref {
-			continue
-		}
-		if _, ok := cur[name]; ok {
-			names = append(names, name)
-		} else {
-			missing = append(missing, name)
-		}
-	}
-	sort.Strings(names)
-	sort.Strings(missing)
-	failed := 0
-	if len(missing) > 0 {
-		fmt.Printf("benchgate: %d baseline benchmark(s) absent from this run (regex drift? partial run?):\n", len(missing))
-		for _, name := range missing {
-			fmt.Printf("  %s\n", name)
-		}
-		failed += len(missing)
-	}
-	if len(names) == 0 {
-		fatal(fmt.Errorf("no gated benchmarks overlap between %s and the current run — -bench regex too narrow?", *baselinePath))
-	}
-	for _, name := range names {
-		allowed := base.NsPerOp[name] * scale * (1 + *tolerance)
-		got := cur[name]
-		delta := got/(base.NsPerOp[name]*scale) - 1
-		status := "ok"
-		if got > allowed {
-			status = "REGRESSION"
-			failed++
-		}
-		fmt.Printf("  %-40s %12.0f ns/op  allowed %12.0f  (%+.1f%%)  %s\n",
-			name, got, allowed, delta*100, status)
-	}
+	fmt.Printf("benchgate: machine-speed scale %.3f (%s)\n", scale, how)
+	failed := gateNs(base.NsPerOp, cur, scale, *tolerance, *ref)
 	if len(base.AllocsPerOp) > 0 {
 		fmt.Printf("benchgate: allocs/op may not rise (slack %.0f%%):\n", allocSlack*100)
 		failed += gateAllocs(base.AllocsPerOp, res.allocs)
@@ -316,6 +265,80 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("benchgate: PASS")
+}
+
+// speedScale returns the factor baseline ns/op figures are scaled by to
+// this run's machine speed, and how it was found: the ns/op ratio of the
+// reference benchmark ref, or with ref empty the median ratio over every
+// benchmark in both runs.
+func speedScale(base, cur map[string]float64, ref string) (float64, string, error) {
+	if ref != "" {
+		c, okCur := cur[ref]
+		b, okBase := base[ref]
+		if !okCur || !okBase || b <= 0 {
+			return 0, "", fmt.Errorf("reference benchmark %s missing from current run or baseline; run it alongside the gated set", ref)
+		}
+		return c / b, fmt.Sprintf("reference %s: %.0f ns/op now, %.0f recorded", ref, c, b), nil
+	}
+	var ratios []float64
+	for name, b := range base {
+		if c, ok := cur[name]; ok && b > 0 {
+			ratios = append(ratios, c/b)
+		}
+	}
+	if len(ratios) == 0 {
+		return 0, "", errors.New("no benchmark in both the current run and the baseline to normalize by — -bench regex too narrow?")
+	}
+	sort.Float64s(ratios)
+	n := len(ratios)
+	median := ratios[n/2]
+	if n%2 == 0 {
+		median = (ratios[n/2-1] + ratios[n/2]) / 2
+	}
+	return median, fmt.Sprintf("median current/baseline ns/op ratio of %d benchmarks", n), nil
+}
+
+// gateNs compares every baseline benchmark but the reference ref against
+// the current run, scaled by scale, and returns the number of failed
+// checks: a benchmark slower than its scaled figure by more than
+// tolerance, or missing from the run. Every baseline benchmark must be
+// present: a renamed benchmark, a drifted -bench regex, or a run that
+// died part-way would otherwise drop out of the gate silently.
+func gateNs(base, cur map[string]float64, scale, tolerance float64, ref string) int {
+	var names, missing []string
+	for name := range base {
+		if name == ref {
+			continue
+		}
+		if _, ok := cur[name]; ok {
+			names = append(names, name)
+		} else {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(names)
+	sort.Strings(missing)
+	failed := 0
+	if len(missing) > 0 {
+		fmt.Printf("benchgate: %d baseline benchmark(s) absent from this run (regex drift? partial run?):\n", len(missing))
+		for _, name := range missing {
+			fmt.Printf("  %s\n", name)
+		}
+		failed += len(missing)
+	}
+	for _, name := range names {
+		allowed := base[name] * scale * (1 + tolerance)
+		got := cur[name]
+		delta := got/(base[name]*scale) - 1
+		status := "ok"
+		if got > allowed {
+			status = "REGRESSION"
+			failed++
+		}
+		fmt.Printf("  %-40s %12.0f ns/op  allowed %12.0f  (%+.1f%%)  %s\n",
+			name, got, allowed, delta*100, status)
+	}
+	return failed
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -106,5 +107,62 @@ func TestParseBenchEmpty(t *testing.T) {
 	}
 	if _, err := parseBench(path); err == nil {
 		t.Fatal("empty bench output parsed without error")
+	}
+}
+
+// TestMedianNormalization: the gate scales the baseline by the median
+// current/baseline ratio, so a run uniformly twice as slow passes, one
+// benchmark 25% slower than its peers fails alone, and a fast outlier
+// (the old single reference reading low, say) moves no allowance; -ref
+// still normalizes by one named benchmark.
+func TestMedianNormalization(t *testing.T) {
+	base := map[string]float64{}
+	for i, ns := range []float64{6635, 1594508, 445250, 998905, 858261, 887656, 621971, 336207, 7390000, 14110000, 299763, 341748, 1310000, 1687792} {
+		base[fmt.Sprintf("BenchmarkB%02d", i)] = ns
+	}
+	run := func(f func(name string, ns float64) float64) map[string]float64 {
+		cur := map[string]float64{}
+		for name, ns := range base {
+			cur[name] = f(name, ns)
+		}
+		return cur
+	}
+	gate := func(cur map[string]float64, ref string) (float64, int) {
+		scale, _, err := speedScale(base, cur, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scale, gateNs(base, cur, scale, 0.20, ref)
+	}
+
+	if scale, failed := gate(run(func(_ string, ns float64) float64 { return 2 * ns }), ""); scale != 2 || failed != 0 {
+		t.Fatalf("uniformly 2x slower run: scale %g, %d failures, want 2 and none", scale, failed)
+	}
+	slow := run(func(name string, ns float64) float64 {
+		if name == "BenchmarkB06" {
+			return 1.25 * ns
+		}
+		return ns
+	})
+	if scale, failed := gate(slow, ""); scale != 1 || failed != 1 {
+		t.Fatalf("one benchmark 25%% slower: scale %g, %d failures, want 1 and one", scale, failed)
+	}
+	fastRef := run(func(name string, ns float64) float64 {
+		if name == "BenchmarkB00" {
+			return 0.8 * ns
+		}
+		return ns
+	})
+	if scale, failed := gate(fastRef, ""); scale != 1 || failed != 0 {
+		t.Fatalf("one benchmark 20%% faster: scale %g, %d failures, want 1 and none", scale, failed)
+	}
+	if scale, failed := gate(fastRef, "BenchmarkB00"); scale != 0.8 || failed != len(base)-1 {
+		t.Fatalf("-ref on the fast benchmark: scale %g, %d failures, want 0.8 and every other benchmark", scale, failed)
+	}
+	if _, _, err := speedScale(base, map[string]float64{"BenchmarkOther": 1}, ""); err == nil {
+		t.Fatal("no benchmark in common, yet a scale")
+	}
+	if _, _, err := speedScale(base, fastRef, "BenchmarkMissing"); err == nil {
+		t.Fatal("-ref names a missing benchmark, yet a scale")
 	}
 }

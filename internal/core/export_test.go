@@ -1,30 +1,70 @@
 package core
 
 import (
+	"context"
+	"math"
 	"sync"
 
 	"repro/internal/dist"
+	"repro/internal/mapper"
 	"repro/internal/mapping"
 	"repro/internal/workload"
 )
 
 // CostKernel returns the search's per-candidate work for one prepared
 // layer, with its Plan compiled and a Scratch of its own: the Load that
-// validates a candidate and lays it out, then the cost-only kernel.
-func (e *Engine) CostKernel(ctx *LayerContext) (func(*mapping.Mapping) (float64, error), error) {
+// validates a candidate and lays it out, then the cost-only kernel under
+// the given bound.
+func (e *Engine) CostKernel(ctx *LayerContext) (func(m *mapping.Mapping, bound float64) (float64, error), error) {
 	plan, err := mapping.NewPlan(e.arch.Levels, ctx.Sliced)
 	if err != nil {
 		return nil, err
 	}
 	s := new(mapping.Scratch)
 	cost := e.costKernel(ctx, plan)
-	return func(m *mapping.Mapping) (float64, error) {
+	return func(m *mapping.Mapping, bound float64) (float64, error) {
 		if err := plan.Load(m, s); err != nil {
 			return 0, err
 		}
-		return cost(s)
+		return cost(s, bound)
 	}, nil
 }
+
+// KernelCall is one call of a search's cost kernel as SearchProbed sees
+// it: the bound the kernel was given and what it returned, the level-0
+// total it bounds with (level0Total), and the candidate's exact energy
+// and its Result's Levels[0].Total, priced in full.
+type KernelCall struct {
+	Bound, Got, Level0, Exact, Level0Total float64
+}
+
+// SearchProbed runs SearchLayerOptsCtx's search with every kernel call
+// reported to probe (from several goroutines at once when SearchWorkers
+// > 1). With unbounded set the kernel is given +Inf instead of the
+// search's bound, so it prices every candidate in full.
+func (e *Engine) SearchProbed(ctx context.Context, lctx *LayerContext, so SearchOptions, unbounded bool, probe func(KernelCall)) (*Result, int, error) {
+	return e.searchLayer(ctx, lctx, so, func(lctx *LayerContext, plan *mapping.Plan) mapper.CostFunc {
+		kernel := e.costKernel(lctx, plan)
+		return func(s *mapping.Scratch, bound float64) (float64, error) {
+			if unbounded {
+				bound = math.Inf(1)
+			}
+			v, err := kernel(s, bound)
+			if err != nil {
+				return v, err
+			}
+			call := KernelCall{Bound: bound, Got: v, Level0: e.level0Total(lctx, plan, s)}
+			res := Result{Levels: make([]LevelEnergy, 0, len(e.bindings))}
+			call.Exact = e.price(lctx, plan.AnalyzeLoaded(s), &res)
+			call.Level0Total = res.Levels[0].Total
+			probe(call)
+			return v, nil
+		}
+	})
+}
+
+// Boundable reports whether the cost kernel may stop at level 0 for ctx.
+func (e *Engine) Boundable(ctx *LayerContext) bool { return e.boundable(ctx) }
 
 // ColumnSumDepths returns the distinct reduction depths below each
 // level's upper boundary, capped as columnSumPMF caps them, in level

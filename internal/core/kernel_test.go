@@ -40,13 +40,13 @@ func TestCostKernelAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range cands { // grow the scratch
-			if _, err := kernel(m); err != nil {
+			if _, err := kernel(m, math.Inf(1)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		i := 0
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := kernel(cands[i%len(cands)]); err != nil {
+			if _, err := kernel(cands[i%len(cands)], math.Inf(1)); err != nil {
 				t.Fatal(err)
 			}
 			i++
@@ -122,7 +122,7 @@ func TestCostKernelMatchesEvaluateMapping(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range cands {
-			got, err := kernel(m)
+			got, err := kernel(m, math.Inf(1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,6 +86,20 @@ func (c *LayerContext) Export() *LayerContextData {
 // with an engine of the matching architecture (the persist layer does this
 // by content fingerprint).
 func RestoreLayerContext(d *LayerContextData) (*LayerContext, error) {
+	return restoreLayerContext(d, dist.Restore)
+}
+
+// AdoptLayerContext is RestoreLayerContext for data the caller hands
+// over, such as a freshly decoded record: the context takes d's slice
+// PMF points (dist.Adopt) instead of copying them, so the caller must
+// neither use nor change them afterwards.
+func AdoptLayerContext(d *LayerContextData) (*LayerContext, error) {
+	return restoreLayerContext(d, dist.Adopt)
+}
+
+// restoreLayerContext is RestoreLayerContext with the slice PMFs made by
+// restore.
+func restoreLayerContext(d *LayerContextData, restore func([]dist.Point) (*dist.PMF, error)) (*LayerContext, error) {
 	if d == nil {
 		return nil, errors.New("core: nil layer context data")
 	}
@@ -107,11 +121,11 @@ func RestoreLayerContext(d *LayerContextData) (*LayerContext, error) {
 	if len(d.Energies) == 0 {
 		return nil, errors.New("core: layer context data has no energy tables")
 	}
-	inPMF, err := dist.Restore(d.InputSlicePMF)
+	inPMF, err := restore(d.InputSlicePMF)
 	if err != nil {
 		return nil, fmt.Errorf("core: layer context input slice PMF: %w", err)
 	}
-	wPMF, err := dist.Restore(d.WeightSlicePMF)
+	wPMF, err := restore(d.WeightSlicePMF)
 	if err != nil {
 		return nil, fmt.Errorf("core: layer context weight slice PMF: %w", err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -95,5 +96,43 @@ func TestRestoreLayerContextValidation(t *testing.T) {
 		if _, err := core.RestoreLayerContext(data); err == nil {
 			t.Fatalf("%s: restore must fail", mutate.name)
 		}
+	}
+}
+
+// TestAdoptLayerContextTakesPoints checks the two restores' ownership:
+// RestoreLayerContext copies the slice PMF points it is given, while
+// AdoptLayerContext, the decoder's form, takes them as they are and
+// builds the same context.
+func TestAdoptLayerContextTakesPoints(t *testing.T) {
+	_, ctx := preparedContext(t)
+	owned := func() *core.LayerContextData {
+		d := ctx.Export()
+		d.InputSlicePMF = append(d.InputSlicePMF[:0:0], d.InputSlicePMF...)
+		d.WeightSlicePMF = append(d.WeightSlicePMF[:0:0], d.WeightSlicePMF...)
+		return d
+	}
+	d := owned()
+	restored, err := core.RestoreLayerContext(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &restored.InputSlicePMF.Points()[0] == &d.InputSlicePMF[0] || &restored.WeightSlicePMF.Points()[0] == &d.WeightSlicePMF[0] {
+		t.Fatal("RestoreLayerContext shares the caller's PMF points")
+	}
+	d = owned()
+	adopted, err := core.AdoptLayerContext(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &adopted.InputSlicePMF.Points()[0] != &d.InputSlicePMF[0] || &adopted.WeightSlicePMF.Points()[0] != &d.WeightSlicePMF[0] {
+		t.Fatal("AdoptLayerContext copied the PMF points it was handed")
+	}
+	if !reflect.DeepEqual(adopted, restored) {
+		t.Fatal("AdoptLayerContext and RestoreLayerContext built different contexts")
+	}
+	bad := owned()
+	bad.WeightSlicePMF[0], bad.WeightSlicePMF[1] = bad.WeightSlicePMF[1], bad.WeightSlicePMF[0]
+	if _, err := core.AdoptLayerContext(bad); err == nil {
+		t.Fatal("AdoptLayerContext accepted an unsorted PMF")
 	}
 }

@@ -40,7 +40,11 @@ func (k *kindEnergies) set(t tensor.Kind, ae accessEnergies) {
 // operand PMFs after encoding/slicing, and per-component average energies
 // (Algorithm 1 lines 3–7).
 type LayerContext struct {
-	Layer  workload.Layer
+	Layer workload.Layer
+	// Sliced is the layer's einsum with the bit-slice dims added. It is
+	// validated once, when the context is made (PrepareLayer,
+	// RestoreLayerContext), and searches compile it without validating
+	// it again, so it must not be changed afterwards.
 	Sliced *tensor.Einsum
 
 	// energies[levelIdx].byKind[kind]

@@ -77,7 +77,7 @@ func TestSearchStateReuseMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reject := func(s *mapping.Scratch) (float64, error) {
+			reject := func(s *mapping.Scratch, _ float64) (float64, error) {
 				var m mapping.Mapping
 				plan.WriteLoaded(s, &m)
 				return 0, fmt.Errorf("rejected %s", &m)

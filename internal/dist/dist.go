@@ -115,7 +115,14 @@ func Delta(v float64) *PMF {
 // Restore copies the points verbatim, which is what lets a serialized PMF
 // round-trip bit-exactly (package persist's warm-start codec).
 func Restore(pts []Point) (*PMF, error) {
-	p := &PMF{pts: append([]Point(nil), pts...)}
+	return Adopt(append([]Point(nil), pts...))
+}
+
+// Adopt is Restore without the copy: the PMF takes pts as its atoms, so
+// the caller must neither use nor change pts afterwards. It is for a
+// caller that built pts for this PMF alone, such as a decoder.
+func Adopt(pts []Point) (*PMF, error) {
+	p := &PMF{pts: pts}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

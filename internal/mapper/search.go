@@ -3,6 +3,7 @@ package mapper
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 
 	"repro/internal/mapping"
@@ -26,7 +27,16 @@ type Result struct {
 // into it. On a worker pool (workers > 1) the CostFunc is called from
 // several goroutines at once, each with its own Scratch, so any state it
 // shares between calls must be safe for concurrent use.
-type CostFunc func(*mapping.Scratch) (float64, error)
+//
+// bound is a cost the candidate must beat to matter: the lowest cost the
+// caller has seen so far, or +Inf for the first candidate. A CostFunc
+// returns either the candidate's exact cost or, once it knows the exact
+// cost exceeds bound, any v with bound < v <= the exact cost, so that it
+// may stop pricing a candidate that cannot win. Such a candidate neither
+// wins nor ties (the earlier candidate keeps a tie), so the search's
+// winner, its cost and the evaluated count are those of exact pricing;
+// it still counts as evaluated. Ignoring bound is always correct.
+type CostFunc func(s *mapping.Scratch, bound float64) (float64, error)
 
 // searchPartial accumulates one worker's share of the reduction. Both
 // folds are order-independent: the winner is the lexicographic minimum of
@@ -62,6 +72,15 @@ func (p *searchPartial) observe(i int, cost float64, err error) bool {
 	return false
 }
 
+// bound is the cost a candidate must beat to become the partial's best:
+// its best cost so far, +Inf before it has one.
+func (p *searchPartial) bound() float64 {
+	if p.best == nil {
+		return math.Inf(1)
+	}
+	return p.bestCost
+}
+
 func (p *searchPartial) merge(q *searchPartial) {
 	if q.firstErr != nil {
 		if p.firstErr == nil || q.errIdx < p.errIdx {
@@ -83,7 +102,10 @@ func (p *searchPartial) merge(q *searchPartial) {
 // Sample's, and the winner is the minimum-cost candidate with ties broken
 // by the lowest candidate index. Candidates whose evaluation fails are
 // skipped; if every candidate fails, the first one's error (in candidate
-// order) is returned.
+// order) is returned. Each candidate is priced under a bound, the best
+// cost its reduction has seen so far (see CostFunc), which lets cost
+// stop early on a candidate that cannot win without changing the
+// answer.
 //
 // With workers <= 1 (the serial path) the candidates never leave index
 // space: the sampler draws each one as (dim index, factor) loops, which
@@ -118,7 +140,7 @@ func Search(ctx context.Context, plan *mapping.Plan, levels []spec.Level, e *ten
 	serial := workers <= 1
 	if serial {
 		emit = func(i int) {
-			v, err := cost(&st.scratch) // sampleSeq loaded candidate i into it
+			v, err := cost(&st.scratch, total.bound()) // sampleSeq loaded candidate i into it
 			if total.observe(i, v, err) {
 				plan.WriteLoaded(&st.scratch, &st.best)
 				total.best = &st.best
@@ -189,7 +211,7 @@ func startPool(ctx context.Context, plan *mapping.Plan, workers int, cost CostFu
 				if ctx.Err() == nil {
 					v, err := 0.0, plan.Load(c.m, s)
 					if err == nil {
-						v, err = cost(s)
+						v, err = cost(s, local.bound())
 					}
 					if local.observe(c.i, v, err) {
 						local.best = (&copier{batch: 1}).copy(c.m)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,7 +35,7 @@ type mappingCost func(*mapping.Mapping) (float64, error)
 // Scratch back to a mapping through plan and prices that. It is safe for
 // concurrent use when cost is.
 func loaded(plan *mapping.Plan, cost mappingCost) CostFunc {
-	return func(s *mapping.Scratch) (float64, error) {
+	return func(s *mapping.Scratch, _ float64) (float64, error) {
 		var m mapping.Mapping
 		plan.WriteLoaded(s, &m)
 		return cost(&m)
@@ -107,6 +109,76 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 				if got.Cost != want.Cost || got.Mapping.String() != want.Mapping.String() {
 					t.Fatalf("seed %d budget %d workers %d: best (%g, %s) vs (%g, %s)",
 						seed, budget, workers, got.Cost, got.Mapping, want.Cost, want.Mapping)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchBoundContract checks the bound Search gives its CostFunc
+// and the use it makes of a bounded return. The serial path gives the
+// first candidate +Inf and every later one the best cost so far (the
+// serial oracle's running minimum); the pool path gives each worker's
+// best, never below the global best. A cost function that returns the
+// least legal value, the next float above the bound, for every candidate
+// whose cost exceeds it leaves the winner, its cost and the evaluated
+// count those of exact pricing, at every width.
+func TestSearchBoundContract(t *testing.T) {
+	levels := cimLevels(64, 32)
+	e := mvm(t, 16, 64, 32)
+	plan, err := mapping.NewPlan(levels, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		for _, budget := range []int{1, 16, 64} {
+			opts := defaultOpts()
+			opts.Seed, opts.MaxMappings = seed, budget
+			cands, err := Sample(levels, e, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantBounds []float64
+			best := math.Inf(1)
+			for _, m := range cands {
+				wantBounds = append(wantBounds, best)
+				c, _ := costByString(m)
+				best = min(best, c)
+			}
+			want, wantN, err := serialSearch(levels, e, opts, costByString)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				var mu sync.Mutex
+				var bounds []float64
+				bounded := func(s *mapping.Scratch, bound float64) (float64, error) {
+					var m mapping.Mapping
+					plan.WriteLoaded(s, &m)
+					c, err := costByString(&m)
+					mu.Lock()
+					bounds = append(bounds, bound)
+					mu.Unlock()
+					if c > bound {
+						return math.Nextafter(bound, math.Inf(1)), err
+					}
+					return c, err
+				}
+				got, gotN, err := Search(context.Background(), plan, levels, e, opts, workers, bounded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotN != wantN || got.Cost != want.Cost || got.Mapping.String() != want.Mapping.String() {
+					t.Fatalf("seed %d budget %d workers %d: bounded search found (%d, %g, %s), exact (%d, %g, %s)",
+						seed, budget, workers, gotN, got.Cost, got.Mapping, wantN, want.Cost, want.Mapping)
+				}
+				if workers == 1 && !slices.Equal(bounds, wantBounds) {
+					t.Fatalf("seed %d budget %d: serial bounds %v, want the running best %v", seed, budget, bounds, wantBounds)
+				}
+				for _, b := range bounds {
+					if b < want.Cost {
+						t.Fatalf("seed %d budget %d workers %d: bound %g below the best cost %g", seed, budget, workers, b, want.Cost)
+					}
 				}
 			}
 		}

@@ -46,12 +46,16 @@
 //     holder's tile volume is computed once per tensor. Integer products
 //     commute (and a level's spatial factors fit its mesh, so dividing
 //     by their product is dividing by each), so the counts are those of a
-//     loop-by-loop scan, bit for bit.
+//     loop-by-loop scan, bit for bit. Its first part, AnalyzeLevel0,
+//     counts the totals and the outermost level alone, for a caller that
+//     may not need the rest (a search bounding a candidate's cost); the
+//     rest of AnalyzeLoaded then goes on from there.
 //
 // AnalyzeInto is Load then AnalyzeLoaded, and WriteLoaded turns a loaded
 // layout back into a named Mapping. A Plan is read-only and may be shared
-// between goroutines; a Scratch may not. Analyze and Validate are the
-// one-shot forms that compile a Plan per call.
+// between goroutines; a Scratch may not. Compile rebuilds a Plan in place
+// for a caller that keeps one in pooled memory. Analyze and Validate are
+// the one-shot forms that compile a Plan per call.
 //
 // The closed-form analysis is validated against a brute-force loop-nest
 // interpreter (oracle.go) that literally enumerates iterations, and its
@@ -180,7 +184,7 @@ type term struct {
 // Plan is the per-layer half of the count analysis: everything about a
 // (level list, einsum) pair that does not depend on the mapping, with
 // names resolved to indices and tensor sets to bitmasks. NewPlan builds
-// it; it is read-only afterwards.
+// it, or Compile rebuilds one in place; it is read-only afterwards.
 type Plan struct {
 	levels []spec.Level
 	dims   []string // dimension names; a dimension's index is its position
@@ -218,6 +222,12 @@ type Plan struct {
 	coalesceFrom []int
 	// present is Counts.present, the same for every mapping.
 	present []uint8
+
+	// The backing arrays of the tables above, kept for Compile to reuse.
+	ints      []int
+	flags     []uint8
+	terms     []term
+	holderBuf []int
 }
 
 // NewPlan validates the einsum and compiles the mapping-independent
@@ -226,22 +236,35 @@ func NewPlan(levels []spec.Level, e *tensor.Einsum) (*Plan, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
+	p := new(Plan)
+	if err := p.Compile(levels, e); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Compile makes p the Plan of (levels, e) in place, reusing the memory
+// of the Plan p was before, so a caller that compiles a Plan per search
+// can keep one in pooled memory instead of allocating its tables each
+// time. e must be valid (tensor.Einsum.Validate): Compile skips that
+// check, which NewPlan runs, for a caller that validated e once when it
+// made it. p must not be in use by an analysis while it is recompiled.
+func (p *Plan) Compile(levels []spec.Level, e *tensor.Einsum) error {
 	if len(e.Dims) > maxDims {
-		return nil, fmt.Errorf("mapping: einsum %q has %d dimensions, at most %d are supported", e.Name, len(e.Dims), maxDims)
+		return fmt.Errorf("mapping: einsum %q has %d dimensions, at most %d are supported", e.Name, len(e.Dims), maxDims)
 	}
-	nl := len(levels)
-	p := &Plan{
-		levels:     levels,
-		dims:       make([]string, len(e.Dims)),
-		bounds:     make([]int, len(e.Dims)),
-		actualMACs: e.MACs(),
-		kind:       make([]spec.LevelKind, nl),
-	}
-	ints := make([]int, 2*nl+1) // one backing array for mesh and coalesceFrom
-	p.mesh, p.coalesceFrom = ints[:nl:nl], ints[nl:]
-	flags := make([]uint8, 5*nl) // one backing array for the five per-level masks
-	p.keeps, p.transits, p.coalesce = flags[:nl:nl], flags[nl:2*nl:2*nl], flags[2*nl:3*nl:3*nl]
-	p.reuse, p.present = flags[3*nl:4*nl:4*nl], flags[4*nl:]
+	nl, nd := len(levels), len(e.Dims)
+	p.levels = levels
+	p.dims = grow(p.dims, nd)
+	p.bounds = grow(p.bounds, nd)
+	p.actualMACs = e.MACs()
+	p.kind = grow(p.kind, nl)
+	p.ints = grow(p.ints, 2*nl+1) // one backing array for mesh and coalesceFrom
+	p.mesh, p.coalesceFrom = p.ints[:nl:nl], p.ints[nl:]
+	p.flags = grow(p.flags, 5*nl) // one backing array for the five per-level masks
+	p.keeps, p.transits, p.coalesce = p.flags[:nl:nl], p.flags[nl:2*nl:2*nl], p.flags[2*nl:3*nl:3*nl]
+	p.reuse, p.present = p.flags[3*nl:4*nl:4*nl], p.flags[4*nl:]
+	clear(p.byFirst[:])
 	for i, d := range e.Dims {
 		p.dims[i], p.bounds[i] = d.Name, d.Bound
 		if c := &p.byFirst[d.Name[0]]; *c == 0 {
@@ -257,7 +280,9 @@ func NewPlan(levels []spec.Level, e *tensor.Einsum) (*Plan, error) {
 			n += len(ax) + 1
 		}
 	}
-	terms := make([]term, 0, n)
+	terms := grow(p.terms, n)[:0]
+	p.spaces = 0
+	p.relevant, p.axes, p.actual = [tensor.NumKinds]uint64{}, [tensor.NumKinds][]term{}, [tensor.NumKinds]int64{}
 	for _, s := range e.Spaces {
 		if s.Kind < 0 || s.Kind >= tensor.NumKinds {
 			continue
@@ -280,6 +305,8 @@ func NewPlan(levels []spec.Level, e *tensor.Einsum) (*Plan, error) {
 		p.relevant[s.Kind], p.axes[s.Kind] = rel, terms[start:len(terms):len(terms)]
 		p.actual[s.Kind] = p.volume(s.Kind, p.bounds)
 	}
+	p.terms = terms
+	clear(p.dimRel[:])
 	for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
 		for d := range p.dims {
 			if p.relevant[t]&(1<<uint(d)) != 0 {
@@ -310,7 +337,7 @@ func NewPlan(levels []spec.Level, e *tensor.Einsum) (*Plan, error) {
 		}
 	}
 	// All tensors' holder lists share one backing array.
-	holders := make([]int, 0, nh)
+	holders := grow(p.holderBuf, nh)[:0]
 	for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
 		start := len(holders)
 		for i := range levels {
@@ -320,7 +347,18 @@ func NewPlan(levels []spec.Level, e *tensor.Einsum) (*Plan, error) {
 		}
 		p.holders[t] = holders[start:len(holders):len(holders)]
 	}
-	return p, nil
+	p.holderBuf = holders
+	return nil
+}
+
+// grow returns s with length n, reusing its backing array when it is
+// large enough. Unlike resize it leaves the old contents in place, for
+// tables every element of which is written next.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // kindMask turns a per-tensor flag map into a bitmask.
@@ -411,9 +449,6 @@ type levelFold struct {
 	// rel[kind] and irr[kind] are the products of the level's spatial
 	// factors over dimensions relevant and irrelevant to the tensor.
 	rel, irr [tensor.NumKinds]int64
-	// tile is the padded tile volume at the level of the tensor
-	// AnalyzeLoaded is counting, set at every holder of that tensor.
-	tile int64
 }
 
 // unitFold is a level with no loops.
@@ -434,10 +469,22 @@ type Scratch struct {
 	padded []int       // per-dimension product of all factors
 	tiles  []int       // row h: per-dimension tile extents at level h, if it keeps a tensor
 	folds  []levelFold // per level
-	macs   int64       // padded MAC count: product of all factors
+	// vols[h][kind] is the padded tile volume of the tensor at level h,
+	// set by the analysis at every holder of the tensor.
+	vols   [][tensor.NumKinds]int64
+	macs   int64 // padded MAC count: product of all factors
 	cycles int64
 	inst   int64
 	counts Counts
+
+	// level0 records that AnalyzeLevel0 has counted the layout: the
+	// totals and the outermost holders of the tensors in top, whose
+	// utilizations and traffic to their next-inner holders it left in
+	// util and passed (see countTop). Every load clears it.
+	level0 bool
+	top    uint8
+	util   [tensor.NumKinds]float64
+	passed [tensor.NumKinds]int64
 }
 
 // resize returns s with length n and every element zero, reusing its
@@ -463,12 +510,14 @@ func checkShape(levels []spec.Level, m *Mapping) error {
 	return nil
 }
 
-// startLoops empties s.loops with room for n loops.
+// startLoops empties s.loops with room for n loops, discarding the
+// analysis of the layout s held.
 func (s *Scratch) startLoops(n int) {
 	if cap(s.loops) < n {
 		s.loops = make([]loopRef, 0, n)
 	}
 	s.loops = s.loops[:0]
+	s.level0 = false
 }
 
 // check validates the loops in s.loops, which hold a mapping's loops in
@@ -615,7 +664,8 @@ func (p *Plan) layout(s *Scratch) error {
 		return err
 	}
 	nd, nl := len(p.dims), len(p.levels)
-	s.folds = resize(s.folds, nl)
+	s.folds = grow(s.folds, nl) // every fold is set below
+	s.vols = grow(s.vols, nl)
 	if cap(s.tiles) < (nl+1)*nd {
 		s.tiles = make([]int, (nl+1)*nd)
 	}
@@ -747,11 +797,11 @@ func (p *Plan) consumption(s *Scratch, t tensor.Kind, b int) int64 {
 
 // crossings returns the per-layer value count of tensor t crossing the
 // boundary just above level b. The tile volumes of t's holders must be
-// in the folds.
+// in s.vols.
 func (p *Plan) crossings(s *Scratch, t tensor.Kind, b int) int64 {
 	for h := b; h < len(p.levels); h++ {
 		if p.keeps[h]&kindBit(t) != 0 {
-			return s.folds[h].tile * p.refetches(s, t, h, b)
+			return s.vols[h][t] * p.refetches(s, t, h, b)
 		}
 	}
 	return p.consumption(s, t, b)
@@ -770,10 +820,9 @@ func (p *Plan) multicastCopies(s *Scratch, t tensor.Kind, parent, h int) int64 {
 	return copies
 }
 
-// utilizationOf returns actual/padded volume for tensor t, used to scale
-// storage traffic to the data that actually exists.
-func (p *Plan) utilizationOf(s *Scratch, t tensor.Kind) float64 {
-	padded := p.volume(t, s.padded)
+// utilization returns tensor t's actual volume over its padded volume,
+// which scales storage traffic to the data that actually exists.
+func (p *Plan) utilization(t tensor.Kind, padded int64) float64 {
 	if padded == 0 {
 		return 1
 	}
@@ -815,49 +864,140 @@ func (p *Plan) AnalyzeInto(m *Mapping, s *Scratch) (*Counts, error) {
 	return p.AnalyzeLoaded(s), nil
 }
 
-// AnalyzeLoaded computes the access counts of the mapping the last
-// successful Load or LoadIndexed laid out in s (after a failed load the
-// layout is meaningless). The returned Counts belong to s, like
-// AnalyzeInto's.
-func (p *Plan) AnalyzeLoaded(s *Scratch) *Counts {
+// AnalyzeLevel0 starts the analysis of the mapping the last successful
+// Load or LoadIndexed laid out in s: it computes the Counts' mapping-wide
+// totals (MACs, cycles, instances, utilization, MappedOutside) and, when
+// level 0 is a storage level, the entries of level 0, and returns the
+// Counts with every other level's entries still to be counted. The
+// entries are those AnalyzeLoaded reports, computed by the same code:
+// AnalyzeLoaded starts with AnalyzeLevel0 itself, and after an
+// AnalyzeLevel0 of the same layout goes on from its counts instead of
+// starting over. So a caller whose decision needs only the outermost
+// level (a cost bound) can stop there, and one that needs everything
+// pays for level 0 once.
+func (p *Plan) AnalyzeLevel0(s *Scratch) *Counts {
 	nl := len(p.levels)
 	c := &s.counts
-	c.PerLevel = resize(c.PerLevel, nl)
+	if cap(c.PerLevel) < nl {
+		c.PerLevel = make([][tensor.NumKinds]TensorCounts, nl)
+	}
+	c.PerLevel = c.PerLevel[:nl]
+	c.PerLevel[0] = [tensor.NumKinds]TensorCounts{} // AnalyzeLoaded clears the rest
 	c.present = p.present
 	c.MACs = s.macs
 	c.ActualMACs = p.actualMACs
 	c.Cycles = s.cycles
 	c.Instances = s.inst
 	c.Utilization = float64(p.actualMACs) / float64(s.macs)
-	c.MappedOutside = resize(c.MappedOutside, nl)
+	c.MappedOutside = grow(c.MappedOutside, nl)
 	mapped := int64(1)
 	for i := range c.MappedOutside {
 		c.MappedOutside[i] = mapped
 		mapped *= s.folds[i].spatial
 	}
+	s.top = 0
+	if p.kind[0] == spec.StorageLevel {
+		for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
+			if p.present[0]&kindBit(t) != 0 {
+				p.countTop(s, t)
+			}
+		}
+	}
+	s.level0 = true
+	return c
+}
 
+// countTop counts tensor t at its outermost holder h0 into
+// c.PerLevel[h0][t], computing the tile volumes of h0 and of the
+// next-inner holder h1 if there is one, and leaves in s the tensor's
+// utilization and the values h0 exchanges with h1: what it
+// serves h1 (inputs and weights, before multicast) or drains from it
+// (outputs), 0 without h1. AnalyzeLoaded counts the other holders from
+// those.
+func (p *Plan) countTop(s *Scratch, t tensor.Kind) {
+	holders := p.holders[t]
+	h0 := holders[0]
+	padded := p.volume(t, s.padded)
+	util := p.utilization(t, padded)
+	// Every loop lies at or inside level 0, so a level-0 tile spans the
+	// padded bounds.
+	if h0 == 0 {
+		s.vols[h0][t] = padded
+	} else {
+		s.vols[h0][t] = p.tileVolume(s, t, h0)
+	}
+	tc := &s.counts.PerLevel[h0][t]
+	tc.Tile = scaleBy(s.vols[h0][t], util)
+	var passed int64
+	if len(holders) > 1 {
+		h1 := holders[1]
+		s.vols[h1][t] = p.tileVolume(s, t, h1)
+		passed = scaleBy(s.vols[h1][t]*p.refetches(s, t, h1, h1), util)
+	}
+	switch {
+	case t != tensor.Output:
+		// Inputs and weights flow downward: data arrives at the top
+		// holder once, and it serves the next holder or compute.
+		tc.Writes += tc.Tile
+		if len(holders) > 1 {
+			tc.Reads += passed
+		} else {
+			tc.Reads += p.consumption(s, t, h0+1)
+		}
+	case len(holders) > 1:
+		// Outputs flow upward: the top holder takes its inner holder's
+		// drains.
+		tc.Writes += passed
+	default:
+		// The only output holder takes every update, read-modify-write.
+		updates := p.consumption(s, t, h0+1)
+		tc.Writes += updates
+		tc.Reads += updates
+	}
+	s.util[t], s.passed[t] = util, passed
+	s.top |= kindBit(t)
+}
+
+// AnalyzeLoaded computes the access counts of the mapping the last
+// successful Load or LoadIndexed laid out in s (after a failed load the
+// layout is meaningless), completing the counts of an AnalyzeLevel0 of
+// the same layout if there was one. The returned Counts belong to s,
+// like AnalyzeInto's.
+func (p *Plan) AnalyzeLoaded(s *Scratch) *Counts {
+	if !s.level0 {
+		p.AnalyzeLevel0(s)
+	}
+	nl := len(p.levels)
+	c := &s.counts
+	clear(c.PerLevel[1:])
 	for t := tensor.Kind(0); t < tensor.NumKinds; t++ {
 		if p.spaces&kindBit(t) == 0 {
 			continue
 		}
 		holders := p.holders[t]
-		for _, h := range holders {
-			s.folds[h].tile = p.tileVolume(s, t, h)
+		if len(holders) > 0 {
+			if s.top&kindBit(t) == 0 {
+				p.countTop(s, t)
+			}
+			for _, h := range holders[min(2, len(holders)):] {
+				s.vols[h][t] = p.tileVolume(s, t, h)
+			}
 		}
-		util := p.utilizationOf(s, t)
+		util, passed := s.util[t], s.passed[t]
 		if t != tensor.Output {
 			// Inputs and weights flow downward: parent reads fill children.
-			for idx, h := range holders {
+			for idx := 1; idx < len(holders); idx++ {
+				h := holders[idx]
 				tc := &c.PerLevel[h][t]
-				tc.Tile = scaleBy(s.folds[h].tile, util)
-				if idx == 0 {
-					// Top holder: data arrives once.
-					tc.Writes += tc.Tile
+				tc.Tile = scaleBy(s.vols[h][t], util)
+				if idx == 1 {
+					// Filled by the top holder (countTop).
+					tc.Writes += passed * p.multicastCopies(s, t, holders[0], h)
 				}
 				// Serve the next-inner holder, or compute directly.
 				if idx+1 < len(holders) {
 					inner := holders[idx+1]
-					pr := scaleBy(s.folds[inner].tile*p.refetches(s, t, inner, inner), util)
+					pr := scaleBy(s.vols[inner][t]*p.refetches(s, t, inner, inner), util)
 					tc.Reads += pr
 					c.PerLevel[inner][t].Writes += pr * p.multicastCopies(s, t, h, inner)
 				} else {
@@ -867,27 +1007,27 @@ func (p *Plan) AnalyzeLoaded(s *Scratch) *Counts {
 		} else {
 			// Outputs flow upward: compute updates the innermost holder,
 			// which drains toward the top.
-			for idx := len(holders) - 1; idx >= 0; idx-- {
+			for idx := len(holders) - 1; idx > 0; idx-- {
 				h := holders[idx]
 				tc := &c.PerLevel[h][t]
-				tc.Tile = scaleBy(s.folds[h].tile, util)
+				tc.Tile = scaleBy(s.vols[h][t], util)
 				if idx == len(holders)-1 {
 					// Innermost holder: read-modify-write per update.
 					updates := p.consumption(s, t, h+1)
 					tc.Writes += updates
 					tc.Reads += updates
 				}
-				if idx > 0 {
-					// Drain to the next-outer holder.
-					outer := &c.PerLevel[holders[idx-1]][t]
-					drains := scaleBy(s.folds[h].tile*p.refetches(s, t, h, h), util)
-					tc.Reads += drains
-					outer.Writes += drains
-					if idx-1 > 0 {
-						// Intermediate holders accumulate (RMW).
-						outer.Reads += drains
-					}
+				if idx == 1 {
+					// Drained into the top holder (countTop).
+					tc.Reads += passed
+					continue
 				}
+				// Drain to the next-outer holder, which accumulates (RMW).
+				outer := &c.PerLevel[holders[idx-1]][t]
+				drains := scaleBy(s.vols[h][t]*p.refetches(s, t, h, h), util)
+				tc.Reads += drains
+				outer.Writes += drains
+				outer.Reads += drains
 			}
 		}
 		// Transit crossings for every transit level processing t.

@@ -2,11 +2,13 @@ package mapping_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/macros"
 	"repro/internal/mapper"
 	"repro/internal/mapping"
+	"repro/internal/spec"
 	"repro/internal/workload"
 )
 
@@ -14,8 +16,11 @@ import (
 // scans they replaced: on the mapper's draws for a built-in macro and a
 // zoo layer, chosen by the fuzzed indices, AnalyzeLoaded's Counts must
 // equal AnalyzeByScan's field for field, the Scratch being reused from
-// candidate to candidate as a search reuses it. The seed corpus covers
-// every built-in macro and every zoo network.
+// candidate to candidate as a search reuses it. Every other candidate
+// is counted the way a bounded search counts it, AnalyzeLevel0 first:
+// its level-0 entries and totals must equal the scans' already, and the
+// AnalyzeLoaded that completes them the scans' in full. The seed corpus
+// covers every built-in macro and every zoo network.
 func FuzzAnalyzeMatchesScan(f *testing.F) {
 	networks := workload.Names()
 	for mi := range digestMacros {
@@ -46,11 +51,21 @@ func FuzzAnalyzeMatchesScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		s := new(mapping.Scratch)
-		for _, m := range cands {
+		for i, m := range cands {
 			if err := plan.Load(m, s); err != nil {
 				t.Fatalf("%s %s: %v", arch.Name, m, err)
 			}
-			got, want := plan.AnalyzeLoaded(s), mapping.AnalyzeByScan(plan, s)
+			want := mapping.AnalyzeByScan(plan, s)
+			if i%2 == 1 {
+				c := plan.AnalyzeLevel0(s)
+				if arch.Levels[0].Kind == spec.StorageLevel && c.PerLevel[0] != want.PerLevel[0] ||
+					c.MACs != want.MACs || c.ActualMACs != want.ActualMACs || c.Cycles != want.Cycles ||
+					c.Instances != want.Instances || c.Utilization != want.Utilization ||
+					!slices.Equal(c.MappedOutside, want.MappedOutside) {
+					t.Fatalf("%s %s %s: level 0\nfolds %+v\nscans %+v", arch.Name, l.Name, m, *c, *want)
+				}
+			}
+			got := plan.AnalyzeLoaded(s)
 			if !reflect.DeepEqual(*got, *want) {
 				t.Fatalf("%s %s %s:\nfolds %+v\nscans %+v", arch.Name, l.Name, m, *got, *want)
 			}

@@ -42,7 +42,7 @@ func AnalyzeByScan(p *Plan, s *Scratch) *Counts {
 			continue
 		}
 		holders := p.holders[t]
-		util := p.utilizationOf(s, t)
+		util := p.utilization(t, p.volume(t, s.padded))
 		if t != tensor.Output {
 			for idx, h := range holders {
 				tc := &c.PerLevel[h][t]

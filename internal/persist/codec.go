@@ -390,5 +390,7 @@ func DecodeLayerContextColumnar(payload []byte) (*core.LayerContext, error) {
 	if r.off != len(payload) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", errColumnar, len(payload)-r.off)
 	}
-	return core.RestoreLayerContext(data)
+	// The slice PMFs were decoded into slices of their own: the context
+	// takes them without a second copy.
+	return core.AdoptLayerContext(data)
 }

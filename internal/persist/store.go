@@ -55,7 +55,13 @@ type op struct {
 // Store is a directory of envelope files with a single background writer.
 // All methods are safe for concurrent use.
 type Store struct {
-	dir   string
+	dir string
+	// boot holds the record files Open listed, for the first scan to use
+	// instead of listing the directory again: the directory belongs to
+	// the store, so the listing stays current until the store queues a
+	// write or deletion, which drops it (send), as the scan that uses it
+	// does.
+	boot  atomic.Pointer[[]string]
 	queue chan op
 	wg    sync.WaitGroup
 
@@ -93,17 +99,33 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	if entries, err := os.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasPrefix(e.Name(), tmpPrefix) {
-				os.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
-	}
 	s := &Store{dir: dir, queue: make(chan op, defaultQueue)}
+	if names, err := listRecords(dir, true); err == nil {
+		s.boot.Store(&names)
+	}
 	s.wg.Add(1)
 	go s.writer()
 	return s, nil
+}
+
+// listRecords returns the paths of the record files in dir, removing
+// the temp files of unfinished writes on the way when reap is set.
+func listRecords(dir string, reap bool) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		switch name := e.Name(); {
+		case e.IsDir():
+		case reap && strings.HasPrefix(name, tmpPrefix):
+			os.Remove(filepath.Join(dir, name))
+		case strings.HasSuffix(name, fileSuffix):
+			names = append(names, filepath.Join(dir, name))
+		}
+	}
+	return names, nil
 }
 
 // Dir returns the store's directory.
@@ -167,6 +189,9 @@ func (s *Store) send(o op, block bool) bool {
 			s.dropped.Add(1)
 		}
 		return false
+	}
+	if o.ack == nil {
+		s.boot.Store(nil)
 	}
 	if block {
 		s.queue <- o
@@ -294,14 +319,13 @@ func (s *Store) Scan(workers int, fn func(Record) error) (ScanStats, error) {
 
 // scan is Scan with a callback that also receives the record's file name.
 func (s *Store) scan(workers int, fn func(name string, rec Record) error) (ScanStats, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return ScanStats{}, fmt.Errorf("persist: %w", err)
-	}
 	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), fileSuffix) {
-			names = append(names, filepath.Join(s.dir, e.Name()))
+	if boot := s.boot.Swap(nil); boot != nil {
+		names = *boot
+	} else {
+		var err error
+		if names, err = listRecords(s.dir, false); err != nil {
+			return ScanStats{}, fmt.Errorf("persist: %w", err)
 		}
 	}
 	if workers <= 0 {

@@ -274,3 +274,39 @@ func TestStoreOpenRejectsFileAsDir(t *testing.T) {
 		t.Fatal("opening a store over a regular file must fail")
 	}
 }
+
+// TestStoreOpenListsOnce: Open reaps the temp files of writes a crash
+// interrupted and keeps the record files it listed for the boot scan,
+// which loads them all; a record queued after Open makes the next scan
+// list the directory again, so it is seen too.
+func TestStoreOpenListsOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(KindEngine, "eng|a", 1, payload("a"))
+	s.Put(KindEngine, "eng|b", 1, payload("b"))
+	s.Close()
+	tmp := filepath.Join(dir, tmpPrefix+"123")
+	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("Open left the temp file of an unfinished write: %v", err)
+	}
+	if got, stats := scanAll(t, s); stats.Files != 2 || len(got) != 2 {
+		t.Fatalf("boot scan stats %+v, records %v, want the 2 records", stats, got)
+	}
+	s.Put(KindEngine, "eng|c", 1, payload("c"))
+	s.Flush()
+	if got, stats := scanAll(t, s); stats.Files != 3 || string(got["eng|c"].Payload) != "c" {
+		t.Fatalf("scan after a write: stats %+v, records %v, want 3 including eng|c", stats, got)
+	}
+}

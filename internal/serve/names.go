@@ -10,20 +10,23 @@ import (
 
 // nameMemo resolves built-in names once per server. A bare macro name
 // (no scenario) and a zoo network name describe the same content on
-// every request, so the macro builder, the network constructor, the
-// network's validation and both fingerprints run on the first request
-// that names them, and every later request reads the memoized entry:
-// a warm request then pays only for cache lookups and the mapping
+// every request, so the macro builder, the architecture's fingerprint,
+// the network constructor and the network's validation run on the first
+// request that names them, and a layer's fingerprint on the first
+// request that evaluates that layer (a request for the first 2 layers of
+// a network hashes those 2). Every later request reads the memoized
+// entry: a warm request then pays only for cache lookups and the mapping
 // searches. Inline specs, programmatic Arch/Net values and
 // scenario-wrapped macros are resolved per request as before.
 //
-// Entries are shared by concurrent requests and never mutated: the
-// engine compiled from a memoized Arch only reads it, and a request
+// Entries are shared by concurrent requests and never mutated, except
+// that each layer fingerprint is filled in once, under its sync.Once:
+// the engine compiled from a memoized Arch only reads it, and a request
 // that truncates a network (Request.Layers) slices the memoized layers
-// and fingerprints without copying them. Only names that resolve are
-// stored, so the memo is bounded by the built-in name sets (aliases
-// included); an unknown name fails with the builder's error on every
-// request and adds no entry.
+// without copying them. Only names that resolve are stored, so the memo
+// is bounded by the built-in name sets (aliases included); an unknown
+// name fails with the builder's error on every request and adds no
+// entry.
 type nameMemo struct {
 	macros sync.Map // macro name -> *namedArch
 	nets   sync.Map // network name -> *namedNet
@@ -35,10 +38,24 @@ type namedArch struct {
 	fp   string
 }
 
-// namedNet is a validated zoo network and its layers' LayerFingerprints.
+// namedNet is a validated zoo network and its layers'
+// LayerFingerprints, each computed once, on first use (layerFP).
 type namedNet struct {
 	net *workload.Network
-	fps []string
+	fps []lazyFingerprint // parallel to net.Layers
+}
+
+// lazyFingerprint is one layer's LayerFingerprint, computed once.
+type lazyFingerprint struct {
+	once sync.Once
+	fp   string
+}
+
+// layerFP returns the LayerFingerprint of the network's layer i.
+func (n *namedNet) layerFP(i int) string {
+	f := &n.fps[i]
+	f.once.Do(func() { f.fp = LayerFingerprint(n.net.Layers[i]) })
+	return f.fp
 }
 
 // macro returns the memoized resolution of a bare macro name.
@@ -66,7 +83,7 @@ func (m *nameMemo) network(name string) (*namedNet, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	v, _ := m.nets.LoadOrStore(name, &namedNet{net: net, fps: layerFingerprints(net.Layers)})
+	v, _ := m.nets.LoadOrStore(name, &namedNet{net: net, fps: make([]lazyFingerprint, len(net.Layers))})
 	return v.(*namedNet), nil
 }
 

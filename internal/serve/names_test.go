@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
@@ -213,8 +212,10 @@ func TestNameMemoMatchesFreshServer(t *testing.T) {
 	})
 	shared.names.nets.Range(func(k, v any) bool {
 		n := v.(*namedNet)
-		if fps := layerFingerprints(n.net.Layers); !slices.Equal(fps, n.fps) {
-			t.Errorf("memoized network %q now hashes to %v, stored %v", k, fps, n.fps)
+		for i, l := range n.net.Layers {
+			if fp := LayerFingerprint(l); fp != n.layerFP(i) {
+				t.Errorf("memoized network %q layer %d now hashes to %s, stored %s", k, i, fp, n.layerFP(i))
+			}
 		}
 		fresh, err := workload.ByName(k.(string))
 		if err != nil || !reflect.DeepEqual(fresh, n.net) {
@@ -270,11 +271,45 @@ func TestNameMemoConcurrentFill(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if got[i].arch != got[0].arch || &got[i].layerFPs[0] != &got[0].layerFPs[0] {
+		if got[i].arch != got[0].arch || got[i].named != got[0].named {
 			t.Fatalf("request %d resolved to a second copy of the memoized entries", i)
 		}
-		if len(got[i].net.Layers) != 1+i%3 || len(got[i].layerFPs) != 1+i%3 {
-			t.Fatalf("request %d: %d layers, %d fingerprints, want %d", i, len(got[i].net.Layers), len(got[i].layerFPs), 1+i%3)
+		if len(got[i].net.Layers) != 1+i%3 {
+			t.Fatalf("request %d: %d layers, want %d", i, len(got[i].net.Layers), 1+i%3)
 		}
+	}
+}
+
+// TestNameMemoFingerprintsOnDemand: a named network's layers are
+// fingerprinted by the first request that evaluates them, not all at
+// once, and the lazily computed fingerprints address the same cache
+// entries as a prebuilt copy of the network.
+func TestNameMemoFingerprintsOnDemand(t *testing.T) {
+	srv := NewServer(BatchOptions{})
+	req := Request{Macro: "base", Network: "resnet18", Layers: 2, MaxMappings: 2}
+	if _, err := srv.EvaluateCtx(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	v, ok := srv.names.nets.Load("resnet18")
+	if !ok {
+		t.Fatal("resnet18 not memoized")
+	}
+	n := v.(*namedNet)
+	for i := range n.fps {
+		if done := n.fps[i].fp != ""; done != (i < 2) {
+			t.Fatalf("layer %d of %d fingerprinted %v after a 2-layer request", i, len(n.fps), done)
+		}
+	}
+	before := srv.CacheStats()
+	net, err := workload.ByName("resnet18")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Network, req.Net = "", net
+	if _, err := srv.EvaluateCtx(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if after := srv.CacheStats(); after.Misses != before.Misses {
+		t.Fatalf("a prebuilt copy of the network missed the cache %d times", after.Misses-before.Misses)
 	}
 }

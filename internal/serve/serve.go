@@ -377,10 +377,22 @@ func firstLayers(net *workload.Network, k int) *workload.Network {
 // resolved is a request's architecture and validated network with the
 // content fingerprints that address them in the cache.
 type resolved struct {
-	arch     *core.Arch
-	archFP   string
-	net      *workload.Network
-	layerFPs []string // LayerFingerprint of each of net's layers
+	arch   *core.Arch
+	archFP string
+	net    *workload.Network
+	// named is the memo entry of a zoo network name, which fingerprints
+	// the layers on first use; any other network's LayerFingerprints are
+	// in layerFPs, one per layer.
+	named    *namedNet
+	layerFPs []string
+}
+
+// layerFP returns the LayerFingerprint of the network's layer i.
+func (rv *resolved) layerFP(i int) string {
+	if rv.named != nil {
+		return rv.named.layerFP(i)
+	}
+	return rv.layerFPs[i]
 }
 
 // resolve materializes the request's architecture and network with
@@ -420,8 +432,7 @@ func (s *Server) resolve(r *Request) (resolved, error) {
 		return rv, err
 	}
 	// A prefix of a valid network is valid.
-	rv.net = firstLayers(n.net, r.Layers)
-	rv.layerFPs = n.fps[:len(rv.net.Layers):len(rv.net.Layers)]
+	rv.net, rv.named = firstLayers(n.net, r.Layers), n
 	return rv, nil
 }
 
@@ -486,7 +497,7 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 				return nil, err
 			}
 			lookup = time.Now()
-			lctx, err := s.cache.layerContext(ctx, eng, rv.archFP, rv.layerFPs[i], l, wait)
+			lctx, err := s.cache.layerContext(ctx, eng, rv.archFP, rv.layerFP(i), l, wait)
 			compiled = observeCacheLookup(sp, lookup, compiled)
 			if errors.Is(err, core.ErrPrepareBusy) && !wait {
 				continue
