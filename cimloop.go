@@ -122,12 +122,13 @@
 // write-ahead-logged and replayed under their original IDs. Corrupt or
 // version-mismatched files are skipped and reclaimed, never fatal, and
 // restored entries are re-verified against their content fingerprints.
-// Eviction is cost-aware (GDSF): entries are weighted by frequency x
-// measured compile time — persisted and restored with each record — so
-// an expensive engine outlives cheap churn. Sweeps also accept a
-// "timeout_sec" deadline (SweepJobOptions.Timeout programmatically)
-// enforced through the same context plumbing as cancellation. With no
-// directories configured nothing touches disk and behavior is unchanged.
+// Eviction is least recently used. Each record carries its measured
+// compile time, and a boot admits records cheapest first, so when the
+// directory holds more than the cache does, the costliest stay warm.
+// Sweeps also accept a "timeout_sec" deadline (SweepJobOptions.Timeout
+// programmatically) enforced through the same context plumbing as
+// cancellation. With no directories configured nothing touches disk and
+// behavior is unchanged.
 //
 // # Intra-request parallel mapping search
 //

@@ -264,7 +264,7 @@ func TestCostBoundUnsafeEnergies(t *testing.T) {
 		if level < 0 {
 			t.Fatal("no level below 0 has weight energies")
 		}
-		unsafe, err := core.RestoreLayerContext(d)
+		unsafe, err := adoptCopy(d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,9 +90,7 @@ func (m *PrepareMemo) SumOf(cell *dist.PMF, depth int64) (*dist.PMF, error) {
 
 // Kinds counts the memo's entries by kind.
 func (m *PrepareMemo) Kinds() (operands, sums int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k := range m.items {
+	for _, k := range m.entries.Keys() {
 		if k.kind == operandEntry {
 			operands++
 		} else {
@@ -127,11 +125,10 @@ func (e *Engine) HoldSums(l workload.Layer) (release func(), err error) {
 		go func() {
 			defer wg.Done()
 			k := memoKey{kind: sumEntry, digest: ops.cellKey, depth: depth}
-			e.memo.get(k, true, func(me *memoEntry) (err error) {
+			e.memo.get(k, true, func() (any, error) {
 				close(started)
 				<-gate
-				me.sum, err = columnSum(ops.cell, depth)
-				return err
+				return columnSum(ops.cell, depth)
 			})
 		}()
 		<-started

@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dist"
+	"repro/internal/memo"
 )
 
 // columnSumCap is the value a column sum saturates at (columnSumPMF).
@@ -29,19 +29,18 @@ const columnSumCap = 256
 // once and share the immutable result; column sums are stored at exact
 // length.
 //
-// A memo holds at most its capacity of entries, both kinds counted
-// together, and evicts the least recently used; a recomputed entry is
-// bit-identical to the evicted one. Concurrent lookups of one missing
-// entry fill it once, the others waiting for it — except a lookup that
-// does not wait (TryPrepareLayer), which finds the entry busy and counts
-// as no lookup; failures are not memoized. All methods are safe for
-// concurrent use.
+// A PrepareMemo holds at most its capacity of entries, both kinds
+// counted together in one memo.Memo, which evicts the least recently
+// used; a recomputed entry is bit-identical to the evicted one.
+// Concurrent lookups of one missing entry fill it once, the others
+// waiting for it — except a lookup that does not wait (TryPrepareLayer),
+// which finds the entry busy and counts as no lookup; failures are not
+// memoized. All methods are safe for concurrent use.
 type PrepareMemo struct {
-	mu       sync.Mutex
-	capacity int // <= 0: unbounded
-	items    map[memoKey]*memoEntry
-	lru      memoEntry // ring sentinel: lru.next is the most recent entry
-	counts   [memoKinds]MemoCounts
+	entries memo.Memo[memoKey, any] // *operandStage or column-sum *dist.PMF
+
+	mu     sync.Mutex // guards counts
+	counts [memoKinds]MemoCounts
 }
 
 // MemoCounts counts a PrepareMemo's lookups of one entry kind, and the
@@ -65,32 +64,16 @@ type memoKey struct {
 	depth  int64             // column sums only
 }
 
-// memoEntry holds one filled value: ops for an operand entry, sum for a
-// column-sum entry.
-type memoEntry struct {
-	key        memoKey
-	once       sync.Once
-	filled     atomic.Bool // fill has returned
-	ops        *operandStage
-	sum        *dist.PMF
-	err        error
-	prev, next *memoEntry
-}
-
 // NewPrepareMemo returns a memo bounded to capacity entries; capacity <= 0
 // leaves it unbounded.
 func NewPrepareMemo(capacity int) *PrepareMemo {
-	m := &PrepareMemo{capacity: capacity, items: make(map[memoKey]*memoEntry)}
-	m.lru.prev, m.lru.next = &m.lru, &m.lru
+	m := new(PrepareMemo)
+	m.entries.Init(capacity)
 	return m
 }
 
 // Len returns the number of entries held, of both kinds.
-func (m *PrepareMemo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.items)
-}
+func (m *PrepareMemo) Len() int { return m.entries.Len() }
 
 // Stats returns the lookups and fills of operand-stage entries and of
 // column-sum entries since the memo was made.
@@ -132,46 +115,22 @@ func operandKey(a *Arch, inEnc, wEnc string, inPMF, wPMF *dist.PMF) [sha256.Size
 	return sha256.Sum256(appendPMF(b, wPMF))
 }
 
-// get returns k's entry, running fill on it at most once while the entry
-// is held. A failed fill's entry is dropped, so a later lookup retries.
-// Unless wait, an entry another goroutine is filling is not waited for:
-// get returns ErrPrepareBusy.
-func (m *PrepareMemo) get(k memoKey, wait bool, fill func(*memoEntry) error) (*memoEntry, error) {
+// get returns k's value, running fill at most once while its entry is
+// held, and counts the lookup. Unless wait, an entry another goroutine is
+// filling is not waited for: get returns ErrPrepareBusy and counts
+// nothing.
+func (m *PrepareMemo) get(k memoKey, wait bool, fill func() (any, error)) (any, error) {
+	v, hit, err := m.entries.Get(k, wait, fill)
+	if err == ErrPrepareBusy {
+		return nil, err
+	}
 	m.mu.Lock()
-	e, ok := m.items[k]
-	if ok && !wait && !e.filled.Load() {
-		m.mu.Unlock()
-		return nil, ErrPrepareBusy
-	}
 	m.counts[k.kind].Lookups++
-	if ok {
-		e.unlink()
-	} else {
+	if !hit {
 		m.counts[k.kind].Fills++
-		e = &memoEntry{key: k}
-		m.items[k] = e
-		for m.capacity > 0 && len(m.items) > m.capacity {
-			victim := m.lru.prev
-			victim.unlink()
-			delete(m.items, victim.key)
-		}
 	}
-	e.pushAfter(&m.lru)
 	m.mu.Unlock()
-
-	e.once.Do(func() {
-		e.err = fill(e)
-		e.filled.Store(true)
-	})
-	if e.err != nil {
-		m.mu.Lock()
-		if m.items[k] == e {
-			e.unlink()
-			delete(m.items, k)
-		}
-		m.mu.Unlock()
-	}
-	return e, e.err
+	return v, err
 }
 
 // operands returns the operand stage of a layer with operand PMFs inPMF
@@ -181,28 +140,24 @@ func (m *PrepareMemo) operands(a *Arch, inPMF, wPMF *dist.PMF, wait bool) (*oper
 	inEnc := a.ResolveInputEncoding(inPMF.Min() < 0)
 	wEnc := a.ResolveWeightEncoding()
 	k := memoKey{kind: operandEntry, digest: operandKey(a, inEnc, wEnc, inPMF, wPMF)}
-	e, err := m.get(k, wait, func(e *memoEntry) (err error) {
-		e.ops, err = prepareOperands(a, inEnc, wEnc, inPMF, wPMF)
-		return err
+	v, err := m.get(k, wait, func() (any, error) {
+		return prepareOperands(a, inEnc, wEnc, inPMF, wPMF)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return e.ops, nil
+	return v.(*operandStage), nil
 }
 
 // sum returns SumNCapped(ops.cell, depth, columnSumCap).Rebin(512),
 // computing it at most once while its entry is held (see get for wait).
 func (m *PrepareMemo) sum(ops *operandStage, depth int64, wait bool) (*dist.PMF, error) {
 	k := memoKey{kind: sumEntry, digest: ops.cellKey, depth: depth}
-	e, err := m.get(k, wait, func(e *memoEntry) (err error) {
-		e.sum, err = columnSum(ops.cell, depth)
-		return err
-	})
+	v, err := m.get(k, wait, func() (any, error) { return columnSum(ops.cell, depth) })
 	if err != nil {
 		return nil, err
 	}
-	return e.sum, nil
+	return v.(*dist.PMF), nil
 }
 
 // columnSum computes a column-sum entry: SumNCapped(cell, depth,
@@ -213,15 +168,4 @@ func columnSum(cell *dist.PMF, depth int64) (*dist.PMF, error) {
 		return nil, err
 	}
 	return s.Rebin(512).Compact(), nil
-}
-
-func (e *memoEntry) unlink() {
-	e.prev.next, e.next.prev = e.next, e.prev
-	e.prev, e.next = nil, nil
-}
-
-func (e *memoEntry) pushAfter(at *memoEntry) {
-	e.prev, e.next = at, at.next
-	at.next.prev = e
-	at.next = e
 }

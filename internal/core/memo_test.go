@@ -359,7 +359,7 @@ func TestPrepareMemoOperandKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	restore := func(pts ...dist.Point) *dist.PMF {
-		p, err := dist.Restore(pts)
+		p, err := dist.Adopt(pts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,9 +15,9 @@ import (
 // data-value-dependent pipeline of Algorithm 1 lines 3-7 (PMF synthesis,
 // encoding, slicing, and per-component average energies) — but its
 // contents are plain numbers: once computed, it is just tables. Export
-// flattens a context into exported, JSON-ready structs; RestoreLayerContext
+// flattens a context into exported, JSON-ready structs; AdoptLayerContext
 // rebuilds a context from them without re-running the pipeline. The two
-// are exact inverses: a restored context evaluates every mapping
+// are exact inverses: a rebuilt context evaluates every mapping
 // bit-identically to the original (package persist relies on this for
 // warm starts).
 //
@@ -80,26 +80,15 @@ func (c *LayerContext) Export() *LayerContextData {
 	return d
 }
 
-// RestoreLayerContext rebuilds an evaluable LayerContext from its
+// AdoptLayerContext rebuilds an evaluable LayerContext from its
 // plain-data view, validating structural invariants but not re-running the
-// preparation pipeline. The caller is responsible for pairing the context
-// with an engine of the matching architecture (the persist layer does this
-// by content fingerprint).
-func RestoreLayerContext(d *LayerContextData) (*LayerContext, error) {
-	return restoreLayerContext(d, dist.Restore)
-}
-
-// AdoptLayerContext is RestoreLayerContext for data the caller hands
-// over, such as a freshly decoded record: the context takes d's slice
-// PMF points (dist.Adopt) instead of copying them, so the caller must
-// neither use nor change them afterwards.
+// preparation pipeline. The context takes d's slice PMF points
+// (dist.Adopt) instead of copying them, so the caller hands them over,
+// as a decoder does with a freshly decoded record, and must neither use
+// nor change them afterwards. The caller is responsible for pairing the
+// context with an engine of the matching architecture (the persist layer
+// does this by content fingerprint).
 func AdoptLayerContext(d *LayerContextData) (*LayerContext, error) {
-	return restoreLayerContext(d, dist.Adopt)
-}
-
-// restoreLayerContext is RestoreLayerContext with the slice PMFs made by
-// restore.
-func restoreLayerContext(d *LayerContextData, restore func([]dist.Point) (*dist.PMF, error)) (*LayerContext, error) {
 	if d == nil {
 		return nil, errors.New("core: nil layer context data")
 	}
@@ -121,11 +110,11 @@ func restoreLayerContext(d *LayerContextData, restore func([]dist.Point) (*dist.
 	if len(d.Energies) == 0 {
 		return nil, errors.New("core: layer context data has no energy tables")
 	}
-	inPMF, err := restore(d.InputSlicePMF)
+	inPMF, err := dist.Adopt(d.InputSlicePMF)
 	if err != nil {
 		return nil, fmt.Errorf("core: layer context input slice PMF: %w", err)
 	}
-	wPMF, err := restore(d.WeightSlicePMF)
+	wPMF, err := dist.Adopt(d.WeightSlicePMF)
 	if err != nil {
 		return nil, fmt.Errorf("core: layer context weight slice PMF: %w", err)
 	}

@@ -26,6 +26,18 @@ func preparedContext(t *testing.T) (*core.Engine, *core.LayerContext) {
 	return eng, ctx
 }
 
+// adoptCopy is AdoptLayerContext applied to a copy of d whose slice PMF
+// points are copied too, so the context does not share them with d.
+func adoptCopy(d *core.LayerContextData) (*core.LayerContext, error) {
+	if d == nil {
+		return core.AdoptLayerContext(nil)
+	}
+	c := *d
+	c.InputSlicePMF = append(d.InputSlicePMF[:0:0], d.InputSlicePMF...)
+	c.WeightSlicePMF = append(d.WeightSlicePMF[:0:0], d.WeightSlicePMF...)
+	return core.AdoptLayerContext(&c)
+}
+
 func TestLayerContextExportRestore(t *testing.T) {
 	eng, ctx := preparedContext(t)
 	data := ctx.Export()
@@ -38,7 +50,7 @@ func TestLayerContextExportRestore(t *testing.T) {
 	if len(data.InputSlicePMF) == 0 || len(data.WeightSlicePMF) == 0 {
 		t.Fatal("export must carry the slice PMFs")
 	}
-	restored, err := core.RestoreLayerContext(data)
+	restored, err := adoptCopy(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +83,7 @@ func TestLayerContextExportRestore(t *testing.T) {
 
 func TestRestoreLayerContextValidation(t *testing.T) {
 	_, ctx := preparedContext(t)
-	if _, err := core.RestoreLayerContext(nil); err == nil {
+	if _, err := adoptCopy(nil); err == nil {
 		t.Fatal("nil data must fail")
 	}
 	for _, mutate := range []struct {
@@ -93,16 +105,16 @@ func TestRestoreLayerContextValidation(t *testing.T) {
 		data.InputSlicePMF = append(data.InputSlicePMF[:0:0], data.InputSlicePMF...)
 		data.WeightSlicePMF = append(data.WeightSlicePMF[:0:0], data.WeightSlicePMF...)
 		mutate.fn(data)
-		if _, err := core.RestoreLayerContext(data); err == nil {
+		if _, err := adoptCopy(data); err == nil {
 			t.Fatalf("%s: restore must fail", mutate.name)
 		}
 	}
 }
 
-// TestAdoptLayerContextTakesPoints checks the two restores' ownership:
-// RestoreLayerContext copies the slice PMF points it is given, while
-// AdoptLayerContext, the decoder's form, takes them as they are and
-// builds the same context.
+// TestAdoptLayerContextTakesPoints checks AdoptLayerContext's ownership:
+// applied to a copy of the slice PMF points (adoptCopy) it does not share
+// the points it was given, while applied to them directly, the decoder's
+// form, it takes them as they are; both build the same context.
 func TestAdoptLayerContextTakesPoints(t *testing.T) {
 	_, ctx := preparedContext(t)
 	owned := func() *core.LayerContextData {
@@ -112,12 +124,12 @@ func TestAdoptLayerContextTakesPoints(t *testing.T) {
 		return d
 	}
 	d := owned()
-	restored, err := core.RestoreLayerContext(d)
+	restored, err := adoptCopy(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &restored.InputSlicePMF.Points()[0] == &d.InputSlicePMF[0] || &restored.WeightSlicePMF.Points()[0] == &d.WeightSlicePMF[0] {
-		t.Fatal("RestoreLayerContext shares the caller's PMF points")
+		t.Fatal("AdoptLayerContext of a copy shares the caller's PMF points")
 	}
 	d = owned()
 	adopted, err := core.AdoptLayerContext(d)
@@ -128,7 +140,7 @@ func TestAdoptLayerContextTakesPoints(t *testing.T) {
 		t.Fatal("AdoptLayerContext copied the PMF points it was handed")
 	}
 	if !reflect.DeepEqual(adopted, restored) {
-		t.Fatal("AdoptLayerContext and RestoreLayerContext built different contexts")
+		t.Fatal("AdoptLayerContext of the points and of a copy built different contexts")
 	}
 	bad := owned()
 	bad.WeightSlicePMF[0], bad.WeightSlicePMF[1] = bad.WeightSlicePMF[1], bad.WeightSlicePMF[0]

@@ -2,12 +2,12 @@ package core
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 
 	"repro/internal/circuits"
 	"repro/internal/dist"
 	"repro/internal/enc"
+	"repro/internal/memo"
 	"repro/internal/spec"
 	"repro/internal/tensor"
 	"repro/internal/workload"
@@ -43,7 +43,7 @@ type LayerContext struct {
 	Layer workload.Layer
 	// Sliced is the layer's einsum with the bit-slice dims added. It is
 	// validated once, when the context is made (PrepareLayer,
-	// RestoreLayerContext), and searches compile it without validating
+	// AdoptLayerContext), and searches compile it without validating
 	// it again, so it must not be changed afterwards.
 	Sliced *tensor.Einsum
 
@@ -68,8 +68,9 @@ func (e *Engine) PrepareLayer(l workload.Layer) (*LayerContext, error) {
 }
 
 // ErrPrepareBusy is TryPrepareLayer's refusal to wait: a memo entry the
-// preparation needs is being filled by another goroutine.
-var ErrPrepareBusy = errors.New("core: layer preparation needs a memo entry another goroutine is filling")
+// preparation needs is being filled by another goroutine. It is the
+// memo's own refusal (memo.ErrBusy), returned unwrapped.
+var ErrPrepareBusy = memo.ErrBusy
 
 // TryPrepareLayer is PrepareLayer that never waits on another
 // goroutine's fill of the engine's PrepareMemo: where PrepareLayer would

@@ -107,20 +107,16 @@ func Delta(v float64) *PMF {
 	return &PMF{pts: []Point{{Value: v, Prob: 1}}}
 }
 
-// Restore rebuilds a PMF from points previously obtained via Points,
+// Adopt rebuilds a PMF from points previously obtained via Points,
 // without renormalizing: the input must already satisfy the PMF
 // invariants (sorted, strictly increasing, positive mass summing to one
 // within tolerance). Unlike FromPoints — whose normalization divides every
 // probability by the float sum and so can perturb the stored bits —
-// Restore copies the points verbatim, which is what lets a serialized PMF
-// round-trip bit-exactly (package persist's warm-start codec).
-func Restore(pts []Point) (*PMF, error) {
-	return Adopt(append([]Point(nil), pts...))
-}
-
-// Adopt is Restore without the copy: the PMF takes pts as its atoms, so
-// the caller must neither use nor change pts afterwards. It is for a
-// caller that built pts for this PMF alone, such as a decoder.
+// Adopt keeps the points verbatim, which is what lets a serialized PMF
+// round-trip bit-exactly (package persist's warm-start codec). The PMF
+// takes pts as its atoms, so the caller must neither use nor change pts
+// afterwards: it is for a caller that built pts for this PMF alone, such
+// as a decoder.
 func Adopt(pts []Point) (*PMF, error) {
 	p := &PMF{pts: pts}
 	if err := p.Validate(); err != nil {

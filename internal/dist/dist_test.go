@@ -44,16 +44,16 @@ func TestFromPointsNormalization(t *testing.T) {
 	}
 }
 
-// TestRestoreBitExact: Restore(p.Points()) reproduces the PMF without
-// renormalization — every value and probability bit-identical — while
-// invalid point lists (the failure modes of a corrupted serialization)
-// are rejected.
+// TestRestoreBitExact: Adopt applied to a copy of p.Points() reproduces
+// the PMF without renormalization — every value and probability
+// bit-identical — while invalid point lists (the failure modes of a
+// corrupted serialization) are rejected.
 func TestRestoreBitExact(t *testing.T) {
 	src, err := FromPoints([]Point{{0, 0.3}, {1, 0.1}, {2, 0.45}, {7, 0.15}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Restore(src.Points())
+	got, err := Adopt(append([]Point(nil), src.Points()...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +62,16 @@ func TestRestoreBitExact(t *testing.T) {
 			t.Fatalf("point %d: %+v != %+v (must be bit-identical)", i, pt, src.Points()[i])
 		}
 	}
-	// Restore copies: mutating the input afterwards must not alias.
+	// Adopting a copy: mutating the points copied from afterwards must
+	// not alias.
 	pts := append([]Point(nil), src.Points()...)
-	restored, err := Restore(pts)
+	restored, err := Adopt(append([]Point(nil), pts...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pts[0].Prob = 0.9999
 	if restored.Points()[0].Prob != src.Points()[0].Prob {
-		t.Fatal("Restore must copy its input")
+		t.Fatal("Adopt of a copy must not alias the points copied from")
 	}
 	for name, bad := range map[string][]Point{
 		"empty":          {},
@@ -80,8 +81,8 @@ func TestRestoreBitExact(t *testing.T) {
 		"mass not unity": {{1, 0.25}, {2, 0.25}},
 		"non-finite":     {{math.Inf(1), 1}},
 	} {
-		if _, err := Restore(bad); err == nil {
-			t.Fatalf("%s: Restore must reject invalid points", name)
+		if _, err := Adopt(bad); err == nil {
+			t.Fatalf("%s: Adopt must reject invalid points", name)
 		}
 	}
 }

@@ -15,8 +15,8 @@
 //	              KindCheckpoint; 2 is reserved for the retired JSON
 //	              layer-context kind)
 //	7       8     cost, big-endian IEEE-754 float64 — measured compile
-//	              seconds for cache entries (feeds the GDSF eviction
-//	              weight on warm start), zero for job records
+//	              seconds for cache entries (sets the warm-start admission
+//	              order, costliest last), zero for job records
 //	15      4     key length, big-endian uint32
 //	19      n     key (the content-addressed cache key or job record key)
 //	19+n    4     payload length, big-endian uint32

@@ -368,14 +368,14 @@ func (s *Store) scan(workers int, fn func(name string, rec Record) error) (ScanS
 // and their envelopes decoded across at most workers goroutines, which
 // also run prepare on each record (decoding and verifying its payload,
 // say); then admit is called serially with each prepared value, in
-// descending CostSec order (ties broken by key, ascending, so the order
+// ascending CostSec order (ties broken by key, descending, so the order
 // is deterministic). The Record admit receives carries no Payload: the
 // prepared value replaces it. Use it for boot warm-starts feeding a
-// budgeted cache: the most expensive compiles are admitted first, so if
-// the cache cannot hold everything it keeps the records that are
-// costliest to recompute. A record that fails to decode — or that
-// prepare or admit refuses — is counted as skipped and its file deleted,
-// exactly like Scan.
+// budgeted least-recently-used cache: the most expensive compiles are
+// admitted last, so if the cache cannot hold everything it keeps the
+// records that are costliest to recompute. A record that fails to
+// decode — or that prepare or admit refuses — is counted as skipped and
+// its file deleted, exactly like Scan.
 func (s *Store) ScanOrdered(workers int, prepare func(Record) (any, error), admit func(Record, any) error) (ScanStats, error) {
 	type prepared struct {
 		name string
@@ -405,9 +405,9 @@ func (s *Store) ScanOrdered(workers int, prepare func(Record) (any, error), admi
 	}
 	sort.Slice(recs, func(i, j int) bool {
 		if recs[i].rec.CostSec != recs[j].rec.CostSec {
-			return recs[i].rec.CostSec > recs[j].rec.CostSec
+			return recs[i].rec.CostSec < recs[j].rec.CostSec
 		}
-		return recs[i].rec.Key < recs[j].rec.Key
+		return recs[i].rec.Key > recs[j].rec.Key
 	})
 	for _, p := range recs {
 		if ferr := admit(p.rec, p.val); ferr != nil {

@@ -156,12 +156,13 @@ func TestStoreScanReclaimsBadFiles(t *testing.T) {
 	}
 }
 
-// TestStoreScanOrderedAdmitsByDescendingCost pins the cost-ordered
+// TestStoreScanOrderedAdmitsByAscendingCost pins the cost-ordered
 // admission contract: admissions fire serially, most expensive record
-// first, ties broken by ascending key — so a budgeted cache fed by a
-// boot warm-scan keeps the compiles that are costliest to redo — each
-// with the value its preparation returned in place of the payload.
-func TestStoreScanOrderedAdmitsByDescendingCost(t *testing.T) {
+// last, ties broken by descending key — so a least-recently-used cache
+// fed by a boot warm-scan keeps the compiles that are costliest to
+// redo — each with the value its preparation returned in place of the
+// payload.
+func TestStoreScanOrderedAdmitsByAscendingCost(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -171,7 +172,7 @@ func TestStoreScanOrderedAdmitsByDescendingCost(t *testing.T) {
 	s.Put(KindEngine, "eng|cheap", 0.25, payload("cheap"))
 	s.Put(KindEngine, "eng|mid", 1.5, payload("mid"))
 	s.Put(KindEngine, "eng|dear", 8, payload("dear"))
-	// Equal costs: the tie-break is the key, ascending.
+	// Equal costs: the tie-break is the key, descending.
 	s.Put(KindLayerContext, "ctx|a|tie", 1.5, payload("tie-a"))
 	s.Put(KindLayerContext, "ctx|b|tie", 1.5, payload("tie-b"))
 	s.Flush()
@@ -193,7 +194,7 @@ func TestStoreScanOrderedAdmitsByDescendingCost(t *testing.T) {
 	if stats.Files != 5 || stats.Loaded != 5 || stats.Skipped != 0 {
 		t.Fatalf("scan stats = %+v, want 5 loaded", stats)
 	}
-	want := []string{"eng|dear", "ctx|a|tie", "ctx|b|tie", "eng|mid", "eng|cheap"}
+	want := []string{"eng|cheap", "eng|mid", "ctx|b|tie", "ctx|a|tie", "eng|dear"}
 	if fmt.Sprint(keys) != fmt.Sprint(want) {
 		t.Fatalf("admission order = %v, want %v", keys, want)
 	}
@@ -233,7 +234,7 @@ func TestStoreScanOrderedReclaimsRejected(t *testing.T) {
 	if stats.Files != 3 || stats.Loaded != 1 || stats.Skipped != 2 {
 		t.Fatalf("scan stats = %+v, want loaded=1 skipped=2", stats)
 	}
-	if fmt.Sprint(admitted) != "[eng|reject eng|keep]" {
+	if fmt.Sprint(admitted) != "[eng|keep eng|reject]" {
 		t.Fatalf("admitted %v, want the two prepared records by cost", admitted)
 	}
 	for _, key := range []string{"eng|reject", "eng|unprepared"} {

@@ -1,15 +1,14 @@
 package serve
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/serve/api"
 	"repro/internal/workload"
@@ -25,16 +24,10 @@ type Stats = api.CacheStats
 // layer, encoding) triple compiles once and is reused, the cross-request
 // extension of the paper's per-layer amortization.
 //
-// Eviction is cost-aware GDSF rather than pure LRU: each entry's score
-// is L + frequency x measured compile cost, where L is an inflation clock
-// raised to the evicted score on every eviction. A context that took
-// seconds to prepare (a 1024x1024 engine's layer) outlives a toy context
-// prepared in microseconds even when the toy one is more recent, while
-// the clock ages unused expensive entries out eventually. Entry sizes are
-// uniform (slots hold pointers to shared immutable state), so the classic
-// GDSF size divisor is 1. Ties — and entries still computing, whose cost
-// is unknown and whose score is +Inf so mid-flight work is never
-// evicted by a burst of lookups — fall back to least-recently-used order.
+// The cache holds at most its entry capacity, in one bounded memo
+// (memo.Memo) that evicts the least recently used entry. An entry
+// evicted while it is still computing returns its value to the lookups
+// waiting on it, and is still persisted.
 //
 // Concurrent lookups of the same missing key compute the value once; the
 // losers block on the winner's result. A layer-context lookup that does
@@ -62,14 +55,10 @@ type Stats = api.CacheStats
 // the macro or network nor rehashes it: it is a map lookup per key.
 // EngineCtx and LayerContextCtx hash their argument on every call.
 type Cache struct {
-	mu       sync.Mutex
-	capacity int
-	items    map[string]*cacheEntry
-	pq       entryHeap
-	clock    float64 // GDSF inflation clock L
-	useSeq   uint64  // recency counter for LRU tie-breaking
+	entries memo.Memo[string, any]
 
-	hits, misses, evictions, restored, compiles uint64
+	mu                               sync.Mutex // guards the counters
+	hits, misses, restored, compiles uint64
 
 	// memo is the preparation memo shared by every engine in the cache.
 	memo *core.PrepareMemo
@@ -78,64 +67,6 @@ type Cache struct {
 	// successful compile — outside the cache lock — with the entry's key,
 	// value, and measured cost (the persistence layer's write-behind).
 	onFill func(key string, val any, costSec float64)
-}
-
-// cacheEntry is one cache slot. The compute closure is stored on the
-// entry so that every waiter — inserter or concurrent hit — runs the same
-// once.Do(fill): whoever gets there first computes, everyone else blocks
-// until the value is published.
-type cacheEntry struct {
-	key     string
-	compute func() (any, error)
-	once    sync.Once
-	val     any
-	err     error
-	costSec float64 // measured by fill; set under the cache lock
-	ready   bool    // val is published; set under the cache lock
-
-	// GDSF bookkeeping, guarded by the cache lock.
-	freq     float64
-	prio     float64
-	lastUsed uint64
-	index    int // heap position; -1 once evicted
-}
-
-func (e *cacheEntry) fill() {
-	start := time.Now()
-	e.val, e.err = e.compute()
-	e.costSec = time.Since(start).Seconds()
-	e.compute = nil
-}
-
-// entryHeap is a min-heap on (score, recency): the evicted entry is
-// the lowest-score one, oldest first among equals.
-type entryHeap []*cacheEntry
-
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
-	}
-	return h[i].lastUsed < h[j].lastUsed
-}
-func (h entryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *entryHeap) Push(x any) {
-	e := x.(*cacheEntry)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
 }
 
 // DefaultCacheEntries bounds the cache when BatchOptions leave it zero. An
@@ -149,11 +80,9 @@ func NewCache(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheEntries
 	}
-	return &Cache{
-		capacity: maxEntries,
-		items:    make(map[string]*cacheEntry, maxEntries),
-		memo:     core.NewPrepareMemo(maxEntries),
-	}
+	c := &Cache{memo: core.NewPrepareMemo(maxEntries)}
+	c.entries.Init(maxEntries)
+	return c
 }
 
 // Stats snapshots the hit/miss/eviction counters.
@@ -161,139 +90,59 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Entries: len(c.items), Restored: c.restored, Compiles: c.compiles,
-	}
-}
-
-// touchLocked records a use: bump frequency and recency, and re-rank the
-// entry if its cost is already known (an entry still computing keeps its
-// +Inf pin; its score settles when the fill completes).
-func (c *Cache) touchLocked(e *cacheEntry) {
-	c.useSeq++
-	e.lastUsed = c.useSeq
-	e.freq++
-	if e.index >= 0 && !math.IsInf(e.prio, 1) {
-		e.prio = c.clock + e.freq*e.costSec
-		heap.Fix(&c.pq, e.index)
-	}
-}
-
-// insertLocked adds a new entry and applies the capacity bound.
-func (c *Cache) insertLocked(e *cacheEntry) {
-	c.useSeq++
-	e.lastUsed = c.useSeq
-	c.items[e.key] = e
-	heap.Push(&c.pq, e)
-	for len(c.items) > c.capacity {
-		victim := heap.Pop(&c.pq).(*cacheEntry)
-		delete(c.items, victim.key)
-		c.evictions++
-		// Inflate the clock so long-resident entries must keep earning
-		// their slot against newer arrivals.
-		if victim.prio > c.clock && !math.IsInf(victim.prio, 1) {
-			c.clock = victim.prio
-		}
-	}
-}
-
-// removeLocked drops an entry if it is still the one cached under its key.
-func (c *Cache) removeLocked(e *cacheEntry) {
-	if cur, ok := c.items[e.key]; ok && cur == e {
-		delete(c.items, e.key)
-		if e.index >= 0 {
-			heap.Remove(&c.pq, e.index)
-		}
+		Hits: c.hits, Misses: c.misses, Evictions: c.entries.Evictions(),
+		Entries: c.entries.Len(), Restored: c.restored, Compiles: c.compiles,
 	}
 }
 
 // getOrCompute returns the cached value for key, computing it on miss.
-// Failed computations are not cached: the entry is removed so a later
-// request retries. Unless wait, an entry still being computed is not
-// waited for, and a computation that failed with core.ErrPrepareBusy
-// (it would have waited) is no miss: both return that error. A waiting
-// lookup that lands on such an abandoned computation computes afresh.
+// Failed computations are not cached, so a later request retries. Unless
+// wait, an entry still being computed is not waited for, and a
+// computation that failed with core.ErrPrepareBusy (it would have
+// waited) is no miss: both return that error. A waiting lookup that
+// lands on such an abandoned computation computes afresh.
 func (c *Cache) getOrCompute(key string, compute func() (any, error), wait bool) (any, error) {
 	for {
-		c.mu.Lock()
-		if e, ok := c.items[key]; ok {
-			if !wait && !e.ready {
-				c.mu.Unlock()
-				return nil, core.ErrPrepareBusy
+		start := time.Now()
+		v, hit, err := c.entries.Get(key, wait, compute)
+		if errors.Is(err, core.ErrPrepareBusy) {
+			if wait {
+				continue
 			}
+			return nil, err
+		}
+		c.mu.Lock()
+		if hit {
 			c.hits++
-			c.touchLocked(e)
-			c.mu.Unlock()
-			e.once.Do(e.fill)
-			if errors.Is(e.err, core.ErrPrepareBusy) {
-				c.mu.Lock()
-				c.hits--
-				c.removeLocked(e)
-				c.mu.Unlock()
-				continue
-			}
-			return e.val, e.err
+		} else {
+			c.misses++
 		}
-		c.misses++
-		e := &cacheEntry{
-			key:     key,
-			compute: compute,
-			freq:    1,
-			prio:    math.Inf(1), // pinned until the fill settles its cost
+		compiled := !hit && err == nil
+		if compiled {
+			c.compiles++
 		}
-		c.insertLocked(e)
-		c.mu.Unlock()
-
-		e.once.Do(e.fill)
-
-		c.mu.Lock()
-		if e.err != nil {
-			c.removeLocked(e)
-			busy := errors.Is(e.err, core.ErrPrepareBusy)
-			if busy {
-				c.misses--
-			}
-			c.mu.Unlock()
-			if busy && wait {
-				continue
-			}
-			return e.val, e.err
-		}
-		// Settle the entry's real score now that its cost is measured. The
-		// entry may already have been evicted mid-fill (index < 0); the value
-		// is still returned to waiters and still persisted below.
-		if e.index >= 0 {
-			e.prio = c.clock + e.freq*e.costSec
-			heap.Fix(&c.pq, e.index)
-		}
-		e.ready = true
-		c.compiles++
 		onFill := c.onFill
 		c.mu.Unlock()
-		if onFill != nil {
-			onFill(e.key, e.val, e.costSec)
+		if compiled && onFill != nil {
+			// A miss waited for its entry's fill: the lookup's time is the
+			// compile's cost.
+			onFill(key, v, time.Since(start).Seconds())
 		}
-		return e.val, e.err
+		return v, err
 	}
 }
 
-// admit inserts an already-computed value (a warm-start restore) through
-// the normal insertion path, so the capacity bound and eviction policy
-// hold. costSec is the original measured compute cost, preserved on disk,
-// which seeds the entry's GDSF weight. Existing keys win: admit never
-// replaces a live entry. Admitted entries do not trigger onFill (they
-// came from disk; re-persisting them would be a no-op cycle).
-func (c *Cache) admit(key string, costSec float64, val any) {
-	e := &cacheEntry{key: key, val: val, costSec: costSec, freq: 1, ready: true}
-	e.once.Do(func() {}) // mark filled: waiters must never run compute
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.items[key]; ok {
-		return
+// admit inserts an already-computed value (a warm-start restore) as the
+// most recently used entry, under the capacity bound. Existing keys win:
+// admit never replaces a live entry. Admitted entries do not trigger
+// onFill (they came from disk; re-persisting them would be a no-op
+// cycle).
+func (c *Cache) admit(key string, val any) {
+	if c.entries.Add(key, val) {
+		c.mu.Lock()
+		c.restored++
+		c.mu.Unlock()
 	}
-	c.restored++
-	e.prio = c.clock + e.freq*e.costSec
-	c.insertLocked(e)
 }
 
 // EngineCtx returns the compiled engine for an architecture, compiling it
@@ -408,10 +257,4 @@ func (c *Cache) layerContext(ctx context.Context, eng *core.Engine, archFP, laye
 }
 
 // invalidate drops the cached entry under key if it still holds val.
-func (c *Cache) invalidate(key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok && e.val == val {
-		c.removeLocked(e)
-	}
-}
+func (c *Cache) invalidate(key string, val any) { c.entries.Remove(key, val) }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -98,74 +97,6 @@ func cached(t *testing.T, c *Cache, key string) bool {
 		t.Fatal(err)
 	}
 	return hit
-}
-
-// TestCacheCostAwareEviction pins the GDSF policy: under capacity
-// pressure the victim is the lowest (frequency x compile cost), with ties
-// broken least-recently-used — an expensive entry outlives cheaper, more
-// recent ones. Costs are injected via admit (the warm-start path) so the
-// test is deterministic; getOrCompute measures real fill time, which for
-// test closures is nanoseconds of noise.
-func TestCacheCostAwareEviction(t *testing.T) {
-	c := NewCache(3)
-	c.admit("cheap-old", 0.001, 1)
-	c.admit("cheap-new", 0.001, 2)
-	c.admit("expensive", 10.0, 3)
-	// A fourth entry forces one eviction: the two cheap entries have equal
-	// priority, so the older one goes; the expensive entry is untouchable.
-	if _, err := c.getOrCompute("k", func() (any, error) { return 4, nil }, true); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.Evictions != 1 || st.Entries != 3 || st.Restored != 3 {
-		t.Fatalf("stats = %+v, want 1 eviction / 3 entries / 3 restored", st)
-	}
-	if cached(t, c, "cheap-old") {
-		t.Fatal("cheap-old must be the GDSF victim (lowest cost, oldest)")
-	}
-	// The probe above recomputed cheap-old, evicting another near-zero
-	// cost entry; the expensive one must still be resident throughout.
-	if !cached(t, c, "expensive") {
-		t.Fatal("the expensive entry must outlive cheap churn")
-	}
-}
-
-// TestCacheFrequencyRaisesPriority pins the frequency term: of two
-// equal-cost entries, the frequently-hit one survives.
-func TestCacheFrequencyRaisesPriority(t *testing.T) {
-	c := NewCache(2)
-	c.admit("hot", 1.0, 1)
-	c.admit("cold", 1.0, 2)
-	for i := 0; i < 3; i++ {
-		if !cached(t, c, "hot") {
-			t.Fatal("hot must stay cached while being touched")
-		}
-	}
-	c.admit("newcomer", 1.0, 3)
-	if cached(t, c, "cold") {
-		t.Fatal("cold (freq 1) must lose to hot (freq 4)")
-	}
-	if !cached(t, c, "hot") {
-		t.Fatal("hot must survive the newcomer")
-	}
-}
-
-// TestCacheClockAgesOutStaleEntries pins the GDSF inflation clock: a
-// once-expensive entry that is never touched again is eventually evicted
-// as churn raises the clock past its priority — cost buys longevity, not
-// immortality.
-func TestCacheClockAgesOutStaleEntries(t *testing.T) {
-	c := NewCache(2)
-	c.admit("stale-expensive", 5.0, 1)
-	// Each churn entry (cost 1) is evicted by its successor, raising the
-	// clock by ~1 per round; after enough rounds the stale entry's
-	// priority (5) is below the clock and it becomes the victim.
-	for i := 0; i < 10; i++ {
-		c.admit(fmt.Sprintf("churn%d", i), 1.0, i)
-	}
-	if cached(t, c, "stale-expensive") {
-		t.Fatal("an untouched expensive entry must age out under sustained churn")
-	}
 }
 
 func TestCacheErrorNotCached(t *testing.T) {

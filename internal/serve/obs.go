@@ -102,7 +102,7 @@ func (s *Server) registerCollectors() {
 		cs := s.CacheStats()
 		e.Counter("cimloop_cache_hits_total", "Engine/context cache hits.", float64(cs.Hits))
 		e.Counter("cimloop_cache_misses_total", "Engine/context cache misses.", float64(cs.Misses))
-		e.Counter("cimloop_cache_evictions_total", "GDSF cache evictions.", float64(cs.Evictions))
+		e.Counter("cimloop_cache_evictions_total", "Engine/context cache evictions (least recently used).", float64(cs.Evictions))
 		e.Counter("cimloop_cache_restored_total", "Cache entries admitted from the warm-start disk store.", float64(cs.Restored))
 		e.Counter("cimloop_cache_compiles_total", "Cold compiles (engine or layer context).", float64(cs.Compiles))
 		e.Gauge("cimloop_cache_entries", "Live cache entries.", float64(cs.Entries))

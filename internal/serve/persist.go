@@ -137,7 +137,7 @@ func (s *Server) openPersist(cacheDir, jobsDir string) {
 
 // cacheFillHook returns the cache's onFill callback: encode (on the
 // writer goroutine) and enqueue each compiled engine/context, tagged with
-// its compile cost so a future warm start seeds the GDSF weight.
+// its compile cost so a future warm start admits the costliest last.
 func (s *Server) cacheFillHook() func(key string, val any, costSec float64) {
 	store := s.persist.cache
 	return func(key string, val any, costSec float64) {
@@ -158,10 +158,11 @@ func (s *Server) cacheFillHook() func(key string, val any, costSec float64) {
 // request's architecture (restoredEngine), whose fingerprint the key is,
 // so the record's payload — the architecture as JSON, which older
 // servers decode — is never decoded. Mismatches and decode failures are
-// deleted by the scan. Admission runs in descending persisted-cost order
-// (ScanOrdered): when the cache budget cannot hold every record on disk,
-// the compiles that were most expensive to produce are warm first and
-// the cheap ones are the ones evicted.
+// deleted by the scan. Admission runs in ascending persisted-cost order
+// (ScanOrdered), each record the most recently used when admitted: when
+// the cache budget cannot hold every record on disk, the least recently
+// used are evicted, so the compiles that were most expensive to produce
+// stay warm and the cheap ones are the ones evicted (their files stay).
 func (s *Server) warmStartCache() {
 	store := s.persist.cache
 	if store == nil {
@@ -195,7 +196,7 @@ func (s *Server) warmStartCache() {
 			return nil, fmt.Errorf("serve: unexpected record kind %v in cache dir", rec.Kind)
 		}
 	}, func(rec persist.Record, val any) error {
-		s.cache.admit(rec.Key, rec.CostSec, val)
+		s.cache.admit(rec.Key, val)
 		return nil
 	})
 	if err != nil {
@@ -205,9 +206,7 @@ func (s *Server) warmStartCache() {
 	s.persist.warm.Skipped += stats.Skipped
 	// Count what was admitted by kind from the cache's own view: admit
 	// dedups, so stats.Loaded could overcount under races.
-	s.cache.mu.Lock()
-	defer s.cache.mu.Unlock()
-	for key := range s.cache.items {
+	for _, key := range s.cache.entries.Keys() {
 		if strings.HasPrefix(key, "eng|") {
 			s.persist.warm.Engines++
 		} else {

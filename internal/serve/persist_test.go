@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/macros"
 	"repro/internal/persist"
 	"repro/internal/serve/jobs"
 	"repro/internal/workload"
@@ -246,6 +247,66 @@ func TestWarmStartAdmitsEnginesUndecoded(t *testing.T) {
 	}
 	if got.EnergyJ != want.EnergyJ || got.MappingsEvaluated != want.MappingsEvaluated {
 		t.Fatalf("restored evaluation %+v, first %+v", got, want)
+	}
+}
+
+// TestWarmStartKeepsCostliest: a cache dir holding more records than
+// CacheEntries boots with the costliest records warm. Six engine records,
+// each with a distinct cost in no relation to its key, boot into a cache
+// of three entries: the three costliest engines then hit without a
+// compile, the three cheapest are the ones missing, and every record
+// keeps its file.
+func TestWarmStartKeepsCostliest(t *testing.T) {
+	const capacity = 3
+	dir := t.TempDir()
+	names := []string{"base", "macro-a", "macro-b", "macro-c", "macro-d", "digital-cim"}
+	costs := []float64{0.4, 2.5, 0.1, 1.5, 3.0, 0.9}
+	archs := make([]*core.Arch, len(names))
+	for i, name := range names {
+		arch, err := macros.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		archs[i] = arch
+		data, err := persist.EncodeRecord(persist.Record{
+			Kind: persist.KindEngine, Key: engineKey(ArchFingerprint(arch)), CostSec: costs[i], Payload: []byte(name),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, persist.RecordName(persist.KindEngine, engineKey(ArchFingerprint(arch)))), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv := NewServer(BatchOptions{Workers: 1, CacheDir: dir, CacheEntries: capacity})
+	defer srv.Close()
+	if err := srv.PersistError(); err != nil {
+		t.Fatal(err)
+	}
+	cs := srv.CacheStats()
+	if cs.Restored != uint64(len(names)) || cs.Entries != capacity || cs.Evictions != uint64(len(names)-capacity) {
+		t.Fatalf("cache stats after warm start = %+v, want %d restored, %d held", cs, len(names), capacity)
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != len(names) {
+		t.Fatalf("cache dir holds %d files (%v), want every record kept", len(files), err)
+	}
+	// Costliest first, so no miss below evicts a record still to check.
+	for _, i := range []int{4, 1, 3} {
+		if _, _, err := srv.cache.EngineCtx(context.Background(), archs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if cs := srv.CacheStats(); cs.Misses != 0 || cs.Compiles != 0 {
+			t.Fatalf("%s (cost %g) was not warm: stats %+v", names[i], costs[i], cs)
+		}
+	}
+	for n, i := range []int{5, 0, 2} {
+		if _, _, err := srv.cache.EngineCtx(context.Background(), archs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if cs := srv.CacheStats(); cs.Misses != uint64(n+1) {
+			t.Fatalf("%s (cost %g) was warm: stats %+v", names[i], costs[i], cs)
+		}
 	}
 }
 
@@ -521,13 +582,15 @@ func TestDriftedContextRecordRecovers(t *testing.T) {
 	// tables under the very key the evaluation path will use.
 	data := good.Export()
 	data.Energies = data.Energies[:len(data.Energies)-1]
-	bad, err := core.RestoreLayerContext(data)
+	data.InputSlicePMF = append(data.InputSlicePMF[:0:0], data.InputSlicePMF...)
+	data.WeightSlicePMF = append(data.WeightSlicePMF[:0:0], data.WeightSlicePMF...)
+	bad, err := core.AdoptLayerContext(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := contextKey(archFP, LayerFingerprint(layer))
 	srv.cache.invalidate(key, good)
-	srv.cache.admit(key, 1.0, bad)
+	srv.cache.admit(key, bad)
 
 	got, err := srv.cache.LayerContextCtx(context.Background(), eng, archFP, layer)
 	if err != nil {
