@@ -407,62 +407,6 @@ func BenchmarkSweepNWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkJobsThroughput measures the async path end to end on a warm
-// cache: submit a sweep job, stream its progress, wait for the terminal
-// state. The delta against BenchmarkSweepWarmCache is the job-store
-// overhead (queue handoff, progress bookkeeping, snapshotting).
-func BenchmarkJobsThroughput(b *testing.B) {
-	srv := NewServer(BatchOptions{Workers: 1, MaxQueuedJobs: 2, JobRetention: 4})
-	defer srv.Close()
-	runSweep(b, srv, 1) // prime the cache
-	ctx := context.Background()
-	grid := benchSweepGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap, err := srv.SubmitSweepOpts(grid, SweepJobOptions{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		final, err := srv.WaitJob(ctx, snap.ID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if final.Status != JobSucceeded || final.Completed != len(grid) {
-			b.Fatalf("job finished %s %d/%d", final.Status, final.Completed, final.Total)
-		}
-	}
-	b.ReportMetric(float64(b.N*len(grid))/b.Elapsed().Seconds(), "griditems/s")
-}
-
-// BenchmarkJobStoreChurn isolates the store itself: submit/run/evict
-// no-op jobs as fast as the runner drains them, with retention doing
-// constant eviction work.
-func BenchmarkJobStoreChurn(b *testing.B) {
-	srv := NewServer(BatchOptions{MaxQueuedJobs: 256, JobRetention: 16})
-	defer srv.Close()
-	reqs := []EvalRequest{{Macro: "base", Network: "toy", MaxMappings: 1}}
-	ctx := context.Background()
-	// Prime so the engine/context compile cost is off the clock.
-	snap, err := srv.SubmitSweepOpts(reqs, SweepJobOptions{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := srv.WaitJob(ctx, snap.ID); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap, err := srv.SubmitSweepOpts(reqs, SweepJobOptions{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := srv.WaitJob(ctx, snap.ID); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-}
-
 // Example-style sanity: the facade compiles and evaluates end to end.
 func BenchmarkFacadeQuickstart(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -48,87 +48,63 @@
 //
 //	cimloop serve -addr :8080 -workers 8
 //
-// exposes GET /healthz (liveness + cache counters + job occupancy), POST
-// /v1/evaluate (one request), POST /v1/sweep (a request list or a macro
-// x network x scenario grid), GET /v1/macros, GET /v1/networks, and
-// GET+POST /v1/experiments (list and run paper reproductions). For
-// example:
+// exposes GET /healthz (liveness + cache counters), POST /v1/evaluate
+// (one request), POST /v1/sweep (a request list or a macro x network x
+// scenario grid), GET /v1/macros, GET /v1/networks, and GET+POST
+// /v1/experiments (list and run paper reproductions). For example:
 //
 //	curl -s localhost:8080/v1/evaluate -d \
 //	    '{"macro": "macro-b", "network": "resnet18", "max_mappings": 20}'
 //	curl -s localhost:8080/v1/sweep -d \
 //	    '{"macros": ["macro-a", "macro-b"], "networks": ["resnet18"]}'
 //
-// # Async jobs, cancellation, and backpressure
+// # Sweeps, cancellation, and deadlines
 //
-// Grid-sized sweeps do not hold the connection open: a sweep at or
-// beyond the server's async threshold (or submitted with "async": true,
-// or POSTed to /v1/jobs) returns 202 Accepted with a job whose progress
-// streams from the worker pool's completion path:
-//
-//	curl -s localhost:8080/v1/jobs -d \
-//	    '{"macros": ["base", "macro-a", "macro-b"], "networks": ["resnet18", "vit-base"]}'
-//	curl -s localhost:8080/v1/jobs/job-000001          # completed/total, partial results
-//	curl -s -X POST localhost:8080/v1/jobs/job-000001/cancel
-//
-// Cancellation is plumbed through the evaluation pipeline — a cancelled
-// job (or a dropped synchronous connection) stops dispatching grid items
-// and aborts in-flight per-layer mapping searches via context. When the
-// bounded job queue is full the service answers 429 with a Retry-After
-// header instead of queueing unboundedly. The same flow drives
-// programmatic use: Server.SubmitSweepOpts, Server.Job, Server.CancelJob,
-// Server.WaitJob, and Server.SweepCtx for a synchronous sweep. The
-// `cimloop jobs` subcommand (submit/list/status/wait/cancel) is the CLI
-// client for these endpoints.
+// Every sweep runs synchronously, whatever its size: the response holds
+// one result per request, in request order. Cancellation is plumbed
+// through the evaluation pipeline — a dropped connection stops
+// dispatching grid items and aborts in-flight per-layer mapping searches
+// via context — and a sweep's "timeout_sec" deadline is enforced the
+// same way (504 deadline_exceeded on expiry). Server.SweepCtx is the
+// same path for programmatic use.
 //
 // The experiment runner itself routes its grid sweeps (Fig. 2, Fig.
 // 13-16) through the same executor, so reproductions get the parallel
 // speedup and cache reuse for free.
 //
-// # Typed v1 contract, Go SDK, and server-push progress
+// # Typed v1 contract and Go SDK
 //
-// The entire wire contract — request/response types for every endpoint,
-// a structured error envelope with stable machine-readable codes
-// (invalid_request, not_found, queue_full, deadline_exceeded,
-// shutting_down, ...), and the SSE event format — lives in
+// The entire wire contract — request/response types for every endpoint
+// and a structured error envelope with stable machine-readable codes
+// (invalid_request, not_found, deadline_exceeded, ...) — lives in
 // internal/serve/api and is documented endpoint-by-endpoint in
 // docs/API.md. Unknown routes, wrong methods, oversized bodies
 // (bounded by BatchOptions.MaxBodyBytes), and recovered panics all
 // answer that envelope as JSON, never net/http plain text. NewClient
 // returns the Go SDK (package internal/client): context-aware typed
-// methods, automatic retry honoring Retry-After on backpressure, and
-// WaitJob streaming job progress over Server-Sent Events
-// (GET /v1/jobs/{id}/events, Last-Event-ID resume) with long-poll and
-// plain-poll fallbacks — the `cimloop jobs` subcommands are a thin
-// shell over it. Accepted jobs run in FIFO order (a restart replays
-// interrupted ones in their original order), and GET /v1/jobs pages
-// with ?status/?limit/?cursor. BatchOptions.Token (`cimloop serve
-// -token-file`) puts every endpoint but /healthz and /metrics behind one
-// bearer token.
+// methods, one per route, that decode the envelope into Go errors.
+// BatchOptions.Token (`cimloop serve -token-file`) puts every endpoint
+// but /healthz and /metrics behind one bearer token.
 //
 // # Durable warm starts
 //
 // The cache's amortized state — compiled engines and per-layer contexts
-// (plain-data PMFs and energy tables) — and the job store's records can
-// outlive the process. With BatchOptions.CacheDir set (or `cimloop serve
-// -cache-dir`), cache fills stream to a versioned, checksummed,
-// fingerprint-addressed on-disk store (package internal/persist) through
-// a write-behind queue, and a restarted server scans the directory on
-// boot: its first repeated request is a cache hit, with nothing
-// recompiled (warm-from-disk ≈ 20x over a cold boot on the benchmark
-// grid; CI gates the ratio at 5x). With JobsDir set (`-jobs-dir`),
-// terminal jobs survive restarts — /v1/jobs/{id} still answers for work
-// finished before the restart — and accepted-but-unfinished sweeps are
-// write-ahead-logged and replayed under their original IDs. Corrupt or
-// version-mismatched files are skipped and reclaimed, never fatal, and
-// restored entries are re-verified against their content fingerprints.
+// (plain-data PMFs and energy tables) — can outlive the process. With
+// BatchOptions.CacheDir set (or `cimloop serve -cache-dir`), cache fills
+// stream to a versioned, checksummed, fingerprint-addressed on-disk
+// store (package internal/persist) through a write-behind queue, and a
+// restarted server scans the directory on boot: its first repeated
+// request is a cache hit, with nothing recompiled (warm-from-disk ≈ 20x
+// over a cold boot on the benchmark grid; CI gates the ratio at 5x). A
+// sweep re-sent after a restart therefore skips layer setup and reruns
+// only the mapping searches. Corrupt or version-mismatched files are
+// skipped and reclaimed, never fatal, and restored entries are
+// re-verified against their content fingerprints.
 // Eviction is least recently used. Each record carries its measured
 // compile time, and a boot admits records cheapest first, so when the
 // directory holds more than the cache does, the costliest stay warm.
-// Sweeps also accept a "timeout_sec" deadline (SweepJobOptions.Timeout
-// programmatically) enforced through the same context plumbing as
-// cancellation. With no directories configured nothing touches disk and
-// behavior is unchanged.
+// With no directory configured nothing touches disk and behavior is
+// unchanged.
 //
 // # Intra-request parallel mapping search
 //
@@ -156,7 +132,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/serve/api"
-	"repro/internal/serve/jobs"
 	"repro/internal/specfile"
 	"repro/internal/sweepdef"
 	"repro/internal/system"
@@ -272,8 +247,6 @@ type (
 	EvalResult = serve.Result
 	// CacheStats snapshots the service cache's hit/miss/eviction counters.
 	CacheStats = serve.Stats
-	// SweepJobOptions tunes one async sweep job (workers, deadline).
-	SweepJobOptions = serve.SweepJobOptions
 	// SweepDefs is a validated set of declarative sweep definitions
 	// (sweeps/*.yaml; see docs/EXPERIMENTS.md). Set it on
 	// BatchOptions.SweepDefs — or use Server.ReloadSweepDefsDir — to
@@ -287,55 +260,28 @@ type (
 	PersistStats = serve.PersistStats
 	// WarmStats summarizes one boot's warm-start scan.
 	WarmStats = serve.WarmStats
-	// JobSnapshot is a point-in-time copy of one async job: status,
-	// completed/total progress, partial results, and first error.
-	JobSnapshot = jobs.Snapshot
-	// JobStatus is an async job's lifecycle state.
-	JobStatus = jobs.Status
-	// JobStats counts retained jobs by lifecycle stage.
-	JobStats = jobs.Stats
 )
 
 // Typed v1 wire contract and Go SDK (packages internal/serve/api and
 // internal/client; see docs/API.md).
 type (
 	// APIError is the structured v1 error envelope: a stable machine-
-	// readable Code, a human-readable Message, and the backoff hint on
-	// backpressure. The client SDK returns these as Go errors.
+	// readable Code and a human-readable Message. The client SDK returns
+	// these as Go errors.
 	APIError = api.Error
 	// APIErrorCode enumerates the stable error codes.
 	APIErrorCode = api.ErrorCode
-	// SweepRequest is the body of POST /v1/sweep and /v1/jobs: an
-	// explicit request list or a grid, plus async/timeout knobs.
+	// SweepRequest is the body of POST /v1/sweep: an explicit request
+	// list or a grid, plus an optional deadline.
 	SweepRequest = api.SweepRequest
-	// JobEvent is one Server-Sent progress/terminal event on the job
-	// stream.
-	JobEvent = api.JobEvent
-	// Client is the Go SDK for a remote serve instance: typed methods,
-	// retry/backoff honoring Retry-After, and SSE job streaming with
-	// polling fallback.
+	// Client is the Go SDK for a remote serve instance: one typed method
+	// per route.
 	Client = client.Client
-	// WaitOptions tunes Client.WaitJob (event/transport callbacks,
-	// polling fallback).
-	WaitOptions = client.WaitOptions
 )
 
 // NewClient returns the Go SDK client for the serve instance at addr
 // ("host:port" or a full URL).
 func NewClient(addr string, opts ...client.Option) *Client { return client.New(addr, opts...) }
-
-// Async job lifecycle states.
-const (
-	JobQueued    = jobs.StatusQueued
-	JobRunning   = jobs.StatusRunning
-	JobSucceeded = jobs.StatusSucceeded
-	JobFailed    = jobs.StatusFailed
-	JobCancelled = jobs.StatusCancelled
-)
-
-// ErrJobQueueFull is returned by Server.SubmitSweepOpts when the bounded
-// pending-job queue is saturated; retry after Server.RetryAfter.
-var ErrJobQueueFull = jobs.ErrQueueFull
 
 // NewServer constructs the batch-evaluation service with the experiment
 // runner wired in, so its HTTP API can also list and regenerate paper

@@ -9,16 +9,13 @@
 //	cimloop macros
 //	cimloop spec <file.yaml> [-network NAME] [-mappings N] [-search-workers N]
 //	cimloop serve [-addr :8080] [-workers N] [-mappings N] [-cache N] [-search-workers N]
-//	              [-cache-dir DIR] [-jobs-dir DIR] [-max-body BYTES] [-token-file FILE]
-//	cimloop jobs submit|list|status|wait|cancel [...] [-addr URL]
+//	              [-cache-dir DIR] [-max-body BYTES] [-token-file FILE]
+//	cimloop sweeps ls|show|validate|run [...] [-addr URL]
 //	cimloop obs slow|metrics [-addr URL]
 //
-// The jobs subcommands are a thin shell over the typed Go SDK
+// The subcommands that take -addr are a thin shell over the typed Go SDK
 // (internal/client) against the v1 wire contract (internal/serve/api,
-// documented in docs/API.md): jobs run in FIFO order, `jobs list`
-// filters and pages (-status, -limit, -cursor), and `jobs wait` streams
-// progress over Server-Sent Events, falling back to polling only when
-// the stream is unavailable (-poll forces the fallback).
+// documented in docs/API.md).
 //
 // -search-workers fans each layer's candidate mapping evaluations across
 // a bounded goroutine pool. The parallel search is bit-identical to the
@@ -26,10 +23,10 @@
 // flag only changes latency, never results; values <= 1 (the default)
 // search serially.
 //
-// -cache-dir and -jobs-dir enable durable warm starts (package persist):
-// compiled engines, per-layer contexts, and job records persist across
-// restarts, so a restarted server serves repeated requests as cache hits
-// and still answers /v1/jobs/{id} for jobs finished before the restart.
+// -cache-dir enables durable warm starts (package persist): compiled
+// engines and per-layer contexts persist across restarts, so a
+// restarted server serves repeated requests as cache hits, and a sweep
+// re-sent after a restart reruns only its mapping searches.
 //
 // Observability (see docs/OBSERVABILITY.md): every serve instance
 // exposes Prometheus-format metrics at GET /metrics and a slow-request
@@ -54,8 +51,10 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
+	"time"
 
 	cimloop "repro"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/macros"
@@ -90,8 +89,6 @@ func run(args []string) error {
 		return runSpec(args[1:])
 	case "serve":
 		return runServe(args[1:])
-	case "jobs":
-		return runJobs(args[1:])
 	case "sweeps":
 		return runSweeps(args[1:])
 	case "obs":
@@ -110,16 +107,12 @@ func usage() {
   cimloop run <experiment|all> [-fast] [-csv] ...    regenerate paper tables/figures
   cimloop macros                                     show macro parameters (Table III)
   cimloop spec <file.yaml> [-network NAME] ...       evaluate a textual specification
-  cimloop serve [-addr :8080] [-workers N] [-cache-dir DIR] [-jobs-dir DIR]
+  cimloop serve [-addr :8080] [-workers N] [-cache-dir DIR]
                 [-token-file FILE] ...               run the batch-evaluation HTTP service
-  cimloop jobs submit -macros a,b -networks x ...    submit an async sweep to a serve instance
-  cimloop jobs list [-status S] [-limit N] [-cursor ID]  page and filter jobs
-  cimloop jobs status <id>|wait <id>|cancel <id>     inspect and control async jobs
-                                                     (wait streams progress via SSE)
   cimloop sweeps ls [-dir ./sweeps | -addr URL]      list declarative sweep definitions
   cimloop sweeps show <name> [-dir ./sweeps]         show one definition's parameter schema
   cimloop sweeps validate [DIR]                      validate every definition in a directory
-  cimloop sweeps run <name> [-p k=v ...] [-dir ./sweeps | -addr URL [-async]]
+  cimloop sweeps run <name> [-p k=v ...] [-dir ./sweeps | -addr URL]
                                                      run a definition offline or on a server
   cimloop obs metrics [-addr URL]                    dump the Prometheus text exposition
   cimloop obs slow [-addr URL] [-limit N] [-json]    show the slowest recent requests
@@ -136,12 +129,6 @@ func runServe(args []string) error {
 	cacheEntries := fs.Int("cache", 0, "engine/context cache entries (0 = default)")
 	cacheDir := fs.String("cache-dir", "",
 		"directory for durable engine/context warm starts (empty = in-memory only)")
-	jobsDir := fs.String("jobs-dir", "",
-		"directory for job durability: terminal snapshots survive restarts, interrupted jobs replay (empty = in-memory only)")
-	asyncThreshold := fs.Int("async-threshold", 0,
-		"sweep size that returns 202 + a job instead of blocking (0 = default; negative = only on explicit \"async\": true or /v1/jobs)")
-	jobQueue := fs.Int("job-queue", 0, "pending async jobs before 429 + Retry-After (0 = default)")
-	jobRetention := fs.Int("job-retention", 0, "finished jobs kept for /v1/jobs (0 = default)")
 	maxBody := fs.Int64("max-body", 0, "request-body byte bound; larger bodies get 413 (0 = 1 MiB default)")
 	tokenFile := fs.String("token-file", "",
 		"file holding the one bearer token every /v1 request must carry (empty = open server); SIGHUP reloads it")
@@ -166,18 +153,14 @@ func runServe(args []string) error {
 	// The facade's constructor wires the experiment runner so
 	// /v1/experiments can list and regenerate paper artifacts.
 	srv := cimloop.NewServer(cimloop.BatchOptions{
-		Workers:        *workers,
-		SearchWorkers:  *searchWorkers,
-		MaxMappings:    *mappings,
-		CacheEntries:   *cacheEntries,
-		CacheDir:       *cacheDir,
-		JobsDir:        *jobsDir,
-		AsyncThreshold: *asyncThreshold,
-		MaxQueuedJobs:  *jobQueue,
-		JobRetention:   *jobRetention,
-		MaxBodyBytes:   *maxBody,
-		Token:          token,
-		SlowThreshold:  *slowThreshold,
+		Workers:       *workers,
+		SearchWorkers: *searchWorkers,
+		MaxMappings:   *mappings,
+		CacheEntries:  *cacheEntries,
+		CacheDir:      *cacheDir,
+		MaxBodyBytes:  *maxBody,
+		Token:         token,
+		SlowThreshold: *slowThreshold,
 	})
 	// Requested-but-broken durability should fail loudly at startup, not
 	// silently serve cold forever.
@@ -196,11 +179,12 @@ func runServe(args []string) error {
 			len(srv.SweepDefNames()), *sweepsDir)
 	}
 	if ps := srv.PersistStats(); ps.Enabled {
-		fmt.Fprintf(os.Stderr, "cimloop: warm start: %d engines, %d contexts, %d jobs restored, %d replayed, %d skipped\n",
-			ps.Warm.Engines, ps.Warm.Contexts, ps.Warm.Jobs, ps.Warm.Replayed, ps.Warm.Skipped)
+		fmt.Fprintf(os.Stderr, "cimloop: warm start: %d engines, %d contexts, %d skipped\n",
+			ps.Warm.Engines, ps.Warm.Contexts, ps.Warm.Skipped)
 	}
-	// SIGINT/SIGTERM drain in flight requests and flush the write-behind
-	// persistence queues before exit, so a restarted instance starts warm.
+	// SIGINT/SIGTERM drain in flight requests (a sweep still running
+	// after the shutdown grace is cancelled) and flush the write-behind
+	// persistence queue before exit, so a restarted instance starts warm.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *tokenFile != "" || *sweepsDir != "" {
@@ -249,6 +233,34 @@ func runServe(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "cimloop: serving on %s\n", *addr)
 	return srv.ListenAndServeCtx(ctx, *addr)
+}
+
+// addrFlag registers the shared -addr flag.
+func addrFlag(fs *flag.FlagSet) *string {
+	return fs.String("addr", "http://localhost:8080", "base URL of the cimloop serve instance")
+}
+
+// tokenFlag registers the shared -token flag (falling back to the
+// CIMLOOP_TOKEN environment variable, so the secret can stay out of
+// shell history and process listings).
+func tokenFlag(fs *flag.FlagSet) *string {
+	return fs.String("token", os.Getenv("CIMLOOP_TOKEN"),
+		"bearer token for a server started with -token-file (default $CIMLOOP_TOKEN; empty = no auth header)")
+}
+
+// newClient builds the SDK client with the shared flags applied.
+func newClient(addr, token string) *client.Client {
+	var opts []client.Option
+	if token != "" {
+		opts = append(opts, client.WithToken(token))
+	}
+	return client.New(addr, opts...)
+}
+
+// unaryCtx bounds one-shot calls (listings, metrics) so a hung server
+// fails the command instead of wedging it.
+func unaryCtx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), 30*time.Second)
 }
 
 func runExperiments(args []string) error {

@@ -22,7 +22,7 @@ import (
 //	cimloop sweeps show <name> [-dir ./sweeps]
 //	cimloop sweeps validate [DIR]
 //	cimloop sweeps run <name> [-p k=v ...] [-dir ./sweeps | -addr URL]
-//	                   [-async] [-timeout D] [-wait] [-csv]
+//	                   [-timeout D] [-csv]
 func runSweeps(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("sweeps: missing verb (ls, show, validate, run)")
@@ -96,7 +96,7 @@ func sweepsLs(args []string) error {
 	if *addr != "" {
 		ctx, cancel := unaryCtx()
 		defer cancel()
-		out, err := newClient(*addr, *token).ListExperiments(ctx)
+		out, err := newClient(*addr, *token).Experiments(ctx)
 		if err != nil {
 			return err
 		}
@@ -193,15 +193,13 @@ func sweepsRun(name string, args []string) error {
 	token := tokenFlag(fs)
 	params := paramArgs{}
 	fs.Var(params, "p", "bind one declared parameter as name=value (repeatable)")
-	async := fs.Bool("async", false, "with -addr: force the job path (202 + job ID)")
 	timeout := fs.Duration("timeout", 0, "deadline for the run (0 = none)")
-	wait := fs.Bool("wait", false, "with -addr -async: block until the job finishes and print its table")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table (offline runs)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *addr != "" {
-		return sweepsRunRemote(name, *addr, *token, params, *async, timeout.Seconds(), *wait)
+		return sweepsRunRemote(name, *addr, *token, params, timeout.Seconds())
 	}
 	set, err := sweepdef.LoadDir(*dir)
 	if err != nil {
@@ -236,26 +234,15 @@ func sweepsRun(name string, args []string) error {
 	return nil
 }
 
-// sweepsRunRemote runs one definition on a serve instance via the SDK:
-// POST /v1/experiments/{name}, honoring the same 200-vs-202 fork as
-// POST /v1/sweep.
-func sweepsRunRemote(name, addr, token string, params paramArgs, async bool, timeoutSec float64, wait bool) error {
-	c := newClient(addr, token)
-	resp, acc, err := c.RunNamedExperiment(context.Background(), name, api.NamedExperimentRequest{
+// sweepsRunRemote runs one definition on a serve instance via the SDK
+// (POST /v1/experiments/{name}) and prints the sweep table.
+func sweepsRunRemote(name, addr, token string, params paramArgs, timeoutSec float64) error {
+	resp, err := newClient(addr, token).RunNamedExperiment(context.Background(), name, api.NamedExperimentRequest{
 		Params:     params,
-		Async:      async,
 		TimeoutSec: timeoutSec,
 	})
 	if err != nil {
 		return err
-	}
-	if acc != nil {
-		fmt.Printf("accepted %s (%d requests): poll with `cimloop jobs status %s`\n",
-			acc.Job.ID, acc.Job.Total, acc.Job.ID)
-		if !wait {
-			return nil
-		}
-		return waitAndPrint(c, acc.Job.ID, 0, false)
 	}
 	fmt.Println(resp.Table)
 	return nil

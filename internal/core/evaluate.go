@@ -394,7 +394,7 @@ type SearchOptions struct {
 // The candidate loop checks for cancellation before each mapping
 // evaluation, so a cancelled or expired context makes the search return
 // ctx.Err() promptly instead of finishing the whole budget. Deadlines and
-// job cancellation in the serving layer reach in-flight work through
+// client disconnects in the serving layer reach in-flight work through
 // this path.
 func (e *Engine) SearchLayerOptsCtx(ctx context.Context, lctx *LayerContext, so SearchOptions) (*Result, int, error) {
 	return e.searchLayer(ctx, lctx, so, e.costKernel)

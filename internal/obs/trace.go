@@ -15,8 +15,8 @@ type PhaseTiming struct {
 }
 
 // Span is a lightweight trace of one request (an HTTP request or one
-// sweep item). It is carried on context.Context through serve → jobs →
-// core → mapper → persist; layers below serve never import
+// sweep item). It is carried on context.Context through serve → core →
+// mapper → persist; layers below serve never import
 // it directly — they just pass the context and serve-side wrappers
 // attribute the time. All methods are safe for concurrent use and
 // nil-safe, so code paths without a span pay one nil check.

@@ -13,7 +13,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// Kind-specific payload codecs. Engine and job payloads are JSON: the
+// Kind-specific payload codecs. Engine payloads are JSON: the
 // envelope already carries the binary framing (magic, version, checksum),
 // the values are plain data, and Go's JSON round-trips float64 values
 // bit-exactly (shortest round-trip formatting). Layer contexts — the

@@ -20,18 +20,18 @@ const (
 	// context payload. Nothing writes or admits it; a leftover file is
 	// skipped and deleted by the serving layer's boot scan.
 	KindLayerContext Kind = 2
-	// KindJob is an async-job record: a terminal snapshot or a queued-job
-	// WAL entry, distinguished by key prefix (see internal/serve).
+	// KindJob is reserved: it tagged the retired async-job records (job
+	// snapshots and write-ahead entries). Nothing writes or admits it; a
+	// leftover file is skipped and deleted like KindLayerContext.
 	KindJob Kind = 3
 	// KindLayerContextCol is a layer context in the binary columnar
 	// payload format (EncodeLayerContextColumnar): PMF points and energy
 	// tables as raw float64 columns, so a warm-from-disk decode does no
 	// float parsing.
 	KindLayerContextCol Kind = 4
-	// KindCheckpoint is one completed grid item of a running sweep job
-	// (EncodeCheckpointRecord), written through the write-behind queue as
-	// the item finishes so WAL replay resumes from the last checkpoint
-	// instead of item zero.
+	// KindCheckpoint is reserved: it tagged the retired per-item
+	// checkpoints of async sweep jobs. Nothing writes or admits it; a
+	// leftover file is skipped and deleted like KindLayerContext.
 	KindCheckpoint Kind = 5
 )
 
@@ -65,7 +65,7 @@ type Record struct {
 }
 
 // FormatVersion is the current envelope format. Decoding any other
-// version returns ErrVersion (the file is then reclaimed by Scan).
+// version returns ErrVersion (the file is then reclaimed by ScanOrdered).
 const FormatVersion = 1
 
 var magic = [4]byte{'C', 'W', 'S', '1'}

@@ -14,11 +14,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	ck, err := EncodeCheckpointRecord(testCheckpoint())
-	if err != nil {
-		f.Fatal(err)
-	}
-	env, err := EncodeRecord(Record{Kind: KindCheckpoint, Key: "ckpt|job-000001|000000", Payload: ck})
+	env, err := EncodeRecord(Record{Kind: KindLayerContextCol, Key: "ctx|abc|def", CostSec: 0.5, Payload: []byte("CTXC")})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -35,35 +31,6 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if !bytes.Equal(out, data) {
 			t.Fatalf("accepted non-canonical envelope:\n in  %x\n out %x", data, out)
-		}
-	})
-}
-
-// FuzzDecodeCheckpointRecord is the same property for the checkpoint
-// payload codec: no panics, and accepted inputs are canonical.
-func FuzzDecodeCheckpointRecord(f *testing.F) {
-	seed, err := EncodeCheckpointRecord(testCheckpoint())
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	empty, err := EncodeCheckpointRecord(CheckpointRecord{JobID: "job-000001"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty)
-	f.Add([]byte("CKP1 junk"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := DecodeCheckpointRecord(data)
-		if err != nil {
-			return
-		}
-		out, err := EncodeCheckpointRecord(rec)
-		if err != nil {
-			t.Fatalf("decoded checkpoint does not re-encode: %+v: %v", rec, err)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("accepted non-canonical checkpoint:\n in  %x\n out %x", data, out)
 		}
 	})
 }

@@ -13,27 +13,25 @@ import (
 	"time"
 )
 
-// fileSuffix marks store files; Scan ignores everything else in the dir.
+// fileSuffix marks store files; a scan ignores everything else in the dir.
 const fileSuffix = ".cws"
 
 // tmpPrefix marks in-flight writes; Open reaps leftovers from crashes.
 const tmpPrefix = ".tmp-"
 
-// defaultQueue bounds the write-behind backlog. A full queue drops
-// non-blocking Puts (the store is a cache; losing a write only costs a
-// colder restart) and briefly blocks PutBlocking callers.
+// defaultQueue bounds the write-behind backlog. A full queue drops Puts
+// (the store is a cache; losing a write only costs a colder restart).
 const defaultQueue = 1024
 
-// Stats counts the store's write-behind and scan activity. Counter
-// snapshots; safe to read concurrently with writes.
+// Stats counts the store's write-behind activity. Counter snapshots;
+// safe to read concurrently with writes.
 type Stats struct {
 	Written     uint64 `json:"written"`
-	Deleted     uint64 `json:"deleted"`
 	WriteErrors uint64 `json:"write_errors"`
 	Dropped     uint64 `json:"dropped"`
 }
 
-// ScanStats summarizes one Scan pass.
+// ScanStats summarizes one ScanOrdered pass.
 type ScanStats struct {
 	// Files is the number of store files seen.
 	Files int `json:"files"`
@@ -44,12 +42,10 @@ type ScanStats struct {
 	Skipped int `json:"skipped"`
 }
 
-// op is one queued writer action: a pending write (encode != nil) or a
-// deletion (encode == nil), or a flush barrier (ack != nil).
+// op is one queued write: the record's file name and its encoder.
 type op struct {
 	name   string
 	encode func() ([]byte, error)
-	ack    chan struct{}
 }
 
 // Store is a directory of envelope files with a single background writer.
@@ -59,8 +55,7 @@ type Store struct {
 	// boot holds the record files Open listed, for the first scan to use
 	// instead of listing the directory again: the directory belongs to
 	// the store, so the listing stays current until the store queues a
-	// write or deletion, which drops it (send), as the scan that uses it
-	// does.
+	// write, which drops it (Put), as the scan that uses it does.
 	boot  atomic.Pointer[[]string]
 	queue chan op
 	wg    sync.WaitGroup
@@ -72,7 +67,6 @@ type Store struct {
 	closed  bool
 
 	written     atomic.Uint64
-	deleted     atomic.Uint64
 	writeErrors atomic.Uint64
 	dropped     atomic.Uint64
 
@@ -135,7 +129,6 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Stats() Stats {
 	return Stats{
 		Written:     s.written.Load(),
-		Deleted:     s.deleted.Load(),
 		WriteErrors: s.writeErrors.Load(),
 		Dropped:     s.dropped.Load(),
 	}
@@ -156,19 +149,9 @@ func (s *Store) fileName(kind Kind, key string) string {
 
 // Put enqueues a record without blocking: encode runs on the writer
 // goroutine (so the caller pays neither serialization nor disk time), and
-// a full queue drops the record. Encode must capture immutable state.
+// a full queue, or a closed store, drops the record. Encode must capture
+// immutable state.
 func (s *Store) Put(kind Kind, key string, costSec float64, encode func() ([]byte, error)) {
-	s.enqueue(kind, key, costSec, encode, false)
-}
-
-// PutBlocking enqueues a record, waiting for queue space. Use it for
-// records that carry durability (job WAL entries) rather than cached
-// recomputables.
-func (s *Store) PutBlocking(kind Kind, key string, costSec float64, encode func() ([]byte, error)) {
-	s.enqueue(kind, key, costSec, encode, true)
-}
-
-func (s *Store) enqueue(kind Kind, key string, costSec float64, encode func() ([]byte, error), block bool) {
 	o := op{name: s.fileName(kind, key), encode: func() ([]byte, error) {
 		payload, err := encode()
 		if err != nil {
@@ -176,53 +159,21 @@ func (s *Store) enqueue(kind Kind, key string, costSec float64, encode func() ([
 		}
 		return EncodeRecord(Record{Kind: kind, Key: key, CostSec: costSec, Payload: payload})
 	}}
-	s.send(o, block)
-}
-
-// send enqueues one writer op unless the store is closed (or, for
-// non-blocking sends, the queue is full); refused ops count as dropped.
-func (s *Store) send(o op, block bool) bool {
 	s.closing.RLock()
 	defer s.closing.RUnlock()
 	if s.closed {
-		if o.ack == nil { // a refused flush barrier is not a lost record
-			s.dropped.Add(1)
-		}
-		return false
+		s.dropped.Add(1)
+		return
 	}
-	if o.ack == nil {
-		s.boot.Store(nil)
-	}
-	if block {
-		s.queue <- o
-		return true
-	}
+	s.boot.Store(nil)
 	select {
 	case s.queue <- o:
-		return true
 	default:
 		s.dropped.Add(1)
-		return false
 	}
 }
 
-// Delete enqueues removal of a key's record (no-op if absent). Deletions
-// follow earlier writes of the same key in FIFO order, so a
-// write-then-delete sequence leaves no file behind.
-func (s *Store) Delete(kind Kind, key string) {
-	s.send(op{name: s.fileName(kind, key)}, true)
-}
-
-// Flush blocks until every previously enqueued write and deletion has
-// reached disk.
-func (s *Store) Flush() {
-	ack := make(chan struct{})
-	if s.send(op{ack: ack}, true) {
-		<-ack
-	}
-}
-
-// Close flushes and stops the writer. Later Puts and Deletes are dropped.
+// Close flushes and stops the writer. Later Puts are dropped.
 func (s *Store) Close() {
 	s.closing.Lock()
 	already := s.closed
@@ -234,32 +185,20 @@ func (s *Store) Close() {
 	s.wg.Wait()
 }
 
-// writer drains the queue: atomic writes (temp file + rename), deletions,
-// and flush barriers.
+// writer drains the queue, writing each record atomically (temp file +
+// rename).
 func (s *Store) writer() {
 	defer s.wg.Done()
 	for o := range s.queue {
-		switch {
-		case o.ack != nil:
-			close(o.ack)
-		case o.encode == nil:
-			switch err := os.Remove(o.name); {
-			case err == nil:
-				s.deleted.Add(1)
-			case !os.IsNotExist(err):
-				s.writeErrors.Add(1)
-			}
-		default:
-			start := time.Now()
-			err := s.writeFile(o)
-			if err != nil {
-				s.writeErrors.Add(1)
-			} else {
-				s.written.Add(1)
-			}
-			if s.observe != nil {
-				s.observe(time.Since(start), err == nil)
-			}
+		start := time.Now()
+		err := s.writeFile(o)
+		if err != nil {
+			s.writeErrors.Add(1)
+		} else {
+			s.written.Add(1)
+		}
+		if s.observe != nil {
+			s.observe(time.Since(start), err == nil)
 		}
 	}
 }
@@ -275,9 +214,8 @@ func (s *Store) writeFile(o op) error {
 	}
 	name := tmp.Name()
 	// Sync before the rename: an atomic rename of unsynced data can
-	// survive a crash as an empty or partial file under the final name,
-	// and job WAL records are only as durable as this write. All of it
-	// happens on the writer goroutine, never a request path.
+	// survive a crash as an empty or partial file under the final name.
+	// All of it happens on the writer goroutine, never a request path.
 	if _, err := tmp.Write(data); err == nil {
 		err = tmp.Sync()
 	}
@@ -307,17 +245,12 @@ func (s *Store) syncDir() {
 	}
 }
 
-// Scan decodes every store file, fanning decode + callback across at most
+// scan decodes every store file, fanning decode + callback across at most
 // workers goroutines (fn must be safe for concurrent calls). A record
 // that fails to decode — or for which fn returns an error — is counted as
 // skipped and its file deleted: the store is a cache, so the only recovery
 // from a bad entry is recomputation, and keeping the file would re-fail
-// every boot. Scan itself fails only when the directory is unreadable.
-func (s *Store) Scan(workers int, fn func(Record) error) (ScanStats, error) {
-	return s.scan(workers, func(_ string, rec Record) error { return fn(rec) })
-}
-
-// scan is Scan with a callback that also receives the record's file name.
+// every boot. scan itself fails only when the directory is unreadable.
 func (s *Store) scan(workers int, fn func(name string, rec Record) error) (ScanStats, error) {
 	var names []string
 	if boot := s.boot.Swap(nil); boot != nil {
@@ -364,10 +297,10 @@ func (s *Store) scan(workers int, fn func(name string, rec Record) error) (ScanS
 	return stats, nil
 }
 
-// ScanOrdered is Scan with a cost-ordered admission pass: files are read
-// and their envelopes decoded across at most workers goroutines, which
-// also run prepare on each record (decoding and verifying its payload,
-// say); then admit is called serially with each prepared value, in
+// ScanOrdered loads every store file in cost order: files are read and
+// their envelopes decoded across at most workers goroutines, which also
+// run prepare on each record (decoding and verifying its payload, say);
+// then admit is called serially with each prepared value, in
 // ascending CostSec order (ties broken by key, descending, so the order
 // is deterministic). The Record admit receives carries no Payload: the
 // prepared value replaces it. Use it for boot warm-starts feeding a
@@ -375,7 +308,7 @@ func (s *Store) scan(workers int, fn func(name string, rec Record) error) (ScanS
 // admitted last, so if the cache cannot hold everything it keeps the
 // records that are costliest to recompute. A record that fails to
 // decode — or that prepare or admit refuses — is counted as skipped and
-// its file deleted, exactly like Scan.
+// its file deleted, as scan does.
 func (s *Store) ScanOrdered(workers int, prepare func(Record) (any, error), admit func(Record, any) error) (ScanStats, error) {
 	type prepared struct {
 		name string
@@ -386,7 +319,7 @@ func (s *Store) ScanOrdered(workers int, prepare func(Record) (any, error), admi
 		mu   sync.Mutex
 		recs []prepared
 	)
-	// Collect pass: reuse Scan's fan-out with a callback that prepares
+	// Collect pass: reuse scan's fan-out with a callback that prepares
 	// and accumulates, so the parallel half (read + decode + checksum +
 	// prepare) is shared and only admission is serialized.
 	stats, err := s.scan(workers, func(name string, rec Record) error {

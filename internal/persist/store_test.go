@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"testing"
 )
 
@@ -13,13 +11,14 @@ func payload(s string) func() ([]byte, error) {
 	return func() ([]byte, error) { return []byte(s), nil }
 }
 
+// scanAll loads every record of the store, payloads included.
 func scanAll(t *testing.T, s *Store) (map[string]Record, ScanStats) {
 	t.Helper()
-	var mu sync.Mutex
 	got := map[string]Record{}
-	stats, err := s.Scan(4, func(rec Record) error {
-		mu.Lock()
-		defer mu.Unlock()
+	stats, err := s.ScanOrdered(4, func(rec Record) (any, error) {
+		return rec.Payload, nil
+	}, func(rec Record, val any) error {
+		rec.Payload = val.([]byte)
 		got[rec.Key] = rec
 		return nil
 	})
@@ -27,6 +26,19 @@ func scanAll(t *testing.T, s *Store) (map[string]Record, ScanStats) {
 		t.Fatal(err)
 	}
 	return got, stats
+}
+
+// reopen closes s, which writes everything it queued, and opens its
+// directory again.
+func reopen(t *testing.T, s *Store) *Store {
+	t.Helper()
+	s.Close()
+	s2, err := Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.Close)
+	return s2
 }
 
 func TestStoreWriteScanRoundTrip(t *testing.T) {
@@ -37,16 +49,8 @@ func TestStoreWriteScanRoundTrip(t *testing.T) {
 	}
 	s.Put(KindEngine, "eng|aa", 2.5, payload("engine"))
 	s.Put(KindLayerContext, "ctx|aa|bb", 0.5, payload("context"))
-	s.PutBlocking(KindJob, "wal|job-000001", 0, payload("wal"))
-	s.Flush()
-	s.Close()
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got, stats := scanAll(t, s2)
+	s.Put(KindLayerContextCol, "ctx|aa|cc", 0.25, payload("columnar"))
+	got, stats := scanAll(t, reopen(t, s))
 	if stats.Files != 3 || stats.Loaded != 3 || stats.Skipped != 0 {
 		t.Fatalf("scan stats = %+v, want 3 loaded", stats)
 	}
@@ -58,33 +62,24 @@ func TestStoreWriteScanRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreRewriteAndDelete: rewriting a key replaces its file, so the
+// earlier record is gone and the last write wins.
 func TestStoreRewriteAndDelete(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	s.Put(KindJob, "wal|j1", 0, payload("v1"))
-	s.Put(KindJob, "wal|j1", 0, payload("v2"))
-	s.Flush()
-	got, stats := scanAll(t, s)
+	s.Put(KindEngine, "eng|j1", 0, payload("v1"))
+	s.Put(KindEngine, "eng|j1", 0, payload("v2"))
+	got, stats := scanAll(t, reopen(t, s))
 	if stats.Files != 1 {
 		t.Fatalf("rewriting a key must replace its file, have %d files", stats.Files)
 	}
-	if string(got["wal|j1"].Payload) != "v2" {
-		t.Fatalf("last write must win, got %q", got["wal|j1"].Payload)
+	if string(got["eng|j1"].Payload) != "v2" {
+		t.Fatalf("last write must win, got %q", got["eng|j1"].Payload)
 	}
-
-	s.Delete(KindJob, "wal|j1")
-	s.Flush()
-	if _, stats := scanAll(t, s); stats.Files != 0 {
-		t.Fatalf("deleted key must leave no file, have %d", stats.Files)
-	}
-	// Deleting again is a no-op, not an error.
-	s.Delete(KindJob, "wal|j1")
-	s.Flush()
-	if st := s.Stats(); st.WriteErrors != 0 {
-		t.Fatalf("double delete must not count as a write error: %+v", st)
+	if st := s.Stats(); st.Written != 2 || st.WriteErrors != 0 {
+		t.Fatalf("stats after a rewrite = %+v, want 2 written", st)
 	}
 }
 
@@ -96,10 +91,9 @@ func TestStoreScanReclaimsBadFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.Put(KindEngine, "eng|good", 1, payload("good"))
 	s.Put(KindEngine, "eng|rejected", 1, payload("rejected"))
-	s.Flush()
+	s.Close()
 
 	good, err := EncodeRecord(Record{Kind: KindEngine, Key: "eng|x", CostSec: 1, Payload: []byte("x")})
 	if err != nil {
@@ -121,21 +115,19 @@ func TestStoreScanReclaimsBadFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
 	var keys []string
-	stats, err := s.Scan(4, func(rec Record) error {
+	stats, err := reopen(t, s).ScanOrdered(4, func(rec Record) (any, error) {
 		if rec.Key == "eng|rejected" {
-			return fmt.Errorf("callback rejects this record")
+			return nil, fmt.Errorf("callback rejects this record")
 		}
-		mu.Lock()
-		defer mu.Unlock()
+		return nil, nil
+	}, func(rec Record, _ any) error {
 		keys = append(keys, rec.Key)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(keys)
 	if stats.Files != 5 || stats.Loaded != 1 || stats.Skipped != 4 {
 		t.Fatalf("scan stats = %+v, want files=5 loaded=1 skipped=4", stats)
 	}
@@ -168,14 +160,13 @@ func TestStoreScanOrderedAdmitsByAscendingCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.Put(KindEngine, "eng|cheap", 0.25, payload("cheap"))
 	s.Put(KindEngine, "eng|mid", 1.5, payload("mid"))
 	s.Put(KindEngine, "eng|dear", 8, payload("dear"))
 	// Equal costs: the tie-break is the key, descending.
 	s.Put(KindLayerContext, "ctx|a|tie", 1.5, payload("tie-a"))
 	s.Put(KindLayerContext, "ctx|b|tie", 1.5, payload("tie-b"))
-	s.Flush()
+	s = reopen(t, s)
 
 	payloads := map[string]string{"eng|cheap": "cheap", "eng|mid": "mid", "eng|dear": "dear", "ctx|a|tie": "tie-a", "ctx|b|tie": "tie-b"}
 	var keys []string
@@ -202,18 +193,17 @@ func TestStoreScanOrderedAdmitsByAscendingCost(t *testing.T) {
 
 // TestStoreScanOrderedReclaimsRejected: a record the preparation or the
 // admission callback refuses is counted skipped and its file deleted,
-// like Scan; only prepared records are offered for admission.
+// as is a record that fails to decode; only prepared records are offered for admission.
 func TestStoreScanOrderedReclaimsRejected(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.Put(KindEngine, "eng|keep", 2, payload("keep"))
 	s.Put(KindEngine, "eng|reject", 5, payload("reject"))
 	s.Put(KindEngine, "eng|unprepared", 3, payload("unprepared"))
-	s.Flush()
+	s = reopen(t, s)
 
 	var admitted []string
 	stats, err := s.ScanOrdered(2, func(rec Record) (any, error) {
@@ -247,8 +237,8 @@ func TestStoreScanOrderedReclaimsRejected(t *testing.T) {
 	}
 }
 
-// TestStoreCloseDropsLateWrites: Put/Delete/Flush after Close must not
-// panic or block; they count as dropped.
+// TestStoreCloseDropsLateWrites: a Put after Close must not panic or
+// block; it counts as dropped.
 func TestStoreCloseDropsLateWrites(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -257,11 +247,8 @@ func TestStoreCloseDropsLateWrites(t *testing.T) {
 	s.Close()
 	s.Close() // idempotent
 	s.Put(KindEngine, "eng|late", 1, payload("late"))
-	s.PutBlocking(KindJob, "wal|late", 0, payload("late"))
-	s.Delete(KindJob, "wal|late")
-	s.Flush()
-	if st := s.Stats(); st.Dropped != 3 || st.Written != 0 {
-		t.Fatalf("stats after closed writes = %+v, want 3 dropped", st)
+	if st := s.Stats(); st.Dropped != 1 || st.Written != 0 {
+		t.Fatalf("stats after a closed write = %+v, want 1 dropped", st)
 	}
 }
 
@@ -278,8 +265,8 @@ func TestStoreOpenRejectsFileAsDir(t *testing.T) {
 
 // TestStoreOpenListsOnce: Open reaps the temp files of writes a crash
 // interrupted and keeps the record files it listed for the boot scan,
-// which loads them all; a record queued after Open makes the next scan
-// list the directory again, so it is seen too.
+// which loads them all; a record queued after Open makes the scan list
+// the directory again, so it is seen too.
 func TestStoreOpenListsOnce(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -298,15 +285,16 @@ func TestStoreOpenListsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("Open left the temp file of an unfinished write: %v", err)
 	}
 	if got, stats := scanAll(t, s); stats.Files != 2 || len(got) != 2 {
 		t.Fatalf("boot scan stats %+v, records %v, want the 2 records", stats, got)
 	}
+
+	s = reopen(t, s)
 	s.Put(KindEngine, "eng|c", 1, payload("c"))
-	s.Flush()
+	s.Close()
 	if got, stats := scanAll(t, s); stats.Files != 3 || string(got["eng|c"].Payload) != "c" {
 		t.Fatalf("scan after a write: stats %+v, records %v, want 3 including eng|c", stats, got)
 	}

@@ -1,7 +1,6 @@
 // Package api is the typed v1 wire contract of the batch-evaluation
-// service: every request and response body the HTTP layer speaks, the
-// structured error envelope, and the Server-Sent-Events job-progress
-// format live here and nowhere else. The server (internal/serve)
+// service: every request and response body the HTTP layer speaks and
+// the structured error envelope live here and nowhere else. The server (internal/serve)
 // marshals only these types; the Go SDK (internal/client) and the
 // `cimloop` CLI unmarshal only these types — so the contract has one
 // definition, compile-checked from both sides, instead of ad-hoc
@@ -17,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	"repro/internal/serve/jobs"
 	"repro/internal/workload"
 )
 
@@ -86,8 +84,7 @@ type EvalResult struct {
 	TimeSec        float64 `json:"time_sec,omitempty"`
 	ElapsedSec     float64 `json:"elapsed_sec,omitempty"`
 	// MappingsEvaluated counts candidate mappings costed across all
-	// layers; jobs stream it with each partial result, so a client
-	// watching a job sees search throughput, not just item counts.
+	// layers.
 	MappingsEvaluated int64 `json:"mappings_evaluated,omitempty"`
 
 	// NetworkResult carries the full per-layer breakdown for programmatic
@@ -95,9 +92,9 @@ type EvalResult struct {
 	NetworkResult *core.NetworkResult `json:"-"`
 }
 
-// SweepRequest is the body of POST /v1/sweep and POST /v1/jobs: either
-// an explicit request list or a macro x network x scenario grid
-// specification, not both.
+// SweepRequest is the body of POST /v1/sweep: either an explicit
+// request list or a macro x network x scenario grid specification, not
+// both.
 type SweepRequest struct {
 	Requests []EvalRequest `json:"requests,omitempty"`
 
@@ -107,17 +104,13 @@ type SweepRequest struct {
 	Layers      int      `json:"layers,omitempty"`
 	MaxMappings int      `json:"max_mappings,omitempty"`
 
-	// Async forces the job path regardless of grid size (/v1/sweep only;
-	// /v1/jobs is always async).
-	Async bool `json:"async,omitempty"`
-	// TimeoutSec caps the sweep's run time: synchronous sweeps wrap the
-	// request context, async jobs wrap the job context (measured from job
-	// start), both via context.WithTimeout — expiry aborts in-flight
-	// layer searches. Zero means no deadline.
+	// TimeoutSec caps the sweep's run time: the request context is
+	// wrapped in context.WithTimeout, so expiry aborts in-flight layer
+	// searches and the sweep answers 504. Zero means no deadline.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 }
 
-// SweepResponse is the 200 body of a synchronous POST /v1/sweep.
+// SweepResponse is the 200 body of POST /v1/sweep.
 type SweepResponse struct {
 	// Results has one entry per request, in request order.
 	Results []*EvalResult `json:"results"`
@@ -125,61 +118,6 @@ type SweepResponse struct {
 	Table string `json:"table"`
 	// Cache snapshots the server's cache counters after the sweep.
 	Cache CacheStats `json:"cache"`
-}
-
-// JobAccepted is the 202 body of POST /v1/jobs (and of POST /v1/sweep
-// when the sweep is promoted to a job).
-type JobAccepted struct {
-	Job jobs.Snapshot `json:"job"`
-	// StatusURL polls the job; EventsURL streams it (SSE).
-	StatusURL string `json:"status_url"`
-	EventsURL string `json:"events_url"`
-}
-
-// JobListQuery names the GET /v1/jobs query parameters. It is not a
-// body; the client SDK encodes it into the URL.
-type JobListQuery struct {
-	// Status keeps only jobs in that state (queued, running, succeeded,
-	// failed, cancelled; "" = all).
-	Status jobs.Status
-	// Limit caps the page size (<= 0 = server default).
-	Limit int
-	// Cursor is NextCursor from the previous page ("" = first page).
-	Cursor string
-}
-
-// JobListResponse is the 200 body of GET /v1/jobs: summaries in
-// submission order (per-item results omitted; fetch one job for those).
-type JobListResponse struct {
-	Jobs  []jobs.Snapshot `json:"jobs"`
-	Stats jobs.Stats      `json:"stats"`
-	// NextCursor pages: pass it back as ?cursor= for the jobs after this
-	// page. Empty when the listing is exhausted.
-	NextCursor string `json:"next_cursor,omitempty"`
-}
-
-// Job event stream (GET /v1/jobs/{id}/events, Server-Sent Events).
-//
-// Each SSE frame carries the event type in the "event" field, the job's
-// version in the "id" field (so Last-Event-ID resumes exactly where the
-// connection dropped), and a JobEvent as the "data" JSON. The stream
-// ends after the terminal event.
-const (
-	// JobEventProgress fires on every observable mutation while the job
-	// is live: enqueue, start, and each completed grid item.
-	JobEventProgress = "progress"
-	// JobEventTerminal fires once, with the full final snapshot (partial
-	// results and rendered table included), then the stream closes.
-	JobEventTerminal = "terminal"
-)
-
-// JobEvent is the SSE "data" payload: the event type repeated (so a
-// payload is self-describing outside the stream framing) plus the job
-// snapshot as of the event. Progress events carry summaries; the
-// terminal event carries the full snapshot.
-type JobEvent struct {
-	Type string        `json:"type"`
-	Job  jobs.Snapshot `json:"job"`
 }
 
 // MacroInfo is one published macro model (paper Table III) in GET
@@ -264,9 +202,6 @@ type NamedExperimentRequest struct {
 	// Params binds declared parameters by name. Unknown names are
 	// rejected; values are coerced to the declared types.
 	Params map[string]any `json:"params,omitempty"`
-	// Async forces the job path regardless of grid size; large grids are
-	// promoted automatically exactly like POST /v1/sweep.
-	Async bool `json:"async,omitempty"`
 	// TimeoutSec caps the run like SweepRequest.TimeoutSec.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 }
@@ -328,10 +263,8 @@ type BudgetStats struct {
 	// of earlier healthz output.
 	AdaptivePlans uint64 `json:"adaptive_plans,omitempty"`
 	// MappingsEvaluated is the lifetime count of candidate mappings costed
-	// by this server across all requests and jobs. Monotonic, so two reads
-	// bracket exactly the search work done between them — the tenancy
-	// smoke test uses the delta to prove a resumed job re-evaluated only
-	// its unfinished items.
+	// by this server across all requests. Monotonic, so two reads bracket
+	// exactly the search work done between them.
 	MappingsEvaluated int64 `json:"mappings_evaluated"`
 }
 
@@ -340,17 +273,10 @@ type WarmStats struct {
 	// Engines and Contexts count cache entries admitted from disk.
 	Engines  int `json:"engines"`
 	Contexts int `json:"contexts"`
-	// Jobs counts restored terminal snapshots; Replayed counts
-	// write-ahead jobs re-submitted because they never finished.
-	Jobs     int `json:"jobs"`
-	Replayed int `json:"replayed"`
-	// Checkpoints counts finished grid items restored into replayed jobs
-	// from per-item checkpoint records — items the replay will report as
-	// done instead of re-evaluating.
-	Checkpoints int `json:"checkpoints,omitempty"`
-	// Skipped counts files discarded during the scans: corrupt,
-	// version-mismatched, or failing fingerprint re-verification. All are
-	// deleted (recomputation is the only recovery).
+	// Skipped counts files discarded during the scan: corrupt,
+	// version-mismatched, of a retired kind, or failing fingerprint
+	// re-verification. All are deleted (recomputation is the only
+	// recovery).
 	Skipped int `json:"skipped"`
 }
 
@@ -359,11 +285,10 @@ type PersistStats struct {
 	Enabled bool `json:"enabled"`
 	// Warm is the boot-time scan summary.
 	Warm WarmStats `json:"warm,omitempty"`
-	// Cache and Jobs are the write-behind counters of the two stores.
+	// Cache is the write-behind counters of the cache store.
 	Cache persist.Stats `json:"cache,omitempty"`
-	Jobs  persist.Stats `json:"jobs,omitempty"`
 	// Error records a store that failed to open (the server then runs
-	// without that store rather than failing: persistence is optional).
+	// without it rather than failing: persistence is optional).
 	Error string `json:"error,omitempty"`
 }
 
@@ -413,7 +338,6 @@ type HealthzResponse struct {
 	Version   string       `json:"version,omitempty"`
 	UptimeSec float64      `json:"uptime_sec"`
 	Cache     CacheStats   `json:"cache"`
-	Jobs      jobs.Stats   `json:"jobs"`
 	Search    BudgetStats  `json:"search"`
 	Persist   PersistStats `json:"persist"`
 	Obs       ObsStats     `json:"obs"`

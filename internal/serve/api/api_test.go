@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/serve/jobs"
 )
 
 // The golden files under testdata/ ARE the wire contract: if a change
@@ -33,23 +32,6 @@ func goldenCases() []struct {
 	v    any
 } {
 	created := time.Date(2026, 7, 26, 12, 0, 0, 0, time.UTC)
-	snap := jobs.Snapshot{
-		ID:         "job-000007",
-		Label:      "sweep of 2 requests",
-		Status:     jobs.StatusRunning,
-		Version:    5,
-		Completed:  1,
-		Total:      2,
-		FirstError: "boom",
-		Results:    []any{map[string]any{"tag": "base/toy"}, nil},
-		CreatedAt:  created,
-		ElapsedSec: 1.5,
-	}
-	terminal := snap
-	terminal.Status = jobs.StatusSucceeded
-	terminal.Version = 9
-	terminal.Completed = 2
-	terminal.Result = "rendered table"
 
 	return []struct {
 		name string
@@ -71,7 +53,7 @@ func goldenCases() []struct {
 		{"sweep_request", SweepRequest{
 			Macros: []string{"base", "macro-b"}, Networks: []string{"toy"},
 			Scenarios: []string{"weight-stationary"}, Layers: 2, MaxMappings: 4,
-			Async: true, TimeoutSec: 30,
+			TimeoutSec: 30,
 		}},
 		{"sweep_request_explicit", SweepRequest{
 			Requests: []EvalRequest{{Macro: "base", Network: "toy"}},
@@ -81,18 +63,6 @@ func goldenCases() []struct {
 			Table:   "| ... |",
 			Cache:   CacheStats{Hits: 3, Misses: 1, Evictions: 0, Entries: 4, Restored: 2},
 		}},
-		{"job_accepted", JobAccepted{
-			Job:       snap,
-			StatusURL: "/v1/jobs/job-000007",
-			EventsURL: "/v1/jobs/job-000007/events",
-		}},
-		{"job_list_response", JobListResponse{
-			Jobs:       []jobs.Snapshot{snap},
-			Stats:      jobs.Stats{Queued: 1, Running: 1, Finished: 3},
-			NextCursor: "job-000007",
-		}},
-		{"job_event_progress", JobEvent{Type: JobEventProgress, Job: snap}},
-		{"job_event_terminal", JobEvent{Type: JobEventTerminal, Job: terminal}},
 		{"macros_response", MacrosResponse{Macros: []MacroInfo{{
 			Macro: "macro-b", Node: "7 nm", Device: "SRAM",
 			InputBits: "8", WeightBits: "8", Array: "64x64", ADCBits: "4",
@@ -127,7 +97,6 @@ func goldenCases() []struct {
 		{"experiment_run_response", ExperimentRunResponse{Tables: []string{"| fig2a |"}}},
 		{"named_experiment_request", NamedExperimentRequest{
 			Params:     map[string]any{"mappings": 60, "network": "gpt2"},
-			Async:      true,
 			TimeoutSec: 30,
 		}},
 		{"healthz_response", HealthzResponse{
@@ -135,12 +104,11 @@ func goldenCases() []struct {
 			Version:   Version,
 			UptimeSec: 12.5,
 			Cache:     CacheStats{Hits: 10, Misses: 2, Evictions: 1, Entries: 9, Restored: 4, Compiles: 6},
-			Jobs:      jobs.Stats{Queued: 2, Running: 1, Finished: 5},
 			Search: BudgetStats{Capacity: 8, Available: 3, SearchWorkers: 4,
 				BlockedAcquires: 2, MappingsEvaluated: 1200},
 			Persist: PersistStats{
 				Enabled: true,
-				Warm:    WarmStats{Engines: 1, Contexts: 2, Jobs: 3, Replayed: 1, Checkpoints: 2, Skipped: 1},
+				Warm:    WarmStats{Engines: 1, Contexts: 2, Skipped: 1},
 				Error:   "jobs dir: permission denied",
 			},
 			Obs: ObsStats{
@@ -164,10 +132,6 @@ func goldenCases() []struct {
 			}},
 			Recorded:     40,
 			ThresholdSec: 0.25,
-		}},
-		{"error_queue_full", Error{
-			Code: CodeQueueFull, Message: "jobs: pending queue full",
-			RetryAfterSec: 2,
 		}},
 		{"error_with_details", Error{
 			Code: CodeInvalidRequest, Message: "request body exceeds 64 bytes",
@@ -239,12 +203,6 @@ func newOfSameType(t *testing.T, v any) any {
 		return new(SweepRequest)
 	case SweepResponse:
 		return new(SweepResponse)
-	case JobAccepted:
-		return new(JobAccepted)
-	case JobListResponse:
-		return new(JobListResponse)
-	case JobEvent:
-		return new(JobEvent)
 	case MacrosResponse:
 		return new(MacrosResponse)
 	case NetworksResponse:
@@ -272,15 +230,15 @@ func newOfSameType(t *testing.T, v any) any {
 // TestErrorEnvelope pins the envelope's Go-error behavior the SDK and
 // CLI rely on.
 func TestErrorEnvelope(t *testing.T) {
-	e := Errorf(CodeQueueFull, "queue full after %d", 8)
-	e.HTTPStatus = 429
-	if e.Error() != "queue_full (HTTP 429): queue full after 8" {
+	e := Errorf(CodeDeadlineExceeded, "sweep stopped after %d s", 8)
+	e.HTTPStatus = 504
+	if e.Error() != "deadline_exceeded (HTTP 504): sweep stopped after 8 s" {
 		t.Fatalf("Error() = %q", e.Error())
 	}
-	if !IsCode(e, CodeQueueFull) || IsCode(e, CodeNotFound) {
+	if !IsCode(e, CodeDeadlineExceeded) || IsCode(e, CodeNotFound) {
 		t.Fatal("IsCode misclassified")
 	}
-	if !IsCode(fmt.Errorf("wrapped: %w", e), CodeQueueFull) {
+	if !IsCode(fmt.Errorf("wrapped: %w", e), CodeDeadlineExceeded) {
 		t.Fatal("IsCode must see through wrapping")
 	}
 }

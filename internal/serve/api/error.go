@@ -26,17 +26,9 @@ const (
 	// a server running with a token file (HTTP 401). The response
 	// carries a WWW-Authenticate: Bearer header.
 	CodeUnauthorized ErrorCode = "unauthorized"
-	// CodeQueueFull is the backpressure signal (HTTP 429): the pending
-	// job queue is at capacity. RetryAfterSec (and the Retry-After
-	// header) say when to try again.
-	CodeQueueFull ErrorCode = "queue_full"
-	// CodeDeadlineExceeded is a sweep or job killed by its own
-	// timeout_sec (HTTP 504) — a server-side timeout, not a malformed
-	// request.
+	// CodeDeadlineExceeded is a sweep killed by its own timeout_sec
+	// (HTTP 504) — a server-side timeout, not a malformed request.
 	CodeDeadlineExceeded ErrorCode = "deadline_exceeded"
-	// CodeShuttingDown is a submission refused because the server is
-	// draining (HTTP 503). Retry against another instance, not this one.
-	CodeShuttingDown ErrorCode = "shutting_down"
 	// CodeNotImplemented is an endpoint this deployment has not wired
 	// (HTTP 501), e.g. /v1/experiments on an embedded server without the
 	// experiment runner.
@@ -55,9 +47,6 @@ type Error struct {
 	Code ErrorCode `json:"code"`
 	// Message is human-readable detail. Clients must not parse it.
 	Message string `json:"message"`
-	// RetryAfterSec, when non-zero, is the server's backoff hint in
-	// seconds (mirrors the Retry-After header on 429 responses).
-	RetryAfterSec int `json:"retry_after_sec,omitempty"`
 	// Details carries optional structured context (e.g. "max_bytes" on an
 	// oversized body, "allow" on a 405).
 	Details map[string]string `json:"details,omitempty"`

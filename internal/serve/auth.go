@@ -18,8 +18,8 @@ import (
 // agents must not need credentials. Without a token the middleware is a
 // no-op and the server is open.
 //
-// There is one principal: whoever holds the token sees every job. The
-// middleware reads the live token per request (Server.token, an atomic
+// There is one principal: whoever holds the token may call every
+// route. The middleware reads the live token per request (Server.token, an atomic
 // pointer), so a SIGHUP reload rotates it without a restart: in-flight
 // requests finish under whichever token they started with, and the next
 // request sees the new one.

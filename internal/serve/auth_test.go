@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -58,19 +57,15 @@ func writeFile(t *testing.T, name, text string) string {
 	return path
 }
 
-// submitJob POSTs a sweep job with a bearer token and returns its ID.
-func submitJob(t *testing.T, do func(token, method, path, body string) (int, http.Header, map[string]any), token, body string) string {
+// sweep POSTs a sweep with a bearer token and returns its results.
+func sweep(t *testing.T, do func(token, method, path, body string) (int, http.Header, map[string]any), token, body string) []any {
 	t.Helper()
-	status, _, out := do(token, "POST", "/v1/jobs", body)
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: %d %v", status, out)
+	status, _, out := do(token, "POST", "/v1/sweep", body)
+	results, _ := out["results"].([]any)
+	if status != http.StatusOK || len(results) == 0 {
+		t.Fatalf("sweep: %d %v", status, out)
 	}
-	job, _ := out["job"].(map[string]any)
-	id, _ := job["id"].(string)
-	if id == "" {
-		t.Fatalf("accepted job has no id: %v", out)
-	}
-	return id
+	return results
 }
 
 // TestLoadTokenFileValid pins the token-file format: one token, with
@@ -151,32 +146,14 @@ func TestAuthRejectsAndAdmits(t *testing.T) {
 		t.Fatalf("metrics without token: %d", status)
 	}
 
-	// The token is admitted, and with one principal there is nothing to
-	// scope: the holder sees, streams and cancels every job.
+	// The token is admitted on every /v1 route.
 	status, _, out = do(testToken, "GET", "/v1/macros", "")
 	if status != http.StatusOK || out["macros"] == nil {
 		t.Fatalf("authorized request: %d %v", status, out)
 	}
-	id := submitJob(t, do, testToken, `{"macros": ["base"], "networks": ["toy"], "max_mappings": 2}`)
-	if status, _, out := do(testToken, "GET", "/v1/jobs/"+id, ""); status != http.StatusOK || out["id"] != id {
-		t.Fatalf("get job: %d %v", status, out)
-	}
-	status, _, out = do(testToken, "GET", "/v1/jobs", "")
-	if jobsList, _ := out["jobs"].([]any); status != http.StatusOK || len(jobsList) != 1 {
-		t.Fatalf("list jobs: %d %v", status, out)
-	}
-	if status, _, out := do(testToken, "POST", "/v1/jobs/"+id+"/cancel", ""); status != http.StatusOK {
-		t.Fatalf("cancel job: %d %v", status, out)
-	}
-	if _, err := srv.WaitJob(context.Background(), id); err != nil {
-		t.Fatal(err)
-	}
-	if status, body, _ := rawGet(t, ts, "/v1/jobs/"+id+"/events", testToken); status != http.StatusOK ||
-		!strings.Contains(body, "event: terminal") {
-		t.Fatalf("job events: %d %q", status, body)
-	}
-	// Job routes are behind the token like every other /v1 route.
-	if status, _, _ := do("", "GET", "/v1/jobs/"+id, ""); status != http.StatusUnauthorized {
-		t.Fatalf("get job without token: %d, want 401", status)
+	body := `{"macros": ["base"], "networks": ["toy"], "max_mappings": 2}`
+	sweep(t, do, testToken, body)
+	if status, _, _ := do("", "POST", "/v1/sweep", body); status != http.StatusUnauthorized {
+		t.Fatalf("sweep without token: %d, want 401", status)
 	}
 }

@@ -1,16 +1,13 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/report"
-	"repro/internal/serve/jobs"
 )
 
 // jsonDecode decodes a raw response body (for tests that need headers
@@ -35,7 +32,7 @@ func envelope(t *testing.T, out map[string]any) (code, message string) {
 }
 
 func TestErrorEnvelopeMalformedAndUnknown(t *testing.T) {
-	srv := NewServer(BatchOptions{})
+	srv := NewServer(BatchOptions{SweepDefs: testSweepSet(t)})
 	defer srv.Close()
 	_, do := testClient(t, srv)
 
@@ -59,27 +56,51 @@ func TestErrorEnvelopeMalformedAndUnknown(t *testing.T) {
 	if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "no-such") {
 		t.Fatalf("bad macro: %d %v", status, out)
 	}
-	// The removed priority field is refused, not silently ignored, on
-	// every sweep-shaped body.
-	for _, path := range []string{"/v1/sweep", "/v1/jobs"} {
-		status, out = do("POST", path, `{"macros": ["base"], "networks": ["toy"], "max_mappings": 2, "priority": "interactive"}`)
-		if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "priority") {
-			t.Fatalf("removed priority field on %s: %d %v", path, status, out)
+	// The removed priority field is refused, not silently ignored.
+	status, out = do("POST", "/v1/sweep", `{"macros": ["base"], "networks": ["toy"], "max_mappings": 2, "priority": "interactive"}`)
+	if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "priority") {
+		t.Fatalf("removed priority field: %d %v", status, out)
+	}
+	// So is the removed async field, on both sweep-shaped bodies.
+	for path, body := range map[string]string{
+		"/v1/sweep":                  `{"macros": ["base"], "networks": ["toy"], "max_mappings": 2, "async": true}`,
+		"/v1/experiments/unit-smoke": `{"async": true}`,
+	} {
+		status, out = do("POST", path, body)
+		if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "async") {
+			t.Fatalf("removed async field on %s: %d %v", path, status, out)
 		}
 	}
-	// Unknown job ID.
-	status, out = do("GET", "/v1/jobs/job-999999", "")
-	if code, _ := envelope(t, out); status != http.StatusNotFound || code != "not_found" {
-		t.Fatalf("unknown job: %d %v", status, out)
+}
+
+// TestHTTPJobNotFound: the removed job routes are unknown ones, answered
+// with the 404 not_found envelope.
+func TestHTTPJobNotFound(t *testing.T) {
+	srv := NewServer(BatchOptions{})
+	defer srv.Close()
+	_, do := testClient(t, srv)
+	for _, r := range [][2]string{{"POST", "/v1/jobs"}, {"GET", "/v1/jobs/x"}, {"POST", "/v1/jobs/x/cancel"}} {
+		status, out := do(r[0], r[1], `{"macros": ["base"], "networks": ["toy"]}`)
+		if code, _ := envelope(t, out); status != http.StatusNotFound || code != "not_found" {
+			t.Fatalf("removed route %s %s: %d %v", r[0], r[1], status, out)
+		}
 	}
-	// Bad query parameters.
-	status, out = do("GET", "/v1/jobs?status=bogus", "")
-	if code, _ := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" {
-		t.Fatalf("bad status filter: %d %v", status, out)
+}
+
+// TestSweepAnySizeIsSynchronous: a grid of any size answers 200 with
+// every result; no size hands it off elsewhere.
+func TestSweepAnySizeIsSynchronous(t *testing.T) {
+	srv := NewServer(BatchOptions{})
+	defer srv.Close()
+	_, do := testClient(t, srv)
+
+	status, out := do("POST", "/v1/sweep", `{"macros": ["base", "macro-a", "macro-b", "macro-c", "macro-d"],
+		"networks": ["toy", "resnet18", "mobilenetv3-large", "vit-base"], "layers": 1, "max_mappings": 1}`)
+	if status != http.StatusOK {
+		t.Fatalf("20-item grid: %d %v", status, out)
 	}
-	status, out = do("GET", "/v1/jobs?limit=-3", "")
-	if code, _ := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" {
-		t.Fatalf("bad limit: %d %v", status, out)
+	if results, _ := out["results"].([]any); len(results) != 20 {
+		t.Fatalf("20-item grid answered %d results: %v", len(results), out)
 	}
 }
 
@@ -110,7 +131,7 @@ func TestErrorEnvelopeRoutes404And405(t *testing.T) {
 	}
 
 	// Wrong method on a known route.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweep", nil)
 	resp2, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -159,212 +180,18 @@ func TestErrorEnvelopeOversizedBody(t *testing.T) {
 	}
 }
 
-// TestErrorEnvelopeQueueFull429: the backpressure response carries the
-// hint twice — Retry-After header for generic HTTP clients,
-// retry_after_sec in the envelope for contract clients.
-func TestErrorEnvelopeQueueFull429(t *testing.T) {
-	srv := NewServer(BatchOptions{
-		MaxRunningJobs: 1, MaxQueuedJobs: 1, JobRetryAfter: 3 * time.Second,
-	})
-	defer srv.Close()
-	ts, _ := testClient(t, srv)
-
-	runningID, release := blockingJob(t, srv)
-	defer release()
-	waitRunning(t, srv, runningID)
-	_, releaseQueued := blockingJob(t, srv)
-	defer releaseQueued()
-
-	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"macros": ["base"], "networks": ["toy"], "max_mappings": 2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After %q, want \"3\"", ra)
-	}
-	var out map[string]any
-	if err := jsonDecode(resp, &out); err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := envelope(t, out); code != "queue_full" {
-		t.Fatalf("429 envelope: %v", out)
-	}
-	if sec, _ := out["retry_after_sec"].(float64); sec != 3 {
-		t.Fatalf("retry_after_sec: %v", out)
-	}
-}
-
-// TestErrorEnvelopeShutdownAndPanic: a draining server answers
-// shutting_down; a handler panic becomes a 500 internal envelope, not a
-// severed connection.
-func TestErrorEnvelopeShutdownAndPanic(t *testing.T) {
+// TestErrorEnvelopePanic: a handler panic becomes a 500 internal
+// envelope, not a severed connection.
+func TestErrorEnvelopePanic(t *testing.T) {
 	srv := NewServer(BatchOptions{})
-	_, do := testClient(t, srv)
-	srv.Close()
-	status, out := do("POST", "/v1/jobs", `{"macros": ["base"], "networks": ["toy"]}`)
-	if code, _ := envelope(t, out); status != http.StatusServiceUnavailable || code != "shutting_down" {
-		t.Fatalf("submit after close: %d %v", status, out)
-	}
-
-	srv2 := NewServer(BatchOptions{})
-	defer srv2.Close()
-	srv2.RunExperiment = func(name string, fast bool, mm int, seed int64) ([]*report.Table, error) {
+	defer srv.Close()
+	srv.RunExperiment = func(name string, fast bool, mm int, seed int64) ([]*report.Table, error) {
 		panic("experiment runner exploded")
 	}
-	_, do2 := testClient(t, srv2)
-	status, out = do2("POST", "/v1/experiments", `{"name": "fig2a"}`)
+	_, do := testClient(t, srv)
+	status, out := do("POST", "/v1/experiments", `{"name": "fig2a"}`)
 	if code, msg := envelope(t, out); status != http.StatusInternalServerError || code != "internal" || strings.Contains(msg, "exploded") {
 		// The panic value must NOT leak to the client.
 		t.Fatalf("panic recovery: %d %v", status, out)
-	}
-}
-
-// TestJobListPaginationHTTP drives ?status/?limit/?cursor end to end.
-func TestJobListPaginationHTTP(t *testing.T) {
-	srv := NewServer(BatchOptions{Workers: 1, AsyncThreshold: -1})
-	defer srv.Close()
-	_, do := testClient(t, srv)
-
-	for i := 0; i < 3; i++ {
-		status, out := do("POST", "/v1/jobs", `{"macros": ["base"], "networks": ["toy"], "max_mappings": 1, "layers": 1}`)
-		id := acceptedJobID(t, status, out)
-		pollJob(t, do, id)
-	}
-	status, out := do("GET", "/v1/jobs?limit=2", "")
-	if status != http.StatusOK {
-		t.Fatalf("list: %d %v", status, out)
-	}
-	page, _ := out["jobs"].([]any)
-	if len(page) != 2 {
-		t.Fatalf("page size %d: %v", len(page), out)
-	}
-	next, _ := out["next_cursor"].(string)
-	if next != "job-000002" {
-		t.Fatalf("next_cursor %q", next)
-	}
-	status, out = do("GET", "/v1/jobs?limit=2&cursor="+next, "")
-	if status != http.StatusOK {
-		t.Fatal(status)
-	}
-	page2, _ := out["jobs"].([]any)
-	if len(page2) != 1 {
-		t.Fatalf("page2 %v", out)
-	}
-	if first, _ := page2[0].(map[string]any); first["id"] != "job-000003" {
-		t.Fatalf("page2 first %v", page2)
-	}
-	if out["next_cursor"] != nil {
-		t.Fatalf("exhausted listing still pages: %v", out)
-	}
-	// Status filter composes.
-	status, out = do("GET", "/v1/jobs?status=succeeded", "")
-	if status != http.StatusOK {
-		t.Fatal(status)
-	}
-	if succeeded, _ := out["jobs"].([]any); len(succeeded) != 3 {
-		t.Fatalf("succeeded filter: %v", out)
-	}
-	if status, _ = do("GET", "/v1/jobs?status=queued", ""); status != http.StatusOK {
-		t.Fatal(status)
-	}
-}
-
-// awaitDispatched blocks until job id has left the queue (running or
-// terminal) and returns that snapshot.
-func awaitDispatched(t *testing.T, srv *Server, id string) jobs.Snapshot {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	var version int64
-	for {
-		snap, err := srv.AwaitJob(ctx, id, version)
-		if err != nil {
-			t.Fatalf("job %s never dispatched: %v", id, err)
-		}
-		if snap.Status != jobs.StatusQueued {
-			return snap
-		}
-		version = snap.Version
-	}
-}
-
-// TestHTTPFIFOOrdering is the acceptance check on the wire: with the
-// single runner busy, jobs submitted over HTTP dispatch in submission
-// order — when the later job leaves the queue, the earlier one has
-// already finished.
-func TestHTTPFIFOOrdering(t *testing.T) {
-	srv := NewServer(BatchOptions{Workers: 1, AsyncThreshold: -1})
-	defer srv.Close()
-	_, do := testClient(t, srv)
-
-	// Occupy the single job runner so both submissions queue.
-	runningID, release := blockingJob(t, srv)
-	waitRunning(t, srv, runningID)
-
-	status, out := do("POST", "/v1/jobs",
-		`{"macros": ["base", "macro-b"], "networks": ["toy"], "max_mappings": 2}`)
-	firstID := acceptedJobID(t, status, out)
-	status, out = do("POST", "/v1/jobs",
-		`{"macros": ["base"], "networks": ["toy"], "max_mappings": 1, "layers": 1}`)
-	secondID := acceptedJobID(t, status, out)
-	_, list := do("GET", "/v1/jobs?status=queued", "")
-	if queued, _ := list["jobs"].([]any); len(queued) != 2 {
-		t.Fatalf("want both jobs queued: %v", list)
-	}
-
-	release()
-	awaitDispatched(t, srv, secondID)
-	if first, _ := srv.Job(firstID); first.Status != jobs.StatusSucceeded {
-		t.Fatalf("second job dispatched while the first was %s: FIFO broken", first.Status)
-	}
-	if final := pollJob(t, do, secondID); final["status"] != "succeeded" {
-		t.Fatalf("second job: %v", final)
-	}
-}
-
-// TestWALReplayPreservesFIFOOrder: a restart replays interrupted jobs in
-// their original submission order.
-func TestWALReplayPreservesFIFOOrder(t *testing.T) {
-	dir := t.TempDir()
-	first := NewServer(BatchOptions{Workers: 1, JobsDir: dir, MaxRunningJobs: 1})
-	// A deep grid occupies the runner; two small jobs queue behind it.
-	// Close interrupts all three.
-	big := Grid([]string{"base", "macro-b"}, []string{"mobilenetv3-large"}, nil, 0, 8)
-	bigSnap, err := first.SubmitSweepOpts(big, SweepJobOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := []Request{{Macro: "base", Network: "toy", MaxMappings: 1, Layers: 1}}
-	aSnap, err := first.SubmitSweepOpts(small, SweepJobOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bSnap, err := first.SubmitSweepOpts(small, SweepJobOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Close()
-
-	second := NewServer(BatchOptions{Workers: 1, JobsDir: dir, MaxRunningJobs: 1})
-	defer second.Close()
-	if ps := second.PersistStats(); ps.Warm.Replayed != 3 {
-		t.Fatalf("warm stats %+v, want 3 replayed", ps.Warm)
-	}
-	// The replayed deep grid runs first again; cancelling it lets the
-	// two small jobs through in their original order.
-	second.CancelJob(bigSnap.ID)
-	awaitDispatched(t, second, bSnap.ID)
-	if a, _ := second.Job(aSnap.ID); a.Status != jobs.StatusSucceeded {
-		t.Fatalf("replayed %s dispatched while %s was %s: FIFO broken", bSnap.ID, aSnap.ID, a.Status)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	if got, err := second.WaitJob(ctx, bSnap.ID); err != nil || got.Status != jobs.StatusSucceeded {
-		t.Fatalf("replayed %s: %+v %v", bSnap.ID, got, err)
 	}
 }

@@ -5,22 +5,20 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/macros"
 	"repro/internal/serve/api"
-	"repro/internal/serve/jobs"
 	"repro/internal/workload"
 )
 
 // Handler returns the HTTP JSON API. The wire contract — every request
-// and response body, the error envelope, and the SSE event format — is
-// defined in internal/serve/api and documented in docs/API.md:
+// and response body and the error envelope — is defined in
+// internal/serve/api and documented in docs/API.md:
 //
-//	GET  /healthz               liveness + cache/job/budget/persist/obs
+//	GET  /healthz               liveness + cache/budget/persist/obs
 //	                            stats (a JSON view of the same producers
 //	                            /metrics exposes)
 //	GET  /metrics               Prometheus text exposition of the
@@ -29,20 +27,8 @@ import (
 //	GET  /v1/debug/slow         api.SlowResponse: the slow-request ring,
 //	                            newest first; ?limit= truncates
 //	POST /v1/evaluate           api.EvalRequest -> api.EvalResult
-//	POST /v1/sweep              api.SweepRequest -> api.SweepResponse;
-//	                            grids at or beyond the async threshold
-//	                            (or "async": true) return 202 +
-//	                            api.JobAccepted instead
-//	POST /v1/jobs               submit a sweep as an async job -> 202 +
-//	                            api.JobAccepted; jobs run in FIFO order;
-//	                            a full queue returns 429 + Retry-After
-//	GET  /v1/jobs               api.JobListResponse; ?status= filters,
-//	                            ?limit= and ?cursor= page
-//	GET  /v1/jobs/{id}          one jobs.Snapshot; ?after_version= and
-//	                            ?wait_sec= long-poll for news
-//	GET  /v1/jobs/{id}/events   Server-Sent Events progress stream;
-//	                            Last-Event-ID resumes
-//	POST /v1/jobs/{id}/cancel   request cancellation (idempotent)
+//	POST /v1/sweep              api.SweepRequest -> api.SweepResponse,
+//	                            synchronously at any grid size
 //	GET  /v1/macros             api.MacrosResponse (Table III)
 //	GET  /v1/networks           api.NetworksResponse (model zoo)
 //	GET  /v1/experiments        api.ExperimentsResponse: built-in
@@ -52,12 +38,11 @@ import (
 //	POST /v1/experiments/{name} api.NamedExperimentRequest: bind
 //	                            parameters into a registered definition
 //	                            and run its grid through the sweep path
-//	                            (200 SweepResponse or 202 JobAccepted)
+//	                            (200 SweepResponse)
 //
-// Every response is JSON (the SSE stream frames JSON events); every
-// error — including unknown routes, wrong methods, oversized bodies,
-// and recovered panics — is the api.Error envelope with a stable
-// machine-readable code.
+// Every response is JSON; every error — including unknown routes,
+// wrong methods, oversized bodies, and recovered panics — is the
+// api.Error envelope with a stable machine-readable code.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -65,11 +50,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/debug/slow", s.handleSlow)
 	mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleJobCancel)
 	mux.HandleFunc("GET /v1/macros", s.handleMacros)
 	mux.HandleFunc("GET /v1/networks", s.handleNetworks)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperimentList)
@@ -135,14 +115,6 @@ func (w *jsonErrorWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// Flush forwards to the underlying writer so SSE streaming works through
-// the middleware.
-func (w *jsonErrorWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // withRecovery turns a handler panic into a 500 + internal envelope
 // instead of a severed connection with no body. http.ErrAbortHandler —
 // the sanctioned "hang up now" panic — is re-raised untouched.
@@ -179,9 +151,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // file funnels through here, so the envelope shape cannot drift between
 // endpoints.
 func writeAPIError(w http.ResponseWriter, status int, e *api.Error) {
-	if e.RetryAfterSec > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfterSec))
-	}
 	writeJSON(w, status, e)
 }
 
@@ -225,7 +194,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Version:   api.Version,
 		UptimeSec: time.Since(s.start).Seconds(),
 		Cache:     s.CacheStats(),
-		Jobs:      s.JobStats(),
 		Search:    s.SearchStats(),
 		Persist:   s.PersistStats(),
 		Obs:       s.ObsStats(),
@@ -245,12 +213,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// sweepTimeout converts a SweepRequest's TimeoutSec to a duration (0 =
-// none; huge values saturate instead of overflowing negative).
-func sweepTimeout(b *api.SweepRequest) time.Duration {
-	return secondsToTimeout(b.TimeoutSec)
-}
-
 // resolveSweep expands a SweepRequest into its request list: the
 // explicit list if present, the grid cross-product otherwise.
 func resolveSweep(b *api.SweepRequest) []Request {
@@ -265,16 +227,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &body) {
 		return
 	}
-	reqs := resolveSweep(&body)
-	// Grid-sized sweeps don't hold the connection open: hand back a job.
-	if thr := s.opts.asyncThreshold(); body.Async || (thr > 0 && len(reqs) >= thr) {
-		s.acceptJob(w, reqs, SweepJobOptions{Timeout: sweepTimeout(&body)})
-		return
-	}
-	// The request context stops the feeder when the client disconnects
-	// and enforces the optional per-request deadline.
+	s.runSweep(w, r, resolveSweep(&body), body.TimeoutSec)
+}
+
+// runSweep answers a sweep synchronously, whatever its size: the request
+// context stops dispatch when the client disconnects, and timeoutSec > 0
+// bounds the run (504 deadline_exceeded on expiry).
+func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, reqs []Request, timeoutSec float64) {
 	ctx := r.Context()
-	if d := sweepTimeout(&body); d > 0 {
+	if d := secondsToTimeout(timeoutSec); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
@@ -296,160 +257,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Table:   SweepTable(results).String(),
 		Cache:   s.CacheStats(),
 	})
-}
-
-// acceptJob submits reqs as an async sweep job and answers 202 (or 429 +
-// Retry-After under backpressure).
-func (s *Server) acceptJob(w http.ResponseWriter, reqs []Request, opts SweepJobOptions) {
-	snap, err := s.SubmitSweepOpts(reqs, opts)
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull):
-		secs := int(math.Ceil(s.RetryAfter().Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		e := api.Errorf(api.CodeQueueFull, "%v", err)
-		e.RetryAfterSec = secs
-		writeAPIError(w, http.StatusTooManyRequests, e)
-		return
-	case errors.Is(err, jobs.ErrClosed):
-		// The server is shutting down, not the client misbehaving.
-		writeAPIError(w, http.StatusServiceUnavailable, api.Errorf(api.CodeShuttingDown, "%v", err))
-		return
-	case err != nil:
-		writeAPIError(w, http.StatusBadRequest, api.Errorf(api.CodeInvalidRequest, "%v", err))
-		return
-	}
-	writeJSON(w, http.StatusAccepted, api.JobAccepted{
-		Job:       snap,
-		StatusURL: "/v1/jobs/" + snap.ID,
-		EventsURL: "/v1/jobs/" + snap.ID + "/events",
-	})
-}
-
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var body api.SweepRequest
-	if !s.decodeJSON(w, r, &body) {
-		return
-	}
-	s.acceptJob(w, resolveSweep(&body), SweepJobOptions{Timeout: sweepTimeout(&body)})
-}
-
-func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var lq jobs.ListQuery
-	if v := q.Get("status"); v != "" {
-		st := jobs.Status(v)
-		switch st {
-		case jobs.StatusQueued, jobs.StatusRunning, jobs.StatusSucceeded, jobs.StatusFailed, jobs.StatusCancelled:
-			lq.Status = st
-		default:
-			writeAPIError(w, http.StatusBadRequest,
-				api.Errorf(api.CodeInvalidRequest, "unknown status %q", v))
-			return
-		}
-	}
-	lq.Limit = DefaultJobPageLimit
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeAPIError(w, http.StatusBadRequest,
-				api.Errorf(api.CodeInvalidRequest, "limit must be a positive integer, got %q", v))
-			return
-		}
-		lq.Limit = n
-	}
-	lq.After = q.Get("cursor")
-	page, next := s.jobs.ListPage(lq)
-	writeJSON(w, http.StatusOK, api.JobListResponse{
-		Jobs:       page,
-		Stats:      s.JobStats(),
-		NextCursor: next,
-	})
-}
-
-// DefaultJobPageLimit caps a GET /v1/jobs page when the client does not
-// pass ?limit= (pagination must be opt-out-proof: an unbounded default
-// would grow with retention).
-const DefaultJobPageLimit = 100
-
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	q := r.URL.Query()
-	// Long-poll mode: ?after_version=N&wait_sec=S parks the request until
-	// the job has news beyond version N (or S seconds pass, returning the
-	// unchanged snapshot — the client compares versions). The fallback
-	// transport for clients that cannot speak SSE.
-	var after int64 = -1
-	if v := q.Get("after_version"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			writeAPIError(w, http.StatusBadRequest,
-				api.Errorf(api.CodeInvalidRequest, "after_version must be a non-negative integer, got %q", v))
-			return
-		}
-		after = n
-	}
-	if after < 0 {
-		snap, ok := s.Job(id)
-		if !ok {
-			writeJobNotFound(w, id)
-			return
-		}
-		writeJSON(w, http.StatusOK, snap)
-		return
-	}
-	// One poll round is always bounded: wait_sec caps it explicitly,
-	// and an omitted wait_sec gets the maximum window rather than
-	// parking the handler goroutine until the job (maybe never) moves.
-	wait := float64(maxLongPollSec)
-	if v := q.Get("wait_sec"); v != "" {
-		sec, err := strconv.ParseFloat(v, 64)
-		if err != nil || sec < 0 || sec > maxLongPollSec {
-			writeAPIError(w, http.StatusBadRequest,
-				api.Errorf(api.CodeInvalidRequest, "wait_sec must be in [0, %d], got %q", maxLongPollSec, v))
-			return
-		}
-		wait = sec
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), secondsToTimeout(wait))
-	defer cancel()
-	snap, err := s.jobs.Await(ctx, id, after)
-	switch {
-	case errors.Is(err, jobs.ErrUnknownJob):
-		writeJobNotFound(w, id)
-		return
-	case err != nil:
-		// The poll window elapsed with no news: answer the current state
-		// (the client sees an unchanged version). A dropped client gets
-		// whatever write fails silently — it is gone either way.
-		snap, ok := s.Job(id)
-		if !ok {
-			writeJobNotFound(w, id)
-			return
-		}
-		writeJSON(w, http.StatusOK, snap)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-// maxLongPollSec bounds one long-poll round so an idle connection cannot
-// pin a handler goroutine forever; clients re-arm.
-const maxLongPollSec = 60
-
-func writeJobNotFound(w http.ResponseWriter, id string) {
-	writeAPIError(w, http.StatusNotFound, api.Errorf(api.CodeNotFound, "unknown job %q", id))
-}
-
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	snap, ok := s.CancelJob(id)
-	if !ok {
-		writeJobNotFound(w, id)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleMacros(w http.ResponseWriter, r *http.Request) {
@@ -519,12 +326,17 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.ListenAndServeCtx(context.Background(), addr)
 }
 
+// shutdownGrace is how long a context-driven shutdown lets in-flight
+// requests drain before it closes their connections.
+var shutdownGrace = 5 * time.Second
+
 // ListenAndServeCtx is ListenAndServe under a context: when ctx is
 // cancelled (the CLI wires SIGINT/SIGTERM here) the listener shuts down
-// gracefully and the server closes — cancelling jobs, flushing the
-// write-behind persistence queues to disk, and leaving interrupted jobs'
-// write-ahead records in place for the next boot to replay. Returns nil
-// on a clean context-driven shutdown.
+// gracefully, in-flight requests drain, and the server closes, flushing
+// the write-behind persistence queue to disk. A request still running
+// after shutdownGrace (a long sweep, say) has its connection closed,
+// which cancels its context, so its evaluations stop too. Returns nil on
+// a clean context-driven shutdown.
 func (s *Server) ListenAndServeCtx(ctx context.Context, addr string) error {
 	srv := &http.Server{
 		Addr:              addr,
@@ -537,9 +349,11 @@ func (s *Server) ListenAndServeCtx(ctx context.Context, addr string) error {
 		defer close(shutdownDone)
 		select {
 		case <-ctx.Done():
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 			defer cancel()
-			_ = srv.Shutdown(shutdownCtx)
+			if srv.Shutdown(shutdownCtx) != nil {
+				_ = srv.Close()
+			}
 		case <-stop:
 		}
 	}()
@@ -548,9 +362,9 @@ func (s *Server) ListenAndServeCtx(ctx context.Context, addr string) error {
 	<-shutdownDone // if Shutdown started, let it finish draining handlers
 	if ctx.Err() != nil && errors.Is(err, http.ErrServerClosed) {
 		// Context-driven shutdown: this server is done for good — close
-		// it so jobs drain and the persistence queues flush. On any other
-		// return (a bind failure, say) the Server stays usable: an
-		// embedder may retry on another address.
+		// it so the persistence queue flushes. On any other return (a
+		// bind failure, say) the Server stays usable: an embedder may
+		// retry on another address.
 		s.Close()
 		err = nil
 	}

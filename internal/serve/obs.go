@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/persist"
 	"repro/internal/serve/api"
 )
 
@@ -17,7 +16,7 @@ import (
 // same producers — both read the same counters, so the two surfaces
 // cannot drift apart. Request-scoped spans are created per HTTP
 // request and per sweep item, accumulate phase timings (queue, cache,
-// compile, search) as the context flows serve → jobs → core → mapper →
+// compile, search) as the context flows serve → core → mapper →
 // persist, and land in phase histograms and the slow log when they
 // finish.
 
@@ -33,7 +32,7 @@ func (o BatchOptions) slowLogSize() int {
 }
 
 // serverMetrics holds the hot-path instruments. Everything snapshot-
-// shaped (cache/jobs/budget/persist stats) is instead emitted
+// shaped (cache/budget/persist stats) is instead emitted
 // by the registry collector at scrape time — one producer, two views.
 type serverMetrics struct {
 	reg *obs.Registry
@@ -42,7 +41,6 @@ type serverMetrics struct {
 	requestSeconds  *obs.HistogramVec // route
 	phaseSeconds    *obs.HistogramVec // phase
 	evaluateSeconds *obs.Histogram
-	queueWait       *obs.Histogram
 	persistWrite    *obs.HistogramVec // store
 	tokenReloads    *obs.CounterVec   // result
 	sweepReloads    *obs.CounterVec   // result
@@ -60,8 +58,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Time spent per traced request phase (queue, cache, compile, search).", nil, "phase"),
 		evaluateSeconds: reg.Histogram("cimloop_evaluate_seconds",
 			"End-to-end latency of one evaluation (cache lookups + mapping search).", nil),
-		queueWait: reg.Histogram("cimloop_job_queue_wait_seconds",
-			"Time jobs spent queued before dispatch.", nil),
 		persistWrite: reg.HistogramVec("cimloop_persist_write_seconds",
 			"Write-behind store write latency (encode + fsync + rename), by store.", nil, "store"),
 		tokenReloads: reg.CounterVec("cimloop_token_reloads_total",
@@ -113,27 +109,16 @@ func (s *Server) registerCollectors() {
 		e.Counter("cimloop_prepare_memo_fills_total", "Layer-preparation memo lookups that computed their entry, by kind.", float64(ops.Fills), "kind", "operand")
 		e.Counter("cimloop_prepare_memo_fills_total", "", float64(sums.Fills), "kind", "sum")
 
-		js := s.JobStats()
-		e.Gauge("cimloop_jobs_queued", "Queued jobs.", float64(js.Queued))
-		e.Gauge("cimloop_jobs_running", "Running jobs.", float64(js.Running))
-		e.Gauge("cimloop_jobs_finished", "Retained terminal jobs.", float64(js.Finished))
-
 		bs := s.SearchStats()
 		e.Gauge("cimloop_search_budget_capacity", "Shared evaluation-concurrency budget size.", float64(bs.Capacity))
 		e.Gauge("cimloop_search_budget_available", "Free budget tokens (instantaneous).", float64(bs.Available))
 		e.Counter("cimloop_mappings_evaluated_total", "Candidate mappings evaluated since boot.", float64(bs.MappingsEvaluated))
 
-		ps := s.PersistStats()
-		if ps.Enabled {
-			for _, st := range []struct {
-				name  string
-				stats persist.Stats
-			}{{"cache", ps.Cache}, {"jobs", ps.Jobs}} {
-				e.Counter("cimloop_persist_written_total", "Records written by the write-behind stores.", float64(st.stats.Written), "store", st.name)
-				e.Counter("cimloop_persist_deleted_total", "Records deleted by the write-behind stores.", float64(st.stats.Deleted), "store", st.name)
-				e.Counter("cimloop_persist_write_errors_total", "Write-behind store errors.", float64(st.stats.WriteErrors), "store", st.name)
-				e.Counter("cimloop_persist_dropped_total", "Non-blocking puts dropped by a full queue.", float64(st.stats.Dropped), "store", st.name)
-			}
+		if ps := s.PersistStats(); ps.Enabled {
+			st := ps.Cache
+			e.Counter("cimloop_persist_written_total", "Records written by the write-behind store.", float64(st.Written), "store", "cache")
+			e.Counter("cimloop_persist_write_errors_total", "Write-behind store errors.", float64(st.WriteErrors), "store", "cache")
+			e.Counter("cimloop_persist_dropped_total", "Puts dropped by a full queue.", float64(st.Dropped), "store", "cache")
 		}
 
 		e.Gauge("cimloop_slow_log_entries", "Entries retained in the slow-request ring.", float64(s.slow.Len()))
@@ -187,8 +172,7 @@ func (s *Server) withObs(mux *http.ServeMux) http.Handler {
 	})
 }
 
-// statusRecorder captures the response status for the request counter,
-// forwarding Flush so SSE streams keep working through the middleware.
+// statusRecorder captures the response status for the request counter.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -201,12 +185,6 @@ func (w *statusRecorder) WriteHeader(code int) {
 		w.wrote = true
 	}
 	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusRecorder) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // handleMetrics serves the registry as Prometheus text format. Exempt

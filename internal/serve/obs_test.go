@@ -10,11 +10,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve/api"
-	"repro/internal/serve/jobs"
 )
 
 // rawGet fetches a path as plain text (the JSON-decoding helpers can't
@@ -40,27 +38,18 @@ func rawGet(t *testing.T, ts *httptest.Server, path, token string) (int, string,
 	return resp.StatusCode, string(body), resp.Header
 }
 
-// TestMetricsExposition drives a sweep job end to end on an
-// authenticated server and asserts the Prometheus exposition carries the
-// acceptance-critical series: the job queue-wait, search-phase and
-// evaluate latency histograms, cache counters, and HTTP route counters —
-// all scraped without credentials (/metrics is auth-exempt).
+// TestMetricsExposition drives a sweep end to end on an authenticated
+// server and asserts the Prometheus exposition carries the
+// acceptance-critical series: the search-phase and evaluate latency
+// histograms, cache counters, and HTTP route counters — all scraped
+// without credentials (/metrics is auth-exempt).
 func TestMetricsExposition(t *testing.T) {
 	srv := NewServer(BatchOptions{Workers: 1, Token: testToken})
 	defer srv.Close()
 	ts, do := authClient(t, srv)
 
-	id := submitJob(t, do, testToken,
+	sweep(t, do, testToken,
 		`{"macros": ["base", "macro-b"], "networks": ["toy"], "max_mappings": 2}`)
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	snap, err := srv.WaitJob(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Status != jobs.StatusSucceeded {
-		t.Fatalf("job finished %s (%s)", snap.Status, snap.Error)
-	}
 	// One unroutable (but authenticated) request: must show up under the
 	// bounded "unmatched" route label, not its raw path.
 	if status, _, _ := rawGet(t, ts, "/no/such/path", testToken); status != http.StatusNotFound {
@@ -76,17 +65,14 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE cimloop_http_requests_total counter",
-		`cimloop_http_requests_total{route="POST /v1/jobs",code="202"} 1`,
+		`cimloop_http_requests_total{route="POST /v1/sweep",code="200"} 1`,
 		`cimloop_http_requests_total{route="unmatched",code="404"} 1`,
 		`cimloop_request_phase_seconds_count{phase="search"}`,
 		`cimloop_request_phase_seconds_count{phase="compile"}`,
 		"cimloop_evaluate_seconds_bucket{le=",
 		"cimloop_evaluate_seconds_count",
-		"cimloop_job_queue_wait_seconds_count 1",
-		"cimloop_jobs_queued 0",
 		"cimloop_cache_compiles_total",
 		"cimloop_cache_hits_total",
-		"cimloop_jobs_finished 1",
 		"cimloop_uptime_seconds",
 		"cimloop_spans_total",
 	} {
@@ -163,13 +149,8 @@ func TestSlowLogCapturesSweepPhases(t *testing.T) {
 	defer srv.Close()
 	ts, do := authClient(t, srv)
 
-	id := submitJob(t, do, testToken,
+	sweep(t, do, testToken,
 		`{"macros": ["base", "macro-b"], "networks": ["toy"], "max_mappings": 2}`)
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	if _, err := srv.WaitJob(ctx, id); err != nil {
-		t.Fatal(err)
-	}
 
 	if status, _, _ := rawGet(t, ts, "/v1/debug/slow", ""); status != http.StatusUnauthorized {
 		t.Fatalf("slow log without token: %d, want 401", status)
@@ -219,13 +200,13 @@ func TestSlowLogCapturesSweepPhases(t *testing.T) {
 			"(queue=%v compile=%v search=%v): %+v",
 			sawQueued, sawCompiled, sawSearched, out.Requests)
 	}
-	// The HTTP span for the submit is there too, labeled by route pattern.
-	var sawSubmit bool
+	// The HTTP span for the sweep is there too, labeled by route pattern.
+	var sawSweep bool
 	for _, e := range out.Requests {
-		sawSubmit = sawSubmit || e.Route == "POST /v1/jobs"
+		sawSweep = sawSweep || e.Route == "POST /v1/sweep"
 	}
-	if !sawSubmit {
-		t.Fatalf("missing the POST /v1/jobs span: %+v", out.Requests)
+	if !sawSweep {
+		t.Fatalf("missing the POST /v1/sweep span: %+v", out.Requests)
 	}
 
 	// ?limit truncates; a garbage limit is a 400 envelope.

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/macros"
 	"repro/internal/persist"
-	"repro/internal/serve/jobs"
 	"repro/internal/workload"
 )
 
@@ -145,7 +147,9 @@ func TestWarmStartSurvivesCorruption(t *testing.T) {
 // TestWarmStartRefusesLegacyContextKind: a well-formed record of the
 // retired JSON layer-context kind, stored under the key its content
 // fingerprints to, is refused on boot: counted as skipped, never
-// admitted, and its file deleted.
+// admitted, and its file deleted. So are records of the retired job
+// kinds (job snapshots and write-ahead entries, sweep checkpoints) left
+// in a cache dir.
 func TestWarmStartRefusesLegacyContextKind(t *testing.T) {
 	scratch := NewServer(BatchOptions{Workers: 1})
 	defer scratch.Close()
@@ -175,9 +179,23 @@ func TestWarmStartRefusesLegacyContextKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	legacy := filepath.Join(dir, persist.RecordName(persist.KindLayerContext, key))
-	if err := os.WriteFile(legacy, data, 0o644); err != nil {
+	legacy := []string{filepath.Join(dir, persist.RecordName(persist.KindLayerContext, key))}
+	if err := os.WriteFile(legacy[0], data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	for _, rec := range []persist.Record{
+		{Kind: persist.KindJob, Key: "wal|job-000001", Payload: []byte(`{"id":"job-000001"}`)},
+		{Kind: persist.KindCheckpoint, Key: "ckpt|job-000001|000000", Payload: []byte("CKP1")},
+	} {
+		data, err := persist.EncodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Join(dir, persist.RecordName(rec.Kind, rec.Key))
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		legacy = append(legacy, name)
 	}
 
 	srv := NewServer(BatchOptions{Workers: 1, CacheDir: dir})
@@ -186,11 +204,13 @@ func TestWarmStartRefusesLegacyContextKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := srv.PersistStats().Warm
-	if warm.Skipped != 1 || warm.Contexts != 0 {
-		t.Fatalf("warm stats = %+v, want the legacy record skipped, none admitted", warm)
+	if warm.Skipped != len(legacy) || warm.Contexts != 0 || warm.Engines != 0 {
+		t.Fatalf("warm stats = %+v, want the %d legacy records skipped, none admitted", warm, len(legacy))
 	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy record must be deleted by the boot scan (stat: %v)", err)
+	for _, name := range legacy {
+		if _, err := os.Stat(name); !os.IsNotExist(err) {
+			t.Fatalf("legacy record %s must be deleted by the boot scan (stat: %v)", filepath.Base(name), err)
+		}
 	}
 }
 
@@ -310,251 +330,91 @@ func TestWarmStartKeepsCostliest(t *testing.T) {
 	}
 }
 
-// TestJobSnapshotsSurviveRestart: a job that finished before the restart
-// is still answerable — /v1/jobs/{id} returns its terminal snapshot.
-func TestJobSnapshotsSurviveRestart(t *testing.T) {
-	dir := t.TempDir()
-	first := NewServer(BatchOptions{Workers: 1, JobsDir: dir})
-	snap, err := first.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := first.WaitJob(context.Background(), snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != jobs.StatusSucceeded {
-		t.Fatalf("job finished %s", final.Status)
-	}
-	first.Close()
-
-	second := NewServer(BatchOptions{Workers: 1, JobsDir: dir})
-	defer second.Close()
-	ps := second.PersistStats()
-	if ps.Warm.Jobs != 1 || ps.Warm.Replayed != 0 {
-		t.Fatalf("warm stats = %+v, want 1 restored job", ps.Warm)
-	}
-	got, ok := second.Job(snap.ID)
-	if !ok {
-		t.Fatalf("restarted instance must answer for job %s", snap.ID)
-	}
-	if got.Status != jobs.StatusSucceeded || got.Completed != 1 || got.Total != 1 {
-		t.Fatalf("restored snapshot = %+v", got)
-	}
-	if table, ok := got.Result.(string); !ok || !strings.Contains(table, "base/toy") {
-		t.Fatalf("restored job must keep its rendered result, got %#v", got.Result)
-	}
-	if got.Label != final.Label || got.ElapsedSec <= 0 {
-		t.Fatalf("restored snapshot lost metadata: %+v", got)
-	}
-}
-
-// TestQueuedJobsReplayAfterRestart: jobs accepted but not finished when
-// the process stops keep their write-ahead records and run to completion
-// on the next boot under their original IDs.
-func TestQueuedJobsReplayAfterRestart(t *testing.T) {
-	dir := t.TempDir()
-	first := NewServer(BatchOptions{Workers: 1, JobsDir: dir, MaxRunningJobs: 1})
-	// A deep grid keeps the runner busy while two more jobs queue behind
-	// it; Close interrupts all three mid-flight.
-	big := Grid([]string{"base", "macro-b"}, []string{"mobilenetv3-large"}, nil, 0, 8)
-	ids := make([]string, 0, 3)
-	for _, reqs := range [][]Request{big, {warmRequest()}, {warmRequest()}} {
-		snap, err := first.SubmitSweepOpts(reqs, SweepJobOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, snap.ID)
-	}
-	first.Close() // cancels all three; their WALs survive shutdown
-
-	second := NewServer(BatchOptions{Workers: 1, JobsDir: dir, MaxRunningJobs: 1})
-	defer second.Close()
-	ps := second.PersistStats()
-	if ps.Warm.Replayed != 3 || ps.Warm.Jobs != 0 {
-		t.Fatalf("warm stats = %+v, want 3 replayed jobs", ps.Warm)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	for _, id := range ids[1:] { // the small replays must finish
-		final, err := second.WaitJob(ctx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if final.Status != jobs.StatusSucceeded {
-			t.Fatalf("replayed job %s finished %s (%s)", id, final.Status, final.Error)
-		}
-	}
-	// New submissions never collide with replayed IDs.
-	snap, err := second.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		if snap.ID == id {
-			t.Fatalf("new job reused replayed ID %s", id)
-		}
-	}
-}
-
-// TestFinishedJobRetiresWAL: once a job completes, its WAL record is
-// replaced by the terminal snapshot — a restart restores, not re-runs.
-func TestFinishedJobRetiresWAL(t *testing.T) {
-	dir := t.TempDir()
-	srv := NewServer(BatchOptions{Workers: 1, JobsDir: dir})
-	snap, err := srv.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.WaitJob(context.Background(), snap.ID); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-
-	second := NewServer(BatchOptions{Workers: 1, JobsDir: dir})
-	defer second.Close()
-	if ps := second.PersistStats(); ps.Warm.Replayed != 0 || ps.Warm.Jobs != 1 {
-		t.Fatalf("finished job must restore (not replay): %+v", ps.Warm)
-	}
-}
-
-// TestProgrammaticRequestsNotWALLogged: requests carrying prebuilt
-// *Arch values cannot survive the WAL's JSON round trip, so such jobs
-// are not write-ahead-logged — a restart must not replay them as
-// unresolvable (failed) jobs; their terminal snapshots still persist.
-func TestProgrammaticRequestsNotWALLogged(t *testing.T) {
-	dir := t.TempDir()
-	first := NewServer(BatchOptions{Workers: 1, JobsDir: dir})
-	req := warmRequest()
-	arch, err := resolveArch(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := first.SubmitSweepOpts([]Request{{Arch: arch, Network: "toy", MaxMappings: 2}}, SweepJobOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := first.WaitJob(context.Background(), snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != jobs.StatusSucceeded {
-		t.Fatalf("job finished %s (%s)", final.Status, final.Error)
-	}
-	first.Close()
-
-	second := NewServer(BatchOptions{Workers: 1, JobsDir: dir})
-	defer second.Close()
-	ps := second.PersistStats()
-	if ps.Warm.Replayed != 0 || ps.Warm.Jobs != 1 || ps.Warm.Skipped != 0 {
-		t.Fatalf("warm stats = %+v, want 1 restored snapshot and no replay", ps.Warm)
-	}
-	if got, ok := second.Job(snap.ID); !ok || got.Status != jobs.StatusSucceeded {
-		t.Fatalf("terminal snapshot must survive: ok=%v snap=%+v", ok, got)
-	}
-}
-
-// TestCancelledQueuedJobRetiresWAL: a user cancel (not a shutdown) of a
-// queued job persists the cancelled snapshot and drops the WAL, so the
-// job does not rise from the dead on restart.
-func TestCancelledQueuedJobRetiresWAL(t *testing.T) {
-	dir := t.TempDir()
-	first := NewServer(BatchOptions{Workers: 1, JobsDir: dir, MaxRunningJobs: 1})
-	// Occupy the single runner so the next submission stays queued.
-	big := Grid([]string{"base", "macro-b"}, []string{"mobilenetv3-large"}, nil, 0, 8)
-	if _, err := first.SubmitSweepOpts(big, SweepJobOptions{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	queued, err := first.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap, ok := first.CancelJob(queued.ID); !ok || snap.Status != jobs.StatusCancelled {
-		t.Fatalf("cancel of queued job: ok=%v snap=%+v", ok, snap)
-	}
-	first.Close()
-
-	second := NewServer(BatchOptions{Workers: 1, JobsDir: dir, MaxRunningJobs: 1})
-	defer second.Close()
-	got, ok := second.Job(queued.ID)
-	if !ok || got.Status != jobs.StatusCancelled {
-		t.Fatalf("cancelled job must restore as cancelled: ok=%v snap=%+v", ok, got)
-	}
-	if ps := second.PersistStats(); ps.Warm.Replayed != 1 {
-		// Only the interrupted big job replays; the cancelled one must not.
-		t.Fatalf("warm stats = %+v, want exactly the interrupted job replayed", ps.Warm)
-	}
-}
-
-// TestSharedDirRejected: pointing cache and jobs persistence at one
-// directory would make each boot scan delete the other store's records;
-// the server must refuse the configuration instead.
-func TestSharedDirRejected(t *testing.T) {
-	dir := t.TempDir()
-	srv := NewServer(BatchOptions{CacheDir: dir, JobsDir: dir + string(os.PathSeparator)})
-	defer srv.Close()
-	if err := srv.PersistError(); err == nil {
-		t.Fatal("shared cache/jobs dir must be rejected")
-	}
-	if ps := srv.PersistStats(); ps.Enabled {
-		t.Fatalf("neither store may open on a shared dir: %+v", ps)
-	}
-	// The server itself still serves, just without durability.
-	if _, err := srv.EvaluateCtx(context.Background(), warmRequest()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestJobRetentionPrunesDisk: evicting a terminal job from the in-memory
-// store also deletes its on-disk snapshot, so the jobs dir is bounded by
-// the same retention — not an append-only log.
-func TestJobRetentionPrunesDisk(t *testing.T) {
-	dir := t.TempDir()
-	srv := NewServer(BatchOptions{Workers: 1, JobsDir: dir, JobRetention: 2})
-	ctx := context.Background()
-	var ids []string
-	for i := 0; i < 5; i++ {
-		snap, err := srv.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.WaitJob(ctx, snap.ID); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, snap.ID)
-	}
-	srv.Close()
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("jobs dir holds %d files, want 2 (retention bound)", len(entries))
-	}
-	second := NewServer(BatchOptions{Workers: 1, JobsDir: dir, JobRetention: 2})
-	defer second.Close()
-	if ps := second.PersistStats(); ps.Warm.Jobs != 2 {
-		t.Fatalf("warm stats = %+v, want the 2 retained jobs", ps.Warm)
-	}
-	if _, ok := second.Job(ids[len(ids)-1]); !ok {
-		t.Fatal("the newest job must survive retention")
-	}
-	if _, ok := second.Job(ids[0]); ok {
-		t.Fatal("the oldest job must have been pruned from disk")
-	}
-}
-
 // TestListenAndServeBindErrorKeepsServerUsable: a failed bind must not
-// close the job store or persistence — embedders retry on another port.
+// close the server or its persistence — embedders retry on another port.
 func TestListenAndServeBindErrorKeepsServerUsable(t *testing.T) {
-	srv := NewServer(BatchOptions{Workers: 1})
-	defer srv.Close()
+	srv := NewServer(BatchOptions{Workers: 1, CacheDir: t.TempDir()})
 	if err := srv.ListenAndServe("256.256.256.256:0"); err == nil {
 		t.Fatal("expected a bind error")
 	}
-	if _, err := srv.SubmitSweepOpts([]Request{warmRequest()}, SweepJobOptions{Workers: 1}); err != nil {
-		t.Fatalf("job store must stay open after a bind failure: %v", err)
+	if _, err := srv.SweepCtx(context.Background(), []Request{warmRequest()}, 1, nil); err != nil {
+		t.Fatalf("server must stay usable after a bind failure: %v", err)
+	}
+	srv.Close()
+	if st := srv.PersistStats().Cache; st.Written == 0 || st.Dropped != 0 {
+		t.Fatalf("cache store must stay open after a bind failure: %+v", st)
+	}
+}
+
+// TestListenAndServeShutdownCancelsSweep: a sweep still running when
+// the shutdown grace runs out has its connection closed, which cancels
+// its context, so its handler returns instead of evaluating on after
+// ListenAndServeCtx has returned.
+func TestListenAndServeShutdownCancelsSweep(t *testing.T) {
+	defer func(d time.Duration) { shutdownGrace = d }(shutdownGrace)
+	shutdownGrace = 50 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + ln.Addr().String()
+	ln.Close()
+
+	srv := NewServer(BatchOptions{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServeCtx(ctx, strings.TrimPrefix(base, "http://")) }()
+	waitFor(t, "the listener", func() bool {
+		resp, err := http.Get(base + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+		}
+		return err == nil
+	})
+
+	// Far more work than the test lasts: every macro, three networks,
+	// 100k mappings a layer.
+	posted := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(base+"/v1/sweep", "application/json", strings.NewReader(`{
+			"macros": ["base", "macro-a", "macro-b", "macro-c", "macro-d"],
+			"networks": ["mobilenetv3-large", "resnet18", "transformer"], "max_mappings": 100000}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+		posted <- err
+	}()
+	waitFor(t, "the sweep to start", func() bool { return srv.CacheStats().Misses > 0 })
+
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("context-driven shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ListenAndServeCtx did not return after its context was cancelled")
+	}
+	waitFor(t, "the sweep handler to return", func() bool {
+		var text bytes.Buffer
+		if err := srv.Metrics().WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(text.String(), `cimloop_http_requests_total{route="POST /v1/sweep"`)
+	})
+	if err := <-posted; err == nil {
+		t.Fatal("the sweep answered; want its connection closed by the shutdown")
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 
@@ -605,26 +465,17 @@ func TestDriftedContextRecordRecovers(t *testing.T) {
 	}
 }
 
-// TestSweepTimeout: a sweep submitted with a deadline fails with a
-// deadline error instead of running forever. The grid takes about 1 s
-// on one 2-CPU worker, 20 times the deadline, so the job cannot finish
-// inside it.
+// TestSweepTimeout: a sweep sent with timeout_sec answers 504
+// deadline_exceeded instead of running forever. The grid takes about 1 s
+// on one 2-CPU worker, 20 times the deadline, so it cannot finish inside
+// it.
 func TestSweepTimeout(t *testing.T) {
-	srv := NewServer(BatchOptions{Workers: 1, MaxRunningJobs: 1})
+	srv := NewServer(BatchOptions{Workers: 1})
 	defer srv.Close()
-	big := Grid([]string{"base", "macro-a", "macro-b", "macro-c", "macro-d"},
-		[]string{"mobilenetv3-large", "resnet18", "transformer"}, nil, 0, 20)
-	snap, err := srv.SubmitSweepOpts(big, SweepJobOptions{Workers: 1, Timeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	final, err := srv.WaitJob(ctx, snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != jobs.StatusFailed || !strings.Contains(final.Error, "deadline") {
-		t.Fatalf("timed-out job = %+v, want failed with a deadline error", final)
+	_, do := testClient(t, srv)
+	status, out := do("POST", "/v1/sweep", `{"macros": ["base", "macro-a", "macro-b", "macro-c", "macro-d"],
+		"networks": ["mobilenetv3-large", "resnet18", "transformer"], "max_mappings": 20, "timeout_sec": 0.05}`)
+	if code, msg := envelope(t, out); status != http.StatusGatewayTimeout || code != "deadline_exceeded" || !strings.Contains(msg, "deadline") {
+		t.Fatalf("timed-out sweep: %d %v, want 504 deadline_exceeded", status, out)
 	}
 }

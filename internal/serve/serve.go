@@ -36,19 +36,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/macros"
 	"repro/internal/obs"
-	"repro/internal/persist"
 	"repro/internal/report"
 	"repro/internal/serve/api"
-	"repro/internal/serve/jobs"
 	"repro/internal/specfile"
 	"repro/internal/sweepdef"
 	"repro/internal/system"
 	"repro/internal/workload"
 )
-
-// DefaultAsyncThreshold is the grid size at which /v1/sweep stops
-// answering synchronously and hands back a job instead.
-const DefaultAsyncThreshold = 16
 
 // BatchOptions tunes the service. The zero value is usable: one worker
 // per CPU, the default mapping budget, and the default cache bound.
@@ -82,29 +76,6 @@ type BatchOptions struct {
 	// disables persistence (behavior is then byte-identical to earlier
 	// versions).
 	CacheDir string
-	// JobsDir enables job durability: terminal jobs are snapshotted (a
-	// restarted instance answers /v1/jobs/{id} for prior work) and
-	// accepted-but-unfinished jobs are write-ahead-logged and replayed on
-	// boot. Empty disables job persistence.
-	JobsDir string
-
-	// AsyncThreshold promotes /v1/sweep grids of at least this many
-	// requests to async jobs answered with 202 Accepted (default
-	// DefaultAsyncThreshold). Negative disables size-based promotion
-	// only: clients can still opt in per request ("async": true) or use
-	// /v1/jobs directly.
-	AsyncThreshold int
-	// MaxRunningJobs bounds concurrently running async jobs (default 1:
-	// one job at a time owns the evaluation worker pool).
-	MaxRunningJobs int
-	// MaxQueuedJobs bounds the pending job queue; submissions beyond it
-	// are rejected with 429 + Retry-After (default 8).
-	MaxQueuedJobs int
-	// JobRetention bounds retained finished jobs (default 64).
-	JobRetention int
-	// JobRetryAfter is the Retry-After hint paired with a 429 (default 1s).
-	JobRetryAfter time.Duration
-
 	// MaxBodyBytes bounds every request body the HTTP layer will read
 	// (default DefaultMaxBodyBytes). Oversized bodies are rejected with
 	// 413 and an invalid_request error envelope instead of being decoded
@@ -147,16 +118,6 @@ func (o BatchOptions) maxBodyBytes() int64 {
 	return DefaultMaxBodyBytes
 }
 
-func (o BatchOptions) asyncThreshold() int {
-	switch {
-	case o.AsyncThreshold > 0:
-		return o.AsyncThreshold
-	case o.AsyncThreshold < 0:
-		return 0 // disabled
-	}
-	return DefaultAsyncThreshold
-}
-
 func (o BatchOptions) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -185,7 +146,6 @@ func (o BatchOptions) budgetCapacity() int { return max(o.workers(), o.searchWor
 type Server struct {
 	opts    BatchOptions
 	cache   *Cache
-	jobs    *jobs.Store
 	budget  *tokenBudget
 	persist persistState
 	start   time.Time
@@ -202,9 +162,7 @@ type Server struct {
 	// atomically by ReloadSweepDefs under the same never-tear rule.
 	sweeps atomic.Pointer[sweepdef.Set]
 	// mappingsEvaluated is the cumulative count of candidate mappings
-	// evaluated since boot, surfaced in /healthz. Checkpointed replay is
-	// observable through it: a replayed sweep adds only its unfinished
-	// items' evaluations.
+	// evaluated since boot, surfaced in /healthz.
 	mappingsEvaluated atomic.Int64
 	// names memoizes bare macro and zoo network names with their
 	// fingerprints (see nameMemo), so warm requests stop rebuilding and
@@ -219,11 +177,10 @@ type Server struct {
 	RunExperiment   func(name string, fast bool, maxMappings int, seed int64) ([]*report.Table, error)
 }
 
-// NewServer constructs a service with its own cache and job store. With
-// CacheDir/JobsDir configured it also opens the durable stores and warm-
-// starts from them: the cache dir is scanned in bounded parallel and
-// entries admitted through the normal eviction policy; terminal jobs are
-// restored and interrupted ones replayed. Store failures degrade to a
+// NewServer constructs a service with its own cache. With CacheDir
+// configured it also opens the durable store and warm-starts from it:
+// the cache dir is scanned in bounded parallel and entries admitted
+// through the normal eviction policy. A store failure degrades to a
 // non-persistent server (see PersistError) — persistence is strictly
 // optional.
 func NewServer(opts BatchOptions) *Server {
@@ -237,50 +194,14 @@ func NewServer(opts BatchOptions) *Server {
 	s.slow = obs.NewSlowLog(opts.slowLogSize(), opts.SlowThreshold)
 	s.token.Store(&opts.Token)
 	s.sweeps.Store(opts.SweepDefs)
-	s.openPersist(opts.CacheDir, opts.JobsDir)
-	if s.persist.cache != nil {
-		s.persist.cache.SetObserver(s.persistObserver("cache"))
-	}
-	if s.persist.jobs != nil {
-		s.persist.jobs.SetObserver(s.persistObserver("jobs"))
-	}
-	if s.persist.cache != nil {
-		s.cache.onFill = s.cacheFillHook()
-	}
-	jo := jobs.Options{
-		MaxRunning:      opts.MaxRunningJobs,
-		MaxQueued:       opts.MaxQueuedJobs,
-		Retention:       opts.JobRetention,
-		RetryAfter:      opts.JobRetryAfter,
-		ObserveDispatch: func(wait time.Duration) { s.met.queueWait.Observe(wait.Seconds()) },
-	}
-	if s.persist.jobs != nil {
-		jo.OnTerminal = s.jobTerminalHook()
-		// Retention eviction reaches through to disk, so the jobs dir is
-		// bounded by the same retention as the in-memory store.
-		jo.OnEvicted = func(id string) {
-			s.persist.jobs.Delete(persist.KindJob, jobSnapKey(id))
-		}
-	}
-	s.jobs = jobs.NewStore(jo)
+	s.openPersist(opts.CacheDir)
 	s.registerCollectors()
 	s.warmStartCache()
-	s.warmStartJobs()
 	return s
-}
-
-// persistObserver adapts one write-behind store's latency callback onto
-// the per-store write histogram.
-func (s *Server) persistObserver(store string) func(d time.Duration, ok bool) {
-	h := s.met.persistWrite.With(store)
-	return func(d time.Duration, ok bool) { h.Observe(d.Seconds()) }
 }
 
 // CacheStats snapshots the shared cache counters.
 func (s *Server) CacheStats() Stats { return s.cache.Stats() }
-
-// JobStats snapshots the job store's occupancy.
-func (s *Server) JobStats() jobs.Stats { return s.jobs.Stats() }
 
 // SearchStats snapshots the shared evaluation-concurrency budget.
 func (s *Server) SearchStats() BudgetStats {
@@ -292,14 +213,13 @@ func (s *Server) SearchStats() BudgetStats {
 	}
 }
 
-// Close cancels every queued or running job, waits for the job runners
-// to drain, then flushes and closes the durable stores (interrupted jobs
-// keep their write-ahead records and replay on the next boot). The cache
+// Close flushes and closes the durable cache store, if any. The cache
 // stays usable; Close exists so tests and embedding programs shut the
-// async machinery down deterministically.
+// write-behind queue down deterministically.
 func (s *Server) Close() {
-	s.jobs.Close()
-	s.closePersist()
+	if s.persist.store != nil {
+		s.persist.store.Close()
+	}
 }
 
 // Request describes one evaluation. It is the wire type
@@ -440,8 +360,8 @@ func (s *Server) resolve(r *Request) (resolved, error) {
 // layer context are fetched (or compiled once) from the content-addressed
 // cache, and only the per-mapping count analysis runs unconditionally.
 // Cancellation and deadlines are checked between layers and inside each
-// layer's mapping search, so a cancelled request (client disconnect, job
-// cancel) stops in-flight work instead of finishing the evaluation.
+// layer's mapping search, so a cancelled request (client disconnect,
+// timeout_sec) stops in-flight work instead of finishing the evaluation.
 func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) {
 	started := time.Now()
 	sp := obs.FromContext(ctx)
@@ -587,8 +507,7 @@ func requestTag(r *Request, archName, netName string) string {
 // dispatched, and in-flight evaluations abort through the per-layer
 // search; the partial slice is returned alongside ctx.Err(), with
 // never-dispatched items left nil. The optional onDone callback is
-// invoked from the completion path as each item finishes (the progress
-// stream the async job API surfaces).
+// invoked on the calling goroutine as each item finishes.
 func (s *Server) SweepCtx(ctx context.Context, reqs []Request, workers int, onDone func(int, *Result)) ([]*Result, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("serve: empty sweep")
@@ -676,23 +595,6 @@ func (s *Server) SweepCtx(ctx context.Context, reqs []Request, workers int, onDo
 	return out, ctx.Err()
 }
 
-// SweepJobOptions tunes one async sweep job.
-type SweepJobOptions struct {
-	// Workers overrides the server's pool bound for this job (0 keeps it).
-	Workers int
-	// Timeout is the job's deadline, measured from the moment it starts
-	// running (queue time excluded): the job context is wrapped in
-	// context.WithTimeout, so expiry aborts in-flight layer searches and
-	// the job fails with context.DeadlineExceeded. Zero means no deadline.
-	// A job replayed after a restart gets a fresh window.
-	Timeout time.Duration
-}
-
-// sweepLabel names a sweep job.
-func sweepLabel(reqs []Request) string {
-	return fmt.Sprintf("sweep of %d requests", len(reqs))
-}
-
 // secondsToTimeout converts a client-supplied timeout_sec to a duration,
 // clamping instead of overflowing: float64 seconds beyond the int64
 // nanosecond range would wrap negative (an already-expired deadline), so
@@ -706,82 +608,6 @@ func secondsToTimeout(sec float64) time.Duration {
 		return math.MaxInt64
 	}
 	return time.Duration(sec * float64(time.Second))
-}
-
-// SubmitSweepOpts enqueues a sweep as an async job with per-job options
-// (workers, deadline): the batch fans across the worker
-// pool in the background, per-item completions stream into the job's
-// progress, and the finished job carries the rendered sweep table as its
-// result. Returns jobs.ErrQueueFull when the pending queue is saturated
-// (the HTTP layer's 429 + Retry-After).
-//
-// An accepted job is write-ahead-logged when job persistence is enabled, so a restart replays it if it never finished.
-// The WAL record is enqueued BEFORE the job becomes runnable (reserved
-// ID), so even a job that finishes instantly has its WAL on the
-// write-behind queue ahead of its terminal snapshot and WAL retirement —
-// the FIFO writer then leaves no stale WAL behind. Completed items are
-// checkpointed on disk as they finish, so a crash-replay does not repeat
-// them.
-func (s *Server) SubmitSweepOpts(reqs []Request, opts SweepJobOptions) (jobs.Snapshot, error) {
-	if len(reqs) == 0 {
-		return jobs.Snapshot{}, errors.New("serve: empty sweep")
-	}
-	// Reserve the ID up front: the WAL record and the job body's
-	// checkpoints are keyed by it.
-	id := s.jobs.ReserveID()
-	wal := s.persist.jobs != nil && walExpressible(reqs)
-	run := s.newSweepRun(id, reqs, opts, wal)
-	if wal {
-		s.logJobWAL(id, reqs, opts)
-		// Durability point: the 202 acknowledgment must mean the WAL is on
-		// disk, or a hard crash (kill -9, power loss) right after accepting
-		// would lose the job entirely. One fsync round per submission, well
-		// off the evaluation hot path.
-		s.persist.jobs.Flush()
-	}
-	snap, err := s.jobs.SubmitJob(jobs.Submission{
-		ID:    id,
-		Label: sweepLabel(reqs),
-		Total: len(reqs),
-		Fn:    run.fn(),
-	})
-	if err != nil {
-		if wal {
-			s.retireJobWAL(id) // rejected (queue full / closing): nothing to replay
-		}
-		return snap, err
-	}
-	return snap, nil
-}
-
-// RetryAfter is the backoff hint paired with jobs.ErrQueueFull.
-func (s *Server) RetryAfter() time.Duration { return s.jobs.RetryAfter() }
-
-// Job returns one job's snapshot.
-func (s *Server) Job(id string) (jobs.Snapshot, bool) { return s.jobs.Get(id) }
-
-// Jobs snapshots every retained job in submission order.
-func (s *Server) Jobs() []jobs.Snapshot { return s.jobs.List() }
-
-// JobsPage is Jobs under a status filter and a monotonic-ID cursor (the
-// GET /v1/jobs pagination).
-func (s *Server) JobsPage(q jobs.ListQuery) ([]jobs.Snapshot, string) { return s.jobs.ListPage(q) }
-
-// AwaitJob blocks until the job's version exceeds afterVersion (or the
-// job is terminal, or ctx expires) and returns the fresh snapshot — the
-// seam under the SSE stream and the long-poll job GET.
-func (s *Server) AwaitJob(ctx context.Context, id string, afterVersion int64) (jobs.Snapshot, error) {
-	return s.jobs.Await(ctx, id, afterVersion)
-}
-
-// CancelJob requests cancellation of one job (idempotent; false only for
-// unknown IDs). Cancellation propagates through the job's context into
-// the per-layer mapping search, stopping in-flight work.
-func (s *Server) CancelJob(id string) (jobs.Snapshot, bool) { return s.jobs.Cancel(id) }
-
-// WaitJob blocks until the job reaches a terminal state or ctx expires.
-func (s *Server) WaitJob(ctx context.Context, id string) (jobs.Snapshot, error) {
-	return s.jobs.Wait(ctx, id)
 }
 
 // Grid builds the cross product of macros x networks x scenarios as a

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -210,5 +213,74 @@ func TestLayersCap(t *testing.T) {
 	}
 	if n := len(res.NetworkResult.PerLayer); n != 2 {
 		t.Fatalf("evaluated %d layers, want 2", n)
+	}
+}
+
+// TestSweepCtxStopsDispatchOnCancel is the regression test for the
+// feeder bug: cancelling the parent context mid-sweep must stop
+// dispatching remaining grid items instead of draining the whole slice.
+func TestSweepCtxStopsDispatchOnCancel(t *testing.T) {
+	srv := NewServer(BatchOptions{Workers: 1, MaxMappings: 2})
+	reqs := Grid([]string{"base"}, []string{"toy"}, nil, 0, 2)
+	for len(reqs) < 16 {
+		reqs = append(reqs, reqs[0])
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var completions atomic.Int32
+	results, err := srv.SweepCtx(ctx, reqs, 1, func(i int, r *Result) {
+		if completions.Add(1) == 1 {
+			cancel() // cancel as soon as the first item lands
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	filled := 0
+	for _, r := range results {
+		if r != nil {
+			filled++
+		}
+	}
+	// One item completed before the cancel; with a single worker at most
+	// one more was already dispatched. The rest must never run.
+	if filled > 3 {
+		t.Fatalf("%d of %d grid items evaluated after cancellation", filled, len(reqs))
+	}
+	if filled == 0 {
+		t.Fatal("no items completed before cancellation")
+	}
+}
+
+// TestSweepCtxMatchesSweep checks the ctx-aware path is the same sweep:
+// identical results, request order preserved, onDone streamed once per
+// item.
+func TestSweepCtxMatchesSweep(t *testing.T) {
+	srv := NewServer(BatchOptions{Workers: 4, MaxMappings: 2})
+	reqs := Grid([]string{"base", "macro-b"}, []string{"toy"}, nil, 0, 2)
+	want, err := srv.SweepCtx(context.Background(), reqs, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[int]int{}
+	got, err := srv.SweepCtx(context.Background(), reqs, 4, func(i int, r *Result) {
+		mu.Lock()
+		seen[i]++
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("lengths differ: %d vs %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].EnergyJ != want[i].EnergyJ || got[i].Tag != want[i].Tag {
+			t.Fatalf("result %d diverged: %+v vs %+v", i, got[i], want[i])
+		}
+		if seen[i] != 1 {
+			t.Fatalf("item %d reported %d times", i, seen[i])
+		}
 	}
 }

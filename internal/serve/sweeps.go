@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,9 +13,9 @@ import (
 // (package sweepdef) registered as named, parameterized endpoints.
 // GET /v1/experiments lists them with their parameter schemas;
 // POST /v1/experiments/{name} binds parameters and runs the compiled
-// grid through the normal sweep path — so async promotion, auth, the
-// FIFO job queue with its checkpointed crash replay, and metrics all
-// apply to a declarative run exactly as they do to a hand-built sweep.
+// grid through the normal sweep path — so auth, deadlines, the cache
+// tiers and metrics all apply to a declarative run exactly as they do
+// to a hand-built sweep.
 // The set is swapped atomically by ReloadSweepDefs (the CLI wires SIGHUP
 // to it, next to the token reload), so adding a scenario is editing a
 // file, not rebuilding a binary.
@@ -76,9 +75,8 @@ func (s *Server) ReloadSweepDefsDir(dir string) error {
 
 // handleNamedExperiment runs one registered definition:
 // POST /v1/experiments/{name} with an optional api.NamedExperimentRequest
-// body. The compiled grid takes the same sync/async fork as POST
-// /v1/sweep: 200 + api.SweepResponse, or 202 + api.JobAccepted when the
-// request asks for async or the grid reaches the promotion threshold.
+// body. The compiled grid runs synchronously exactly like POST
+// /v1/sweep: 200 + api.SweepResponse.
 func (s *Server) handleNamedExperiment(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	def, ok := s.sweepSet().Get(name)
@@ -105,28 +103,5 @@ func (s *Server) handleNamedExperiment(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, api.Errorf(api.CodeInvalidRequest, "%v", err))
 		return
 	}
-	if thr := s.opts.asyncThreshold(); body.Async || (thr > 0 && len(reqs) >= thr) {
-		s.acceptJob(w, reqs, SweepJobOptions{Timeout: secondsToTimeout(body.TimeoutSec)})
-		return
-	}
-	ctx := r.Context()
-	if d := secondsToTimeout(body.TimeoutSec); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	results, err := s.SweepCtx(ctx, reqs, 0, nil)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			writeAPIError(w, http.StatusGatewayTimeout, api.Errorf(api.CodeDeadlineExceeded, "%v", err))
-			return
-		}
-		writeAPIError(w, http.StatusBadRequest, api.Errorf(api.CodeInvalidRequest, "%v", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, api.SweepResponse{
-		Results: results,
-		Table:   SweepTable(results).String(),
-		Cache:   s.CacheStats(),
-	})
+	s.runSweep(w, r, reqs, body.TimeoutSec)
 }

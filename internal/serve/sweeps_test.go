@@ -111,24 +111,6 @@ func TestNamedExperimentErrors(t *testing.T) {
 	}
 }
 
-// TestNamedExperimentAsync: "async": true hands the compiled grid to the
-// job queue, and the job runs it to completion.
-func TestNamedExperimentAsync(t *testing.T) {
-	srv := NewServer(BatchOptions{SweepDefs: testSweepSet(t)})
-	defer srv.Close()
-	_, do := testClient(t, srv)
-
-	status, out := do("POST", "/v1/experiments/unit-smoke", `{"async": true}`)
-	id := acceptedJobID(t, status, out)
-	final := pollJob(t, do, id)
-	if final["status"] != "succeeded" || final["completed"] != float64(1) {
-		t.Fatalf("async named experiment: %v", final)
-	}
-	if table, _ := final["result"].(string); !strings.Contains(table, "base") {
-		t.Fatalf("job result missing evaluated row: %v", final["result"])
-	}
-}
-
 func TestReloadSweepDefsKeepsOldSetOnError(t *testing.T) {
 	srv := NewServer(BatchOptions{SweepDefs: testSweepSet(t)})
 	defer srv.Close()

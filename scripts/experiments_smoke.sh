@@ -6,7 +6,7 @@
 #   - a serve instance booted with -sweeps: GET /v1/experiments lists
 #     the definitions with parameter schemas, POST /v1/experiments/{name}
 #     binds parameters and runs (including the typed 400/404 errors)
-#   - an async run (202 + job) resumed through the normal jobs API
+#   - the removed "async" field is a typed 400 naming the field
 #   - SIGHUP reload: a new definition appears without a restart; a
 #     broken one is rejected and the old set stays live
 #
@@ -70,11 +70,9 @@ CODE=$(curl -s -X POST "$BASE/v1/experiments/no-such-definition" | jq -r .code)
 CODE=$(curl -s -X POST "$BASE/v1/experiments/quick-smoke" -d '{"params": {"mappings": 999}}' | jq -r .code)
 [ "$CODE" = invalid_request ] || fail "out-of-range binding code was $CODE"
 
-echo "experiments_smoke: async run resumed via the jobs API"
-ACC=$(curl -sf -X POST "$BASE/v1/experiments/quick-smoke" -d '{"async": true}') || fail "async run"
-JOB=$(echo "$ACC" | jq -r .job.id)
-[ "$JOB" != null ] || fail "202 body carried no job: $ACC"
-"$BIN" jobs wait "$JOB" -addr "$BASE" -timeout 120s >/dev/null 2>&1 || fail "async job did not succeed"
+ERR=$(curl -s -X POST "$BASE/v1/experiments/quick-smoke" -d '{"async": true}')
+[ "$(echo "$ERR" | jq -r .code)" = invalid_request ] || fail "async body answered $ERR, not invalid_request"
+echo "$ERR" | jq -r .message | grep -q async || fail "async 400 does not name the field: $ERR"
 
 echo "experiments_smoke: SIGHUP reload adds a definition without a restart"
 cat > "$WORK/sweeps/hup-added.yaml" <<'EOF'
@@ -108,4 +106,4 @@ curl -sf "$BASE/v1/experiments" | jq -e '.definitions[] | select(.name == "hup-a
 
 kill -TERM "$PID" && wait "$PID" || fail "server exited non-zero on SIGTERM"
 PID=""
-echo "experiments_smoke: PASS — validated, ran offline and served, bound params, async via jobs, SIGHUP reloaded"
+echo "experiments_smoke: PASS — validated, ran offline and served, bound params, typed errors, SIGHUP reloaded"

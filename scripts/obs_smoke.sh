@@ -7,8 +7,7 @@
 #     challenge, and never see the token echoed; /healthz stays open
 #   - GET /metrics answers Prometheus text 0.0.4 without credentials
 #     and carries the acceptance-critical series after a sweep: cache
-#     hit counters, the job queue-wait histogram, and the search-phase
-#     latency histogram
+#     hit counters and the search-phase latency histogram
 #   - GET /v1/debug/slow (behind auth) shows per-item sweep spans with
 #     non-zero queue/compile/search phase timings
 #   - `cimloop obs metrics` and `cimloop obs slow` read both surfaces
@@ -41,7 +40,7 @@ go build -o "$BIN" ./cmd/cimloop
 
 echo secret-a > "$WORK/token"
 
-"$BIN" serve -addr "$ADDR" -workers 1 -async-threshold -1 \
+"$BIN" serve -addr "$ADDR" -workers 1 \
   -token-file "$WORK/token" -debug-addr "$DEBUG_ADDR" &
 PID=$!
 for _ in $(seq 1 100); do
@@ -73,10 +72,11 @@ echo "$HDRS" | head -1 | grep -q ' 200' || fail "/metrics without token was not 
 echo "$HDRS" | grep -qi 'content-type: text/plain; version=0.0.4' \
   || fail "/metrics content type is not Prometheus text 0.0.4"
 
-echo "obs_smoke: a sweep job drives the counters"
-"$BIN" jobs submit -addr "$BASE" -token secret-a \
-  -macros base,macro-b -networks toy -mappings 4 -wait >/dev/null \
-  || fail "sweep job did not succeed"
+echo "obs_smoke: a sweep drives the counters"
+curl -sf -H "Authorization: Bearer secret-a" "$BASE/v1/sweep" \
+  -d '{"macros": ["base", "macro-b"], "networks": ["toy"], "max_mappings": 4}' \
+  | jq -e '[.results[] | select(.error)] | length == 0' >/dev/null \
+  || fail "sweep did not succeed"
 
 METRICS=$(curl -sf "$BASE/metrics")
 grep -q 'cimloop_cache_hits_total' <<<"$METRICS" \
@@ -87,8 +87,6 @@ grep -Eq 'cimloop_request_phase_seconds_count\{phase="search"\} [1-9]' <<<"$METR
   || fail "missing search-phase latency histogram samples"
 grep -q 'cimloop_evaluate_seconds_bucket{le=' <<<"$METRICS" \
   || fail "missing evaluate latency histogram buckets"
-grep -Eq 'cimloop_job_queue_wait_seconds_count [1-9]' <<<"$METRICS" \
-  || fail "missing job queue-wait histogram samples"
 
 echo "obs_smoke: slow log carries per-item spans with phase timings"
 STATUS=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/debug/slow")

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Warm-start integration check: boot `cimloop serve` against persistence
-# dirs, populate the cache and finish a job, restart the process, and
-# assert the second instance (a) admits the persisted entries, (b) serves
-# the repeated request purely from cache (zero misses), and (c) still
-# answers /v1/jobs/{id} for the job finished before the restart.
+# Warm-start integration check: boot `cimloop serve` against a cache
+# dir, populate it with an evaluation and a sweep, restart the process,
+# and assert the second instance (a) admits the persisted entries and
+# (b) serves the repeated evaluation and sweep purely from cache (zero
+# misses): a sweep re-sent after a restart reruns only its searches.
 #
 # Run from the repo root:  ./scripts/warmstart.sh
 # Needs: go, curl, jq.
@@ -13,7 +13,6 @@ ADDR="127.0.0.1:18097"
 BASE="http://$ADDR"
 WORK=$(mktemp -d)
 CACHE_DIR="$WORK/cache"
-JOBS_DIR="$WORK/jobs"
 BIN="$WORK/cimloop"
 PID=""
 
@@ -26,7 +25,7 @@ trap cleanup EXIT
 fail() { echo "warmstart: FAIL — $*" >&2; exit 1; }
 
 start_server() {
-  "$BIN" serve -addr "$ADDR" -workers 2 -cache-dir "$CACHE_DIR" -jobs-dir "$JOBS_DIR" &
+  "$BIN" serve -addr "$ADDR" -workers 2 -cache-dir "$CACHE_DIR" &
   PID=$!
   for _ in $(seq 1 100); do
     if curl -sf "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
@@ -37,8 +36,7 @@ start_server() {
 }
 
 stop_server() {
-  # SIGTERM: the server drains, flushes the write-behind queues, and
-  # keeps interrupted jobs' WAL records for the next boot.
+  # SIGTERM: the server drains and flushes the write-behind queue.
   kill -TERM "$PID"
   wait "$PID" || fail "server exited non-zero on SIGTERM"
   PID=""
@@ -48,53 +46,36 @@ echo "warmstart: building cimloop"
 go build -o "$BIN" ./cmd/cimloop
 
 EVAL_BODY='{"macro": "base", "network": "toy", "max_mappings": 4}'
+SWEEP_BODY='{"macros": ["base", "macro-b"], "networks": ["toy"], "layers": 1, "max_mappings": 2, "timeout_sec": 60}'
 
-echo "warmstart: first instance — populate cache and run a job"
+echo "warmstart: first instance — populate cache"
 start_server
 curl -sf "$BASE/v1/evaluate" -d "$EVAL_BODY" >/dev/null || fail "evaluate failed"
-
-JOB_ID=$(curl -sf "$BASE/v1/jobs" \
-  -d '{"macros": ["base"], "networks": ["toy"], "layers": 1, "max_mappings": 2, "timeout_sec": 60}' \
-  | jq -r .job.id)
-[ -n "$JOB_ID" ] && [ "$JOB_ID" != null ] || fail "job submission returned no ID"
-
-for _ in $(seq 1 300); do
-  STATUS=$(curl -sf "$BASE/v1/jobs/$JOB_ID" | jq -r .status)
-  [ "$STATUS" = succeeded ] && break
-  case "$STATUS" in failed|cancelled) fail "job $JOB_ID finished $STATUS";; esac
-  sleep 0.2
-done
-[ "$STATUS" = succeeded ] || fail "job $JOB_ID still $STATUS"
+curl -sf "$BASE/v1/sweep" -d "$SWEEP_BODY" | jq -e '[.results[] | select(.error)] | length == 0' >/dev/null \
+  || fail "sweep failed"
 stop_server
 
 [ -n "$(find "$CACHE_DIR" -mindepth 1 -print -quit)" ] || fail "cache dir is empty after shutdown"
-[ -n "$(find "$JOBS_DIR" -mindepth 1 -print -quit)" ] || fail "jobs dir is empty after shutdown"
 
 echo "warmstart: second instance — must start warm"
 start_server
 HEALTH=$(curl -sf "$BASE/healthz")
 WARM_ENGINES=$(echo "$HEALTH" | jq .persist.warm.engines)
 WARM_CONTEXTS=$(echo "$HEALTH" | jq .persist.warm.contexts)
-WARM_JOBS=$(echo "$HEALTH" | jq .persist.warm.jobs)
 RESTORED=$(echo "$HEALTH" | jq .cache.restored)
 [ "$WARM_ENGINES" -ge 1 ] || fail "no engines restored (healthz: $HEALTH)"
 [ "$WARM_CONTEXTS" -ge 1 ] || fail "no layer contexts restored"
-[ "$WARM_JOBS" -ge 1 ] || fail "finished job not restored"
 [ "$RESTORED" -ge 2 ] || fail "cache admitted $RESTORED entries"
 
-# The exact request served before the restart must be a pure cache hit:
+# The exact requests served before the restart must be pure cache hits:
 # hit counters move, misses stay zero (nothing recompiled).
 curl -sf "$BASE/v1/evaluate" -d "$EVAL_BODY" >/dev/null || fail "post-restart evaluate failed"
+curl -sf "$BASE/v1/sweep" -d "$SWEEP_BODY" >/dev/null || fail "post-restart sweep failed"
 CACHE=$(curl -sf "$BASE/healthz" | jq .cache)
 HITS=$(echo "$CACHE" | jq .hits)
 MISSES=$(echo "$CACHE" | jq .misses)
 [ "$HITS" -ge 2 ] || fail "expected warm hits, cache: $CACHE"
 [ "$MISSES" -eq 0 ] || fail "restarted instance recompiled ($MISSES misses), cache: $CACHE"
 
-# The pre-restart job is still answerable, terminal, with its result.
-SNAP=$(curl -sf "$BASE/v1/jobs/$JOB_ID")
-[ "$(echo "$SNAP" | jq -r .status)" = succeeded ] || fail "restored job snapshot: $SNAP"
-echo "$SNAP" | jq -e '.result | length > 0' >/dev/null || fail "restored job lost its result"
-
 stop_server
-echo "warmstart: PASS — $WARM_ENGINES engines, $WARM_CONTEXTS contexts, $WARM_JOBS jobs restored; $HITS hits, 0 misses after restart"
+echo "warmstart: PASS — $WARM_ENGINES engines, $WARM_CONTEXTS contexts restored; $HITS hits, 0 misses after restart"
