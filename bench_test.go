@@ -152,10 +152,10 @@ func BenchmarkAnalyzeInto(b *testing.B) {
 }
 
 // BenchmarkMapperSample measures candidate mapping generation throughput
-// at the search benchmarks' budget. Its ns/cand is the cost of the
-// generator that feeds a parallel search's workers (draw, dedup,
-// validation, copy), so SearchLayerSerial's ns/cand divided by it bounds
-// the speedup any SearchLayerParallel width can reach.
+// at the search benchmarks' budget: draw, dedup, validation and a copy
+// the caller owns per candidate. A search copies out only its winner, so
+// this ns/cand over SearchLayerSerial's bounds from above the share of a
+// search spent generating rather than pricing.
 func BenchmarkMapperSample(b *testing.B) {
 	eng, ctx := benchEngine(b)
 	opts := eng.Arch().MapperOptions(searchBudget, 1)
@@ -218,19 +218,14 @@ func BenchmarkNetworkEvaluation(b *testing.B) {
 	}
 }
 
-// Intra-request mapping-search parallelism: one layer, a large candidate
-// budget, serial vs fanned evaluation. Every variant draws the same
-// single-stream candidate sequence (the generator runs on one goroutine
-// and feeds the pool), so all widths find the same winner. CI's benchmark
-// gate compares Serial vs Parallel8 (see BENCH_baseline.json and
-// cmd/benchgate).
-
-// searchBudget is large enough that per-candidate evaluation dominates
-// the serial sampler (Amdahl headroom for the fan-out).
+// searchBudget is the candidate budget of the search benchmarks: large
+// enough that pricing, not the search's fixed setup, dominates.
 const searchBudget = 256
 
-func benchSearchLayer(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkSearchLayerSerial measures one layer's mapping search at
+// searchBudget candidates: sampling, count analysis and bounded pricing
+// on the caller's goroutine.
+func BenchmarkSearchLayerSerial(b *testing.B) {
 	eng, lctx := benchEngine(b)
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -238,7 +233,7 @@ func benchSearchLayer(b *testing.B, workers int) {
 	cands := 0
 	for i := 0; i < b.N; i++ {
 		r, evaluated, err := eng.SearchLayerOptsCtx(ctx, lctx, core.SearchOptions{
-			MaxMappings: searchBudget, Seed: 1, SearchWorkers: workers})
+			MaxMappings: searchBudget, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,16 +248,11 @@ func benchSearchLayer(b *testing.B, workers int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cands), "ns/cand")
 }
 
-func BenchmarkSearchLayerSerial(b *testing.B)    { benchSearchLayer(b, 1) }
-func BenchmarkSearchLayerParallel2(b *testing.B) { benchSearchLayer(b, 2) }
-func BenchmarkSearchLayerParallel4(b *testing.B) { benchSearchLayer(b, 4) }
-func BenchmarkSearchLayerParallel8(b *testing.B) { benchSearchLayer(b, 8) }
-
-// BenchmarkEvaluateRequestParallel measures the serve path end to end
-// with intra-request fan-out on a warm cache: the single-request latency
-// a client of /v1/evaluate sees with "search_workers" set.
-func BenchmarkEvaluateRequestParallel(b *testing.B) {
-	srv := NewServer(BatchOptions{SearchWorkers: 8})
+// BenchmarkEvaluateRequestWarm measures the serve path end to end on a
+// warm cache: the single-request latency a client of /v1/evaluate sees
+// once the engine and layer contexts are compiled.
+func BenchmarkEvaluateRequestWarm(b *testing.B) {
+	srv := NewServer(BatchOptions{})
 	req := EvalRequest{Macro: "base", Network: "toy", MaxMappings: searchBudget}
 	if _, err := srv.EvaluateCtx(context.Background(), req); err != nil { // prime the cache
 		b.Fatal(err)
@@ -387,7 +377,7 @@ func BenchmarkSweepWarmFromDisk(b *testing.B) {
 
 // BenchmarkSweep1Worker and BenchmarkSweepNWorkers measure the worker
 // pool's scaling on a warm cache, so the comparison isolates the
-// executor (mapping search fan-out) from one-time compile costs. The
+// executor (request-level fan-out) from one-time compile costs. The
 // cold-cache 1-worker baseline is BenchmarkSweepColdCache above.
 func BenchmarkSweep1Worker(b *testing.B) {
 	srv := NewServer(BatchOptions{})

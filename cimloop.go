@@ -105,23 +105,6 @@
 // directory holds more than the cache does, the costliest stay warm.
 // With no directory configured nothing touches disk and behavior is
 // unchanged.
-//
-// # Intra-request parallel mapping search
-//
-// Within one request, each layer's candidate mappings can be costed in
-// parallel: SearchWorkers (a BatchOptions default, a per-request
-// "search_workers" field, Engine.EvaluateNetworkOptsCtx's SearchOptions,
-// or the CLI's -search-workers flag) fans evaluations across a bounded
-// goroutine pool. The parallel search preserves the serial path's exact
-// semantics — the winner is the minimum-cost candidate with ties broken
-// by lowest candidate index, the first evaluation error is reported in
-// candidate order, and cancellation is checked before every candidate —
-// so results are bit-identical at any width; only latency changes. Inside
-// a Server the fan-out draws on a concurrency budget shared with the
-// request-level worker pool (capacity max(Workers, SearchWorkers),
-// reported under /healthz as "search"): a saturated pool degrades
-// searches to serial rather than oversubscribing the machine, and a lone
-// request gets the whole budget.
 package cimloop
 
 import (
@@ -152,8 +135,8 @@ type (
 	// LayerContext is the per-layer amortized state (PMFs and per-action
 	// energies).
 	LayerContext = core.LayerContext
-	// SearchOptions bundles the per-layer mapping-search knobs (budget,
-	// seed, and SearchWorkers for intra-layer parallel search).
+	// SearchOptions bundles the per-layer mapping-search knobs (budget
+	// and seed).
 	SearchOptions = core.SearchOptions
 )
 

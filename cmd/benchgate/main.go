@@ -17,23 +17,16 @@
 //	go run ./cmd/benchgate bench.txt             # gate against the baseline
 //	go run ./cmd/benchgate -update bench.txt     # rewrite the baseline
 //
-// The gate also asserts the intra-request search fan-out actually scales:
-// with -min-speedup S, BenchmarkSearchLayerSerial must be at least S
-// times slower than BenchmarkSearchLayerParallel8 in the current run.
-// The check is skipped on hosts with fewer than four CPUs (a 1-core
-// container cannot exhibit parallel speedup, only preserve correctness).
-//
 // Allocations are gated too, without normalization (allocs/op does not
 // depend on machine speed): every benchmark whose allocs/op the baseline
 // records — those that call b.ReportAllocs, or all of them under
 // -benchmem — must report allocs/op in the current run, and fails when
 // it rises above the recorded figure by more than allocSlack.
 //
-// Similarly, -min-warm-speedup W asserts the durable warm start still
-// pays: BenchmarkSweepColdCache must be at least W times slower than
-// BenchmarkSweepWarmFromDisk. Unlike the parallel assertion this one
-// holds on any CPU count — the win is avoided recomputation, not
-// parallelism — so it is never skipped.
+// The gate also asserts, with -min-warm-speedup W, that the durable warm
+// start still pays: BenchmarkSweepColdCache must be at least W times
+// slower than BenchmarkSweepWarmFromDisk. The win is avoided
+// recomputation, not parallelism, so it holds on any CPU count.
 package main
 
 import (
@@ -53,10 +46,7 @@ import (
 type Baseline struct {
 	// Note documents the recording machine and the refresh command.
 	Note string `json:"note,omitempty"`
-	// CPUs is the logical CPU count of the recording host. A baseline
-	// recorded below 4 CPUs has no meaningful multi-core figures, so the
-	// Serial-vs-Parallel8 speedup gate skips (with a visible warning)
-	// rather than judging parallel scaling against serial-machine data.
+	// CPUs is the logical CPU count of the recording host.
 	CPUs int `json:"cpus,omitempty"`
 	// NsPerOp maps benchmark name (without the -procs suffix) to its
 	// recorded ns/op.
@@ -64,18 +54,6 @@ type Baseline struct {
 	// AllocsPerOp maps benchmark name to its recorded allocs/op, for the
 	// benchmarks that reported allocations.
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
-}
-
-// warnf emits a skip notice both as plain output and as a GitHub Actions
-// workflow command, so a skipped gate surfaces as an annotation on the
-// run instead of a line lost in the log. Outside Actions the `::warning`
-// line is inert stdout.
-func warnf(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	fmt.Println("benchgate: " + msg)
-	if os.Getenv("GITHUB_ACTIONS") == "true" {
-		fmt.Printf("::warning title=benchgate::%s\n", msg)
-	}
 }
 
 var (
@@ -131,8 +109,7 @@ func parseBench(path string) (*benchResults, error) {
 
 // allocSlack is the fractional allocs/op rise the gate forgives: a
 // small margin for run-to-run jitter in the benchmarks that start
-// goroutines (the parallel searches and sweeps), far below a real
-// regression — one more allocation per candidate of a 256-candidate
+// goroutines (the sweeps), far below a real regression — one more allocation per candidate of a 256-candidate
 // search is a 20% rise.
 const allocSlack = 0.02
 
@@ -167,8 +144,6 @@ func main() {
 	update := flag.Bool("update", false, "rewrite the baseline from the bench output instead of gating")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional slowdown after normalization")
 	ref := flag.String("ref", "", "reference benchmark for machine-speed normalization (default: the median ratio over all benchmarks)")
-	minSpeedup := flag.Float64("min-speedup", 0,
-		"required SearchLayerSerial/SearchLayerParallel8 ratio (0 disables; skipped below 4 CPUs)")
 	minWarmSpeedup := flag.Float64("min-warm-speedup", 0,
 		"required SweepColdCache/SweepWarmFromDisk ratio (0 disables)")
 	note := flag.String("note", "", "note stored in the baseline on -update")
@@ -221,30 +196,6 @@ func main() {
 		failed += gateAllocs(base.AllocsPerOp, res.allocs)
 	}
 
-	if *minSpeedup > 0 {
-		serial, okS := cur["BenchmarkSearchLayerSerial"]
-		par, okP := cur["BenchmarkSearchLayerParallel8"]
-		_, okBaseS := base.NsPerOp["BenchmarkSearchLayerSerial"]
-		_, okBaseP := base.NsPerOp["BenchmarkSearchLayerParallel8"]
-		switch {
-		case base.CPUs > 0 && base.CPUs < 4:
-			warnf("committed baseline was recorded on %d CPU(s) and lacks meaningful multi-core entries — Serial-vs-Parallel8 gate skipped; refresh %s on a >=4-CPU host", base.CPUs, *baselinePath)
-		case !okBaseS || !okBaseP:
-			warnf("committed baseline lacks the SearchLayer serial/parallel pair — Serial-vs-Parallel8 gate skipped; refresh %s with the full bench set", *baselinePath)
-		case runtime.NumCPU() < 4:
-			warnf("%d CPUs on this host — parallel-speedup assertion skipped", runtime.NumCPU())
-		case !okS || !okP:
-			warnf("SearchLayer serial/parallel pair not in this run — speedup assertion skipped")
-		default:
-			speedup := serial / par
-			fmt.Printf("benchgate: search fan-out speedup %.2fx at 8 workers (need >= %.2fx)\n", speedup, *minSpeedup)
-			if speedup < *minSpeedup {
-				fmt.Println("benchgate: FAIL — parallel mapping search no longer scales")
-				failed++
-			}
-		}
-	}
-
 	if *minWarmSpeedup > 0 {
 		cold, okC := cur["BenchmarkSweepColdCache"]
 		warm, okW := cur["BenchmarkSweepWarmFromDisk"]
@@ -261,7 +212,7 @@ func main() {
 	}
 
 	if failed > 0 {
-		fmt.Printf("benchgate: FAIL — %d check(s) regressed, went missing, or stopped scaling\n", failed)
+		fmt.Printf("benchgate: FAIL — %d check(s) regressed, went missing, or stopped paying\n", failed)
 		os.Exit(1)
 	}
 	fmt.Println("benchgate: PASS")

@@ -5,10 +5,10 @@
 // Usage:
 //
 //	cimloop list
-//	cimloop run <experiment|all> [-fast] [-csv] [-mappings N] [-seed N] [-search-workers N]
+//	cimloop run <experiment|all> [-fast] [-csv] [-mappings N] [-seed N]
 //	cimloop macros
-//	cimloop spec <file.yaml> [-network NAME] [-mappings N] [-search-workers N]
-//	cimloop serve [-addr :8080] [-workers N] [-mappings N] [-cache N] [-search-workers N]
+//	cimloop spec <file.yaml> [-network NAME] [-mappings N]
+//	cimloop serve [-addr :8080] [-workers N] [-mappings N] [-cache N]
 //	              [-cache-dir DIR] [-max-body BYTES] [-token-file FILE]
 //	cimloop sweeps ls|show|validate|run [...] [-addr URL]
 //	cimloop obs slow|metrics [-addr URL]
@@ -16,12 +16,6 @@
 // The subcommands that take -addr are a thin shell over the typed Go SDK
 // (internal/client) against the v1 wire contract (internal/serve/api,
 // documented in docs/API.md).
-//
-// -search-workers fans each layer's candidate mapping evaluations across
-// a bounded goroutine pool. The parallel search is bit-identical to the
-// serial one (deterministic minimum-cost, lowest-index winner), so the
-// flag only changes latency, never results; values <= 1 (the default)
-// search serially.
 //
 // -cache-dir enables durable warm starts (package persist): compiled
 // engines and per-layer contexts persist across restarts, so a
@@ -49,7 +43,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -123,8 +116,6 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "evaluation goroutines (0 = one per CPU)")
-	searchWorkers := fs.Int("search-workers", 0,
-		"per-request mapping-search fan-out, budget shared with the worker pool (<= 1 = serial)")
 	mappings := fs.Int("mappings", 0, "default per-layer mapping budget (0 = 60)")
 	cacheEntries := fs.Int("cache", 0, "engine/context cache entries (0 = default)")
 	cacheDir := fs.String("cache-dir", "",
@@ -154,7 +145,6 @@ func runServe(args []string) error {
 	// /v1/experiments can list and regenerate paper artifacts.
 	srv := cimloop.NewServer(cimloop.BatchOptions{
 		Workers:       *workers,
-		SearchWorkers: *searchWorkers,
 		MaxMappings:   *mappings,
 		CacheEntries:  *cacheEntries,
 		CacheDir:      *cacheDir,
@@ -269,8 +259,6 @@ func runExperiments(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	mappings := fs.Int("mappings", 0, "mapping search budget (0 = default)")
 	seed := fs.Int64("seed", 0, "random seed")
-	searchWorkers := fs.Int("search-workers", 0,
-		"per-layer mapping-search fan-out (0 = one per CPU; results identical at any width)")
 	if len(args) == 0 {
 		return fmt.Errorf("run: missing experiment name (try 'cimloop list')")
 	}
@@ -278,7 +266,7 @@ func runExperiments(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	opts := experiments.Options{Fast: *fast, MaxMappings: *mappings, Seed: *seed, SearchWorkers: *searchWorkers}
+	opts := experiments.Options{Fast: *fast, MaxMappings: *mappings, Seed: *seed}
 	names := []string{name}
 	if name == "all" {
 		names = experiments.Names()
@@ -314,8 +302,6 @@ func runSpec(args []string) error {
 	network := fs.String("network", "toy", "workload to evaluate")
 	mappings := fs.Int("mappings", 50, "mapping search budget")
 	seed := fs.Int64("seed", 0, "random seed")
-	searchWorkers := fs.Int("search-workers", 0,
-		"per-layer mapping-search fan-out (0 = one per CPU; results identical at any width)")
 	if len(args) == 0 {
 		return fmt.Errorf("spec: missing file path")
 	}
@@ -339,12 +325,8 @@ func runSpec(args []string) error {
 	if err != nil {
 		return err
 	}
-	sw := *searchWorkers
-	if sw <= 0 {
-		sw = runtime.NumCPU()
-	}
 	res, err := eng.EvaluateNetworkOptsCtx(context.Background(), net, core.SearchOptions{
-		MaxMappings: *mappings, Seed: *seed, SearchWorkers: sw})
+		MaxMappings: *mappings, Seed: *seed})
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -286,62 +285,6 @@ func TestCostBoundUnsafeEnergies(t *testing.T) {
 			}
 			if math.Float64bits(got) != math.Float64bits(r.Energy) {
 				t.Fatalf("weight write energy %v, %s: kernel %v under bound -Inf, EvaluateMapping %v", bad, m, got, r.Energy)
-			}
-		}
-	}
-}
-
-// TestCostBoundParallelPool checks the pool path: every worker bounds by
-// its own best, every call keeps the contract, some are pruned, and the
-// result is the serial search's, on every built-in macro at several
-// widths. CI runs it repeatedly under the race detector.
-func TestCostBoundParallelPool(t *testing.T) {
-	ctx := context.Background()
-	for _, name := range builtinMacros {
-		arch, err := macros.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := core.NewEngine(arch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lctx, err := eng.PrepareLayer(workload.ResNet18().Layers[5])
-		if err != nil {
-			t.Fatal(err)
-		}
-		boundable := eng.Boundable(lctx)
-		want, wantN, err := eng.SearchLayerOptsCtx(ctx, lctx, core.SearchOptions{MaxMappings: 256, Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4} {
-			var mu sync.Mutex
-			var firstErr error
-			pruned := 0
-			got, gotN, err := eng.SearchProbed(ctx, lctx, core.SearchOptions{MaxMappings: 256, Seed: 2, SearchWorkers: workers}, false, func(c core.KernelCall) {
-				p, err := kernelCallErr(boundable, c)
-				mu.Lock()
-				defer mu.Unlock()
-				if p {
-					pruned++
-				}
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if firstErr != nil {
-				t.Fatalf("%s, %d workers: %v", name, workers, firstErr)
-			}
-			if boundable && pruned == 0 {
-				t.Fatalf("%s, %d workers: no candidate pruned", name, workers)
-			}
-			if gotN != wantN || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, %d workers: found %s (%v, %d evaluated), serial %s (%v, %d evaluated)",
-					name, workers, got.Mapping, got.Energy, gotN, want.Mapping, want.Energy, wantN)
 			}
 		}
 	}

@@ -359,37 +359,28 @@ type SearchOptions struct {
 	MaxMappings int
 	// Seed drives candidate sampling.
 	Seed int64
-	// SearchWorkers fans candidate cost evaluations across a bounded
-	// worker pool; <= 1 keeps the serial path. The parallel search returns
-	// bit-identical results (deterministic minimum-cost, lowest-index
-	// winner). One goroutine still generates and copies every candidate,
-	// so a width gains at most the ratio of a serial candidate's cost to
-	// its generation cost; measured on 2-CPU hosts, no width has beaten
-	// the serial path, which also reuses pooled search memory the pool
-	// path does not.
+	// SearchWorkers is read by nothing: every search is serial.
+	//
+	// Deprecated: only bench/ still sets it, and ROADMAP item 4's bench/
+	// change deletes it.
 	SearchWorkers int
 }
 
 // SearchLayerOptsCtx finds the lowest-energy mapping for a prepared
 // layer and returns it with the number of mappings evaluated. The
-// SearchOptions select the budget, seed, and intra-search parallelism.
-// The layer's count-analysis Plan is compiled once per search, in place
-// in pooled memory (the sliced einsum was validated when the context was
-// made), and serves the mapper's candidate validation and the cost
-// kernel. On the serial path each candidate stays in index space: it is
-// checked once, by the indexed load into the search's Scratch that the
-// kernel then analyzes and prices (pricing only, no Result), and the
-// kernel stops at level 0 for a candidate whose outermost level alone
+// SearchOptions select the budget and seed. The layer's count-analysis
+// Plan is compiled once per search, in place in pooled memory (the
+// sliced einsum was validated when the context was made), and serves the
+// mapper's candidate validation and the cost kernel. Each candidate
+// stays in index space: it is checked once, by the indexed load into the
+// search's Scratch that the kernel then analyzes and prices (pricing
+// only, no Result), and the kernel stops at level 0 for a candidate whose outermost level alone
 // already costs more than the best so far (see costKernel), which cannot
 // change the winner; the search's memory is pooled and reused, only a
 // new best is written out with its dim names (into a reused buffer), and
-// the Result is built once, for the winner, in a recycled Scratch. With
-// SearchWorkers > 1 the sampler validates each candidate, writes it with
-// its dim names into a recycled buffer, and candidate evaluations fan
-// across a worker pool (mapper.Search), each worker loading into its own
-// Scratch and bounding by its own best. Pricing sums in a fixed order,
-// so the winner and its Result are bit-identical across runs and worker
-// counts.
+// the Result is built once, for the winner, in a recycled Scratch.
+// Pricing sums in a fixed order, so the winner and its Result are
+// bit-identical across runs.
 //
 // The candidate loop checks for cancellation before each mapping
 // evaluation, so a cancelled or expired context makes the search return
@@ -411,7 +402,7 @@ func (e *Engine) searchLayer(ctx context.Context, lctx *LayerContext, so SearchO
 	}
 	opts := e.mapperOpts
 	opts.MaxMappings, opts.Seed = so.MaxMappings, so.Seed
-	best, evaluated, err := mapper.Search(ctx, plan, e.arch.Levels, lctx.Sliced, opts, so.SearchWorkers, kernel(lctx, plan))
+	best, evaluated, err := mapper.Search(ctx, plan, e.arch.Levels, lctx.Sliced, opts, kernel(lctx, plan))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -501,9 +492,7 @@ func (n *NetworkResult) EnergyPerMAC() float64 {
 // EvaluateNetworkOptsCtx searches the best mapping for every layer of a
 // network (layer i with Seed+i) and aggregates energy and time across
 // repeats. Cancellation is checked between layers and inside each layer's
-// mapping search. SearchWorkers > 1 fans each layer's candidate
-// evaluations across a worker pool for single-request latency, with
-// results bit-identical to the serial search.
+// mapping search.
 func (e *Engine) EvaluateNetworkOptsCtx(ctx context.Context, n *workload.Network, so SearchOptions) (*NetworkResult, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err

@@ -39,9 +39,8 @@ type KernelCall struct {
 }
 
 // SearchProbed runs SearchLayerOptsCtx's search with every kernel call
-// reported to probe (from several goroutines at once when SearchWorkers
-// > 1). With unbounded set the kernel is given +Inf instead of the
-// search's bound, so it prices every candidate in full.
+// reported to probe. With unbounded set the kernel is given +Inf instead
+// of the search's bound, so it prices every candidate in full.
 func (e *Engine) SearchProbed(ctx context.Context, lctx *LayerContext, so SearchOptions, unbounded bool, probe func(KernelCall)) (*Result, int, error) {
 	return e.searchLayer(ctx, lctx, so, func(lctx *LayerContext, plan *mapping.Plan) mapper.CostFunc {
 		kernel := e.costKernel(lctx, plan)

@@ -83,7 +83,7 @@ func TestSearchStateReuseMatchesFresh(t *testing.T) {
 				return 0, fmt.Errorf("rejected %s", &m)
 			}
 			jobs = append(jobs, job{fmt.Sprintf("%s/%s/all fail", name, l.Name), true, func() searchOutcome {
-				r, n, err := mapper.Search(context.Background(), plan, arch.Levels, lctx.Sliced, arch.MapperOptions(16, 3), 1, reject)
+				r, n, err := mapper.Search(context.Background(), plan, arch.Levels, lctx.Sliced, arch.MapperOptions(16, 3), reject)
 				return searchOutcome{r, n, err}
 			}})
 		}

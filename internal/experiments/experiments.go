@@ -24,11 +24,6 @@ type Options struct {
 	MaxMappings int
 	Seed        int64
 	Workers     int
-	// SearchWorkers fans each layer's candidate mapping evaluations
-	// across a worker pool on the single-network paths (0: match Workers).
-	// Results are bit-identical to serial search, so figures are
-	// reproduced faster, not differently.
-	SearchWorkers int
 }
 
 func (o Options) mappings() int {
@@ -46,13 +41,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.NumCPU()
-}
-
-func (o Options) searchWorkers() int {
-	if o.SearchWorkers > 0 {
-		return o.SearchWorkers
-	}
-	return o.workers()
 }
 
 // steps returns the value-level simulation length.
@@ -128,19 +116,16 @@ func Run(name string, o Options) ([]*report.Table, error) {
 	return r(o)
 }
 
-// evalNet evaluates a network on an architecture with the option budget.
-// Single-network figure paths (the ones no grid sweep covers) get their
-// parallelism here: each layer's candidate evaluations fan across the
-// search workers, with answers identical to the serial evaluator.
+// evalNet evaluates a network on an architecture with the option budget
+// (the single-network figure paths, the ones no grid sweep covers).
 func evalNet(arch *core.Arch, net *workload.Network, o Options) (*core.NetworkResult, error) {
 	eng, err := core.NewEngine(arch)
 	if err != nil {
 		return nil, err
 	}
 	return eng.EvaluateNetworkOptsCtx(context.Background(), net, core.SearchOptions{
-		MaxMappings:   o.mappings(),
-		Seed:          o.Seed,
-		SearchWorkers: o.searchWorkers(),
+		MaxMappings: o.mappings(),
+		Seed:        o.Seed,
 	})
 }
 

@@ -34,7 +34,7 @@ func Devices(o Options) ([]*report.Table, error) {
 			return nil, err
 		}
 		res, err := eng.EvaluateNetworkOptsCtx(context.Background(), net, core.SearchOptions{
-			MaxMappings: o.mappings(), Seed: o.Seed, SearchWorkers: o.searchWorkers()})
+			MaxMappings: o.mappings(), Seed: o.Seed})
 		if err != nil {
 			return nil, err
 		}

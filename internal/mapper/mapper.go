@@ -115,7 +115,7 @@ func Sample(levels []spec.Level, e *tensor.Einsum, opts Options) ([]*mapping.Map
 
 // searchState is the mutable memory of one search: the sampler's tables
 // and buffers, the rand source, the Scratch every candidate is loaded
-// into and the serial path's best-so-far buffer. Searches take one from
+// into and the search's best-so-far buffer. Searches take one from
 // states and release it when they return, so the memory is reused instead
 // of rebuilt, and the pool holds about one state per search running at
 // once: it is bounded by concurrency, not by how many layers or

@@ -226,7 +226,7 @@ func TestSearchMinimizesCost(t *testing.T) {
 		}
 		return float64(c.MACs), nil
 	}
-	best, n, err := search(t, context.Background(), levels, e, opts, 1, cost)
+	best, n, err := search(t, context.Background(), levels, e, opts, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSearchAllCandidatesFail(t *testing.T) {
 	opts := defaultOpts()
 	opts.MaxMappings = 5
 	wantErr := errors.New("boom")
-	_, _, err := search(t, context.Background(), levels, e, opts, 1, func(*mapping.Mapping) (float64, error) {
+	_, _, err := search(t, context.Background(), levels, e, opts, func(*mapping.Mapping) (float64, error) {
 		return 0, wantErr
 	})
 	if !errors.Is(err, wantErr) {
@@ -258,7 +258,7 @@ func TestSearchSkipsFailingCandidates(t *testing.T) {
 	opts := defaultOpts()
 	opts.MaxMappings = 10
 	calls := 0
-	best, _, err := search(t, context.Background(), levels, e, opts, 1, func(m *mapping.Mapping) (float64, error) {
+	best, _, err := search(t, context.Background(), levels, e, opts, func(m *mapping.Mapping) (float64, error) {
 		calls++
 		if calls%2 == 0 {
 			return 0, errors.New("flaky")

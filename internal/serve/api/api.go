@@ -57,12 +57,6 @@ type EvalRequest struct {
 	// Seed drives the mapping search (layer i uses Seed+i, matching the
 	// sequential evaluator).
 	Seed int64 `json:"seed,omitempty"`
-	// SearchWorkers overrides the server's intra-request search fan-out
-	// for this request: > 1 is a fixed width, 0 keeps the server default,
-	// anything else searches serially. The effective width is still
-	// clamped by the shared concurrency budget, so a request cannot
-	// oversubscribe a busy pool; answers are identical at any width.
-	SearchWorkers int `json:"search_workers,omitempty"`
 }
 
 // EvalResult is one completed evaluation — the response of POST
@@ -244,23 +238,16 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// BudgetStats snapshots the shared evaluation-concurrency budget
-// (healthz "search" section).
+// BudgetStats snapshots the server's search counters (healthz "search"
+// section).
 type BudgetStats struct {
-	// Capacity is the total evaluation-concurrency budget (max of the
-	// request pool width and the default search fan-out).
-	Capacity int `json:"capacity"`
-	// Available is the instantaneous unclaimed share of the budget.
-	Available int `json:"available"`
-	// SearchWorkers is the server's default per-request search fan-out
-	// (1 = serial searches unless a request asks for more).
-	SearchWorkers int `json:"search_workers"`
-	// BlockedAcquires is retired and always 0: budget acquisition never
-	// blocks. The field stays for readers of earlier healthz output.
+	// BlockedAcquires is retired and always 0: no search waits for a
+	// concurrency token. The field stays for readers of earlier healthz
+	// output.
 	BlockedAcquires uint64 `json:"blocked_acquires"`
-	// AdaptivePlans is retired and always 0: the search width is fixed
-	// configuration, never tuned per layer. The field stays for readers
-	// of earlier healthz output.
+	// AdaptivePlans is retired and always 0: every search is serial, so
+	// no width is tuned. The field stays for readers of earlier healthz
+	// output.
 	AdaptivePlans uint64 `json:"adaptive_plans,omitempty"`
 	// MappingsEvaluated is the lifetime count of candidate mappings costed
 	// by this server across all requests. Monotonic, so two reads bracket

@@ -40,7 +40,7 @@ func goldenCases() []struct {
 		{"eval_request", EvalRequest{
 			Tag: "t", Macro: "macro-b", Scenario: "weight-stationary",
 			SystemMacros: 4, Network: "resnet18", Layers: 3,
-			MaxMappings: 60, Seed: 7, SearchWorkers: 8,
+			MaxMappings: 60, Seed: 7,
 		}},
 		{"eval_request_spec", EvalRequest{Spec: "container ...", Network: "toy"}},
 		{"eval_result", EvalResult{
@@ -104,8 +104,7 @@ func goldenCases() []struct {
 			Version:   Version,
 			UptimeSec: 12.5,
 			Cache:     CacheStats{Hits: 10, Misses: 2, Evictions: 1, Entries: 9, Restored: 4, Compiles: 6},
-			Search: BudgetStats{Capacity: 8, Available: 3, SearchWorkers: 4,
-				BlockedAcquires: 2, MappingsEvaluated: 1200},
+			Search:    BudgetStats{BlockedAcquires: 2, MappingsEvaluated: 1200},
 			Persist: PersistStats{
 				Enabled: true,
 				Warm:    WarmStats{Engines: 1, Contexts: 2, Skipped: 1},

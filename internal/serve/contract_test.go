@@ -46,10 +46,17 @@ func TestErrorEnvelopeMalformedAndUnknown(t *testing.T) {
 	if code, _ := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" {
 		t.Fatalf("unknown field: %d %v", status, out)
 	}
-	// A removed field is an unknown one, named in the message.
-	status, out = do("POST", "/v1/evaluate", `{"macro": "base", "network": "toy", "max_mappings": 2, "sample_shards": 2}`)
-	if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, "sample_shards") {
-		t.Fatalf("removed sample_shards field: %d %v", status, out)
+	// A removed field is an unknown one, named in the message, on its own
+	// and inside a sweep's requests[] entry.
+	for _, c := range []struct{ path, field, body string }{
+		{"/v1/evaluate", "sample_shards", `{"macro": "base", "network": "toy", "max_mappings": 2, "sample_shards": 2}`},
+		{"/v1/evaluate", "search_workers", `{"macro": "base", "network": "toy", "max_mappings": 2, "search_workers": 4}`},
+		{"/v1/sweep", "search_workers", `{"requests": [{"macro": "base", "network": "toy", "max_mappings": 2, "search_workers": 4}]}`},
+	} {
+		status, out = do("POST", c.path, c.body)
+		if code, msg := envelope(t, out); status != http.StatusBadRequest || code != "invalid_request" || !strings.Contains(msg, c.field) {
+			t.Fatalf("removed %s field on %s: %d %v", c.field, c.path, status, out)
+		}
 	}
 	// Semantically invalid request.
 	status, out = do("POST", "/v1/evaluate", `{"macro": "no-such", "network": "toy"}`)

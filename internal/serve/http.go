@@ -18,7 +18,7 @@ import (
 // and response body and the error envelope — is defined in
 // internal/serve/api and documented in docs/API.md:
 //
-//	GET  /healthz               liveness + cache/budget/persist/obs
+//	GET  /healthz               liveness + cache/search/persist/obs
 //	                            stats (a JSON view of the same producers
 //	                            /metrics exposes)
 //	GET  /metrics               Prometheus text exposition of the

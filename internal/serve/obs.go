@@ -32,7 +32,7 @@ func (o BatchOptions) slowLogSize() int {
 }
 
 // serverMetrics holds the hot-path instruments. Everything snapshot-
-// shaped (cache/budget/persist stats) is instead emitted
+// shaped (cache/search/persist stats) is instead emitted
 // by the registry collector at scrape time — one producer, two views.
 type serverMetrics struct {
 	reg *obs.Registry
@@ -109,10 +109,7 @@ func (s *Server) registerCollectors() {
 		e.Counter("cimloop_prepare_memo_fills_total", "Layer-preparation memo lookups that computed their entry, by kind.", float64(ops.Fills), "kind", "operand")
 		e.Counter("cimloop_prepare_memo_fills_total", "", float64(sums.Fills), "kind", "sum")
 
-		bs := s.SearchStats()
-		e.Gauge("cimloop_search_budget_capacity", "Shared evaluation-concurrency budget size.", float64(bs.Capacity))
-		e.Gauge("cimloop_search_budget_available", "Free budget tokens (instantaneous).", float64(bs.Available))
-		e.Counter("cimloop_mappings_evaluated_total", "Candidate mappings evaluated since boot.", float64(bs.MappingsEvaluated))
+		e.Counter("cimloop_mappings_evaluated_total", "Candidate mappings evaluated since boot.", float64(s.SearchStats().MappingsEvaluated))
 
 		if ps := s.PersistStats(); ps.Enabled {
 			st := ps.Cache

@@ -53,16 +53,10 @@ type BatchOptions struct {
 	// requests that do not set their own (default 60, matching the
 	// experiment runner).
 	MaxMappings int
-	// SearchWorkers is the default intra-request mapping-search fan-out:
-	// each layer's candidate evaluations spread across up to this many
-	// goroutines. Parallel search is bit-identical to serial —
-	// deterministic minimum-cost, lowest-index winner — so the knob only
-	// trades goroutines for single-request latency. > 1 is a fixed width;
-	// anything else (the zero value included) searches serially. The
-	// fan-out draws on a concurrency budget shared with the request-level
-	// worker pool, so nested parallelism never oversubscribes: a saturated
-	// pool degrades searches to serial, a lone request gets the whole
-	// budget.
+	// SearchWorkers is read by nothing: every search is serial.
+	//
+	// Deprecated: only bench/ still sets it, and ROADMAP item 4's bench/
+	// change deletes it.
 	SearchWorkers int
 	// CacheEntries bounds the engine/context cache (default
 	// DefaultCacheEntries), and separately the preparation memo its
@@ -132,21 +126,11 @@ func (o BatchOptions) mappings() int {
 	return 60
 }
 
-// searchWorkers resolves the configured default fan-out: > 1 is that
-// fixed width, anything else is serial (1).
-func (o BatchOptions) searchWorkers() int { return max(o.SearchWorkers, 1) }
-
-// budgetCapacity sizes the shared concurrency budget: wide enough for the
-// request pool at full tilt, and for the configured search fan-out when a
-// single request has the server to itself.
-func (o BatchOptions) budgetCapacity() int { return max(o.workers(), o.searchWorkers()) }
-
 // Server owns the shared cache and worker bound. It is safe for
 // concurrent use; one Server is meant to outlive many requests.
 type Server struct {
 	opts    BatchOptions
 	cache   *Cache
-	budget  *tokenBudget
 	persist persistState
 	start   time.Time
 	// met and slow are the observability spine (see obs.go): every
@@ -185,10 +169,9 @@ type Server struct {
 // optional.
 func NewServer(opts BatchOptions) *Server {
 	s := &Server{
-		opts:   opts,
-		cache:  NewCache(opts.CacheEntries),
-		budget: newTokenBudget(opts.budgetCapacity()),
-		start:  time.Now(),
+		opts:  opts,
+		cache: NewCache(opts.CacheEntries),
+		start: time.Now(),
 	}
 	s.met = newServerMetrics(obs.NewRegistry())
 	s.slow = obs.NewSlowLog(opts.slowLogSize(), opts.SlowThreshold)
@@ -203,14 +186,13 @@ func NewServer(opts BatchOptions) *Server {
 // CacheStats snapshots the shared cache counters.
 func (s *Server) CacheStats() Stats { return s.cache.Stats() }
 
-// SearchStats snapshots the shared evaluation-concurrency budget.
+// BudgetStats snapshots the server's search counters for /healthz (the
+// wire type api.BudgetStats).
+type BudgetStats = api.BudgetStats
+
+// SearchStats snapshots the server's search counters.
 func (s *Server) SearchStats() BudgetStats {
-	return BudgetStats{
-		Capacity:          s.budget.capacity(),
-		Available:         s.budget.available(),
-		SearchWorkers:     s.opts.searchWorkers(),
-		MappingsEvaluated: s.mappingsEvaluated.Load(),
-	}
+	return BudgetStats{MappingsEvaluated: s.mappingsEvaluated.Load()}
 }
 
 // Close flushes and closes the durable cache store, if any. The cache
@@ -381,19 +363,6 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 	if mappings <= 0 {
 		mappings = s.opts.mappings()
 	}
-	// Per-request search_workers: > 1 fixed width, omitted (0) the
-	// server default, anything else serial.
-	width := s.opts.searchWorkers()
-	if req.SearchWorkers != 0 {
-		width = max(req.SearchWorkers, 1)
-	}
-	// Every evaluating goroutine — a sweep worker or a direct caller —
-	// holds one budget token for the duration of its request, so the
-	// budget is a single cap on actively-evaluating goroutines. Best
-	// effort: a caller that finds the budget empty proceeds anyway
-	// (requests must be served), it just cannot borrow fan-out extras.
-	self := s.budget.tryAcquire(1)
-	defer s.budget.release(self)
 	// core.Engine.EvaluateNetworkOptsCtx's loop, but each layer's
 	// amortized context comes from the cache instead of being re-prepared.
 	// The contexts are fetched first: those another request is preparing,
@@ -433,18 +402,11 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// The calling goroutine is one search worker for free; extras are
-		// borrowed per layer from the shared budget so concurrent requests
-		// split the machine instead of stacking goroutines. Returned
-		// between layers, the tokens keep the split fluid.
-		extra := s.budget.tryAcquire(width - 1)
 		searchStart := time.Now()
 		r, evaluated, err := eng.SearchLayerOptsCtx(ctx, lctxs[i], core.SearchOptions{
-			MaxMappings:   mappings,
-			Seed:          req.Seed + int64(i),
-			SearchWorkers: 1 + extra,
+			MaxMappings: mappings,
+			Seed:        req.Seed + int64(i),
 		})
-		s.budget.release(extra)
 		sp.Observe("search", time.Since(searchStart))
 		if err != nil {
 			return nil, fmt.Errorf("serve: network %q layer %q: %w", net.Name, l.Name, err)
@@ -547,9 +509,6 @@ func (s *Server) SweepCtx(ctx context.Context, reqs []Request, workers int, onDo
 				itemStart := time.Now()
 				sp := obs.NewSpan("sweep-item")
 				sp.Observe("queue", itemStart.Sub(sweepStart))
-				// EvaluateCtx itself holds one budget token per in-flight
-				// evaluation, so the pool and any intra-request fan-out
-				// share one global concurrency cap.
 				res, err := s.EvaluateCtx(obs.ContextWith(ctx, sp), reqs[i])
 				if err != nil {
 					if ctx.Err() != nil {

@@ -39,7 +39,6 @@ func Generate(seed int64) (*Definition, string, error) {
 	}
 
 	mappings := 2 + rng.Intn(5)   // 2..6
-	workers := rng.Intn(4) - 1    // -1..2
 	layers := rng.Intn(3)         // 0..2
 	evalSeed := rng.Intn(1 << 16) // deterministic per definition
 
@@ -86,7 +85,6 @@ func Generate(seed int64) (*Definition, string, error) {
 	} else {
 		fmt.Fprintf(&b, "  max_mappings: %d\n", mappings)
 	}
-	fmt.Fprintf(&b, "  search_workers: %d\n", workers)
 	fmt.Fprintf(&b, "layers: %d\n", layers)
 	fmt.Fprintf(&b, "seed: %d\n", evalSeed)
 

@@ -30,7 +30,6 @@
 //	  system_macros: [1, 4]
 //	budgets:
 //	  max_mappings: "{mappings}"
-//	  search_workers: 0
 //	layers: 0
 //	seed: 0
 //
@@ -97,10 +96,9 @@ type Definition struct {
 
 	// Budgets and workload shaping. Each is an int literal or a "{param}"
 	// string.
-	MaxMappings   any
-	SearchWorkers any
-	Layers        any
-	Seed          any
+	MaxMappings any
+	Layers      any
+	Seed        any
 
 	// File is the path the definition was loaded from ("" when parsed
 	// from text without one).
@@ -343,8 +341,6 @@ func (d *Definition) parseBudgets(v any) error {
 		switch key {
 		case "max_mappings":
 			d.MaxMappings = raw
-		case "search_workers":
-			d.SearchWorkers = raw
 		default:
 			return errf(d.File, lineOf(d.text, "budgets"), "unknown budget %q", key)
 		}
@@ -600,7 +596,6 @@ func (d *Definition) Compile(args map[string]any) ([]api.EvalRequest, error) {
 		min  int
 	}{
 		{"budgets.max_mappings", d.MaxMappings, 0},
-		{"budgets.search_workers", d.SearchWorkers, -1 << 30},
 		{"layers", d.Layers, 0},
 		{"seed", d.Seed, -1 << 30},
 	} {
@@ -629,14 +624,13 @@ func (d *Definition) Compile(args map[string]any) ([]api.EvalRequest, error) {
 			for _, sc := range scenarioAxis {
 				for _, sm := range sysAxis {
 					reqs = append(reqs, api.EvalRequest{
-						Macro:         m,
-						Network:       n,
-						Scenario:      sc,
-						SystemMacros:  sm,
-						Layers:        ints["layers"],
-						MaxMappings:   ints["budgets.max_mappings"],
-						SearchWorkers: ints["budgets.search_workers"],
-						Seed:          int64(ints["seed"]),
+						Macro:        m,
+						Network:      n,
+						Scenario:     sc,
+						SystemMacros: sm,
+						Layers:       ints["layers"],
+						MaxMappings:  ints["budgets.max_mappings"],
+						Seed:         int64(ints["seed"]),
 					})
 				}
 			}

@@ -27,7 +27,6 @@ axes:
   system_macros: [1, 4]
 budgets:
   max_mappings: "{mappings}"
-  search_workers: 0
 layers: 1
 seed: 7
 `
@@ -168,6 +167,14 @@ axes:
 budgets:
   sample_shards: 2
 `,
+		"removed budget search_workers": `name: x
+axes:
+  macros: [base]
+  networks: [toy]
+budgets:
+  max_mappings: 4
+  search_workers: 2
+`,
 		"removed key priority": `name: x
 priority: batch
 axes:
@@ -177,8 +184,9 @@ axes:
 	}
 	// Cases whose message is pinned beyond the file/line attribution.
 	wantMsg := map[string]string{
-		"removed budget sample_shards": `bad.yaml: line 5: unknown budget "sample_shards"`,
-		"removed key priority":         `bad.yaml: line 2: unknown key "priority"`,
+		"removed budget sample_shards":  `bad.yaml: line 5: unknown budget "sample_shards"`,
+		"removed budget search_workers": `bad.yaml: line 5: unknown budget "search_workers"`,
+		"removed key priority":          `bad.yaml: line 2: unknown key "priority"`,
 	}
 	for name, doc := range cases {
 		_, err := Parse("bad.yaml", doc)

@@ -4,6 +4,7 @@
 #   - error envelopes with stable codes on unknown routes/methods and
 #     oversized bodies (never net/http plain text)
 #   - the removed job routes answer the 404 not_found envelope
+#   - the removed search_workers field is a 400 naming the field
 #   - a 20-item grid answers synchronously (200) with every result
 #
 # Run from the repo root:  ./scripts/api_smoke.sh
@@ -50,6 +51,11 @@ for ROUTE in "GET /v1/jobs" "POST /v1/jobs" "GET /v1/jobs/job-000001"; do
   CODE=$(curl -s -X "${ROUTE% *}" "$BASE${ROUTE#* }" | jq -r .code)
   [ "$CODE" = not_found ] || fail "removed route $ROUTE answered $CODE, not not_found"
 done
+STATUS=$(curl -s -o "$WORK/removed.json" -w '%{http_code}' "$BASE/v1/evaluate" \
+  -d '{"macro": "base", "network": "toy", "max_mappings": 2, "search_workers": 4}')
+[ "$STATUS" = 400 ] || fail "search_workers answered $STATUS, not 400"
+[ "$(jq -r .code "$WORK/removed.json")" = invalid_request ] || fail "search_workers: $(cat "$WORK/removed.json")"
+jq -r .message "$WORK/removed.json" | grep -q search_workers || fail "400 does not name search_workers: $(cat "$WORK/removed.json")"
 
 echo "api_smoke: a 20-item grid answers synchronously"
 GRID='{"macros": ["base", "macro-a", "macro-b", "macro-c", "macro-d"],
@@ -61,4 +67,4 @@ STATUS=$(curl -s -o "$WORK/sweep.json" -w '%{http_code}' "$BASE/v1/sweep" -d "$G
 
 kill -TERM "$PID" && wait "$PID" || fail "server exited non-zero on SIGTERM"
 PID=""
-echo "api_smoke: PASS — envelopes typed, removed job routes 404, grids answered synchronously"
+echo "api_smoke: PASS — envelopes typed, removed job routes 404, removed fields 400, grids answered synchronously"
