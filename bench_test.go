@@ -265,6 +265,30 @@ func BenchmarkEvaluateRequestWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateRequestNewSystem measures a cold /v1/evaluate as the
+// serve-mixed benchmark sends it: the base macro in a weight-stationary
+// system of a macro count no earlier request named, over all of
+// mobilenetv3-large at 16 mappings, on a server that has evaluated that
+// macro, scenario and network before. Each iteration compiles a new
+// engine and prepares every layer context; the operand stages and
+// column sums come from the server's preparation memo.
+func BenchmarkEvaluateRequestNewSystem(b *testing.B) {
+	srv := NewServer(BatchOptions{})
+	req := EvalRequest{Macro: "base", Network: "mobilenetv3-large", Scenario: WeightStationary.String(),
+		SystemMacros: 1, MaxMappings: 16}
+	if _, err := srv.EvaluateCtx(context.Background(), req); err != nil { // prime the memo
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.SystemMacros = 2 + i
+		if _, err := srv.EvaluateCtx(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMappingsPerSecond reports the paper's Table II headline metric
 // directly as mappings/sec on one core.
 func BenchmarkMappingsPerSecond(b *testing.B) {
@@ -334,6 +358,7 @@ func BenchmarkSweepColdCache(b *testing.B) {
 // layer's operands once and sums each column once.
 func BenchmarkSweepColdScenarios(b *testing.B) {
 	grid := benchSweepGrid("", AllDRAM.String(), WeightStationary.String(), OnChipIO.String())
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		srv := NewServer(BatchOptions{Workers: 1})
 		runGrid(b, srv, grid, 1)

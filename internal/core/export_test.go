@@ -101,18 +101,12 @@ func (m *PrepareMemo) Kinds() (operands, sums int) {
 
 // HoldSums starts, on e's memo, a fill of the column sum of l's cell
 // product at every depth of ColumnSumDepths, each held until release is
-// called; release then waits for the fills to finish. The memo must hold
-// none of those sums yet.
+// called; release then waits for the fills to finish. It first fills
+// l's operand stage under the statistics key PrepareLayer and
+// TryPrepareLayer look it up by. The memo must hold none of those sums
+// yet.
 func (e *Engine) HoldSums(l workload.Layer) (release func(), err error) {
-	inPMF, err := l.InputPMF(e.arch.InputBits)
-	if err != nil {
-		return nil, err
-	}
-	wPMF, err := l.WeightPMF(e.arch.WeightBits)
-	if err != nil {
-		return nil, err
-	}
-	ops, err := e.memo.operands(e.arch, inPMF, wPMF, true)
+	ops, err := e.memo.layerOperands(e.arch, &l, true)
 	if err != nil {
 		return nil, err
 	}

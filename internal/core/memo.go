@@ -8,21 +8,31 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/memo"
+	"repro/internal/workload"
 )
 
 // columnSumCap is the value a column sum saturates at (columnSumPMF).
 const columnSumCap = 256
 
-// PrepareMemo memoizes the two content-addressed stages of a layer
-// preparation (PrepareLayerWithPMFs) by the SHA-256 digest of their exact
-// inputs, the content addressing the serving cache's keys use too:
+// PrepareMemo memoizes the two stages of a layer preparation that depend
+// only on the layer's operand values, by the SHA-256 digest of what they
+// read:
 //
 //   - the operand stage — both operands encoded, sliced, and multiplied
-//     into the cell-product PMF — keyed by the resolved input and weight
-//     encoding names, InputBits, DACBits, WeightBits and CellBits, and
-//     every value and probability bit of both operand PMFs (operandKey);
+//     into the cell-product PMF. Each entry has one of two keys, after
+//     where its operand PMFs come from. A layer whose PMFs are
+//     synthesized from its statistics (PrepareLayer, TryPrepareLayer) is
+//     keyed by those statistics (statsKey): every field of its ActStats
+//     and WeightStats, the unresolved input and weight encoding names,
+//     InputBits, DACBits, WeightBits and CellBits; the PMFs are then
+//     synthesized only when the entry is filled. Caller-supplied PMFs
+//     (PrepareLayerWithPMFs) are keyed by content (operandKey): the
+//     resolved encoding names, the same four precisions, and every value
+//     and probability bit of both PMFs. The two keys' digested bytes
+//     never coincide, so neither finds the other's entries;
 //   - the column sums, SumNCapped(cell, depth, columnSumCap).Rebin(512),
-//     keyed by the cell product's bits (cellKey) and the reduction depth.
+//     keyed by the cell product's bits (cellKey) and the reduction depth,
+//     whichever key found the cell product.
 //
 // Two preparations that agree on a key — the same macro wrapped in
 // different systems, or layers with equal operand statistics — compute it
@@ -60,7 +70,7 @@ const (
 
 type memoKey struct {
 	kind   memoKind
-	digest [sha256.Size]byte // operandKey or cellKey
+	digest [sha256.Size]byte // statsKey, operandKey or cellKey
 	depth  int64             // column sums only
 }
 
@@ -99,20 +109,55 @@ func cellKey(p *dist.PMF) [sha256.Size]byte {
 	return sha256.Sum256(appendPMF(make([]byte, 0, 8+16*p.Len()), p))
 }
 
+// appendName appends a length-delimited name to b.
+func appendName(b []byte, name string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(name)))
+	return append(b, name...)
+}
+
+// appendPrecisions appends the four operand and slice precisions the
+// operand stage reads.
+func appendPrecisions(b []byte, a *Arch) []byte {
+	for _, bits := range [...]int{a.InputBits, a.DACBits, a.WeightBits, a.CellBits} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(bits))
+	}
+	return b
+}
+
 // operandKey digests everything the operand stage reads: the resolved
 // encoding names, the four operand and slice precisions, and both operand
 // PMFs.
 func operandKey(a *Arch, inEnc, wEnc string, inPMF, wPMF *dist.PMF) [sha256.Size]byte {
 	b := make([]byte, 0, 8*8+len(inEnc)+len(wEnc)+16*(inPMF.Len()+wPMF.Len()))
-	for _, name := range []string{inEnc, wEnc} {
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(name)))
-		b = append(b, name...)
-	}
-	for _, bits := range []int{a.InputBits, a.DACBits, a.WeightBits, a.CellBits} {
-		b = binary.LittleEndian.AppendUint64(b, uint64(bits))
-	}
+	b = appendPrecisions(appendName(appendName(b, inEnc), wEnc), a)
 	b = appendPMF(b, inPMF)
 	return sha256.Sum256(appendPMF(b, wPMF))
+}
+
+// statsTag opens every statsKey input. An operandKey input opens with the
+// length of an encoding name, which is never 2^64-1, so no input of one
+// key is an input of the other.
+const statsTag = math.MaxUint64
+
+// statsKey digests everything the operand stage of a layer with
+// statistics act and wgt reads when its operand PMFs are synthesized
+// from them: the unresolved encoding names (the input encoding resolves
+// by the synthesized input's sign, and a signed layer whose negative
+// mass underflows synthesizes an unsigned PMF), the four operand and
+// slice precisions, and every field of act and wgt.
+func statsKey(a *Arch, act workload.ActStats, wgt workload.WeightStats) [sha256.Size]byte {
+	var buf [256]byte
+	b := binary.LittleEndian.AppendUint64(buf[:0], statsTag)
+	b = appendPrecisions(appendName(appendName(b, a.InputEncoding), a.WeightEncoding), a)
+	var signed uint64
+	if act.Signed {
+		signed = 1
+	}
+	b = binary.LittleEndian.AppendUint64(b, signed)
+	for _, f := range [...]float64{act.Sparsity, act.Mean, act.Std, act.Corr, wgt.Std} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return sha256.Sum256(b)
 }
 
 // get returns k's value, running fill at most once while its entry is
@@ -135,14 +180,27 @@ func (m *PrepareMemo) get(k memoKey, wait bool, fill func() (any, error)) (any, 
 
 // operands returns the operand stage of a layer with operand PMFs inPMF
 // and wPMF on architecture a, preparing it at most once while its entry
-// is held (see get for wait).
-func (m *PrepareMemo) operands(a *Arch, inPMF, wPMF *dist.PMF, wait bool) (*operandStage, error) {
+// is held.
+func (m *PrepareMemo) operands(a *Arch, inPMF, wPMF *dist.PMF) (*operandStage, error) {
 	inEnc := a.ResolveInputEncoding(inPMF.Min() < 0)
 	wEnc := a.ResolveWeightEncoding()
 	k := memoKey{kind: operandEntry, digest: operandKey(a, inEnc, wEnc, inPMF, wPMF)}
-	v, err := m.get(k, wait, func() (any, error) {
+	return stage(m.get(k, true, func() (any, error) {
 		return prepareOperands(a, inEnc, wEnc, inPMF, wPMF)
-	})
+	}))
+}
+
+// layerOperands returns the operand stage of layer l on architecture a,
+// its operand PMFs synthesized from l's statistics, preparing it at most
+// once while its entry is held (see get for wait). Synthesis runs only
+// in the fill.
+func (m *PrepareMemo) layerOperands(a *Arch, l *workload.Layer, wait bool) (*operandStage, error) {
+	k := memoKey{kind: operandEntry, digest: statsKey(a, l.Act, l.Wgt)}
+	return stage(m.get(k, wait, func() (any, error) { return synthesizeOperands(a, l) }))
+}
+
+// stage returns an operand-stage lookup's result as its type.
+func stage(v any, err error) (*operandStage, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -419,7 +420,8 @@ func TestPrepareMemoOperandKey(t *testing.T) {
 
 // TestPrepareMemoDropsFailures: an operand stage that fails (a
 // non-integer input on macro D's unsigned encoding) leaves no entry, and
-// the engine then prepares a valid layer as if it never failed.
+// the engine then prepares a valid layer as if it never failed; so does
+// a layer whose operand synthesis fails.
 func TestPrepareMemoDropsFailures(t *testing.T) {
 	arch, err := macros.ByName("macro-d")
 	if err != nil {
@@ -448,6 +450,23 @@ func TestPrepareMemoDropsFailures(t *testing.T) {
 	}
 	if operands, _ := memo.Kinds(); operands != 1 {
 		t.Fatalf("memo holds %d operand stages after one valid preparation, want 1", operands)
+	}
+
+	// Synthesis runs inside the statistics-keyed fill: a layer whose
+	// input Gaussian underflows fails there, by either preparation, and
+	// leaves no entry behind, not even one a no-wait lookup finds busy.
+	bad := l
+	bad.Act = workload.ActStats{Sparsity: 0.1, Mean: 0.503, Std: 1e-5}
+	for range 2 {
+		if _, err := shared.TryPrepareLayer(bad); err == nil || errors.Is(err, core.ErrPrepareBusy) {
+			t.Fatalf("TryPrepareLayer of an underflowing layer: err = %v, want its synthesis error", err)
+		}
+		if _, err := shared.PrepareLayer(bad); err == nil || !strings.Contains(err.Error(), "zero total probability") {
+			t.Fatalf("PrepareLayer of an underflowing layer: err = %v, want its synthesis error", err)
+		}
+	}
+	if operands, _ := memo.Kinds(); operands != 1 {
+		t.Fatalf("memo holds %d operand stages after failed syntheses, want 1", operands)
 	}
 }
 
@@ -516,4 +535,299 @@ func mustTry(t *testing.T, eng *core.Engine, l workload.Layer) *core.LayerContex
 		t.Fatal(err)
 	}
 	return ctx
+}
+
+// statsVariant is one layer preparation of TestPrepareMemoStatsKey: the
+// base macro edited by arch, preparing layer.
+type statsVariant struct {
+	name  string
+	arch  func(a *core.Arch)
+	layer workload.Layer
+}
+
+// perturbed returns a copy of s with its field i moved to another valid
+// value, failing the test for a field kind it cannot move.
+func perturbed[S any](t *testing.T, s S, i int) S {
+	t.Helper()
+	v := reflect.ValueOf(&s).Elem()
+	f := v.Field(i)
+	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.Float64:
+		f.SetFloat(f.Float() + 0.05)
+	default:
+		t.Fatalf("%s.%s: no perturbation for kind %v: add one, and key the field in statsKey",
+			v.Type().Name(), v.Type().Field(i).Name, f.Kind())
+	}
+	return s
+}
+
+// statsVariants lists a preparation per statistics-key field of l on the
+// base macro: each ActStats and WeightStats field, found by reflection so
+// a field added to either struct is varied too, and each arch field the
+// key reads. l must be signed: the base macro's "unsigned" input
+// encoding then resolves to "offset", so setting the input encoding to
+// "offset", and the weight encoding to "" (which resolves to the base
+// macro's "offset"), changes no resolved encoding: the key holds them
+// unresolved.
+func statsVariants(t *testing.T, l workload.Layer) []statsVariant {
+	t.Helper()
+	same := func(*core.Arch) {}
+	vs := []statsVariant{{"base", same, l}}
+	act := reflect.TypeOf(l.Act)
+	for i := 0; i < act.NumField(); i++ {
+		v := l
+		v.Act = perturbed(t, l.Act, i)
+		vs = append(vs, statsVariant{"Act." + act.Field(i).Name, same, v})
+	}
+	wgt := reflect.TypeOf(l.Wgt)
+	for i := 0; i < wgt.NumField(); i++ {
+		v := l
+		v.Wgt = perturbed(t, l.Wgt, i)
+		vs = append(vs, statsVariant{"Wgt." + wgt.Field(i).Name, same, v})
+	}
+	for _, e := range []struct {
+		name string
+		edit func(a *core.Arch)
+	}{
+		{"input-encoding", func(a *core.Arch) { a.InputEncoding = "twos-complement" }},
+		{"input-encoding-unresolved", func(a *core.Arch) { a.InputEncoding = "offset" }},
+		{"weight-encoding", func(a *core.Arch) { a.WeightEncoding = "twos-complement" }},
+		{"weight-encoding-unresolved", func(a *core.Arch) { a.WeightEncoding = "" }},
+		{"input-bits", func(a *core.Arch) { a.InputBits = 7 }},
+		{"dac-bits", func(a *core.Arch) { a.DACBits = 2 }},
+		{"weight-bits", func(a *core.Arch) { a.WeightBits = 7 }},
+		{"cell-bits", func(a *core.Arch) { a.CellBits = 1 }},
+	} {
+		vs = append(vs, statsVariant{e.name, e.edit, l})
+	}
+	// A signed layer whose negative mass underflows: its synthesized
+	// input is unsigned, so its input encoding resolves to unsigned.
+	v := l
+	v.Act = workload.ActStats{Signed: true, Mean: 0.9, Std: 0.01, Corr: 0.2}
+	return append(vs, statsVariant{"signed-without-negative-mass", same, v})
+}
+
+// TestPrepareMemoStatsKey: the statistics key PrepareLayer and
+// TryPrepareLayer look an operand stage up by covers everything the
+// stage reads. Each statsVariants preparation, against one shared memo,
+// adds its own operand entry and exports bit-equal to its call-local
+// preparation, by PrepareLayer and by TryPrepareLayer alike, which
+// exports bit-equal to PrepareLayerWithPMFs on the layer's synthesized
+// PMFs (the content key resolves encodings by those PMFs); a field of
+// ActStats or WeightStats left out of the key fails here. Layers that
+// differ only in Name, Op or Repeat share one entry.
+func TestPrepareMemoStatsKey(t *testing.T) {
+	base, err := macros.ByName("base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := workload.Transformer().Layers[1]
+	variants := statsVariants(t, l)
+	if want := 1 + reflect.TypeOf(l.Act).NumField() + reflect.TypeOf(l.Wgt).NumField() + 8 + 1; len(variants) != want {
+		t.Fatalf("%d variants, want %d", len(variants), want)
+	}
+	var name string // the variant being prepared
+	digest := func(ctx *core.LayerContext, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		h := sha256.New()
+		writeContext(h, ctx.Export())
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	memo := core.NewPrepareMemo(0)
+	for i, v := range variants {
+		a := *base
+		v.arch(&a)
+		eng, err := core.NewEngine(&a)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		name = v.name
+		want := digest(eng.PrepareLayer(v.layer))
+		in, err := v.layer.InputPMF(a.InputBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := v.layer.WeightPMF(a.WeightBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(eng.PrepareLayerWithPMFs(v.layer, in, w)); got != want {
+			t.Fatalf("%s: PrepareLayer context %s, PrepareLayerWithPMFs on its synthesized PMFs %s", v.name, want, got)
+		}
+		shared := eng.WithPrepareMemo(memo)
+		// The no-wait preparation fills the entry, the waiting one finds it.
+		if got := digest(shared.TryPrepareLayer(v.layer)); got != want {
+			t.Errorf("%s: shared-memo TryPrepareLayer context %s, call-local %s", v.name, got, want)
+		}
+		if got := digest(shared.PrepareLayer(v.layer)); got != want {
+			t.Errorf("%s: shared-memo PrepareLayer context %s, call-local %s", v.name, got, want)
+		}
+		if operands, _ := memo.Kinds(); operands != i+1 {
+			t.Fatalf("after %s the memo holds %d operand stages, want %d: a key field is missing", v.name, operands, i+1)
+		}
+		if ops, _ := memo.Stats(); ops.Lookups != uint64(2*(i+1)) || ops.Fills != uint64(i+1) {
+			t.Fatalf("after %s: operand lookups %+v, want %d lookups and %d fills", v.name, ops, 2*(i+1), i+1)
+		}
+	}
+
+	// The underflowing signed layer synthesizes a non-negative input.
+	last := variants[len(variants)-1].layer
+	in, err := last.InputPMF(base.InputBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Min() < 0 || base.ResolveInputEncoding(in.Min() < 0) != "unsigned" {
+		t.Fatalf("signed layer's input spans [%g, %g]: want no negative mass", in.Min(), in.Max())
+	}
+
+	eng, err := core.NewEngine(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := eng.WithPrepareMemo(memo)
+	first, err := shared.PrepareLayer(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := memo.Kinds()
+	other := workload.Transformer().Layers[3]
+	for _, v := range []workload.Layer{
+		{Name: "renamed", Op: l.Op, Repeat: l.Repeat, Act: l.Act, Wgt: l.Wgt},
+		{Name: l.Name, Op: other.Op, Repeat: l.Repeat, Act: l.Act, Wgt: l.Wgt},
+		{Name: l.Name, Op: l.Op, Repeat: l.Repeat + 3, Act: l.Act, Wgt: l.Wgt},
+	} {
+		ctx, err := shared.PrepareLayer(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctx.InputSlicePMF != first.InputSlicePMF || ctx.WeightSlicePMF != first.WeightSlicePMF {
+			t.Fatalf("layer %q (%s, repeat %d) holds its own operand stage, want the shared one", v.Name, v.Op.Name, v.Repeat)
+		}
+		if got, want := contextDigest(t, shared, v), contextDigest(t, eng, v); got != want {
+			t.Fatalf("layer %q: shared-memo context %s, call-local %s", v.Name, got, want)
+		}
+	}
+	if after, _ := memo.Kinds(); after != before {
+		t.Fatalf("layers differing only in name, einsum or repeat added %d operand stages", after-before)
+	}
+}
+
+// TestPrepareMemoStatsKeyConcurrent: goroutines preparing one layer on
+// the base macro alone and in its three system scenarios, half through
+// TryPrepareLayer (falling back to PrepareLayer when busy) and half
+// through PrepareLayer, against one shared memo, fill its operand stage
+// once and reproduce the call-local contexts.
+func TestPrepareMemoStatsKeyConcurrent(t *testing.T) {
+	var jobs []memoJob
+	for _, j := range memoJobs(t) {
+		if j.macro == "base" && j.layerIdx == 2 {
+			jobs = append(jobs, j)
+		}
+	}
+	if len(jobs) != 4 {
+		t.Fatalf("%d jobs, want the base macro under 4 scenarios", len(jobs))
+	}
+	want := prepareAll(t, jobs, nil)
+	memo := core.NewPrepareMemo(0)
+	const workers = 8
+	got := make([]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j := jobs[w%len(jobs)]
+			eng := j.eng.WithPrepareMemo(memo)
+			var ctx *core.LayerContext
+			var err error
+			if w%2 == 0 {
+				ctx, err = eng.TryPrepareLayer(j.layer)
+			}
+			if w%2 == 1 || errors.Is(err, core.ErrPrepareBusy) {
+				ctx, err = eng.PrepareLayer(j.layer)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			h := sha256.New()
+			writeContext(h, ctx.Export())
+			got[w] = hex.EncodeToString(h.Sum(nil))
+		}()
+	}
+	wg.Wait()
+	for w, g := range got {
+		if j := jobs[w%len(jobs)]; g != want[j.key] {
+			t.Errorf("worker %d (%s): context %s, call-local %s", w, j.key, g, want[j.key])
+		}
+	}
+	if operands, _ := memo.Kinds(); operands != 1 {
+		t.Fatalf("memo holds %d operand stages, want 1", operands)
+	}
+	if ops, _ := memo.Stats(); ops.Fills != 1 {
+		t.Fatalf("operand stage filled %d times, want once", ops.Fills)
+	}
+}
+
+// TestOperandStagesShareAsByContent: over the grid of every built-in
+// macro, alone and in each system scenario, and the first 8 layers of
+// mobilenetv3-large, transformer, resnet18 and toy, PrepareLayer's
+// statistics keys fill as many operand stages and column sums as
+// content keys over the same synthesized PMFs do: keying by statistics
+// loses no sharing on the zoo networks.
+func TestOperandStagesShareAsByContent(t *testing.T) {
+	byStats, byContent := core.NewPrepareMemo(0), core.NewPrepareMemo(0)
+	for _, mac := range digestMacros {
+		arch, err := macros.ByName(mac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		archs := []*core.Arch{arch}
+		for _, sc := range []system.Scenario{system.AllDRAM, system.WeightStationary, system.OnChipIO} {
+			sys, err := system.Build(arch, sc, system.Config{Macros: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			archs = append(archs, sys)
+		}
+		for _, a := range archs {
+			eng, err := core.NewEngine(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"mobilenetv3-large", "transformer", "resnet18", "toy"} {
+				net, err := workload.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, l := range net.Layers[:min(len(net.Layers), memoLayers)] {
+					if _, err := eng.WithPrepareMemo(byStats).PrepareLayer(l); err != nil {
+						t.Fatal(err)
+					}
+					in, err := l.InputPMF(a.InputBits)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w, err := l.WeightPMF(a.WeightBits)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := eng.WithPrepareMemo(byContent).PrepareLayerWithPMFs(l, in, w); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	sOps, sSums := byStats.Kinds()
+	cOps, cSums := byContent.Kinds()
+	t.Logf("operand stages: %d by statistics, %d by content; column sums %d, %d", sOps, cOps, sSums, cSums)
+	if sOps != cOps || sSums != cSums {
+		t.Fatalf("statistics keys fill %d operand stages and %d column sums, content keys %d and %d", sOps, sSums, cOps, cSums)
+	}
 }

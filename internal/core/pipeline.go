@@ -62,7 +62,10 @@ type LayerContext struct {
 
 // PrepareLayer runs the data-value-dependent pipeline for one layer:
 // operand PMFs → encoding → slicing → per-component average energy per
-// action. Operand PMFs are synthesized from the layer's statistics.
+// action. Operand PMFs are synthesized from the layer's statistics, and
+// the operand stage is looked up by those statistics in the engine's
+// PrepareMemo (see PrepareLayerWithPMFs), so the PMFs are synthesized
+// only when the stage is computed.
 func (e *Engine) PrepareLayer(l workload.Layer) (*LayerContext, error) {
 	return e.prepareLayer(l, true)
 }
@@ -84,15 +87,16 @@ func (e *Engine) TryPrepareLayer(l workload.Layer) (*LayerContext, error) {
 }
 
 func (e *Engine) prepareLayer(l workload.Layer, wait bool) (*LayerContext, error) {
-	inPMF, err := l.InputPMF(e.arch.InputBits)
+	sliced, err := e.arch.SlicedEinsum(l.Op)
 	if err != nil {
 		return nil, err
 	}
-	wPMF, err := l.WeightPMF(e.arch.WeightBits)
+	memo := e.prepareMemo()
+	ops, err := memo.layerOperands(e.arch, &l, wait)
 	if err != nil {
 		return nil, err
 	}
-	return e.prepareWithPMFs(l, inPMF, wPMF, wait)
+	return e.finishPrepare(l, sliced, memo, ops, wait)
 }
 
 // PrepareLayerWithPMFs is PrepareLayer with caller-supplied operand
@@ -103,29 +107,39 @@ func (e *Engine) prepareLayer(l workload.Layer, wait bool) (*LayerContext, error
 // The operand stage (encoding, slicing, cell product) and the column sums
 // are looked up in the engine's PrepareMemo — one per server, shared by
 // every engine the server compiles and bounded by its cache capacity, see
-// WithPrepareMemo — or else in one local to this call. The operand stage
-// is keyed by the resolved encodings, the four operand and slice
-// precisions and the exact operand PMFs, so architectures that agree on
-// those share it; contexts share the memoized PMFs, never copies.
+// WithPrepareMemo — or else in one local to this call. Where PrepareLayer
+// keys the operand stage by the layer's statistics, this keys it by
+// content: the resolved encodings, the four operand and slice precisions
+// and every bit of the two PMFs, so architectures that agree on those
+// share it. The two keys never match each other, so a stage reached
+// through both is held twice; the column sums of its cell product are
+// shared. Contexts share the memoized PMFs, never copies.
 func (e *Engine) PrepareLayerWithPMFs(l workload.Layer, inPMF, wPMF *dist.PMF) (*LayerContext, error) {
-	return e.prepareWithPMFs(l, inPMF, wPMF, true)
-}
-
-// prepareWithPMFs is PrepareLayerWithPMFs, or TryPrepareLayer's variant
-// of it when !wait.
-func (e *Engine) prepareWithPMFs(l workload.Layer, inPMF, wPMF *dist.PMF, wait bool) (*LayerContext, error) {
 	sliced, err := e.arch.SlicedEinsum(l.Op)
 	if err != nil {
 		return nil, err
 	}
-	memo := e.memo
-	if memo == nil {
-		memo = NewPrepareMemo(0)
-	}
-	ops, err := memo.operands(e.arch, inPMF, wPMF, wait)
+	memo := e.prepareMemo()
+	ops, err := memo.operands(e.arch, inPMF, wPMF)
 	if err != nil {
 		return nil, err
 	}
+	return e.finishPrepare(l, sliced, memo, ops, true)
+}
+
+// prepareMemo returns the engine's PrepareMemo, or a new one local to
+// the caller's preparation if the engine shares none.
+func (e *Engine) prepareMemo() *PrepareMemo {
+	if e.memo == nil {
+		return NewPrepareMemo(0)
+	}
+	return e.memo
+}
+
+// finishPrepare builds l's context from its sliced einsum and operand
+// stage: the per-component average energies, with column sums looked up
+// in memo (see get for wait).
+func (e *Engine) finishPrepare(l workload.Layer, sliced *tensor.Einsum, memo *PrepareMemo, ops *operandStage, wait bool) (*LayerContext, error) {
 	ctx := &LayerContext{
 		Layer:          l,
 		Sliced:         sliced,
@@ -159,6 +173,21 @@ type operandStage struct {
 	inputRails, weightRails int
 	cell                    *dist.PMF
 	cellKey                 [sha256.Size]byte
+}
+
+// synthesizeOperands runs the operand stage of layer l on architecture
+// a, its operand PMFs synthesized from l's statistics at a's operand
+// precisions.
+func synthesizeOperands(a *Arch, l *workload.Layer) (*operandStage, error) {
+	inPMF, err := l.InputPMF(a.InputBits)
+	if err != nil {
+		return nil, err
+	}
+	wPMF, err := l.WeightPMF(a.WeightBits)
+	if err != nil {
+		return nil, err
+	}
+	return prepareOperands(a, a.ResolveInputEncoding(inPMF.Min() < 0), a.ResolveWeightEncoding(), inPMF, wPMF)
 }
 
 // prepareOperands runs the operand stage for operand PMFs inPMF and wPMF

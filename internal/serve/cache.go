@@ -41,11 +41,12 @@ type Stats = api.CacheStats
 // shares the cache's one preparation memo (core.PrepareMemo), so a
 // context miss reuses whatever another engine of this server already
 // derived from the same inputs: the operand stage (encoding, slicing,
-// cell product) per distinct (resolved encodings, operand and slice
-// precisions, operand PMFs), and the column sums per distinct (cell
-// product, reduction depth). One macro wrapped in several system
-// scenarios, or layers with equal operand statistics, thus prepare
-// their shared stages once per server. The memo is bounded by the same
+// cell product) per distinct (layer operand statistics, unresolved
+// encodings, operand and slice precisions) — the statistics its operand
+// PMFs are synthesized from, so a hit synthesizes none — and the column
+// sums per distinct (cell product, reduction depth). One macro wrapped
+// in several system scenarios or macro counts, or layers with equal
+// operand statistics, thus prepare their shared stages once per server. The memo is bounded by the same
 // entry capacity as the cache, both entry kinds counted together and
 // evicted least recently used.
 //

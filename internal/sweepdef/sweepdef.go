@@ -42,10 +42,12 @@ package sweepdef
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,14 +128,41 @@ func errf(file string, line int, format string, args ...any) error {
 // or as a "- key:" list entry), for attributing semantic errors to a
 // source line. Falls back to 1 when the key is not found textually.
 func lineOf(text, key string) int {
-	for i, ln := range strings.Split(text, "\n") {
+	return lineAfter(text, 0, key, 1)
+}
+
+// lineAfter is lineOf searching only the lines after line from, falling
+// back to line otherwise.
+func lineAfter(text string, from int, key string, otherwise int) int {
+	for i, ln := range strings.Split(text, "\n")[from:] {
 		t := strings.TrimSpace(ln)
 		t = strings.TrimPrefix(t, "- ")
 		if strings.HasPrefix(t, key+":") {
-			return i + 1
+			return from + i + 1
 		}
 	}
-	return 1
+	return otherwise
+}
+
+// nestedLine locates key in the block under the top-level header (axes,
+// budgets): the first "key:" line after the header's own line, or else
+// the header's line.
+func nestedLine(text, header, key string) int {
+	at := lineOf(text, header)
+	return lineAfter(text, at, key, at)
+}
+
+// inFileOrder returns m's keys ordered by their source lines (line
+// gives a key's), ties by name, so that of several faulty keys the first
+// in the file is reported, every time.
+func inFileOrder(m map[string]any, line func(key string) int) []string {
+	lines := make(map[string]int, len(m))
+	for key := range m {
+		lines[key] = line(key)
+	}
+	keys := slices.Sorted(maps.Keys(m))
+	slices.SortStableFunc(keys, func(a, b string) int { return lines[a] - lines[b] })
+	return keys
 }
 
 // Parse decodes one definition document. file is used only for error
@@ -149,7 +178,8 @@ func Parse(file, text string) (*Definition, error) {
 		return nil, errf(file, 1, "top level must be a mapping")
 	}
 	d := &Definition{File: file, text: text}
-	for key, v := range root {
+	for _, key := range inFileOrder(root, func(key string) int { return lineOf(text, key) }) {
+		v := root[key]
 		switch key {
 		case "name":
 			s, ok := v.(string)
@@ -295,19 +325,20 @@ func (d *Definition) parseAxes(v any) error {
 	strAxis := func(key string, raw any) ([]string, error) {
 		list, ok := raw.([]any)
 		if !ok {
-			return nil, errf(d.File, lineOf(d.text, key), "'axes.%s' must be a list of strings", key)
+			return nil, errf(d.File, nestedLine(d.text, "axes", key), "'axes.%s' must be a list of strings", key)
 		}
 		out := make([]string, 0, len(list))
 		for _, e := range list {
 			s, ok := e.(string)
 			if !ok || s == "" {
-				return nil, errf(d.File, lineOf(d.text, key), "'axes.%s' entries must be non-empty strings", key)
+				return nil, errf(d.File, nestedLine(d.text, "axes", key), "'axes.%s' entries must be non-empty strings", key)
 			}
 			out = append(out, s)
 		}
 		return out, nil
 	}
-	for key, raw := range m {
+	for _, key := range inFileOrder(m, func(key string) int { return nestedLine(d.text, "axes", key) }) {
+		raw := m[key]
 		var err error
 		switch key {
 		case "macros":
@@ -319,11 +350,11 @@ func (d *Definition) parseAxes(v any) error {
 		case "system_macros":
 			list, ok := raw.([]any)
 			if !ok {
-				return errf(d.File, lineOf(d.text, key), "'axes.system_macros' must be a list")
+				return errf(d.File, nestedLine(d.text, "axes", key), "'axes.system_macros' must be a list")
 			}
 			d.SystemMacros = list
 		default:
-			return errf(d.File, lineOf(d.text, "axes"), "unknown axis %q", key)
+			return errf(d.File, nestedLine(d.text, "axes", key), "unknown axis %q", key)
 		}
 		if err != nil {
 			return err
@@ -337,12 +368,12 @@ func (d *Definition) parseBudgets(v any) error {
 	if !ok {
 		return errf(d.File, lineOf(d.text, "budgets"), "'budgets' must be a mapping")
 	}
-	for key, raw := range m {
+	for _, key := range inFileOrder(m, func(key string) int { return nestedLine(d.text, "budgets", key) }) {
 		switch key {
 		case "max_mappings":
-			d.MaxMappings = raw
+			d.MaxMappings = m[key]
 		default:
-			return errf(d.File, lineOf(d.text, "budgets"), "unknown budget %q", key)
+			return errf(d.File, nestedLine(d.text, "budgets", key), "unknown budget %q", key)
 		}
 	}
 	return nil

@@ -184,8 +184,9 @@ axes:
 	}
 	// Cases whose message is pinned beyond the file/line attribution.
 	wantMsg := map[string]string{
-		"removed budget sample_shards":  `bad.yaml: line 5: unknown budget "sample_shards"`,
-		"removed budget search_workers": `bad.yaml: line 5: unknown budget "search_workers"`,
+		"unknown axis":                  `bad.yaml: line 5: unknown axis "planets"`,
+		"removed budget sample_shards":  `bad.yaml: line 6: unknown budget "sample_shards"`,
+		"removed budget search_workers": `bad.yaml: line 7: unknown budget "search_workers"`,
 		"removed key priority":          `bad.yaml: line 2: unknown key "priority"`,
 	}
 	for name, doc := range cases {
@@ -200,6 +201,48 @@ axes:
 		}
 		if want := wantMsg[name]; !strings.Contains(msg, want) {
 			t.Errorf("%s: error %q does not contain %q", name, msg, want)
+		}
+	}
+}
+
+// TestParseReportsFirstUnknownKey: of several unknown keys in one block,
+// Parse reports the first in the file, at its own line, on every call
+// (the blocks are maps, whose iteration order varies between calls).
+func TestParseReportsFirstUnknownKey(t *testing.T) {
+	cases := map[string]string{
+		`line 3: unknown key "zeta"`: `name: x
+description: d
+zeta: 1
+alpha: 2
+axes:
+  macros: [base]
+  networks: [toy]
+`,
+		`line 5: unknown axis "zeta"`: `name: x
+axes:
+  macros: [base]
+  networks: [toy]
+  zeta: [a]
+  alpha: [b]
+  mid: [c]
+`,
+		`line 6: unknown budget "zeta"`: `name: x
+axes:
+  macros: [base]
+  networks: [toy]
+budgets:
+  zeta: 1
+  max_mappings: 4
+  alpha: 2
+  mid: 3
+`,
+	}
+	for want, doc := range cases {
+		for range 20 {
+			_, err := Parse("bad.yaml", doc)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %v, want one containing %q", err, want)
+			}
 		}
 	}
 }

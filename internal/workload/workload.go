@@ -97,8 +97,8 @@ func (n *Network) MACs() int64 {
 
 // gaussianPMF builds a PMF over the integer levels of a quantized Gaussian.
 // Levels span [lo, hi]; the Gaussian has the given mean and std expressed in
-// level units.
-func gaussianPMF(lo, hi int, mean, std float64) *dist.PMF {
+// level units. It fails if every level's mass underflows.
+func gaussianPMF(lo, hi int, mean, std float64) (*dist.PMF, error) {
 	pts := make([]dist.Point, 0, hi-lo+1)
 	for v := lo; v <= hi; v++ {
 		d := (float64(v) - mean) / std
@@ -106,9 +106,9 @@ func gaussianPMF(lo, hi int, mean, std float64) *dist.PMF {
 	}
 	p, err := dist.FromPoints(pts)
 	if err != nil {
-		panic("workload: gaussianPMF: " + err.Error())
+		return nil, fmt.Errorf("workload: gaussian over [%d, %d], mean %g, std %g: %w", lo, hi, mean, std, err)
 	}
-	return p
+	return p, nil
 }
 
 // InputPMF returns the PMF of the layer's input activations quantized to
@@ -123,16 +123,19 @@ func (l Layer) InputPMF(bits int) (*dist.PMF, error) {
 	if l.Act.Signed {
 		half := full / 2
 		scale := float64(half)
-		body := gaussianPMF(-half, half-1, l.Act.Mean*scale, l.Act.Std*scale)
-		if l.Act.Sparsity == 0 {
-			return body, nil
+		body, err := gaussianPMF(-half, half-1, l.Act.Mean*scale, l.Act.Std*scale)
+		if err != nil || l.Act.Sparsity == 0 {
+			return body, err
 		}
 		return dist.Mix(dist.Delta(0), body, l.Act.Sparsity)
 	}
 	maxLevel := full - 1
 	scale := float64(maxLevel)
 	// Nonzero mass: positive truncated Gaussian starting at level 1.
-	body := gaussianPMF(1, maxLevel, l.Act.Mean*scale, l.Act.Std*scale)
+	body, err := gaussianPMF(1, maxLevel, l.Act.Mean*scale, l.Act.Std*scale)
+	if err != nil {
+		return nil, err
+	}
 	return dist.Mix(dist.Delta(0), body, l.Act.Sparsity)
 }
 
@@ -143,7 +146,7 @@ func (l Layer) WeightPMF(bits int) (*dist.PMF, error) {
 		return nil, fmt.Errorf("workload: weight bits %d out of [1,16]", bits)
 	}
 	half := 1 << uint(bits-1)
-	return gaussianPMF(-half, half-1, 0, l.Wgt.Std*float64(half)), nil
+	return gaussianPMF(-half, half-1, 0, l.Wgt.Std*float64(half))
 }
 
 // OutputPMF returns an approximate PMF of the layer's accumulated outputs

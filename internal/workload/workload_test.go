@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -131,6 +132,18 @@ func TestInputPMFBitsErrors(t *testing.T) {
 		}
 		if _, err := l.WeightPMF(bits); err == nil {
 			t.Errorf("want error for %d weight bits", bits)
+		}
+	}
+}
+
+// TestInputPMFUnderflowIsError: a Gaussian so narrow that every level's
+// mass underflows is an error, not a panic, signed or not.
+func TestInputPMFUnderflowIsError(t *testing.T) {
+	for _, signed := range []bool{false, true} {
+		l := Toy().Layers[0]
+		l.Act = ActStats{Signed: signed, Sparsity: 0.1, Mean: 0.503, Std: 1e-5}
+		if _, err := l.InputPMF(8); err == nil || !strings.Contains(err.Error(), "zero total probability") {
+			t.Errorf("signed %v: err = %v, want the underflow's error", signed, err)
 		}
 	}
 }
