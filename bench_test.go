@@ -366,7 +366,8 @@ func BenchmarkSweepColdScenarios(b *testing.B) {
 }
 
 // BenchmarkSweepWarmCache measures the same sweep against a warmed cache:
-// engines and layer contexts are shared, only mapping search runs.
+// the name memo's engines and the cached layer contexts are shared, only
+// mapping search runs.
 func BenchmarkSweepWarmCache(b *testing.B) {
 	srv := NewServer(BatchOptions{Workers: 1})
 	runSweep(b, srv, 1) // prime

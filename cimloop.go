@@ -30,9 +30,10 @@
 // For many evaluations — sweeping macros, networks, and full-system
 // scenarios — use the batch service instead of compiling engines per
 // call. A Server owns a bounded worker pool and a content-addressed LRU
-// cache keyed by (architecture, layer, encoding): engines and per-layer
-// amortized contexts compile once and are shared across requests, so a
-// warm sweep pays only the per-mapping count analysis.
+// cache keyed by (architecture, layer, encoding): per-layer amortized
+// contexts are prepared once and shared across requests, and a bare
+// macro name compiles its engine once per server, so a warm sweep pays
+// only the per-mapping count analysis.
 //
 //	srv := cimloop.NewServer(cimloop.BatchOptions{Workers: 8})
 //	reqs := cimloop.SweepGrid(
@@ -88,8 +89,8 @@
 //
 // # Durable warm starts
 //
-// The cache's amortized state — compiled engines and per-layer contexts
-// (plain-data PMFs and energy tables) — can outlive the process. With
+// The cache's amortized state — per-layer contexts (plain-data PMFs and
+// energy tables) — can outlive the process. With
 // BatchOptions.CacheDir set (or `cimloop serve -cache-dir`), cache fills
 // stream to a versioned, checksummed, fingerprint-addressed on-disk
 // store (package internal/persist) through a write-behind queue, and a
@@ -216,8 +217,8 @@ func BuildSystem(macro *Arch, sc Scenario, cfg SystemConfig) (*Arch, error) {
 // Batch-evaluation service types (package serve).
 type (
 	// Server is the concurrent batch-evaluation service: a worker pool
-	// plus a content-addressed cache of engines and layer contexts that
-	// outlives individual calls.
+	// plus a content-addressed cache of layer contexts that outlives
+	// individual calls.
 	Server = serve.Server
 	// BatchOptions tunes the service (workers, mapping budget, cache
 	// bound). The zero value is usable.

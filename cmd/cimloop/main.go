@@ -17,8 +17,8 @@
 // (internal/client) against the v1 wire contract (internal/serve/api,
 // documented in docs/API.md).
 //
-// -cache-dir enables durable warm starts (package persist): compiled
-// engines and per-layer contexts persist across restarts, so a
+// -cache-dir enables durable warm starts (package persist): per-layer
+// contexts persist across restarts, so a
 // restarted server serves repeated requests as cache hits, and a sweep
 // re-sent after a restart reruns only its mapping searches.
 //
@@ -117,9 +117,9 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "evaluation goroutines (0 = one per CPU)")
 	mappings := fs.Int("mappings", 0, "default per-layer mapping budget (0 = 60)")
-	cacheEntries := fs.Int("cache", 0, "engine/context cache entries (0 = default)")
+	cacheEntries := fs.Int("cache", 0, "layer-context cache entries (0 = default)")
 	cacheDir := fs.String("cache-dir", "",
-		"directory for durable engine/context warm starts (empty = in-memory only)")
+		"directory for durable layer-context warm starts (empty = in-memory only)")
 	maxBody := fs.Int64("max-body", 0, "request-body byte bound; larger bodies get 413 (0 = 1 MiB default)")
 	tokenFile := fs.String("token-file", "",
 		"file holding the one bearer token every /v1 request must carry (empty = open server); SIGHUP reloads it")
@@ -169,8 +169,8 @@ func runServe(args []string) error {
 			len(srv.SweepDefNames()), *sweepsDir)
 	}
 	if ps := srv.PersistStats(); ps.Enabled {
-		fmt.Fprintf(os.Stderr, "cimloop: warm start: %d engines, %d contexts, %d skipped\n",
-			ps.Warm.Engines, ps.Warm.Contexts, ps.Warm.Skipped)
+		fmt.Fprintf(os.Stderr, "cimloop: warm start: %d contexts, %d skipped\n",
+			ps.Warm.Contexts, ps.Warm.Skipped)
 	}
 	// SIGINT/SIGTERM drain in flight requests (a sweep still running
 	// after the shutdown grace is cancelled) and flush the write-behind

@@ -131,7 +131,7 @@ func evalNet(arch *core.Arch, net *workload.Network, o Options) (*core.NetworkRe
 
 // sweeper is the shared batch executor: design-point grids (Fig. 2's
 // array sizes, Fig. 15's scenario matrix) fan across its worker pool, and
-// its content-addressed cache keeps engines and layer contexts warm
+// its content-addressed cache keeps layer contexts warm
 // across experiment runs — the cross-request extension of the paper's
 // per-layer amortization.
 var sweeper = serve.NewServer(serve.BatchOptions{})

@@ -1,7 +1,7 @@
 // Package memo is the one bounded memo of the repository: a map whose
 // entries are each filled at most once while held, evicted least
-// recently used. serve.Cache holds compiled engines and layer contexts in
-// one; core.PrepareMemo holds operand stages and column sums in another.
+// recently used. serve.Cache holds layer contexts in one;
+// core.PrepareMemo holds operand stages and column sums in another.
 package memo
 
 import (
@@ -14,12 +14,17 @@ import (
 // entry held but still being filled.
 var ErrBusy = errors.New("memo: entry is being filled by another goroutine")
 
+// errFillPanicked is what the lookups waiting on a fill that panicked
+// get; the panic itself goes on up the filling lookup's stack.
+var errFillPanicked = errors.New("memo: the entry's fill panicked")
+
 // Memo maps keys to values filled on first lookup. It holds at most its
 // capacity of entries and evicts the least recently used; an entry
 // evicted while it fills still returns its value to the lookups waiting
 // on it. Concurrent lookups of one missing key fill it once, the others
 // waiting — except a lookup that does not wait, which gets ErrBusy. A
-// failed fill is dropped, so a later lookup fills afresh. All methods are
+// failed fill is dropped, so a later lookup fills afresh; so is a fill
+// that panics, whose waiters get an error. All methods are
 // safe for concurrent use, and a Memo must not be copied.
 type Memo[K, V comparable] struct {
 	mu        sync.Mutex
@@ -52,7 +57,9 @@ func (m *Memo[K, V]) Init(capacity int) {
 // reach an unfilled entry fills it with its own fill, and the others wait
 // for that; unless wait, an entry still being filled is not waited for:
 // Get returns ErrBusy and does nothing else. A fill's error is returned
-// to every lookup waiting on it, and its entry dropped.
+// to every lookup waiting on it, and its entry dropped. A fill that
+// panics drops its entry too: the panic reaches the filling lookup's
+// caller, and the lookups waiting on it get an error.
 func (m *Memo[K, V]) Get(key K, wait bool, fill func() (V, error)) (val V, hit bool, err error) {
 	m.mu.Lock()
 	e, hit := m.items[key]
@@ -70,17 +77,33 @@ func (m *Memo[K, V]) Get(key K, wait bool, fill func() (V, error)) (val V, hit b
 	m.mu.Unlock()
 
 	e.once.Do(func() {
+		returned := false
+		defer func() {
+			// sync.Once counts a panicked call as done: without this
+			// the entry would stay held and never filled.
+			if !returned {
+				e.err = errFillPanicked
+				e.filled.Store(true)
+				m.drop(e)
+			}
+		}()
 		e.val, e.err = fill()
+		returned = true
 		e.filled.Store(true)
 	})
 	if e.err != nil {
-		m.mu.Lock()
-		if m.items[key] == e {
-			m.removeLocked(e)
-		}
-		m.mu.Unlock()
+		m.drop(e)
 	}
 	return e.val, hit, e.err
+}
+
+// drop removes e if it is still the entry held under its key.
+func (m *Memo[K, V]) drop(e *entry[K, V]) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.items[e.key] == e {
+		m.removeLocked(e)
+	}
 }
 
 // Add holds val under key as the most recent entry, unless an entry is

@@ -167,6 +167,59 @@ func TestMemoDropsFailures(t *testing.T) {
 	}
 }
 
+// TestMemoFillPanicDropsEntry: a fill that panics drops its entry. The
+// panic reaches the filling lookup's caller, a lookup waiting on the
+// fill gets an error rather than a zero value, and a later lookup, even
+// one that does not wait, fills afresh.
+func TestMemoFillPanicDropsEntry(t *testing.T) {
+	m := newMemo[string, int](4)
+	started, gate := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		m.Get("x", true, func() (int, error) {
+			close(started)
+			<-gate
+			panic("fill bug")
+		})
+	}()
+	<-started
+	mustGet(t, m, "z", value(0, nil))
+
+	type result struct {
+		v   int
+		hit bool
+		err error
+	}
+	waited := make(chan result)
+	go func() {
+		v, hit, err := m.Get("x", true, value(-1, nil))
+		waited <- result{v, hit, err}
+	}()
+	// As in TestMemoEvictedMidFill: once x is the most recent entry, the
+	// waiter waits on x's fill.
+	for m.Keys()[0] != "x" {
+		runtime.Gosched()
+	}
+	close(gate)
+	if p := <-panicked; p != "fill bug" {
+		t.Fatalf("filling lookup recovered %v, want the fill's panic", p)
+	}
+	if r := <-waited; r.err == nil {
+		t.Fatalf("waiting lookup: %+v, want an error", r)
+	}
+	if got := fmt.Sprint(m.Keys()); got != "[z]" {
+		t.Fatalf("keys %s, want the panicked entry dropped", got)
+	}
+	var calls atomic.Int32
+	if v, hit, err := m.Get("x", false, value(5, &calls)); v != 5 || hit || err != nil || calls.Load() != 1 {
+		t.Fatalf("no-wait lookup after the panic: %d (hit %v, %v) after %d fills, want a fresh fill of 5", v, hit, err, calls.Load())
+	}
+	if v, hit := mustGet(t, m, "x", value(-1, &calls)); v != 5 || !hit {
+		t.Fatalf("got %d (hit %v), want the refilled 5", v, hit)
+	}
+}
+
 // TestMemoNoWaitBusy: a lookup that does not wait finds an entry still
 // filling busy, runs no fill and leaves the order untouched; once the
 // entry is filled, it hits.

@@ -2,7 +2,6 @@ package persist
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -13,39 +12,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// Kind-specific payload codecs. Engine payloads are JSON: the
-// envelope already carries the binary framing (magic, version, checksum),
-// the values are plain data, and Go's JSON round-trips float64 values
-// bit-exactly (shortest round-trip formatting). Layer contexts — the
-// records a boot scan decodes by the hundred — use a binary columnar
-// payload (KindLayerContextCol) whose PMF points and energy tables are
-// raw float64 columns: a JSON context's cost was almost entirely float
-// parsing, and the columnar payload removes it. Decoders validate before
-// returning so a decoded value is always usable.
-
-// EncodeEngine serializes a compiled engine as its architecture — the
-// plain-data form an engine is deterministically compiled from.
-func EncodeEngine(e *core.Engine) ([]byte, error) {
-	return json.Marshal(e.Arch())
-}
-
-// DecodeEngine rebuilds a compiled engine from an EncodeEngine payload by
-// recompiling the architecture (microseconds; the expensive per-layer
-// pipeline lives in layer contexts, not engines). A serving warm start
-// does not call it: it builds a restored engine from the architecture of
-// the first request that needs it, whose fingerprint is the record's key,
-// which is cheaper than decoding this JSON.
-func DecodeEngine(payload []byte) (*core.Engine, error) {
-	var arch core.Arch
-	if err := json.Unmarshal(payload, &arch); err != nil {
-		return nil, fmt.Errorf("persist: engine payload: %w", err)
-	}
-	eng, err := core.NewEngine(&arch)
-	if err != nil {
-		return nil, fmt.Errorf("persist: engine payload: %w", err)
-	}
-	return eng, nil
-}
+// The one payload codec: layer contexts — the records a boot scan
+// decodes by the hundred — in a binary columnar payload
+// (KindLayerContextCol) whose PMF points and energy tables are raw
+// float64 columns: a JSON context's cost was almost entirely float
+// parsing, and the columnar payload removes it. The decoder validates
+// before returning so a decoded value is always usable.
 
 // The columnar layer-context payload, all integers big-endian like the
 // envelope around it:

@@ -1,8 +1,8 @@
 // Package persist is the durable warm-start store: a versioned,
 // fingerprint-addressed on-disk cache of the expensive state the serving
-// layer otherwise recomputes after every restart — compiled engines,
-// and per-layer amortized contexts (the PMFs and per-action energy tables
-// of Algorithm 1 lines 3-7).
+// layer otherwise recomputes after every restart — per-layer amortized
+// contexts (the PMFs and per-action energy tables of Algorithm 1 lines
+// 3-7).
 //
 // # File format
 //
@@ -11,9 +11,9 @@
 //	offset  size  field
 //	0       4     magic "CWS1" (CiM warm-start store)
 //	4       2     format version, big-endian uint16 (currently 1)
-//	6       1     record kind (KindEngine, KindLayerContextCol; 2, 3 and
-//	              5 are reserved for the retired JSON layer-context, job
-//	              and sweep-checkpoint kinds)
+//	6       1     record kind (KindLayerContextCol; 1, 2, 3 and 5 are
+//	              reserved for the retired engine, JSON layer-context,
+//	              job and sweep-checkpoint kinds)
 //	7       8     cost, big-endian IEEE-754 float64 — measured compile
 //	              seconds (sets the warm-start admission order, costliest
 //	              last)

@@ -13,8 +13,9 @@ type Kind uint8
 
 // Record kinds. Values are part of the on-disk format; never renumber.
 const (
-	// KindEngine is a compiled engine, serialized as its architecture
-	// (JSON core.Arch); the decoder is core.NewEngine.
+	// KindEngine is reserved: it tagged the retired engine records (a
+	// compiled engine as its JSON architecture). Nothing writes or admits
+	// it; a leftover file is skipped and deleted like KindLayerContext.
 	KindEngine Kind = 1
 	// KindLayerContext is reserved: it tagged the retired JSON layer-
 	// context payload. Nothing writes or admits it; a leftover file is

@@ -214,7 +214,7 @@ type ExperimentRunResponse struct {
 	Tables []string `json:"tables"`
 }
 
-// CacheStats snapshots the engine/context cache counters (healthz
+// CacheStats snapshots the layer-context cache counters (healthz
 // "cache" section and SweepResponse.Cache).
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
@@ -224,8 +224,8 @@ type CacheStats struct {
 	// Restored counts entries admitted from the on-disk warm-start store
 	// at boot rather than computed (they count as neither hit nor miss).
 	Restored uint64 `json:"restored"`
-	// Compiles counts misses that ran the compute pipeline (an engine
-	// compile or a layer-context preparation).
+	// Compiles counts misses that ran the compute pipeline (a
+	// layer-context preparation).
 	Compiles uint64 `json:"compiles"`
 }
 
@@ -257,8 +257,7 @@ type BudgetStats struct {
 
 // WarmStats summarizes one boot's warm-start scan.
 type WarmStats struct {
-	// Engines and Contexts count cache entries admitted from disk.
-	Engines  int `json:"engines"`
+	// Contexts counts the layer contexts admitted from disk.
 	Contexts int `json:"contexts"`
 	// Skipped counts files discarded during the scan: corrupt,
 	// version-mismatched, of a retired kind, or failing fingerprint

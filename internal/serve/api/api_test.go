@@ -107,7 +107,7 @@ func goldenCases() []struct {
 			Search:    BudgetStats{BlockedAcquires: 2, MappingsEvaluated: 1200},
 			Persist: PersistStats{
 				Enabled: true,
-				Warm:    WarmStats{Engines: 1, Contexts: 2, Skipped: 1},
+				Warm:    WarmStats{Contexts: 2, Skipped: 1},
 				Error:   "jobs dir: permission denied",
 			},
 			Obs: ObsStats{

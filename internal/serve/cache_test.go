@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/macros"
 	"repro/internal/workload"
 )
@@ -45,64 +46,47 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
+// lookupContext is the server's waiting layer-context lookup for a test
+// that holds an engine: it fingerprints the engine's arch and the layer.
+func lookupContext(c *Cache, eng *core.Engine, l workload.Layer) (*core.LayerContext, error) {
+	return c.layerContext(context.Background(), eng, ArchFingerprint(eng.Arch()), LayerFingerprint(l), l, true)
+}
+
 func TestCacheHitMissCounts(t *testing.T) {
 	c := NewCache(8)
 	arch, err := macros.Base(macros.Config{Rows: 16, Cols: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng1, archFP, err := c.EngineCtx(context.Background(), arch)
+	eng, err := core.NewEngine(arch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2, _, err := c.EngineCtx(context.Background(), arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng1 != eng2 {
-		t.Fatal("second lookup must return the cached engine")
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
-	}
-
 	layer := workload.Toy().Layers[0]
-	ctx1, err := c.LayerContextCtx(context.Background(), eng1, archFP, layer)
+	ctx1, err := lookupContext(c, eng, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx2, err := c.LayerContextCtx(context.Background(), eng1, archFP, layer)
+	ctx2, err := lookupContext(c, eng, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ctx1 != ctx2 {
 		t.Fatal("second lookup must return the cached layer context")
 	}
-	st = c.Stats()
-	if st.Hits != 2 || st.Misses != 2 || st.Entries != 2 {
-		t.Fatalf("stats = %+v, want 2 hits / 2 misses / 2 entries", st)
+	st := c.Stats()
+	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Compiles != 1 {
+		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 entry / 1 compile", st)
 	}
 	if hr := st.HitRate(); hr != 0.5 {
 		t.Fatalf("hit rate %g, want 0.5", hr)
 	}
 }
 
-// cached reports whether key is present without recomputing (the probe
-// compute fails the test if it runs).
-func cached(t *testing.T, c *Cache, key string) bool {
-	t.Helper()
-	hit := true
-	if _, err := c.getOrCompute(key, func() (any, error) { hit = false; return key, nil }, true); err != nil {
-		t.Fatal(err)
-	}
-	return hit
-}
-
 func TestCacheErrorNotCached(t *testing.T) {
 	c := NewCache(4)
 	calls := 0
-	fail := func() (any, error) { calls++; return nil, errors.New("boom") }
+	fail := func() (*core.LayerContext, error) { calls++; return nil, errors.New("boom") }
 	if _, err := c.getOrCompute("k", fail, true); err == nil {
 		t.Fatal("want error")
 	}
@@ -118,7 +102,9 @@ func TestCacheErrorNotCached(t *testing.T) {
 }
 
 // TestCacheConcurrentAccess hammers the cache from many goroutines (run
-// under -race by CI). Concurrent misses on one key must compute once.
+// under -race by CI), each with its own engine as each request that is
+// no bare macro name compiles one. Concurrent misses on one layer must
+// prepare it once.
 func TestCacheConcurrentAccess(t *testing.T) {
 	c := NewCache(16)
 	arch, err := macros.Base(macros.Config{Rows: 16, Cols: 16})
@@ -128,42 +114,42 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	net := workload.Toy()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	engines := make(map[any]bool)
+	contexts := make(map[string]*core.LayerContext)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				eng, archFP, err := c.EngineCtx(context.Background(), arch)
+				eng, err := c.compile(context.Background(), arch)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				mu.Lock()
-				engines[eng] = true
-				mu.Unlock()
 				for _, l := range net.Layers {
-					if _, err := c.LayerContextCtx(context.Background(), eng, archFP, l); err != nil {
+					lctx, err := lookupContext(c, eng, l)
+					if err != nil {
 						t.Error(err)
 						return
 					}
+					mu.Lock()
+					if prev, ok := contexts[l.Name]; ok && prev != lctx {
+						t.Errorf("layer %s: a second context was prepared", l.Name)
+					}
+					contexts[l.Name] = lctx
+					mu.Unlock()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if len(engines) != 1 {
-		t.Fatalf("concurrent misses compiled %d engines, want 1", len(engines))
-	}
 	st := c.Stats()
-	wantMisses := uint64(1 + len(net.Layers)) // one engine + one context per layer
-	if st.Misses != wantMisses {
-		t.Fatalf("misses = %d, want %d (singleflight)", st.Misses, wantMisses)
+	if wantMisses := uint64(len(net.Layers)); st.Misses != wantMisses || st.Compiles != wantMisses {
+		t.Fatalf("stats = %+v, want %d misses and compiles (singleflight)", st, wantMisses)
 	}
 }
 
-// TestCacheEnginesShareColumnSums: engines the cache compiles, and
-// engines a warm start restores, prepare layers through the cache's one
+// TestCacheEnginesShareColumnSums: engines compiled for the cache, by a
+// server that boots warm too, prepare layers through the cache's one
 // preparation memo (operand stages and column sums), which the cache's
 // entry capacity bounds.
 func TestCacheEnginesShareColumnSums(t *testing.T) {
@@ -172,12 +158,12 @@ func TestCacheEnginesShareColumnSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, archFP, err := c.EngineCtx(context.Background(), arch)
+	eng, err := c.compile(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range workload.ResNet18().Layers[:4] {
-		if _, err := c.LayerContextCtx(context.Background(), eng, archFP, l); err != nil {
+		if _, err := lookupContext(c, eng, l); err != nil {
 			t.Fatal(err)
 		}
 		if n := c.memo.Len(); n == 0 || n > 2 {
@@ -202,9 +188,9 @@ func TestCacheEnginesShareColumnSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cs := second.CacheStats(); cs.Misses != 1 {
-		t.Fatalf("cache stats %+v: want the restored engine hit and one context miss", cs)
+		t.Fatalf("cache stats %+v: want one context miss", cs)
 	}
 	if second.cache.memo.Len() == 0 {
-		t.Fatal("the restored engine's layer preparation bypassed the server's memo")
+		t.Fatal("the warm server's layer preparation bypassed its memo")
 	}
 }

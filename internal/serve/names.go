@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/core"
@@ -11,13 +12,14 @@ import (
 // nameMemo resolves built-in names once per server. A bare macro name
 // (no scenario) and a zoo network name describe the same content on
 // every request, so the macro builder, the architecture's fingerprint,
-// the network constructor and the network's validation run on the first
-// request that names them, and a layer's fingerprint on the first
-// request that evaluates that layer (a request for the first 2 layers of
-// a network hashes those 2). Every later request reads the memoized
+// the engine's compilation, the network constructor and the network's
+// validation run on the first request that names them, and a layer's
+// fingerprint on the first request that evaluates that layer (a request
+// for the first 2 layers of a network hashes those 2). Every later request reads the memoized
 // entry: a warm request then pays only for cache lookups and the mapping
-// searches. Inline specs, programmatic Arch/Net values and
-// scenario-wrapped macros are resolved per request as before.
+// searches. A scenario-wrapped macro wraps the memoized macro; it, inline
+// specs and programmatic Arch/Net values are resolved, and their engines
+// compiled, per request.
 //
 // Entries are shared by concurrent requests and never mutated, except
 // that each layer fingerprint is filled in once, under its sync.Once:
@@ -32,10 +34,12 @@ type nameMemo struct {
 	nets   sync.Map // network name -> *namedNet
 }
 
-// namedArch is a built-in macro and its ArchFingerprint.
+// namedArch is a built-in macro, its ArchFingerprint, and its engine,
+// which shares the server cache's preparation memo.
 type namedArch struct {
 	arch *core.Arch
 	fp   string
+	eng  *core.Engine
 }
 
 // namedNet is a validated zoo network and its layers'
@@ -58,8 +62,9 @@ func (n *namedNet) layerFP(i int) string {
 	return f.fp
 }
 
-// macro returns the memoized resolution of a bare macro name.
-func (m *nameMemo) macro(name string) (*namedArch, error) {
+// macro returns the memoized resolution of a bare macro name, its
+// engine compiled for cache c on first use.
+func (m *nameMemo) macro(ctx context.Context, name string, c *Cache) (*namedArch, error) {
 	if v, ok := m.macros.Load(name); ok {
 		return v.(*namedArch), nil
 	}
@@ -67,7 +72,11 @@ func (m *nameMemo) macro(name string) (*namedArch, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, _ := m.macros.LoadOrStore(name, &namedArch{arch: arch, fp: ArchFingerprint(arch)})
+	eng, err := c.compile(ctx, arch)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := m.macros.LoadOrStore(name, &namedArch{arch: arch, fp: ArchFingerprint(arch), eng: eng})
 	return v.(*namedArch), nil
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -61,7 +62,7 @@ func TestBuiltinArchFingerprintsPinned(t *testing.T) {
 		if got := ArchFingerprint(arch); got != c.fp {
 			t.Errorf("%s/%q: fingerprint %s, pinned %s", c.macro, c.scenario, got, c.fp)
 		}
-		rv, err := srv.resolve(&Request{Macro: c.macro, Scenario: c.scenario, Network: "toy"})
+		rv, err := srv.resolve(context.Background(), &Request{Macro: c.macro, Scenario: c.scenario, Network: "toy"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,19 +139,31 @@ func memoEntries(m *sync.Map) int {
 }
 
 // TestNameMemoMatchesFreshServer: bare, scenario-wrapped and truncated
-// requests, interleaved on one server (in sequence and concurrently),
-// each answer what a fresh server answers, and the memoized archs and
-// networks still hash to the fingerprints the memo stored: nothing a
-// request does mutates a shared entry.
+// requests, by name, inline spec and prebuilt Arch, interleaved on one
+// server (in sequence and concurrently), each answer what a fresh server
+// answers, and the memoized archs and networks still hash to the
+// fingerprints the memo stored: nothing a request does mutates a shared
+// entry. Every request and sweep item naming a bare macro uses the one
+// engine its name memo entry compiled.
 func TestNameMemoMatchesFreshServer(t *testing.T) {
+	spec, err := os.ReadFile("../../specs/reram-macro.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := macros.ByName("macro-b")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var reqs []Request
-	for _, m := range []string{"base", "macro-b", "b"} {
+	for _, src := range []Request{{Macro: "base"}, {Macro: "macro-b"}, {Macro: "b"}, {Spec: string(spec)}, {Arch: arch}} {
 		for _, sc := range []string{"", "all-tensors-from-dram", "weight-stationary", "weight-stationary+onchip-io"} {
 			for _, n := range []struct {
 				name   string
 				layers int
 			}{{"toy", 0}, {"toy", 2}, {"resnet18", 3}, {"resnet18", 1}} {
-				reqs = append(reqs, Request{Macro: m, Scenario: sc, Network: n.name, Layers: n.layers, MaxMappings: 4, Seed: int64(len(reqs))})
+				r := src
+				r.Scenario, r.Network, r.Layers, r.MaxMappings, r.Seed = sc, n.name, n.layers, 4, int64(len(reqs))
+				reqs = append(reqs, r)
 			}
 		}
 	}
@@ -179,6 +192,28 @@ func TestNameMemoMatchesFreshServer(t *testing.T) {
 			t.Fatalf("request %d (%+v): shared server %+v, fresh server %+v", i, r, got, want[i])
 		}
 	}
+	// The bare names resolve to their memo entries' engines, and the
+	// sweep below leaves those entries in place: its bare items resolve
+	// to the same engines.
+	engines := map[string]*core.Engine{}
+	shared.names.macros.Range(func(k, v any) bool {
+		engines[k.(string)] = v.(*namedArch).eng
+		return true
+	})
+	sameEngines := func(when string) {
+		t.Helper()
+		for _, r := range perm {
+			rv, err := shared.resolve(context.Background(), &r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare := r.Macro != "" && r.Scenario == ""
+			if shared := rv.eng == engines[r.Macro]; shared != bare {
+				t.Fatalf("%s: request %+v resolved to the memoized engine: %v, want %v", when, r, shared, bare)
+			}
+		}
+	}
+	sameEngines("before the sweep")
 	swept, err := shared.SweepCtx(context.Background(), perm, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +227,8 @@ func TestNameMemoMatchesFreshServer(t *testing.T) {
 		}
 	}
 
+	sameEngines("after the sweep")
+
 	// base, macro-b and its alias b; toy and resnet18.
 	if n := memoEntries(&shared.names.macros); n != 3 {
 		t.Fatalf("%d macro memo entries, want 3", n)
@@ -203,6 +240,9 @@ func TestNameMemoMatchesFreshServer(t *testing.T) {
 		a := v.(*namedArch)
 		if fp := ArchFingerprint(a.arch); fp != a.fp {
 			t.Errorf("memoized macro %q now hashes to %s, stored %s", k, fp, a.fp)
+		}
+		if a.eng != engines[k.(string)] || a.eng.Arch() != a.arch {
+			t.Errorf("memoized macro %q holds a second engine, or one of another arch", k)
 		}
 		fresh, err := macros.ByName(k.(string))
 		if err != nil || !reflect.DeepEqual(fresh, a.arch) {
@@ -263,7 +303,7 @@ func TestNameMemoConcurrentFill(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = srv.resolve(&Request{Macro: "macro-b", Network: "resnet18", Layers: 1 + i%3})
+			got[i], errs[i] = srv.resolve(context.Background(), &Request{Macro: "macro-b", Network: "resnet18", Layers: 1 + i%3})
 		}(i)
 	}
 	wg.Wait()
@@ -271,7 +311,7 @@ func TestNameMemoConcurrentFill(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if got[i].arch != got[0].arch || got[i].named != got[0].named {
+		if got[i].arch != got[0].arch || got[i].eng != got[0].eng || got[i].named != got[0].named {
 			t.Fatalf("request %d resolved to a second copy of the memoized entries", i)
 		}
 		if len(got[i].net.Layers) != 1+i%3 {

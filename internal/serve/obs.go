@@ -96,13 +96,13 @@ func (s *Server) registerCollectors() {
 		func() float64 { return time.Since(s.start).Seconds() })
 	reg.Collect(func(e *obs.Emit) {
 		cs := s.CacheStats()
-		e.Counter("cimloop_cache_hits_total", "Engine/context cache hits.", float64(cs.Hits))
-		e.Counter("cimloop_cache_misses_total", "Engine/context cache misses.", float64(cs.Misses))
-		e.Counter("cimloop_cache_evictions_total", "Engine/context cache evictions (least recently used).", float64(cs.Evictions))
+		e.Counter("cimloop_cache_hits_total", "Layer-context cache hits.", float64(cs.Hits))
+		e.Counter("cimloop_cache_misses_total", "Layer-context cache misses.", float64(cs.Misses))
+		e.Counter("cimloop_cache_evictions_total", "Layer-context cache evictions (least recently used).", float64(cs.Evictions))
 		e.Counter("cimloop_cache_restored_total", "Cache entries admitted from the warm-start disk store.", float64(cs.Restored))
-		e.Counter("cimloop_cache_compiles_total", "Cold compiles (engine or layer context).", float64(cs.Compiles))
+		e.Counter("cimloop_cache_compiles_total", "Cold layer-context preparations.", float64(cs.Compiles))
 		e.Gauge("cimloop_cache_entries", "Live cache entries.", float64(cs.Entries))
-		// The layer-preparation memo the cached engines share.
+		// The layer-preparation memo the server's engines share.
 		ops, sums := s.cache.memo.Stats()
 		e.Counter("cimloop_prepare_memo_lookups_total", "Layer-preparation memo lookups by entry kind.", float64(ops.Lookups), "kind", "operand")
 		e.Counter("cimloop_prepare_memo_lookups_total", "", float64(sums.Lookups), "kind", "sum")

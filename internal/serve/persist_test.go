@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +22,20 @@ import (
 // warmRequest is the request both "processes" of the restart tests issue.
 func warmRequest() Request {
 	return Request{Macro: "base", Network: "toy", MaxMappings: 4}
+}
+
+// warmEngine compiles the engine of warmRequest's macro.
+func warmEngine(t *testing.T) *core.Engine {
+	t.Helper()
+	arch, err := macros.ByName(warmRequest().Macro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }
 
 // TestWarmStartRoundTrip is the acceptance path: populate a cache dir,
@@ -47,12 +62,12 @@ func TestWarmStartRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := second.PersistStats()
-	if ps.Warm.Engines != 1 || ps.Warm.Contexts != layers || ps.Warm.Skipped != 0 {
-		t.Fatalf("warm stats = %+v, want 1 engine / %d contexts", ps.Warm, layers)
+	if ps.Warm.Contexts != layers || ps.Warm.Skipped != 0 {
+		t.Fatalf("warm stats = %+v, want %d contexts", ps.Warm, layers)
 	}
 	cs := second.CacheStats()
-	if cs.Restored != uint64(1+layers) || cs.Entries != 1+layers {
-		t.Fatalf("cache stats after warm start = %+v, want %d restored entries", cs, 1+layers)
+	if cs.Restored != uint64(layers) || cs.Entries != layers {
+		t.Fatalf("cache stats after warm start = %+v, want %d restored entries", cs, layers)
 	}
 
 	res2, err := second.EvaluateCtx(context.Background(), warmRequest())
@@ -63,13 +78,13 @@ func TestWarmStartRoundTrip(t *testing.T) {
 	if cs.Misses != 0 {
 		t.Fatalf("first repeated request after restart recompiled: stats %+v", cs)
 	}
-	if want := uint64(1 + layers); cs.Hits != want {
-		t.Fatalf("hits = %d, want %d (engine + every layer context)", cs.Hits, want)
+	if want := uint64(layers); cs.Hits != want {
+		t.Fatalf("hits = %d, want %d (every layer context)", cs.Hits, want)
 	}
-	// Restored state answers identically (same counts; energies equal to
-	// the accumulation ULP, see the persist codec tests).
-	if res2.MACs != res1.MACs || res2.MappingsEvaluated != res1.MappingsEvaluated {
-		t.Fatalf("restored evaluation diverged: %+v vs %+v", res2, res1)
+	// Restored state answers identically: the columnar codec round-trips
+	// every float bit for bit.
+	if got, want := sansElapsed(res2), sansElapsed(res1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored evaluation diverged: %+v vs %+v", got, want)
 	}
 }
 
@@ -129,7 +144,7 @@ func TestWarmStartSurvivesCorruption(t *testing.T) {
 	if ps.Warm.Skipped != 2 {
 		t.Fatalf("warm stats = %+v, want 2 skipped (corrupt + truncated)", ps.Warm)
 	}
-	if got := ps.Warm.Engines + ps.Warm.Contexts; got != len(entries)-1 {
+	if got := ps.Warm.Contexts; got != len(entries)-1 {
 		t.Fatalf("loaded %d entries, want %d intact ones", got, len(entries)-1)
 	}
 	// The bad files are reclaimed.
@@ -153,17 +168,9 @@ func TestWarmStartSurvivesCorruption(t *testing.T) {
 func TestWarmStartRefusesLegacyContextKind(t *testing.T) {
 	scratch := NewServer(BatchOptions{Workers: 1})
 	defer scratch.Close()
-	req := warmRequest()
-	arch, err := resolveArch(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, archFP, err := scratch.cache.EngineCtx(context.Background(), arch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := warmEngine(t)
 	layer := workload.Toy().Layers[0]
-	lctx, err := scratch.cache.LayerContextCtx(context.Background(), eng, archFP, layer)
+	lctx, err := lookupContext(scratch.cache, eng, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +178,7 @@ func TestWarmStartRefusesLegacyContextKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := contextKey(archFP, LayerFingerprint(layer))
+	key := contextKey(ArchFingerprint(eng.Arch()), LayerFingerprint(layer))
 	data, err := persist.EncodeRecord(persist.Record{
 		Kind: persist.KindLayerContext, Key: key, CostSec: 0.5, Payload: payload,
 	})
@@ -204,7 +211,7 @@ func TestWarmStartRefusesLegacyContextKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := srv.PersistStats().Warm
-	if warm.Skipped != len(legacy) || warm.Contexts != 0 || warm.Engines != 0 {
+	if warm.Skipped != len(legacy) || warm.Contexts != 0 {
 		t.Fatalf("warm stats = %+v, want the %d legacy records skipped, none admitted", warm, len(legacy))
 	}
 	for _, name := range legacy {
@@ -214,13 +221,14 @@ func TestWarmStartRefusesLegacyContextKind(t *testing.T) {
 	}
 }
 
-// TestWarmStartAdmitsEnginesUndecoded: an engine record is admitted by
-// its key without decoding its payload, and the first request that hits
-// it builds the engine from its own architecture: a record whose payload
-// is no architecture at all still serves the repeated request with zero
-// misses and the same answer. An engine record under a key no engine
-// lookup makes is refused and deleted.
-func TestWarmStartAdmitsEnginesUndecoded(t *testing.T) {
+// TestWarmStartDropsEngineRecords: a cache dir as older servers wrote
+// it, with an engine record (the architecture as JSON, under "eng|" and
+// the architecture's fingerprint) next to the layer-context records,
+// boots with every engine record counted as skipped and deleted, and
+// every context restored; the repeated request then misses nothing and
+// answers bit for bit as before. The first server writes no engine
+// record.
+func TestWarmStartDropsEngineRecords(t *testing.T) {
 	dir := t.TempDir()
 	first := NewServer(BatchOptions{Workers: 1, CacheDir: dir})
 	want, err := first.EvaluateCtx(context.Background(), warmRequest())
@@ -228,73 +236,93 @@ func TestWarmStartAdmitsEnginesUndecoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	first.Close()
-
-	req := warmRequest()
-	arch, err := resolveArch(&req)
-	if err != nil {
-		t.Fatal(err)
+	if engines, err := filepath.Glob(filepath.Join(dir, persist.KindEngine.String()+"-*.cws")); err != nil || len(engines) != 0 {
+		t.Fatalf("the cache dir holds engine records %v (%v)", engines, err)
 	}
-	write := func(key string) string {
-		data, err := persist.EncodeRecord(persist.Record{
-			Kind: persist.KindEngine, Key: key, CostSec: 0.5, Payload: []byte("not an architecture"),
-		})
+
+	var engineFiles []string
+	for _, name := range []string{"base", "macro-b"} {
+		arch, err := macros.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := filepath.Join(dir, persist.RecordName(persist.KindEngine, key))
-		if err := os.WriteFile(name, data, 0o644); err != nil {
+		payload, err := json.Marshal(arch)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return name
+		key := "eng|" + ArchFingerprint(arch)
+		data, err := persist.EncodeRecord(persist.Record{Kind: persist.KindEngine, Key: key, CostSec: 0.5, Payload: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := filepath.Join(dir, persist.RecordName(persist.KindEngine, key))
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		engineFiles = append(engineFiles, file)
 	}
-	write(engineKey(ArchFingerprint(arch)))
-	stray := write(contextKey(ArchFingerprint(arch), LayerFingerprint(workload.Toy().Layers[0])))
 
 	second := NewServer(BatchOptions{Workers: 1, CacheDir: dir})
 	defer second.Close()
-	if warm := second.PersistStats().Warm; warm.Engines != 1 || warm.Skipped != 1 {
-		t.Fatalf("warm stats = %+v, want the engine admitted and the stray record skipped", warm)
+	layers := len(workload.Toy().Layers)
+	if warm := second.PersistStats().Warm; warm.Skipped != len(engineFiles) || warm.Contexts != layers {
+		t.Fatalf("warm stats = %+v, want %d engine records skipped and %d contexts", warm, len(engineFiles), layers)
 	}
-	if _, err := os.Stat(stray); !os.IsNotExist(err) {
-		t.Fatalf("an engine record under a context key must be deleted (stat: %v)", err)
+	for _, file := range engineFiles {
+		if _, err := os.Stat(file); !os.IsNotExist(err) {
+			t.Fatalf("engine record %s must be deleted by the boot scan (stat: %v)", filepath.Base(file), err)
+		}
 	}
 	got, err := second.EvaluateCtx(context.Background(), warmRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := second.CacheStats(); cs.Misses != 0 {
+	if cs := second.CacheStats(); cs.Misses != 0 || cs.Hits != uint64(layers) {
 		t.Fatalf("the repeated request recompiled: stats %+v", cs)
 	}
-	if got.EnergyJ != want.EnergyJ || got.MappingsEvaluated != want.MappingsEvaluated {
-		t.Fatalf("restored evaluation %+v, first %+v", got, want)
+	if g, w := sansElapsed(got), sansElapsed(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("restored evaluation %+v, first %+v", g, w)
 	}
 }
 
 // TestWarmStartKeepsCostliest: a cache dir holding more records than
-// CacheEntries boots with the costliest records warm. Six engine records,
-// each with a distinct cost in no relation to its key, boot into a cache
-// of three entries: the three costliest engines then hit without a
-// compile, the three cheapest are the ones missing, and every record
-// keeps its file.
+// CacheEntries boots with the costliest records warm. Six layer-context
+// records, each with a distinct cost in no relation to its key, boot
+// into a cache of three entries: the three costliest contexts then hit
+// without a compile, the three cheapest are the ones missing, and every
+// record keeps its file.
 func TestWarmStartKeepsCostliest(t *testing.T) {
 	const capacity = 3
 	dir := t.TempDir()
 	names := []string{"base", "macro-a", "macro-b", "macro-c", "macro-d", "digital-cim"}
 	costs := []float64{0.4, 2.5, 0.1, 1.5, 3.0, 0.9}
-	archs := make([]*core.Arch, len(names))
+	layer := workload.Toy().Layers[0]
+	scratch := NewCache(len(names))
+	engines := make([]*core.Engine, len(names))
 	for i, name := range names {
 		arch, err := macros.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		archs[i] = arch
+		if engines[i], err = core.NewEngine(arch); err != nil {
+			t.Fatal(err)
+		}
+		lctx, err := lookupContext(scratch, engines[i], layer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := persist.EncodeLayerContextColumnar(lctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := contextKey(ArchFingerprint(arch), LayerFingerprint(layer))
 		data, err := persist.EncodeRecord(persist.Record{
-			Kind: persist.KindEngine, Key: engineKey(ArchFingerprint(arch)), CostSec: costs[i], Payload: []byte(name),
+			Kind: persist.KindLayerContextCol, Key: key, CostSec: costs[i], Payload: payload,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, persist.RecordName(persist.KindEngine, engineKey(ArchFingerprint(arch)))), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, persist.RecordName(persist.KindLayerContextCol, key)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +341,7 @@ func TestWarmStartKeepsCostliest(t *testing.T) {
 	}
 	// Costliest first, so no miss below evicts a record still to check.
 	for _, i := range []int{4, 1, 3} {
-		if _, _, err := srv.cache.EngineCtx(context.Background(), archs[i]); err != nil {
+		if _, err := lookupContext(srv.cache, engines[i], layer); err != nil {
 			t.Fatal(err)
 		}
 		if cs := srv.CacheStats(); cs.Misses != 0 || cs.Compiles != 0 {
@@ -321,7 +349,7 @@ func TestWarmStartKeepsCostliest(t *testing.T) {
 		}
 	}
 	for n, i := range []int{5, 0, 2} {
-		if _, _, err := srv.cache.EngineCtx(context.Background(), archs[i]); err != nil {
+		if _, err := lookupContext(srv.cache, engines[i], layer); err != nil {
 			t.Fatal(err)
 		}
 		if cs := srv.CacheStats(); cs.Misses != uint64(n+1) {
@@ -424,17 +452,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestDriftedContextRecordRecovers(t *testing.T) {
 	srv := NewServer(BatchOptions{Workers: 1})
 	defer srv.Close()
-	req := warmRequest()
-	arch, err := resolveArch(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, archFP, err := srv.cache.EngineCtx(context.Background(), arch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := warmEngine(t)
 	layer := workload.Toy().Layers[0]
-	good, err := srv.cache.LayerContextCtx(context.Background(), eng, archFP, layer)
+	good, err := lookupContext(srv.cache, eng, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +468,11 @@ func TestDriftedContextRecordRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := contextKey(archFP, LayerFingerprint(layer))
+	key := contextKey(ArchFingerprint(eng.Arch()), LayerFingerprint(layer))
 	srv.cache.invalidate(key, good)
 	srv.cache.admit(key, bad)
 
-	got, err := srv.cache.LayerContextCtx(context.Background(), eng, archFP, layer)
+	got, err := lookupContext(srv.cache, eng, layer)
 	if err != nil {
 		t.Fatal(err)
 	}

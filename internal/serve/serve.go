@@ -1,8 +1,8 @@
 // Package serve is the concurrent batch-evaluation service: a bounded
 // worker pool that fans evaluation requests (macro x network x system
 // scenario grids) across goroutines, backed by a content-addressed LRU
-// cache of compiled engines and per-layer contexts so amortized state is
-// shared across requests instead of recompiled per call.
+// cache of per-layer contexts so amortized state is shared across
+// requests instead of recompiled per call.
 //
 // The paper's speed claim rests on computing per-layer action energies
 // once and reusing them across thousands of mappings; serve extends that
@@ -58,12 +58,12 @@ type BatchOptions struct {
 	// Deprecated: only bench/ still sets it, and ROADMAP item 4's bench/
 	// change deletes it.
 	SearchWorkers int
-	// CacheEntries bounds the engine/context cache (default
-	// DefaultCacheEntries), and separately the preparation memo its
-	// engines share (core.PrepareMemo).
+	// CacheEntries bounds the layer-context cache (default
+	// DefaultCacheEntries), and separately the preparation memo the
+	// server's engines share (core.PrepareMemo).
 	CacheEntries int
 
-	// CacheDir enables durable warm starts for the engine/context cache:
+	// CacheDir enables durable warm starts for the layer-context cache:
 	// computed entries stream to this directory through a write-behind
 	// queue, and a new server admits them back on boot so its first
 	// repeated request is a cache hit instead of a recompilation. Empty
@@ -238,6 +238,12 @@ func resolveArch(r *Request) (*core.Arch, error) {
 	if err != nil {
 		return nil, err
 	}
+	return wrapArch(arch, r)
+}
+
+// wrapArch applies the request's optional full-system wrap to arch,
+// which it only reads.
+func wrapArch(arch *core.Arch, r *Request) (*core.Arch, error) {
 	if r.Scenario == "" {
 		return arch, nil
 	}
@@ -276,11 +282,12 @@ func firstLayers(net *workload.Network, k int) *workload.Network {
 	return &cp
 }
 
-// resolved is a request's architecture and validated network with the
-// content fingerprints that address them in the cache.
+// resolved is a request's architecture, compiled engine and validated
+// network with the content fingerprints that address them in the cache.
 type resolved struct {
 	arch   *core.Arch
 	archFP string
+	eng    *core.Engine
 	net    *workload.Network
 	// named is the memo entry of a zoo network name, which fingerprints
 	// the layers on first use; any other network's LayerFingerprints are
@@ -297,26 +304,35 @@ func (rv *resolved) layerFP(i int) string {
 	return rv.layerFPs[i]
 }
 
-// resolve materializes the request's architecture and network with
-// their fingerprints. A bare macro name and a network name come from the
-// server's name memo; every other source (inline spec, programmatic Arch
-// or Net, scenario wrap) is built and hashed per request. Either way a
-// bad request fails with the same error: the architecture's, then the
+// resolve materializes the request's architecture, engine and network
+// with their fingerprints. A bare macro name and a network name come
+// from the server's name memo, and a macro name under a scenario wraps
+// the memoized macro; every other architecture (inline spec,
+// programmatic Arch, scenario wrap) is hashed and compiled per request,
+// the compile booked to ctx's span as "compile". Either way a bad
+// request fails with the same error: the architecture's, then the
 // network's, then the network's validation error.
-func (s *Server) resolve(r *Request) (resolved, error) {
+func (s *Server) resolve(ctx context.Context, r *Request) (resolved, error) {
 	var rv resolved
-	if r.Macro != "" && r.Spec == "" && r.Arch == nil && r.Scenario == "" {
-		a, err := s.names.macro(r.Macro)
-		if err != nil {
+	var err error
+	if r.Macro != "" && r.Spec == "" && r.Arch == nil {
+		var a *namedArch
+		if a, err = s.names.macro(ctx, r.Macro, s.cache); err != nil {
 			return rv, err
 		}
-		rv.arch, rv.archFP = a.arch, a.fp
-	} else {
-		arch, err := resolveArch(r)
-		if err != nil {
+		if r.Scenario == "" {
+			rv.arch, rv.archFP, rv.eng = a.arch, a.fp, a.eng
+		} else if rv.arch, err = wrapArch(a.arch, r); err != nil {
 			return rv, err
 		}
-		rv.arch, rv.archFP = arch, ArchFingerprint(arch)
+	} else if rv.arch, err = resolveArch(r); err != nil {
+		return rv, err
+	}
+	if rv.eng == nil {
+		if rv.eng, err = s.cache.compile(ctx, rv.arch); err != nil {
+			return rv, err
+		}
+		rv.archFP = ArchFingerprint(rv.arch)
 	}
 	if (r.Network != "") == (r.Net != nil) {
 		return rv, errors.New("serve: request needs exactly one of network name or prebuilt net")
@@ -338,27 +354,21 @@ func (s *Server) resolve(r *Request) (resolved, error) {
 	return rv, nil
 }
 
-// EvaluateCtx runs one request through the cache: the engine and every
-// layer context are fetched (or compiled once) from the content-addressed
-// cache, and only the per-mapping count analysis runs unconditionally.
+// EvaluateCtx runs one request through the cache: every layer context is
+// fetched (or prepared once) from the content-addressed cache, and only
+// the per-mapping count analysis runs unconditionally.
 // Cancellation and deadlines are checked between layers and inside each
 // layer's mapping search, so a cancelled request (client disconnect,
 // timeout_sec) stops in-flight work instead of finishing the evaluation.
 func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) {
 	started := time.Now()
 	sp := obs.FromContext(ctx)
-	rv, err := s.resolve(&req)
+	rv, err := s.resolve(ctx, &req)
 	if err != nil {
 		return nil, err
 	}
-	arch, net := rv.arch, rv.net
-	lookup := time.Now()
+	arch, eng, net := rv.arch, rv.eng, rv.net
 	compiled := sp.Phase("compile")
-	eng, err := s.cache.engine(ctx, arch, rv.archFP)
-	if err != nil {
-		return nil, err
-	}
-	compiled = observeCacheLookup(sp, lookup, compiled)
 	mappings := req.MaxMappings
 	if mappings <= 0 {
 		mappings = s.opts.mappings()
@@ -385,7 +395,7 @@ func (s *Server) EvaluateCtx(ctx context.Context, req Request) (*Result, error) 
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			lookup = time.Now()
+			lookup := time.Now()
 			lctx, err := s.cache.layerContext(ctx, eng, rv.archFP, rv.layerFP(i), l, wait)
 			compiled = observeCacheLookup(sp, lookup, compiled)
 			if errors.Is(err, core.ErrPrepareBusy) && !wait {
