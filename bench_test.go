@@ -270,8 +270,10 @@ func BenchmarkEvaluateRequestWarm(b *testing.B) {
 // system of a macro count no earlier request named, over all of
 // mobilenetv3-large at 16 mappings, on a server that has evaluated that
 // macro, scenario and network before. Each iteration compiles a new
-// engine and prepares every layer context; the operand stages and
-// column sums come from the server's preparation memo.
+// engine and prepares every layer context; the operand stages, the
+// column sums and the mean energies of the output circuits that read
+// them come from the server's preparation memo, so a preparation prices
+// only the circuits that read no column sum.
 func BenchmarkEvaluateRequestNewSystem(b *testing.B) {
 	srv := NewServer(BatchOptions{})
 	req := EvalRequest{Macro: "base", Network: "mobilenetv3-large", Scenario: WeightStationary.String(),

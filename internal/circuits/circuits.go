@@ -30,10 +30,36 @@ import (
 // field may be nil when the component does not use it; models fall back to
 // a representative fixed value (mid-scale), which is exactly the
 // fixed-energy approximation the paper's accuracy study compares against.
+// Package core sets Output only for the models OutputKey admits; every
+// other model ignores it.
 type Operands struct {
 	Input  *dist.PMF // encoded+sliced level at the input port
 	Weight *dist.PMF // stored weight level
 	Output *dist.PMF // value at the output port
+}
+
+// OutputKey reports whether m's MeanEnergy reads Operands.Output: true
+// for a value-aware ADC, an analog adder or accumulator, a digital adder
+// and a shift-add. For those it returns m's parameters as a comparable
+// key, equal for two models only when their EnergyAt agree bit for bit,
+// so a mean energy over one output PMF can be computed once per key;
+// for every other model it returns a nil key.
+func OutputKey(m Model) (key any, ok bool) {
+	switch m := m.(type) {
+	case *ADC:
+		if m.valueAware {
+			return *m, true
+		}
+	case *AnalogAdder:
+		return *m, true
+	case *AnalogAccumulator:
+		return *m, true
+	case *DigitalAdder:
+		return *m, true
+	case *ShiftAdd:
+		return *m, true
+	}
+	return nil, false
 }
 
 // Model is one hardware component plug-in.

@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -446,5 +447,150 @@ func TestQuickEnergyNonNegative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// boundModel builds one model of a class core's Engine.bind binds from
+// params and integer constructor arguments (a DAC's kind and an ADC's
+// value awareness are 0 or 1).
+type boundModel struct {
+	class string
+	args  []int
+	build func(p Params, a []int) (Model, error)
+}
+
+func boundModels() []boundModel {
+	return []boundModel{
+		{"adc", []int{8, 0}, func(p Params, a []int) (Model, error) { return NewADC(p, a[0], a[1] != 0) }},
+		{"adc-value-aware", []int{8, 1}, func(p Params, a []int) (Model, error) { return NewADC(p, a[0], a[1] != 0) }},
+		{"dac", []int{0, 4}, func(p Params, a []int) (Model, error) { return NewDAC(p, DACKind(a[0]), a[1]) }},
+		{"analog-adder", []int{2, 8}, func(p Params, a []int) (Model, error) { return NewAnalogAdder(p, a[0], a[1]) }},
+		{"analog-accumulator", []int{10}, func(p Params, a []int) (Model, error) { return NewAnalogAccumulator(p, a[0]) }},
+		{"digital-adder", []int{16}, func(p Params, a []int) (Model, error) { return NewDigitalAdder(p, a[0]) }},
+		{"shift-add", []int{24}, func(p Params, a []int) (Model, error) { return NewShiftAdd(p, a[0]) }},
+		{"register", []int{24}, func(p Params, a []int) (Model, error) { return NewRegister(p, a[0]) }},
+		{"multiplexer", []int{8, 2}, func(p Params, a []int) (Model, error) { return NewMultiplexer(p, a[0], a[1]) }},
+		{"row-driver", []int{256, 4}, func(p Params, a []int) (Model, error) { return NewRowDriver(p, a[0], a[1]) }},
+		{"sense-amp", nil, func(p Params, _ []int) (Model, error) { return NewSenseAmp(p) }},
+		{"wire", []int{8, 2}, func(p Params, a []int) (Model, error) { return NewWire(p, a[0], float64(a[1])/2) }},
+		{"reram-cell", []int{4, 2}, func(p Params, a []int) (Model, error) { return NewReRAMCell(p, a[0], a[1]) }},
+		{"sram-cell", []int{1, 1}, func(p Params, a []int) (Model, error) { return NewSRAMComputeCell(p, a[0], a[1]) }},
+		{"stt-cell", []int{4}, func(p Params, a []int) (Model, error) { return NewSTTRAMCell(p, a[0]) }},
+		{"edram-cell", []int{4, 2}, func(p Params, a []int) (Model, error) { return NewEDRAMCell(p, a[0], a[1]) }},
+		{"mzi-modulator", []int{4}, func(p Params, a []int) (Model, error) { return NewMZIModulator(p, a[0]) }},
+		{"photodetector", nil, func(p Params, _ []int) (Model, error) { return NewPhotodetector(p) }},
+		{"photonic-cell", nil, func(p Params, _ []int) (Model, error) { return NewPhotonicWeightCell(p) }},
+		{"c2c-mac", []int{8, 8}, func(p Params, a []int) (Model, error) { return NewC2CMac(p, a[0], a[1]) }},
+		{"digital-mac", []int{4, 2}, func(p Params, a []int) (Model, error) { return NewDigitalMAC(p, a[0], a[1]) }},
+	}
+}
+
+// TestOutputKeyMatchesMeanEnergy: for a model of every class core binds,
+// OutputKey admits it exactly when its MeanEnergy on some output PMF
+// differs from its MeanEnergy on none; models built alike share a key
+// and price every output PMF bit for bit alike; and moving any
+// constructor argument (the technology node and supply included) so that
+// EnergyAt moves also moves the key.
+func TestOutputKeyMatchesMeanEnergy(t *testing.T) {
+	uniform, err := dist.UniformInts(0, 255)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed, err := dist.FromPoints([]dist.Point{{Value: 1, Prob: 3}, {Value: 40, Prob: 1}, {Value: 900, Prob: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs := []*dist.PMF{dist.Delta(0), dist.Delta(5), uniform, skewed}
+	energies := func(m Model) []float64 {
+		var out []float64
+		for _, o := range outputs {
+			e, err := m.MeanEnergy(Operands{Output: o})
+			if err != nil {
+				t.Fatalf("%s: %v", m.Name(), err)
+			}
+			out = append(out, e)
+		}
+		return out
+	}
+	// probes are the (in, weight, out) points EnergyAt is compared at.
+	probes := []float64{0, 1, 3, 7, 100, 1000}
+	energyAtMoves := func(a, b Model) bool {
+		for _, in := range probes {
+			for _, w := range probes {
+				for _, o := range probes {
+					if math.Float64bits(a.EnergyAt(in, w, o)) != math.Float64bits(b.EnergyAt(in, w, o)) {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	base := params(t, 65)
+	vdd := base
+	vdd.Vdd = 0.9 * base.Node.Vdd
+	for _, c := range boundModels() {
+		m, err := c.build(base, c.args)
+		if err != nil {
+			t.Fatalf("%s: %v", c.class, err)
+		}
+		key, ok := OutputKey(m)
+		none, err := m.MeanEnergy(Operands{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := false
+		for _, e := range energies(m) {
+			reads = reads || math.Float64bits(e) != math.Float64bits(none)
+		}
+		if ok != reads {
+			t.Errorf("%s: OutputKey ok = %v, but MeanEnergy reads Output: %v", c.class, ok, reads)
+		}
+		if !ok {
+			if key != nil {
+				t.Errorf("%s: OutputKey = %v with ok false, want nil", c.class, key)
+			}
+			continue
+		}
+
+		twin, err := c.build(base, c.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if twinKey, _ := OutputKey(twin); twinKey != key {
+			t.Errorf("%s: two models built alike have keys %v and %v", c.class, key, twinKey)
+		}
+		want := energies(m)
+		for i, e := range energies(twin) {
+			if math.Float64bits(e) != math.Float64bits(want[i]) {
+				t.Errorf("%s: equal keys, output %d priced %g and %g", c.class, i, want[i], e)
+			}
+		}
+
+		type variant struct {
+			name string
+			p    Params
+			args []int
+		}
+		variants := []variant{{"node", params(t, 45), c.args}, {"vdd", vdd, c.args}}
+		for i := range c.args {
+			args := append([]int(nil), c.args...)
+			if c.class == "adc-value-aware" && i == 1 {
+				args[i] = 1 - args[i]
+			} else {
+				args[i]++
+			}
+			variants = append(variants, variant{fmt.Sprintf("argument %d", i), base, args})
+		}
+		for _, v := range variants {
+			moved, err := c.build(v.p, v.args)
+			if err != nil {
+				t.Fatalf("%s, %s moved: %v", c.class, v.name, err)
+			}
+			movedKey, _ := OutputKey(moved)
+			if energyAtMoves(m, moved) && movedKey == key {
+				t.Errorf("%s: moving %s moves EnergyAt but not the key", c.class, v.name)
+			}
+		}
 	}
 }

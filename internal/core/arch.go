@@ -196,6 +196,9 @@ type binding struct {
 	// operands, EnergyAt(0, 0, 0): the price of an idle instance's strobe
 	// (0 without a model).
 	idleEnergy float64
+	// sumKey is model's circuits.OutputKey if model's mean energy reads
+	// the column sum arriving above the level, and nil otherwise.
+	sumKey any
 	// programEnergy is the per-value cost of writing a weight into a
 	// compute cell (device programming).
 	programEnergy float64
@@ -262,6 +265,7 @@ func NewEngine(a *Arch) (*Engine, error) {
 		}
 		if b.model != nil {
 			b.idleEnergy = b.model.EnergyAt(0, 0, 0)
+			b.sumKey, _ = circuits.OutputKey(b.model)
 		}
 		e.bindings = append(e.bindings, b)
 	}

@@ -82,7 +82,7 @@ func prepareDigest(t *testing.T, macro, network string, outputs map[string]strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	depths := eng.ColumnSumDepths()
+	depths := eng.ReductionDepths()
 	h := sha256.New()
 	for li, l := range net.Layers[:min(digestLayers, len(net.Layers))] {
 		fmt.Fprintf(h, "layer %d %s\n", li, l.Name)

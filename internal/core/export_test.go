@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dist"
 	"repro/internal/mapper"
@@ -65,13 +66,25 @@ func (e *Engine) SearchProbed(ctx context.Context, lctx *LayerContext, so Search
 // Boundable reports whether the cost kernel may stop at level 0 for ctx.
 func (e *Engine) Boundable(ctx *LayerContext) bool { return e.boundable(ctx) }
 
-// ColumnSumDepths returns the distinct reduction depths below each
-// level's upper boundary, capped as columnSumPMF caps them, in level
+// ReductionDepths returns the distinct reduction depths below each
+// level's upper boundary, capped as columnSumEntry caps them, in level
 // order: a superset of the depths PrepareLayer sums cell products over.
+func (e *Engine) ReductionDepths() []int64 { return e.depths(func(*binding) bool { return true }) }
+
+// ColumnSumDepths returns the distinct depths of ReductionDepths at the
+// levels whose circuit reads the column sum: the depths PrepareLayer
+// sums cell products over.
 func (e *Engine) ColumnSumDepths() []int64 {
+	return e.depths(func(b *binding) bool { return b.sumKey != nil })
+}
+
+func (e *Engine) depths(keep func(*binding) bool) []int64 {
 	var out []int64
 	seen := map[int64]bool{}
 	for i := range e.bindings {
+		if !keep(&e.bindings[i]) {
+			continue
+		}
 		d := min(e.arch.reductionDepthBelow(e.bindings[i].levelIdx+1), maxColumnDepth)
 		if !seen[d] {
 			seen[d] = true
@@ -81,10 +94,23 @@ func (e *Engine) ColumnSumDepths() []int64 {
 	return out
 }
 
-// SumOf is the memo lookup columnSumPMF makes for one cell product and
-// reduction depth.
+// CountMeanEnergies counts the mean energies column-sum entries compute,
+// in every memo, until stop is called; priced returns the count so far.
+// No other preparation may run while the count is started or stopped.
+func CountMeanEnergies() (priced func() uint64, stop func()) {
+	var n atomic.Uint64
+	pricedHook = func() { n.Add(1) }
+	return n.Load, func() { pricedHook = nil }
+}
+
+// SumOf returns the sum of the memo entry columnSumEntry looks up for
+// one cell product and reduction depth.
 func (m *PrepareMemo) SumOf(cell *dist.PMF, depth int64) (*dist.PMF, error) {
-	return m.sum(&operandStage{cell: cell, cellKey: cellKey(cell)}, depth, true)
+	s, err := m.sum(&operandStage{cell: cell, cellKey: cellKey(cell)}, depth, true)
+	if err != nil {
+		return nil, err
+	}
+	return s.pmf, nil
 }
 
 // Kinds counts the memo's entries by kind.
@@ -121,7 +147,7 @@ func (e *Engine) HoldSums(l workload.Layer) (release func(), err error) {
 			e.memo.get(k, true, func() (any, error) {
 				close(started)
 				<-gate
-				return columnSum(ops.cell, depth)
+				return newColumnSum(ops.cell, depth)
 			})
 		}()
 		<-started

@@ -11,7 +11,7 @@ import (
 	"repro/internal/workload"
 )
 
-// columnSumCap is the value a column sum saturates at (columnSumPMF).
+// columnSumCap is the value a column sum saturates at (newColumnSum).
 const columnSumCap = 256
 
 // PrepareMemo memoizes the two stages of a layer preparation that depend
@@ -32,7 +32,10 @@ const columnSumCap = 256
 //     never coincide, so neither finds the other's entries;
 //   - the column sums, SumNCapped(cell, depth, columnSumCap).Rebin(512),
 //     keyed by the cell product's bits (cellKey) and the reduction depth,
-//     whichever key found the cell product.
+//     whichever key found the cell product. A sum entry also holds the
+//     mean energies drawn from it: each output circuit that reads the sum
+//     (circuits.OutputKey) is priced on it once per entry, and every
+//     later preparation reaching that circuit and sum reads the price.
 //
 // Two preparations that agree on a key — the same macro wrapped in
 // different systems, or layers with equal operand statistics — compute it
@@ -47,7 +50,7 @@ const columnSumCap = 256
 // which finds the entry busy and counts as no lookup; failures are not
 // memoized. All methods are safe for concurrent use.
 type PrepareMemo struct {
-	entries memo.Memo[memoKey, any] // *operandStage or column-sum *dist.PMF
+	entries memo.Memo[memoKey, any] // *operandStage or *columnSum
 
 	mu     sync.Mutex // guards counts
 	counts [memoKinds]MemoCounts
@@ -207,23 +210,77 @@ func stage(v any, err error) (*operandStage, error) {
 	return v.(*operandStage), nil
 }
 
-// sum returns SumNCapped(ops.cell, depth, columnSumCap).Rebin(512),
-// computing it at most once while its entry is held (see get for wait).
-func (m *PrepareMemo) sum(ops *operandStage, depth int64, wait bool) (*dist.PMF, error) {
+// sum returns the column-sum entry of SumNCapped(ops.cell, depth,
+// columnSumCap).Rebin(512), computing the sum at most once while its
+// entry is held (see get for wait).
+func (m *PrepareMemo) sum(ops *operandStage, depth int64, wait bool) (*columnSum, error) {
 	k := memoKey{kind: sumEntry, digest: ops.cellKey, depth: depth}
-	v, err := m.get(k, wait, func() (any, error) { return columnSum(ops.cell, depth) })
+	v, err := m.get(k, wait, func() (any, error) { return newColumnSum(ops.cell, depth) })
 	if err != nil {
 		return nil, err
 	}
-	return v.(*dist.PMF), nil
+	return v.(*columnSum), nil
 }
 
-// columnSum computes a column-sum entry: SumNCapped(cell, depth,
-// columnSumCap).Rebin(512), at exact length.
-func columnSum(cell *dist.PMF, depth int64) (*dist.PMF, error) {
+// columnSum is a column-sum entry: the sum, and the mean energies per
+// action of the output circuits that read it, each computed on the
+// entry's first request for it and dropped with the entry.
+type columnSum struct {
+	pmf *dist.PMF
+
+	mu       sync.Mutex // guards energies
+	energies map[energyKey]float64
+}
+
+// energyKey names one mean energy drawn from a column sum: the output
+// circuit's circuits.OutputKey, and the full scale the sum is quantized
+// to before the circuit reads it (an ADC's ColumnFullScale, which is
+// never 0), or 0 when the circuit reads the sum as it is.
+type energyKey struct {
+	model any
+	scale float64
+}
+
+// newColumnSum computes a column-sum entry: SumNCapped(cell, depth,
+// columnSumCap).Rebin(512), at exact length, with no energies yet.
+func newColumnSum(cell *dist.PMF, depth int64) (*columnSum, error) {
 	s, err := dist.SumNCapped(cell, int(depth), columnSumCap)
 	if err != nil {
 		return nil, err
 	}
-	return s.Rebin(512).Compact(), nil
+	return &columnSum{pmf: s.Rebin(512).Compact()}, nil
 }
+
+// meanEnergy returns the energy held under k, computing it with price
+// from the sum if the entry holds none; an error is returned and not
+// held. The lock is not held while price runs: requests racing for one
+// missing energy may each compute it, and all get the first one held.
+func (c *columnSum) meanEnergy(k energyKey, price func(sum *dist.PMF) (float64, error)) (float64, error) {
+	c.mu.Lock()
+	e, ok := c.energies[k]
+	c.mu.Unlock()
+	if ok {
+		return e, nil
+	}
+	e, err := price(c.pmf)
+	if err != nil {
+		return 0, err
+	}
+	if pricedHook != nil {
+		pricedHook()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if held, ok := c.energies[k]; ok {
+		return held, nil
+	}
+	if c.energies == nil {
+		c.energies = make(map[energyKey]float64)
+	}
+	c.energies[k] = e
+	return e, nil
+}
+
+// pricedHook, when set, is called for each mean energy a column-sum
+// entry computes. Only tests set it (export_test.go).
+var pricedHook func()

@@ -831,3 +831,110 @@ func TestOperandStagesShareAsByContent(t *testing.T) {
 		t.Fatalf("statistics keys fill %d operand stages and %d column sums, content keys %d and %d", sOps, sSums, cOps, cSums)
 	}
 }
+
+// TestMeanEnergiesSharedAcrossSystems: the base macro alone, then in a
+// weight-stationary system of 2 and of 3 macros, prepares ResNet18's
+// leading layers on one memo, as a server prepares a new system. Every
+// context equals a call-local preparation's bit for bit, and after the
+// bare macro no output circuit is priced again: its column sums' entries
+// already hold their mean energies. Goroutines preparing the same grid
+// in different orders on a fresh memo agree. Macros whose output
+// circuits read no column sum (photonic, macro-d, tpu-like) look none
+// up, alone or in a system.
+func TestMeanEnergiesSharedAcrossSystems(t *testing.T) {
+	systemEngines := func(mac string) []*core.Engine {
+		t.Helper()
+		arch, err := macros.ByName(mac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		archs := []*core.Arch{arch}
+		for _, n := range []int{2, 3} {
+			sys, err := system.Build(arch, system.WeightStationary, system.Config{Macros: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			archs = append(archs, sys)
+		}
+		var engs []*core.Engine
+		for _, a := range archs {
+			eng, err := core.NewEngine(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engs = append(engs, eng)
+		}
+		return engs
+	}
+	layers := workload.ResNet18().Layers[:memoLayers]
+
+	engs := systemEngines("base")
+	want := make([][]string, len(engs))
+	for i, eng := range engs {
+		for _, l := range layers {
+			want[i] = append(want[i], contextDigest(t, eng, l))
+		}
+	}
+	memo := core.NewPrepareMemo(0)
+	count, stop := core.CountMeanEnergies()
+	defer stop()
+	var priced uint64
+	for i, eng := range engs {
+		before := count()
+		for li, l := range layers {
+			if got := contextDigest(t, eng.WithPrepareMemo(memo), l); got != want[i][li] {
+				t.Fatalf("architecture %d layer %d: shared-memo context %s, call-local %s", i, li, got, want[i][li])
+			}
+		}
+		n := count() - before
+		if i == 0 {
+			priced = n
+		} else if n != 0 {
+			t.Fatalf("architecture %d priced %d mean energies again, want 0", i, n)
+		}
+	}
+	if _, sums := memo.Stats(); priced == 0 || sums.Lookups == 0 {
+		t.Fatalf("the bare base macro priced %d mean energies from %d sum lookups: want both positive", priced, sums.Lookups)
+	}
+
+	concurrent := core.NewPrepareMemo(0)
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(len(engs) * len(layers)) {
+				e, li := i/len(layers), i%len(layers)
+				ctx, err := engs[e].WithPrepareMemo(concurrent).PrepareLayer(layers[li])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				h := sha256.New()
+				writeContext(h, ctx.Export())
+				if got := hex.EncodeToString(h.Sum(nil)); got != want[e][li] {
+					t.Errorf("worker %d, architecture %d layer %d: context %s, call-local %s", w, e, li, got, want[e][li])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for _, mac := range []string{"photonic", "macro-d", "tpu-like"} {
+		memo := core.NewPrepareMemo(0)
+		for _, eng := range systemEngines(mac) {
+			if d := eng.ColumnSumDepths(); len(d) != 0 {
+				t.Errorf("%s: column sums read at depths %v, want none", mac, d)
+			}
+			for _, l := range layers {
+				if _, err := eng.WithPrepareMemo(memo).PrepareLayer(l); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, sums := memo.Stats(); sums.Lookups != 0 {
+			t.Errorf("%s: %d column-sum lookups, want 0", mac, sums.Lookups)
+		}
+	}
+}

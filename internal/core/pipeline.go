@@ -270,19 +270,47 @@ type layerSums struct {
 	wait bool
 }
 
-// columnSumPMF synthesizes the distribution of the analog sum arriving at
-// the boundary above level b: depth-wise sum of independent cell products
-// (the independence assumption of §III-D1), saturating at columnSumCap.
-// Integer cell products (few-bit cells and DAC slices, as in macros A and
-// B) give the exact capped distribution; products rebinned off the
-// integers give SumNCapped's 512-point approximation. Results are
-// memoized by (cell-product content, depth) in s.memo: the engine's
-// shared PrepareMemo — one per server, bounded by the server's cache
-// capacity together with the operand stages, see WithPrepareMemo — or
-// else one local to the PrepareLayer call.
-func (e *Engine) columnSumPMF(b int, s *layerSums) (*dist.PMF, error) {
+// columnSumEntry returns the memo entry of the distribution of the
+// analog sum arriving at the boundary above level b: depth-wise sum of
+// independent cell products (the independence assumption of §III-D1),
+// saturating at columnSumCap. Integer cell products (few-bit cells and
+// DAC slices, as in macros A and B) give the exact capped distribution;
+// products rebinned off the integers give SumNCapped's 512-point
+// approximation. Entries are memoized by (cell-product content, depth)
+// in s.memo: the engine's shared PrepareMemo — one per server, bounded
+// by the server's cache capacity together with the operand stages, see
+// WithPrepareMemo — or else one local to the PrepareLayer call. Only
+// levels whose circuit reads the sum look it up (outputEnergy).
+func (e *Engine) columnSumEntry(b int, s *layerSums) (*columnSum, error) {
 	depth := min(e.arch.reductionDepthBelow(b), maxColumnDepth)
 	return s.memo.sum(s.ops, depth, s.wait)
+}
+
+// outputEnergy returns b's mean energy per action on the column sum
+// arriving above level b. A circuit that does not read the sum
+// (circuits.OutputKey) is priced without it, which it ignores, and no
+// sum is looked up. The others are priced by the sum's memo entry, once
+// per (OutputKey, quantization) while the entry is held: on a transit
+// level an ADC sees the sum quantized to its own full scale.
+func (e *Engine) outputEnergy(b *binding, s *layerSums, transit bool) (float64, error) {
+	if b.sumKey == nil {
+		return b.model.MeanEnergy(circuits.Operands{})
+	}
+	sum, err := e.columnSumEntry(b.levelIdx+1, s)
+	if err != nil {
+		return 0, err
+	}
+	k := energyKey{model: b.sumKey}
+	adc, isADC := b.model.(*circuits.ADC)
+	if isADC && transit {
+		k.scale = e.arch.ColumnFullScale(b.levelIdx + 1)
+	}
+	return sum.meanEnergy(k, func(p *dist.PMF) (float64, error) {
+		if k.scale != 0 {
+			p = quantizePMFTo(p, adc.Bits(), k.scale)
+		}
+		return b.model.MeanEnergy(circuits.Operands{Output: p})
+	})
 }
 
 // quantizePMFTo rescales a non-negative value PMF onto [0, 2^bits-1]
@@ -365,20 +393,7 @@ func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, sums *layerSums) (
 			// distribution; input/weight registers see the operand
 			// slice distributions.
 			for _, t := range kindsOf(lv.Keeps) {
-				var ops circuits.Operands
-				switch t {
-				case tensor.Input:
-					ops.Input = ctx.InputSlicePMF
-				case tensor.Weight:
-					ops.Weight = ctx.WeightSlicePMF
-				default:
-					sum, err := e.columnSumPMF(b.levelIdx+1, sums)
-					if err != nil {
-						return out, err
-					}
-					ops.Output = sum
-				}
-				me, err := b.model.MeanEnergy(ops)
+				me, err := e.kindEnergy(b, ctx, sums, t, false)
 				if err != nil {
 					return out, err
 				}
@@ -398,24 +413,7 @@ func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, sums *layerSums) (
 
 	case spec.TransitLevel:
 		for _, t := range kindsOf(lv.Transits) {
-			var ops circuits.Operands
-			switch t {
-			case tensor.Input:
-				ops.Input = ctx.InputSlicePMF
-			case tensor.Weight:
-				ops.Weight = ctx.WeightSlicePMF
-			default:
-				sum, err := e.columnSumPMF(b.levelIdx+1, sums)
-				if err != nil {
-					return out, err
-				}
-				// ADCs see the sum quantized to their own full scale.
-				if adc, ok := b.model.(*circuits.ADC); ok {
-					sum = quantizePMFTo(sum, adc.Bits(), a.ColumnFullScale(b.levelIdx+1))
-				}
-				ops.Output = sum
-			}
-			me, err := b.model.MeanEnergy(ops)
+			me, err := e.kindEnergy(b, ctx, sums, t, true)
 			if err != nil {
 				return out, err
 			}
@@ -437,6 +435,19 @@ func (e *Engine) levelEnergies(b *binding, ctx *LayerContext, sums *layerSums) (
 		return out, nil
 	}
 	return out, fmt.Errorf("unknown level kind %v", lv.Kind)
+}
+
+// kindEnergy returns b's mean energy per action on tensor t: input and
+// weight circuits see the operand slice PMFs, output circuits the column
+// sum (outputEnergy; transit tells a transit level from storage).
+func (e *Engine) kindEnergy(b *binding, ctx *LayerContext, sums *layerSums, t tensor.Kind, transit bool) (float64, error) {
+	switch t {
+	case tensor.Input:
+		return b.model.MeanEnergy(circuits.Operands{Input: ctx.InputSlicePMF})
+	case tensor.Weight:
+		return b.model.MeanEnergy(circuits.Operands{Weight: ctx.WeightSlicePMF})
+	}
+	return e.outputEnergy(b, sums, transit)
 }
 
 // kindsOf lists the tensor kinds keyed in a level's per-tensor flag map,
